@@ -357,34 +357,16 @@ def _group_kl(tape, leaves: _GroupLeaves, prior_leaf):
     return ad.mul(ad.add(ratio, ad.sub(log_term, d)), 0.5)
 
 
-def pac_objective(model: MLPClassifier, noise: NoiseState, batch_x, batch_y,
-                  cfg: BoundConfig, rng: np.random.Generator | None = None, *,
-                  packer: GroupPacker | None = None,
-                  tau: dict | None = None, k_value: float | None = None,
-                  l_pac_weight: float = 1.0,
-                  with_grads: bool = True) -> tuple[BoundTerms, ObjectiveGrads | None]:
-    """Evaluate J on one batch with a single noise draw; optionally with gradients.
+def _objective_graph(model: MLPClassifier, noise: NoiseState, packer: GroupPacker,
+                     theta: dict, tau: dict, batch_x, batch_y, cfg: BoundConfig,
+                     k_value: float | None = None, l_pac_weight: float = 1.0,
+                     ) -> tuple[ad.Tensor, BoundTerms, dict, dict]:
+    """Record J at packed weights ``theta`` with the noise draw ``tau`` fixed.
 
-    ``tau`` injects fixed noise per group (used by the gradient checks); when
-    absent one draw per group is taken from ``rng``. ``k_value`` overrides the
-    running-K resolution (the trainer passes its tracker value); fixed-K
-    configs ignore it. ``l_pac_weight`` scales the complexity term inside the
-    optimized objective; the reported ``l_pac``/``j_total`` reflect the same
-    scaling so ``j_total == l_train + l_pac`` always holds.
+    Returns J, its terms, and the per-group weight/log-std leaves and prior
+    leaves its gradients are read from. Frozen layers are read from
+    ``model``; gamma and K are resolved from ``cfg`` and enter as constants.
     """
-    if packer is None:
-        packer = GroupPacker.for_model(model)
-    batch_x = np.asarray(batch_x, dtype=np.float64)
-    batch_y = np.asarray(batch_y, dtype=np.int64)
-    if batch_x.shape[0] == 0:
-        raise ValueError("pac_objective: batch must be nonempty")
-
-    theta = {g: packer.pack(model, g) for g in _GROUPS}
-    if tau is None:
-        if rng is None:
-            raise ValueError("pac_objective: need an rng when tau is not given")
-        tau = {g: rng.standard_normal(packer.sizes[g]) for g in _GROUPS}
-
     tape = ad.Tape()
     leaves = {g: _GroupLeaves(tape, packer, g, theta[g], noise.log_std(g),
                               tau[g], noise.anchor(g)) for g in _GROUPS}
@@ -431,10 +413,43 @@ def pac_objective(model: MLPClassifier, noise: NoiseState, batch_x, batch_y,
         l_pac=l_pac_t.item(),
         j_total=j_t.item(),
     )
+    return j_t, terms, leaves, prior_leaves
+
+
+def pac_objective(model: MLPClassifier, noise: NoiseState, batch_x, batch_y,
+                  cfg: BoundConfig, rng: np.random.Generator | None = None, *,
+                  packer: GroupPacker | None = None,
+                  tau: dict | None = None, k_value: float | None = None,
+                  l_pac_weight: float = 1.0,
+                  with_grads: bool = True) -> tuple[BoundTerms, ObjectiveGrads | None]:
+    """Evaluate J on one batch with a single noise draw; optionally with gradients.
+
+    ``tau`` injects fixed noise per group (used by the gradient checks); when
+    absent one draw per group is taken from ``rng``. ``k_value`` overrides the
+    running-K resolution (the trainer passes its tracker value); fixed-K
+    configs ignore it. ``l_pac_weight`` scales the complexity term inside the
+    optimized objective; the reported ``l_pac``/``j_total`` reflect the same
+    scaling so ``j_total == l_train + l_pac`` always holds.
+    """
+    if packer is None:
+        packer = GroupPacker.for_model(model)
+    batch_x = np.asarray(batch_x, dtype=np.float64)
+    batch_y = np.asarray(batch_y, dtype=np.int64)
+    if batch_x.shape[0] == 0:
+        raise ValueError("pac_objective: batch must be nonempty")
+
+    theta = {g: packer.pack(model, g) for g in _GROUPS}
+    if tau is None:
+        if rng is None:
+            raise ValueError("pac_objective: need an rng when tau is not given")
+        tau = {g: rng.standard_normal(packer.sizes[g]) for g in _GROUPS}
+
+    j_t, terms, leaves, prior_leaves = _objective_graph(
+        model, noise, packer, theta, tau, batch_x, batch_y, cfg, k_value, l_pac_weight)
     if not with_grads:
         return terms, None
 
-    grads = tape.backward(j_t)
+    grads = j_t.tape.backward(j_t)
     og = ObjectiveGrads(
         backbone=leaves[ParamGroup.BACKBONE].grad_flat(
             grads, leaves[ParamGroup.BACKBONE].weight_leaves),
@@ -456,7 +471,8 @@ def objective_gradcheck(model: MLPClassifier, noise: NoiseState, batch_x, batch_
 
     The noise draw, gamma, and K are frozen at the base point so J is a
     deterministic function of the flattened variables (weights, log-stds,
-    prior log-variances).
+    prior log-variances); J is recorded by the same graph builder that
+    ``pac_objective`` trains with.
     """
     packer = GroupPacker.for_model(model)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -475,48 +491,19 @@ def objective_gradcheck(model: MLPClassifier, noise: NoiseState, batch_x, batch_
     ])
 
     def build(z):
-        off = 0
-        parts = []
-        for n in sizes + sizes + [1, 1]:
-            parts.append(z[off:off + n])
-            off += n
-        trial_model = model.copy()
-        packer.unpack_into(trial_model, ParamGroup.BACKBONE, parts[0])
-        packer.unpack_into(trial_model, ParamGroup.HEAD, parts[1])
-        trial_noise = NoiseState(parts[2].copy(), parts[3].copy(),
-                                 float(parts[4][0]), float(parts[5][0]),
+        w_b, w_h, p_b, p_h, prior_b, prior_h = np.split(
+            z, np.cumsum(sizes + sizes + [1]))
+        trial_noise = NoiseState(p_b, p_h, float(prior_b[0]), float(prior_h[0]),
                                  noise.anchor_backbone, noise.anchor_head)
-        tape = ad.Tape()
-        leaves = {g: _GroupLeaves(tape, packer, g,
-                                  packer.pack(trial_model, g), trial_noise.log_std(g),
-                                  tau[g], trial_noise.anchor(g)) for g in _GROUPS}
-        prior_leaves = {g: tape.leaf(np.asarray(trial_noise.prior_log_var(g)))
-                        for g in _GROUPS}
-        params = []
-        for layer in range(trial_model.n_layers):
-            if trial_model.layer_is_trainable(layer):
-                g = trial_model.group_of(layer)
-                params.append((leaves[g].perturbed[(layer, "w")],
-                               leaves[g].perturbed[(layer, "b")]))
-            else:
-                params.append((trial_model.weights[layer], trial_model.biases[layer]))
-        l_train_t = ad.softmax_cross_entropy(
-            trial_model.forward(np.asarray(batch_x, dtype=np.float64),
-                                params), batch_y)
-        kl_sum = ad.add(_group_kl(tape, leaves[ParamGroup.BACKBONE],
-                                  prior_leaves[ParamGroup.BACKBONE]),
-                        _group_kl(tape, leaves[ParamGroup.HEAD],
-                                  prior_leaves[ParamGroup.HEAD]))
-        gamma, k = frozen.gamma.value, frozen.k.value
-        coeff = 1.0 / (gamma * frozen.m)
-        const_term = math.log(1.0 / frozen.delta) * coeff + gamma * k * k
-        j = ad.add(l_train_t, ad.add(ad.mul(kl_sum, coeff), const_term))
+        theta = {ParamGroup.BACKBONE: w_b, ParamGroup.HEAD: w_h}
+        j_t, _, leaves, prior_leaves = _objective_graph(
+            model, trial_noise, packer, theta, tau, batch_x, batch_y, frozen)
         ordered = []
         for g in _GROUPS:
             ordered.extend(leaves[g].weight_leaves)
         for g in _GROUPS:
             ordered.extend(leaves[g].log_std_leaves)
         ordered.extend(prior_leaves[g] for g in _GROUPS)
-        return j, ordered
+        return j_t, ordered
 
     return ad.finite_diff_check(build, x, h)

@@ -1,9 +1,9 @@
 """Command-line entry point: batch experiments, benchmark suites, reports.
 
 Configuration is a single JSON document; ``--set dotted.key=value`` overrides
-individual leaves. Unknown keys are rejected before anything runs. Exit
-codes: 0 success, 1 check failure (gradcheck), 2 configuration error,
-3 numeric divergence, 4 I/O error.
+individual leaves. Unknown keys and out-of-range values are rejected before
+anything runs. Exit codes: 0 success, 1 check failure (gradcheck),
+2 configuration error, 3 numeric divergence, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -172,7 +172,56 @@ def load_config(path: str | None, sets=(), seed: int | None = None,
         config["seeds"] = [int(seed)]
     if out is not None:
         config["out_dir"] = out
+    _check_values(config)
+    for task_name, override in config["task_overrides"].items():
+        where = f"task_overrides.{task_name}"
+        if task_name not in config["tasks"]:
+            raise ConfigError(f"'{where}' names a task not in 'tasks'")
+        if not isinstance(override, dict):
+            raise ConfigError(f"'{where}' must be an object")
+        _check_keys(override, DEFAULT_CONFIG, where)
+        _check_values(task_config(config, task_name), where + ".")
     return config
+
+
+def _check_values(config: dict, prefix: str = "") -> None:
+    """Reject out-of-range numeric leaves, naming the key."""
+
+    def require(value, dotted, ok, what):
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not ok(value):
+            raise ConfigError(f"'{prefix}{dotted}' must be {what}, got {value!r}")
+
+    for section in (k for k, v in DEFAULT_CONFIG.items() if isinstance(v, dict)):
+        if not isinstance(config[section], dict):
+            raise ConfigError(f"'{prefix}{section}' must be an object")
+    at_least_one = (lambda v: v >= 1, "a number >= 1")
+    positive = (lambda v: v > 0, "a number > 0")
+    for section in ("pretrain", "stage1", "stage2"):
+        c = config[section]
+        require(c["epochs"], f"{section}.epochs", *at_least_one)
+        require(c["batch_size"], f"{section}.batch_size", *at_least_one)
+        for key in ("lr_backbone", "lr_head", "lr_noise_backbone"):
+            if key in c:
+                require(c[key], f"{section}.{key}", *positive)
+    sched = config["stage1"]["lr_noise_head"]
+    if not isinstance(sched, dict):
+        require(sched, "stage1.lr_noise_head", *positive)
+    elif sched.get("kind") == "constant":
+        require(sched.get("value"), "stage1.lr_noise_head.value", *positive)
+    elif sched.get("kind") == "step-decay":
+        require(sched.get("init"), "stage1.lr_noise_head.init", *positive)
+        require(sched.get("every"), "stage1.lr_noise_head.every", *at_least_one)
+    require(config["task"]["n_shot"], "task.n_shot", *at_least_one)
+    require(config["noise_injection"]["sigma"], "noise_injection.sigma",
+            lambda v: v >= 0, "a number >= 0")
+    if not isinstance(config["seeds"], list) or not config["seeds"]:
+        raise ConfigError(f"'{prefix}seeds' must be a nonempty list")
+    hidden = config["model"]["hidden"]
+    if not isinstance(hidden, list):
+        raise ConfigError(f"'{prefix}model.hidden' must be a list of widths")
+    for i, width in enumerate(hidden):
+        require(width, f"model.hidden[{i}]", *at_least_one)
 
 
 # --- config -> domain objects ---------------------------------------------------

@@ -10,7 +10,7 @@ class structure, standing in for a related downstream task.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -266,10 +266,3 @@ def builtin_task(name: str) -> TransferPair:
             f"unknown task '{name}'; built-ins: {', '.join(sorted(BUILTIN_TASKS))}")
     return BUILTIN_TASKS[name]
 
-
-def task_with_fresh_seeds(pair: TransferPair, offset: int) -> TransferPair:
-    """Shift both dataset seeds; used to redraw a task without changing its shape."""
-    return TransferPair(
-        source=replace(pair.source, seed=pair.source.seed + offset),
-        target=replace(pair.target, seed=pair.target.seed + offset),
-    )

@@ -1,36 +1,17 @@
-"""Flat-array numeric kernels with a numba fast path and a numpy fallback.
+"""Flat-array numeric kernels, in numpy.
 
 The loops that run once per optimizer step over every trainable parameter
-(fused AdamW update, noise application, diagonal-Gaussian KL reduction) are
-small but called tens of thousands of times per run, so avoiding numpy
-temporaries pays off. The numba path is selected automatically when numba
-imports cleanly; set ``PACTUNE_NO_NUMBA=1`` before import to force the pure
-numpy implementations. ``benchmarks/bench_kernels.py`` times one path against
-the other.
-
-Both paths are elementwise-identical; only ``kl_accumulate`` may differ in
-the last bits because numpy uses pairwise summation while the jitted loop
-sums sequentially.
+(fused AdamW update, noise application, diagonal-Gaussian KL reduction) live
+here, so the optimizer, the perturbed step and the bound share one
+implementation of each.
 """
-
-import os
 
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("PACTUNE_NO_NUMBA", "") not in ("", "0")
-
-if not _FORCE_NUMPY:
-    try:
-        from numba import njit
-
-        NUMBA_AVAILABLE = True
-    except ImportError:
-        NUMBA_AVAILABLE = False
-else:
-    NUMBA_AVAILABLE = False
+BACKEND = "numpy"
 
 
-def _np_adam_update(param, m, v, grad, t, lr, beta1, beta2, eps, weight_decay):
+def adam_update(param, m, v, grad, t, lr, beta1, beta2, eps, weight_decay):
     """Bias-corrected AdamW step on one flat array, in place."""
     m *= beta1
     m += (1.0 - beta1) * grad
@@ -44,76 +25,15 @@ def _np_adam_update(param, m, v, grad, t, lr, beta1, beta2, eps, weight_decay):
     param -= step
 
 
-def _np_apply_noise(param, std, tau):
+def apply_noise(param, std, tau):
     """Return param + std * tau without mutating inputs."""
     return param + std * tau
 
 
-def _np_kl_accumulate(mu_q, var_q, mu_p):
+def kl_accumulate(mu_q, var_q, mu_p):
     """One pass over a group: (sum var_q, sum (mu_q-mu_p)^2, sum log var_q)."""
     return (
         float(np.sum(var_q)),
         float(np.sum((mu_q - mu_p) ** 2)),
         float(np.sum(np.log(var_q))),
     )
-
-
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True)
-    def _nb_adam_update(param, m, v, grad, t, lr, beta1, beta2, eps, weight_decay):
-        bc1 = 1.0 - beta1**t
-        bc2 = 1.0 - beta2**t
-        for j in range(param.shape[0]):
-            g = grad[j]
-            m[j] = beta1 * m[j] + (1.0 - beta1) * g
-            v[j] = beta2 * v[j] + (1.0 - beta2) * g * g
-            step = (lr / bc1) * m[j] / (np.sqrt(v[j] / bc2) + eps)
-            if weight_decay != 0.0:
-                step = step + (lr * weight_decay) * param[j]
-            param[j] -= step
-
-    @njit(cache=True)
-    def _nb_apply_noise(param, std, tau):
-        out = np.empty_like(param)
-        for j in range(param.shape[0]):
-            out[j] = param[j] + std[j] * tau[j]
-        return out
-
-    @njit(cache=True)
-    def _nb_kl_accumulate(mu_q, var_q, mu_p):
-        s_var = 0.0
-        s_sq = 0.0
-        s_log = 0.0
-        for j in range(mu_q.shape[0]):
-            s_var += var_q[j]
-            d = mu_q[j] - mu_p[j]
-            s_sq += d * d
-            s_log += np.log(var_q[j])
-        return s_var, s_sq, s_log
-
-    BACKEND = "numba"
-    adam_update = _nb_adam_update
-    apply_noise = _nb_apply_noise
-    kl_accumulate = _nb_kl_accumulate
-else:
-    BACKEND = "numpy"
-    adam_update = _np_adam_update
-    apply_noise = _np_apply_noise
-    kl_accumulate = _np_kl_accumulate
-
-
-# Both paths by name, for the benchmark and for cross-checking tests.
-IMPLEMENTATIONS = {
-    "numpy": {
-        "adam_update": _np_adam_update,
-        "apply_noise": _np_apply_noise,
-        "kl_accumulate": _np_kl_accumulate,
-    }
-}
-if NUMBA_AVAILABLE:
-    IMPLEMENTATIONS["numba"] = {
-        "adam_update": _nb_adam_update,
-        "apply_noise": _nb_apply_noise,
-        "kl_accumulate": _nb_kl_accumulate,
-    }

@@ -1,16 +1,18 @@
 """Perturbed gradient descent: noise in, gradient, noise out, clean update.
 
-Each step draws fresh standard-normal noise, scales it per group (a fixed
-isotropic level or the learned per-parameter variances), evaluates the plain
-training-loss gradient at the perturbed weights, and applies the update to
-the unperturbed weights through the shared Adam state. The complexity term
-plays no role here. Noise is drawn even at scale zero, so runs with and
-without noise consume the noise stream identically.
+Plain descent, the perturbed step and the random-layer baseline share one
+step body (``descent_step``); they differ only in where the gradient is
+taken. The perturbed step draws fresh standard-normal noise, scales it per
+group (a fixed isotropic level or the learned per-parameter variances),
+evaluates the plain training-loss gradient at the perturbed weights, and
+applies the update to the unperturbed weights through the shared Adam state.
+The complexity term plays no role here. Noise is drawn even at scale zero,
+so runs with and without noise consume the noise stream identically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -90,67 +92,22 @@ def loss_and_grads(model: MLPClassifier, packer: GroupPacker, theta: dict,
     return loss_t.item(), flat
 
 
-def pgd_step(model: MLPClassifier, batch_x, batch_y, cfg: PGDConfig,
-             adam: AdamState, packer: GroupPacker,
-             rng: np.random.Generator) -> float:
-    """One perturbed step in place; returns the loss at the perturbed point."""
+def descent_step(model: MLPClassifier, batch_x, batch_y, lr_backbone: float,
+                 lr_head: float, adam: AdamState, packer: GroupPacker,
+                 weight_decay: bool = True, perturb=None) -> float:
+    """One Adam step on the training loss, in place; returns the loss.
+
+    ``perturb(model, theta)`` returns the model and packed weights at which
+    the gradient is taken (plain descent takes it at the clean weights); the
+    update always applies to the clean weights, and only when Adam applied it.
+    """
     batch_x = np.asarray(batch_x, dtype=np.float64)
     batch_y = np.asarray(batch_y, dtype=np.int64)
     if batch_x.shape[0] == 0:
-        raise ValueError("pgd_step: batch must be nonempty")
+        raise ValueError("descent_step: batch must be nonempty")
     theta = {g: packer.pack(model, g) for g in _GROUPS}
-    std = _noise_std(cfg, packer)
-    tau = {g: rng.standard_normal(packer.sizes[g]) for g in _GROUPS}
-    perturbed = {g: kernels.apply_noise(theta[g], std[g], tau[g]) for g in _GROUPS}
-
-    loss, grads = loss_and_grads(model, packer, perturbed, batch_x, batch_y)
-
-    applied = adam_step(
-        adam,
-        params={"backbone": theta[ParamGroup.BACKBONE], "head": theta[ParamGroup.HEAD]},
-        grads={"backbone": grads[ParamGroup.BACKBONE], "head": grads[ParamGroup.HEAD]},
-        lr={"backbone": cfg.lr_backbone, "head": cfg.lr_head},
-        apply_weight_decay=cfg.weight_decay,
-    )
-    if applied:
-        for g in _GROUPS:
-            packer.unpack_into(model, g, theta[g])
-    return loss
-
-
-def random_layer_noise_step(model: MLPClassifier, batch_x, batch_y, sigma: float,
-                            lr_backbone: float, lr_head: float, adam: AdamState,
-                            packer: GroupPacker, rng: np.random.Generator,
-                            weight_decay: bool = True) -> float:
-    """Noise-injection baseline: perturb one uniformly chosen layer, then step."""
-    if sigma < 0.0:
-        raise ValueError("random_layer_noise_step: sigma must be nonnegative")
-    batch_x = np.asarray(batch_x, dtype=np.float64)
-    batch_y = np.asarray(batch_y, dtype=np.int64)
-    theta = {g: packer.pack(model, g) for g in _GROUPS}
-    chosen = int(rng.integers(model.n_layers))
-
-    perturbed = {g: theta[g].copy() for g in _GROUPS}
-    frozen_offset = None
-    if model.layer_is_trainable(chosen):
-        g = model.group_of(chosen)
-        for layer, kind, start, stop, shape in packer.entries[g]:
-            if layer == chosen:
-                perturbed[g][start:stop] += sigma * rng.standard_normal(stop - start)
-    else:
-        # frozen layer: perturb a temporary copy of its raw arrays
-        frozen_offset = (model.weights[chosen].copy(), model.biases[chosen].copy())
-        model.weights[chosen] = model.weights[chosen] + \
-            sigma * rng.standard_normal(model.weights[chosen].shape)
-        model.biases[chosen] = model.biases[chosen] + \
-            sigma * rng.standard_normal(model.biases[chosen].shape)
-
-    try:
-        loss, grads = loss_and_grads(model, packer, perturbed, batch_x, batch_y)
-    finally:
-        if frozen_offset is not None:
-            model.weights[chosen], model.biases[chosen] = frozen_offset
-
+    at_model, at_theta = (model, theta) if perturb is None else perturb(model, theta)
+    loss, grads = loss_and_grads(at_model, packer, at_theta, batch_x, batch_y)
     applied = adam_step(
         adam,
         params={"backbone": theta[ParamGroup.BACKBONE], "head": theta[ParamGroup.HEAD]},
@@ -162,3 +119,46 @@ def random_layer_noise_step(model: MLPClassifier, batch_x, batch_y, sigma: float
         for g in _GROUPS:
             packer.unpack_into(model, g, theta[g])
     return loss
+
+
+def pgd_step(model: MLPClassifier, batch_x, batch_y, cfg: PGDConfig,
+             adam: AdamState, packer: GroupPacker,
+             rng: np.random.Generator) -> float:
+    """One perturbed step in place; returns the loss at the perturbed point."""
+
+    def perturb(model, theta):
+        std = _noise_std(cfg, packer)
+        tau = {g: rng.standard_normal(packer.sizes[g]) for g in _GROUPS}
+        return model, {g: kernels.apply_noise(theta[g], std[g], tau[g]) for g in _GROUPS}
+
+    return descent_step(model, batch_x, batch_y, cfg.lr_backbone, cfg.lr_head, adam,
+                        packer, cfg.weight_decay, perturb)
+
+
+def random_layer_noise_step(model: MLPClassifier, batch_x, batch_y, sigma: float,
+                            lr_backbone: float, lr_head: float, adam: AdamState,
+                            packer: GroupPacker, rng: np.random.Generator,
+                            weight_decay: bool = True) -> float:
+    """Noise-injection baseline: perturb one uniformly chosen layer, then step."""
+    if sigma < 0.0:
+        raise ValueError("random_layer_noise_step: sigma must be nonnegative")
+
+    def perturb(model, theta):
+        chosen = int(rng.integers(model.n_layers))
+        if model.layer_is_trainable(chosen):
+            perturbed = {g: theta[g].copy() for g in _GROUPS}
+            g = model.group_of(chosen)
+            for layer, _, start, stop, _ in packer.entries[g]:
+                if layer == chosen:
+                    perturbed[g][start:stop] += sigma * rng.standard_normal(stop - start)
+            return model, perturbed
+        # a frozen layer is not packed: its noisy arrays go into a shallow copy
+        noisy = replace(model, weights=list(model.weights), biases=list(model.biases))
+        noisy.weights[chosen] = model.weights[chosen] + \
+            sigma * rng.standard_normal(model.weights[chosen].shape)
+        noisy.biases[chosen] = model.biases[chosen] + \
+            sigma * rng.standard_normal(model.biases[chosen].shape)
+        return noisy, theta
+
+    return descent_step(model, batch_x, batch_y, lr_backbone, lr_head, adam, packer,
+                        weight_decay, perturb)

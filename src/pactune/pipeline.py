@@ -3,9 +3,10 @@
 Stage 1 minimizes the full bound objective over four optimizer groups
 (backbone weights, head weights, backbone noise+prior, head noise+prior) and
 returns the learned noise state. Stage 2 freezes the noise and continues with
-perturbed gradient descent on the training loss alone. Baselines (vanilla and
-random-layer noise injection) share the same loop shape so traces are
-directly comparable.
+perturbed gradient descent on the training loss alone. Stage 2, pretraining
+and the baselines (vanilla and random-layer noise injection) run through one
+descent loop and differ only in their step, so traces are directly
+comparable.
 
 Every run owns its RNG streams, split by purpose (head init, batch order,
 noise draws), so e.g. a zero-noise perturbed run consumes the same batch
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +29,9 @@ from .bound import (BoundConfig, KTracker, NoiseState, RunningK, generic_bound,
 from .datasets import Dataset
 from .models import GroupPacker, MLPClassifier, ParamGroup, init_weights, replace_head
 from .optim import AdamState, LrSchedule, StepDecay, adam_step, schedule_value
-from .pgd import LearnedNoise, PGDConfig, loss_and_grads, pgd_step, \
-    random_layer_noise_step
+from .pgd import (LearnedNoise, PGDConfig, descent_step, pgd_step,
+                  random_layer_noise_step)
+from .pgd import loss_and_grads  # noqa: F401  unused here; perfbench's tracer wraps it
 
 
 class DivergenceError(Exception):
@@ -230,16 +232,35 @@ def stage1_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
     return model, noise, trace
 
 
-def _kl_diagnostics(model, packer, noise) -> tuple[float, float]:
-    out = []
-    for g in (ParamGroup.BACKBONE, ParamGroup.HEAD):
-        if packer.sizes[g] == 0:
-            out.append(0.0)
-            continue
-        out.append(kl_diag_vs_isotropic(
-            packer.pack(model, g), noise.variances(g), noise.anchor(g),
-            math.exp(noise.prior_log_var(g))))
-    return out[0], out[1]
+def _descend(model: MLPClassifier, train: Dataset, dev: Dataset, cfg: Stage2Config,
+             data_rng: np.random.Generator, step, label: str, stage: int = 0,
+             epoch_offset: int = 0, diagnostics=None) -> tuple[MLPClassifier, list[dict]]:
+    """The descent loop shared by pretraining, stage 2 and both baselines.
+
+    ``step(model, x, y, adam, packer)`` updates the loop's copy of the model
+    in place and returns the batch loss. ``diagnostics(model, packer)`` gives the
+    epoch's ``(kl_b, kl_h, mean_var_b, mean_var_h, generic_bound)``; without
+    it they are recorded as zero.
+    """
+    model = model.copy()
+    packer = GroupPacker.for_model(model)
+    adam = AdamState({"backbone": packer.sizes[ParamGroup.BACKBONE],
+                      "head": packer.sizes[ParamGroup.HEAD]})
+    trace = []
+    for epoch in range(epoch_offset, epoch_offset + cfg.epochs):
+        total, n_batches = 0.0, 0
+        for idx in batch_indices(len(train), cfg.batch_size, data_rng):
+            try:
+                total += step(model, train.x[idx], train.y[idx], adam, packer)
+            except ad.NumericsError as e:
+                raise DivergenceError(f"{label} diverged at epoch {epoch}: {e}") from e
+            n_batches += 1
+        kl_b, kl_h, mean_var_b, mean_var_h, bound_diag = \
+            diagnostics(model, packer) if diagnostics else (0.0,) * 5
+        trace.append(_epoch_record(epoch, stage, total / n_batches, 0.0, kl_b, kl_h,
+                                   mean_var_b, mean_var_h, evaluate(model, dev),
+                                   bound_diag))
+    return model, trace
 
 
 def stage2_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
@@ -248,73 +269,42 @@ def stage2_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
                  bound_cfg: BoundConfig | None = None,
                  ) -> tuple[MLPClassifier, list[dict]]:
     """Perturbed descent with the learned noise frozen; loss only, no bound term."""
-    model = model.copy()
-    packer = GroupPacker.for_model(model)
     pgd_cfg = PGDConfig(LearnedNoise(noise), cfg.lr_backbone, cfg.lr_head,
                         cfg.weight_decay)
-    adam = AdamState({"backbone": packer.sizes[ParamGroup.BACKBONE],
-                      "head": packer.sizes[ParamGroup.HEAD]})
     mean_var_b = noise.mean_variance(ParamGroup.BACKBONE)
     mean_var_h = noise.mean_variance(ParamGroup.HEAD)
     delta = bound_cfg.delta if bound_cfg else 0.05
     m = bound_cfg.m if bound_cfg else len(train)
 
-    trace = []
-    for epoch in range(cfg.epochs):
-        total, n_batches = 0.0, 0
-        for idx in batch_indices(len(train), cfg.batch_size, data_rng):
-            try:
-                loss = pgd_step(model, train.x[idx], train.y[idx], pgd_cfg, adam,
-                                packer, noise_rng)
-            except ad.NumericsError as e:
-                raise DivergenceError(
-                    f"stage 2 diverged at epoch {epoch_offset + epoch}: {e}") from e
-            total += loss
-            n_batches += 1
-        kl_b, kl_h = _kl_diagnostics(model, packer, noise) \
-            if noise.anchor_backbone is not None else (0.0, 0.0)
-        trace.append(_epoch_record(
-            epoch_offset + epoch, 2, total / n_batches, 0.0, kl_b, kl_h,
-            mean_var_b, mean_var_h, evaluate(model, dev),
-            generic_bound(kl_b + kl_h, delta, m)))
-    return model, trace
+    def diagnostics(model, packer):
+        kl = [0.0, 0.0]
+        if noise.anchor_backbone is not None:
+            for i, g in enumerate((ParamGroup.BACKBONE, ParamGroup.HEAD)):
+                if packer.sizes[g]:
+                    kl[i] = kl_diag_vs_isotropic(
+                        packer.pack(model, g), noise.variances(g), noise.anchor(g),
+                        math.exp(noise.prior_log_var(g)))
+        return (kl[0], kl[1], mean_var_b, mean_var_h,
+                generic_bound(kl[0] + kl[1], delta, m))
+
+    return _descend(
+        model, train, dev, cfg, data_rng,
+        lambda model, x, y, adam, packer: pgd_step(model, x, y, pgd_cfg, adam, packer,
+                                                   noise_rng),
+        "stage 2", stage=2, epoch_offset=epoch_offset, diagnostics=diagnostics)
+
+
+def _plain_step(cfg: Stage2Config):
+    return lambda model, x, y, adam, packer: descent_step(
+        model, x, y, cfg.lr_backbone, cfg.lr_head, adam, packer, cfg.weight_decay)
 
 
 def vanilla_finetune(model: MLPClassifier, train: Dataset, dev: Dataset,
                      cfg: Stage2Config, data_rng: np.random.Generator,
                      ) -> tuple[MLPClassifier, list[dict]]:
     """Plain Adam on the training loss; the no-regularization baseline."""
-    model = model.copy()
-    packer = GroupPacker.for_model(model)
-    adam = AdamState({"backbone": packer.sizes[ParamGroup.BACKBONE],
-                      "head": packer.sizes[ParamGroup.HEAD]})
-    trace = []
-    for epoch in range(cfg.epochs):
-        total, n_batches = 0.0, 0
-        for idx in batch_indices(len(train), cfg.batch_size, data_rng):
-            theta = {g: packer.pack(model, g) for g in
-                     (ParamGroup.BACKBONE, ParamGroup.HEAD)}
-            try:
-                loss, grads = loss_and_grads(model, packer, theta,
-                                             train.x[idx], train.y[idx])
-            except ad.NumericsError as e:
-                raise DivergenceError(
-                    f"vanilla fine-tuning diverged at epoch {epoch}: {e}") from e
-            adam_step(adam,
-                      params={"backbone": theta[ParamGroup.BACKBONE],
-                              "head": theta[ParamGroup.HEAD]},
-                      grads={"backbone": grads[ParamGroup.BACKBONE],
-                             "head": grads[ParamGroup.HEAD]},
-                      lr={"backbone": cfg.lr_backbone, "head": cfg.lr_head},
-                      apply_weight_decay=cfg.weight_decay)
-            packer.unpack_into(model, ParamGroup.BACKBONE, theta[ParamGroup.BACKBONE])
-            packer.unpack_into(model, ParamGroup.HEAD, theta[ParamGroup.HEAD])
-            total += loss
-            n_batches += 1
-        trace.append(_epoch_record(
-            epoch, 0, total / n_batches, 0.0, 0.0, 0.0, 0.0, 0.0,
-            evaluate(model, dev), 0.0))
-    return model, trace
+    return _descend(model, train, dev, cfg, data_rng, _plain_step(cfg),
+                    "vanilla fine-tuning")
 
 
 def noise_injection_finetune(model: MLPClassifier, train: Dataset, dev: Dataset,
@@ -323,27 +313,12 @@ def noise_injection_finetune(model: MLPClassifier, train: Dataset, dev: Dataset,
                              noise_rng: np.random.Generator,
                              ) -> tuple[MLPClassifier, list[dict]]:
     """Random-layer noise-injection baseline."""
-    model = model.copy()
-    packer = GroupPacker.for_model(model)
-    adam = AdamState({"backbone": packer.sizes[ParamGroup.BACKBONE],
-                      "head": packer.sizes[ParamGroup.HEAD]})
-    trace = []
-    for epoch in range(cfg.epochs):
-        total, n_batches = 0.0, 0
-        for idx in batch_indices(len(train), cfg.batch_size, data_rng):
-            try:
-                loss = random_layer_noise_step(
-                    model, train.x[idx], train.y[idx], sigma, cfg.lr_backbone,
-                    cfg.lr_head, adam, packer, noise_rng, cfg.weight_decay)
-            except ad.NumericsError as e:
-                raise DivergenceError(
-                    f"noise injection diverged at epoch {epoch}: {e}") from e
-            total += loss
-            n_batches += 1
-        trace.append(_epoch_record(
-            epoch, 0, total / n_batches, 0.0, 0.0, 0.0, 0.0, 0.0,
-            evaluate(model, dev), 0.0))
-    return model, trace
+    return _descend(
+        model, train, dev, cfg, data_rng,
+        lambda model, x, y, adam, packer: random_layer_noise_step(
+            model, x, y, sigma, cfg.lr_backbone, cfg.lr_head, adam, packer,
+            noise_rng, cfg.weight_decay),
+        "noise injection")
 
 
 # --- run records ---------------------------------------------------------------
@@ -416,11 +391,7 @@ def run_finetune(pretrained: MLPClassifier, train: Dataset, dev: Dataset,
         epochs = trace1 + trace2
         boundary = stage1.epochs
     else:
-        total = Stage2Config(epochs=stage1.epochs + stage2.epochs,
-                             batch_size=stage2.batch_size,
-                             lr_backbone=stage2.lr_backbone,
-                             lr_head=stage2.lr_head,
-                             weight_decay=stage2.weight_decay)
+        total = replace(stage2, epochs=stage1.epochs + stage2.epochs)
         if method == "vanilla":
             model, epochs = vanilla_finetune(model, train, dev, total, s1_data)
         else:
@@ -454,5 +425,6 @@ def pretrain_model(source: Dataset, layer_sizes: list[int], epochs: int,
     model = init_weights(layer_sizes, init_rng, activation=activation)
     cfg = Stage2Config(epochs=epochs, batch_size=batch_size,
                        lr_backbone=lr_backbone, lr_head=lr_head)
-    model, _ = vanilla_finetune(model, source, source, cfg, data_rng)
+    model, _ = _descend(model, source, source, cfg, data_rng, _plain_step(cfg),
+                        "pretraining")
     return model

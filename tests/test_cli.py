@@ -76,6 +76,37 @@ class TestConfig:
                      "--set", "stage1.epochs=0"])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("setting, key", [
+        ("pretrain.batch_size=0", "pretrain.batch_size"),
+        ("stage1.batch_size=0", "stage1.batch_size"),
+        ("stage2.batch_size=-3", "stage2.batch_size"),
+        ("pretrain.epochs=0", "pretrain.epochs"),
+        ("stage2.epochs=0", "stage2.epochs"),
+        ('stage1.epochs="many"', "stage1.epochs"),
+        ("pretrain.lr_head=0", "pretrain.lr_head"),
+        ("stage1.lr_noise_backbone=-0.1", "stage1.lr_noise_backbone"),
+        ("stage1.lr_noise_head.init=0", "stage1.lr_noise_head.init"),
+        ("stage2.lr_backbone=0", "stage2.lr_backbone"),
+        ("task.n_shot=0", "task.n_shot"),
+        ("noise_injection.sigma=-1", "noise_injection.sigma"),
+        ("seeds=[]", "seeds"),
+        ("model.hidden=[24,0]", "model.hidden[1]"),
+        ('task_overrides={"blobs-rotate": {"stage1": {"epoch": 5}}}',
+         "task_overrides.blobs-rotate.stage1.epoch"),
+        ('task_overrides={"no-such-task": {}}', "task_overrides.no-such-task"),
+        ("stage1=5", "stage1"),
+        ('task_overrides={"xor-noise": {"pretrain": {"batch_size": 0}}}',
+         "task_overrides.xor-noise.pretrain.batch_size"),
+    ])
+    def test_invalid_leaf_exits_config_before_work(self, tmp_path, capsys, setting,
+                                                   key):
+        code = main(["pretrain", "--out", str(tmp_path / "out"), "--set", setting])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error:") and f"'{key}'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestGenerateData:
     def test_writes_loadable_csvs(self, tmp_path):

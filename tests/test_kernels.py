@@ -22,92 +22,20 @@ class TestNumpyPath:
         grad = rng.standard_normal(64)
         expected, em, ev = reference_adam(param.copy(), m.copy(), v.copy(),
                                           grad, 1, 0.1, 0.9, 0.98, 1e-3, 0.01)
-        kernels.IMPLEMENTATIONS["numpy"]["adam_update"](
-            param, m, v, grad, 1, 0.1, 0.9, 0.98, 1e-3, 0.01)
+        kernels.adam_update(param, m, v, grad, 1, 0.1, 0.9, 0.98, 1e-3, 0.01)
         assert np.allclose(param, expected, rtol=1e-14)
         assert np.allclose(m, em, rtol=1e-14)
         assert np.allclose(v, ev, rtol=1e-14)
 
     def test_apply_noise(self):
-        out = kernels.IMPLEMENTATIONS["numpy"]["apply_noise"](
+        out = kernels.apply_noise(
             np.array([1.0, 2.0]), np.array([0.5, 0.0]), np.array([2.0, 9.0]))
         assert out.tolist() == [2.0, 2.0]
 
     def test_kl_accumulate(self):
-        s_var, s_sq, s_log = kernels.IMPLEMENTATIONS["numpy"]["kl_accumulate"](
+        s_var, s_sq, s_log = kernels.kl_accumulate(
             np.array([1.0, 2.0]), np.array([1.0, 4.0]), np.array([0.0, 0.0]))
         assert s_var == 5.0
         assert s_sq == 5.0
         assert s_log == pytest.approx(np.log(4.0), abs=1e-15)
 
-
-@pytest.mark.skipif("numba" not in kernels.IMPLEMENTATIONS,
-                    reason="numba backend not active in this environment")
-class TestBackendsAgree:
-    def test_adam_agreement(self):
-        # moments are bitwise equal; the fused parameter update may differ by
-        # one ulp where LLVM contracts multiply-add into an FMA
-        rng = np.random.default_rng(1)
-        grad = rng.standard_normal(257)
-        state = {}
-        for name in ("numpy", "numba"):
-            param = np.linspace(-1.0, 1.0, 257)
-            m = np.full(257, 0.25)
-            v = np.full(257, 0.5)
-            kernels.IMPLEMENTATIONS[name]["adam_update"](
-                param, m, v, grad, 7, 0.05, 0.9, 0.98, 1e-3, 0.01)
-            state[name] = (param, m, v)
-        assert np.array_equal(state["numpy"][1], state["numba"][1])
-        assert np.array_equal(state["numpy"][2], state["numba"][2])
-        np.testing.assert_allclose(state["numpy"][0], state["numba"][0],
-                                   rtol=0, atol=5e-16)
-
-    def test_apply_noise_bitwise_identical(self):
-        rng = np.random.default_rng(2)
-        args = (rng.standard_normal(100), np.exp(rng.standard_normal(100)),
-                rng.standard_normal(100))
-        a = kernels.IMPLEMENTATIONS["numpy"]["apply_noise"](*args)
-        b = kernels.IMPLEMENTATIONS["numba"]["apply_noise"](*args)
-        assert np.array_equal(a, b)
-
-    def test_kl_accumulate_close(self):
-        # summation order differs between the paths; values agree to rounding
-        rng = np.random.default_rng(3)
-        args = (rng.standard_normal(1000), np.exp(rng.standard_normal(1000)),
-                rng.standard_normal(1000))
-        a = kernels.IMPLEMENTATIONS["numpy"]["kl_accumulate"](*args)
-        b = kernels.IMPLEMENTATIONS["numba"]["kl_accumulate"](*args)
-        for x, y in zip(a, b):
-            assert x == pytest.approx(y, rel=1e-12)
-
-
-class TestBackendSelection:
-    def test_active_backend_consistent(self):
-        assert kernels.BACKEND in ("numpy", "numba")
-        assert kernels.adam_update is \
-            kernels.IMPLEMENTATIONS[kernels.BACKEND]["adam_update"]
-
-    def test_env_flag_forces_numpy(self):
-        import os
-        import subprocess
-        import sys
-        # A minimal environment, so no variable of the caller's picks the
-        # backend; PYTHONPATH names the directory holding the pactune under
-        # test, so the child imports it whether or not it is installed.
-        env = {"PATH": "/usr/bin:/bin", "PACTUNE_NO_NUMBA": "1",
-               "PYTHONPATH": os.path.dirname(
-                   os.path.dirname(os.path.abspath(kernels.__file__)))}
-
-        def child(expr):
-            out = subprocess.run(
-                [sys.executable, "-c",
-                 f"import pactune.kernels as k; print({expr})"],
-                capture_output=True, text=True, env=env)
-            assert out.returncode == 0, out.stderr
-            return out
-
-        out = child("k.BACKEND")
-        assert out.stdout.strip() == "numpy"
-        # Without numba BACKEND reads "numpy" whether or not the flag is
-        # read; this checks that it is.
-        assert child("k._FORCE_NUMPY").stdout.strip() == "True"

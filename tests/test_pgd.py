@@ -218,6 +218,19 @@ class TestRandomLayerNoise:
         freq = np.bincount(rng.choices, minlength=4) / 10_000
         assert np.all(np.abs(freq - 0.25) <= 0.02), freq
 
+    def test_frozen_layer_noise_never_reaches_the_model(self):
+        model, _, bx, by = setup(seed=9, layer_sizes=(2, 3, 2))
+        model.freeze_first_layer = True
+        packer = GroupPacker.for_model(model)
+        frozen_w, frozen_b = model.weights[0].copy(), model.biases[0].copy()
+        rng = _RecordingRng(5)
+        adam = fresh_adam(packer)
+        for _ in range(20):
+            random_layer_noise_step(model, bx, by, 0.5, 1e-3, 1e-2, adam, packer, rng)
+        assert 0 in rng.choices
+        assert np.array_equal(model.weights[0], frozen_w)
+        assert np.array_equal(model.biases[0], frozen_b)
+
     def test_negative_sigma_rejected(self):
         model, packer, bx, by = setup()
         with pytest.raises(ValueError):

@@ -10,8 +10,9 @@ from pactune.bound import BoundConfig, init_noise_state
 from pactune.models import GroupPacker, ParamGroup
 from pactune.optim import Constant
 from pactune.pipeline import (DivergenceError, Stage1Config, Stage2Config,
-                              importance_ranking, metrics, run_finetune,
-                              stage1_train, stage2_train, vanilla_finetune)
+                              importance_ranking, metrics, noise_injection_finetune,
+                              run_finetune, stage1_train, stage2_train,
+                              vanilla_finetune)
 
 
 @pytest.fixture(scope="module")
@@ -168,12 +169,20 @@ class TestStage2AndBaselines:
         _, trace_pgd = stage2_train(model, noise, train, dev, cfg,
                                     np.random.default_rng(10),
                                     np.random.default_rng(11))
-        _, trace_van = vanilla_finetune(model, train, dev, cfg,
-                                        np.random.default_rng(10))
+        van, trace_van = vanilla_finetune(model, train, dev, cfg,
+                                          np.random.default_rng(10))
         for a, b in zip(trace_pgd, trace_van):
             assert abs(a["l_train"] - b["l_train"]) < 1e-9
             assert abs(a["dev_accuracy"] - b["dev_accuracy"]) < 1e-9
             assert abs(a["dev_mcc"] - b["dev_mcc"]) < 1e-9
+        # zero-sigma noise injection draws its noise but adds exactly zero,
+        # so the shared loop and step must reproduce vanilla bit for bit
+        inj, trace_inj = noise_injection_finetune(model, train, dev, cfg, 0.0,
+                                                  np.random.default_rng(10),
+                                                  np.random.default_rng(11))
+        assert trace_inj == trace_van
+        for a, b in zip(inj.weights + inj.biases, van.weights + van.biases):
+            assert np.array_equal(a, b)
 
     def test_stage2_fits_better_than_stage1(self, toy_task):
         pretrained, train, dev = toy_task
@@ -213,6 +222,26 @@ class TestStage2AndBaselines:
         assert record.final["epochs"] == 9
         assert record.stage_boundary == 0
         assert noise is None
+
+    @pytest.mark.parametrize("label", ["pretraining", "stage 2",
+                                       "vanilla fine-tuning", "noise injection"])
+    def test_divergence_names_label_and_epoch(self, toy_task, label):
+        pretrained, train, dev = toy_task
+        model = models.replace_head(pretrained, np.random.default_rng(3))
+        cfg = Stage2Config(epochs=3, lr_backbone=1e308, lr_head=1e308)
+        data_rng, noise_rng = np.random.default_rng(1), np.random.default_rng(2)
+        with pytest.raises(DivergenceError, match=f"^{label} diverged at epoch 0: "):
+            if label == "pretraining":
+                pipeline.pretrain_model(train, [3, 10, 2], epochs=3, batch_size=32,
+                                        lr_backbone=1e308, lr_head=1e308, seed=4)
+            elif label == "stage 2":
+                noise = init_noise_state(model, GroupPacker.for_model(model))
+                stage2_train(model, noise, train, dev, cfg, data_rng, noise_rng)
+            elif label == "vanilla fine-tuning":
+                vanilla_finetune(model, train, dev, cfg, data_rng)
+            else:
+                noise_injection_finetune(model, train, dev, cfg, 0.01, data_rng,
+                                         noise_rng)
 
     def test_noise_injection_runs(self, toy_task):
         pretrained, train, dev = toy_task
