@@ -22,18 +22,19 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from . import kernels
-from .models import GroupPacker, MLPClassifier, ParamGroup
+from .models import GroupPacker, MLPClassifier, ParamGroup, group_slice
 
 K_FLOOR = 1e-3
 P_INIT_FLOOR = 1e-4
 HEAD_NOISE_BOOST = math.log(10.0)
+_GROUPS = (ParamGroup.BACKBONE, ParamGroup.HEAD)
 
 
 @dataclass(frozen=True)
@@ -95,73 +96,74 @@ class BoundTerms:
 
 @dataclass
 class NoiseState:
-    """Per-parameter log-std for each group, scalar prior log-variances, anchors.
+    """Learned noise in the trainable order of θ, plus the prior log-variances.
 
-    Posterior variance of coordinate j is exp(2 * log_std[j]); prior variance
-    is exp(prior_log_var). Anchors are the weights at fine-tuning start and
-    stay fixed through stage 1.
+    ``params`` is ``[log-stds | backbone prior log-var, head prior log-var]``:
+    one log-std per trainable parameter (backbone first, the first
+    ``n_backbone`` of them), then one scalar prior log-variance per group, so
+    stage 1 updates all of them in one optimizer call. Posterior variance of
+    coordinate j is exp(2 * log_std[j]); a group's prior variance is
+    exp(prior_log_var). ``anchors`` are the trainable weights at fine-tuning
+    start and stay fixed through stage 1.
     """
 
-    log_std_backbone: np.ndarray
-    log_std_head: np.ndarray
-    prior_log_var_backbone: float
-    prior_log_var_head: float
-    anchor_backbone: np.ndarray | None
-    anchor_head: np.ndarray | None
+    params: np.ndarray
+    n_backbone: int
+    anchors: np.ndarray | None = None
     anchor_checkpoint: str | None = None
 
-    def log_std(self, group: ParamGroup) -> np.ndarray:
-        return self.log_std_backbone if group is ParamGroup.BACKBONE else self.log_std_head
+    def _group(self, group: ParamGroup) -> slice:
+        return group_slice(group, self.n_backbone, self.params.size - 2)
+
+    @property
+    def log_std(self) -> np.ndarray:
+        return self.params[:-2]
+
+    @property
+    def log_std_backbone(self) -> np.ndarray:
+        return self.params[self._group(ParamGroup.BACKBONE)]
+
+    @property
+    def log_std_head(self) -> np.ndarray:
+        return self.params[self._group(ParamGroup.HEAD)]
 
     def prior_log_var(self, group: ParamGroup) -> float:
-        return (self.prior_log_var_backbone if group is ParamGroup.BACKBONE
-                else self.prior_log_var_head)
+        return float(self.params[-2 if group is ParamGroup.BACKBONE else -1])
 
-    def anchor(self, group: ParamGroup) -> np.ndarray:
-        a = self.anchor_backbone if group is ParamGroup.BACKBONE else self.anchor_head
-        if a is None:
+    def anchor(self, group: ParamGroup | None = None) -> np.ndarray:
+        """The group's anchors, or all of them in trainable order."""
+        if self.anchors is None:
             raise ValueError("noise state has no anchors bound; load them from the "
                              "checkpoint the state references")
-        return a
+        return self.anchors if group is None else self.anchors[self._group(group)]
 
-    def variances(self, group: ParamGroup) -> np.ndarray:
-        return np.exp(2.0 * self.log_std(group))
+    def variances(self, group: ParamGroup | None = None) -> np.ndarray:
+        """The group's posterior variances, or all of them in trainable order."""
+        v = self.log_std if group is None else self.params[self._group(group)]
+        return np.exp(2.0 * v)
 
     def mean_variance(self, group: ParamGroup) -> float:
-        v = self.log_std(group)
+        v = self.params[self._group(group)]
         return float(np.mean(np.exp(2.0 * v))) if v.size else 0.0
 
     def copy(self) -> "NoiseState":
-        return NoiseState(
-            self.log_std_backbone.copy(), self.log_std_head.copy(),
-            self.prior_log_var_backbone, self.prior_log_var_head,
-            None if self.anchor_backbone is None else self.anchor_backbone.copy(),
-            None if self.anchor_head is None else self.anchor_head.copy(),
-            self.anchor_checkpoint,
-        )
+        return replace(self, params=self.params.copy(),
+                       anchors=None if self.anchors is None else self.anchors.copy())
 
 
 def init_noise_state(model: MLPClassifier, packer: GroupPacker,
                      anchor_checkpoint: str | None = None) -> NoiseState:
     """Noise state at fine-tuning start; also snapshots the anchor weights."""
-    packed = {g: packer.pack(model, g) for g in
-              (ParamGroup.BACKBONE, ParamGroup.HEAD)}
-    log_std = {g: np.log(np.maximum(np.abs(packed[g]), P_INIT_FLOOR)) for g in packed}
-    log_std[ParamGroup.HEAD] = log_std[ParamGroup.HEAD] + HEAD_NOISE_BOOST
+    anchors = model.theta[packer.start:].copy()
+    log_std = np.log(np.maximum(np.abs(anchors), P_INIT_FLOOR))
+    log_std[packer.group(ParamGroup.HEAD)] += HEAD_NOISE_BOOST
 
     def prior_for(g):
-        v = log_std[g]
+        v = log_std[packer.group(g)]
         return float(np.log(np.mean(np.exp(2.0 * v)))) if v.size else 0.0
 
-    return NoiseState(
-        log_std_backbone=log_std[ParamGroup.BACKBONE],
-        log_std_head=log_std[ParamGroup.HEAD],
-        prior_log_var_backbone=prior_for(ParamGroup.BACKBONE),
-        prior_log_var_head=prior_for(ParamGroup.HEAD),
-        anchor_backbone=packed[ParamGroup.BACKBONE],
-        anchor_head=packed[ParamGroup.HEAD],
-        anchor_checkpoint=anchor_checkpoint,
-    )
+    return NoiseState(np.append(log_std, [prior_for(g) for g in _GROUPS]),
+                      packer.sizes[ParamGroup.BACKBONE], anchors, anchor_checkpoint)
 
 
 NOISE_STATE_VERSION = 1
@@ -172,28 +174,24 @@ def save_noise_state(noise: NoiseState, path) -> None:
         "version": NOISE_STATE_VERSION,
         "p_backbone": noise.log_std_backbone.tolist(),
         "p_head": noise.log_std_head.tolist(),
-        "log_lambda": noise.prior_log_var_backbone,
-        "log_beta": noise.prior_log_var_head,
+        "log_lambda": noise.prior_log_var(ParamGroup.BACKBONE),
+        "log_beta": noise.prior_log_var(ParamGroup.HEAD),
         "anchor_checkpoint": noise.anchor_checkpoint,
     }
     Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n",
                           encoding="utf-8")
 
 
-def load_noise_state(path, anchor_backbone: np.ndarray | None = None,
-                     anchor_head: np.ndarray | None = None) -> NoiseState:
+def load_noise_state(path, anchors: np.ndarray | None = None) -> NoiseState:
+    """Read a noise state; ``anchors`` (trainable order) come from its checkpoint."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("version") != NOISE_STATE_VERSION:
         raise ValueError(f"unsupported noise-state version: {doc.get('version')}")
-    return NoiseState(
-        log_std_backbone=np.asarray(doc["p_backbone"], dtype=np.float64),
-        log_std_head=np.asarray(doc["p_head"], dtype=np.float64),
-        prior_log_var_backbone=float(doc["log_lambda"]),
-        prior_log_var_head=float(doc["log_beta"]),
-        anchor_backbone=anchor_backbone,
-        anchor_head=anchor_head,
-        anchor_checkpoint=doc.get("anchor_checkpoint"),
-    )
+    params = np.concatenate([np.asarray(doc["p_backbone"], dtype=np.float64),
+                             np.asarray(doc["p_head"], dtype=np.float64),
+                             [float(doc["log_lambda"]), float(doc["log_beta"])]])
+    return NoiseState(params, len(doc["p_backbone"]), anchors,
+                      doc.get("anchor_checkpoint"))
 
 
 def kl_diag_vs_isotropic(mu_q: np.ndarray, var_q: np.ndarray, mu_p: np.ndarray,
@@ -293,64 +291,33 @@ def generic_bound(kl_total: float, delta: float, m: int) -> float:
 
 # --- differentiable objective -------------------------------------------------
 
-_GROUPS = (ParamGroup.BACKBONE, ParamGroup.HEAD)
-
 
 @dataclass
 class ObjectiveGrads:
-    backbone: np.ndarray
-    head: np.ndarray
-    log_std_backbone: np.ndarray
-    log_std_head: np.ndarray
-    prior_log_var_backbone: float
-    prior_log_var_head: float
+    """Gradients of J: ``weights`` in the trainable order of θ, ``noise`` in
+    the layout of ``NoiseState.params`` (log-stds, then the two priors)."""
+
+    weights: np.ndarray
+    noise: np.ndarray
 
 
-class _GroupLeaves:
-    """Tape leaves for one group's weights and log-stds, entry by entry."""
+def _group_kl(parts, prior_leaf):
+    """Differentiable KL of one group's diagonal posterior vs its isotropic prior.
 
-    def __init__(self, tape, packer, group, theta, log_std, tau, anchor):
-        self.group = group
-        self.entries = packer.entries[group]
-        self.size = packer.sizes[group]
-        self.weight_leaves = []
-        self.log_std_leaves = []
-        self.perturbed = {}
-        self.anchor_parts = []
-        for layer, kind, start, stop, shape in self.entries:
-            w = tape.leaf(theta[start:stop].reshape(shape))
-            p = tape.leaf(log_std[start:stop].reshape(shape))
-            t = tau[start:stop].reshape(shape)
-            self.weight_leaves.append(w)
-            self.log_std_leaves.append(p)
-            self.anchor_parts.append(anchor[start:stop].reshape(shape))
-            self.perturbed[(layer, kind)] = ad.add(w, ad.mul(ad.exp(p), t))
-
-    def kl_pieces(self):
-        """Tape scalars (sum exp(2p), sum (w - anchor)^2, sum p) over the group."""
-        s_var = s_sq = s_p = None
-        for w, p, a in zip(self.weight_leaves, self.log_std_leaves, self.anchor_parts):
-            var_part = ad.tensor_sum(ad.exp(ad.mul(p, 2.0)))
-            sq_part = ad.tensor_sum(ad.square(ad.sub(w, a)))
-            p_part = ad.tensor_sum(p)
-            s_var = var_part if s_var is None else ad.add(s_var, var_part)
-            s_sq = sq_part if s_sq is None else ad.add(s_sq, sq_part)
-            s_p = p_part if s_p is None else ad.add(s_p, p_part)
-        return s_var, s_sq, s_p
-
-    def grad_flat(self, grads, leaves) -> np.ndarray:
-        out = np.empty(self.size)
-        for (_, _, start, stop, _), leaf in zip(self.entries, leaves):
-            out[start:stop] = grads[leaf].ravel()
-        return out
-
-
-def _group_kl(tape, leaves: _GroupLeaves, prior_leaf):
-    """Differentiable KL of the group's diagonal posterior vs its isotropic prior."""
-    if leaves.size == 0:
+    ``parts`` holds the group's ``(weight leaf, log-std leaf, anchor)`` per
+    weight or bias array.
+    """
+    if not parts:
         return ad.Tensor(0.0)
-    s_var, s_sq, s_p = leaves.kl_pieces()
-    d = float(leaves.size)
+    s_var = s_sq = s_p = None
+    for w, p, a in parts:
+        var_part = ad.tensor_sum(ad.exp(ad.mul(p, 2.0)))
+        sq_part = ad.tensor_sum(ad.square(ad.sub(w, a)))
+        p_part = ad.tensor_sum(p)
+        s_var = var_part if s_var is None else ad.add(s_var, var_part)
+        s_sq = sq_part if s_sq is None else ad.add(s_sq, sq_part)
+        s_p = p_part if s_p is None else ad.add(s_p, p_part)
+    d = float(sum(a.size for _, _, a in parts))
     inv_prior = ad.exp(ad.mul(prior_leaf, -1.0))
     ratio = ad.mul(ad.add(s_var, s_sq), inv_prior)
     log_term = ad.sub(ad.mul(prior_leaf, d), ad.mul(s_p, 2.0))
@@ -358,33 +325,40 @@ def _group_kl(tape, leaves: _GroupLeaves, prior_leaf):
 
 
 def _objective_graph(model: MLPClassifier, noise: NoiseState, packer: GroupPacker,
-                     theta: dict, tau: dict, batch_x, batch_y, cfg: BoundConfig,
-                     k_value: float | None = None, l_pac_weight: float = 1.0,
-                     ) -> tuple[ad.Tensor, BoundTerms, dict, dict]:
-    """Record J at packed weights ``theta`` with the noise draw ``tau`` fixed.
+                     theta: np.ndarray, tau: np.ndarray, batch_x, batch_y,
+                     cfg: BoundConfig, k_value: float | None = None,
+                     l_pac_weight: float = 1.0,
+                     ) -> tuple[ad.Tensor, BoundTerms, list, list, list]:
+    """Record J at the parameter vector ``theta`` with the noise draw ``tau`` fixed.
 
-    Returns J, its terms, and the per-group weight/log-std leaves and prior
-    leaves its gradients are read from. Frozen layers are read from
-    ``model``; gamma and K are resolved from ``cfg`` and enter as constants.
+    ``tau`` is in trainable order. Returns J, its terms, the per-layer
+    ``(w, b)`` weight leaves and log-std leaves of the trainable layers, and
+    the two prior leaves its gradients are read from. Frozen layers are read
+    from ``theta``; gamma and K are resolved from ``cfg`` and enter as
+    constants.
     """
     tape = ad.Tape()
-    leaves = {g: _GroupLeaves(tape, packer, g, theta[g], noise.log_std(g),
-                              tau[g], noise.anchor(g)) for g in _GROUPS}
-    prior_leaves = {g: tape.leaf(np.asarray(noise.prior_log_var(g))) for g in _GROUPS}
-
-    params = []
-    for layer in range(model.n_layers):
-        if model.layer_is_trainable(layer):
-            g = model.group_of(layer)
-            params.append((leaves[g].perturbed[(layer, "w")],
-                           leaves[g].perturbed[(layer, "b")]))
-        else:
-            params.append((model.weights[layer], model.biases[layer]))
+    params = packer.views(theta)[:packer.n_frozen]
+    weight_leaves, log_std_leaves = [], []
+    kl_parts = {g: [] for g in _GROUPS}
+    layers = zip(packer.views(theta[packer.start:]), packer.views(noise.log_std),
+                 packer.views(tau), packer.views(noise.anchor()))
+    for layer, arrays in enumerate(layers, start=packer.n_frozen):
+        w_pair, p_pair, noisy = [], [], []
+        for w, p, t, a in zip(*arrays):
+            w_leaf, p_leaf = tape.leaf(w), tape.leaf(p)
+            w_pair.append(w_leaf)
+            p_pair.append(p_leaf)
+            kl_parts[model.group_of(layer)].append((w_leaf, p_leaf, a))
+            noisy.append(ad.add(w_leaf, ad.mul(ad.exp(p_leaf), t)))
+        weight_leaves.append(w_pair)
+        log_std_leaves.append(p_pair)
+        params.append(noisy)
+    prior_leaves = [tape.leaf(np.asarray(noise.prior_log_var(g))) for g in _GROUPS]
 
     l_train_t = ad.softmax_cross_entropy(model.forward(batch_x, params), batch_y)
-    kl_t = {g: _group_kl(tape, leaves[g], prior_leaves[g]) for g in _GROUPS}
-    kl_vals = {g: kl_t[g].item() for g in _GROUPS}
-    kl_total = kl_vals[ParamGroup.BACKBONE] + kl_vals[ParamGroup.HEAD]
+    kl_b, kl_h = (_group_kl(kl_parts[g], prior) for g, prior in zip(_GROUPS, prior_leaves))
+    kl_total = kl_b.item() + kl_h.item()
 
     if isinstance(cfg.k, FixedK):
         k = cfg.k.value
@@ -398,38 +372,38 @@ def _objective_graph(model: MLPClassifier, noise: NoiseState, packer: GroupPacke
 
     coeff = 1.0 / (gamma * cfg.m)
     const_term = math.log(1.0 / cfg.delta) * coeff + gamma * k * k
-    l_pac_t = ad.add(ad.mul(ad.add(kl_t[ParamGroup.BACKBONE],
-                                   kl_t[ParamGroup.HEAD]), coeff), const_term)
+    l_pac_t = ad.add(ad.mul(ad.add(kl_b, kl_h), coeff), const_term)
     if l_pac_weight != 1.0:
         l_pac_t = ad.mul(l_pac_t, l_pac_weight)
     j_t = ad.add(l_train_t, l_pac_t)
 
     terms = BoundTerms(
         l_train=l_train_t.item(),
-        kl_backbone=kl_vals[ParamGroup.BACKBONE],
-        kl_head=kl_vals[ParamGroup.HEAD],
+        kl_backbone=kl_b.item(),
+        kl_head=kl_h.item(),
         gamma_used=gamma,
         k_used=k,
         l_pac=l_pac_t.item(),
         j_total=j_t.item(),
     )
-    return j_t, terms, leaves, prior_leaves
+    return j_t, terms, weight_leaves, log_std_leaves, prior_leaves
 
 
 def pac_objective(model: MLPClassifier, noise: NoiseState, batch_x, batch_y,
                   cfg: BoundConfig, rng: np.random.Generator | None = None, *,
                   packer: GroupPacker | None = None,
-                  tau: dict | None = None, k_value: float | None = None,
+                  tau: np.ndarray | None = None, k_value: float | None = None,
                   l_pac_weight: float = 1.0,
                   with_grads: bool = True) -> tuple[BoundTerms, ObjectiveGrads | None]:
     """Evaluate J on one batch with a single noise draw; optionally with gradients.
 
-    ``tau`` injects fixed noise per group (used by the gradient checks); when
-    absent one draw per group is taken from ``rng``. ``k_value`` overrides the
-    running-K resolution (the trainer passes its tracker value); fixed-K
-    configs ignore it. ``l_pac_weight`` scales the complexity term inside the
-    optimized objective; the reported ``l_pac``/``j_total`` reflect the same
-    scaling so ``j_total == l_train + l_pac`` always holds.
+    ``tau`` injects a fixed noise draw in trainable order (used by the
+    gradient checks); when absent one draw is taken from ``rng``.
+    ``k_value`` overrides the running-K resolution (the trainer passes its
+    tracker value); fixed-K configs ignore it. ``l_pac_weight`` scales the
+    complexity term inside the optimized objective; the reported
+    ``l_pac``/``j_total`` reflect the same scaling so
+    ``j_total == l_train + l_pac`` always holds.
     """
     if packer is None:
         packer = GroupPacker.for_model(model)
@@ -438,31 +412,25 @@ def pac_objective(model: MLPClassifier, noise: NoiseState, batch_x, batch_y,
     if batch_x.shape[0] == 0:
         raise ValueError("pac_objective: batch must be nonempty")
 
-    theta = {g: packer.pack(model, g) for g in _GROUPS}
     if tau is None:
         if rng is None:
             raise ValueError("pac_objective: need an rng when tau is not given")
-        tau = {g: rng.standard_normal(packer.sizes[g]) for g in _GROUPS}
+        tau = rng.standard_normal(packer.trainable_size)
 
-    j_t, terms, leaves, prior_leaves = _objective_graph(
-        model, noise, packer, theta, tau, batch_x, batch_y, cfg, k_value, l_pac_weight)
+    j_t, terms, weight_leaves, log_std_leaves, prior_leaves = _objective_graph(
+        model, noise, packer, model.theta, tau, batch_x, batch_y, cfg, k_value,
+        l_pac_weight)
     if not with_grads:
         return terms, None
 
     grads = j_t.tape.backward(j_t)
-    og = ObjectiveGrads(
-        backbone=leaves[ParamGroup.BACKBONE].grad_flat(
-            grads, leaves[ParamGroup.BACKBONE].weight_leaves),
-        head=leaves[ParamGroup.HEAD].grad_flat(
-            grads, leaves[ParamGroup.HEAD].weight_leaves),
-        log_std_backbone=leaves[ParamGroup.BACKBONE].grad_flat(
-            grads, leaves[ParamGroup.BACKBONE].log_std_leaves),
-        log_std_head=leaves[ParamGroup.HEAD].grad_flat(
-            grads, leaves[ParamGroup.HEAD].log_std_leaves),
-        prior_log_var_backbone=float(grads[prior_leaves[ParamGroup.BACKBONE]]),
-        prior_log_var_head=float(grads[prior_leaves[ParamGroup.HEAD]]),
-    )
-    return terms, og
+
+    def flat(leaves):
+        return packer.flatten([[grads[leaf] for leaf in pair] for pair in leaves])
+
+    return terms, ObjectiveGrads(
+        weights=flat(weight_leaves),
+        noise=np.append(flat(log_std_leaves), [grads[p] for p in prior_leaves]))
 
 
 def objective_gradcheck(model: MLPClassifier, noise: NoiseState, batch_x, batch_y,
@@ -470,40 +438,28 @@ def objective_gradcheck(model: MLPClassifier, noise: NoiseState, batch_x, batch_
     """Finite-difference check of J over every stage-1 variable.
 
     The noise draw, gamma, and K are frozen at the base point so J is a
-    deterministic function of the flattened variables (weights, log-stds,
-    prior log-variances); J is recorded by the same graph builder that
+    deterministic function of the trainable weights followed by
+    ``NoiseState.params``; J is recorded by the same graph builder that
     ``pac_objective`` trains with.
     """
     packer = GroupPacker.for_model(model)
     rng = np.random.Generator(np.random.PCG64(seed))
-    tau = {g: rng.standard_normal(packer.sizes[g]) for g in _GROUPS}
+    tau = rng.standard_normal(packer.trainable_size)
     base_terms, _ = pac_objective(model, noise, batch_x, batch_y, cfg,
                                   packer=packer, tau=tau, with_grads=False)
     frozen = BoundConfig(m=cfg.m, delta=cfg.delta,
                          gamma=FixedGamma(base_terms.gamma_used),
                          k=FixedK(base_terms.k_used))
 
-    sizes = [packer.sizes[g] for g in _GROUPS]
-    x = np.concatenate([
-        packer.pack(model, ParamGroup.BACKBONE), packer.pack(model, ParamGroup.HEAD),
-        noise.log_std_backbone, noise.log_std_head,
-        [noise.prior_log_var_backbone, noise.prior_log_var_head],
-    ])
+    x = np.concatenate([model.theta[packer.start:], noise.params])
 
     def build(z):
-        w_b, w_h, p_b, p_h, prior_b, prior_h = np.split(
-            z, np.cumsum(sizes + sizes + [1]))
-        trial_noise = NoiseState(p_b, p_h, float(prior_b[0]), float(prior_h[0]),
-                                 noise.anchor_backbone, noise.anchor_head)
-        theta = {ParamGroup.BACKBONE: w_b, ParamGroup.HEAD: w_h}
-        j_t, _, leaves, prior_leaves = _objective_graph(
+        theta = model.theta.copy()
+        theta[packer.start:] = z[:packer.trainable_size]
+        trial_noise = replace(noise, params=z[packer.trainable_size:])
+        j_t, _, weight_leaves, log_std_leaves, prior_leaves = _objective_graph(
             model, trial_noise, packer, theta, tau, batch_x, batch_y, frozen)
-        ordered = []
-        for g in _GROUPS:
-            ordered.extend(leaves[g].weight_leaves)
-        for g in _GROUPS:
-            ordered.extend(leaves[g].log_std_leaves)
-        ordered.extend(prior_leaves[g] for g in _GROUPS)
-        return j_t, ordered
+        ordered = [leaf for pair in weight_leaves + log_std_leaves for leaf in pair]
+        return j_t, ordered + prior_leaves
 
     return ad.finite_diff_check(build, x, h)

@@ -14,6 +14,7 @@ import json
 import logging
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -173,19 +174,26 @@ def load_config(path: str | None, sets=(), seed: int | None = None,
     if out is not None:
         config["out_dir"] = out
     _check_values(config)
-    for task_name, override in config["task_overrides"].items():
+    overrides = config["task_overrides"]
+    for task_name, override in overrides.items():
         where = f"task_overrides.{task_name}"
         if task_name not in config["tasks"]:
             raise ConfigError(f"'{where}' names a task not in 'tasks'")
         if not isinstance(override, dict):
             raise ConfigError(f"'{where}' must be an object")
         _check_keys(override, DEFAULT_CONFIG, where)
-        _check_values(task_config(config, task_name), where + ".")
+    for task_name in config["tasks"]:
+        prefix = f"task_overrides.{task_name}." if task_name in overrides else ""
+        _check_values(task_config(config, task_name), prefix)
     return config
 
 
 def _check_values(config: dict, prefix: str = "") -> None:
-    """Reject out-of-range numeric leaves, naming the key."""
+    """Reject out-of-range leaves, naming the key; ``prefix`` locates the config.
+
+    The stage and bound objects are built here once, so their builders are
+    the single place where their values are validated.
+    """
 
     def require(value, dotted, ok, what):
         if isinstance(value, bool) or not isinstance(value, (int, float)) \
@@ -213,15 +221,30 @@ def _check_values(config: dict, prefix: str = "") -> None:
         require(sched.get("init"), "stage1.lr_noise_head.init", *positive)
         require(sched.get("every"), "stage1.lr_noise_head.every", *at_least_one)
     require(config["task"]["n_shot"], "task.n_shot", *at_least_one)
+    name = config["task"]["name"]
+    if config["task"]["target"] is None and name in datasets.BUILTIN_TASKS:
+        size = datasets.BUILTIN_TASKS[name].target.n
+        require(config["task"]["n_shot"], "task.n_shot", lambda v: v < size,
+                f"below {size}, the size of task '{name}'")
     require(config["noise_injection"]["sigma"], "noise_injection.sigma",
             lambda v: v >= 0, "a number >= 0")
     if not isinstance(config["seeds"], list) or not config["seeds"]:
         raise ConfigError(f"'{prefix}seeds' must be a nonempty list")
+    if not isinstance(config["tasks"], list) \
+            or not all(isinstance(t, str) for t in config["tasks"]):
+        raise ConfigError(f"'{prefix}tasks' must be a list of task names")
     hidden = config["model"]["hidden"]
     if not isinstance(hidden, list):
         raise ConfigError(f"'{prefix}model.hidden' must be a list of widths")
     for i, width in enumerate(hidden):
         require(width, f"model.hidden[{i}]", *at_least_one)
+    activation = config["model"]["activation"]
+    if not isinstance(activation, str) or activation not in models.ACTIVATIONS:
+        raise ConfigError(f"'{prefix}model.activation' must be one of "
+                          f"{sorted(models.ACTIVATIONS)}, got {activation!r}")
+    build_stage1(config, prefix)
+    build_stage2(config, prefix)
+    build_bound(config, m=int(config["task"]["n_shot"]), prefix=prefix)
 
 
 # --- config -> domain objects ---------------------------------------------------
@@ -247,61 +270,67 @@ def resolve_task(config: dict) -> datasets.TransferPair:
         raise ConfigError(str(e)) from e
 
 
-def build_stage1(config: dict) -> pipeline.Stage1Config:
+@contextmanager
+def _naming(key: str):
+    """Report a KeyError, TypeError or ValueError raised inside as a bad ``key``."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as e:
+        detail = f"missing key {e}" if isinstance(e, KeyError) else str(e)
+        raise ConfigError(f"'{key}' is invalid: {detail}") from e
+
+
+def build_stage1(config: dict, prefix: str = "") -> pipeline.Stage1Config:
     c = config["stage1"]
     sched = c["lr_noise_head"]
-    if isinstance(sched, dict):
-        if sched.get("kind") == "constant":
+    with _naming(f"{prefix}stage1.lr_noise_head"):
+        if not isinstance(sched, dict):
+            lr_noise_head = optim.Constant(float(sched))
+        elif sched["kind"] == "constant":
             lr_noise_head = optim.Constant(float(sched["value"]))
-        elif sched.get("kind") == "step-decay":
+        elif sched["kind"] == "step-decay":
             lr_noise_head = optim.StepDecay(float(sched["init"]), float(sched["factor"]),
                                             int(sched["every"]), float(sched["floor"]))
         else:
-            raise ConfigError(f"unknown schedule kind '{sched.get('kind')}'")
-    else:
-        lr_noise_head = optim.Constant(float(sched))
-    try:
+            raise ValueError(f"unknown schedule kind {sched['kind']!r}")
+    with _naming(f"{prefix}stage1"):
         return pipeline.Stage1Config(
             epochs=int(c["epochs"]), batch_size=int(c["batch_size"]),
             lr_backbone=float(c["lr_backbone"]), lr_head=float(c["lr_head"]),
             lr_noise_backbone=float(c["lr_noise_backbone"]),
             lr_noise_head=lr_noise_head, decay_weights=bool(c["decay_weights"]),
             l_pac_weight=float(c["l_pac_weight"]))
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
 
 
-def build_stage2(config: dict) -> pipeline.Stage2Config:
+def build_stage2(config: dict, prefix: str = "") -> pipeline.Stage2Config:
     c = config["stage2"]
-    try:
+    with _naming(f"{prefix}stage2"):
         return pipeline.Stage2Config(
             epochs=int(c["epochs"]), batch_size=int(c["batch_size"]),
             lr_backbone=float(c["lr_backbone"]), lr_head=float(c["lr_head"]),
             weight_decay=bool(c["weight_decay"]))
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
 
 
-def build_bound(config: dict, m: int) -> bound.BoundConfig:
+def build_bound(config: dict, m: int, prefix: str = "") -> bound.BoundConfig:
     c = config["bound"]
-    g = c["gamma"]
-    if g["kind"] == "fixed":
-        gamma = bound.FixedGamma(float(g["value"]))
-    elif g["kind"] == "auto":
-        gamma = bound.AutoGamma(float(g["low"]), float(g["high"]))
-    else:
-        raise ConfigError(f"unknown gamma kind '{g.get('kind')}'")
-    k = c["k"]
-    if k["kind"] == "fixed":
-        k_mode = bound.FixedK(float(k["value"]))
-    elif k["kind"] == "running":
-        k_mode = bound.RunningK(float(k["ema_decay"]))
-    else:
-        raise ConfigError(f"unknown K kind '{k.get('kind')}'")
-    try:
+    with _naming(f"{prefix}bound.gamma"):
+        g = c["gamma"]
+        if g["kind"] == "fixed":
+            gamma = bound.FixedGamma(float(g["value"]))
+        elif g["kind"] == "auto":
+            gamma = bound.AutoGamma(float(g["low"]), float(g["high"]))
+        else:
+            raise ValueError(f"unknown gamma kind {g['kind']!r}")
+    with _naming(f"{prefix}bound.k"):
+        k = c["k"]
+        if k["kind"] == "fixed":
+            k_mode = bound.FixedK(float(k["value"]))
+        elif k["kind"] == "running":
+            k_mode = bound.RunningK(float(k["ema_decay"]))
+        else:
+            raise ValueError(f"unknown K kind {k['kind']!r}")
+    with _naming(f"{prefix}bound"):
         return bound.BoundConfig(m=m, delta=float(c["delta"]), gamma=gamma, k=k_mode)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
 
 
 def _layer_sizes(config: dict, input_dim: int, n_classes: int) -> list[int]:
@@ -542,10 +571,9 @@ def cmd_inspect_noise(noise_path: str, out_path: str) -> int:
         noise = bound.load_noise_state(noise_path)
     except OSError as e:
         raise ConfigError(f"cannot read noise state: {e}") from e
-    variances = np.concatenate([noise.variances(models.ParamGroup.BACKBONE),
-                                noise.variances(models.ParamGroup.HEAD)])
-    groups = ["backbone"] * noise.log_std_backbone.size + \
-        ["head"] * noise.log_std_head.size
+    variances = noise.variances()
+    groups = ["backbone"] * noise.n_backbone + \
+        ["head"] * (variances.size - noise.n_backbone)
     order = pipeline.importance_ranking(variances)
     rank = np.empty(variances.size, dtype=np.int64)
     rank[order] = np.arange(1, variances.size + 1)

@@ -2,14 +2,22 @@
 
 The head is always the final linear layer; everything before it is the
 backbone. Fine-tuning replaces the head and (by default) freezes the first
-layer, which plays the role of a fixed feature embedding. Models are plain
-values: numpy arrays in dataclasses, no shared mutable state.
+layer, which plays the role of a fixed feature embedding.
+
+A model owns all its parameters in one contiguous float64 vector ``theta``:
+layer by layer, each layer's weights (row-major) before its bias.
+``weights[i]`` and ``biases[i]`` are reshaped views into ``theta``, so a
+write through them is a write to ``theta``. Only the first layer can be
+frozen and the head is the last layer, so the trainable parameters are
+always the suffix ``theta[start:]``, laid out ``[backbone | head]``.
+``GroupPacker`` owns this layout; noise log-stds, anchors, noise draws,
+gradients and optimizer moments all use its trainable order.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -23,15 +31,130 @@ class ParamGroup(str, Enum):
     HEAD = "head"
 
 
-@dataclass
-class MLPClassifier:
-    """Fully-connected classifier; ``layer_sizes = [d_in, hidden..., classes]``."""
+ACTIVATIONS = {"tanh": ad.tanh, "relu": ad.relu}
 
-    layer_sizes: list[int]
-    weights: list[np.ndarray]  # per layer, shape (fan_in, fan_out)
-    biases: list[np.ndarray]  # per layer, shape (fan_out,)
-    activation: str = "tanh"
-    freeze_first_layer: bool = False
+
+def group_slice(group: ParamGroup, n_backbone: int, n_trainable: int) -> slice:
+    """A group's coordinates in a trainable-order vector: backbone, then head."""
+    if group is ParamGroup.BACKBONE:
+        return slice(0, n_backbone)
+    return slice(n_backbone, n_trainable)
+
+
+@dataclass(frozen=True)
+class GroupPacker:
+    """Offsets of every layer and group in the flat parameter vector θ.
+
+    ``layers[i]`` is layer i's ``(start, stop, (fan_in, fan_out))`` in θ. The
+    first ``n_frozen`` layers (0 or 1) are frozen, so the trainable
+    coordinates are ``θ[start:]``; within them the backbone comes first and
+    ``group(g)`` gives each group's slice.
+    """
+
+    layers: tuple
+    n_frozen: int
+    start: int
+    sizes: dict
+
+    @classmethod
+    def for_sizes(cls, layer_sizes, freeze_first_layer: bool = False) -> "GroupPacker":
+        if len(layer_sizes) < 2:
+            raise ValueError("layer_sizes needs at least input and output sizes")
+        layers, stop = [], 0
+        for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+            layers.append((stop, stop + fan_in * fan_out + fan_out, (fan_in, fan_out)))
+            stop = layers[-1][1]
+        n_frozen = int(bool(freeze_first_layer))
+        start = layers[0][1] if n_frozen else 0
+        head = max(start, layers[-1][0])
+        return cls(tuple(layers), n_frozen, start,
+                   {ParamGroup.BACKBONE: head - start, ParamGroup.HEAD: stop - head})
+
+    @classmethod
+    def for_model(cls, model: "MLPClassifier") -> "GroupPacker":
+        return cls.for_sizes(model.layer_sizes, model.freeze_first_layer)
+
+    @property
+    def size(self) -> int:
+        return self.layers[-1][1]
+
+    @property
+    def trainable_size(self) -> int:
+        return self.size - self.start
+
+    def group(self, group: ParamGroup) -> slice:
+        return group_slice(group, self.sizes[ParamGroup.BACKBONE], self.trainable_size)
+
+    def views(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-layer ``(weight, bias)`` views into ``vec``.
+
+        A vector of θ's size gives every layer; a vector of the trainable
+        size gives the trainable layers only.
+        """
+        offset = self.size - vec.size
+        if offset not in (0, self.start):
+            raise ValueError(f"views: vector of size {vec.size} fits neither θ "
+                             f"({self.size}) nor its trainable part")
+        out = []
+        for start, stop, shape in self.layers:
+            if start >= offset:
+                mid = start - offset + shape[0] * shape[1]
+                out.append((vec[start - offset:mid].reshape(shape),
+                            vec[mid:stop - offset]))
+        return out
+
+    def flatten(self, pairs) -> np.ndarray:
+        """The trainable-order vector holding per-layer ``(weight, bias)`` arrays."""
+        out = np.empty(self.trainable_size)
+        for views, arrays in zip(self.views(out), pairs):
+            for view, array in zip(views, arrays):
+                view[...] = array
+        return out
+
+    def per_coordinate(self, backbone: float, head: float) -> np.ndarray:
+        """A trainable-order vector holding one value per group."""
+        return np.concatenate([np.full(self.sizes[ParamGroup.BACKBONE], backbone),
+                               np.full(self.sizes[ParamGroup.HEAD], head)])
+
+    def pack(self, model: "MLPClassifier", group: ParamGroup) -> np.ndarray:
+        """A copy of the group's parameters."""
+        return model.theta[self.start:][self.group(group)].copy()
+
+    def unpack_into(self, model: "MLPClassifier", group: ParamGroup,
+                    flat: np.ndarray) -> None:
+        if flat.shape != (self.sizes[group],):
+            raise ValueError(
+                f"unpack_into: expected shape ({self.sizes[group]},), got {flat.shape}")
+        model.theta[self.start:][self.group(group)] = flat
+
+
+class MLPClassifier:
+    """Fully-connected classifier; ``layer_sizes = [d_in, hidden..., classes]``.
+
+    ``theta`` holds every parameter (a zero vector when not given);
+    ``weights[i]`` (fan_in, fan_out) and ``biases[i]`` (fan_out,) are views
+    into it and cannot be rebound, so the model and ``theta`` never drift
+    apart.
+    """
+
+    def __init__(self, layer_sizes, theta: np.ndarray | None = None,
+                 activation: str = "tanh", freeze_first_layer: bool = False):
+        self.layer_sizes = list(layer_sizes)
+        layout = GroupPacker.for_sizes(self.layer_sizes)
+        self.theta = np.zeros(layout.size) if theta is None \
+            else np.asarray(theta, dtype=np.float64)
+        weights, biases = zip(*layout.views(self.theta))
+        self._weights, self._biases = tuple(weights), tuple(biases)
+        self.activation = activation
+        self.freeze_first_layer = freeze_first_layer
+
+    @property
+    def weights(self) -> tuple[np.ndarray, ...]:
+        return self._weights
+
+    @property
+    def biases(self) -> tuple[np.ndarray, ...]:
+        return self._biases
 
     @property
     def n_layers(self) -> int:
@@ -48,17 +171,9 @@ class MLPClassifier:
     def group_of(self, layer: int) -> ParamGroup:
         return ParamGroup.HEAD if layer == self.n_layers - 1 else ParamGroup.BACKBONE
 
-    def layer_is_trainable(self, layer: int) -> bool:
-        return not (self.freeze_first_layer and layer == 0)
-
     def copy(self) -> "MLPClassifier":
-        return MLPClassifier(
-            layer_sizes=list(self.layer_sizes),
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            activation=self.activation,
-            freeze_first_layer=self.freeze_first_layer,
-        )
+        return MLPClassifier(self.layer_sizes, self.theta.copy(), self.activation,
+                             self.freeze_first_layer)
 
     def forward(self, x: np.ndarray, params=None) -> ad.Tensor:
         """Logits for a batch; records on a tape when ``params`` are tape tensors.
@@ -77,7 +192,10 @@ class MLPClassifier:
         elif len(params) != self.n_layers:
             raise ad.ShapeError(
                 f"forward: expected {self.n_layers} (w, b) pairs, got {len(params)}")
-        act = ad.tanh if self.activation == "tanh" else ad.relu
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation '{self.activation}'; "
+                             f"expected one of {sorted(ACTIVATIONS)}")
+        act = ACTIVATIONS[self.activation]
         h = ad.as_tensor(x)
         for i, (w, b) in enumerate(params):
             h = ad.add_bias(ad.matmul(h, ad.as_tensor(w)), ad.as_tensor(b))
@@ -91,77 +209,34 @@ class MLPClassifier:
         return np.argmax(self.forward(x).data, axis=1)
 
 
+def _init_layer(w: np.ndarray, rng: np.random.Generator) -> None:
+    """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, in place."""
+    bound = 1.0 / np.sqrt(w.shape[0])
+    w[...] = rng.uniform(-bound, bound, size=w.shape)
+
+
 def init_weights(layer_sizes, rng: np.random.Generator, activation: str = "tanh",
                  freeze_first_layer: bool = False) -> MLPClassifier:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases."""
-    if len(layer_sizes) < 2:
-        raise ValueError("layer_sizes needs at least input and output sizes")
-    weights, biases = [], []
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return MLPClassifier(list(layer_sizes), weights, biases, activation,
-                         freeze_first_layer)
+    model = MLPClassifier(layer_sizes, activation=activation,
+                          freeze_first_layer=freeze_first_layer)
+    for w in model.weights:
+        _init_layer(w, rng)
+    return model
 
 
 def replace_head(model: MLPClassifier, rng: np.random.Generator,
                  n_classes: int | None = None) -> MLPClassifier:
     """Fresh final layer for a (possibly different) class count; backbone kept bit-identical."""
-    out = model.copy()
     k = model.n_classes if n_classes is None else int(n_classes)
-    fan_in = model.layer_sizes[-2]
-    bound = 1.0 / np.sqrt(fan_in)
-    out.weights[-1] = rng.uniform(-bound, bound, size=(fan_in, k))
-    out.biases[-1] = np.zeros(k)
-    out.layer_sizes = list(model.layer_sizes[:-1]) + [k]
+    out = MLPClassifier(list(model.layer_sizes[:-1]) + [k],
+                        activation=model.activation,
+                        freeze_first_layer=model.freeze_first_layer)
+    for dst, src in zip(out.weights[:-1] + out.biases[:-1],
+                        model.weights[:-1] + model.biases[:-1]):
+        dst[...] = src
+    _init_layer(out.weights[-1], rng)
     return out
-
-
-@dataclass
-class GroupPacker:
-    """Flat-vector view of the trainable parameters, split by group.
-
-    Entry order is fixed (layer index, weights before bias), so packed
-    vectors, noise arrays, and optimizer moments all line up.
-    """
-
-    entries: dict = field(default_factory=dict)  # group -> list of (layer, kind, start, stop, shape)
-    sizes: dict = field(default_factory=dict)
-
-    @classmethod
-    def for_model(cls, model: MLPClassifier) -> "GroupPacker":
-        entries = {ParamGroup.BACKBONE: [], ParamGroup.HEAD: []}
-        offsets = {ParamGroup.BACKBONE: 0, ParamGroup.HEAD: 0}
-        for layer in range(model.n_layers):
-            if not model.layer_is_trainable(layer):
-                continue
-            group = model.group_of(layer)
-            for kind, arr in (("w", model.weights[layer]), ("b", model.biases[layer])):
-                start = offsets[group]
-                stop = start + arr.size
-                entries[group].append((layer, kind, start, stop, arr.shape))
-                offsets[group] = stop
-        return cls(entries=entries, sizes={g: offsets[g] for g in entries})
-
-    def pack(self, model: MLPClassifier, group: ParamGroup) -> np.ndarray:
-        out = np.empty(self.sizes[group])
-        for layer, kind, start, stop, _ in self.entries[group]:
-            arr = model.weights[layer] if kind == "w" else model.biases[layer]
-            out[start:stop] = arr.ravel()
-        return out
-
-    def unpack_into(self, model: MLPClassifier, group: ParamGroup,
-                    flat: np.ndarray) -> None:
-        if flat.shape != (self.sizes[group],):
-            raise ValueError(
-                f"unpack_into: expected shape ({self.sizes[group]},), got {flat.shape}")
-        for layer, kind, start, stop, shape in self.entries[group]:
-            values = flat[start:stop].reshape(shape)
-            if kind == "w":
-                model.weights[layer] = values.copy()
-            else:
-                model.biases[layer] = values.copy()
 
 
 CHECKPOINT_VERSION = 1
@@ -192,13 +267,12 @@ def load_checkpoint(path, activation: str = "tanh",
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version: {doc.get('version')}")
-    sizes = doc["layer_sizes"]
-    weights, biases = [], []
-    for i, layer in enumerate(doc["params"]):
-        fan_in, fan_out = sizes[i], sizes[i + 1]
-        weights.append(np.asarray(layer["w"], dtype=np.float64).reshape(fan_in, fan_out))
-        biases.append(np.asarray(layer["b"], dtype=np.float64))
-    return MLPClassifier(list(sizes), weights, biases, activation, freeze_first_layer)
+    model = MLPClassifier(doc["layer_sizes"], activation=activation,
+                          freeze_first_layer=freeze_first_layer)
+    for w, b, layer in zip(model.weights, model.biases, doc["params"]):
+        w[...] = np.asarray(layer["w"], dtype=np.float64).reshape(w.shape)
+        b[...] = np.asarray(layer["b"], dtype=np.float64)
+    return model
 
 
 def checkpoint_provenance(path) -> dict:

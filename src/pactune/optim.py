@@ -44,39 +44,33 @@ def schedule_value(sched: LrSchedule, update_index: int) -> float:
 
 
 class AdamState:
-    """Moment accumulators for a set of named flat parameter arrays."""
+    """Moment accumulators for one flat parameter vector."""
 
-    def __init__(self, sizes: dict[str, int], beta1: float = 0.9, beta2: float = 0.98,
+    def __init__(self, size: int, beta1: float = 0.9, beta2: float = 0.98,
                  eps: float = 1e-3, weight_decay: float = 0.01):
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {name: np.zeros(n) for name, n in sizes.items()}
-        self.v = {name: np.zeros(n) for name, n in sizes.items()}
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
 
-def adam_step(state: AdamState, params: dict[str, np.ndarray],
-              grads: dict[str, np.ndarray], lr: dict[str, float] | float,
-              apply_weight_decay: dict[str, bool] | bool = False) -> bool:
-    """One bias-corrected update over all named arrays, in place.
+def adam_step(state: AdamState, param: np.ndarray, grad: np.ndarray,
+              lr: np.ndarray | float, apply_weight_decay: bool = False) -> bool:
+    """One bias-corrected update of ``param``, in place.
 
-    If any gradient is non-finite the whole step is skipped (state untouched)
-    and a warning is logged; returns whether the step was applied.
+    ``lr`` is a scalar or a per-coordinate vector. Weight decay is a per-call
+    flag, not a 0/1 vector, since adding ``0.0 * param`` can flip the sign
+    of a zero. If the gradient is non-finite the step is skipped (state
+    untouched) and a warning is logged; returns whether the step was applied.
     """
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            logger.warning("adam_step: non-finite gradient for '%s'; step skipped", name)
-            return False
+    if not np.all(np.isfinite(grad)):
+        logger.warning("adam_step: non-finite gradient; step skipped")
+        return False
     state.t += 1
-    for name, p in params.items():
-        rate = lr[name] if isinstance(lr, dict) else lr
-        decay = apply_weight_decay[name] if isinstance(apply_weight_decay, dict) \
-            else apply_weight_decay
-        kernels.adam_update(
-            p, state.m[name], state.v[name], grads[name], state.t, rate,
-            state.beta1, state.beta2, state.eps,
-            state.weight_decay if decay else 0.0,
-        )
+    kernels.adam_update(param, state.m, state.v, grad, state.t, lr, state.beta1,
+                        state.beta2, state.eps,
+                        state.weight_decay if apply_weight_decay else 0.0)
     return True

@@ -1,28 +1,27 @@
 """Perturbed gradient descent: noise in, gradient, noise out, clean update.
 
 Plain descent, the perturbed step and the random-layer baseline share one
-step body (``descent_step``); they differ only in where the gradient is
-taken. The perturbed step draws fresh standard-normal noise, scales it per
-group (a fixed isotropic level or the learned per-parameter variances),
-evaluates the plain training-loss gradient at the perturbed weights, and
-applies the update to the unperturbed weights through the shared Adam state.
+step body (``descent_step``); they differ only in the parameter vector at
+which the gradient is taken. The perturbed step draws one standard-normal
+vector over the model's trainable coordinates, scales it by one std vector
+(a fixed isotropic level per group or the learned per-parameter
+variances), evaluates the plain training-loss gradient at the perturbed
+weights, and lets Adam update the model's trainable view of θ in place.
 The complexity term plays no role here. Noise is drawn even at scale zero,
 so runs with and without noise consume the noise stream identically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import kernels
 from .bound import NoiseState
-from .models import GroupPacker, MLPClassifier, ParamGroup
+from .models import GroupPacker, MLPClassifier
 from .optim import AdamState, adam_step
-
-_GROUPS = (ParamGroup.BACKBONE, ParamGroup.HEAD)
 
 
 @dataclass(frozen=True)
@@ -54,42 +53,24 @@ class PGDConfig:
             raise ValueError("learning rates must be positive")
 
 
-def _noise_std(cfg: PGDConfig, packer: GroupPacker) -> dict:
+def _noise_std(cfg: PGDConfig, packer: GroupPacker) -> np.ndarray:
     if isinstance(cfg.noise_source, IsotropicNoise):
-        eta = {ParamGroup.BACKBONE: cfg.noise_source.eta_backbone,
-               ParamGroup.HEAD: cfg.noise_source.eta_head}
-        return {g: np.full(packer.sizes[g], np.sqrt(eta[g])) for g in _GROUPS}
-    noise = cfg.noise_source.noise
-    return {g: np.exp(noise.log_std(g)) for g in _GROUPS}
+        return packer.per_coordinate(np.sqrt(cfg.noise_source.eta_backbone),
+                                     np.sqrt(cfg.noise_source.eta_head))
+    return np.exp(cfg.noise_source.noise.log_std)
 
 
-def loss_and_grads(model: MLPClassifier, packer: GroupPacker, theta: dict,
-                   batch_x: np.ndarray, batch_y: np.ndarray) -> tuple[float, dict]:
-    """Cross-entropy and flat per-group gradients at the given packed weights."""
+def loss_and_grads(model: MLPClassifier, packer: GroupPacker, theta: np.ndarray,
+                   batch_x: np.ndarray, batch_y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Cross-entropy at the full parameter vector ``theta``, and its gradient
+    over the trainable coordinates (frozen layers are read from ``theta`` too)."""
     tape = ad.Tape()
-    # leaves are built entry by entry so flat gradients line up with the packer
-    leaves = {g: [] for g in _GROUPS}
-    per_layer = {}
-    for g in _GROUPS:
-        for layer, kind, start, stop, shape in packer.entries[g]:
-            leaf = tape.leaf(theta[g][start:stop].reshape(shape))
-            leaves[g].append(leaf)
-            per_layer[(layer, kind)] = leaf
-    params = []
-    for layer in range(model.n_layers):
-        if model.layer_is_trainable(layer):
-            params.append((per_layer[(layer, "w")], per_layer[(layer, "b")]))
-        else:
-            params.append((model.weights[layer], model.biases[layer]))
+    params = packer.views(theta)
+    leaves = [(tape.leaf(w), tape.leaf(b)) for w, b in params[packer.n_frozen:]]
+    params[packer.n_frozen:] = leaves
     loss_t = ad.softmax_cross_entropy(model.forward(batch_x, params), batch_y)
     grads = tape.backward(loss_t)
-    flat = {}
-    for g in _GROUPS:
-        out = np.empty(packer.sizes[g])
-        for (_, _, start, stop, _), leaf in zip(packer.entries[g], leaves[g]):
-            out[start:stop] = grads[leaf].ravel()
-        flat[g] = out
-    return loss_t.item(), flat
+    return loss_t.item(), packer.flatten([(grads[w], grads[b]) for w, b in leaves])
 
 
 def descent_step(model: MLPClassifier, batch_x, batch_y, lr_backbone: float,
@@ -97,27 +78,19 @@ def descent_step(model: MLPClassifier, batch_x, batch_y, lr_backbone: float,
                  weight_decay: bool = True, perturb=None) -> float:
     """One Adam step on the training loss, in place; returns the loss.
 
-    ``perturb(model, theta)`` returns the model and packed weights at which
-    the gradient is taken (plain descent takes it at the clean weights); the
-    update always applies to the clean weights, and only when Adam applied it.
+    ``perturb(theta)`` returns the parameter vector at which the gradient is
+    taken (plain descent takes it at ``model.theta``); Adam always updates
+    the model's own trainable view ``theta[start:]``, and only when it
+    applies the step.
     """
     batch_x = np.asarray(batch_x, dtype=np.float64)
     batch_y = np.asarray(batch_y, dtype=np.int64)
     if batch_x.shape[0] == 0:
         raise ValueError("descent_step: batch must be nonempty")
-    theta = {g: packer.pack(model, g) for g in _GROUPS}
-    at_model, at_theta = (model, theta) if perturb is None else perturb(model, theta)
-    loss, grads = loss_and_grads(at_model, packer, at_theta, batch_x, batch_y)
-    applied = adam_step(
-        adam,
-        params={"backbone": theta[ParamGroup.BACKBONE], "head": theta[ParamGroup.HEAD]},
-        grads={"backbone": grads[ParamGroup.BACKBONE], "head": grads[ParamGroup.HEAD]},
-        lr={"backbone": lr_backbone, "head": lr_head},
-        apply_weight_decay=weight_decay,
-    )
-    if applied:
-        for g in _GROUPS:
-            packer.unpack_into(model, g, theta[g])
+    at = model.theta if perturb is None else perturb(model.theta)
+    loss, grad = loss_and_grads(model, packer, at, batch_x, batch_y)
+    adam_step(adam, model.theta[packer.start:], grad,
+              packer.per_coordinate(lr_backbone, lr_head), weight_decay)
     return loss
 
 
@@ -126,10 +99,12 @@ def pgd_step(model: MLPClassifier, batch_x, batch_y, cfg: PGDConfig,
              rng: np.random.Generator) -> float:
     """One perturbed step in place; returns the loss at the perturbed point."""
 
-    def perturb(model, theta):
+    def perturb(theta):
         std = _noise_std(cfg, packer)
-        tau = {g: rng.standard_normal(packer.sizes[g]) for g in _GROUPS}
-        return model, {g: kernels.apply_noise(theta[g], std[g], tau[g]) for g in _GROUPS}
+        noisy = theta.copy()
+        noisy[packer.start:] = kernels.apply_noise(
+            theta[packer.start:], std, rng.standard_normal(packer.trainable_size))
+        return noisy
 
     return descent_step(model, batch_x, batch_y, cfg.lr_backbone, cfg.lr_head, adam,
                         packer, cfg.weight_decay, perturb)
@@ -139,26 +114,19 @@ def random_layer_noise_step(model: MLPClassifier, batch_x, batch_y, sigma: float
                             lr_backbone: float, lr_head: float, adam: AdamState,
                             packer: GroupPacker, rng: np.random.Generator,
                             weight_decay: bool = True) -> float:
-    """Noise-injection baseline: perturb one uniformly chosen layer, then step."""
+    """Noise-injection baseline: perturb one uniformly chosen layer, then step.
+
+    The noise goes into a copy of θ, so a frozen layer can be chosen too and
+    its noise never reaches the model.
+    """
     if sigma < 0.0:
         raise ValueError("random_layer_noise_step: sigma must be nonnegative")
 
-    def perturb(model, theta):
-        chosen = int(rng.integers(model.n_layers))
-        if model.layer_is_trainable(chosen):
-            perturbed = {g: theta[g].copy() for g in _GROUPS}
-            g = model.group_of(chosen)
-            for layer, _, start, stop, _ in packer.entries[g]:
-                if layer == chosen:
-                    perturbed[g][start:stop] += sigma * rng.standard_normal(stop - start)
-            return model, perturbed
-        # a frozen layer is not packed: its noisy arrays go into a shallow copy
-        noisy = replace(model, weights=list(model.weights), biases=list(model.biases))
-        noisy.weights[chosen] = model.weights[chosen] + \
-            sigma * rng.standard_normal(model.weights[chosen].shape)
-        noisy.biases[chosen] = model.biases[chosen] + \
-            sigma * rng.standard_normal(model.biases[chosen].shape)
-        return noisy, theta
+    def perturb(theta):
+        start, stop, _ = packer.layers[int(rng.integers(model.n_layers))]
+        noisy = theta.copy()
+        noisy[start:stop] += sigma * rng.standard_normal(stop - start)
+        return noisy
 
     return descent_step(model, batch_x, batch_y, lr_backbone, lr_head, adam, packer,
                         weight_decay, perturb)

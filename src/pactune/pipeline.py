@@ -1,12 +1,13 @@
 """Two-stage training orchestration, baselines, metrics, and run records.
 
-Stage 1 minimizes the full bound objective over four optimizer groups
-(backbone weights, head weights, backbone noise+prior, head noise+prior) and
-returns the learned noise state. Stage 2 freezes the noise and continues with
-perturbed gradient descent on the training loss alone. Stage 2, pretraining
-and the baselines (vanilla and random-layer noise injection) run through one
-descent loop and differ only in their step, so traces are directly
-comparable.
+Stage 1 minimizes the full bound objective with two optimizer updates per
+step, one over the model's trainable weights (with weight decay) and one
+over the noise log-stds and priors (without), each with a per-coordinate
+learning-rate vector, and returns the learned noise state. Stage 2 freezes
+the noise and continues with perturbed gradient descent on the training
+loss alone. Both stages, pretraining and the baselines (vanilla and
+random-layer noise injection) run through one descent loop and differ only
+in their step, so traces are directly comparable.
 
 Every run owns its RNG streams, split by purpose (head init, batch order,
 noise draws), so e.g. a zero-noise perturbed run consumes the same batch
@@ -16,6 +17,7 @@ the posterior mean.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -115,29 +117,57 @@ def importance_ranking(noise_or_variances) -> np.ndarray:
     flat variance array.
     """
     if isinstance(noise_or_variances, NoiseState):
-        var = np.concatenate([noise_or_variances.variances(ParamGroup.BACKBONE),
-                              noise_or_variances.variances(ParamGroup.HEAD)])
+        var = noise_or_variances.variances()
     else:
         var = np.asarray(noise_or_variances, dtype=np.float64)
     return np.argsort(var, kind="stable")
 
 
-def _epoch_record(epoch, stage, l_train, l_pac, kl_b, kl_h, mean_var_b, mean_var_h,
-                  dev, bound_diag) -> dict:
-    return {
-        "epoch": int(epoch),
-        "stage": int(stage),
-        "j_total": l_train + l_pac,
-        "l_train": l_train,
-        "l_pac": l_pac,
-        "kl_backbone": kl_b,
-        "kl_head": kl_h,
-        "generic_bound": bound_diag,
-        "mean_var_backbone": mean_var_b,
-        "mean_var_head": mean_var_h,
-        "dev_accuracy": dev["accuracy"],
-        "dev_mcc": dev["mcc"],
-    }
+def _descend(model: MLPClassifier, train: Dataset, dev: Dataset, cfg, data_rng,
+             step, label: str, stage: int = 0, epoch_offset: int = 0,
+             diagnostics=None) -> tuple[MLPClassifier, list[dict]]:
+    """The descent loop shared by pretraining, both stages and both baselines.
+
+    ``cfg`` gives ``epochs`` and ``batch_size``. ``step(model, x, y, adam,
+    packer)`` updates the loop's copy of the model in place, with ``adam``
+    covering its trainable coordinates, and returns the batch's
+    ``(l_train, l_pac, kl_b, kl_h)``. ``diagnostics(model, packer, kl_b,
+    kl_h)`` turns the epoch's mean KLs into the recorded
+    ``(kl_b, kl_h, mean_var_b, mean_var_h, generic_bound)``; without it they
+    are recorded as zero.
+    """
+    model = model.copy()
+    packer = GroupPacker.for_model(model)
+    adam = AdamState(packer.trainable_size)
+    trace = []
+    for epoch in range(epoch_offset, epoch_offset + cfg.epochs):
+        sums, n_batches = (0.0,) * 4, 0
+        for idx in batch_indices(len(train), cfg.batch_size, data_rng):
+            try:
+                terms = step(model, train.x[idx], train.y[idx], adam, packer)
+            except ad.NumericsError as e:
+                raise DivergenceError(f"{label} diverged at epoch {epoch}: {e}") from e
+            sums = tuple(s + t for s, t in zip(sums, terms))
+            n_batches += 1
+        l_train, l_pac, kl_b, kl_h = (s / n_batches for s in sums)
+        kl_b, kl_h, mean_var_b, mean_var_h, bound_diag = \
+            diagnostics(model, packer, kl_b, kl_h) if diagnostics else (0.0,) * 5
+        dev_metrics = evaluate(model, dev)
+        trace.append({
+            "epoch": epoch,
+            "stage": stage,
+            "j_total": l_train + l_pac,
+            "l_train": l_train,
+            "l_pac": l_pac,
+            "kl_backbone": kl_b,
+            "kl_head": kl_h,
+            "generic_bound": bound_diag,
+            "mean_var_backbone": mean_var_b,
+            "mean_var_head": mean_var_h,
+            "dev_accuracy": dev_metrics["accuracy"],
+            "dev_mcc": dev_metrics["mcc"],
+        })
+    return model, trace
 
 
 def stage1_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
@@ -145,122 +175,40 @@ def stage1_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
                  data_rng: np.random.Generator, noise_rng: np.random.Generator,
                  ) -> tuple[MLPClassifier, NoiseState, list[dict]]:
     """Minimize the bound objective; returns updated model, learned noise, trace."""
-    model = model.copy()
     noise = noise.copy()
     packer = GroupPacker.for_model(model)
     for g in (ParamGroup.BACKBONE, ParamGroup.HEAD):
-        if noise.log_std(g).shape != (packer.sizes[g],):
+        if noise.variances(g).size != packer.sizes[g]:
             raise ValueError(f"noise state does not match the model's {g.value} size")
-
-    prior_b = np.array([noise.prior_log_var_backbone])
-    prior_h = np.array([noise.prior_log_var_head])
-    adam = AdamState({
-        "backbone": packer.sizes[ParamGroup.BACKBONE],
-        "head": packer.sizes[ParamGroup.HEAD],
-        "p_backbone": packer.sizes[ParamGroup.BACKBONE],
-        "p_head": packer.sizes[ParamGroup.HEAD],
-        "prior_backbone": 1,
-        "prior_head": 1,
-    })
-    decay_flags = {"backbone": cfg.decay_weights, "head": cfg.decay_weights,
-                   "p_backbone": False, "p_head": False,
-                   "prior_backbone": False, "prior_head": False}
+    noise_adam = AdamState(noise.params.size)
+    weights_lr = packer.per_coordinate(cfg.lr_backbone, cfg.lr_head)
     tracker = KTracker(bound_cfg.k.ema_decay) if isinstance(bound_cfg.k, RunningK) else None
+    update_index = itertools.count()
 
-    trace = []
-    update_index = 0
-    for epoch in range(cfg.epochs):
-        sums = {"l_train": 0.0, "l_pac": 0.0, "kl_b": 0.0, "kl_h": 0.0}
-        n_batches = 0
-        for idx in batch_indices(len(train), cfg.batch_size, data_rng):
-            try:
-                terms, grads = pac_objective(
-                    model, noise, train.x[idx], train.y[idx], bound_cfg,
-                    rng=noise_rng, packer=packer,
-                    k_value=tracker.value if tracker else None,
-                    l_pac_weight=cfg.l_pac_weight)
-            except ad.NumericsError as e:
-                raise DivergenceError(f"stage 1 diverged at epoch {epoch}: {e}") from e
-            if not np.isfinite(terms.j_total):
-                raise DivergenceError(f"stage 1 diverged at epoch {epoch}")
-            if tracker:
-                tracker.update(terms.l_train)
+    def step(model, x, y, adam, packer):
+        terms, grads = pac_objective(
+            model, noise, x, y, bound_cfg, rng=noise_rng, packer=packer,
+            k_value=tracker.value if tracker else None, l_pac_weight=cfg.l_pac_weight)
+        if not np.isfinite(terms.j_total):
+            raise ad.NumericsError("the objective is not finite")
+        if tracker:
+            tracker.update(terms.l_train)
+        lr_b = cfg.lr_noise_backbone
+        lr_h = schedule_value(cfg.lr_noise_head, next(update_index))
+        adam_step(adam, model.theta[packer.start:], grads.weights, weights_lr,
+                  cfg.decay_weights)
+        adam_step(noise_adam, noise.params, grads.noise,
+                  np.append(packer.per_coordinate(lr_b, lr_h), [lr_b, lr_h]))
+        return terms.l_train, terms.l_pac, terms.kl_backbone, terms.kl_head
 
-            theta = {g: packer.pack(model, g) for g in
-                     (ParamGroup.BACKBONE, ParamGroup.HEAD)}
-            lr_head_noise = schedule_value(cfg.lr_noise_head, update_index)
-            adam_step(
-                adam,
-                params={"backbone": theta[ParamGroup.BACKBONE],
-                        "head": theta[ParamGroup.HEAD],
-                        "p_backbone": noise.log_std_backbone,
-                        "p_head": noise.log_std_head,
-                        "prior_backbone": prior_b, "prior_head": prior_h},
-                grads={"backbone": grads.backbone, "head": grads.head,
-                       "p_backbone": grads.log_std_backbone,
-                       "p_head": grads.log_std_head,
-                       "prior_backbone": np.array([grads.prior_log_var_backbone]),
-                       "prior_head": np.array([grads.prior_log_var_head])},
-                lr={"backbone": cfg.lr_backbone, "head": cfg.lr_head,
-                    "p_backbone": cfg.lr_noise_backbone,
-                    "p_head": lr_head_noise,
-                    "prior_backbone": cfg.lr_noise_backbone,
-                    "prior_head": lr_head_noise},
-                apply_weight_decay=decay_flags,
-            )
-            packer.unpack_into(model, ParamGroup.BACKBONE, theta[ParamGroup.BACKBONE])
-            packer.unpack_into(model, ParamGroup.HEAD, theta[ParamGroup.HEAD])
-            noise.prior_log_var_backbone = float(prior_b[0])
-            noise.prior_log_var_head = float(prior_h[0])
-            update_index += 1
+    def diagnostics(model, packer, kl_b, kl_h):
+        return (kl_b, kl_h, noise.mean_variance(ParamGroup.BACKBONE),
+                noise.mean_variance(ParamGroup.HEAD),
+                generic_bound(kl_b + kl_h, bound_cfg.delta, bound_cfg.m))
 
-            sums["l_train"] += terms.l_train
-            sums["l_pac"] += terms.l_pac
-            sums["kl_b"] += terms.kl_backbone
-            sums["kl_h"] += terms.kl_head
-            n_batches += 1
-
-        kl_b = sums["kl_b"] / n_batches
-        kl_h = sums["kl_h"] / n_batches
-        trace.append(_epoch_record(
-            epoch, 1, sums["l_train"] / n_batches, sums["l_pac"] / n_batches,
-            kl_b, kl_h,
-            noise.mean_variance(ParamGroup.BACKBONE),
-            noise.mean_variance(ParamGroup.HEAD),
-            evaluate(model, dev),
-            generic_bound(kl_b + kl_h, bound_cfg.delta, bound_cfg.m)))
+    model, trace = _descend(model, train, dev, cfg, data_rng, step, "stage 1", stage=1,
+                            diagnostics=diagnostics)
     return model, noise, trace
-
-
-def _descend(model: MLPClassifier, train: Dataset, dev: Dataset, cfg: Stage2Config,
-             data_rng: np.random.Generator, step, label: str, stage: int = 0,
-             epoch_offset: int = 0, diagnostics=None) -> tuple[MLPClassifier, list[dict]]:
-    """The descent loop shared by pretraining, stage 2 and both baselines.
-
-    ``step(model, x, y, adam, packer)`` updates the loop's copy of the model
-    in place and returns the batch loss. ``diagnostics(model, packer)`` gives the
-    epoch's ``(kl_b, kl_h, mean_var_b, mean_var_h, generic_bound)``; without
-    it they are recorded as zero.
-    """
-    model = model.copy()
-    packer = GroupPacker.for_model(model)
-    adam = AdamState({"backbone": packer.sizes[ParamGroup.BACKBONE],
-                      "head": packer.sizes[ParamGroup.HEAD]})
-    trace = []
-    for epoch in range(epoch_offset, epoch_offset + cfg.epochs):
-        total, n_batches = 0.0, 0
-        for idx in batch_indices(len(train), cfg.batch_size, data_rng):
-            try:
-                total += step(model, train.x[idx], train.y[idx], adam, packer)
-            except ad.NumericsError as e:
-                raise DivergenceError(f"{label} diverged at epoch {epoch}: {e}") from e
-            n_batches += 1
-        kl_b, kl_h, mean_var_b, mean_var_h, bound_diag = \
-            diagnostics(model, packer) if diagnostics else (0.0,) * 5
-        trace.append(_epoch_record(epoch, stage, total / n_batches, 0.0, kl_b, kl_h,
-                                   mean_var_b, mean_var_h, evaluate(model, dev),
-                                   bound_diag))
-    return model, trace
 
 
 def stage2_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
@@ -276,27 +224,27 @@ def stage2_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
     delta = bound_cfg.delta if bound_cfg else 0.05
     m = bound_cfg.m if bound_cfg else len(train)
 
-    def diagnostics(model, packer):
+    def diagnostics(model, packer, *_):
         kl = [0.0, 0.0]
-        if noise.anchor_backbone is not None:
-            for i, g in enumerate((ParamGroup.BACKBONE, ParamGroup.HEAD)):
-                if packer.sizes[g]:
-                    kl[i] = kl_diag_vs_isotropic(
-                        packer.pack(model, g), noise.variances(g), noise.anchor(g),
-                        math.exp(noise.prior_log_var(g)))
+        if noise.anchors is not None:
+            weights = model.theta[packer.start:]
+            kl = [kl_diag_vs_isotropic(weights[packer.group(g)], noise.variances(g),
+                                       noise.anchor(g), math.exp(noise.prior_log_var(g)))
+                  for g in (ParamGroup.BACKBONE, ParamGroup.HEAD)]
         return (kl[0], kl[1], mean_var_b, mean_var_h,
                 generic_bound(kl[0] + kl[1], delta, m))
 
     return _descend(
         model, train, dev, cfg, data_rng,
-        lambda model, x, y, adam, packer: pgd_step(model, x, y, pgd_cfg, adam, packer,
-                                                   noise_rng),
+        lambda model, x, y, adam, packer: (
+            pgd_step(model, x, y, pgd_cfg, adam, packer, noise_rng), 0.0, 0.0, 0.0),
         "stage 2", stage=2, epoch_offset=epoch_offset, diagnostics=diagnostics)
 
 
 def _plain_step(cfg: Stage2Config):
-    return lambda model, x, y, adam, packer: descent_step(
-        model, x, y, cfg.lr_backbone, cfg.lr_head, adam, packer, cfg.weight_decay)
+    return lambda model, x, y, adam, packer: (descent_step(
+        model, x, y, cfg.lr_backbone, cfg.lr_head, adam, packer, cfg.weight_decay),
+        0.0, 0.0, 0.0)
 
 
 def vanilla_finetune(model: MLPClassifier, train: Dataset, dev: Dataset,
@@ -315,9 +263,9 @@ def noise_injection_finetune(model: MLPClassifier, train: Dataset, dev: Dataset,
     """Random-layer noise-injection baseline."""
     return _descend(
         model, train, dev, cfg, data_rng,
-        lambda model, x, y, adam, packer: random_layer_noise_step(
+        lambda model, x, y, adam, packer: (random_layer_noise_step(
             model, x, y, sigma, cfg.lr_backbone, cfg.lr_head, adam, packer,
-            noise_rng, cfg.weight_decay),
+            noise_rng, cfg.weight_decay), 0.0, 0.0, 0.0),
         "noise injection")
 
 
@@ -343,15 +291,14 @@ class RunRecord:
 
 
 def noise_summary_stats(noise: NoiseState) -> dict:
-    all_var = np.concatenate([noise.variances(ParamGroup.BACKBONE),
-                              noise.variances(ParamGroup.HEAD)])
+    all_var = noise.variances()
     return {
         "mean_var_backbone": noise.mean_variance(ParamGroup.BACKBONE),
         "mean_var_head": noise.mean_variance(ParamGroup.HEAD),
         "min_var": float(all_var.min()) if all_var.size else 0.0,
         "max_var": float(all_var.max()) if all_var.size else 0.0,
-        "n_backbone": int(noise.log_std_backbone.size),
-        "n_head": int(noise.log_std_head.size),
+        "n_backbone": int(noise.n_backbone),
+        "n_head": int(noise.log_std.size - noise.n_backbone),
     }
 
 

@@ -171,8 +171,7 @@ class TestObjective:
         model, packer, noise, bx, by = tiny_setup()
         noise.log_std_backbone[:] = -40.0
         noise.log_std_head[:] = -40.0
-        noise.prior_log_var_backbone = 0.0
-        noise.prior_log_var_head = 0.0
+        noise.params[-2:] = 0.0  # both prior log-variances
         cfg = BoundConfig(m=8, gamma=FixedGamma(5.0), k=FixedK(1.0))
         terms, _ = pac_objective(model, noise, bx, by, cfg,
                                  rng=np.random.default_rng(0), packer=packer)
@@ -209,34 +208,29 @@ class TestObjective:
         # the objective's weight gradient minus the loss gradient is exactly
         # (w - anchor) / (prior variance * gamma * m)
         model, packer, noise, bx, by = tiny_setup(seed=6)
-        model.weights[0] = model.weights[0] + 0.3  # move away from the anchors
+        model.weights[0][...] += 0.3  # move away from the anchors
         gamma, m = 2.0, 8
         cfg = BoundConfig(m=m, gamma=FixedGamma(gamma), k=FixedK(1.0))
-        zeros = {g: np.zeros(packer.sizes[g]) for g in
-                 (ParamGroup.BACKBONE, ParamGroup.HEAD)}
         terms, grads = pac_objective(model, noise, bx, by, cfg, packer=packer,
-                                     tau=zeros)
-        theta = {g: packer.pack(model, g) for g in
-                 (ParamGroup.BACKBONE, ParamGroup.HEAD)}
-        _, ce_grads = loss_and_grads(model, packer, theta, bx, by)
-        for group, got in ((ParamGroup.BACKBONE, grads.backbone),
-                           (ParamGroup.HEAD, grads.head)):
-            pull = (theta[group] - noise.anchor(group)) / (
+                                     tau=np.zeros(packer.trainable_size))
+        _, ce_grad = loss_and_grads(model, packer, model.theta, bx, by)
+        for group in (ParamGroup.BACKBONE, ParamGroup.HEAD):
+            part = packer.group(group)
+            pull = (packer.pack(model, group) - noise.anchor(group)) / (
                 math.exp(noise.prior_log_var(group)) * gamma * m)
-            assert np.allclose(got - ce_grads[group], pull, atol=1e-12)
+            assert np.allclose(grads.weights[part] - ce_grad[part], pull, atol=1e-12)
 
     def test_l_pac_weight_zero_removes_bound_gradient(self):
         model, packer, noise, bx, by = tiny_setup(seed=7)
         cfg = BoundConfig(m=8, gamma=FixedGamma(5.0), k=FixedK(1.0))
-        tau = {g: np.random.default_rng(2).standard_normal(packer.sizes[g])
-               for g in (ParamGroup.BACKBONE, ParamGroup.HEAD)}
+        tau = np.random.default_rng(2).standard_normal(packer.trainable_size)
         terms, grads = pac_objective(model, noise, bx, by, cfg, packer=packer,
                                      tau=tau, l_pac_weight=0.0)
         assert terms.l_pac == 0.0
         assert terms.j_total == terms.l_train
         # prior parameters only appear through the bound term
-        assert grads.prior_log_var_backbone == 0.0
-        assert grads.prior_log_var_head == 0.0
+        assert grads.noise[-2] == 0.0  # backbone prior log-variance
+        assert grads.noise[-1] == 0.0  # head prior log-variance
 
     def test_empty_batch_rejected(self):
         model, packer, noise, _, _ = tiny_setup()
@@ -252,7 +246,7 @@ class TestObjective:
         terms, grads = pac_objective(model, noise, bx, by, cfg,
                                      rng=np.random.default_rng(0), packer=packer)
         assert terms.kl_backbone == 0.0
-        assert grads.backbone.size == 0
+        assert grads.weights.size == packer.sizes[ParamGroup.HEAD]
 
 
 class TestNoiseState:
@@ -270,7 +264,7 @@ class TestNoiseState:
 
     def test_prior_init_matches_mean_variance(self):
         model, packer, noise, _, _ = tiny_setup(seed=10)
-        assert math.exp(noise.prior_log_var_backbone) == pytest.approx(
+        assert math.exp(noise.prior_log_var(ParamGroup.BACKBONE)) == pytest.approx(
             noise.mean_variance(ParamGroup.BACKBONE), rel=1e-12)
 
     def test_serialization_roundtrip(self, tmp_path):
@@ -281,7 +275,7 @@ class TestNoiseState:
         loaded = bound.load_noise_state(path)
         assert np.array_equal(loaded.log_std_backbone, noise.log_std_backbone)
         assert np.array_equal(loaded.log_std_head, noise.log_std_head)
-        assert loaded.prior_log_var_backbone == noise.prior_log_var_backbone
+        assert loaded.params.tobytes() == noise.params.tobytes()
         assert loaded.anchor_checkpoint == "ckpt-123"
         with pytest.raises(ValueError, match="anchor"):
             loaded.anchor(ParamGroup.BACKBONE)
@@ -315,17 +309,15 @@ class TestNoiseMonotonicity:
         packer = GroupPacker.for_model(model)
         noise = init_noise_state(model, packer)
         bx, by = ds.x[:64], ds.y[:64]
-        theta = {g: packer.pack(model, g) for g in
-                 (ParamGroup.BACKBONE, ParamGroup.HEAD)}
-        std = {g: np.exp(noise.log_std(g)) for g in theta}
+        std = np.exp(noise.log_std)
         rng = np.random.default_rng(12)
 
         means = []
         for scale in (0.0, 0.5, 1.0, 2.0, 4.0):
             total = 0.0
             for _ in range(200):
-                perturbed = {g: theta[g] + scale * std[g] * rng.standard_normal(theta[g].size)
-                             for g in theta}
+                perturbed = model.theta.copy()
+                perturbed[packer.start:] += scale * std * rng.standard_normal(std.size)
                 loss, _ = loss_and_grads(model, packer, perturbed, bx, by)
                 total += loss
             means.append(total / 200.0)

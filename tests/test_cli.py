@@ -97,6 +97,11 @@ class TestConfig:
         ("stage1=5", "stage1"),
         ('task_overrides={"xor-noise": {"pretrain": {"batch_size": 0}}}',
          "task_overrides.xor-noise.pretrain.batch_size"),
+        ("bound.gamma=5", "bound.gamma"),
+        ("bound.k=3", "bound.k"),
+        ('bound.gamma={"low": -1, "high": 2}', "bound.gamma"),
+        ("task.n_shot=100000", "task.n_shot"),
+        ('model.activation="sigmoid"', "model.activation"),
     ])
     def test_invalid_leaf_exits_config_before_work(self, tmp_path, capsys, setting,
                                                    key):

@@ -30,7 +30,7 @@ class TestInit:
 class TestForward:
     def test_zero_weights_zero_logits(self):
         m = fresh()
-        m.weights = [np.zeros_like(w) for w in m.weights]
+        m.theta[:] = 0.0
         out = m.forward(np.random.default_rng(0).standard_normal((7, 2)))
         assert np.all(out.data == 0.0)
 
@@ -51,6 +51,10 @@ class TestForward:
     def test_dimension_mismatch(self):
         with pytest.raises(ad.ShapeError, match="input size"):
             fresh().forward(np.zeros((3, 5)))
+
+    def test_unknown_activation_raises(self):
+        with pytest.raises(ValueError, match="activation"):
+            fresh(activation="sigmoid").forward(np.zeros((3, 2)))
 
 
 class TestReplaceHead:
@@ -105,6 +109,60 @@ class TestGroups:
         packer = GroupPacker.for_model(m)
         assert packer.sizes[ParamGroup.BACKBONE] == 0
         assert packer.sizes[ParamGroup.HEAD] == 4 * 2 + 2
+
+
+class TestFlatLayout:
+    def test_layer_views_write_through_to_theta_and_pack(self):
+        m = fresh((3, 4, 2), seed=6)
+        assert all(np.shares_memory(a, m.theta) for a in m.weights + m.biases)
+        m.weights[1][2, 0] = 7.5
+        m.biases[0][1] = -2.5
+        packer = GroupPacker.for_model(m)
+        # layer 0: 12 weights, 4 biases; layer 1 starts at 16
+        assert m.theta[16 + 2 * 2 + 0] == 7.5
+        assert m.theta[12 + 1] == -2.5
+        assert packer.pack(m, ParamGroup.HEAD)[2 * 2 + 0] == 7.5
+        assert packer.pack(m, ParamGroup.BACKBONE)[12 + 1] == -2.5
+
+    def test_views_cannot_be_rebound(self):
+        m = fresh()
+        with pytest.raises(TypeError):
+            m.weights[0] = np.zeros((2, 4))
+        with pytest.raises(AttributeError):
+            m.biases = ()
+
+    def test_trainable_suffix_is_backbone_then_head(self):
+        m = fresh((3, 4, 5, 2), seed=1, freeze_first_layer=True)
+        packer = GroupPacker.for_model(m)
+        assert packer.start == 3 * 4 + 4
+        trainable = m.theta[packer.start:]
+        assert np.array_equal(trainable[packer.group(ParamGroup.BACKBONE)],
+                              np.concatenate([m.weights[1].ravel(), m.biases[1]]))
+        assert np.array_equal(trainable[packer.group(ParamGroup.HEAD)],
+                              np.concatenate([m.weights[2].ravel(), m.biases[2]]))
+
+    def test_copy_and_replace_head_share_no_memory(self):
+        m = fresh((2, 4, 3), seed=2)
+        for other in (m.copy(), models.replace_head(m, np.random.default_rng(3))):
+            assert not np.shares_memory(other.theta, m.theta)
+            for a in other.weights + other.biases:
+                assert not np.shares_memory(a, m.theta)
+
+    def test_replace_head_keeps_backbone_bytes(self):
+        m = fresh((2, 4, 3), seed=2)
+        m2 = models.replace_head(m, np.random.default_rng(3), n_classes=2)
+        head = GroupPacker.for_model(m2).layers[-1][0]
+        assert m2.theta[:head].tobytes() == m.theta[:head].tobytes()
+
+    def test_one_noise_draw_equals_one_draw_per_group(self):
+        # the flat noise vector relies on this stream contract: one draw of
+        # nb + nh values equals, and advances the stream like, two draws
+        nb, nh = 17, 5
+        one, two = np.random.default_rng(4), np.random.default_rng(4)
+        flat = one.standard_normal(nb + nh)
+        split = np.concatenate([two.standard_normal(nb), two.standard_normal(nh)])
+        assert flat.tobytes() == split.tobytes()
+        assert one.standard_normal(3).tobytes() == two.standard_normal(3).tobytes()
 
 
 class TestCheckpoint:

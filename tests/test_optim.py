@@ -9,46 +9,64 @@ from pactune.optim import AdamState, Constant, StepDecay, adam_step, schedule_va
 class TestAdam:
     def test_first_step_hand_oracle(self):
         # t=1: m_hat = g, v_hat = g^2 -> delta = -lr / (1 + eps)
-        st = AdamState({"p": 1})
+        st = AdamState(1)
         p = np.array([0.0])
-        adam_step(st, {"p": p}, {"p": np.array([1.0])}, lr=0.1,
-                  apply_weight_decay=False)
+        adam_step(st, p, np.array([1.0]), lr=0.1, apply_weight_decay=False)
         assert p[0] == pytest.approx(-0.1 / 1.001, abs=1e-15)
         assert st.t == 1
 
     def test_zero_grad_no_motion(self):
-        st = AdamState({"p": 3})
+        st = AdamState(3)
         p = np.array([1.0, -2.0, 0.5])
         before = p.copy()
         for _ in range(10):
-            adam_step(st, {"p": p}, {"p": np.zeros(3)}, lr=0.1,
-                      apply_weight_decay=False)
+            adam_step(st, p, np.zeros(3), lr=0.1, apply_weight_decay=False)
         assert np.array_equal(p, before)
 
     def test_updates_scale_linearly_with_lr(self):
         def one_step(lr):
-            st = AdamState({"p": 2})
+            st = AdamState(2)
             p = np.zeros(2)
-            adam_step(st, {"p": p}, {"p": np.array([1.0, -0.5])}, lr=lr,
-                      apply_weight_decay=False)
+            adam_step(st, p, np.array([1.0, -0.5]), lr=lr, apply_weight_decay=False)
             return p
 
         small, large = one_step(0.01), one_step(0.03)
         assert np.allclose(large, 3.0 * small, rtol=1e-12)
 
     def test_two_groups_independent_lrs(self):
-        st = AdamState({"a": 1, "b": 1})
-        a, b = np.zeros(1), np.zeros(1)
-        g = np.array([1.0])
-        adam_step(st, {"a": a, "b": b}, {"a": g, "b": g},
-                  lr={"a": 0.1, "b": 0.2}, apply_weight_decay=False)
-        assert b[0] == pytest.approx(2.0 * a[0], rel=1e-12)
+        # a per-coordinate learning-rate vector gives each coordinate its own rate
+        st = AdamState(2)
+        p = np.zeros(2)
+        adam_step(st, p, np.array([1.0, 1.0]), lr=np.array([0.1, 0.2]),
+                  apply_weight_decay=False)
+        assert p[1] == pytest.approx(2.0 * p[0], rel=1e-12)
+
+    def test_per_coordinate_lr_matches_per_group_updates_bitwise(self):
+        # one update over [a | b] with an lr vector equals one update per
+        # group with scalar rates, in parameters and moments, bit for bit
+        rng = np.random.default_rng(0)
+        sizes, rates = (5, 3), (1e-3, 1e-2)
+        params = [rng.standard_normal(n) for n in sizes]
+        fused = np.concatenate(params)
+        fused_state = AdamState(fused.size)
+        states = [AdamState(n) for n in sizes]
+        for _ in range(4):
+            grads = [rng.standard_normal(n) for n in sizes]
+            for decay in (True, False):
+                adam_step(fused_state, fused, np.concatenate(grads),
+                          np.concatenate([np.full(n, r) for n, r in zip(sizes, rates)]),
+                          apply_weight_decay=decay)
+                for st, p, g, r in zip(states, params, grads, rates):
+                    adam_step(st, p, g, r, apply_weight_decay=decay)
+        assert np.concatenate(params).tobytes() == fused.tobytes()
+        assert np.concatenate([st.m for st in states]).tobytes() == fused_state.m.tobytes()
+        assert np.concatenate([st.v for st in states]).tobytes() == fused_state.v.tobytes()
 
     def test_nonfinite_grad_skips_and_reports(self, caplog):
-        st = AdamState({"p": 1})
+        st = AdamState(1)
         p = np.array([1.0])
         with caplog.at_level(logging.WARNING):
-            applied = adam_step(st, {"p": p}, {"p": np.array([np.nan])}, lr=0.1)
+            applied = adam_step(st, p, np.array([np.nan]), lr=0.1)
         assert not applied
         assert p[0] == 1.0
         assert st.t == 0
@@ -56,20 +74,19 @@ class TestAdam:
 
     def test_weight_decay_decoupled(self):
         # zero gradient + decay: pure shrink by lr * wd per step
-        st = AdamState({"p": 1})
+        st = AdamState(1)
         p = np.array([2.0])
-        adam_step(st, {"p": p}, {"p": np.zeros(1)}, lr=0.1,
-                  apply_weight_decay=True)
+        adam_step(st, p, np.zeros(1), lr=0.1, apply_weight_decay=True)
         assert p[0] == pytest.approx(2.0 * (1.0 - 0.1 * 0.01), rel=1e-12)
 
     def test_decay_exclusion_per_group(self):
-        # the flagged-off group is untouched by zero-gradient steps
-        st = AdamState({"w": 1, "noise": 1})
+        # the vector stepped without the decay flag is untouched by
+        # zero-gradient steps
+        w_state, noise_state = AdamState(1), AdamState(1)
         w, noise = np.array([1.0]), np.array([1.0])
         for _ in range(5):
-            adam_step(st, {"w": w, "noise": noise},
-                      {"w": np.zeros(1), "noise": np.zeros(1)},
-                      lr=0.1, apply_weight_decay={"w": True, "noise": False})
+            adam_step(w_state, w, np.zeros(1), lr=0.1, apply_weight_decay=True)
+            adam_step(noise_state, noise, np.zeros(1), lr=0.1, apply_weight_decay=False)
         assert w[0] < 1.0
         assert noise[0] == 1.0
 

@@ -21,22 +21,22 @@ def setup(seed=0, layer_sizes=(2, 4, 2), n=8):
 
 
 def fresh_adam(packer):
-    return AdamState({"backbone": packer.sizes[ParamGroup.BACKBONE],
-                      "head": packer.sizes[ParamGroup.HEAD]})
+    return AdamState(packer.trainable_size)
+
+
+def per_group_adam(packer, theta, grad, lrs, weight_decay):
+    """Reference update: one Adam state and one scalar rate per group, in place."""
+    for g, lr in zip(GROUPS, lrs):
+        adam_step(AdamState(packer.sizes[g]), theta[g], grad[packer.group(g)], lr,
+                  apply_weight_decay=weight_decay)
 
 
 def manual_plain_step(model, packer, bx, by, lr_b, lr_h, weight_decay):
-    """Reference: gradient at the clean weights, one Adam update."""
+    """Reference: gradient at the clean weights, one Adam update per group."""
     model = model.copy()
+    _, grad = loss_and_grads(model, packer, model.theta, bx, by)
     theta = {g: packer.pack(model, g) for g in GROUPS}
-    _, grads = loss_and_grads(model, packer, theta, bx, by)
-    adam_step(fresh_adam(packer),
-              params={"backbone": theta[ParamGroup.BACKBONE],
-                      "head": theta[ParamGroup.HEAD]},
-              grads={"backbone": grads[ParamGroup.BACKBONE],
-                     "head": grads[ParamGroup.HEAD]},
-              lr={"backbone": lr_b, "head": lr_h},
-              apply_weight_decay=weight_decay)
+    per_group_adam(packer, theta, grad, (lr_b, lr_h), weight_decay)
     for g in GROUPS:
         packer.unpack_into(model, g, theta[g])
     return model
@@ -76,22 +76,15 @@ class TestPgdStep:
         eta_b, eta_h = 0.04, 0.09
         cfg = PGDConfig(IsotropicNoise(eta_b, eta_h), 1e-3, 1e-2, False)
 
+        # one draw per group equals pgd_step's single draw over both groups
         rng = np.random.default_rng(123)
         tau = {g: rng.standard_normal(packer.sizes[g]) for g in GROUPS}
-        theta = {g: packer.pack(model, g) for g in GROUPS}
-        perturbed = {ParamGroup.BACKBONE: theta[ParamGroup.BACKBONE]
-                     + np.sqrt(eta_b) * tau[ParamGroup.BACKBONE],
-                     ParamGroup.HEAD: theta[ParamGroup.HEAD]
-                     + np.sqrt(eta_h) * tau[ParamGroup.HEAD]}
-        _, grads = loss_and_grads(model, packer, perturbed, bx, by)
-        expect = {g: theta[g].copy() for g in GROUPS}
-        adam_step(fresh_adam(packer),
-                  params={"backbone": expect[ParamGroup.BACKBONE],
-                          "head": expect[ParamGroup.HEAD]},
-                  grads={"backbone": grads[ParamGroup.BACKBONE],
-                         "head": grads[ParamGroup.HEAD]},
-                  lr={"backbone": 1e-3, "head": 1e-2},
-                  apply_weight_decay=False)
+        perturbed = model.theta.copy()
+        for g, eta in zip(GROUPS, (eta_b, eta_h)):
+            perturbed[packer.start:][packer.group(g)] += np.sqrt(eta) * tau[g]
+        _, grad = loss_and_grads(model, packer, perturbed, bx, by)
+        expect = {g: packer.pack(model, g) for g in GROUPS}
+        per_group_adam(packer, expect, grad, (1e-3, 1e-2), False)
 
         stepped = model.copy()
         pgd_step(stepped, bx, by, cfg, fresh_adam(packer), packer,
@@ -134,17 +127,14 @@ class TestPgdStep:
         # the gradient was (the config layer enforces positive rates, so this
         # is checked on the optimizer directly)
         model, packer, bx, by = setup(seed=4)
-        theta = {g: packer.pack(model, g) for g in GROUPS}
-        _, grads = loss_and_grads(model, packer, theta, bx, by)
-        before = theta[ParamGroup.BACKBONE].copy()
-        adam_step(fresh_adam(packer),
-                  params={"backbone": theta[ParamGroup.BACKBONE],
-                          "head": theta[ParamGroup.HEAD]},
-                  grads={"backbone": grads[ParamGroup.BACKBONE],
-                         "head": grads[ParamGroup.HEAD]},
-                  lr={"backbone": 0.0, "head": 1e-2},
+        _, grad = loss_and_grads(model, packer, model.theta, bx, by)
+        theta = model.theta[packer.start:].copy()
+        before = theta.copy()
+        adam_step(fresh_adam(packer), theta, grad, packer.per_coordinate(0.0, 1e-2),
                   apply_weight_decay=False)
-        assert np.array_equal(theta[ParamGroup.BACKBONE], before)
+        backbone = packer.group(ParamGroup.BACKBONE)
+        assert np.array_equal(theta[backbone], before[backbone])
+        assert not np.array_equal(theta, before)
 
     def test_fixed_seed_reproducible_trajectory(self):
         def run():

@@ -108,7 +108,7 @@ class TestStage1:
         for a, b in zip(m2.weights + m2.biases, model.weights + model.biases):
             assert np.array_equal(a, b)
         assert np.array_equal(n2.log_std_backbone, noise.log_std_backbone)
-        assert n2.prior_log_var_head == noise.prior_log_var_head
+        assert n2.prior_log_var(ParamGroup.HEAD) == noise.prior_log_var(ParamGroup.HEAD)
 
     def test_head_variance_moves_and_terms_stay_finite(self, toy_task):
         pretrained, train, dev = toy_task
@@ -148,9 +148,9 @@ class TestStage1:
     def test_anchor_mismatch_rejected(self, toy_task):
         pretrained, train, dev = toy_task
         model = models.replace_head(pretrained, np.random.default_rng(3))
-        packer = GroupPacker.for_model(model)
-        noise = init_noise_state(model, packer)
-        noise.log_std_head = noise.log_std_head[:-1]
+        # a noise state made for a model with one more class
+        other = models.replace_head(pretrained, np.random.default_rng(3), n_classes=3)
+        noise = init_noise_state(other, GroupPacker.for_model(other))
         with pytest.raises(ValueError, match="head"):
             stage1_train(model, noise, train, dev, small_stage1(),
                          BoundConfig(m=len(train)), np.random.default_rng(1),
