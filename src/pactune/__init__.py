@@ -1,7 +1,9 @@
 """Two-stage fine-tuning that learns per-parameter noise by minimizing a
 PAC-Bayes bound, then continues with perturbed gradient descent using the
-learned noise. Built on a minimal float64 tape-autodiff engine sized for
-small MLP classifiers and a seeded transfer-task benchmark harness.
+learned noise. Training uses closed-form numpy gradients for small MLP
+classifiers; a minimal float64 tape-autodiff engine is kept as the gradient
+oracle that tests and ``pactune gradcheck`` check them against. Includes a
+seeded transfer-task benchmark harness.
 """
 
 from .autodiff import (AutodiffError, NumericsError, ShapeError, Tape, Tensor,

@@ -1,5 +1,9 @@
 """Dense float64 tensors with a recorded tape for reverse-mode gradients.
 
+This is the gradient oracle: training takes closed-form gradients
+(``models.loss_and_grads``, ``bound.pac_objective``) and the tests check them
+against this tape, whose ops ``gradcheck_op`` checks by central differences.
+
 Deliberately small: the op set below is everything the classifiers and the
 bound arithmetic need, and nothing else. Everything runs in float64 because
 the log/exp terms of the bound are ill-conditioned in float32 at small
@@ -16,6 +20,8 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
+
+from . import kernels
 
 
 class AutodiffError(Exception):
@@ -459,10 +465,8 @@ def finite_diff_check(build: Callable, x: np.ndarray, h: float = 1e-5) -> float:
     (raveled) sizes tile ``x`` in order. The analytic gradient comes from one
     backward pass at ``x``; each coordinate is then compared against
     ``(f(x + h e_i) - f(x - h e_i)) / 2h`` with the error normalized by
-    ``max(1, |analytic_i|)``.
+    ``max(1, |analytic_i|)`` (``kernels.central_difference_error``).
     """
-    if h <= 0.0:
-        raise ValueError("finite_diff_check: h must be positive")
     x = np.asarray(x, dtype=np.float64).ravel()
     root, leaves = build(x)
     total = sum(t.size for t in leaves)
@@ -484,11 +488,4 @@ def finite_diff_check(build: Callable, x: np.ndarray, h: float = 1e-5) -> float:
                 f"finite_diff_check: non-finite value perturbing coordinate {coord}")
         return v
 
-    max_err = 0.0
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = h
-        numeric = (value_at(x + step, i) - value_at(x - step, i)) / (2.0 * h)
-        err = abs(analytic[i] - numeric) / max(1.0, abs(analytic[i]))
-        max_err = max(max_err, err)
-    return max_err
+    return kernels.central_difference_error(value_at, analytic, x, h)

@@ -10,7 +10,8 @@ KL terms compare the diagonal posterior N(w, exp(2p)) against an isotropic
 prior N(anchor, exp(prior_log_var) * I), gamma is either fixed or the
 closed-form minimizer over a user range, and K tracks the dispersion of
 per-batch losses. Everything except gamma and K is differentiable; both are
-treated as per-step constants.
+treated as per-step constants. ``pac_objective`` takes J's gradients in
+closed form; the tape in ``autodiff`` is only the tests' oracle for them.
 
 Variances are modeled as exp(2p) so positivity is structural, and p is
 initialized at the log magnitude of the initial weights (floored, since
@@ -27,9 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from . import kernels
-from .models import GroupPacker, MLPClassifier, ParamGroup, group_slice
+from .models import GroupPacker, MLPClassifier, ParamGroup, group_slice, loss_and_grads
 
 K_FLOOR = 1e-3
 P_INIT_FLOOR = 1e-4
@@ -289,7 +289,7 @@ def generic_bound(kl_total: float, delta: float, m: int) -> float:
     return math.sqrt((math.log(1.0 / delta) + kl_total) / (2.0 * m))
 
 
-# --- differentiable objective -------------------------------------------------
+# --- the objective and its closed-form gradients ---------------------------------
 
 
 @dataclass
@@ -301,92 +301,16 @@ class ObjectiveGrads:
     noise: np.ndarray
 
 
-def _group_kl(parts, prior_leaf):
-    """Differentiable KL of one group's diagonal posterior vs its isotropic prior.
-
-    ``parts`` holds the group's ``(weight leaf, log-std leaf, anchor)`` per
-    weight or bias array.
-    """
-    if not parts:
-        return ad.Tensor(0.0)
-    s_var = s_sq = s_p = None
-    for w, p, a in parts:
-        var_part = ad.tensor_sum(ad.exp(ad.mul(p, 2.0)))
-        sq_part = ad.tensor_sum(ad.square(ad.sub(w, a)))
-        p_part = ad.tensor_sum(p)
-        s_var = var_part if s_var is None else ad.add(s_var, var_part)
-        s_sq = sq_part if s_sq is None else ad.add(s_sq, sq_part)
-        s_p = p_part if s_p is None else ad.add(s_p, p_part)
-    d = float(sum(a.size for _, _, a in parts))
-    inv_prior = ad.exp(ad.mul(prior_leaf, -1.0))
-    ratio = ad.mul(ad.add(s_var, s_sq), inv_prior)
-    log_term = ad.sub(ad.mul(prior_leaf, d), ad.mul(s_p, 2.0))
-    return ad.mul(ad.add(ratio, ad.sub(log_term, d)), 0.5)
-
-
-def _objective_graph(model: MLPClassifier, noise: NoiseState, packer: GroupPacker,
-                     theta: np.ndarray, tau: np.ndarray, batch_x, batch_y,
-                     cfg: BoundConfig, k_value: float | None = None,
-                     l_pac_weight: float = 1.0,
-                     ) -> tuple[ad.Tensor, BoundTerms, list, list, list]:
-    """Record J at the parameter vector ``theta`` with the noise draw ``tau`` fixed.
-
-    ``tau`` is in trainable order. Returns J, its terms, the per-layer
-    ``(w, b)`` weight leaves and log-std leaves of the trainable layers, and
-    the two prior leaves its gradients are read from. Frozen layers are read
-    from ``theta``; gamma and K are resolved from ``cfg`` and enter as
-    constants.
-    """
-    tape = ad.Tape()
-    params = packer.views(theta)[:packer.n_frozen]
-    weight_leaves, log_std_leaves = [], []
-    kl_parts = {g: [] for g in _GROUPS}
-    layers = zip(packer.views(theta[packer.start:]), packer.views(noise.log_std),
-                 packer.views(tau), packer.views(noise.anchor()))
-    for layer, arrays in enumerate(layers, start=packer.n_frozen):
-        w_pair, p_pair, noisy = [], [], []
-        for w, p, t, a in zip(*arrays):
-            w_leaf, p_leaf = tape.leaf(w), tape.leaf(p)
-            w_pair.append(w_leaf)
-            p_pair.append(p_leaf)
-            kl_parts[model.group_of(layer)].append((w_leaf, p_leaf, a))
-            noisy.append(ad.add(w_leaf, ad.mul(ad.exp(p_leaf), t)))
-        weight_leaves.append(w_pair)
-        log_std_leaves.append(p_pair)
-        params.append(noisy)
-    prior_leaves = [tape.leaf(np.asarray(noise.prior_log_var(g))) for g in _GROUPS]
-
-    l_train_t = ad.softmax_cross_entropy(model.forward(batch_x, params), batch_y)
-    kl_b, kl_h = (_group_kl(kl_parts[g], prior) for g, prior in zip(_GROUPS, prior_leaves))
-    kl_total = kl_b.item() + kl_h.item()
-
-    if isinstance(cfg.k, FixedK):
-        k = cfg.k.value
-    else:
-        k = K_FLOOR if k_value is None else max(K_FLOOR, k_value)
-    if isinstance(cfg.gamma, FixedGamma):
-        gamma = cfg.gamma.value
-    else:
-        gamma = optimal_gamma(math.log(1.0 / cfg.delta) + kl_total, cfg.m, k,
-                              cfg.gamma.low, cfg.gamma.high)
-
-    coeff = 1.0 / (gamma * cfg.m)
-    const_term = math.log(1.0 / cfg.delta) * coeff + gamma * k * k
-    l_pac_t = ad.add(ad.mul(ad.add(kl_b, kl_h), coeff), const_term)
-    if l_pac_weight != 1.0:
-        l_pac_t = ad.mul(l_pac_t, l_pac_weight)
-    j_t = ad.add(l_train_t, l_pac_t)
-
-    terms = BoundTerms(
-        l_train=l_train_t.item(),
-        kl_backbone=kl_b.item(),
-        kl_head=kl_h.item(),
-        gamma_used=gamma,
-        k_used=k,
-        l_pac=l_pac_t.item(),
-        j_total=j_t.item(),
-    )
-    return j_t, terms, weight_leaves, log_std_leaves, prior_leaves
+def _group_kl(w: np.ndarray, log_std: np.ndarray, anchor: np.ndarray,
+              prior_log_var: float) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """One group's KL of N(w, diag exp(2 log_std)) vs N(anchor, exp(prior_log_var) I)
+    and its derivatives with respect to w, log_std and prior_log_var."""
+    var = np.exp(2.0 * log_std)
+    var_p = math.exp(prior_log_var)
+    diff = w - anchor
+    d_prior = 0.5 * (w.size - (np.sum(var) + np.sum(diff * diff)) / var_p)
+    return (kl_diag_vs_isotropic(w, var, anchor, var_p), diff / var_p,
+            var / var_p - 1.0, d_prior)
 
 
 def pac_objective(model: MLPClassifier, noise: NoiseState, batch_x, batch_y,
@@ -404,6 +328,12 @@ def pac_objective(model: MLPClassifier, noise: NoiseState, batch_x, batch_y,
     complexity term inside the optimized objective; the reported
     ``l_pac``/``j_total`` reflect the same scaling so
     ``j_total == l_train + l_pac`` always holds.
+
+    With w~ = w + exp(p) tau, c = l_pac_weight / (gamma m) and a group's
+    prior variance s2 = exp(lambda), gamma and K held constant:
+    dJ/dw = dL(w~) + c (w - anchor) / s2,
+    dJ/dp = dL(w~) tau exp(p) + c (exp(2p) / s2 - 1), and
+    dJ/dlambda = c / 2 (d - (sum exp(2p) + sum (w - anchor)^2) / s2).
     """
     if packer is None:
         packer = GroupPacker.for_model(model)
@@ -417,20 +347,36 @@ def pac_objective(model: MLPClassifier, noise: NoiseState, batch_x, batch_y,
             raise ValueError("pac_objective: need an rng when tau is not given")
         tau = rng.standard_normal(packer.trainable_size)
 
-    j_t, terms, weight_leaves, log_std_leaves, prior_leaves = _objective_graph(
-        model, noise, packer, model.theta, tau, batch_x, batch_y, cfg, k_value,
-        l_pac_weight)
+    weights = model.theta[packer.start:]
+    std = np.exp(noise.log_std)
+    noisy = model.theta.copy()
+    noisy[packer.start:] = kernels.apply_noise(weights, std, tau)
+    l_train, loss_grad = loss_and_grads(model, packer, noisy, batch_x, batch_y)
+    (kl_b, kl_h), d_w, d_p, d_prior = zip(*(
+        _group_kl(weights[packer.group(g)], noise.log_std[packer.group(g)],
+                  noise.anchor(g), noise.prior_log_var(g)) for g in _GROUPS))
+
+    if isinstance(cfg.k, FixedK):
+        k = cfg.k.value
+    else:
+        k = K_FLOOR if k_value is None else max(K_FLOOR, k_value)
+    if isinstance(cfg.gamma, FixedGamma):
+        gamma = cfg.gamma.value
+    else:
+        gamma = optimal_gamma(math.log(1.0 / cfg.delta) + kl_b + kl_h, cfg.m, k,
+                              cfg.gamma.low, cfg.gamma.high)
+    l_pac_scaled = l_pac_weight * l_pac(kl_b + kl_h, cfg, gamma, k)
+    terms = BoundTerms(l_train=l_train, kl_backbone=kl_b, kl_head=kl_h,
+                       gamma_used=gamma, k_used=k, l_pac=l_pac_scaled,
+                       j_total=l_train + l_pac_scaled)
     if not with_grads:
         return terms, None
 
-    grads = j_t.tape.backward(j_t)
-
-    def flat(leaves):
-        return packer.flatten([[grads[leaf] for leaf in pair] for pair in leaves])
-
+    c = l_pac_weight / (gamma * cfg.m)
     return terms, ObjectiveGrads(
-        weights=flat(weight_leaves),
-        noise=np.append(flat(log_std_leaves), [grads[p] for p in prior_leaves]))
+        weights=loss_grad + c * np.concatenate(d_w),
+        noise=np.append(loss_grad * tau * std + c * np.concatenate(d_p),
+                        [c * d for d in d_prior]))
 
 
 def objective_gradcheck(model: MLPClassifier, noise: NoiseState, batch_x, batch_y,
@@ -439,8 +385,8 @@ def objective_gradcheck(model: MLPClassifier, noise: NoiseState, batch_x, batch_
 
     The noise draw, gamma, and K are frozen at the base point so J is a
     deterministic function of the trainable weights followed by
-    ``NoiseState.params``; J is recorded by the same graph builder that
-    ``pac_objective`` trains with.
+    ``NoiseState.params``; both J and its gradients come from
+    ``pac_objective``, the function training uses.
     """
     packer = GroupPacker.for_model(model)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -450,16 +396,16 @@ def objective_gradcheck(model: MLPClassifier, noise: NoiseState, batch_x, batch_
     frozen = BoundConfig(m=cfg.m, delta=cfg.delta,
                          gamma=FixedGamma(base_terms.gamma_used),
                          k=FixedK(base_terms.k_used))
+    n = packer.trainable_size
+
+    def objective(z, with_grads=False):
+        trial = model.copy()
+        trial.theta[packer.start:] = z[:n]
+        return pac_objective(trial, replace(noise, params=z[n:]), batch_x, batch_y,
+                             frozen, packer=packer, tau=tau, with_grads=with_grads)
 
     x = np.concatenate([model.theta[packer.start:], noise.params])
-
-    def build(z):
-        theta = model.theta.copy()
-        theta[packer.start:] = z[:packer.trainable_size]
-        trial_noise = replace(noise, params=z[packer.trainable_size:])
-        j_t, _, weight_leaves, log_std_leaves, prior_leaves = _objective_graph(
-            model, trial_noise, packer, theta, tau, batch_x, batch_y, frozen)
-        ordered = [leaf for pair in weight_leaves + log_std_leaves for leaf in pair]
-        return j_t, ordered + prior_leaves
-
-    return ad.finite_diff_check(build, x, h)
+    _, grads = objective(x, with_grads=True)
+    return kernels.central_difference_error(
+        lambda z, _: objective(z)[0].j_total,
+        np.concatenate([grads.weights, grads.noise]), x, h)

@@ -200,6 +200,11 @@ def _check_values(config: dict, prefix: str = "") -> None:
                 or not ok(value):
             raise ConfigError(f"'{prefix}{dotted}' must be {what}, got {value!r}")
 
+    def one_of(value, dotted, allowed):
+        if not isinstance(value, str) or value not in allowed:
+            raise ConfigError(f"'{prefix}{dotted}' must be one of {sorted(allowed)}, "
+                              f"got {value!r}")
+
     for section in (k for k, v in DEFAULT_CONFIG.items() if isinstance(v, dict)):
         if not isinstance(config[section], dict):
             raise ConfigError(f"'{prefix}{section}' must be an object")
@@ -219,7 +224,9 @@ def _check_values(config: dict, prefix: str = "") -> None:
         require(sched.get("value"), "stage1.lr_noise_head.value", *positive)
     elif sched.get("kind") == "step-decay":
         require(sched.get("init"), "stage1.lr_noise_head.init", *positive)
+        require(sched.get("factor"), "stage1.lr_noise_head.factor", *positive)
         require(sched.get("every"), "stage1.lr_noise_head.every", *at_least_one)
+        require(sched.get("floor"), "stage1.lr_noise_head.floor", *positive)
     require(config["task"]["n_shot"], "task.n_shot", *at_least_one)
     name = config["task"]["name"]
     if config["task"]["target"] is None and name in datasets.BUILTIN_TASKS:
@@ -230,18 +237,21 @@ def _check_values(config: dict, prefix: str = "") -> None:
             lambda v: v >= 0, "a number >= 0")
     if not isinstance(config["seeds"], list) or not config["seeds"]:
         raise ConfigError(f"'{prefix}seeds' must be a nonempty list")
-    if not isinstance(config["tasks"], list) \
-            or not all(isinstance(t, str) for t in config["tasks"]):
+    if not isinstance(config["tasks"], list):
         raise ConfigError(f"'{prefix}tasks' must be a list of task names")
+    for i, task_name in enumerate(config["tasks"]):
+        one_of(task_name, f"tasks[{i}]", datasets.BUILTIN_TASKS)
+    one_of(config["method"], "method", pipeline.METHODS)
+    if not isinstance(config["methods"], list) or not config["methods"]:
+        raise ConfigError(f"'{prefix}methods' must be a nonempty list of methods")
+    for i, method in enumerate(config["methods"]):
+        one_of(method, f"methods[{i}]", pipeline.METHODS)
     hidden = config["model"]["hidden"]
     if not isinstance(hidden, list):
         raise ConfigError(f"'{prefix}model.hidden' must be a list of widths")
     for i, width in enumerate(hidden):
         require(width, f"model.hidden[{i}]", *at_least_one)
-    activation = config["model"]["activation"]
-    if not isinstance(activation, str) or activation not in models.ACTIVATIONS:
-        raise ConfigError(f"'{prefix}model.activation' must be one of "
-                          f"{sorted(models.ACTIVATIONS)}, got {activation!r}")
+    one_of(config["model"]["activation"], "model.activation", models.ACTIVATIONS)
     build_stage1(config, prefix)
     build_stage2(config, prefix)
     build_bound(config, m=int(config["task"]["n_shot"]), prefix=prefix)

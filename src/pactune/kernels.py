@@ -3,7 +3,7 @@
 The loops that run once per optimizer step over every trainable parameter
 (fused AdamW update, noise application, diagonal-Gaussian KL reduction) live
 here, so the optimizer, the perturbed step and the bound share one
-implementation of each.
+implementation of each; so do the tape's and the objective's gradient checks.
 """
 
 import numpy as np
@@ -37,3 +37,18 @@ def kl_accumulate(mu_q, var_q, mu_p):
         float(np.sum((mu_q - mu_p) ** 2)),
         float(np.sum(np.log(var_q))),
     )
+
+
+def central_difference_error(value, analytic, x, h):
+    """Max over i of |analytic_i - d_i| / max(1, |analytic_i|), where d_i is
+    (value(x + h e_i, i) - value(x - h e_i, i)) / 2h; ``value`` gets i to name
+    it in an error. A non-finite d_i gives nan, which fails every threshold."""
+    if h <= 0.0:
+        raise ValueError("central_difference_error: h must be positive")
+    errors = []
+    for i in range(x.size):
+        step = np.zeros_like(x)
+        step[i] = h
+        numeric = (value(x + step, i) - value(x - step, i)) / (2.0 * h)
+        errors.append(abs(analytic[i] - numeric) / max(1.0, abs(analytic[i])))
+    return float(np.max(errors, initial=0.0))

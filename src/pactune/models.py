@@ -12,6 +12,9 @@ frozen and the head is the last layer, so the trainable parameters are
 always the suffix ``theta[start:]``, laid out ``[backbone | head]``.
 ``GroupPacker`` owns this layout; noise log-stds, anchors, noise draws,
 gradients and optimizer moments all use its trainable order.
+
+Training gradients come from closed-form numpy backprop (``loss_and_grads``);
+the tape in ``autodiff`` is only the oracle the tests check them against.
 """
 
 from __future__ import annotations
@@ -31,7 +34,9 @@ class ParamGroup(str, Enum):
     HEAD = "head"
 
 
-ACTIVATIONS = {"tanh": ad.tanh, "relu": ad.relu}
+# name -> (activation, its derivative in terms of its output; relu's is 0 at 0)
+ACTIVATIONS = {"tanh": (np.tanh, lambda out: 1.0 - out * out),
+               "relu": (lambda z: np.maximum(z, 0.0), lambda out: out > 0.0)}
 
 
 def group_slice(group: ParamGroup, n_backbone: int, n_trainable: int) -> slice:
@@ -103,14 +108,6 @@ class GroupPacker:
                             vec[mid:stop - offset]))
         return out
 
-    def flatten(self, pairs) -> np.ndarray:
-        """The trainable-order vector holding per-layer ``(weight, bias)`` arrays."""
-        out = np.empty(self.trainable_size)
-        for views, arrays in zip(self.views(out), pairs):
-            for view, array in zip(views, arrays):
-                view[...] = array
-        return out
-
     def per_coordinate(self, backbone: float, head: float) -> np.ndarray:
         """A trainable-order vector holding one value per group."""
         return np.concatenate([np.full(self.sizes[ParamGroup.BACKBONE], backbone),
@@ -175,38 +172,73 @@ class MLPClassifier:
         return MLPClassifier(self.layer_sizes, self.theta.copy(), self.activation,
                              self.freeze_first_layer)
 
-    def forward(self, x: np.ndarray, params=None) -> ad.Tensor:
-        """Logits for a batch; records on a tape when ``params`` are tape tensors.
-
-        ``params`` optionally substitutes the model's own weights with a list of
-        ``(w, b)`` pairs (arrays or Tensors) of matching shapes, which is how the
-        training objectives run the forward pass at perturbed parameters.
+    def _outputs(self, params, x: np.ndarray) -> list[np.ndarray]:
+        """The batch, each hidden activation and the logits, for per-layer
+        ``(w, b)`` arrays; the one forward loop of every pass. A non-finite
+        layer output raises ``NumericsError``, the guard of every training step.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ad.ShapeError(
                 f"forward: batch shape {x.shape} does not match input size "
                 f"{self.input_dim}")
-        if params is None:
-            params = list(zip(self.weights, self.biases))
-        elif len(params) != self.n_layers:
-            raise ad.ShapeError(
-                f"forward: expected {self.n_layers} (w, b) pairs, got {len(params)}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation '{self.activation}'; "
                              f"expected one of {sorted(ACTIVATIONS)}")
-        act = ACTIVATIONS[self.activation]
-        h = ad.as_tensor(x)
+        act = ACTIVATIONS[self.activation][0]
+        outs = [x]
         for i, (w, b) in enumerate(params):
-            h = ad.add_bias(ad.matmul(h, ad.as_tensor(w)), ad.as_tensor(b))
-            if i < self.n_layers - 1:
-                h = act(h)
-        return h
+            z = outs[-1] @ w + b
+            if not np.all(np.isfinite(z)):
+                raise ad.NumericsError(f"layer {i} output is not finite")
+            outs.append(act(z) if i < self.n_layers - 1 else z)
+        return outs
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Logits for a batch."""
+        return self._outputs(zip(self.weights, self.biases), x)[-1]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        if np.asarray(x).shape[0] == 0:
-            return np.zeros(0, dtype=np.int64)
-        return np.argmax(self.forward(x).data, axis=1)
+        return np.argmax(self.forward(x), axis=1)
+
+
+def _softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy of row-softmax vs integer labels, and its gradient
+    with respect to the logits; stabilized by subtracting the row max."""
+    n, k = logits.shape
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (n,) or np.any(labels < 0) or np.any(labels >= k):
+        raise ad.ShapeError(f"cross-entropy: labels of shape {labels.shape} need "
+                            f"shape ({n},) and values in [0, {k})")
+    z = logits - logits.max(axis=1, keepdims=True)
+    ez = np.exp(z)
+    denom = ez.sum(axis=1, keepdims=True)
+    rows = np.arange(n)
+    loss = float(-np.mean((z - np.log(denom))[rows, labels]))
+    if not np.isfinite(loss):
+        raise ad.NumericsError("the loss is not finite")
+    grad = ez / denom
+    grad[rows, labels] -= 1.0
+    return loss, grad * (1.0 / n)
+
+
+def loss_and_grads(model: MLPClassifier, packer: GroupPacker, theta: np.ndarray,
+                   batch_x: np.ndarray, batch_y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Cross-entropy at the full parameter vector ``theta``, and its gradient
+    over the trainable coordinates (frozen layers are read from ``theta`` too),
+    by backprop over the trainable layers into the trainable-order vector."""
+    params = packer.views(theta)
+    outs = model._outputs(params, batch_x)
+    loss, g = _softmax_cross_entropy(outs[-1], batch_y)
+    derivative = ACTIVATIONS[model.activation][1]
+    grad = np.empty(packer.trainable_size)
+    trainable = list(enumerate(packer.views(grad), start=packer.n_frozen))
+    for i, (grad_w, grad_b) in reversed(trainable):
+        grad_b[...] = g.sum(axis=0)
+        grad_w[...] = outs[i].T @ g
+        if i > packer.n_frozen:
+            g = (g @ params[i][0].T) * derivative(outs[i])
+    return loss, grad
 
 
 def _init_layer(w: np.ndarray, rng: np.random.Generator) -> None:

@@ -6,7 +6,8 @@ which the gradient is taken. The perturbed step draws one standard-normal
 vector over the model's trainable coordinates, scales it by one std vector
 (a fixed isotropic level per group or the learned per-parameter
 variances), evaluates the plain training-loss gradient at the perturbed
-weights, and lets Adam update the model's trainable view of θ in place.
+weights (closed-form backprop, ``models.loss_and_grads``), and lets Adam
+update the model's trainable view of θ in place.
 The complexity term plays no role here. Noise is drawn even at scale zero,
 so runs with and without noise consume the noise stream identically.
 """
@@ -17,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from . import kernels
 from .bound import NoiseState
-from .models import GroupPacker, MLPClassifier
+from .models import GroupPacker, MLPClassifier, loss_and_grads
 from .optim import AdamState, adam_step
 
 
@@ -58,19 +58,6 @@ def _noise_std(cfg: PGDConfig, packer: GroupPacker) -> np.ndarray:
         return packer.per_coordinate(np.sqrt(cfg.noise_source.eta_backbone),
                                      np.sqrt(cfg.noise_source.eta_head))
     return np.exp(cfg.noise_source.noise.log_std)
-
-
-def loss_and_grads(model: MLPClassifier, packer: GroupPacker, theta: np.ndarray,
-                   batch_x: np.ndarray, batch_y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Cross-entropy at the full parameter vector ``theta``, and its gradient
-    over the trainable coordinates (frozen layers are read from ``theta`` too)."""
-    tape = ad.Tape()
-    params = packer.views(theta)
-    leaves = [(tape.leaf(w), tape.leaf(b)) for w, b in params[packer.n_frozen:]]
-    params[packer.n_frozen:] = leaves
-    loss_t = ad.softmax_cross_entropy(model.forward(batch_x, params), batch_y)
-    grads = tape.backward(loss_t)
-    return loss_t.item(), packer.flatten([(grads[w], grads[b]) for w, b in leaves])
 
 
 def descent_step(model: MLPClassifier, batch_x, batch_y, lr_backbone: float,

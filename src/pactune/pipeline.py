@@ -9,6 +9,9 @@ loss alone. Both stages, pretraining and the baselines (vanilla and
 random-layer noise injection) run through one descent loop and differ only
 in their step, so traces are directly comparable.
 
+A step's ``NumericsError`` (a non-finite layer output, loss or J, or a
+learned variance at 0) becomes a ``DivergenceError`` naming label and epoch.
+
 Every run owns its RNG streams, split by purpose (head init, batch order,
 noise draws), so e.g. a zero-noise perturbed run consumes the same batch
 order as a vanilla run. Dev metrics always use the noise-free forward pass at
@@ -199,6 +202,9 @@ def stage1_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
                   cfg.decay_weights)
         adam_step(noise_adam, noise.params, grads.noise,
                   np.append(packer.per_coordinate(lr_b, lr_h), [lr_b, lr_h]))
+        # the KL is evaluated from variances, which must stay above 0
+        if np.any(noise.variances() == 0.0) or np.any(np.exp(noise.params[-2:]) == 0.0):
+            raise ad.NumericsError("a learned variance underflowed to 0")
         return terms.l_train, terms.l_pac, terms.kl_backbone, terms.kl_head
 
     def diagnostics(model, packer, kl_b, kl_h):

@@ -1,8 +1,10 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
-from helpers import mc_kl
+from helpers import mc_kl, tape_loss_and_grads, tape_objective
 
 from pactune import bound, datasets, models, pipeline
 from pactune.bound import (AutoGamma, BoundConfig, FixedGamma, FixedK,
@@ -180,17 +182,45 @@ class TestObjective:
         assert abs(terms.l_train - clean) < 1e-12
         assert terms.j_total == terms.l_train + terms.l_pac
 
-    def test_tape_kl_matches_closed_form(self):
-        model, packer, noise, bx, by = tiny_setup(seed=3)
-        cfg = BoundConfig(m=8, gamma=FixedGamma(5.0), k=FixedK(1.0))
-        terms, _ = pac_objective(model, noise, bx, by, cfg,
-                                 rng=np.random.default_rng(1), packer=packer)
-        for group, got in ((ParamGroup.BACKBONE, terms.kl_backbone),
-                           (ParamGroup.HEAD, terms.kl_head)):
-            expected = kl_diag_vs_isotropic(
-                packer.pack(model, group), noise.variances(group),
-                noise.anchor(group), math.exp(noise.prior_log_var(group)))
-            assert got == pytest.approx(expected, abs=1e-10)
+    def test_closed_form_matches_tape_oracle(self):
+        # random shapes, both activations, frozen and unfrozen layouts, fixed
+        # and auto gamma, three bound weights: the MLP loss and gradient equal
+        # the tape's bitwise; J's terms agree to 1e-12 relative and its
+        # gradients to 1e-12 of their largest entry
+        combos = itertools.product(("tanh", "relu"), (False, True),
+                                   (FixedGamma(5.0), AutoGamma(0.01, 10.0)),
+                                   (1.0, 0.0, 0.3))
+        for seed, (activation, freeze, gamma, weight) in enumerate(combos):
+            rng = np.random.default_rng(seed)
+            sizes = [int(s) for s in rng.integers(1, 7, size=rng.integers(2, 5))]
+            sizes.append(int(rng.integers(2, 5)))
+            model = models.init_weights(sizes, rng, activation=activation,
+                                        freeze_first_layer=freeze)
+            packer = GroupPacker.for_model(model)
+            noise = init_noise_state(model, packer)
+            noise.params[:] += 0.3 * rng.standard_normal(noise.params.size)
+            model.theta[packer.start:] += 0.1 * rng.standard_normal(packer.trainable_size)
+            bx = rng.standard_normal((int(rng.integers(1, 10)), sizes[0]))
+            by = rng.integers(0, sizes[-1], size=bx.shape[0])
+
+            theta = model.theta + 0.5 * rng.standard_normal(model.theta.size)
+            loss, grad = loss_and_grads(model, packer, theta, bx, by)
+            tape_loss, tape_grad = tape_loss_and_grads(model, packer, theta, bx, by)
+            assert loss == tape_loss
+            assert np.array_equal(grad, tape_grad)
+
+            cfg = BoundConfig(m=8, gamma=gamma, k=RunningK())
+            tau = rng.standard_normal(packer.trainable_size)
+            terms, grads = pac_objective(model, noise, bx, by, cfg, packer=packer,
+                                         tau=tau, k_value=0.7, l_pac_weight=weight)
+            tape_terms, tape_grads = tape_objective(model, noise, packer, tau, bx, by,
+                                                    cfg, k_value=0.7, l_pac_weight=weight)
+            for field in dataclasses.fields(terms):
+                assert getattr(terms, field.name) == pytest.approx(
+                    getattr(tape_terms, field.name), rel=1e-12, abs=0), field.name
+            for got, want in ((grads.weights, tape_grads.weights),
+                              (grads.noise, tape_grads.noise)):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_gradcheck_full_objective(self):
         model, packer, noise, bx, by = tiny_setup(seed=4, layer_sizes=(2, 2, 2))

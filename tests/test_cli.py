@@ -102,6 +102,13 @@ class TestConfig:
         ('bound.gamma={"low": -1, "high": 2}', "bound.gamma"),
         ("task.n_shot=100000", "task.n_shot"),
         ('model.activation="sigmoid"', "model.activation"),
+        ('tasks=["blobs-rotate","nope"]', "tasks[1]"),
+        ('method="dropout"', "method"),
+        ('methods=["dropout"]', "methods[0]"),
+        ("methods=[]", "methods"),
+        ('methods="vanilla"', "methods"),
+        ("stage1.lr_noise_head.factor=-1", "stage1.lr_noise_head.factor"),
+        ("stage1.lr_noise_head.floor=-1", "stage1.lr_noise_head.floor"),
     ])
     def test_invalid_leaf_exits_config_before_work(self, tmp_path, capsys, setting,
                                                    key):

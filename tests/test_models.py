@@ -32,7 +32,7 @@ class TestForward:
         m = fresh()
         m.theta[:] = 0.0
         out = m.forward(np.random.default_rng(0).standard_normal((7, 2)))
-        assert np.all(out.data == 0.0)
+        assert np.all(out == 0.0)
 
     def test_golden_vector_seed1(self):
         # pinned from the reference forward pass at seed 1
@@ -40,12 +40,12 @@ class TestForward:
         out = m.forward(np.array([[0.5, -1.0], [2.0, 0.25]]))
         expected = [[0.13757892323706084, -0.30764812059383956],
                     [0.16816146447044536, -0.19659484270708855]]
-        assert np.allclose(out.data, expected, rtol=0, atol=1e-15)
+        assert np.allclose(out, expected, rtol=0, atol=1e-15)
 
     def test_empty_batch(self):
         m = fresh()
         out = m.forward(np.zeros((0, 2)))
-        assert out.data.shape == (0, 2)
+        assert out.shape == (0, 2)
         assert m.predict(np.zeros((0, 2))).shape == (0,)
 
     def test_dimension_mismatch(self):
@@ -55,6 +55,16 @@ class TestForward:
     def test_unknown_activation_raises(self):
         with pytest.raises(ValueError, match="activation"):
             fresh(activation="sigmoid").forward(np.zeros((3, 2)))
+
+    def test_nonfinite_layer_output_raises(self):
+        # the divergence guard of every training step
+        m = fresh()
+        m.weights[1][0, 0] = np.inf
+        with pytest.raises(ad.NumericsError, match="layer 1"):
+            m.forward(np.ones((3, 2)))
+        packer = GroupPacker.for_model(m)
+        with pytest.raises(ad.NumericsError, match="layer 1"):
+            models.loss_and_grads(m, packer, m.theta, np.ones((3, 2)), np.zeros(3))
 
 
 class TestReplaceHead:

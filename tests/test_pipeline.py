@@ -145,6 +145,18 @@ class TestStage1:
             stage1_train(model, noise, train, dev, cfg, BoundConfig(m=len(train)),
                          np.random.default_rng(1), np.random.default_rng(2))
 
+    def test_variance_underflow_is_a_divergence(self, toy_task):
+        # large noise steps drive log-stds below about -372, where exp(2p)
+        # is 0 in float64 and the KL cannot be evaluated
+        pretrained, train, dev = toy_task
+        model = models.replace_head(pretrained, np.random.default_rng(3))
+        noise = init_noise_state(model, GroupPacker.for_model(model))
+        cfg = small_stage1(epochs=20, lr_noise_backbone=100.0,
+                           lr_noise_head=Constant(100.0))
+        with pytest.raises(DivergenceError, match="variance underflowed"):
+            stage1_train(model, noise, train, dev, cfg, BoundConfig(m=len(train)),
+                         np.random.default_rng(1), np.random.default_rng(2))
+
     def test_anchor_mismatch_rejected(self, toy_task):
         pretrained, train, dev = toy_task
         model = models.replace_head(pretrained, np.random.default_rng(3))
