@@ -16,11 +16,10 @@ from .bound import (AutoGamma, BoundConfig, BoundTerms, FixedGamma, FixedK,
 from .datasets import (Dataset, DatasetSpec, TransferPair, builtin_task,
                        export_csv, few_shot_sample, generate, load_csv)
 from .kernels import BACKEND
-from .models import (GroupPacker, MLPClassifier, ParamGroup, init_weights,
-                     load_checkpoint, replace_head, save_checkpoint)
+from .models import (GroupPacker, MLPClassifier, ParamGroup, StepWorkspace,
+                     init_weights, load_checkpoint, replace_head, save_checkpoint)
 from .optim import AdamState, Constant, StepDecay, adam_step, schedule_value
-from .pgd import (IsotropicNoise, LearnedNoise, PGDConfig, pgd_step,
-                  random_layer_noise_step)
+from .pgd import LearnedNoise, pgd_step, random_layer_noise_step
 from .pipeline import (DivergenceError, RunRecord, Stage1Config, Stage2Config,
                        evaluate, importance_ranking, metrics,
                        noise_injection_finetune, pretrain_model, run_finetune,

@@ -11,7 +11,8 @@ prior N(anchor, exp(prior_log_var) * I), gamma is either fixed or the
 closed-form minimizer over a user range, and K tracks the dispersion of
 per-batch losses. Everything except gamma and K is differentiable; both are
 treated as per-step constants. ``pac_objective`` takes J's gradients in
-closed form; the tape in ``autodiff`` is only the tests' oracle for them.
+closed form in the descent loop's ``StepWorkspace``; the tape in ``autodiff``
+is only the tests' oracle for them.
 
 Variances are modeled as exp(2p) so positivity is structural, and p is
 initialized at the log magnitude of the initial weights (floored, since
@@ -29,7 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .models import GroupPacker, MLPClassifier, ParamGroup, group_slice, loss_and_grads
+from .models import (GroupPacker, MLPClassifier, ParamGroup, StepWorkspace, group_slice,
+                     loss_and_grads)
 
 K_FLOOR = 1e-3
 P_INIT_FLOOR = 1e-4
@@ -281,7 +283,7 @@ def perturb_params(params: np.ndarray, log_std: np.ndarray,
     if params.shape != log_std.shape:
         raise ValueError("perturb_params: array lengths differ")
     tau = rng.standard_normal(params.shape)
-    return kernels.apply_noise(params, np.exp(log_std), tau), tau
+    return kernels.apply_noise(params, np.exp(log_std), tau, np.empty(params.shape)), tau
 
 
 def generic_bound(kl_total: float, delta: float, m: int) -> float:
@@ -301,11 +303,10 @@ class ObjectiveGrads:
     noise: np.ndarray
 
 
-def _group_kl(w: np.ndarray, log_std: np.ndarray, anchor: np.ndarray,
+def _group_kl(w: np.ndarray, var: np.ndarray, anchor: np.ndarray,
               prior_log_var: float) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """One group's KL of N(w, diag exp(2 log_std)) vs N(anchor, exp(prior_log_var) I)
-    and its derivatives with respect to w, log_std and prior_log_var."""
-    var = np.exp(2.0 * log_std)
+    """One group's KL of N(w, diag var) vs N(anchor, exp(prior_log_var) I) and its
+    derivatives with respect to w, log_std (var = exp(2 log_std)) and prior_log_var."""
     var_p = math.exp(prior_log_var)
     diff = w - anchor
     d_prior = 0.5 * (w.size - (np.sum(var) + np.sum(diff * diff)) / var_p)
@@ -315,12 +316,15 @@ def _group_kl(w: np.ndarray, log_std: np.ndarray, anchor: np.ndarray,
 
 def pac_objective(model: MLPClassifier, noise: NoiseState, batch_x, batch_y,
                   cfg: BoundConfig, rng: np.random.Generator | None = None, *,
-                  packer: GroupPacker | None = None,
-                  tau: np.ndarray | None = None, k_value: float | None = None,
-                  l_pac_weight: float = 1.0,
+                  work: StepWorkspace, tau: np.ndarray | None = None,
+                  k_value: float | None = None, l_pac_weight: float = 1.0,
+                  variances: np.ndarray | None = None,
                   with_grads: bool = True) -> tuple[BoundTerms, ObjectiveGrads | None]:
     """Evaluate J on one batch with a single noise draw; optionally with gradients.
 
+    ``work`` is ``model``'s workspace, whose buffers hold the noisy weights and
+    the loss gradient; the returned gradients are fresh arrays. ``variances``
+    are ``noise.variances()`` when the caller already holds them.
     ``tau`` injects a fixed noise draw in trainable order (used by the
     gradient checks); when absent one draw is taken from ``rng``.
     ``k_value`` overrides the running-K resolution (the trainer passes its
@@ -335,8 +339,7 @@ def pac_objective(model: MLPClassifier, noise: NoiseState, batch_x, batch_y,
     dJ/dp = dL(w~) tau exp(p) + c (exp(2p) / s2 - 1), and
     dJ/dlambda = c / 2 (d - (sum exp(2p) + sum (w - anchor)^2) / s2).
     """
-    if packer is None:
-        packer = GroupPacker.for_model(model)
+    packer = work.packer
     batch_x = np.asarray(batch_x, dtype=np.float64)
     batch_y = np.asarray(batch_y, dtype=np.int64)
     if batch_x.shape[0] == 0:
@@ -347,13 +350,13 @@ def pac_objective(model: MLPClassifier, noise: NoiseState, batch_x, batch_y,
             raise ValueError("pac_objective: need an rng when tau is not given")
         tau = rng.standard_normal(packer.trainable_size)
 
-    weights = model.theta[packer.start:]
+    weights = work.trainable
     std = np.exp(noise.log_std)
-    noisy = model.theta.copy()
-    noisy[packer.start:] = kernels.apply_noise(weights, std, tau)
-    l_train, loss_grad = loss_and_grads(model, packer, noisy, batch_x, batch_y)
+    kernels.apply_noise(weights, std, tau, work.noisy_trainable)
+    l_train = loss_and_grads(model, work, work.noisy_params, batch_x, batch_y)
+    var = noise.variances() if variances is None else variances
     (kl_b, kl_h), d_w, d_p, d_prior = zip(*(
-        _group_kl(weights[packer.group(g)], noise.log_std[packer.group(g)],
+        _group_kl(weights[packer.group(g)], var[packer.group(g)],
                   noise.anchor(g), noise.prior_log_var(g)) for g in _GROUPS))
 
     if isinstance(cfg.k, FixedK):
@@ -374,8 +377,8 @@ def pac_objective(model: MLPClassifier, noise: NoiseState, batch_x, batch_y,
 
     c = l_pac_weight / (gamma * cfg.m)
     return terms, ObjectiveGrads(
-        weights=loss_grad + c * np.concatenate(d_w),
-        noise=np.append(loss_grad * tau * std + c * np.concatenate(d_p),
+        weights=work.grad + c * np.concatenate(d_w),
+        noise=np.append(work.grad * tau * std + c * np.concatenate(d_p),
                         [c * d for d in d_prior]))
 
 
@@ -388,21 +391,22 @@ def objective_gradcheck(model: MLPClassifier, noise: NoiseState, batch_x, batch_
     ``NoiseState.params``; both J and its gradients come from
     ``pac_objective``, the function training uses.
     """
-    packer = GroupPacker.for_model(model)
+    trial = model.copy()
+    work = StepWorkspace(trial, 0.0, 0.0)  # no update is taken
+    packer = work.packer
     rng = np.random.Generator(np.random.PCG64(seed))
     tau = rng.standard_normal(packer.trainable_size)
-    base_terms, _ = pac_objective(model, noise, batch_x, batch_y, cfg,
-                                  packer=packer, tau=tau, with_grads=False)
+    base_terms, _ = pac_objective(trial, noise, batch_x, batch_y, cfg,
+                                  work=work, tau=tau, with_grads=False)
     frozen = BoundConfig(m=cfg.m, delta=cfg.delta,
                          gamma=FixedGamma(base_terms.gamma_used),
                          k=FixedK(base_terms.k_used))
     n = packer.trainable_size
 
     def objective(z, with_grads=False):
-        trial = model.copy()
         trial.theta[packer.start:] = z[:n]
         return pac_objective(trial, replace(noise, params=z[n:]), batch_x, batch_y,
-                             frozen, packer=packer, tau=tau, with_grads=with_grads)
+                             frozen, work=work, tau=tau, with_grads=with_grads)
 
     x = np.concatenate([model.theta[packer.start:], noise.params])
     _, grads = objective(x, with_grads=True)

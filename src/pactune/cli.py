@@ -205,10 +205,16 @@ def _check_values(config: dict, prefix: str = "") -> None:
             raise ConfigError(f"'{prefix}{dotted}' must be one of {sorted(allowed)}, "
                               f"got {value!r}")
 
+    def of_type(value, dotted, types, what):
+        if not isinstance(value, types):
+            raise ConfigError(f"'{prefix}{dotted}' must be {what}, got {value!r}")
+
     for section in (k for k, v in DEFAULT_CONFIG.items() if isinstance(v, dict)):
         if not isinstance(config[section], dict):
             raise ConfigError(f"'{prefix}{section}' must be an object")
-    at_least_one = (lambda v: v >= 1, "a number >= 1")
+    # int leaves take JSON integers only: 1.0 is rejected, not truncated
+    at_least_one = (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1")
+    seed = (lambda v: isinstance(v, int) and v >= 0, "an integer >= 0")
     positive = (lambda v: v > 0, "a number > 0")
     for section in ("pretrain", "stage1", "stage2"):
         c = config[section]
@@ -217,6 +223,16 @@ def _check_values(config: dict, prefix: str = "") -> None:
         for key in ("lr_backbone", "lr_head", "lr_noise_backbone"):
             if key in c:
                 require(c[key], f"{section}.{key}", *positive)
+    require(config["pretrain"]["seed"], "pretrain.seed", *seed)
+    for dotted in ("model.freeze_first_layer", "stage1.decay_weights",
+                   "stage2.weight_decay"):
+        section, key = dotted.split(".")
+        of_type(config[section][key], dotted, bool, "true or false")
+    require(config["stage1"]["l_pac_weight"], "stage1.l_pac_weight",
+            lambda v: v >= 0, "a number >= 0")
+    of_type(config["out_dir"], "out_dir", str, "a path string")
+    of_type(config["checkpoint"], "checkpoint", (str, type(None)),
+            "a path string or null")
     sched = config["stage1"]["lr_noise_head"]
     if not isinstance(sched, dict):
         require(sched, "stage1.lr_noise_head", *positive)
@@ -237,6 +253,8 @@ def _check_values(config: dict, prefix: str = "") -> None:
             lambda v: v >= 0, "a number >= 0")
     if not isinstance(config["seeds"], list) or not config["seeds"]:
         raise ConfigError(f"'{prefix}seeds' must be a nonempty list")
+    for i, run_seed in enumerate(config["seeds"]):
+        require(run_seed, f"seeds[{i}]", *seed)
     if not isinstance(config["tasks"], list):
         raise ConfigError(f"'{prefix}tasks' must be a list of task names")
     for i, task_name in enumerate(config["tasks"]):
@@ -377,14 +395,17 @@ def run_single(config: dict, pretrained: models.MLPClassifier, seed: int,
     target = datasets.generate(pair.target)
     train, dev = datasets.few_shot_sample(target, int(config["task"]["n_shot"]), seed)
     method = method or config["method"]
-    record, model, noise = pipeline.run_finetune(
-        pretrained, train, dev, method, seed,
-        stage1=build_stage1(config), stage2=build_stage2(config),
-        bound_cfg=build_bound(config, m=len(train)),
-        freeze_first_layer=bool(config["model"]["freeze_first_layer"]),
-        noise_sigma=float(config["noise_injection"]["sigma"]),
-        config_echo=config)
-    return record, model, noise
+    try:
+        return pipeline.run_finetune(
+            pretrained, train, dev, method, seed,
+            stage1=build_stage1(config), stage2=build_stage2(config),
+            bound_cfg=build_bound(config, m=len(train)),
+            freeze_first_layer=config["model"]["freeze_first_layer"],
+            noise_sigma=float(config["noise_injection"]["sigma"]),
+            config_echo=config)
+    except pipeline.DivergenceError as e:  # name the run
+        raise pipeline.DivergenceError(
+            f"{config['task']['name']} {method} seed {seed}: {e}") from e
 
 
 def _benchmark_run(payload) -> dict:

@@ -25,9 +25,10 @@ def adam_update(param, m, v, grad, t, lr, beta1, beta2, eps, weight_decay):
     param -= step
 
 
-def apply_noise(param, std, tau):
-    """Return param + std * tau without mutating inputs."""
-    return param + std * tau
+def apply_noise(param, std, tau, out):
+    """Write param + std * tau into ``out``, which must not overlap the inputs,
+    and return it; the inputs are never mutated."""
+    return np.add(param, np.multiply(std, tau, out=out), out=out)
 
 
 def kl_accumulate(mu_q, var_q, mu_p):

@@ -15,11 +15,13 @@ gradients and optimizer moments all use its trainable order.
 
 Training gradients come from closed-form numpy backprop (``loss_and_grads``);
 the tape in ``autodiff`` is only the oracle the tests check them against.
+A descent loop's steps share one ``StepWorkspace``, built once per loop.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -186,12 +188,13 @@ class MLPClassifier:
             raise ValueError(f"unknown activation '{self.activation}'; "
                              f"expected one of {sorted(ACTIVATIONS)}")
         act = ACTIVATIONS[self.activation][0]
+        last = self.n_layers - 1
         outs = [x]
         for i, (w, b) in enumerate(params):
             z = outs[-1] @ w + b
-            if not np.all(np.isfinite(z)):
+            if not np.isfinite(z).all():
                 raise ad.NumericsError(f"layer {i} output is not finite")
-            outs.append(act(z) if i < self.n_layers - 1 else z)
+            outs.append(act(z) if i < last else z)
         return outs
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -207,38 +210,56 @@ def _softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarra
     with respect to the logits; stabilized by subtracting the row max."""
     n, k = logits.shape
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (n,) or np.any(labels < 0) or np.any(labels >= k):
+    if labels.shape != (n,) or (labels < 0).any() or (labels >= k).any():
         raise ad.ShapeError(f"cross-entropy: labels of shape {labels.shape} need "
                             f"shape ({n},) and values in [0, {k})")
     z = logits - logits.max(axis=1, keepdims=True)
     ez = np.exp(z)
     denom = ez.sum(axis=1, keepdims=True)
     rows = np.arange(n)
-    loss = float(-np.mean((z - np.log(denom))[rows, labels]))
-    if not np.isfinite(loss):
+    loss = float(-((z - np.log(denom))[rows, labels].sum() / n))
+    if not math.isfinite(loss):
         raise ad.NumericsError("the loss is not finite")
     grad = ez / denom
     grad[rows, labels] -= 1.0
     return loss, grad * (1.0 / n)
 
 
-def loss_and_grads(model: MLPClassifier, packer: GroupPacker, theta: np.ndarray,
-                   batch_x: np.ndarray, batch_y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Cross-entropy at the full parameter vector ``theta``, and its gradient
-    over the trainable coordinates (frozen layers are read from ``theta`` too),
-    by backprop over the trainable layers into the trainable-order vector."""
-    params = packer.views(theta)
+class StepWorkspace:
+    """What every step of one descent loop over ``model`` reuses: its layout,
+    the trainable-order learning rates ``lr``, the layer views ``params`` and
+    trainable suffix ``trainable`` of ``model.theta``, the gradient buffer
+    ``grad`` (with layer views) and the perturbed-θ buffer ``noisy`` (with
+    layer views and trainable suffix). ``noisy`` starts as a copy of θ, whose
+    frozen prefix never changes during a loop."""
+
+    def __init__(self, model: MLPClassifier, lr_backbone: float, lr_head: float):
+        self.packer = packer = GroupPacker.for_model(model)
+        self.lr = packer.per_coordinate(lr_backbone, lr_head)
+        self.params = packer.views(model.theta)
+        self.trainable = model.theta[packer.start:]
+        self.grad = np.empty(packer.trainable_size)
+        self.grad_views = packer.views(self.grad)
+        self.noisy = model.theta.copy()
+        self.noisy_params = packer.views(self.noisy)
+        self.noisy_trainable = self.noisy[packer.start:]
+
+
+def loss_and_grads(model: MLPClassifier, work: StepWorkspace, params,
+                   batch_x: np.ndarray, batch_y: np.ndarray) -> float:
+    """Cross-entropy at the per-layer ``(w, b)`` arrays ``params`` (frozen
+    layers included), returned; its gradient over the trainable coordinates
+    goes into ``work.grad``, by backprop over the trainable layers."""
     outs = model._outputs(params, batch_x)
     loss, g = _softmax_cross_entropy(outs[-1], batch_y)
     derivative = ACTIVATIONS[model.activation][1]
-    grad = np.empty(packer.trainable_size)
-    trainable = list(enumerate(packer.views(grad), start=packer.n_frozen))
-    for i, (grad_w, grad_b) in reversed(trainable):
-        grad_b[...] = g.sum(axis=0)
-        grad_w[...] = outs[i].T @ g
-        if i > packer.n_frozen:
+    n_frozen = work.packer.n_frozen
+    for i, (grad_w, grad_b) in reversed(list(enumerate(work.grad_views, start=n_frozen))):
+        g.sum(axis=0, out=grad_b)
+        np.matmul(outs[i].T, g, out=grad_w)
+        if i > n_frozen:
             g = (g @ params[i][0].T) * derivative(outs[i])
-    return loss, grad
+    return loss
 
 
 def _init_layer(w: np.ndarray, rng: np.random.Generator) -> None:
@@ -306,6 +327,3 @@ def load_checkpoint(path, activation: str = "tanh",
         b[...] = np.asarray(layer["b"], dtype=np.float64)
     return model
 
-
-def checkpoint_provenance(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))["provenance"]

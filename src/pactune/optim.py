@@ -66,7 +66,7 @@ def adam_step(state: AdamState, param: np.ndarray, grad: np.ndarray,
     of a zero. If the gradient is non-finite the step is skipped (state
     untouched) and a warning is logged; returns whether the step was applied.
     """
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         logger.warning("adam_step: non-finite gradient; step skipped")
         return False
     state.t += 1

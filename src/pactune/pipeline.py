@@ -7,7 +7,8 @@ learning-rate vector, and returns the learned noise state. Stage 2 freezes
 the noise and continues with perturbed gradient descent on the training
 loss alone. Both stages, pretraining and the baselines (vanilla and
 random-layer noise injection) run through one descent loop and differ only
-in their step, so traces are directly comparable.
+in their step, so traces are directly comparable; every step of a loop reuses
+one ``StepWorkspace`` built for the loop's copy of the model.
 
 A step's ``NumericsError`` (a non-finite layer output, loss or J, or a
 learned variance at 0) becomes a ``DivergenceError`` naming label and epoch.
@@ -20,6 +21,7 @@ the posterior mean.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -32,10 +34,10 @@ from . import autodiff as ad
 from .bound import (BoundConfig, KTracker, NoiseState, RunningK, generic_bound,
                     init_noise_state, kl_diag_vs_isotropic, pac_objective)
 from .datasets import Dataset
-from .models import GroupPacker, MLPClassifier, ParamGroup, init_weights, replace_head
+from .models import (GroupPacker, MLPClassifier, ParamGroup, StepWorkspace, init_weights,
+                     replace_head)
 from .optim import AdamState, LrSchedule, StepDecay, adam_step, schedule_value
-from .pgd import (LearnedNoise, PGDConfig, descent_step, pgd_step,
-                  random_layer_noise_step)
+from .pgd import LearnedNoise, descent_step, pgd_step, random_layer_noise_step
 from .pgd import loss_and_grads  # noqa: F401  unused here; perfbench's tracer wraps it
 
 
@@ -131,30 +133,31 @@ def _descend(model: MLPClassifier, train: Dataset, dev: Dataset, cfg, data_rng,
              diagnostics=None) -> tuple[MLPClassifier, list[dict]]:
     """The descent loop shared by pretraining, both stages and both baselines.
 
-    ``cfg`` gives ``epochs`` and ``batch_size``. ``step(model, x, y, adam,
-    packer)`` updates the loop's copy of the model in place, with ``adam``
-    covering its trainable coordinates, and returns the batch's
-    ``(l_train, l_pac, kl_b, kl_h)``. ``diagnostics(model, packer, kl_b,
-    kl_h)`` turns the epoch's mean KLs into the recorded
-    ``(kl_b, kl_h, mean_var_b, mean_var_h, generic_bound)``; without it they
-    are recorded as zero.
+    ``cfg`` gives ``epochs``, ``batch_size``, ``lr_backbone`` and ``lr_head``.
+    ``step(model, x, y, adam, work)`` updates the loop's copy of the model in
+    place, with ``adam`` covering its trainable coordinates and ``work`` the
+    ``StepWorkspace`` built once for that copy with ``cfg``'s learning rates,
+    and returns the batch's ``(l_train, l_pac, kl_b, kl_h)``.
+    ``diagnostics(model, packer, kl_b, kl_h)`` turns the epoch's mean KLs into
+    the recorded ``(kl_b, kl_h, mean_var_b, mean_var_h, generic_bound)``;
+    without it they are recorded as zero.
     """
     model = model.copy()
-    packer = GroupPacker.for_model(model)
-    adam = AdamState(packer.trainable_size)
+    work = StepWorkspace(model, cfg.lr_backbone, cfg.lr_head)
+    adam = AdamState(work.packer.trainable_size)
     trace = []
     for epoch in range(epoch_offset, epoch_offset + cfg.epochs):
         sums, n_batches = (0.0,) * 4, 0
         for idx in batch_indices(len(train), cfg.batch_size, data_rng):
             try:
-                terms = step(model, train.x[idx], train.y[idx], adam, packer)
+                terms = step(model, train.x[idx], train.y[idx], adam, work)
             except ad.NumericsError as e:
                 raise DivergenceError(f"{label} diverged at epoch {epoch}: {e}") from e
             sums = tuple(s + t for s, t in zip(sums, terms))
             n_batches += 1
         l_train, l_pac, kl_b, kl_h = (s / n_batches for s in sums)
         kl_b, kl_h, mean_var_b, mean_var_h, bound_diag = \
-            diagnostics(model, packer, kl_b, kl_h) if diagnostics else (0.0,) * 5
+            diagnostics(model, work.packer, kl_b, kl_h) if diagnostics else (0.0,) * 5
         dev_metrics = evaluate(model, dev)
         trace.append({
             "epoch": epoch,
@@ -184,26 +187,30 @@ def stage1_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
         if noise.variances(g).size != packer.sizes[g]:
             raise ValueError(f"noise state does not match the model's {g.value} size")
     noise_adam = AdamState(noise.params.size)
-    weights_lr = packer.per_coordinate(cfg.lr_backbone, cfg.lr_head)
     tracker = KTracker(bound_cfg.k.ema_decay) if isinstance(bound_cfg.k, RunningK) else None
     update_index = itertools.count()
+    lr_b = cfg.lr_noise_backbone
+    # the noise-rate vector changes only when the head's schedule steps
+    noise_lr = functools.lru_cache(maxsize=1)(
+        lambda lr_h: np.append(packer.per_coordinate(lr_b, lr_h), [lr_b, lr_h]))
+    var = noise.variances()  # the guard's variances are the next step's KL input
 
-    def step(model, x, y, adam, packer):
+    def step(model, x, y, adam, work):
+        nonlocal var
         terms, grads = pac_objective(
-            model, noise, x, y, bound_cfg, rng=noise_rng, packer=packer,
-            k_value=tracker.value if tracker else None, l_pac_weight=cfg.l_pac_weight)
+            model, noise, x, y, bound_cfg, rng=noise_rng, work=work,
+            k_value=tracker.value if tracker else None, l_pac_weight=cfg.l_pac_weight,
+            variances=var)
         if not np.isfinite(terms.j_total):
             raise ad.NumericsError("the objective is not finite")
         if tracker:
             tracker.update(terms.l_train)
-        lr_b = cfg.lr_noise_backbone
         lr_h = schedule_value(cfg.lr_noise_head, next(update_index))
-        adam_step(adam, model.theta[packer.start:], grads.weights, weights_lr,
-                  cfg.decay_weights)
-        adam_step(noise_adam, noise.params, grads.noise,
-                  np.append(packer.per_coordinate(lr_b, lr_h), [lr_b, lr_h]))
+        adam_step(adam, work.trainable, grads.weights, work.lr, cfg.decay_weights)
+        adam_step(noise_adam, noise.params, grads.noise, noise_lr(lr_h))
         # the KL is evaluated from variances, which must stay above 0
-        if np.any(noise.variances() == 0.0) or np.any(np.exp(noise.params[-2:]) == 0.0):
+        var = noise.variances()
+        if (var == 0.0).any() or (np.exp(noise.params[-2:]) == 0.0).any():
             raise ad.NumericsError("a learned variance underflowed to 0")
         return terms.l_train, terms.l_pac, terms.kl_backbone, terms.kl_head
 
@@ -223,8 +230,7 @@ def stage2_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
                  bound_cfg: BoundConfig | None = None,
                  ) -> tuple[MLPClassifier, list[dict]]:
     """Perturbed descent with the learned noise frozen; loss only, no bound term."""
-    pgd_cfg = PGDConfig(LearnedNoise(noise), cfg.lr_backbone, cfg.lr_head,
-                        cfg.weight_decay)
+    source = LearnedNoise(noise)
     mean_var_b = noise.mean_variance(ParamGroup.BACKBONE)
     mean_var_h = noise.mean_variance(ParamGroup.HEAD)
     delta = bound_cfg.delta if bound_cfg else 0.05
@@ -242,15 +248,15 @@ def stage2_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
 
     return _descend(
         model, train, dev, cfg, data_rng,
-        lambda model, x, y, adam, packer: (
-            pgd_step(model, x, y, pgd_cfg, adam, packer, noise_rng), 0.0, 0.0, 0.0),
+        lambda model, x, y, adam, work: (
+            pgd_step(model, x, y, source, adam, work, noise_rng, cfg.weight_decay),
+            0.0, 0.0, 0.0),
         "stage 2", stage=2, epoch_offset=epoch_offset, diagnostics=diagnostics)
 
 
 def _plain_step(cfg: Stage2Config):
-    return lambda model, x, y, adam, packer: (descent_step(
-        model, x, y, cfg.lr_backbone, cfg.lr_head, adam, packer, cfg.weight_decay),
-        0.0, 0.0, 0.0)
+    return lambda model, x, y, adam, work: (
+        descent_step(model, x, y, adam, work, cfg.weight_decay), 0.0, 0.0, 0.0)
 
 
 def vanilla_finetune(model: MLPClassifier, train: Dataset, dev: Dataset,
@@ -269,9 +275,9 @@ def noise_injection_finetune(model: MLPClassifier, train: Dataset, dev: Dataset,
     """Random-layer noise-injection baseline."""
     return _descend(
         model, train, dev, cfg, data_rng,
-        lambda model, x, y, adam, packer: (random_layer_noise_step(
-            model, x, y, sigma, cfg.lr_backbone, cfg.lr_head, adam, packer,
-            noise_rng, cfg.weight_decay), 0.0, 0.0, 0.0),
+        lambda model, x, y, adam, work: (random_layer_noise_step(
+            model, x, y, sigma, adam, work, noise_rng, cfg.weight_decay),
+            0.0, 0.0, 0.0),
         "noise injection")
 
 

@@ -5,8 +5,12 @@ import math
 import numpy as np
 
 from pactune import autodiff as ad
-from pactune.bound import (K_FLOOR, BoundTerms, FixedGamma, FixedK, ObjectiveGrads,
-                           optimal_gamma)
+from pactune.bound import (K_FLOOR, BoundTerms, FixedGamma, FixedK, KTracker,
+                           ObjectiveGrads, RunningK, generic_bound, kl_diag_vs_isotropic,
+                           optimal_gamma, pac_objective)
+from pactune.models import GroupPacker, ParamGroup, StepWorkspace, loss_and_grads
+from pactune.optim import AdamState, adam_step, schedule_value
+from pactune.pipeline import batch_indices, evaluate
 
 
 def mc_kl(mu_q, var_q, mu_p, var_p, n_samples, seed, antithetic=True):
@@ -143,3 +147,120 @@ def tape_objective(model, noise, packer, tau, batch_x, batch_y, cfg, k_value=Non
     return terms, ObjectiveGrads(
         weights=_flat(grads, weight_leaves),
         noise=np.append(_flat(grads, log_std_leaves), [grads[p] for p in prior_leaves]))
+
+
+# --- the descent loop without its hoisted state ----------------------------------
+#
+# Each step below builds a fresh workspace, fresh perturbed and learning-rate
+# vectors and fresh variances, so comparing ``pipeline``'s runs with these
+# checks bitwise that nothing the loop builds once carries state between steps.
+
+GROUPS = (ParamGroup.BACKBONE, ParamGroup.HEAD)
+
+
+def _fresh_step(model, x, y, adam, lr_b, lr_h, weight_decay, perturb=None):
+    packer = GroupPacker.for_model(model)
+    work = StepWorkspace(model, lr_b, lr_h)
+    theta = model.theta if perturb is None else perturb(model.theta.copy(), packer)
+    loss = loss_and_grads(model, work, packer.views(theta), x, y)
+    adam_step(adam, model.theta[packer.start:], work.grad.copy(),
+              packer.per_coordinate(lr_b, lr_h), weight_decay)
+    return loss, 0.0, 0.0, 0.0
+
+
+def plain_step(cfg):
+    return lambda model, x, y, adam: _fresh_step(
+        model, x, y, adam, cfg.lr_backbone, cfg.lr_head, cfg.weight_decay)
+
+
+def pgd_step(cfg, noise, rng):
+    def perturb(theta, packer):
+        std = np.exp(noise.log_std)
+        theta[packer.start:] = theta[packer.start:] + std * rng.standard_normal(std.size)
+        return theta
+
+    return lambda model, x, y, adam: _fresh_step(
+        model, x, y, adam, cfg.lr_backbone, cfg.lr_head, cfg.weight_decay, perturb)
+
+
+def random_layer_step(cfg, sigma, rng):
+    def perturb(theta, packer):
+        start, stop, _ = packer.layers[int(rng.integers(len(packer.layers)))]
+        theta[start:stop] += sigma * rng.standard_normal(stop - start)
+        return theta
+
+    return lambda model, x, y, adam: _fresh_step(
+        model, x, y, adam, cfg.lr_backbone, cfg.lr_head, cfg.weight_decay, perturb)
+
+
+def stage1_step(cfg, bound_cfg, noise, rng):
+    """The stage-1 step; returns it and the diagnostics of its epochs."""
+    noise_adam = AdamState(noise.params.size)
+    tracker = KTracker(bound_cfg.k.ema_decay) if isinstance(bound_cfg.k, RunningK) else None
+    updates = []
+
+    def step(model, x, y, adam):
+        packer = GroupPacker.for_model(model)
+        terms, grads = pac_objective(
+            model, noise, x, y, bound_cfg, rng=rng,
+            work=StepWorkspace(model, cfg.lr_backbone, cfg.lr_head),
+            k_value=tracker.value if tracker else None, l_pac_weight=cfg.l_pac_weight)
+        if tracker:
+            tracker.update(terms.l_train)
+        lr_b = cfg.lr_noise_backbone
+        lr_h = schedule_value(cfg.lr_noise_head, len(updates))
+        updates.append(lr_h)
+        adam_step(adam, model.theta[packer.start:], grads.weights,
+                  packer.per_coordinate(cfg.lr_backbone, cfg.lr_head), cfg.decay_weights)
+        adam_step(noise_adam, noise.params, grads.noise,
+                  np.append(packer.per_coordinate(lr_b, lr_h), [lr_b, lr_h]))
+        assert np.all(noise.variances() > 0.0)
+        return terms.l_train, terms.l_pac, terms.kl_backbone, terms.kl_head
+
+    def diagnostics(model, kl_b, kl_h):
+        return (kl_b, kl_h, noise.mean_variance(ParamGroup.BACKBONE),
+                noise.mean_variance(ParamGroup.HEAD),
+                generic_bound(kl_b + kl_h, bound_cfg.delta, bound_cfg.m))
+
+    return step, diagnostics
+
+
+def stage2_diagnostics(noise, delta, m):
+    def diagnostics(model, kl_b, kl_h):
+        packer = GroupPacker.for_model(model)
+        weights = model.theta[packer.start:]
+        kl = [kl_diag_vs_isotropic(weights[packer.group(g)], noise.variances(g),
+                                   noise.anchor(g), math.exp(noise.prior_log_var(g)))
+              for g in GROUPS]
+        return (kl[0], kl[1], noise.mean_variance(ParamGroup.BACKBONE),
+                noise.mean_variance(ParamGroup.HEAD),
+                generic_bound(kl[0] + kl[1], delta, m))
+
+    return diagnostics
+
+
+def reference_descend(model, train, dev, cfg, data_rng, step, stage=0, epoch_offset=0,
+                      diagnostics=None):
+    """``pipeline._descend`` with ``step(model, x, y, adam)``, which builds its
+    own buffers, and ``diagnostics(model, kl_b, kl_h)``."""
+    model = model.copy()
+    adam = AdamState(GroupPacker.for_model(model).trainable_size)
+    trace = []
+    for epoch in range(epoch_offset, epoch_offset + cfg.epochs):
+        steps = [step(model, train.x[idx], train.y[idx], adam)
+                 for idx in batch_indices(len(train), cfg.batch_size, data_rng)]
+        sums = [0.0] * 4
+        for terms in steps:
+            sums = [s + t for s, t in zip(sums, terms)]
+        l_train, l_pac, kl_b, kl_h = (s / len(steps) for s in sums)
+        kl_b, kl_h, mean_var_b, mean_var_h, bound_diag = \
+            diagnostics(model, kl_b, kl_h) if diagnostics else (0.0,) * 5
+        dev_metrics = evaluate(model, dev)
+        trace.append({
+            "epoch": epoch, "stage": stage, "j_total": l_train + l_pac,
+            "l_train": l_train, "l_pac": l_pac, "kl_backbone": kl_b, "kl_head": kl_h,
+            "generic_bound": bound_diag, "mean_var_backbone": mean_var_b,
+            "mean_var_head": mean_var_h, "dev_accuracy": dev_metrics["accuracy"],
+            "dev_mcc": dev_metrics["mcc"],
+        })
+    return model, trace

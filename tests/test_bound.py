@@ -11,7 +11,7 @@ from pactune.bound import (AutoGamma, BoundConfig, FixedGamma, FixedK,
                            RunningK, estimate_k, init_noise_state,
                            kl_diag_vs_isotropic, l_pac, optimal_gamma,
                            pac_objective, perturb_params)
-from pactune.models import GroupPacker, ParamGroup
+from pactune.models import GroupPacker, ParamGroup, StepWorkspace
 from pactune.pgd import loss_and_grads
 
 
@@ -168,6 +168,11 @@ def tiny_setup(seed=0, layer_sizes=(2, 3, 2), freeze=False):
     return model, packer, noise, bx, by
 
 
+def workspace(model):
+    """A workspace for gradients only; no update is taken."""
+    return StepWorkspace(model, 0.0, 0.0)
+
+
 class TestObjective:
     def test_noise_free_limit(self):
         model, packer, noise, bx, by = tiny_setup()
@@ -176,7 +181,7 @@ class TestObjective:
         noise.params[-2:] = 0.0  # both prior log-variances
         cfg = BoundConfig(m=8, gamma=FixedGamma(5.0), k=FixedK(1.0))
         terms, _ = pac_objective(model, noise, bx, by, cfg,
-                                 rng=np.random.default_rng(0), packer=packer)
+                                 rng=np.random.default_rng(0), work=workspace(model))
         from pactune import autodiff as ad
         clean = ad.softmax_cross_entropy(model.forward(bx), by).item()
         assert abs(terms.l_train - clean) < 1e-12
@@ -204,14 +209,15 @@ class TestObjective:
             by = rng.integers(0, sizes[-1], size=bx.shape[0])
 
             theta = model.theta + 0.5 * rng.standard_normal(model.theta.size)
-            loss, grad = loss_and_grads(model, packer, theta, bx, by)
+            work = workspace(model)
+            loss = loss_and_grads(model, work, packer.views(theta), bx, by)
             tape_loss, tape_grad = tape_loss_and_grads(model, packer, theta, bx, by)
             assert loss == tape_loss
-            assert np.array_equal(grad, tape_grad)
+            assert np.array_equal(work.grad, tape_grad)
 
             cfg = BoundConfig(m=8, gamma=gamma, k=RunningK())
             tau = rng.standard_normal(packer.trainable_size)
-            terms, grads = pac_objective(model, noise, bx, by, cfg, packer=packer,
+            terms, grads = pac_objective(model, noise, bx, by, cfg, work=work,
                                          tau=tau, k_value=0.7, l_pac_weight=weight)
             tape_terms, tape_grads = tape_objective(model, noise, packer, tau, bx, by,
                                                     cfg, k_value=0.7, l_pac_weight=weight)
@@ -241,9 +247,11 @@ class TestObjective:
         model.weights[0][...] += 0.3  # move away from the anchors
         gamma, m = 2.0, 8
         cfg = BoundConfig(m=m, gamma=FixedGamma(gamma), k=FixedK(1.0))
-        terms, grads = pac_objective(model, noise, bx, by, cfg, packer=packer,
+        work = workspace(model)
+        terms, grads = pac_objective(model, noise, bx, by, cfg, work=work,
                                      tau=np.zeros(packer.trainable_size))
-        _, ce_grad = loss_and_grads(model, packer, model.theta, bx, by)
+        loss_and_grads(model, work, work.params, bx, by)
+        ce_grad = work.grad
         for group in (ParamGroup.BACKBONE, ParamGroup.HEAD):
             part = packer.group(group)
             pull = (packer.pack(model, group) - noise.anchor(group)) / (
@@ -254,7 +262,7 @@ class TestObjective:
         model, packer, noise, bx, by = tiny_setup(seed=7)
         cfg = BoundConfig(m=8, gamma=FixedGamma(5.0), k=FixedK(1.0))
         tau = np.random.default_rng(2).standard_normal(packer.trainable_size)
-        terms, grads = pac_objective(model, noise, bx, by, cfg, packer=packer,
+        terms, grads = pac_objective(model, noise, bx, by, cfg, work=workspace(model),
                                      tau=tau, l_pac_weight=0.0)
         assert terms.l_pac == 0.0
         assert terms.j_total == terms.l_train
@@ -267,14 +275,14 @@ class TestObjective:
         cfg = BoundConfig(m=8)
         with pytest.raises(ValueError, match="nonempty"):
             pac_objective(model, noise, np.zeros((0, 2)), np.zeros(0, dtype=int),
-                          cfg, rng=np.random.default_rng(0), packer=packer)
+                          cfg, rng=np.random.default_rng(0), work=workspace(model))
 
     def test_frozen_first_layer_are_constants(self):
         model, packer, noise, bx, by = tiny_setup(seed=8, freeze=True)
         assert packer.sizes[ParamGroup.BACKBONE] == 0
         cfg = BoundConfig(m=8, gamma=FixedGamma(5.0), k=FixedK(1.0))
         terms, grads = pac_objective(model, noise, bx, by, cfg,
-                                     rng=np.random.default_rng(0), packer=packer)
+                                     rng=np.random.default_rng(0), work=workspace(model))
         assert terms.kl_backbone == 0.0
         assert grads.weights.size == packer.sizes[ParamGroup.HEAD]
 
@@ -341,6 +349,7 @@ class TestNoiseMonotonicity:
         bx, by = ds.x[:64], ds.y[:64]
         std = np.exp(noise.log_std)
         rng = np.random.default_rng(12)
+        work = workspace(model)
 
         means = []
         for scale in (0.0, 0.5, 1.0, 2.0, 4.0):
@@ -348,7 +357,7 @@ class TestNoiseMonotonicity:
             for _ in range(200):
                 perturbed = model.theta.copy()
                 perturbed[packer.start:] += scale * std * rng.standard_normal(std.size)
-                loss, _ = loss_and_grads(model, packer, perturbed, bx, by)
+                loss = loss_and_grads(model, work, packer.views(perturbed), bx, by)
                 total += loss
             means.append(total / 200.0)
         violations = sum(1 for a, b in zip(means, means[1:]) if b < a)

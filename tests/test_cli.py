@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 
 import numpy as np
@@ -109,6 +110,18 @@ class TestConfig:
         ('methods="vanilla"', "methods"),
         ("stage1.lr_noise_head.factor=-1", "stage1.lr_noise_head.factor"),
         ("stage1.lr_noise_head.floor=-1", "stage1.lr_noise_head.floor"),
+        ('model.freeze_first_layer="false"', "model.freeze_first_layer"),
+        ('stage1.decay_weights="no"', "stage1.decay_weights"),
+        ("stage2.weight_decay=3", "stage2.weight_decay"),
+        ("stage1.epochs=1.5", "stage1.epochs"),
+        ("stage1.epochs=2.0", "stage1.epochs"),
+        ("task.n_shot=1.5", "task.n_shot"),
+        ("seeds=[1.5]", "seeds[0]"),
+        ('seeds=["a"]', "seeds[0]"),
+        ("seeds=[1,-2]", "seeds[1]"),
+        ('pretrain.seed="x"', "pretrain.seed"),
+        ("stage1.l_pac_weight=-1", "stage1.l_pac_weight"),
+        ("checkpoint=5", "checkpoint"),
     ])
     def test_invalid_leaf_exits_config_before_work(self, tmp_path, capsys, setting,
                                                    key):
@@ -118,6 +131,16 @@ class TestConfig:
         assert err.startswith("config error:") and f"'{key}'" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_non_string_out_dir_exits_config_before_work(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # a row of the table above cannot hold it: their --out replaces out_dir
+        monkeypatch.chdir(tmp_path)
+        code = main(["pretrain", "--set", "out_dir=5"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error:") and "'out_dir'" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestGenerateData:
@@ -260,6 +283,15 @@ class TestBenchmark:
         report1, _, _ = cli.run_benchmark(load_config(cfg_path), workers=1)
         report2, _, _ = cli.run_benchmark(load_config(cfg_path), workers=2)
         assert json.dumps(report1, sort_keys=True) == json.dumps(report2, sort_keys=True)
+
+    def test_divergence_in_a_worker_names_the_run(self, tmp_path, capsys):
+        cfg_path = self.bench_config(tmp_path, out_name="div")
+        code = main(["benchmark", "--config", cfg_path, "--workers", "2",
+                     "--set", "stage1.lr_head=1e308"])
+        err = capsys.readouterr().err
+        assert code == EXIT_DIVERGENCE
+        assert re.search(r"^numeric divergence: blobs-rotate pac-tuning seed [12]: "
+                         r"stage 1 diverged at epoch \d+: ", err), err
 
     def test_task_override_applies(self, tmp_path):
         cfg_path = self.bench_config(tmp_path, out_name="ovr")

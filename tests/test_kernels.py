@@ -28,9 +28,10 @@ class TestNumpyPath:
         assert np.allclose(v, ev, rtol=1e-14)
 
     def test_apply_noise(self):
-        out = kernels.apply_noise(
-            np.array([1.0, 2.0]), np.array([0.5, 0.0]), np.array([2.0, 9.0]))
-        assert out.tolist() == [2.0, 2.0]
+        param, buf = np.array([1.0, 2.0]), np.empty(2)
+        out = kernels.apply_noise(param, np.array([0.5, 0.0]), np.array([2.0, 9.0]), buf)
+        assert out is buf and out.tolist() == [2.0, 2.0]
+        assert param.tolist() == [1.0, 2.0]
 
     def test_kl_accumulate(self):
         s_var, s_sq, s_log = kernels.kl_accumulate(

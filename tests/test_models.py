@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -62,9 +64,9 @@ class TestForward:
         m.weights[1][0, 0] = np.inf
         with pytest.raises(ad.NumericsError, match="layer 1"):
             m.forward(np.ones((3, 2)))
-        packer = GroupPacker.for_model(m)
+        work = models.StepWorkspace(m, 0.0, 0.0)
         with pytest.raises(ad.NumericsError, match="layer 1"):
-            models.loss_and_grads(m, packer, m.theta, np.ones((3, 2)), np.zeros(3))
+            models.loss_and_grads(m, work, work.params, np.ones((3, 2)), np.zeros(3))
 
 
 class TestReplaceHead:
@@ -184,7 +186,8 @@ class TestCheckpoint:
         m2 = models.load_checkpoint(path)
         for a, b in zip(m.weights + m.biases, m2.weights + m2.biases):
             assert np.array_equal(a, b)
-        assert models.checkpoint_provenance(path) == {"seed": 8, "task": "t", "epoch": 3}
+        provenance = json.loads(path.read_text(encoding="utf-8"))["provenance"]
+        assert provenance == {"seed": 8, "task": "t", "epoch": 3}
 
     def test_save_load_save_byte_identical(self, tmp_path):
         m = fresh((3, 5, 2), seed=8)

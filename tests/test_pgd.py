@@ -3,10 +3,9 @@ import pytest
 
 from pactune import models
 from pactune.bound import init_noise_state
-from pactune.models import GroupPacker, ParamGroup
+from pactune.models import GroupPacker, ParamGroup, StepWorkspace
 from pactune.optim import AdamState, adam_step
-from pactune.pgd import (IsotropicNoise, LearnedNoise, PGDConfig, loss_and_grads,
-                         pgd_step, random_layer_noise_step)
+from pactune.pgd import LearnedNoise, loss_and_grads, pgd_step, random_layer_noise_step
 
 GROUPS = (ParamGroup.BACKBONE, ParamGroup.HEAD)
 
@@ -24,6 +23,15 @@ def fresh_adam(packer):
     return AdamState(packer.trainable_size)
 
 
+def learned(model, packer, std_backbone, std_head):
+    """Learned noise holding one std per group; a std of 0 is log-std -inf."""
+    noise = init_noise_state(model, packer)
+    with np.errstate(divide="ignore"):
+        noise.log_std_backbone[:] = np.log(std_backbone)
+        noise.log_std_head[:] = np.log(std_head)
+    return LearnedNoise(noise)
+
+
 def per_group_adam(packer, theta, grad, lrs, weight_decay):
     """Reference update: one Adam state and one scalar rate per group, in place."""
     for g, lr in zip(GROUPS, lrs):
@@ -31,10 +39,16 @@ def per_group_adam(packer, theta, grad, lrs, weight_decay):
                   apply_weight_decay=weight_decay)
 
 
+def gradient_at(model, theta, bx, by):
+    work = StepWorkspace(model, 0.0, 0.0)
+    loss_and_grads(model, work, work.packer.views(theta), bx, by)
+    return work.grad
+
+
 def manual_plain_step(model, packer, bx, by, lr_b, lr_h, weight_decay):
     """Reference: gradient at the clean weights, one Adam update per group."""
     model = model.copy()
-    _, grad = loss_and_grads(model, packer, model.theta, bx, by)
+    grad = gradient_at(model, model.theta, bx, by)
     theta = {g: packer.pack(model, g) for g in GROUPS}
     per_group_adam(packer, theta, grad, (lr_b, lr_h), weight_decay)
     for g in GROUPS:
@@ -43,14 +57,15 @@ def manual_plain_step(model, packer, bx, by, lr_b, lr_h, weight_decay):
 
 
 class TestPgdStep:
-    def test_zero_isotropic_matches_plain_step_bitwise(self):
+    def test_zero_noise_matches_plain_step_bitwise(self):
         model, packer, bx, by = setup()
         expected = manual_plain_step(model, packer, bx, by, 1e-3, 1e-2, True)
         stepped = model.copy()
-        cfg = PGDConfig(IsotropicNoise(0.0, 0.0), 1e-3, 1e-2, True)
+        source = learned(model, packer, 0.0, 0.0)
+        assert not source.std.any()  # exp(-inf) is exactly 0
         # noise is drawn (stream consumed) but scaled by exactly zero
-        pgd_step(stepped, bx, by, cfg, fresh_adam(packer), packer,
-                 np.random.default_rng(99))
+        pgd_step(stepped, bx, by, source, fresh_adam(packer),
+                 StepWorkspace(stepped, 1e-3, 1e-2), np.random.default_rng(99))
         for a, b in zip(stepped.weights + stepped.biases,
                         expected.weights + expected.biases):
             assert np.array_equal(a, b)
@@ -62,9 +77,8 @@ class TestPgdStep:
         noise.log_std_head[:] = -40.0
         expected = manual_plain_step(model, packer, bx, by, 1e-3, 1e-2, True)
         stepped = model.copy()
-        cfg = PGDConfig(LearnedNoise(noise), 1e-3, 1e-2, True)
-        pgd_step(stepped, bx, by, cfg, fresh_adam(packer), packer,
-                 np.random.default_rng(0))
+        pgd_step(stepped, bx, by, LearnedNoise(noise), fresh_adam(packer),
+                 StepWorkspace(stepped, 1e-3, 1e-2), np.random.default_rng(0))
         for a, b in zip(stepped.weights + stepped.biases,
                         expected.weights + expected.biases):
             assert np.max(np.abs(a - b)) < 1e-12
@@ -73,22 +87,19 @@ class TestPgdStep:
         # replicate the noise draw, compute the gradient at theta + std*tau by
         # hand, and confirm the step used exactly that gradient
         model, packer, bx, by = setup(seed=2)
-        eta_b, eta_h = 0.04, 0.09
-        cfg = PGDConfig(IsotropicNoise(eta_b, eta_h), 1e-3, 1e-2, False)
+        source = learned(model, packer, 0.2, 0.3)
 
-        # one draw per group equals pgd_step's single draw over both groups
-        rng = np.random.default_rng(123)
-        tau = {g: rng.standard_normal(packer.sizes[g]) for g in GROUPS}
+        tau = np.random.default_rng(123).standard_normal(packer.trainable_size)
         perturbed = model.theta.copy()
-        for g, eta in zip(GROUPS, (eta_b, eta_h)):
-            perturbed[packer.start:][packer.group(g)] += np.sqrt(eta) * tau[g]
-        _, grad = loss_and_grads(model, packer, perturbed, bx, by)
+        perturbed[packer.start:] += np.exp(source.noise.log_std) * tau
+        grad = gradient_at(model, perturbed, bx, by)
         expect = {g: packer.pack(model, g) for g in GROUPS}
         per_group_adam(packer, expect, grad, (1e-3, 1e-2), False)
 
         stepped = model.copy()
-        pgd_step(stepped, bx, by, cfg, fresh_adam(packer), packer,
-                 np.random.default_rng(123))
+        pgd_step(stepped, bx, by, source, fresh_adam(packer),
+                 StepWorkspace(stepped, 1e-3, 1e-2), np.random.default_rng(123),
+                 weight_decay=False)
         for g in GROUPS:
             assert np.array_equal(packer.pack(stepped, g), expect[g])
 
@@ -97,10 +108,9 @@ class TestPgdStep:
         # stay bit-identical no matter how large the injected noise was
         model, packer, bx, by = setup(seed=3)
         before = [w.copy() for w in model.weights]
-        cfg = PGDConfig(IsotropicNoise(1e6, 1e6), 1e-300, 1e-300,
-                        weight_decay=False)
-        pgd_step(model, bx, by, cfg, fresh_adam(packer), packer,
-                 np.random.default_rng(4))
+        pgd_step(model, bx, by, learned(model, packer, 1e3, 1e3), fresh_adam(packer),
+                 StepWorkspace(model, 1e-300, 1e-300), np.random.default_rng(4),
+                 weight_decay=False)
         for a, b in zip(model.weights, before):
             assert np.array_equal(a, b)
 
@@ -110,10 +120,9 @@ class TestPgdStep:
 
         def deltas(lr_b):
             stepped = model.copy()
-            cfg = PGDConfig(IsotropicNoise(0.0, 0.0), lr_b, 1e-2,
-                            weight_decay=False)
-            pgd_step(stepped, bx, by, cfg, fresh_adam(packer), packer,
-                     np.random.default_rng(0))
+            pgd_step(stepped, bx, by, learned(model, packer, 0.0, 0.0),
+                     fresh_adam(packer), StepWorkspace(stepped, lr_b, 1e-2),
+                     np.random.default_rng(0), weight_decay=False)
             return {g: packer.pack(stepped, g) - packer.pack(model, g)
                     for g in GROUPS}
 
@@ -127,7 +136,7 @@ class TestPgdStep:
         # the gradient was (the config layer enforces positive rates, so this
         # is checked on the optimizer directly)
         model, packer, bx, by = setup(seed=4)
-        _, grad = loss_and_grads(model, packer, model.theta, bx, by)
+        grad = gradient_at(model, model.theta, bx, by)
         theta = model.theta[packer.start:].copy()
         before = theta.copy()
         adam_step(fresh_adam(packer), theta, grad, packer.per_coordinate(0.0, 1e-2),
@@ -139,25 +148,23 @@ class TestPgdStep:
     def test_fixed_seed_reproducible_trajectory(self):
         def run():
             model, packer, bx, by = setup(seed=5)
-            cfg = PGDConfig(IsotropicNoise(0.01, 0.04), 1e-3, 1e-2, True)
+            source = learned(model, packer, 0.1, 0.2)
             adam = fresh_adam(packer)
+            work = StepWorkspace(model, 1e-3, 1e-2)
             rng = np.random.default_rng(11)
             for _ in range(5):
-                pgd_step(model, bx, by, cfg, adam, packer, rng)
+                pgd_step(model, bx, by, source, adam, work, rng)
             return np.concatenate([packer.pack(model, g) for g in GROUPS])
 
         assert np.array_equal(run(), run())
 
-    def test_negative_variance_rejected(self):
-        with pytest.raises(ValueError):
-            IsotropicNoise(-1.0, 0.0)
-
     def test_empty_batch_rejected(self):
         model, packer, _, _ = setup()
-        cfg = PGDConfig(IsotropicNoise(0.0, 0.0), 1e-3, 1e-2)
+        source = learned(model, packer, 0.0, 0.0)
         with pytest.raises(ValueError, match="nonempty"):
-            pgd_step(model, np.zeros((0, 2)), np.zeros(0, dtype=int), cfg,
-                     fresh_adam(packer), packer, np.random.default_rng(0))
+            pgd_step(model, np.zeros((0, 2)), np.zeros(0, dtype=int), source,
+                     fresh_adam(packer), StepWorkspace(model, 1e-3, 1e-2),
+                     np.random.default_rng(0))
 
 
 class _RecordingRng:
@@ -181,8 +188,8 @@ class TestRandomLayerNoise:
         model, packer, bx, by = setup(seed=6)
         expected = manual_plain_step(model, packer, bx, by, 1e-3, 1e-2, True)
         stepped = model.copy()
-        random_layer_noise_step(stepped, bx, by, 0.0, 1e-3, 1e-2,
-                                fresh_adam(packer), packer,
+        random_layer_noise_step(stepped, bx, by, 0.0, fresh_adam(packer),
+                                StepWorkspace(stepped, 1e-3, 1e-2),
                                 np.random.default_rng(8))
         for a, b in zip(stepped.weights + stepped.biases,
                         expected.weights + expected.biases):
@@ -191,9 +198,9 @@ class TestRandomLayerNoise:
     def test_single_layer_model_always_chosen(self):
         model, packer, bx, by = setup(seed=7, layer_sizes=(2, 2))
         rng = _RecordingRng(3)
+        work = StepWorkspace(model, 1e-3, 1e-2)
         for _ in range(20):
-            random_layer_noise_step(model, bx, by, 0.05, 1e-3, 1e-2,
-                                    fresh_adam(packer), packer, rng)
+            random_layer_noise_step(model, bx, by, 0.05, fresh_adam(packer), work, rng)
         assert rng.choices == [0] * 20
 
     def test_layer_choice_frequencies(self):
@@ -202,9 +209,9 @@ class TestRandomLayerNoise:
         assert model.n_layers == 4
         rng = _RecordingRng(42)
         adam = fresh_adam(packer)
+        work = StepWorkspace(model, 1e-4, 1e-4)
         for _ in range(10_000):
-            random_layer_noise_step(model, bx, by, 1e-3, 1e-4, 1e-4, adam,
-                                    packer, rng)
+            random_layer_noise_step(model, bx, by, 1e-3, adam, work, rng)
         freq = np.bincount(rng.choices, minlength=4) / 10_000
         assert np.all(np.abs(freq - 0.25) <= 0.02), freq
 
@@ -215,8 +222,9 @@ class TestRandomLayerNoise:
         frozen_w, frozen_b = model.weights[0].copy(), model.biases[0].copy()
         rng = _RecordingRng(5)
         adam = fresh_adam(packer)
+        work = StepWorkspace(model, 1e-3, 1e-2)
         for _ in range(20):
-            random_layer_noise_step(model, bx, by, 0.5, 1e-3, 1e-2, adam, packer, rng)
+            random_layer_noise_step(model, bx, by, 0.5, adam, work, rng)
         assert 0 in rng.choices
         assert np.array_equal(model.weights[0], frozen_w)
         assert np.array_equal(model.biases[0], frozen_b)
@@ -224,6 +232,6 @@ class TestRandomLayerNoise:
     def test_negative_sigma_rejected(self):
         model, packer, bx, by = setup()
         with pytest.raises(ValueError):
-            random_layer_noise_step(model, bx, by, -0.1, 1e-3, 1e-2,
-                                    fresh_adam(packer), packer,
+            random_layer_noise_step(model, bx, by, -0.1, fresh_adam(packer),
+                                    StepWorkspace(model, 1e-3, 1e-2),
                                     np.random.default_rng(0))

@@ -2,13 +2,14 @@ import json
 import math
 from dataclasses import asdict
 
+import helpers
 import numpy as np
 import pytest
 
 from pactune import datasets, models, pipeline
-from pactune.bound import BoundConfig, init_noise_state
-from pactune.models import GroupPacker, ParamGroup
-from pactune.optim import Constant
+from pactune.bound import AutoGamma, BoundConfig, init_noise_state, pac_objective
+from pactune.models import GroupPacker, ParamGroup, StepWorkspace
+from pactune.optim import Constant, StepDecay
 from pactune.pipeline import (DivergenceError, Stage1Config, Stage2Config,
                               importance_ranking, metrics, noise_injection_finetune,
                               run_finetune, stage1_train, stage2_train,
@@ -322,3 +323,103 @@ class TestNoiseLearningContrast:
         full = learned_mean(1.0)
         assert loss_only <= init_mean
         assert loss_only < full
+
+
+class TestStepWorkspace:
+    """The loop's once-built workspace against a loop that rebuilds everything."""
+
+    @pytest.fixture
+    def run(self, toy_task):
+        pretrained, train, dev = toy_task
+        assert len(train) % 32 != 0  # a ragged last batch
+
+        def start(freeze):
+            model = models.replace_head(pretrained, np.random.default_rng(0))
+            model.freeze_first_layer = freeze
+            noise = init_noise_state(model, GroupPacker.for_model(model))
+            noise.params[:] += 0.2 * np.random.default_rng(1).standard_normal(
+                noise.params.size)
+            return model, noise, train, dev
+
+        return start
+
+    @staticmethod
+    def rngs():
+        return np.random.default_rng(10), np.random.default_rng(11)
+
+    @staticmethod
+    def assert_same(got, want):
+        (model, trace), (ref_model, ref_trace) = got, want
+        assert np.array_equal(model.theta, ref_model.theta)
+        assert trace == ref_trace
+
+    @pytest.mark.parametrize("freeze", [True, False])
+    def test_plain(self, run, freeze):
+        model, _, train, dev = run(freeze)
+        cfg = Stage2Config(epochs=3, lr_backbone=3e-3, lr_head=2e-2)
+        self.assert_same(
+            vanilla_finetune(model, train, dev, cfg, self.rngs()[0]),
+            helpers.reference_descend(model, train, dev, cfg, self.rngs()[0],
+                                      helpers.plain_step(cfg)))
+
+    @pytest.mark.parametrize("freeze", [True, False])
+    def test_pgd(self, run, freeze):
+        model, noise, train, dev = run(freeze)
+        before = noise.copy()
+        cfg = Stage2Config(epochs=3, weight_decay=False)
+        bound_cfg = BoundConfig(m=len(train))
+        data_rng, noise_rng = self.rngs()
+        got = stage2_train(model, noise, train, dev, cfg, data_rng, noise_rng,
+                           epoch_offset=4, bound_cfg=bound_cfg)
+        data_rng, noise_rng = self.rngs()
+        self.assert_same(got, helpers.reference_descend(
+            model, train, dev, cfg, data_rng, helpers.pgd_step(cfg, noise, noise_rng),
+            stage=2, epoch_offset=4,
+            diagnostics=helpers.stage2_diagnostics(noise, bound_cfg.delta, len(train))))
+        assert np.array_equal(noise.params, before.params)
+
+    @pytest.mark.parametrize("freeze", [True, False])
+    def test_random_layer_noise(self, run, freeze):
+        model, _, train, dev = run(freeze)
+        cfg = Stage2Config(epochs=3)
+        data_rng, noise_rng = self.rngs()
+        got = noise_injection_finetune(model, train, dev, cfg, 0.05, data_rng, noise_rng)
+        data_rng, noise_rng = self.rngs()
+        self.assert_same(got, helpers.reference_descend(
+            model, train, dev, cfg, data_rng,
+            helpers.random_layer_step(cfg, 0.05, noise_rng)))
+
+    @pytest.mark.parametrize("freeze", [True, False])
+    def test_stage1(self, run, freeze):
+        # the head's noise rate steps every 2 updates, so its vector is rebuilt
+        model, noise, train, dev = run(freeze)
+        cfg = small_stage1(epochs=3, lr_noise_head=StepDecay(0.5, 0.7, 2, 0.01))
+        bound_cfg = BoundConfig(m=len(train), gamma=AutoGamma(0.01, 10.0))
+        data_rng, noise_rng = self.rngs()
+        model_out, learned, trace = stage1_train(model, noise, train, dev, cfg,
+                                                 bound_cfg, data_rng, noise_rng)
+        data_rng, noise_rng = self.rngs()
+        ref_noise = noise.copy()
+        step, diagnostics = helpers.stage1_step(cfg, bound_cfg, ref_noise, noise_rng)
+        self.assert_same((model_out, trace), helpers.reference_descend(
+            model, train, dev, cfg, data_rng, step, stage=1, diagnostics=diagnostics))
+        assert np.array_equal(learned.params, ref_noise.params)
+
+    def test_returned_gradients_survive_the_next_step(self, run):
+        model, noise, train, _ = run(True)
+        work = StepWorkspace(model, 1e-3, 1e-2)
+        cfg = BoundConfig(m=len(train))
+        rng = np.random.default_rng(3)
+        x, y = train.x[:32], train.y[:32]
+        _, first = pac_objective(model, noise, x, y, cfg, rng, work=work)
+        kept = (first.weights.copy(), first.noise.copy())
+        _, second = pac_objective(model, noise, x, y, cfg, rng, work=work)
+        assert not np.array_equal(second.weights, kept[0])
+        assert np.array_equal(first.weights, kept[0])
+        assert np.array_equal(first.noise, kept[1])
+        buffers = (work.grad, work.noisy, work.lr, model.theta)
+        for grad in (first.weights, first.noise, second.weights, second.noise):
+            assert not any(np.shares_memory(grad, b) for b in buffers)
+        # the loss gradient stays in the workspace; no array is handed out
+        loss = models.loss_and_grads(model, work, work.params, x, y)
+        assert isinstance(loss, float)
