@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import logging
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -36,80 +35,208 @@ class ConfigError(Exception):
     pass
 
 
-DEFAULT_CONFIG = {
-    "task": {
-        "name": "blobs-rotate",
-        "source": None,  # explicit DatasetSpec fields; overrides "name"
-        "target": None,
-        "n_shot": 100,
-    },
-    "method": "pac-tuning",
-    "methods": ["pac-tuning", "vanilla", "noise-injection"],
-    "tasks": ["blobs-rotate", "spirals-shift", "xor-noise"],
-    "model": {
-        "hidden": [24, 12],
-        "activation": "tanh",
-        "freeze_first_layer": True,
-    },
-    "pretrain": {
-        "epochs": 200,
-        "batch_size": 32,
-        "lr_backbone": 3e-3,
-        "lr_head": 1e-2,
-        "seed": 0,
-    },
-    "stage1": {
-        "epochs": 150,
-        "batch_size": 32,
-        "lr_backbone": 1e-3,
-        "lr_head": 1e-2,
-        "lr_noise_backbone": 0.1,
-        "lr_noise_head": {"kind": "step-decay", "init": 0.5, "factor": 0.9,
-                          "every": 10, "floor": 0.01},
-        "decay_weights": True,
-        "l_pac_weight": 1.0,
-    },
-    "stage2": {
-        "epochs": 50,
-        "batch_size": 32,
-        "lr_backbone": 1e-3,
-        "lr_head": 1e-2,
-        "weight_decay": True,
-    },
-    "bound": {
-        "delta": 0.05,
-        "gamma": {"kind": "fixed", "value": 5.0, "low": 0.01, "high": 10.0},
-        "k": {"kind": "running", "ema_decay": 0.99, "value": 1.0},
-    },
-    "noise_injection": {"sigma": 0.01},
-    "seeds": [1, 2, 10, 26, 100],
-    "checkpoint": None,
-    "out_dir": "pactune-out",
-    "task_overrides": {},
+# --- the config schema ------------------------------------------------------------
+
+
+def _finite(v) -> bool:
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+class Leaf:
+    """A kind of leaf: ``ok(value)`` holds for its values, ``what`` names them.
+    An object value is also walked against ``fields``, ``required(value)`` present."""
+
+    def __init__(self, what: str, ok, fields=None, required=None):
+        self.what, self.ok, self.fields, self.required = what, ok, fields or {}, required
+
+    def check(self, value, key: str) -> None:
+        if not self.ok(value):
+            raise ConfigError(f"'{key}' must be {self.what}, got {value!r}")
+        if self.fields and isinstance(value, dict):
+            _walk(value, self.fields, f"{key}.", self.required(value))
+
+
+def one_of(allowed) -> Leaf:
+    return Leaf(f"one of {sorted(allowed)}", lambda v: isinstance(v, str) and v in allowed)
+
+
+class ListOf(Leaf):
+    """A non-empty list of one kind."""
+
+    def __init__(self, item: Leaf):
+        super().__init__("a non-empty list", lambda v: isinstance(v, list) and bool(v))
+        self.item = item
+
+    def check(self, value, key: str) -> None:
+        super().check(value, key)
+        for i, item in enumerate(value):
+            self.item.check(item, f"{key}[{i}]")
+
+
+class Tagged(Leaf):
+    """An object whose ``kind`` names the dataclass that its ``fields`` build. The
+    other kinds' fields may be present (a config file's object is merged onto the
+    default one): they are checked, not built. With ``number``, a bare number > 0
+    is valid too and builds ``number(value)``."""
+
+    def __init__(self, kinds: dict, fields: dict, number=None):
+        self.kinds = {name: (cls, [f.name for f in dataclasses.fields(cls)])
+                      for name, cls in kinds.items()}
+        self.number = number
+        super().__init__(
+            ("a number > 0 or " if number else "")
+            + f"an object whose 'kind' is one of {sorted(kinds)}",
+            lambda v: isinstance(v, dict) and v.get("kind") in kinds
+            or number is not None and POSITIVE.ok(v),
+            {"kind": one_of(kinds), **fields}, lambda v: self.kinds[v["kind"]][1])
+
+    def build(self, value):
+        if not isinstance(value, dict):
+            return self.number(value)
+        cls, names = self.kinds[value["kind"]]
+        return cls(**{name: value[name] for name in names})
+
+
+# int leaves take JSON integers only: 1.0 is rejected, not truncated
+COUNT = Leaf("an integer >= 1", lambda v: type(v) is int and v >= 1)
+SEED = Leaf("an integer >= 0", lambda v: type(v) is int and v >= 0)
+POSITIVE = Leaf("a finite number > 0", lambda v: _finite(v) and v > 0)
+NONNEGATIVE = Leaf("a finite number >= 0", lambda v: _finite(v) and v >= 0)
+FRACTION = Leaf("a number in (0, 1)", lambda v: _finite(v) and 0 < v < 1)
+BOOL = Leaf("true or false", lambda v: isinstance(v, bool))
+STRING = Leaf("a string", lambda v: isinstance(v, str))
+STRING_OR_NULL = Leaf("a string or null", lambda v: v is None or isinstance(v, str))
+SPEC = Leaf("null or an object", lambda v: v is None or isinstance(v, dict),
+            {f.name: {"int": SEED, "float": Leaf("a finite number", _finite),
+                      "str": STRING}[f.type]
+             for f in dataclasses.fields(datasets.DatasetSpec)}, lambda v: ["generator"])
+
+SCHEMA = {  # dotted leaf -> (default, kind)
+    "task.name": ("blobs-rotate", STRING),
+    # explicit DatasetSpec fields; they override "name"
+    "task.source": (None, SPEC),
+    "task.target": (None, SPEC),
+    "task.n_shot": (100, COUNT),
+    "method": ("pac-tuning", one_of(pipeline.METHODS)),
+    "methods": (["pac-tuning", "vanilla", "noise-injection"],
+                ListOf(one_of(pipeline.METHODS))),
+    "tasks": (["blobs-rotate", "spirals-shift", "xor-noise"],
+              ListOf(one_of(datasets.BUILTIN_TASKS))),
+    "model.hidden": ([24, 12], ListOf(COUNT)),
+    "model.activation": ("tanh", one_of(models.ACTIVATIONS)),
+    "model.freeze_first_layer": (True, BOOL),
+    "pretrain.epochs": (200, COUNT),
+    "pretrain.batch_size": (32, COUNT),
+    "pretrain.lr_backbone": (3e-3, POSITIVE),
+    "pretrain.lr_head": (1e-2, POSITIVE),
+    "pretrain.seed": (0, SEED),
+    "stage1.epochs": (150, COUNT),
+    "stage1.batch_size": (32, COUNT),
+    "stage1.lr_backbone": (1e-3, POSITIVE),
+    "stage1.lr_head": (1e-2, POSITIVE),
+    "stage1.lr_noise_backbone": (0.1, POSITIVE),
+    "stage1.lr_noise_head": (
+        {"kind": "step-decay", "init": 0.5, "factor": 0.9, "every": 10, "floor": 0.01},
+        Tagged({"constant": optim.Constant, "step-decay": optim.StepDecay},
+               {"value": POSITIVE, "init": POSITIVE, "factor": POSITIVE, "every": COUNT,
+                "floor": POSITIVE}, number=optim.Constant)),
+    "stage1.decay_weights": (True, BOOL),
+    "stage1.l_pac_weight": (1.0, NONNEGATIVE),
+    "stage2.epochs": (50, COUNT),
+    "stage2.batch_size": (32, COUNT),
+    "stage2.lr_backbone": (1e-3, POSITIVE),
+    "stage2.lr_head": (1e-2, POSITIVE),
+    "stage2.weight_decay": (True, BOOL),
+    "bound.delta": (0.05, FRACTION),
+    "bound.gamma": ({"kind": "fixed", "value": 5.0, "low": 0.01, "high": 10.0},
+                    Tagged({"fixed": bound.FixedGamma, "auto": bound.AutoGamma},
+                           {"value": POSITIVE, "low": POSITIVE, "high": POSITIVE})),
+    "bound.k": ({"kind": "running", "ema_decay": 0.99, "value": 1.0},
+                Tagged({"fixed": bound.FixedK, "running": bound.RunningK},
+                       {"value": POSITIVE, "ema_decay": FRACTION})),
+    "noise_injection.sigma": (0.01, NONNEGATIVE),
+    "seeds": ([1, 2, 10, 26, 100], ListOf(SEED)),
+    "checkpoint": (None, STRING_OR_NULL),
+    "out_dir": ("pactune-out", STRING),
+    # task name -> partial config, checked by _check and as the task's view
+    "task_overrides": ({}, Leaf("an object", lambda v: isinstance(v, dict))),
 }
 
-_DATASET_FIELDS = {
-    "generator", "n", "seed", "classes", "dim", "separation", "class_std",
-    "noise_std", "rotation_degrees", "shift", "path", "label_column",
-}
+# a task's view takes these from the base config: an override would be ignored
+BASE_ONLY = {"seeds", "methods", "method", "tasks", "out_dir", "checkpoint",
+             "task_overrides", "task.name", "task.source", "task.target"}
 
 
-def _check_keys(user, defaults, path=""):
-    for key, value in user.items():
-        where = f"{path}.{key}" if path else key
-        if key not in defaults:
-            raise ConfigError(f"unknown config key '{where}'")
-        if isinstance(defaults[key], dict) and isinstance(value, dict) \
-                and key not in ("task_overrides",):
-            _check_keys(value, defaults[key], where)
+def _nest(flat: dict) -> dict:
+    """``{"a.b": v}`` -> ``{"a": {"b": v}}``."""
+    tree: dict = {}
+    for dotted, value in flat.items():
+        *sections, leaf = dotted.split(".")
+        node = tree
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[leaf] = value
+    return tree
 
 
-def _check_dataset_dict(d, where):
-    if d is None:
-        return
-    for key in d:
-        if key not in _DATASET_FIELDS:
-            raise ConfigError(f"unknown dataset key '{where}.{key}'")
+DEFAULT_CONFIG = _nest({leaf: default for leaf, (default, _) in SCHEMA.items()})
+_TREE = _nest({leaf: kind for leaf, (_, kind) in SCHEMA.items()})
+
+
+def _walk(node, tree: dict, path: str, required=None) -> None:
+    """Check an object against ``tree`` (name -> kind or subtree), naming keys
+    after ``path``; only names in ``required`` (by default all) must be present."""
+    if not isinstance(node, dict):
+        raise ConfigError(f"'{path[:-1]}' must be an object, got {node!r}")
+    for name in node:
+        if name not in tree:
+            raise ConfigError(f"unknown config key '{path}{name}'")
+    for name, kind in tree.items():
+        if name not in node:
+            if required is None or name in required:
+                raise ConfigError(f"'{path}{name}' is missing")
+        elif isinstance(kind, dict):
+            _walk(node[name], kind, f"{path}{name}.")
+        else:
+            kind.check(node[name], path + name)
+
+
+def _check(config: dict, prefix: str = "") -> None:
+    """Walk a config against the table, then apply the rules that join leaves."""
+    _walk(config, _TREE, prefix)
+    task = config["task"]
+    try:
+        pair = resolve_task(config)
+    except ValueError as e:
+        where = "task.name" if task["source"] is task["target"] is None else "task"
+        raise ConfigError(f"'{prefix}{where}' is invalid: {e}") from e
+    if pair.target.generator != "csv" and task["n_shot"] >= pair.target.n:
+        raise ConfigError(f"'{prefix}task.n_shot' must be below {pair.target.n}, the "
+                          f"size of the target task, got {task['n_shot']!r}")
+    gamma = config["bound"]["gamma"]
+    if gamma["kind"] == "auto" and gamma["low"] > gamma["high"]:
+        raise ConfigError(f"'{prefix}bound.gamma' needs low <= high, got {gamma!r}")
+    for task_name, override in config["task_overrides"].items():
+        at = f"{prefix}task_overrides.{task_name}"
+        if task_name not in config["tasks"]:
+            raise ConfigError(f"'{at}' names a task not in 'tasks'")
+        if not isinstance(override, dict) \
+                or not isinstance(override.get("task", {}), dict):
+            raise ConfigError(f"'{at}' must be an object of config sections")
+        ignored = BASE_ONLY & {*override, *(f"task.{k}" for k in override.get("task", {}))}
+        if ignored:
+            raise ConfigError(f"'{at}.{min(ignored)}' cannot be set per task")
+
+
+_PATHS = {*_TREE, *SCHEMA, *(f"{leaf}.{name}" for leaf, (_, kind) in SCHEMA.items()
+                             for name in kind.fields)}
+
+
+def _known(dotted: list[str]) -> bool:
+    """Whether the table knows a path, down into objects and task overrides."""
+    if dotted[0] == "task_overrides" and len(dotted) > 1:  # a task, then its leaves
+        return len(dotted) == 2 or _known(dotted[2:])
+    return ".".join(dotted) in _PATHS
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -134,20 +261,15 @@ def _parse_set(entry: str) -> tuple[list[str], object]:
 
 
 def _apply_set(config: dict, dotted: list[str], value) -> None:
+    """Replace one leaf or object that the table knows."""
+    if not _known(dotted):
+        raise ConfigError(f"--set path '{'.'.join(dotted)}' does not exist")
     node = config
     for part in dotted[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"--set path '{'.'.join(dotted)}' does not exist")
-        node = node[part]
-    leaf = dotted[-1]
-    if not isinstance(node, dict) or leaf not in node:
-        # allow introducing keys inside free-form sections (dataset specs, overrides)
-        free_form = any(p in ("source", "target", "task_overrides") for p in dotted)
-        if not free_form:
-            raise ConfigError(f"--set path '{'.'.join(dotted)}' does not exist")
+        node = node.setdefault(part, {})
         if not isinstance(node, dict):
-            raise ConfigError(f"--set path '{'.'.join(dotted)}' does not exist")
-    node[leaf] = value
+            raise ConfigError(f"--set path '{'.'.join(dotted)}' crosses a non-object")
+    node[dotted[-1]] = value
 
 
 def load_config(path: str | None, sets=(), seed: int | None = None,
@@ -162,208 +284,50 @@ def load_config(path: str | None, sets=(), seed: int | None = None,
             raise ConfigError(f"config is not valid JSON: {e}") from e
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_keys(user, DEFAULT_CONFIG)
-    _check_dataset_dict(user.get("task", {}).get("source"), "task.source")
-    _check_dataset_dict(user.get("task", {}).get("target"), "task.target")
     config = _deep_merge(DEFAULT_CONFIG, user)
     for entry in sets:
-        dotted, value = _parse_set(entry)
-        _apply_set(config, dotted, value)
+        _apply_set(config, *_parse_set(entry))
     if seed is not None:
-        config["seeds"] = [int(seed)]
+        config["seeds"] = [seed]
     if out is not None:
         config["out_dir"] = out
-    _check_values(config)
-    overrides = config["task_overrides"]
-    for task_name, override in overrides.items():
-        where = f"task_overrides.{task_name}"
-        if task_name not in config["tasks"]:
-            raise ConfigError(f"'{where}' names a task not in 'tasks'")
-        if not isinstance(override, dict):
-            raise ConfigError(f"'{where}' must be an object")
-        _check_keys(override, DEFAULT_CONFIG, where)
+    _check(config)
     for task_name in config["tasks"]:
-        prefix = f"task_overrides.{task_name}." if task_name in overrides else ""
-        _check_values(task_config(config, task_name), prefix)
+        overridden = task_name in config["task_overrides"]
+        _check(task_config(config, task_name),
+               f"task_overrides.{task_name}." if overridden else "")
     return config
 
 
-def _check_values(config: dict, prefix: str = "") -> None:
-    """Reject out-of-range leaves, naming the key; ``prefix`` locates the config.
-
-    The stage and bound objects are built here once, so their builders are
-    the single place where their values are validated.
-    """
-
-    def require(value, dotted, ok, what):
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not ok(value):
-            raise ConfigError(f"'{prefix}{dotted}' must be {what}, got {value!r}")
-
-    def one_of(value, dotted, allowed):
-        if not isinstance(value, str) or value not in allowed:
-            raise ConfigError(f"'{prefix}{dotted}' must be one of {sorted(allowed)}, "
-                              f"got {value!r}")
-
-    def of_type(value, dotted, types, what):
-        if not isinstance(value, types):
-            raise ConfigError(f"'{prefix}{dotted}' must be {what}, got {value!r}")
-
-    for section in (k for k, v in DEFAULT_CONFIG.items() if isinstance(v, dict)):
-        if not isinstance(config[section], dict):
-            raise ConfigError(f"'{prefix}{section}' must be an object")
-    # int leaves take JSON integers only: 1.0 is rejected, not truncated
-    at_least_one = (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1")
-    seed = (lambda v: isinstance(v, int) and v >= 0, "an integer >= 0")
-    positive = (lambda v: v > 0, "a number > 0")
-    for section in ("pretrain", "stage1", "stage2"):
-        c = config[section]
-        require(c["epochs"], f"{section}.epochs", *at_least_one)
-        require(c["batch_size"], f"{section}.batch_size", *at_least_one)
-        for key in ("lr_backbone", "lr_head", "lr_noise_backbone"):
-            if key in c:
-                require(c[key], f"{section}.{key}", *positive)
-    require(config["pretrain"]["seed"], "pretrain.seed", *seed)
-    for dotted in ("model.freeze_first_layer", "stage1.decay_weights",
-                   "stage2.weight_decay"):
-        section, key = dotted.split(".")
-        of_type(config[section][key], dotted, bool, "true or false")
-    require(config["stage1"]["l_pac_weight"], "stage1.l_pac_weight",
-            lambda v: v >= 0, "a number >= 0")
-    of_type(config["out_dir"], "out_dir", str, "a path string")
-    of_type(config["checkpoint"], "checkpoint", (str, type(None)),
-            "a path string or null")
-    sched = config["stage1"]["lr_noise_head"]
-    if not isinstance(sched, dict):
-        require(sched, "stage1.lr_noise_head", *positive)
-    elif sched.get("kind") == "constant":
-        require(sched.get("value"), "stage1.lr_noise_head.value", *positive)
-    elif sched.get("kind") == "step-decay":
-        require(sched.get("init"), "stage1.lr_noise_head.init", *positive)
-        require(sched.get("factor"), "stage1.lr_noise_head.factor", *positive)
-        require(sched.get("every"), "stage1.lr_noise_head.every", *at_least_one)
-        require(sched.get("floor"), "stage1.lr_noise_head.floor", *positive)
-    require(config["task"]["n_shot"], "task.n_shot", *at_least_one)
-    name = config["task"]["name"]
-    if config["task"]["target"] is None and name in datasets.BUILTIN_TASKS:
-        size = datasets.BUILTIN_TASKS[name].target.n
-        require(config["task"]["n_shot"], "task.n_shot", lambda v: v < size,
-                f"below {size}, the size of task '{name}'")
-    require(config["noise_injection"]["sigma"], "noise_injection.sigma",
-            lambda v: v >= 0, "a number >= 0")
-    if not isinstance(config["seeds"], list) or not config["seeds"]:
-        raise ConfigError(f"'{prefix}seeds' must be a nonempty list")
-    for i, run_seed in enumerate(config["seeds"]):
-        require(run_seed, f"seeds[{i}]", *seed)
-    if not isinstance(config["tasks"], list):
-        raise ConfigError(f"'{prefix}tasks' must be a list of task names")
-    for i, task_name in enumerate(config["tasks"]):
-        one_of(task_name, f"tasks[{i}]", datasets.BUILTIN_TASKS)
-    one_of(config["method"], "method", pipeline.METHODS)
-    if not isinstance(config["methods"], list) or not config["methods"]:
-        raise ConfigError(f"'{prefix}methods' must be a nonempty list of methods")
-    for i, method in enumerate(config["methods"]):
-        one_of(method, f"methods[{i}]", pipeline.METHODS)
-    hidden = config["model"]["hidden"]
-    if not isinstance(hidden, list):
-        raise ConfigError(f"'{prefix}model.hidden' must be a list of widths")
-    for i, width in enumerate(hidden):
-        require(width, f"model.hidden[{i}]", *at_least_one)
-    one_of(config["model"]["activation"], "model.activation", models.ACTIVATIONS)
-    build_stage1(config, prefix)
-    build_stage2(config, prefix)
-    build_bound(config, m=int(config["task"]["n_shot"]), prefix=prefix)
-
-
 # --- config -> domain objects ---------------------------------------------------
-
-
-def _dataset_spec(d: dict) -> datasets.DatasetSpec:
-    try:
-        return datasets.DatasetSpec(**d)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad dataset spec: {e}") from e
+# Each builder takes a config that load_config has checked, so it only builds.
 
 
 def resolve_task(config: dict) -> datasets.TransferPair:
     task = config["task"]
-    if task.get("source") is not None or task.get("target") is not None:
-        if task.get("source") is None or task.get("target") is None:
-            raise ConfigError("explicit tasks need both task.source and task.target")
-        return datasets.TransferPair(_dataset_spec(task["source"]),
-                                     _dataset_spec(task["target"]))
-    try:
+    specs = [task["source"], task["target"]]
+    if specs == [None, None]:
         return datasets.builtin_task(task["name"])
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-
-
-@contextmanager
-def _naming(key: str):
-    """Report a KeyError, TypeError or ValueError raised inside as a bad ``key``."""
-    try:
-        yield
-    except (KeyError, TypeError, ValueError) as e:
-        detail = f"missing key {e}" if isinstance(e, KeyError) else str(e)
-        raise ConfigError(f"'{key}' is invalid: {detail}") from e
+    if None in specs:
+        raise ValueError("explicit tasks need both task.source and task.target")
+    return datasets.TransferPair(*(datasets.DatasetSpec(**spec) for spec in specs))
 
 
 def build_stage1(config: dict, prefix: str = "") -> pipeline.Stage1Config:
     c = config["stage1"]
-    sched = c["lr_noise_head"]
-    with _naming(f"{prefix}stage1.lr_noise_head"):
-        if not isinstance(sched, dict):
-            lr_noise_head = optim.Constant(float(sched))
-        elif sched["kind"] == "constant":
-            lr_noise_head = optim.Constant(float(sched["value"]))
-        elif sched["kind"] == "step-decay":
-            lr_noise_head = optim.StepDecay(float(sched["init"]), float(sched["factor"]),
-                                            int(sched["every"]), float(sched["floor"]))
-        else:
-            raise ValueError(f"unknown schedule kind {sched['kind']!r}")
-    with _naming(f"{prefix}stage1"):
-        return pipeline.Stage1Config(
-            epochs=int(c["epochs"]), batch_size=int(c["batch_size"]),
-            lr_backbone=float(c["lr_backbone"]), lr_head=float(c["lr_head"]),
-            lr_noise_backbone=float(c["lr_noise_backbone"]),
-            lr_noise_head=lr_noise_head, decay_weights=bool(c["decay_weights"]),
-            l_pac_weight=float(c["l_pac_weight"]))
+    schedule = SCHEMA["stage1.lr_noise_head"][1].build(c["lr_noise_head"])
+    return pipeline.Stage1Config(**dict(c, lr_noise_head=schedule))
 
 
 def build_stage2(config: dict, prefix: str = "") -> pipeline.Stage2Config:
-    c = config["stage2"]
-    with _naming(f"{prefix}stage2"):
-        return pipeline.Stage2Config(
-            epochs=int(c["epochs"]), batch_size=int(c["batch_size"]),
-            lr_backbone=float(c["lr_backbone"]), lr_head=float(c["lr_head"]),
-            weight_decay=bool(c["weight_decay"]))
+    return pipeline.Stage2Config(**config["stage2"])
 
 
 def build_bound(config: dict, m: int, prefix: str = "") -> bound.BoundConfig:
     c = config["bound"]
-    with _naming(f"{prefix}bound.gamma"):
-        g = c["gamma"]
-        if g["kind"] == "fixed":
-            gamma = bound.FixedGamma(float(g["value"]))
-        elif g["kind"] == "auto":
-            gamma = bound.AutoGamma(float(g["low"]), float(g["high"]))
-        else:
-            raise ValueError(f"unknown gamma kind {g['kind']!r}")
-    with _naming(f"{prefix}bound.k"):
-        k = c["k"]
-        if k["kind"] == "fixed":
-            k_mode = bound.FixedK(float(k["value"]))
-        elif k["kind"] == "running":
-            k_mode = bound.RunningK(float(k["ema_decay"]))
-        else:
-            raise ValueError(f"unknown K kind {k['kind']!r}")
-    with _naming(f"{prefix}bound"):
-        return bound.BoundConfig(m=m, delta=float(c["delta"]), gamma=gamma, k=k_mode)
-
-
-def _layer_sizes(config: dict, input_dim: int, n_classes: int) -> list[int]:
-    hidden = [int(h) for h in config["model"]["hidden"]]
-    return [input_dim] + hidden + [n_classes]
+    return bound.BoundConfig(m=m, delta=c["delta"],
+                             gamma=SCHEMA["bound.gamma"][1].build(c["gamma"]),
+                             k=SCHEMA["bound.k"][1].build(c["k"]))
 
 
 # --- run assembly ---------------------------------------------------------------
@@ -379,12 +343,9 @@ def task_config(config: dict, task_name: str) -> dict:
 
 def pretrain_for_task(config: dict, pair: datasets.TransferPair) -> models.MLPClassifier:
     source = datasets.generate(pair.source)
-    sizes = _layer_sizes(config, source.dim, source.n_classes)
-    p = config["pretrain"]
-    return pipeline.pretrain_model(
-        source, sizes, epochs=int(p["epochs"]), batch_size=int(p["batch_size"]),
-        lr_backbone=float(p["lr_backbone"]), lr_head=float(p["lr_head"]),
-        seed=int(p["seed"]), activation=config["model"]["activation"])
+    sizes = [source.dim, *config["model"]["hidden"], source.n_classes]
+    return pipeline.pretrain_model(source, sizes, **config["pretrain"],
+                                   activation=config["model"]["activation"])
 
 
 def run_single(config: dict, pretrained: models.MLPClassifier, seed: int,
@@ -393,7 +354,7 @@ def run_single(config: dict, pretrained: models.MLPClassifier, seed: int,
                                                    bound.NoiseState | None]:
     pair = resolve_task(config)
     target = datasets.generate(pair.target)
-    train, dev = datasets.few_shot_sample(target, int(config["task"]["n_shot"]), seed)
+    train, dev = datasets.few_shot_sample(target, config["task"]["n_shot"], seed)
     method = method or config["method"]
     try:
         return pipeline.run_finetune(
@@ -401,7 +362,7 @@ def run_single(config: dict, pretrained: models.MLPClassifier, seed: int,
             stage1=build_stage1(config), stage2=build_stage2(config),
             bound_cfg=build_bound(config, m=len(train)),
             freeze_first_layer=config["model"]["freeze_first_layer"],
-            noise_sigma=float(config["noise_injection"]["sigma"]),
+            noise_sigma=config["noise_injection"]["sigma"],
             config_echo=config)
     except pipeline.DivergenceError as e:  # name the run
         raise pipeline.DivergenceError(
@@ -413,7 +374,7 @@ def _benchmark_run(payload) -> dict:
     config, pretrained, task_name, method, seed = payload
     record, _, _ = run_single(config, pretrained, seed, method=method)
     record.final["task"] = task_name
-    return asdict(record)
+    return dataclasses.asdict(record)
 
 
 def run_benchmark(config: dict, workers: int = 1):
@@ -431,7 +392,7 @@ def run_benchmark(config: dict, workers: int = 1):
         for method in config["methods"]:
             for seed in config["seeds"]:
                 specs.append((cfg_t, pretrained_by_task[task_name], task_name,
-                              method, int(seed)))
+                              method, seed))
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -503,9 +464,9 @@ def cmd_pretrain(config: dict) -> int:
     pair = resolve_task(config)
     out = _ensure_out(config)
     model = pretrain_for_task(config, pair)
-    provenance = {"seed": int(config["pretrain"]["seed"]),
+    provenance = {"seed": config["pretrain"]["seed"],
                   "task": config["task"]["name"],
-                  "epoch": int(config["pretrain"]["epochs"])}
+                  "epoch": config["pretrain"]["epochs"]}
     path = out / "pretrained.json"
     _write_outputs([(path, lambda p: models.save_checkpoint(model, p, provenance))])
     source = datasets.generate(pair.source)
@@ -524,7 +485,7 @@ def cmd_finetune(config: dict) -> int:
     except OSError as e:
         raise ConfigError(f"cannot read checkpoint: {e}") from e
     out = _ensure_out(config)
-    seed = int(config["seeds"][0])
+    seed = config["seeds"][0]
     record, model, noise = run_single(config, pretrained, seed)
     method = config["method"]
     stem = f"{config['task']['name']}__{method}__seed{seed}"
@@ -536,7 +497,7 @@ def cmd_finetune(config: dict) -> int:
          lambda p: models.save_checkpoint(model, p, provenance)),
     ]
     if noise is not None:
-        noise.anchor_checkpoint = str(config["checkpoint"])
+        noise.anchor_checkpoint = config["checkpoint"]
         writers.append((out / f"{stem}__noise.json",
                         lambda p: bound.save_noise_state(noise, p)))
     _write_outputs(writers)

@@ -146,33 +146,36 @@ def _descend(model: MLPClassifier, train: Dataset, dev: Dataset, cfg, data_rng,
     work = StepWorkspace(model, cfg.lr_backbone, cfg.lr_head)
     adam = AdamState(work.packer.trainable_size)
     trace = []
-    for epoch in range(epoch_offset, epoch_offset + cfg.epochs):
-        sums, n_batches = (0.0,) * 4, 0
-        for idx in batch_indices(len(train), cfg.batch_size, data_rng):
-            try:
-                terms = step(model, train.x[idx], train.y[idx], adam, work)
-            except ad.NumericsError as e:
-                raise DivergenceError(f"{label} diverged at epoch {epoch}: {e}") from e
-            sums = tuple(s + t for s, t in zip(sums, terms))
-            n_batches += 1
-        l_train, l_pac, kl_b, kl_h = (s / n_batches for s in sums)
-        kl_b, kl_h, mean_var_b, mean_var_h, bound_diag = \
-            diagnostics(model, work.packer, kl_b, kl_h) if diagnostics else (0.0,) * 5
-        dev_metrics = evaluate(model, dev)
-        trace.append({
-            "epoch": epoch,
-            "stage": stage,
-            "j_total": l_train + l_pac,
-            "l_train": l_train,
-            "l_pac": l_pac,
-            "kl_backbone": kl_b,
-            "kl_head": kl_h,
-            "generic_bound": bound_diag,
-            "mean_var_backbone": mean_var_b,
-            "mean_var_head": mean_var_h,
-            "dev_accuracy": dev_metrics["accuracy"],
-            "dev_mcc": dev_metrics["mcc"],
-        })
+    # a divergence ends as one DivergenceError from the finiteness guards,
+    # not as numpy warnings on stderr ahead of it, in workers too
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(epoch_offset, epoch_offset + cfg.epochs):
+            sums, n_batches = (0.0,) * 4, 0
+            for idx in batch_indices(len(train), cfg.batch_size, data_rng):
+                try:
+                    terms = step(model, train.x[idx], train.y[idx], adam, work)
+                except ad.NumericsError as e:
+                    raise DivergenceError(f"{label} diverged at epoch {epoch}: {e}") from e
+                sums = tuple(s + t for s, t in zip(sums, terms))
+                n_batches += 1
+            l_train, l_pac, kl_b, kl_h = (s / n_batches for s in sums)
+            kl_b, kl_h, mean_var_b, mean_var_h, bound_diag = \
+                diagnostics(model, work.packer, kl_b, kl_h) if diagnostics else (0.0,) * 5
+            dev_metrics = evaluate(model, dev)
+            trace.append({
+                "epoch": epoch,
+                "stage": stage,
+                "j_total": l_train + l_pac,
+                "l_train": l_train,
+                "l_pac": l_pac,
+                "kl_backbone": kl_b,
+                "kl_head": kl_h,
+                "generic_bound": bound_diag,
+                "mean_var_backbone": mean_var_b,
+                "mean_var_head": mean_var_h,
+                "dev_accuracy": dev_metrics["accuracy"],
+                "dev_mcc": dev_metrics["mcc"],
+            })
     return model, trace
 
 

@@ -1,11 +1,12 @@
 import json
 import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pactune import cli, datasets
+from pactune import cli, datasets, optim
 from pactune.cli import (EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_OK, ConfigError,
                          load_config, main)
 
@@ -32,6 +33,52 @@ def tiny_config(tmp_path, **extra):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+# what a kind accepts -> a value of the wrong type, then one out of its range
+_BAD = {
+    "an integer >= 1": ['"1"', "0"],
+    "an integer >= 0": ["1.5", "-1"],
+    "a finite number > 0": ['"1"', "0"],
+    "a finite number >= 0": ["true", "-1"],
+    "a number in (0, 1)": ['"0.5"', "1"],
+    "a finite number": ['"1"', "1e400"],
+    "true or false": ["1"],
+    "a string": ["5"],
+    "a string or null": ["[]"],
+    "an object": ["[]"],
+    "null or an object": ["5"],
+}
+
+
+def _bad_values(kind):
+    if isinstance(kind, cli.ListOf):
+        return ["5", "[]"]
+    if isinstance(kind, cli.Tagged):
+        return ['"fast"', '{"kind": "nope"}']
+    if kind.what.startswith("one of"):
+        return ["5", '"nope"']
+    return _BAD[kind.what]
+
+
+def _schema_sweep():
+    """(--set entry, the key its error names) for each leaf and field of the table."""
+    for leaf, (_, kind) in cli.SCHEMA.items():
+        if leaf == "out_dir":  # --out replaces it; see test_non_string_out_dir_...
+            continue
+        for value in _bad_values(kind):
+            yield f"{leaf}={value}", leaf
+        if isinstance(kind, cli.ListOf):
+            for value in _bad_values(kind.item):
+                yield f"{leaf}=[{value}]", f"{leaf}[0]"
+        for name, field in kind.fields.items():
+            key = leaf if name == "kind" else f"{leaf}.{name}"  # a bad kind is the union's
+            for value in _bad_values(field):
+                if kind is cli.SPEC:  # null by default, so set the whole object
+                    spec = json.dumps({"generator": "blobs", name: json.loads(value)})
+                    yield f"{leaf}={spec}", key
+                else:
+                    yield f"{leaf}.{name}={value}", key
 
 
 class TestConfig:
@@ -122,6 +169,35 @@ class TestConfig:
         ('pretrain.seed="x"', "pretrain.seed"),
         ("stage1.l_pac_weight=-1", "stage1.l_pac_weight"),
         ("checkpoint=5", "checkpoint"),
+        ('stage1={"epochs": 5}', "stage1.batch_size"),
+        ('model={"hidden": [4]}', "model.activation"),
+        ('task={"name": "blobs-rotate"}', "task.source"),
+        ('task_overrides={"xor-noise": {"seeds": [3]}}', "task_overrides.xor-noise.seeds"),
+        ('task_overrides={"xor-noise": {"methods": ["vanilla"]}}',
+         "task_overrides.xor-noise.methods"),
+        ('task_overrides={"xor-noise": {"method": "vanilla"}}',
+         "task_overrides.xor-noise.method"),
+        ('task_overrides={"xor-noise": {"tasks": ["xor-noise"]}}',
+         "task_overrides.xor-noise.tasks"),
+        ('task_overrides={"xor-noise": {"out_dir": "elsewhere"}}',
+         "task_overrides.xor-noise.out_dir"),
+        ('task_overrides={"xor-noise": {"checkpoint": "c.json"}}',
+         "task_overrides.xor-noise.checkpoint"),
+        ('task_overrides={"xor-noise": {"task_overrides": {}}}',
+         "task_overrides.xor-noise.task_overrides"),
+        ('task_overrides={"xor-noise": {"task": {"name": "blobs-rotate"}}}',
+         "task_overrides.xor-noise.task.name"),
+        ('task_overrides={"xor-noise": {"task": {"source": null}}}',
+         "task_overrides.xor-noise.task.source"),
+        ('task_overrides={"xor-noise": {"task": {"target": null}}}',
+         "task_overrides.xor-noise.task.target"),
+        ('bound.delta="0.5"', "bound.delta"),
+        ('bound.gamma.value="5"', "bound.gamma.value"),
+        ("bound.gamma.value=true", "bound.gamma.value"),
+        ('bound.k.ema_decay="0.5"', "bound.k.ema_decay"),
+        ("pretrain.lr_backbone=1e400", "pretrain.lr_backbone"),
+        ("stage1.lr_head=Infinity", "stage1.lr_head"),
+        ('bound.k={"kind": "fixed", "value": 1, "bogus": 3}', "bound.k.bogus"),
     ])
     def test_invalid_leaf_exits_config_before_work(self, tmp_path, capsys, setting,
                                                    key):
@@ -141,6 +217,41 @@ class TestConfig:
         assert code == EXIT_CONFIG
         assert err.startswith("config error:") and "'out_dir'" in err
         assert list(tmp_path.iterdir()) == []
+
+
+    def test_n_shot_below_an_explicit_target_size(self, tmp_path):
+        with pytest.raises(ConfigError, match="'task.n_shot' must be below 160"):
+            load_config(tiny_config(tmp_path), sets=["task.n_shot=160"])
+
+    @pytest.mark.parametrize("where", ["file", "task_overrides"])
+    def test_constant_noise_head_schedule_loads(self, tmp_path, where):
+        constant = {"stage1": {"lr_noise_head": {"kind": "constant", "value": 0.1}}}
+        doc = constant if where == "file" else {"task_overrides": {"xor-noise": constant}}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        cfg = cli.task_config(load_config(str(path)), "xor-noise")
+        assert cli.build_stage1(cfg).lr_noise_head == optim.Constant(0.1)
+
+    def test_schema_leaves_are_the_defaults_leaves_and_documented(self):
+        def leaves(node, path=""):
+            for key, value in node.items():  # a tagged union or an empty map is a leaf
+                if isinstance(value, dict) and value and "kind" not in value:
+                    yield from leaves(value, f"{path}{key}.")
+                else:
+                    yield path + key
+
+        assert list(leaves(cli.DEFAULT_CONFIG)) == list(cli.SCHEMA)
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert [leaf for leaf in cli.SCHEMA if f"`{leaf}`" not in readme] == []
+
+    @pytest.mark.parametrize("setting, key", list(_schema_sweep()))
+    def test_schema_sweep_exits_config_before_work(self, tmp_path, capsys, setting, key):
+        code = main(["pretrain", "--out", str(tmp_path / "out"), "--set", setting])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error:") and f"'{key}'" in err, err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestGenerateData:
@@ -284,14 +395,18 @@ class TestBenchmark:
         report2, _, _ = cli.run_benchmark(load_config(cfg_path), workers=2)
         assert json.dumps(report1, sort_keys=True) == json.dumps(report2, sort_keys=True)
 
-    def test_divergence_in_a_worker_names_the_run(self, tmp_path, capsys):
+    # pytest records warnings instead of printing them, so a numpy warning in
+    # a worker fails the run here; capfd also takes the workers' stderr
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_divergence_in_a_worker_names_the_run(self, tmp_path, capfd):
         cfg_path = self.bench_config(tmp_path, out_name="div")
         code = main(["benchmark", "--config", cfg_path, "--workers", "2",
                      "--set", "stage1.lr_head=1e308"])
-        err = capsys.readouterr().err
+        err = capfd.readouterr().err
         assert code == EXIT_DIVERGENCE
         assert re.search(r"^numeric divergence: blobs-rotate pac-tuning seed [12]: "
                          r"stage 1 diverged at epoch \d+: ", err), err
+        assert len(err.splitlines()) == 1, err
 
     def test_task_override_applies(self, tmp_path):
         cfg_path = self.bench_config(tmp_path, out_name="ovr")
