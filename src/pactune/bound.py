@@ -12,7 +12,10 @@ closed-form minimizer over a user range, and K tracks the dispersion of
 per-batch losses. Everything except gamma and K is differentiable; both are
 treated as per-step constants. ``pac_objective`` takes J's gradients in
 closed form in the descent loop's ``StepWorkspace``; the tape in ``autodiff``
-is only the tests' oracle for them.
+is only the tests' oracle for them. Each group's KL and the sum its prior
+derivative needs come from one pass (``_kl``), which the checked public
+``kl_diag_vs_isotropic`` shares; a noise draw is one ``standard_normal``
+vector put on the weights by ``kernels.apply_noise``.
 
 Variances are modeled as exp(2p) so positivity is structural, and p is
 initialized at the log magnitude of the initial weights (floored, since
@@ -196,13 +199,21 @@ def load_noise_state(path, anchors: np.ndarray | None = None) -> NoiseState:
                       doc.get("anchor_checkpoint"))
 
 
+def _kl(diff: np.ndarray, var: np.ndarray, var_p: float) -> tuple[float, float]:
+    """KL(N(mu_p + diff, diag(var)) || N(mu_p, var_p I)) in one pass, and the
+    sum s = sum var + ||diff||^2 that the prior's derivative reuses:
+
+    0.5 * [ s / var_p - d + d ln var_p - sum ln var ]
+    """
+    d = diff.size
+    s = float(np.sum(var)) + float(np.sum(diff * diff))
+    return 0.5 * (s / var_p - d + d * math.log(var_p) - float(np.sum(np.log(var)))), s
+
+
 def kl_diag_vs_isotropic(mu_q: np.ndarray, var_q: np.ndarray, mu_p: np.ndarray,
                          var_p: float) -> float:
-    """KL(N(mu_q, diag(var_q)) || N(mu_p, var_p I)) in closed form.
-
-    0.5 * [ sum var_q / var_p + ||mu_q - mu_p||^2 / var_p - d
-            + sum ln(var_p / var_q) ]
-    """
+    """KL(N(mu_q, diag(var_q)) || N(mu_p, var_p I)) in closed form, after
+    checking its inputs."""
     mu_q = np.asarray(mu_q, dtype=np.float64)
     var_q = np.asarray(var_q, dtype=np.float64)
     mu_p = np.asarray(mu_p, dtype=np.float64)
@@ -210,12 +221,9 @@ def kl_diag_vs_isotropic(mu_q: np.ndarray, var_q: np.ndarray, mu_p: np.ndarray,
         raise ValueError("kl_diag_vs_isotropic: array lengths differ")
     if var_p <= 0.0 or np.any(var_q <= 0.0):
         raise ValueError("kl_diag_vs_isotropic: variances must be positive")
-    d = mu_q.size
-    if d == 0:
+    if mu_q.size == 0:
         return 0.0
-    s_var, s_sq, s_log = kernels.kl_accumulate(mu_q.ravel(), var_q.ravel(),
-                                               mu_p.ravel())
-    return 0.5 * ((s_var + s_sq) / var_p - d + d * math.log(var_p) - s_log)
+    return _kl(mu_q.ravel() - mu_p.ravel(), var_q.ravel(), var_p)[0]
 
 
 def l_pac(kl_total: float, cfg: BoundConfig, gamma: float, k: float) -> float:
@@ -263,29 +271,6 @@ class KTracker:
         return max(K_FLOOR, math.sqrt(self._var))
 
 
-def estimate_k(loss_history, mode: FixedK | RunningK) -> float:
-    """Resolve the effective loss-dispersion constant K."""
-    if isinstance(mode, FixedK):
-        return mode.value
-    if len(loss_history) == 0:
-        raise ValueError("estimate_k: running estimate needs a nonempty history")
-    tracker = KTracker(mode.ema_decay)
-    for v in loss_history:
-        tracker.update(float(v))
-    return tracker.value
-
-
-def perturb_params(params: np.ndarray, log_std: np.ndarray,
-                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One reparameterized noise draw: params + exp(log_std) * tau, tau returned."""
-    params = np.asarray(params, dtype=np.float64)
-    log_std = np.asarray(log_std, dtype=np.float64)
-    if params.shape != log_std.shape:
-        raise ValueError("perturb_params: array lengths differ")
-    tau = rng.standard_normal(params.shape)
-    return kernels.apply_noise(params, np.exp(log_std), tau, np.empty(params.shape)), tau
-
-
 def generic_bound(kl_total: float, delta: float, m: int) -> float:
     """sqrt((ln(1/delta) + KL) / (2m)); reported as a diagnostic, never optimized."""
     return math.sqrt((math.log(1.0 / delta) + kl_total) / (2.0 * m))
@@ -309,9 +294,8 @@ def _group_kl(w: np.ndarray, var: np.ndarray, anchor: np.ndarray,
     derivatives with respect to w, log_std (var = exp(2 log_std)) and prior_log_var."""
     var_p = math.exp(prior_log_var)
     diff = w - anchor
-    d_prior = 0.5 * (w.size - (np.sum(var) + np.sum(diff * diff)) / var_p)
-    return (kl_diag_vs_isotropic(w, var, anchor, var_p), diff / var_p,
-            var / var_p - 1.0, d_prior)
+    kl, s = _kl(diff, var, var_p)
+    return kl, diff / var_p, var / var_p - 1.0, 0.5 * (w.size - s / var_p)
 
 
 def pac_objective(model: MLPClassifier, noise: NoiseState, batch_x, batch_y,

@@ -205,10 +205,16 @@ def _check(config: dict, prefix: str = "") -> None:
     """Walk a config against the table, then apply the rules that join leaves."""
     _walk(config, _TREE, prefix)
     task = config["task"]
+    explicit = [side for side in ("source", "target") if task[side] is not None]
+    for side in explicit:
+        try:
+            datasets.DatasetSpec(**task[side])
+        except ValueError as e:
+            raise ConfigError(f"'{prefix}task.{side}' is invalid: {e}") from e
     try:
         pair = resolve_task(config)
     except ValueError as e:
-        where = "task.name" if task["source"] is task["target"] is None else "task"
+        where = "task" if explicit else "task.name"
         raise ConfigError(f"'{prefix}{where}' is invalid: {e}") from e
     if pair.target.generator != "csv" and task["n_shot"] >= pair.target.n:
         raise ConfigError(f"'{prefix}task.n_shot' must be below {pair.target.n}, the "
@@ -313,17 +319,17 @@ def resolve_task(config: dict) -> datasets.TransferPair:
     return datasets.TransferPair(*(datasets.DatasetSpec(**spec) for spec in specs))
 
 
-def build_stage1(config: dict, prefix: str = "") -> pipeline.Stage1Config:
+def build_stage1(config: dict) -> pipeline.Stage1Config:
     c = config["stage1"]
     schedule = SCHEMA["stage1.lr_noise_head"][1].build(c["lr_noise_head"])
     return pipeline.Stage1Config(**dict(c, lr_noise_head=schedule))
 
 
-def build_stage2(config: dict, prefix: str = "") -> pipeline.Stage2Config:
+def build_stage2(config: dict) -> pipeline.Stage2Config:
     return pipeline.Stage2Config(**config["stage2"])
 
 
-def build_bound(config: dict, m: int, prefix: str = "") -> bound.BoundConfig:
+def build_bound(config: dict, m: int) -> bound.BoundConfig:
     c = config["bound"]
     return bound.BoundConfig(m=m, delta=c["delta"],
                              gamma=SCHEMA["bound.gamma"][1].build(c["gamma"]),

@@ -1,9 +1,9 @@
 """Flat-array numeric kernels, in numpy.
 
 The loops that run once per optimizer step over every trainable parameter
-(fused AdamW update, noise application, diagonal-Gaussian KL reduction) live
-here, so the optimizer, the perturbed step and the bound share one
-implementation of each; so do the tape's and the objective's gradient checks.
+(fused AdamW update, noise application) live here, so the optimizer, the
+perturbed step and the objective share one implementation of each; so do the
+tape's and the objective's gradient checks.
 """
 
 import numpy as np
@@ -29,15 +29,6 @@ def apply_noise(param, std, tau, out):
     """Write param + std * tau into ``out``, which must not overlap the inputs,
     and return it; the inputs are never mutated."""
     return np.add(param, np.multiply(std, tau, out=out), out=out)
-
-
-def kl_accumulate(mu_q, var_q, mu_p):
-    """One pass over a group: (sum var_q, sum (mu_q-mu_p)^2, sum log var_q)."""
-    return (
-        float(np.sum(var_q)),
-        float(np.sum((mu_q - mu_p) ** 2)),
-        float(np.sum(np.log(var_q))),
-    )
 
 
 def central_difference_error(value, analytic, x, h):

@@ -4,34 +4,21 @@ Plain descent, the perturbed step and the random-layer baseline share one
 step body (``descent_step``); they differ only in the parameter vector, put
 in the loop's ``StepWorkspace``, at which the gradient is taken. The
 perturbed step draws one standard-normal vector over the trainable
-coordinates, scales it by the learned std (computed once), takes the
-training-loss gradient at the perturbed weights (``models.loss_and_grads``)
-and lets Adam update the model's trainable view of θ in place. The
-complexity term plays no role here. Noise is drawn even at scale zero, so
-runs with and without noise consume the noise stream identically.
+coordinates, scales it by the learned std vector (stage 2 computes it once),
+takes the training-loss gradient at the perturbed weights
+(``models.loss_and_grads``) and lets Adam update the model's trainable view
+of θ in place. The complexity term plays no role here. Noise is drawn even
+at scale zero, so runs with and without noise consume the noise stream
+identically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import kernels
-from .bound import NoiseState
 from .models import MLPClassifier, StepWorkspace, loss_and_grads
 from .optim import AdamState, adam_step
-
-
-@dataclass(frozen=True)
-class LearnedNoise:
-    """Stage 2's frozen noise; its std exp(log_std) is taken once, here."""
-
-    noise: NoiseState
-    std: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "std", np.exp(self.noise.log_std))
 
 
 def descent_step(model: MLPClassifier, batch_x, batch_y, adam: AdamState,
@@ -58,13 +45,15 @@ def descent_step(model: MLPClassifier, batch_x, batch_y, adam: AdamState,
     return loss
 
 
-def pgd_step(model: MLPClassifier, batch_x, batch_y, noise: LearnedNoise,
+def pgd_step(model: MLPClassifier, batch_x, batch_y, std: np.ndarray,
              adam: AdamState, work: StepWorkspace, rng: np.random.Generator,
              weight_decay: bool = True) -> float:
-    """One perturbed step in place; returns the loss at the perturbed point."""
+    """One perturbed step in place; returns the loss at the perturbed point.
+
+    ``std`` is the learned noise std exp(log_std), in trainable order."""
 
     def perturb():
-        kernels.apply_noise(work.trainable, noise.std,
+        kernels.apply_noise(work.trainable, std,
                             rng.standard_normal(work.packer.trainable_size),
                             work.noisy_trainable)
 

@@ -37,7 +37,7 @@ from .datasets import Dataset
 from .models import (GroupPacker, MLPClassifier, ParamGroup, StepWorkspace, init_weights,
                      replace_head)
 from .optim import AdamState, LrSchedule, StepDecay, adam_step, schedule_value
-from .pgd import LearnedNoise, descent_step, pgd_step, random_layer_noise_step
+from .pgd import descent_step, pgd_step, random_layer_noise_step
 from .pgd import loss_and_grads  # noqa: F401  unused here; perfbench's tracer wraps it
 
 
@@ -81,7 +81,12 @@ def batch_indices(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def metrics(preds, labels) -> dict:
-    """Accuracy and Matthews correlation; binary uses the confusion form."""
+    """Accuracy and Matthews correlation over the k-class confusion matrix.
+
+    For k = 2 its numerator is exactly twice the binary formula's and its
+    squared denominator four times, both integers, so the MCC is the binary one
+    bit for bit.
+    """
     preds = np.asarray(preds, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     if preds.shape != labels.shape:
@@ -89,23 +94,14 @@ def metrics(preds, labels) -> dict:
     n = preds.size
     accuracy = float(np.mean(preds == labels)) if n else 0.0
     k = int(max(preds.max(initial=0), labels.max(initial=0))) + 1 if n else 0
-    if k <= 2:
-        tp = int(np.sum((preds == 1) & (labels == 1)))
-        tn = int(np.sum((preds == 0) & (labels == 0)))
-        fp = int(np.sum((preds == 1) & (labels == 0)))
-        fn = int(np.sum((preds == 0) & (labels == 1)))
-        denom = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
-        mcc = 0.0 if denom == 0 else (tp * tn - fp * fn) / math.sqrt(denom)
-    else:
-        # multi-class generalization over the confusion matrix
-        confusion = np.zeros((k, k), dtype=np.int64)
-        np.add.at(confusion, (labels, preds), 1)
-        correct = int(np.trace(confusion))
-        t_k = confusion.sum(axis=1)
-        p_k = confusion.sum(axis=0)
-        num = correct * n - int(t_k @ p_k)
-        den_sq = (n * n - int(p_k @ p_k)) * (n * n - int(t_k @ t_k))
-        mcc = 0.0 if den_sq == 0 else num / math.sqrt(den_sq)
+    confusion = np.zeros((k, k), dtype=np.int64)
+    np.add.at(confusion, (labels, preds), 1)
+    correct = int(np.trace(confusion))
+    t_k = confusion.sum(axis=1)
+    p_k = confusion.sum(axis=0)
+    num = correct * n - int(t_k @ p_k)
+    den_sq = (n * n - int(p_k @ p_k)) * (n * n - int(t_k @ t_k))
+    mcc = 0.0 if den_sq == 0 else num / math.sqrt(den_sq)
     return {"accuracy": accuracy, "mcc": float(mcc)}
 
 
@@ -113,19 +109,14 @@ def evaluate(model: MLPClassifier, data: Dataset) -> dict:
     return metrics(model.predict(data.x), data.y)
 
 
-def importance_ranking(noise_or_variances) -> np.ndarray:
+def importance_ranking(variances) -> np.ndarray:
     """Parameter indices sorted by ascending learned variance, ties by index.
 
     Small variance means the training process could not tolerate noise there,
     i.e. the parameter matters; the first index returned is the most important
-    parameter. Accepts a NoiseState (backbone then head, concatenated) or any
-    flat variance array.
+    parameter. ``variances`` is any flat array, e.g. ``NoiseState.variances()``.
     """
-    if isinstance(noise_or_variances, NoiseState):
-        var = noise_or_variances.variances()
-    else:
-        var = np.asarray(noise_or_variances, dtype=np.float64)
-    return np.argsort(var, kind="stable")
+    return np.argsort(np.asarray(variances, dtype=np.float64), kind="stable")
 
 
 def _descend(model: MLPClassifier, train: Dataset, dev: Dataset, cfg, data_rng,
@@ -233,11 +224,10 @@ def stage2_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
                  bound_cfg: BoundConfig | None = None,
                  ) -> tuple[MLPClassifier, list[dict]]:
     """Perturbed descent with the learned noise frozen; loss only, no bound term."""
-    source = LearnedNoise(noise)
+    std = np.exp(noise.log_std)
     mean_var_b = noise.mean_variance(ParamGroup.BACKBONE)
     mean_var_h = noise.mean_variance(ParamGroup.HEAD)
-    delta = bound_cfg.delta if bound_cfg else 0.05
-    m = bound_cfg.m if bound_cfg else len(train)
+    bound_cfg = bound_cfg or BoundConfig(m=len(train))
 
     def diagnostics(model, packer, *_):
         kl = [0.0, 0.0]
@@ -247,12 +237,12 @@ def stage2_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
                                        noise.anchor(g), math.exp(noise.prior_log_var(g)))
                   for g in (ParamGroup.BACKBONE, ParamGroup.HEAD)]
         return (kl[0], kl[1], mean_var_b, mean_var_h,
-                generic_bound(kl[0] + kl[1], delta, m))
+                generic_bound(kl[0] + kl[1], bound_cfg.delta, bound_cfg.m))
 
     return _descend(
         model, train, dev, cfg, data_rng,
         lambda model, x, y, adam, work: (
-            pgd_step(model, x, y, source, adam, work, noise_rng, cfg.weight_decay),
+            pgd_step(model, x, y, std, adam, work, noise_rng, cfg.weight_decay),
             0.0, 0.0, 0.0),
         "stage 2", stage=2, epoch_offset=epoch_offset, diagnostics=diagnostics)
 

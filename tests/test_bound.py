@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from helpers import mc_kl, tape_loss_and_grads, tape_objective
 
-from pactune import bound, datasets, models, pipeline
-from pactune.bound import (AutoGamma, BoundConfig, FixedGamma, FixedK,
-                           RunningK, estimate_k, init_noise_state,
-                           kl_diag_vs_isotropic, l_pac, optimal_gamma,
-                           pac_objective, perturb_params)
+from pactune import bound, datasets, kernels, models, pipeline
+from pactune.bound import (AutoGamma, BoundConfig, FixedGamma, FixedK, KTracker,
+                           RunningK, init_noise_state, kl_diag_vs_isotropic, l_pac,
+                           optimal_gamma, pac_objective)
 from pactune.models import GroupPacker, ParamGroup, StepWorkspace
 from pactune.pgd import loss_and_grads
 
@@ -58,6 +57,17 @@ class TestKL:
         kls = [kl_diag_vs_isotropic(mu, c * var_p * np.ones(5), mu, var_p) for c in cs]
         assert all(a > b for a, b in zip(kls, kls[1:]))
         assert kls[-1] == 0.0
+
+    def test_objective_group_kl_matches_public_kl_bitwise(self):
+        # the objective's per-group pass and the checked public entry are one formula
+        rng = np.random.default_rng(3)
+        for d in [0, 1, 39, 300, *rng.integers(2, 500, size=100)]:
+            w, anchor = rng.standard_normal(d), rng.standard_normal(d)
+            var = np.exp(2.0 * rng.standard_normal(d))
+            prior_log_var = float(rng.standard_normal())
+            kl = bound._group_kl(w, var, anchor, prior_log_var)[0]
+            public = kl_diag_vs_isotropic(w, var, anchor, math.exp(prior_log_var))
+            assert kl.hex() == public.hex()
 
 
 class TestLPac:
@@ -115,47 +125,65 @@ class TestOptimalGamma:
             assert mine <= best + 1e-12
 
 
-class TestEstimateK:
-    def test_fixed(self):
-        assert estimate_k([], FixedK(5.0)) == 5.0
-
+class TestKTracker:
     def test_constant_history_floored(self):
-        assert estimate_k([3.0] * 500, RunningK(0.99)) == bound.K_FLOOR
+        tracker = KTracker(0.99)
+        for _ in range(500):
+            tracker.update(3.0)
+        assert tracker.value == bound.K_FLOOR
 
     def test_alternating_history_near_unit_std(self):
-        history = [0.0, 2.0] * 2000
-        assert estimate_k(history, RunningK(0.99)) == pytest.approx(1.0, abs=0.05)
+        tracker = KTracker(0.99)
+        for v in [0.0, 2.0] * 2000:
+            tracker.update(v)
+        assert tracker.value == pytest.approx(1.0, abs=0.05)
 
-    def test_running_needs_history(self):
-        with pytest.raises(ValueError):
-            estimate_k([], RunningK(0.99))
+    def test_no_history_floored(self):
+        assert KTracker(0.99).value == bound.K_FLOOR
+
+    def test_objective_uses_fixed_k_and_floors_running_k(self):
+        model, packer, noise, bx, by = tiny_setup()
+
+        def k_used(k, k_value):
+            terms, _ = pac_objective(model, noise, bx, by, BoundConfig(m=8, k=k),
+                                     rng=np.random.default_rng(0), work=workspace(model),
+                                     k_value=k_value, with_grads=False)
+            return terms.k_used
+
+        assert k_used(FixedK(5.0), 0.3) == 5.0
+        assert k_used(RunningK(0.99), 0.3) == 0.3
+        assert k_used(RunningK(0.99), 0.0) == bound.K_FLOOR
+        assert k_used(RunningK(0.99), None) == bound.K_FLOOR
+
+
+def perturb(params, log_std, rng):
+    """The training draw: one standard-normal tau, then params + exp(log_std) * tau."""
+    tau = rng.standard_normal(np.shape(params))
+    return kernels.apply_noise(params, np.exp(log_std), tau, np.empty_like(tau)), tau
 
 
 class TestPerturb:
     def test_vanishing_noise(self):
         params = np.array([1.0, -2.0, 3.0])
-        rng = np.random.default_rng(0)
-        perturbed, _ = perturb_params(params, np.full(3, -40.0), rng)
+        perturbed, _ = perturb(params, np.full(3, -40.0), np.random.default_rng(0))
         assert np.max(np.abs(perturbed - params)) < 1e-15
 
     def test_fixed_seed_reproducible(self):
         params = np.zeros(4)
         p = np.zeros(4)
-        a, ta = perturb_params(params, p, np.random.default_rng(5))
-        b, tb = perturb_params(params, p, np.random.default_rng(5))
+        a, ta = perturb(params, p, np.random.default_rng(5))
+        b, tb = perturb(params, p, np.random.default_rng(5))
         assert np.array_equal(a, b) and np.array_equal(ta, tb)
 
     def test_monte_carlo_mean(self):
         # E[perturbed] = params, within 3 sigma of the MC standard error
         params = np.array([0.5, -1.5])
         p = np.array([-1.0, 0.5])
-        rng = np.random.default_rng(7)
         n = 100_000
-        acc = np.zeros(2)
-        for _ in range(n):
-            acc += perturb_params(params, p, rng)[0]
+        draws = np.broadcast_to(params, (n, 2))
+        perturbed, _ = perturb(draws, p, np.random.default_rng(7))
         tol = 3.0 * np.exp(p) / math.sqrt(n)
-        assert np.all(np.abs(acc / n - params) <= tol)
+        assert np.all(np.abs(perturbed.mean(axis=0) - params) <= tol)
 
 
 def tiny_setup(seed=0, layer_sizes=(2, 3, 2), freeze=False):

@@ -172,6 +172,12 @@ class TestConfig:
         ('stage1={"epochs": 5}', "stage1.batch_size"),
         ('model={"hidden": [4]}', "model.activation"),
         ('task={"name": "blobs-rotate"}', "task.source"),
+        ('task={"name": "x", "n_shot": 10, "source": {"generator": "blobs", "n": 0}, '
+         '"target": {"generator": "blobs", "n": 50}}', "task.source"),
+        ('task={"name": "x", "n_shot": 10, "source": {"generator": "blobs", "n": 50}, '
+         '"target": {"generator": "blobs", "n": 50, "dim": 0}}', "task.target"),
+        ('task={"name": "x", "n_shot": 10, "source": {"generator": "blobs", "n": 50}, '
+         '"target": {"generator": "blobs", "n": 50, "dim": 3}}', "task"),
         ('task_overrides={"xor-noise": {"seeds": [3]}}', "task_overrides.xor-noise.seeds"),
         ('task_overrides={"xor-noise": {"methods": ["vanilla"]}}',
          "task_overrides.xor-noise.methods"),

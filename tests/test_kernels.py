@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from pactune import kernels
 
@@ -32,11 +31,3 @@ class TestNumpyPath:
         out = kernels.apply_noise(param, np.array([0.5, 0.0]), np.array([2.0, 9.0]), buf)
         assert out is buf and out.tolist() == [2.0, 2.0]
         assert param.tolist() == [1.0, 2.0]
-
-    def test_kl_accumulate(self):
-        s_var, s_sq, s_log = kernels.kl_accumulate(
-            np.array([1.0, 2.0]), np.array([1.0, 4.0]), np.array([0.0, 0.0]))
-        assert s_var == 5.0
-        assert s_sq == 5.0
-        assert s_log == pytest.approx(np.log(4.0), abs=1e-15)
-

@@ -5,7 +5,7 @@ from pactune import models
 from pactune.bound import init_noise_state
 from pactune.models import GroupPacker, ParamGroup, StepWorkspace
 from pactune.optim import AdamState, adam_step
-from pactune.pgd import LearnedNoise, loss_and_grads, pgd_step, random_layer_noise_step
+from pactune.pgd import loss_and_grads, pgd_step, random_layer_noise_step
 
 GROUPS = (ParamGroup.BACKBONE, ParamGroup.HEAD)
 
@@ -24,12 +24,13 @@ def fresh_adam(packer):
 
 
 def learned(model, packer, std_backbone, std_head):
-    """Learned noise holding one std per group; a std of 0 is log-std -inf."""
+    """The std vector exp(log_std) of learned noise holding one std per group;
+    a std of 0 is log-std -inf."""
     noise = init_noise_state(model, packer)
     with np.errstate(divide="ignore"):
         noise.log_std_backbone[:] = np.log(std_backbone)
         noise.log_std_head[:] = np.log(std_head)
-    return LearnedNoise(noise)
+    return np.exp(noise.log_std)
 
 
 def per_group_adam(packer, theta, grad, lrs, weight_decay):
@@ -61,10 +62,10 @@ class TestPgdStep:
         model, packer, bx, by = setup()
         expected = manual_plain_step(model, packer, bx, by, 1e-3, 1e-2, True)
         stepped = model.copy()
-        source = learned(model, packer, 0.0, 0.0)
-        assert not source.std.any()  # exp(-inf) is exactly 0
+        std = learned(model, packer, 0.0, 0.0)
+        assert not std.any()  # exp(-inf) is exactly 0
         # noise is drawn (stream consumed) but scaled by exactly zero
-        pgd_step(stepped, bx, by, source, fresh_adam(packer),
+        pgd_step(stepped, bx, by, std, fresh_adam(packer),
                  StepWorkspace(stepped, 1e-3, 1e-2), np.random.default_rng(99))
         for a, b in zip(stepped.weights + stepped.biases,
                         expected.weights + expected.biases):
@@ -77,7 +78,7 @@ class TestPgdStep:
         noise.log_std_head[:] = -40.0
         expected = manual_plain_step(model, packer, bx, by, 1e-3, 1e-2, True)
         stepped = model.copy()
-        pgd_step(stepped, bx, by, LearnedNoise(noise), fresh_adam(packer),
+        pgd_step(stepped, bx, by, np.exp(noise.log_std), fresh_adam(packer),
                  StepWorkspace(stepped, 1e-3, 1e-2), np.random.default_rng(0))
         for a, b in zip(stepped.weights + stepped.biases,
                         expected.weights + expected.biases):
@@ -87,17 +88,17 @@ class TestPgdStep:
         # replicate the noise draw, compute the gradient at theta + std*tau by
         # hand, and confirm the step used exactly that gradient
         model, packer, bx, by = setup(seed=2)
-        source = learned(model, packer, 0.2, 0.3)
+        std = learned(model, packer, 0.2, 0.3)
 
         tau = np.random.default_rng(123).standard_normal(packer.trainable_size)
         perturbed = model.theta.copy()
-        perturbed[packer.start:] += np.exp(source.noise.log_std) * tau
+        perturbed[packer.start:] += std * tau
         grad = gradient_at(model, perturbed, bx, by)
         expect = {g: packer.pack(model, g) for g in GROUPS}
         per_group_adam(packer, expect, grad, (1e-3, 1e-2), False)
 
         stepped = model.copy()
-        pgd_step(stepped, bx, by, source, fresh_adam(packer),
+        pgd_step(stepped, bx, by, std, fresh_adam(packer),
                  StepWorkspace(stepped, 1e-3, 1e-2), np.random.default_rng(123),
                  weight_decay=False)
         for g in GROUPS:
@@ -148,21 +149,21 @@ class TestPgdStep:
     def test_fixed_seed_reproducible_trajectory(self):
         def run():
             model, packer, bx, by = setup(seed=5)
-            source = learned(model, packer, 0.1, 0.2)
+            std = learned(model, packer, 0.1, 0.2)
             adam = fresh_adam(packer)
             work = StepWorkspace(model, 1e-3, 1e-2)
             rng = np.random.default_rng(11)
             for _ in range(5):
-                pgd_step(model, bx, by, source, adam, work, rng)
+                pgd_step(model, bx, by, std, adam, work, rng)
             return np.concatenate([packer.pack(model, g) for g in GROUPS])
 
         assert np.array_equal(run(), run())
 
     def test_empty_batch_rejected(self):
         model, packer, _, _ = setup()
-        source = learned(model, packer, 0.0, 0.0)
+        std = learned(model, packer, 0.0, 0.0)
         with pytest.raises(ValueError, match="nonempty"):
-            pgd_step(model, np.zeros((0, 2)), np.zeros(0, dtype=int), source,
+            pgd_step(model, np.zeros((0, 2)), np.zeros(0, dtype=int), std,
                      fresh_adam(packer), StepWorkspace(model, 1e-3, 1e-2),
                      np.random.default_rng(0))
 

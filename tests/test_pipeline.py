@@ -66,6 +66,28 @@ class TestMetrics:
         with pytest.raises(ValueError):
             metrics([0, 1], [0])
 
+    def test_binary_matches_confusion_count_oracle_bitwise(self):
+        def binary_mcc(preds, labels):
+            tp = int(np.sum((preds == 1) & (labels == 1)))
+            tn = int(np.sum((preds == 0) & (labels == 0)))
+            fp = int(np.sum((preds == 1) & (labels == 0)))
+            fn = int(np.sum((preds == 0) & (labels == 1)))
+            denom = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
+            return 0.0 if denom == 0 else (tp * tn - fp * fn) / math.sqrt(denom)
+
+        rng = np.random.default_rng(0)
+        cases = [([], []), ([1] * 5, [1] * 5), ([0] * 7, [0] * 7), ([1] * 4, [0] * 4),
+                 ([0] * 3, [1] * 3), ([0, 1, 0], [0] * 3), ([1] * 6, [0, 1] * 3)]
+        for _ in range(2000):
+            n = int(rng.integers(1, 1500))
+            p_pred, p_label = rng.uniform(size=2)
+            cases.append((rng.uniform(size=n) < p_pred, rng.uniform(size=n) < p_label))
+        for preds, labels in cases:
+            preds = np.asarray(preds, dtype=np.int64)
+            labels = np.asarray(labels, dtype=np.int64)
+            assert metrics(preds, labels)["mcc"].hex() == \
+                float(binary_mcc(preds, labels)).hex()
+
 
 class TestImportanceRanking:
     def test_paper_style_example(self):
@@ -87,7 +109,7 @@ class TestImportanceRanking:
         pretrained, train, dev = toy_task
         packer = GroupPacker.for_model(pretrained)
         noise = init_noise_state(pretrained, packer)
-        order = importance_ranking(noise)
+        order = importance_ranking(noise.variances())
         n = noise.log_std_backbone.size + noise.log_std_head.size
         assert sorted(order.tolist()) == list(range(n))
 
