@@ -15,7 +15,9 @@ closed form in the descent loop's ``StepWorkspace``; the tape in ``autodiff``
 is only the tests' oracle for them. Each group's KL and the sum its prior
 derivative needs come from one pass (``_kl``), which the checked public
 ``kl_diag_vs_isotropic`` shares; a noise draw is one ``standard_normal``
-vector put on the weights by ``kernels.apply_noise``.
+vector, taken by the caller (stage 1 takes it from its noise stream) and put
+on the weights by ``kernels.apply_noise``. A noise state follows the
+trainable order of ``model.layout``.
 
 Variances are modeled as exp(2p) so positivity is structural, and p is
 initialized at the log magnitude of the initial weights (floored, since
@@ -33,8 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .models import (GroupPacker, MLPClassifier, ParamGroup, StepWorkspace, group_slice,
-                     loss_and_grads)
+from .models import MLPClassifier, ParamGroup, StepWorkspace, group_slice, loss_and_grads
 
 K_FLOOR = 1e-3
 P_INIT_FLOOR = 1e-4
@@ -156,9 +157,10 @@ class NoiseState:
                        anchors=None if self.anchors is None else self.anchors.copy())
 
 
-def init_noise_state(model: MLPClassifier, packer: GroupPacker,
-                     anchor_checkpoint: str | None = None) -> NoiseState:
-    """Noise state at fine-tuning start; also snapshots the anchor weights."""
+def init_noise_state(model: MLPClassifier) -> NoiseState:
+    """Noise state at fine-tuning start, in the trainable order of
+    ``model.layout``; also snapshots the anchor weights."""
+    packer = model.layout
     anchors = model.theta[packer.start:].copy()
     log_std = np.log(np.maximum(np.abs(anchors), P_INIT_FLOOR))
     log_std[packer.group(ParamGroup.HEAD)] += HEAD_NOISE_BOOST
@@ -168,7 +170,7 @@ def init_noise_state(model: MLPClassifier, packer: GroupPacker,
         return float(np.log(np.mean(np.exp(2.0 * v)))) if v.size else 0.0
 
     return NoiseState(np.append(log_std, [prior_for(g) for g in _GROUPS]),
-                      packer.sizes[ParamGroup.BACKBONE], anchors, anchor_checkpoint)
+                      packer.sizes[ParamGroup.BACKBONE], anchors)
 
 
 NOISE_STATE_VERSION = 1
@@ -187,16 +189,21 @@ def save_noise_state(noise: NoiseState, path) -> None:
                           encoding="utf-8")
 
 
-def load_noise_state(path, anchors: np.ndarray | None = None) -> NoiseState:
-    """Read a noise state; ``anchors`` (trainable order) come from its checkpoint."""
+def load_noise_state(path) -> NoiseState:
+    """Read a noise state, without anchors (they live in its checkpoint); a
+    file that is not a noise state of this version raises ``ValueError``."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("version") != NOISE_STATE_VERSION:
-        raise ValueError(f"unsupported noise-state version: {doc.get('version')}")
-    params = np.concatenate([np.asarray(doc["p_backbone"], dtype=np.float64),
-                             np.asarray(doc["p_head"], dtype=np.float64),
-                             [float(doc["log_lambda"]), float(doc["log_beta"])]])
-    return NoiseState(params, len(doc["p_backbone"]), anchors,
-                      doc.get("anchor_checkpoint"))
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if version != NOISE_STATE_VERSION:
+        raise ValueError(f"unsupported noise-state version: {version}")
+    try:
+        params = np.concatenate([np.asarray(doc["p_backbone"], dtype=np.float64),
+                                 np.asarray(doc["p_head"], dtype=np.float64),
+                                 [float(doc["log_lambda"]), float(doc["log_beta"])]])
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"malformed noise state: {e!r}") from e
+    return NoiseState(params, len(doc["p_backbone"]),
+                      anchor_checkpoint=doc.get("anchor_checkpoint"))
 
 
 def _kl(diff: np.ndarray, var: np.ndarray, var_p: float) -> tuple[float, float]:
@@ -299,18 +306,15 @@ def _group_kl(w: np.ndarray, var: np.ndarray, anchor: np.ndarray,
 
 
 def pac_objective(model: MLPClassifier, noise: NoiseState, batch_x, batch_y,
-                  cfg: BoundConfig, rng: np.random.Generator | None = None, *,
-                  work: StepWorkspace, tau: np.ndarray | None = None,
+                  cfg: BoundConfig, tau: np.ndarray, *, work: StepWorkspace,
                   k_value: float | None = None, l_pac_weight: float = 1.0,
-                  variances: np.ndarray | None = None,
-                  with_grads: bool = True) -> tuple[BoundTerms, ObjectiveGrads | None]:
-    """Evaluate J on one batch with a single noise draw; optionally with gradients.
+                  variances: np.ndarray | None = None) -> tuple[BoundTerms, ObjectiveGrads]:
+    """Evaluate J and its gradients on one batch at the noise draw ``tau``.
 
-    ``work`` is ``model``'s workspace, whose buffers hold the noisy weights and
-    the loss gradient; the returned gradients are fresh arrays. ``variances``
-    are ``noise.variances()`` when the caller already holds them.
-    ``tau`` injects a fixed noise draw in trainable order (used by the
-    gradient checks); when absent one draw is taken from ``rng``.
+    ``tau`` is one standard-normal vector in trainable order, drawn by the
+    caller. ``work`` is ``model``'s workspace, whose buffers hold the noisy
+    weights and the loss gradient; the returned gradients are fresh arrays.
+    ``variances`` are ``noise.variances()`` when the caller already holds them.
     ``k_value`` overrides the running-K resolution (the trainer passes its
     tracker value); fixed-K configs ignore it. ``l_pac_weight`` scales the
     complexity term inside the optimized objective; the reported
@@ -323,16 +327,11 @@ def pac_objective(model: MLPClassifier, noise: NoiseState, batch_x, batch_y,
     dJ/dp = dL(w~) tau exp(p) + c (exp(2p) / s2 - 1), and
     dJ/dlambda = c / 2 (d - (sum exp(2p) + sum (w - anchor)^2) / s2).
     """
-    packer = work.packer
+    packer = model.layout
     batch_x = np.asarray(batch_x, dtype=np.float64)
     batch_y = np.asarray(batch_y, dtype=np.int64)
     if batch_x.shape[0] == 0:
         raise ValueError("pac_objective: batch must be nonempty")
-
-    if tau is None:
-        if rng is None:
-            raise ValueError("pac_objective: need an rng when tau is not given")
-        tau = rng.standard_normal(packer.trainable_size)
 
     weights = work.trainable
     std = np.exp(noise.log_std)
@@ -356,9 +355,6 @@ def pac_objective(model: MLPClassifier, noise: NoiseState, batch_x, batch_y,
     terms = BoundTerms(l_train=l_train, kl_backbone=kl_b, kl_head=kl_h,
                        gamma_used=gamma, k_used=k, l_pac=l_pac_scaled,
                        j_total=l_train + l_pac_scaled)
-    if not with_grads:
-        return terms, None
-
     c = l_pac_weight / (gamma * cfg.m)
     return terms, ObjectiveGrads(
         weights=work.grad + c * np.concatenate(d_w),
@@ -377,23 +373,22 @@ def objective_gradcheck(model: MLPClassifier, noise: NoiseState, batch_x, batch_
     """
     trial = model.copy()
     work = StepWorkspace(trial, 0.0, 0.0)  # no update is taken
-    packer = work.packer
+    packer = trial.layout
     rng = np.random.Generator(np.random.PCG64(seed))
     tau = rng.standard_normal(packer.trainable_size)
-    base_terms, _ = pac_objective(trial, noise, batch_x, batch_y, cfg,
-                                  work=work, tau=tau, with_grads=False)
+    base_terms, _ = pac_objective(trial, noise, batch_x, batch_y, cfg, tau, work=work)
     frozen = BoundConfig(m=cfg.m, delta=cfg.delta,
                          gamma=FixedGamma(base_terms.gamma_used),
                          k=FixedK(base_terms.k_used))
     n = packer.trainable_size
 
-    def objective(z, with_grads=False):
+    def objective(z):
         trial.theta[packer.start:] = z[:n]
         return pac_objective(trial, replace(noise, params=z[n:]), batch_x, batch_y,
-                             frozen, work=work, tau=tau, with_grads=with_grads)
+                             frozen, tau, work=work)
 
     x = np.concatenate([model.theta[packer.start:], noise.params])
-    _, grads = objective(x, with_grads=True)
+    _, grads = objective(x)
     return kernels.central_difference_error(
         lambda z, _: objective(z)[0].j_total,
         np.concatenate([grads.weights, grads.noise]), x, h)

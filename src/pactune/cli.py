@@ -347,21 +347,18 @@ def task_config(config: dict, task_name: str) -> dict:
     return merged
 
 
-def pretrain_for_task(config: dict, pair: datasets.TransferPair) -> models.MLPClassifier:
-    source = datasets.generate(pair.source)
+def pretrain_for_task(config: dict, source: datasets.Dataset) -> models.MLPClassifier:
+    """Pretrain on ``source``, the generated source task of ``config``."""
     sizes = [source.dim, *config["model"]["hidden"], source.n_classes]
     return pipeline.pretrain_model(source, sizes, **config["pretrain"],
                                    activation=config["model"]["activation"])
 
 
-def run_single(config: dict, pretrained: models.MLPClassifier, seed: int,
-               method: str | None = None) -> tuple[pipeline.RunRecord,
-                                                   models.MLPClassifier,
-                                                   bound.NoiseState | None]:
-    pair = resolve_task(config)
-    target = datasets.generate(pair.target)
+def run_single(config: dict, pretrained: models.MLPClassifier, target: datasets.Dataset,
+               seed: int, method: str) -> tuple[pipeline.RunRecord, models.MLPClassifier,
+                                                bound.NoiseState | None]:
+    """Fine-tune on a few-shot sample of ``target``, the generated target task."""
     train, dev = datasets.few_shot_sample(target, config["task"]["n_shot"], seed)
-    method = method or config["method"]
     try:
         return pipeline.run_finetune(
             pretrained, train, dev, method, seed,
@@ -378,7 +375,8 @@ def run_single(config: dict, pretrained: models.MLPClassifier, seed: int,
 def _benchmark_run(payload) -> dict:
     """One benchmark run; module-level so worker processes can receive it."""
     config, pretrained, task_name, method, seed = payload
-    record, _, _ = run_single(config, pretrained, seed, method=method)
+    target = datasets.generate(resolve_task(config).target)
+    record, _, _ = run_single(config, pretrained, target, seed, method)
     record.final["task"] = task_name
     return dataclasses.asdict(record)
 
@@ -393,8 +391,8 @@ def run_benchmark(config: dict, workers: int = 1):
     pretrained_by_task = {}
     for task_name in config["tasks"]:
         cfg_t = task_config(config, task_name)
-        pair = resolve_task(cfg_t)
-        pretrained_by_task[task_name] = pretrain_for_task(cfg_t, pair)
+        source = datasets.generate(resolve_task(cfg_t).source)
+        pretrained_by_task[task_name] = pretrain_for_task(cfg_t, source)
         for method in config["methods"]:
             for seed in config["seeds"]:
                 specs.append((cfg_t, pretrained_by_task[task_name], task_name,
@@ -467,15 +465,14 @@ def cmd_generate_data(config: dict) -> int:
 
 
 def cmd_pretrain(config: dict) -> int:
-    pair = resolve_task(config)
+    source = datasets.generate(resolve_task(config).source)
     out = _ensure_out(config)
-    model = pretrain_for_task(config, pair)
+    model = pretrain_for_task(config, source)
     provenance = {"seed": config["pretrain"]["seed"],
                   "task": config["task"]["name"],
                   "epoch": config["pretrain"]["epochs"]}
     path = out / "pretrained.json"
     _write_outputs([(path, lambda p: models.save_checkpoint(model, p, provenance))])
-    source = datasets.generate(pair.source)
     acc = pipeline.evaluate(model, source)["accuracy"]
     print(f"wrote {path} (source accuracy {acc:.3f})")
     return EXIT_OK
@@ -485,15 +482,20 @@ def cmd_finetune(config: dict) -> int:
     if not config.get("checkpoint"):
         raise ConfigError("finetune needs config key 'checkpoint' "
                           "(path to a pretraining checkpoint)")
+    path = config["checkpoint"]
     try:
-        pretrained = models.load_checkpoint(
-            config["checkpoint"], activation=config["model"]["activation"])
-    except OSError as e:
-        raise ConfigError(f"cannot read checkpoint: {e}") from e
+        pretrained = models.load_checkpoint(path, activation=config["model"]["activation"])
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"cannot use checkpoint '{path}': {e}") from e
+    target = datasets.generate(resolve_task(config).target)
+    if pretrained.input_dim != target.dim:
+        raise ConfigError(f"checkpoint '{path}' takes inputs of size "
+                          f"{pretrained.input_dim}, but the target task's inputs "
+                          f"have size {target.dim}")
     out = _ensure_out(config)
     seed = config["seeds"][0]
-    record, model, noise = run_single(config, pretrained, seed)
     method = config["method"]
+    record, model, noise = run_single(config, pretrained, target, seed, method)
     stem = f"{config['task']['name']}__{method}__seed{seed}"
     provenance = {"seed": seed, "task": config["task"]["name"],
                   "epoch": record.final["epochs"]}
@@ -503,7 +505,7 @@ def cmd_finetune(config: dict) -> int:
          lambda p: models.save_checkpoint(model, p, provenance)),
     ]
     if noise is not None:
-        noise.anchor_checkpoint = config["checkpoint"]
+        noise.anchor_checkpoint = path
         writers.append((out / f"{stem}__noise.json",
                         lambda p: bound.save_noise_state(noise, p)))
     _write_outputs(writers)
@@ -550,8 +552,7 @@ def cmd_gradcheck(seeds: int = 20) -> int:
 
     rng = np.random.default_rng(7)
     model = models.init_weights([2, 2, 2], rng)
-    packer = models.GroupPacker.for_model(model)
-    noise = bound.init_noise_state(model, packer)
+    noise = bound.init_noise_state(model)
     bx = rng.standard_normal((8, 2))
     by = rng.integers(0, 2, size=8)
     cfg = bound.BoundConfig(m=8, delta=0.05, gamma=bound.FixedGamma(5.0),
@@ -564,11 +565,12 @@ def cmd_gradcheck(seeds: int = 20) -> int:
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
-def cmd_inspect_noise(noise_path: str, out_path: str) -> int:
+def cmd_inspect_noise(config: dict, noise_path: str) -> int:
     try:
         noise = bound.load_noise_state(noise_path)
-    except OSError as e:
-        raise ConfigError(f"cannot read noise state: {e}") from e
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"cannot use noise file '{noise_path}': {e}") from e
+    out_path = _ensure_out(config) / "noise_ranking.csv"
     variances = noise.variances()
     groups = ["backbone"] * noise.n_backbone + \
         ["head"] * (variances.size - noise.n_backbone)
@@ -636,9 +638,7 @@ def main(argv=None) -> int:
         if args.command == "gradcheck":
             return cmd_gradcheck()
         if args.command == "inspect-noise":
-            out = Path(config["out_dir"]) / "noise_ranking.csv"
-            Path(config["out_dir"]).mkdir(parents=True, exist_ok=True)
-            return cmd_inspect_noise(args.noise_file, str(out))
+            return cmd_inspect_noise(config, args.noise_file)
         raise ConfigError(f"unknown command {args.command}")
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

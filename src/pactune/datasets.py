@@ -110,12 +110,11 @@ def _apply_transform(x: np.ndarray, spec: DatasetSpec) -> np.ndarray:
     return x
 
 
-def generate(spec: DatasetSpec, rng: np.random.Generator | None = None) -> Dataset:
-    """Draw a dataset; class counts are balanced to within one sample."""
+def generate(spec: DatasetSpec) -> Dataset:
+    """Draw a dataset from ``spec.seed``; class counts are balanced to within one sample."""
     if spec.generator == "csv":
         return load_csv(spec.path, spec.label_column)
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(spec.seed))
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
     k = spec.n_classes
     counts = _balanced_counts(spec.n, k)
     y = np.repeat(np.arange(k, dtype=np.int64), counts)

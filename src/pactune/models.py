@@ -1,8 +1,9 @@
 """Small MLP classifiers with an explicit backbone/head parameter split.
 
 The head is always the final linear layer; everything before it is the
-backbone. Fine-tuning replaces the head and (by default) freezes the first
-layer, which plays the role of a fixed feature embedding.
+backbone. Fine-tuning replaces the head (``replace_head``) and there decides
+whether the first layer, which plays the role of a fixed feature embedding,
+is frozen.
 
 A model owns all its parameters in one contiguous float64 vector ``theta``:
 layer by layer, each layer's weights (row-major) before its bias.
@@ -10,7 +11,8 @@ layer by layer, each layer's weights (row-major) before its bias.
 write through them is a write to ``theta``. Only the first layer can be
 frozen and the head is the last layer, so the trainable parameters are
 always the suffix ``theta[start:]``, laid out ``[backbone | head]``.
-``GroupPacker`` owns this layout; noise log-stds, anchors, noise draws,
+A model builds this layout, a ``GroupPacker``, once as ``model.layout``, so
+the freeze is fixed at construction; noise log-stds, anchors, noise draws,
 gradients and optimizer moments all use its trainable order.
 
 Training gradients come from closed-form numpy backprop (``loss_and_grads``);
@@ -77,10 +79,6 @@ class GroupPacker:
         return cls(tuple(layers), n_frozen, start,
                    {ParamGroup.BACKBONE: head - start, ParamGroup.HEAD: stop - head})
 
-    @classmethod
-    def for_model(cls, model: "MLPClassifier") -> "GroupPacker":
-        return cls.for_sizes(model.layer_sizes, model.freeze_first_layer)
-
     @property
     def size(self) -> int:
         return self.layers[-1][1]
@@ -133,19 +131,23 @@ class MLPClassifier:
     ``theta`` holds every parameter (a zero vector when not given);
     ``weights[i]`` (fan_in, fan_out) and ``biases[i]`` (fan_out,) are views
     into it and cannot be rebound, so the model and ``theta`` never drift
-    apart.
+    apart. ``layout``, built here, fixes which layers train; the freeze
+    cannot change afterwards.
     """
 
     def __init__(self, layer_sizes, theta: np.ndarray | None = None,
                  activation: str = "tanh", freeze_first_layer: bool = False):
         self.layer_sizes = list(layer_sizes)
-        layout = GroupPacker.for_sizes(self.layer_sizes)
-        self.theta = np.zeros(layout.size) if theta is None \
+        self.layout = GroupPacker.for_sizes(self.layer_sizes, freeze_first_layer)
+        self.theta = np.zeros(self.layout.size) if theta is None \
             else np.asarray(theta, dtype=np.float64)
-        weights, biases = zip(*layout.views(self.theta))
+        weights, biases = zip(*self.layout.views(self.theta))
         self._weights, self._biases = tuple(weights), tuple(biases)
         self.activation = activation
-        self.freeze_first_layer = freeze_first_layer
+
+    @property
+    def freeze_first_layer(self) -> bool:
+        return self.layout.n_frozen == 1
 
     @property
     def weights(self) -> tuple[np.ndarray, ...]:
@@ -226,23 +228,23 @@ def _softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarra
 
 
 class StepWorkspace:
-    """What every step of one descent loop over ``model`` reuses: its layout,
-    the trainable-order learning rates ``lr``, the layer views ``params`` and
+    """What every step of one descent loop over ``model`` reuses: the
+    trainable-order learning rates ``lr``, the layer views ``params`` and
     trainable suffix ``trainable`` of ``model.theta``, the gradient buffer
     ``grad`` (with layer views) and the perturbed-θ buffer ``noisy`` (with
     layer views and trainable suffix). ``noisy`` starts as a copy of θ, whose
     frozen prefix never changes during a loop."""
 
     def __init__(self, model: MLPClassifier, lr_backbone: float, lr_head: float):
-        self.packer = packer = GroupPacker.for_model(model)
-        self.lr = packer.per_coordinate(lr_backbone, lr_head)
-        self.params = packer.views(model.theta)
-        self.trainable = model.theta[packer.start:]
-        self.grad = np.empty(packer.trainable_size)
-        self.grad_views = packer.views(self.grad)
+        layout = model.layout
+        self.lr = layout.per_coordinate(lr_backbone, lr_head)
+        self.params = layout.views(model.theta)
+        self.trainable = model.theta[layout.start:]
+        self.grad = np.empty(layout.trainable_size)
+        self.grad_views = layout.views(self.grad)
         self.noisy = model.theta.copy()
-        self.noisy_params = packer.views(self.noisy)
-        self.noisy_trainable = self.noisy[packer.start:]
+        self.noisy_params = layout.views(self.noisy)
+        self.noisy_trainable = self.noisy[layout.start:]
 
 
 def loss_and_grads(model: MLPClassifier, work: StepWorkspace, params,
@@ -253,7 +255,7 @@ def loss_and_grads(model: MLPClassifier, work: StepWorkspace, params,
     outs = model._outputs(params, batch_x)
     loss, g = _softmax_cross_entropy(outs[-1], batch_y)
     derivative = ACTIVATIONS[model.activation][1]
-    n_frozen = work.packer.n_frozen
+    n_frozen = model.layout.n_frozen
     for i, (grad_w, grad_b) in reversed(list(enumerate(work.grad_views, start=n_frozen))):
         g.sum(axis=0, out=grad_b)
         np.matmul(outs[i].T, g, out=grad_w)
@@ -278,13 +280,13 @@ def init_weights(layer_sizes, rng: np.random.Generator, activation: str = "tanh"
     return model
 
 
-def replace_head(model: MLPClassifier, rng: np.random.Generator,
-                 n_classes: int | None = None) -> MLPClassifier:
-    """Fresh final layer for a (possibly different) class count; backbone kept bit-identical."""
-    k = model.n_classes if n_classes is None else int(n_classes)
-    out = MLPClassifier(list(model.layer_sizes[:-1]) + [k],
+def replace_head(model: MLPClassifier, rng: np.random.Generator, n_classes: int,
+                 freeze_first_layer: bool) -> MLPClassifier:
+    """Fresh final layer for ``n_classes`` classes, with the fine-tuning freeze
+    fixed; backbone kept bit-identical."""
+    out = MLPClassifier(list(model.layer_sizes[:-1]) + [int(n_classes)],
                         activation=model.activation,
-                        freeze_first_layer=model.freeze_first_layer)
+                        freeze_first_layer=freeze_first_layer)
     for dst, src in zip(out.weights[:-1] + out.biases[:-1],
                         model.weights[:-1] + model.biases[:-1]):
         dst[...] = src
@@ -315,15 +317,18 @@ def save_checkpoint(model: MLPClassifier, path, provenance: dict) -> None:
                           encoding="utf-8")
 
 
-def load_checkpoint(path, activation: str = "tanh",
-                    freeze_first_layer: bool = False) -> MLPClassifier:
+def load_checkpoint(path, activation: str = "tanh") -> MLPClassifier:
+    """Read a checkpoint; a file that is not a checkpoint of this version, or
+    whose arrays do not fit its ``layer_sizes``, raises ``ValueError``."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version: {doc.get('version')}")
-    model = MLPClassifier(doc["layer_sizes"], activation=activation,
-                          freeze_first_layer=freeze_first_layer)
-    for w, b, layer in zip(model.weights, model.biases, doc["params"]):
-        w[...] = np.asarray(layer["w"], dtype=np.float64).reshape(w.shape)
-        b[...] = np.asarray(layer["b"], dtype=np.float64)
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version: {version}")
+    try:
+        model = MLPClassifier(doc["layer_sizes"], activation=activation)
+        for w, b, layer in zip(model.weights, model.biases, doc["params"], strict=True):
+            w[...] = np.asarray(layer["w"], dtype=np.float64).reshape(w.shape)
+            b[...] = np.asarray(layer["b"], dtype=np.float64).reshape(b.shape)
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"malformed checkpoint: {e!r}") from e
     return model
-

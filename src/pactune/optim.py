@@ -1,9 +1,10 @@
 """Adam-style optimizer with decoupled weight decay, plus learning-rate schedules.
 
-Defaults follow the fine-tuning recipe this package implements: beta1 0.9,
-beta2 0.98, stability constant 1e-3, weight decay 0.01. Decay is applied only
-where explicitly flagged and never to noise or prior-variance parameters
-(decaying a log-std toward 0 would silently pull variances toward 1).
+The hyperparameters are module constants, from the fine-tuning recipe this
+package implements: beta1 0.9, beta2 0.98, stability constant 1e-3, weight
+decay 0.01. Decay is applied only where explicitly flagged and never to noise
+or prior-variance parameters (decaying a log-std toward 0 would silently pull
+variances toward 1).
 """
 
 from __future__ import annotations
@@ -16,6 +17,11 @@ import numpy as np
 from . import kernels
 
 logger = logging.getLogger(__name__)
+
+BETA1 = 0.9
+BETA2 = 0.98
+EPS = 1e-3
+WEIGHT_DECAY = 0.01
 
 
 @dataclass(frozen=True)
@@ -46,12 +52,7 @@ def schedule_value(sched: LrSchedule, update_index: int) -> float:
 class AdamState:
     """Moment accumulators for one flat parameter vector."""
 
-    def __init__(self, size: int, beta1: float = 0.9, beta2: float = 0.98,
-                 eps: float = 1e-3, weight_decay: float = 0.01):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
+    def __init__(self, size: int):
         self.t = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
@@ -70,7 +71,6 @@ def adam_step(state: AdamState, param: np.ndarray, grad: np.ndarray,
         logger.warning("adam_step: non-finite gradient; step skipped")
         return False
     state.t += 1
-    kernels.adam_update(param, state.m, state.v, grad, state.t, lr, state.beta1,
-                        state.beta2, state.eps,
-                        state.weight_decay if apply_weight_decay else 0.0)
+    kernels.adam_update(param, state.m, state.v, grad, state.t, lr, BETA1, BETA2, EPS,
+                        WEIGHT_DECAY if apply_weight_decay else 0.0)
     return True

@@ -11,7 +11,9 @@ in their step, so traces are directly comparable; every step of a loop reuses
 one ``StepWorkspace`` built for the loop's copy of the model.
 
 A step's ``NumericsError`` (a non-finite layer output, loss or J, or a
-learned variance at 0) becomes a ``DivergenceError`` naming label and epoch.
+learned variance at 0) becomes a ``DivergenceError`` naming label, epoch and
+batch. The trainable layout is the model's own (``model.layout``), fixed
+when ``replace_head`` builds the fine-tuned model, so no stage rebuilds it.
 
 Every run owns its RNG streams, split by purpose (head init, batch order,
 noise draws), so e.g. a zero-noise perturbed run consumes the same batch
@@ -34,8 +36,7 @@ from . import autodiff as ad
 from .bound import (BoundConfig, KTracker, NoiseState, RunningK, generic_bound,
                     init_noise_state, kl_diag_vs_isotropic, pac_objective)
 from .datasets import Dataset
-from .models import (GroupPacker, MLPClassifier, ParamGroup, StepWorkspace, init_weights,
-                     replace_head)
+from .models import MLPClassifier, ParamGroup, StepWorkspace, init_weights, replace_head
 from .optim import AdamState, LrSchedule, StepDecay, adam_step, schedule_value
 from .pgd import descent_step, pgd_step, random_layer_noise_step
 from .pgd import loss_and_grads  # noqa: F401  unused here; perfbench's tracer wraps it
@@ -129,29 +130,30 @@ def _descend(model: MLPClassifier, train: Dataset, dev: Dataset, cfg, data_rng,
     place, with ``adam`` covering its trainable coordinates and ``work`` the
     ``StepWorkspace`` built once for that copy with ``cfg``'s learning rates,
     and returns the batch's ``(l_train, l_pac, kl_b, kl_h)``.
-    ``diagnostics(model, packer, kl_b, kl_h)`` turns the epoch's mean KLs into
+    ``diagnostics(model, kl_b, kl_h)`` turns the epoch's mean KLs into
     the recorded ``(kl_b, kl_h, mean_var_b, mean_var_h, generic_bound)``;
     without it they are recorded as zero.
     """
     model = model.copy()
     work = StepWorkspace(model, cfg.lr_backbone, cfg.lr_head)
-    adam = AdamState(work.packer.trainable_size)
+    adam = AdamState(model.layout.trainable_size)
     trace = []
     # a divergence ends as one DivergenceError from the finiteness guards,
     # not as numpy warnings on stderr ahead of it, in workers too
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(epoch_offset, epoch_offset + cfg.epochs):
             sums, n_batches = (0.0,) * 4, 0
-            for idx in batch_indices(len(train), cfg.batch_size, data_rng):
+            for batch, idx in enumerate(batch_indices(len(train), cfg.batch_size, data_rng)):
                 try:
                     terms = step(model, train.x[idx], train.y[idx], adam, work)
                 except ad.NumericsError as e:
-                    raise DivergenceError(f"{label} diverged at epoch {epoch}: {e}") from e
+                    raise DivergenceError(
+                        f"{label} diverged at epoch {epoch}, batch {batch}: {e}") from e
                 sums = tuple(s + t for s, t in zip(sums, terms))
                 n_batches += 1
             l_train, l_pac, kl_b, kl_h = (s / n_batches for s in sums)
             kl_b, kl_h, mean_var_b, mean_var_h, bound_diag = \
-                diagnostics(model, work.packer, kl_b, kl_h) if diagnostics else (0.0,) * 5
+                diagnostics(model, kl_b, kl_h) if diagnostics else (0.0,) * 5
             dev_metrics = evaluate(model, dev)
             trace.append({
                 "epoch": epoch,
@@ -176,7 +178,7 @@ def stage1_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
                  ) -> tuple[MLPClassifier, NoiseState, list[dict]]:
     """Minimize the bound objective; returns updated model, learned noise, trace."""
     noise = noise.copy()
-    packer = GroupPacker.for_model(model)
+    packer = model.layout
     for g in (ParamGroup.BACKBONE, ParamGroup.HEAD):
         if noise.variances(g).size != packer.sizes[g]:
             raise ValueError(f"noise state does not match the model's {g.value} size")
@@ -191,8 +193,9 @@ def stage1_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
 
     def step(model, x, y, adam, work):
         nonlocal var
+        tau = noise_rng.standard_normal(packer.trainable_size)
         terms, grads = pac_objective(
-            model, noise, x, y, bound_cfg, rng=noise_rng, work=work,
+            model, noise, x, y, bound_cfg, tau, work=work,
             k_value=tracker.value if tracker else None, l_pac_weight=cfg.l_pac_weight,
             variances=var)
         if not np.isfinite(terms.j_total):
@@ -208,7 +211,7 @@ def stage1_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
             raise ad.NumericsError("a learned variance underflowed to 0")
         return terms.l_train, terms.l_pac, terms.kl_backbone, terms.kl_head
 
-    def diagnostics(model, packer, kl_b, kl_h):
+    def diagnostics(model, kl_b, kl_h):
         return (kl_b, kl_h, noise.mean_variance(ParamGroup.BACKBONE),
                 noise.mean_variance(ParamGroup.HEAD),
                 generic_bound(kl_b + kl_h, bound_cfg.delta, bound_cfg.m))
@@ -220,22 +223,18 @@ def stage1_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
 
 def stage2_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
                  dev: Dataset, cfg: Stage2Config, data_rng: np.random.Generator,
-                 noise_rng: np.random.Generator, epoch_offset: int = 0,
-                 bound_cfg: BoundConfig | None = None,
-                 ) -> tuple[MLPClassifier, list[dict]]:
+                 noise_rng: np.random.Generator, bound_cfg: BoundConfig,
+                 epoch_offset: int = 0) -> tuple[MLPClassifier, list[dict]]:
     """Perturbed descent with the learned noise frozen; loss only, no bound term."""
     std = np.exp(noise.log_std)
     mean_var_b = noise.mean_variance(ParamGroup.BACKBONE)
     mean_var_h = noise.mean_variance(ParamGroup.HEAD)
-    bound_cfg = bound_cfg or BoundConfig(m=len(train))
 
-    def diagnostics(model, packer, *_):
-        kl = [0.0, 0.0]
-        if noise.anchors is not None:
-            weights = model.theta[packer.start:]
-            kl = [kl_diag_vs_isotropic(weights[packer.group(g)], noise.variances(g),
-                                       noise.anchor(g), math.exp(noise.prior_log_var(g)))
-                  for g in (ParamGroup.BACKBONE, ParamGroup.HEAD)]
+    def diagnostics(model, *_):
+        weights = model.theta[model.layout.start:]
+        kl = [kl_diag_vs_isotropic(weights[model.layout.group(g)], noise.variances(g),
+                                   noise.anchor(g), math.exp(noise.prior_log_var(g)))
+              for g in (ParamGroup.BACKBONE, ParamGroup.HEAD)]
         return (kl[0], kl[1], mean_var_b, mean_var_h,
                 generic_bound(kl[0] + kl[1], bound_cfg.delta, bound_cfg.m))
 
@@ -328,18 +327,16 @@ def run_finetune(pretrained: MLPClassifier, train: Dataset, dev: Dataset,
     if method not in METHODS:
         raise ValueError(f"unknown method '{method}'")
     head_rng, s1_data, s1_noise, s2_data, s2_noise = run_streams(seed)
-    model = replace_head(pretrained, head_rng, n_classes=int(dev.y.max()) + 1)
-    model.freeze_first_layer = freeze_first_layer
+    model = replace_head(pretrained, head_rng, int(dev.y.max()) + 1, freeze_first_layer)
 
     noise_final = None
     if method == "pac-tuning":
-        packer = GroupPacker.for_model(model)
-        noise = init_noise_state(model, packer)
         model, noise_final, trace1 = stage1_train(
-            model, noise, train, dev, stage1, bound_cfg, s1_data, s1_noise)
+            model, init_noise_state(model), train, dev, stage1, bound_cfg, s1_data,
+            s1_noise)
         model, trace2 = stage2_train(
-            model, noise_final, train, dev, stage2, s2_data, s2_noise,
-            epoch_offset=stage1.epochs, bound_cfg=bound_cfg)
+            model, noise_final, train, dev, stage2, s2_data, s2_noise, bound_cfg,
+            epoch_offset=stage1.epochs)
         epochs = trace1 + trace2
         boundary = stage1.epochs
     else:

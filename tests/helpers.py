@@ -8,7 +8,7 @@ from pactune import autodiff as ad
 from pactune.bound import (K_FLOOR, BoundTerms, FixedGamma, FixedK, KTracker,
                            ObjectiveGrads, RunningK, generic_bound, kl_diag_vs_isotropic,
                            optimal_gamma, pac_objective)
-from pactune.models import GroupPacker, ParamGroup, StepWorkspace, loss_and_grads
+from pactune.models import ParamGroup, StepWorkspace, loss_and_grads
 from pactune.optim import AdamState, adam_step, schedule_value
 from pactune.pipeline import batch_indices, evaluate
 
@@ -159,7 +159,7 @@ GROUPS = (ParamGroup.BACKBONE, ParamGroup.HEAD)
 
 
 def _fresh_step(model, x, y, adam, lr_b, lr_h, weight_decay, perturb=None):
-    packer = GroupPacker.for_model(model)
+    packer = model.layout
     work = StepWorkspace(model, lr_b, lr_h)
     theta = model.theta if perturb is None else perturb(model.theta.copy(), packer)
     loss = loss_and_grads(model, work, packer.views(theta), x, y)
@@ -200,9 +200,10 @@ def stage1_step(cfg, bound_cfg, noise, rng):
     updates = []
 
     def step(model, x, y, adam):
-        packer = GroupPacker.for_model(model)
+        packer = model.layout
+        tau = rng.standard_normal(packer.trainable_size)
         terms, grads = pac_objective(
-            model, noise, x, y, bound_cfg, rng=rng,
+            model, noise, x, y, bound_cfg, tau,
             work=StepWorkspace(model, cfg.lr_backbone, cfg.lr_head),
             k_value=tracker.value if tracker else None, l_pac_weight=cfg.l_pac_weight)
         if tracker:
@@ -227,7 +228,7 @@ def stage1_step(cfg, bound_cfg, noise, rng):
 
 def stage2_diagnostics(noise, delta, m):
     def diagnostics(model, kl_b, kl_h):
-        packer = GroupPacker.for_model(model)
+        packer = model.layout
         weights = model.theta[packer.start:]
         kl = [kl_diag_vs_isotropic(weights[packer.group(g)], noise.variances(g),
                                    noise.anchor(g), math.exp(noise.prior_log_var(g)))
@@ -244,7 +245,7 @@ def reference_descend(model, train, dev, cfg, data_rng, step, stage=0, epoch_off
     """``pipeline._descend`` with ``step(model, x, y, adam)``, which builds its
     own buffers, and ``diagnostics(model, kl_b, kl_h)``."""
     model = model.copy()
-    adam = AdamState(GroupPacker.for_model(model).trainable_size)
+    adam = AdamState(model.layout.trainable_size)
     trace = []
     for epoch in range(epoch_offset, epoch_offset + cfg.epochs):
         steps = [step(model, train.x[idx], train.y[idx], adam)

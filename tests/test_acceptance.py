@@ -36,7 +36,7 @@ def blobs_setup():
     config = cli.load_config(None, sets=["pretrain.epochs=100"])
     cfg = cli.task_config(config, "blobs-rotate")
     pair = cli.resolve_task(cfg)
-    pretrained = cli.pretrain_for_task(cfg, pair)
+    pretrained = cli.pretrain_for_task(cfg, datasets.generate(pair.source))
     target = datasets.generate(pair.target)
     return cfg, pretrained, target
 
@@ -51,8 +51,7 @@ def test_criterion_01_gradcheck_suite():
 
     rng = np.random.default_rng(7)
     model = models.init_weights([2, 2, 2], rng)
-    packer = models.GroupPacker.for_model(model)
-    noise = bound.init_noise_state(model, packer)
+    noise = bound.init_noise_state(model)
     bx = rng.standard_normal((8, 2))
     by = rng.integers(0, 2, size=8)
     cfg = bound.BoundConfig(m=8, delta=0.05, gamma=bound.FixedGamma(5.0),
@@ -124,10 +123,8 @@ def test_criterion_04_noise_learning_contrast(blobs_setup):
     for seed in SEEDS:
         train, dev = datasets.few_shot_sample(target, 100, seed=seed)
         streams = pipeline.run_streams(seed)
-        model = models.replace_head(pretrained, streams[0], n_classes=3)
-        model.freeze_first_layer = True
-        packer = models.GroupPacker.for_model(model)
-        noise = bound.init_noise_state(model, packer)
+        model = models.replace_head(pretrained, streams[0], 3, True)
+        noise = bound.init_noise_state(model)
         mean_var = {}
         for weight in (0.0, 1.0):
             s1 = cli.build_stage1(cli._deep_merge(cfg, {"stage1": {"l_pac_weight": weight}}))
@@ -164,10 +161,9 @@ def test_criterion_05_two_stage_dynamics(blobs_setup):
         wins_a += pac_final < stage1_final
 
         streams = pipeline.run_streams(seed)
-        fresh = models.replace_head(pretrained, streams[0], n_classes=3)
-        fresh.freeze_first_layer = True
+        fresh = models.replace_head(pretrained, streams[0], 3, True)
         _, trace = pipeline.stage2_train(fresh, noise, train, dev, s2,
-                                         streams[3], streams[4], bound_cfg=bcfg)
+                                         streams[3], streams[4], bcfg)
         wins_b += pac_final < trace[-1]["l_train"]
     ok = wins_a == 5 and wins_b >= 4
     report("criterion 5 (two-stage dynamics)",
@@ -227,10 +223,8 @@ def test_criterion_09_zero_noise_degeneracy(blobs_setup):
     cfg, pretrained, target = blobs_setup
     train, dev = datasets.few_shot_sample(target, 100, seed=1)
     streams = pipeline.run_streams(1)
-    model = models.replace_head(pretrained, streams[0], n_classes=3)
-    model.freeze_first_layer = True
-    packer = models.GroupPacker.for_model(model)
-    noise = bound.init_noise_state(model, packer)
+    model = models.replace_head(pretrained, streams[0], 3, True)
+    noise = bound.init_noise_state(model)
     noise.log_std_backbone[:] = -40.0
     noise.log_std_head[:] = -40.0
 
@@ -239,7 +233,7 @@ def test_criterion_09_zero_noise_degeneracy(blobs_setup):
     _, tr_pgd = pipeline.stage2_train(
         model, noise, train, dev, epochs,
         np.random.Generator(np.random.PCG64(55)),
-        np.random.Generator(np.random.PCG64(66)))
+        np.random.Generator(np.random.PCG64(66)), cli.build_bound(cfg, m=len(train)))
     _, tr_van = pipeline.vanilla_finetune(
         model, train, dev, epochs, np.random.Generator(np.random.PCG64(55)))
     worst = max(

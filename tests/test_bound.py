@@ -10,7 +10,7 @@ from pactune import bound, datasets, kernels, models, pipeline
 from pactune.bound import (AutoGamma, BoundConfig, FixedGamma, FixedK, KTracker,
                            RunningK, init_noise_state, kl_diag_vs_isotropic, l_pac,
                            optimal_gamma, pac_objective)
-from pactune.models import GroupPacker, ParamGroup, StepWorkspace
+from pactune.models import ParamGroup, StepWorkspace
 from pactune.pgd import loss_and_grads
 
 
@@ -146,8 +146,7 @@ class TestKTracker:
 
         def k_used(k, k_value):
             terms, _ = pac_objective(model, noise, bx, by, BoundConfig(m=8, k=k),
-                                     rng=np.random.default_rng(0), work=workspace(model),
-                                     k_value=k_value, with_grads=False)
+                                     draw(model), work=workspace(model), k_value=k_value)
             return terms.k_used
 
         assert k_used(FixedK(5.0), 0.3) == 5.0
@@ -189,8 +188,8 @@ class TestPerturb:
 def tiny_setup(seed=0, layer_sizes=(2, 3, 2), freeze=False):
     rng = np.random.default_rng(seed)
     model = models.init_weights(list(layer_sizes), rng, freeze_first_layer=freeze)
-    packer = GroupPacker.for_model(model)
-    noise = init_noise_state(model, packer)
+    packer = model.layout
+    noise = init_noise_state(model)
     bx = rng.standard_normal((8, layer_sizes[0]))
     by = rng.integers(0, layer_sizes[-1], size=8)
     return model, packer, noise, bx, by
@@ -201,6 +200,11 @@ def workspace(model):
     return StepWorkspace(model, 0.0, 0.0)
 
 
+def draw(model, seed=0):
+    """One training noise draw over the model's trainable coordinates."""
+    return np.random.default_rng(seed).standard_normal(model.layout.trainable_size)
+
+
 class TestObjective:
     def test_noise_free_limit(self):
         model, packer, noise, bx, by = tiny_setup()
@@ -208,8 +212,8 @@ class TestObjective:
         noise.log_std_head[:] = -40.0
         noise.params[-2:] = 0.0  # both prior log-variances
         cfg = BoundConfig(m=8, gamma=FixedGamma(5.0), k=FixedK(1.0))
-        terms, _ = pac_objective(model, noise, bx, by, cfg,
-                                 rng=np.random.default_rng(0), work=workspace(model))
+        terms, _ = pac_objective(model, noise, bx, by, cfg, draw(model),
+                                 work=workspace(model))
         from pactune import autodiff as ad
         clean = ad.softmax_cross_entropy(model.forward(bx), by).item()
         assert abs(terms.l_train - clean) < 1e-12
@@ -229,8 +233,8 @@ class TestObjective:
             sizes.append(int(rng.integers(2, 5)))
             model = models.init_weights(sizes, rng, activation=activation,
                                         freeze_first_layer=freeze)
-            packer = GroupPacker.for_model(model)
-            noise = init_noise_state(model, packer)
+            packer = model.layout
+            noise = init_noise_state(model)
             noise.params[:] += 0.3 * rng.standard_normal(noise.params.size)
             model.theta[packer.start:] += 0.1 * rng.standard_normal(packer.trainable_size)
             bx = rng.standard_normal((int(rng.integers(1, 10)), sizes[0]))
@@ -245,8 +249,8 @@ class TestObjective:
 
             cfg = BoundConfig(m=8, gamma=gamma, k=RunningK())
             tau = rng.standard_normal(packer.trainable_size)
-            terms, grads = pac_objective(model, noise, bx, by, cfg, work=work,
-                                         tau=tau, k_value=0.7, l_pac_weight=weight)
+            terms, grads = pac_objective(model, noise, bx, by, cfg, tau, work=work,
+                                         k_value=0.7, l_pac_weight=weight)
             tape_terms, tape_grads = tape_objective(model, noise, packer, tau, bx, by,
                                                     cfg, k_value=0.7, l_pac_weight=weight)
             for field in dataclasses.fields(terms):
@@ -276,8 +280,8 @@ class TestObjective:
         gamma, m = 2.0, 8
         cfg = BoundConfig(m=m, gamma=FixedGamma(gamma), k=FixedK(1.0))
         work = workspace(model)
-        terms, grads = pac_objective(model, noise, bx, by, cfg, work=work,
-                                     tau=np.zeros(packer.trainable_size))
+        terms, grads = pac_objective(model, noise, bx, by, cfg,
+                                     np.zeros(packer.trainable_size), work=work)
         loss_and_grads(model, work, work.params, bx, by)
         ce_grad = work.grad
         for group in (ParamGroup.BACKBONE, ParamGroup.HEAD):
@@ -290,8 +294,8 @@ class TestObjective:
         model, packer, noise, bx, by = tiny_setup(seed=7)
         cfg = BoundConfig(m=8, gamma=FixedGamma(5.0), k=FixedK(1.0))
         tau = np.random.default_rng(2).standard_normal(packer.trainable_size)
-        terms, grads = pac_objective(model, noise, bx, by, cfg, work=workspace(model),
-                                     tau=tau, l_pac_weight=0.0)
+        terms, grads = pac_objective(model, noise, bx, by, cfg, tau, work=workspace(model),
+                                     l_pac_weight=0.0)
         assert terms.l_pac == 0.0
         assert terms.j_total == terms.l_train
         # prior parameters only appear through the bound term
@@ -303,14 +307,14 @@ class TestObjective:
         cfg = BoundConfig(m=8)
         with pytest.raises(ValueError, match="nonempty"):
             pac_objective(model, noise, np.zeros((0, 2)), np.zeros(0, dtype=int),
-                          cfg, rng=np.random.default_rng(0), work=workspace(model))
+                          cfg, draw(model), work=workspace(model))
 
     def test_frozen_first_layer_are_constants(self):
         model, packer, noise, bx, by = tiny_setup(seed=8, freeze=True)
         assert packer.sizes[ParamGroup.BACKBONE] == 0
         cfg = BoundConfig(m=8, gamma=FixedGamma(5.0), k=FixedK(1.0))
-        terms, grads = pac_objective(model, noise, bx, by, cfg,
-                                     rng=np.random.default_rng(0), work=workspace(model))
+        terms, grads = pac_objective(model, noise, bx, by, cfg, draw(model),
+                                     work=workspace(model))
         assert terms.kl_backbone == 0.0
         assert grads.weights.size == packer.sizes[ParamGroup.HEAD]
 
@@ -346,6 +350,29 @@ class TestNoiseState:
         with pytest.raises(ValueError, match="anchor"):
             loaded.anchor(ParamGroup.BACKBONE)
 
+    @pytest.mark.parametrize("freeze", [False, True])
+    def test_init_follows_the_model_layout(self, freeze):
+        model, _, noise, _, _ = tiny_setup(seed=12, layer_sizes=(2, 3, 4, 2),
+                                           freeze=freeze)
+        sizes = model.layout.sizes
+        assert noise.n_backbone == sizes[ParamGroup.BACKBONE]
+        assert noise.log_std_head.size == sizes[ParamGroup.HEAD]
+        assert np.array_equal(noise.anchor(), model.theta[model.layout.start:])
+
+    @pytest.mark.parametrize("text, match", [
+        ("{", "Expecting"),
+        ('{"version": 2}', "version"),
+        ("[1]", "version"),
+        ('{"version": 1, "p_backbone": []}', "malformed"),
+        ('{"version": 1, "p_backbone": [], "p_head": [0.1], "log_lambda": null, '
+         '"log_beta": 0}', "malformed"),
+    ])
+    def test_unusable_file_is_a_value_error(self, tmp_path, text, match):
+        path = tmp_path / "noise.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            bound.load_noise_state(path)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BoundConfig(m=0)
@@ -372,8 +399,8 @@ def trained_blob_model():
 class TestNoiseMonotonicity:
     def test_loss_increases_with_noise_scale(self, trained_blob_model):
         model, ds = trained_blob_model
-        packer = GroupPacker.for_model(model)
-        noise = init_noise_state(model, packer)
+        packer = model.layout
+        noise = init_noise_state(model)
         bx, by = ds.x[:64], ds.y[:64]
         std = np.exp(noise.log_std)
         rng = np.random.default_rng(12)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pactune import cli, datasets, optim
+from pactune import cli, datasets, models, optim
 from pactune.cli import (EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_OK, ConfigError,
                          load_config, main)
 
@@ -333,6 +333,49 @@ class TestInspectNoise:
         assert {r[1] for r in rows} == {"backbone", "head"}
 
 
+def _drop_last_weight(doc):
+    doc["params"][0]["w"].pop()
+    return doc
+
+
+class TestUnusableFiles:
+    """A checkpoint or noise file that cannot be used exits 2 before any output."""
+
+    @pytest.mark.parametrize("command, content, detail", [
+        ("finetune", "not json", "Expecting value"),
+        ("finetune", ((3, 4, 2), _drop_last_weight), "cannot reshape array of size 11"),
+        # the tiny task's inputs have 3 features
+        ("finetune", ((2, 4, 2), None),
+         "takes inputs of size 2, but the target task's inputs have size 3"),
+        ("inspect-noise", "not json", "Expecting value"),
+        ("inspect-noise", '{"version": 2}', "unsupported noise-state version: 2"),
+    ])
+    def test_exits_config_before_any_output(self, tmp_path, capsys, command, content,
+                                            detail):
+        path = tmp_path / "file.json"
+        if isinstance(content, str):
+            path.write_text(content)
+        else:
+            sizes, edit = content
+            model = models.init_weights(list(sizes), np.random.default_rng(0))
+            models.save_checkpoint(model, path, {})
+            if edit:
+                path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        out = tmp_path / "out"
+        if command == "finetune":
+            argv = ["finetune", "--config", tiny_config(tmp_path),
+                    "--set", f'checkpoint="{path}"']
+        else:
+            argv = ["inspect-noise", str(path), "--out", str(out)]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error:") and len(err.splitlines()) == 1, err
+        assert f"'{path}'" in err and detail in err, err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestGradcheckCommand:
     def test_passes(self, capsys):
         assert cli.cmd_gradcheck(seeds=5) == EXIT_OK
@@ -411,7 +454,7 @@ class TestBenchmark:
         err = capfd.readouterr().err
         assert code == EXIT_DIVERGENCE
         assert re.search(r"^numeric divergence: blobs-rotate pac-tuning seed [12]: "
-                         r"stage 1 diverged at epoch \d+: ", err), err
+                         r"stage 1 diverged at epoch \d+, batch \d+: ", err), err
         assert len(err.splitlines()) == 1, err
 
     def test_task_override_applies(self, tmp_path):

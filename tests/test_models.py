@@ -72,26 +72,26 @@ class TestForward:
 class TestReplaceHead:
     def test_backbone_bit_identical(self):
         m = fresh((2, 4, 3), seed=2)
-        m2 = models.replace_head(m, np.random.default_rng(3))
+        m2 = models.replace_head(m, np.random.default_rng(3), m.n_classes, False)
         for i in range(m.n_layers - 1):
             assert np.array_equal(m.weights[i], m2.weights[i])
             assert np.array_equal(m.biases[i], m2.biases[i])
 
     def test_different_seeds_differ(self):
         m = fresh((2, 4, 3), seed=2)
-        a = models.replace_head(m, np.random.default_rng(1))
-        b = models.replace_head(m, np.random.default_rng(2))
+        a = models.replace_head(m, np.random.default_rng(1), m.n_classes, False)
+        b = models.replace_head(m, np.random.default_rng(2), m.n_classes, False)
         assert not np.array_equal(a.weights[-1], b.weights[-1])
 
     def test_class_count_change(self):
         m = fresh((2, 6, 3), seed=2)
-        m2 = models.replace_head(m, np.random.default_rng(0), n_classes=2)
+        m2 = models.replace_head(m, np.random.default_rng(0), 2, False)
         assert m2.weights[-1].shape == (6, 2)
         assert m2.layer_sizes == [2, 6, 2]
 
     def test_backbone_activations_identical(self):
         m = fresh((2, 5, 3), seed=4)
-        m2 = models.replace_head(m, np.random.default_rng(7), n_classes=2)
+        m2 = models.replace_head(m, np.random.default_rng(7), 2, False)
         x = np.zeros((3, 2))
         h1 = ad.tanh(ad.add_bias(ad.matmul(ad.as_tensor(x), ad.as_tensor(m.weights[0])),
                                  ad.as_tensor(m.biases[0]))).data
@@ -108,7 +108,7 @@ class TestGroups:
 
     def test_packer_roundtrip(self):
         m = fresh((3, 4, 2), seed=6)
-        packer = GroupPacker.for_model(m)
+        packer = m.layout
         flat = packer.pack(m, ParamGroup.BACKBONE)
         assert flat.size == 3 * 4 + 4
         m2 = m.copy()
@@ -118,9 +118,37 @@ class TestGroups:
 
     def test_frozen_layer_excluded(self):
         m = fresh((3, 4, 2), seed=6, freeze_first_layer=True)
-        packer = GroupPacker.for_model(m)
+        packer = m.layout
         assert packer.sizes[ParamGroup.BACKBONE] == 0
         assert packer.sizes[ParamGroup.HEAD] == 4 * 2 + 2
+
+
+class TestFixedLayout:
+    """The trainable layout is built with the model and cannot change."""
+
+    @pytest.mark.parametrize("freeze", [False, True])
+    def test_every_way_to_make_a_model_fixes_its_layout(self, freeze, tmp_path):
+        sizes = [3, 4, 5, 2]
+        built = {
+            "constructor": models.MLPClassifier(sizes, freeze_first_layer=freeze),
+            "init_weights": fresh(sizes, seed=1, freeze_first_layer=freeze),
+        }
+        built["copy"] = built["init_weights"].copy()
+        opposite = fresh(sizes, seed=1, freeze_first_layer=not freeze)
+        built["replace_head"] = models.replace_head(opposite, np.random.default_rng(2),
+                                                    2, freeze)
+        for name, model in built.items():
+            assert model.layout == GroupPacker.for_sizes(sizes, freeze), name
+            assert model.freeze_first_layer is freeze, name
+        path = tmp_path / "ckpt.json"
+        models.save_checkpoint(built["init_weights"], path, {})
+        assert models.load_checkpoint(path).layout == GroupPacker.for_sizes(sizes, False)
+
+    def test_freeze_cannot_be_assigned(self):
+        m = fresh(freeze_first_layer=False)
+        with pytest.raises(AttributeError):
+            m.freeze_first_layer = True
+        assert m.layout.n_frozen == 0
 
 
 class TestFlatLayout:
@@ -129,7 +157,7 @@ class TestFlatLayout:
         assert all(np.shares_memory(a, m.theta) for a in m.weights + m.biases)
         m.weights[1][2, 0] = 7.5
         m.biases[0][1] = -2.5
-        packer = GroupPacker.for_model(m)
+        packer = m.layout
         # layer 0: 12 weights, 4 biases; layer 1 starts at 16
         assert m.theta[16 + 2 * 2 + 0] == 7.5
         assert m.theta[12 + 1] == -2.5
@@ -145,7 +173,7 @@ class TestFlatLayout:
 
     def test_trainable_suffix_is_backbone_then_head(self):
         m = fresh((3, 4, 5, 2), seed=1, freeze_first_layer=True)
-        packer = GroupPacker.for_model(m)
+        packer = m.layout
         assert packer.start == 3 * 4 + 4
         trainable = m.theta[packer.start:]
         assert np.array_equal(trainable[packer.group(ParamGroup.BACKBONE)],
@@ -155,15 +183,16 @@ class TestFlatLayout:
 
     def test_copy_and_replace_head_share_no_memory(self):
         m = fresh((2, 4, 3), seed=2)
-        for other in (m.copy(), models.replace_head(m, np.random.default_rng(3))):
+        for other in (m.copy(),
+                      models.replace_head(m, np.random.default_rng(3), m.n_classes, False)):
             assert not np.shares_memory(other.theta, m.theta)
             for a in other.weights + other.biases:
                 assert not np.shares_memory(a, m.theta)
 
     def test_replace_head_keeps_backbone_bytes(self):
         m = fresh((2, 4, 3), seed=2)
-        m2 = models.replace_head(m, np.random.default_rng(3), n_classes=2)
-        head = GroupPacker.for_model(m2).layers[-1][0]
+        m2 = models.replace_head(m, np.random.default_rng(3), 2, False)
+        head = m2.layout.layers[-1][0]
         assert m2.theta[:head].tobytes() == m.theta[:head].tobytes()
 
     def test_one_noise_draw_equals_one_draw_per_group(self):
@@ -201,4 +230,23 @@ class TestCheckpoint:
         path = tmp_path / "bad.json"
         path.write_text('{"version": 99}')
         with pytest.raises(ValueError, match="version"):
+            models.load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda doc: "not json", "Expecting value"),
+        (lambda doc: [doc], "version"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "params"}, "params"),
+        (lambda doc: dict(doc, params=doc["params"][:1]), "shorter"),
+        (lambda doc: dict(doc, params=[{"w": p["w"][:-1], "b": p["b"]}
+                                       for p in doc["params"]]), "reshape"),
+        (lambda doc: dict(doc, params=[{"w": p["w"], "b": p["b"][:1]}
+                                       for p in doc["params"]]), "reshape"),
+        (lambda doc: dict(doc, layer_sizes=["3", 5, 2]), "malformed"),
+    ])
+    def test_unusable_file_is_a_value_error(self, tmp_path, edit, match):
+        path = tmp_path / "ckpt.json"
+        models.save_checkpoint(fresh((3, 5, 2), seed=8), path, {})
+        edited = edit(json.loads(path.read_text(encoding="utf-8")))
+        path.write_text(edited if isinstance(edited, str) else json.dumps(edited))
+        with pytest.raises(ValueError, match=match):
             models.load_checkpoint(path)

@@ -3,17 +3,17 @@ import pytest
 
 from pactune import models
 from pactune.bound import init_noise_state
-from pactune.models import GroupPacker, ParamGroup, StepWorkspace
+from pactune.models import ParamGroup, StepWorkspace
 from pactune.optim import AdamState, adam_step
 from pactune.pgd import loss_and_grads, pgd_step, random_layer_noise_step
 
 GROUPS = (ParamGroup.BACKBONE, ParamGroup.HEAD)
 
 
-def setup(seed=0, layer_sizes=(2, 4, 2), n=8):
+def setup(seed=0, layer_sizes=(2, 4, 2), n=8, freeze=False):
     rng = np.random.default_rng(seed)
-    model = models.init_weights(list(layer_sizes), rng)
-    packer = GroupPacker.for_model(model)
+    model = models.init_weights(list(layer_sizes), rng, freeze_first_layer=freeze)
+    packer = model.layout
     bx = rng.standard_normal((n, layer_sizes[0]))
     by = rng.integers(0, layer_sizes[-1], size=n)
     return model, packer, bx, by
@@ -23,10 +23,10 @@ def fresh_adam(packer):
     return AdamState(packer.trainable_size)
 
 
-def learned(model, packer, std_backbone, std_head):
+def learned(model, std_backbone, std_head):
     """The std vector exp(log_std) of learned noise holding one std per group;
     a std of 0 is log-std -inf."""
-    noise = init_noise_state(model, packer)
+    noise = init_noise_state(model)
     with np.errstate(divide="ignore"):
         noise.log_std_backbone[:] = np.log(std_backbone)
         noise.log_std_head[:] = np.log(std_head)
@@ -42,7 +42,7 @@ def per_group_adam(packer, theta, grad, lrs, weight_decay):
 
 def gradient_at(model, theta, bx, by):
     work = StepWorkspace(model, 0.0, 0.0)
-    loss_and_grads(model, work, work.packer.views(theta), bx, by)
+    loss_and_grads(model, work, model.layout.views(theta), bx, by)
     return work.grad
 
 
@@ -62,7 +62,7 @@ class TestPgdStep:
         model, packer, bx, by = setup()
         expected = manual_plain_step(model, packer, bx, by, 1e-3, 1e-2, True)
         stepped = model.copy()
-        std = learned(model, packer, 0.0, 0.0)
+        std = learned(model, 0.0, 0.0)
         assert not std.any()  # exp(-inf) is exactly 0
         # noise is drawn (stream consumed) but scaled by exactly zero
         pgd_step(stepped, bx, by, std, fresh_adam(packer),
@@ -73,7 +73,7 @@ class TestPgdStep:
 
     def test_learned_minus_forty_matches_plain_step(self):
         model, packer, bx, by = setup(seed=1)
-        noise = init_noise_state(model, packer)
+        noise = init_noise_state(model)
         noise.log_std_backbone[:] = -40.0
         noise.log_std_head[:] = -40.0
         expected = manual_plain_step(model, packer, bx, by, 1e-3, 1e-2, True)
@@ -88,7 +88,7 @@ class TestPgdStep:
         # replicate the noise draw, compute the gradient at theta + std*tau by
         # hand, and confirm the step used exactly that gradient
         model, packer, bx, by = setup(seed=2)
-        std = learned(model, packer, 0.2, 0.3)
+        std = learned(model, 0.2, 0.3)
 
         tau = np.random.default_rng(123).standard_normal(packer.trainable_size)
         perturbed = model.theta.copy()
@@ -109,7 +109,7 @@ class TestPgdStep:
         # stay bit-identical no matter how large the injected noise was
         model, packer, bx, by = setup(seed=3)
         before = [w.copy() for w in model.weights]
-        pgd_step(model, bx, by, learned(model, packer, 1e3, 1e3), fresh_adam(packer),
+        pgd_step(model, bx, by, learned(model, 1e3, 1e3), fresh_adam(packer),
                  StepWorkspace(model, 1e-300, 1e-300), np.random.default_rng(4),
                  weight_decay=False)
         for a, b in zip(model.weights, before):
@@ -121,7 +121,7 @@ class TestPgdStep:
 
         def deltas(lr_b):
             stepped = model.copy()
-            pgd_step(stepped, bx, by, learned(model, packer, 0.0, 0.0),
+            pgd_step(stepped, bx, by, learned(model, 0.0, 0.0),
                      fresh_adam(packer), StepWorkspace(stepped, lr_b, 1e-2),
                      np.random.default_rng(0), weight_decay=False)
             return {g: packer.pack(stepped, g) - packer.pack(model, g)
@@ -149,7 +149,7 @@ class TestPgdStep:
     def test_fixed_seed_reproducible_trajectory(self):
         def run():
             model, packer, bx, by = setup(seed=5)
-            std = learned(model, packer, 0.1, 0.2)
+            std = learned(model, 0.1, 0.2)
             adam = fresh_adam(packer)
             work = StepWorkspace(model, 1e-3, 1e-2)
             rng = np.random.default_rng(11)
@@ -161,7 +161,7 @@ class TestPgdStep:
 
     def test_empty_batch_rejected(self):
         model, packer, _, _ = setup()
-        std = learned(model, packer, 0.0, 0.0)
+        std = learned(model, 0.0, 0.0)
         with pytest.raises(ValueError, match="nonempty"):
             pgd_step(model, np.zeros((0, 2)), np.zeros(0, dtype=int), std,
                      fresh_adam(packer), StepWorkspace(model, 1e-3, 1e-2),
@@ -217,9 +217,7 @@ class TestRandomLayerNoise:
         assert np.all(np.abs(freq - 0.25) <= 0.02), freq
 
     def test_frozen_layer_noise_never_reaches_the_model(self):
-        model, _, bx, by = setup(seed=9, layer_sizes=(2, 3, 2))
-        model.freeze_first_layer = True
-        packer = GroupPacker.for_model(model)
+        model, packer, bx, by = setup(seed=9, layer_sizes=(2, 3, 2), freeze=True)
         frozen_w, frozen_b = model.weights[0].copy(), model.biases[0].copy()
         rng = _RecordingRng(5)
         adam = fresh_adam(packer)

@@ -8,7 +8,7 @@ import pytest
 
 from pactune import datasets, models, pipeline
 from pactune.bound import AutoGamma, BoundConfig, init_noise_state, pac_objective
-from pactune.models import GroupPacker, ParamGroup, StepWorkspace
+from pactune.models import ParamGroup, StepWorkspace
 from pactune.optim import Constant, StepDecay
 from pactune.pipeline import (DivergenceError, Stage1Config, Stage2Config,
                               importance_ranking, metrics, noise_injection_finetune,
@@ -32,6 +32,11 @@ def toy_task():
     target = datasets.generate(pair.target)
     train, dev = datasets.few_shot_sample(target, 60, seed=5)
     return pretrained, train, dev
+
+
+def fresh_head(pretrained, seed, n_classes=2, freeze=False):
+    """The pretrained backbone under a new head, as ``run_finetune`` builds it."""
+    return models.replace_head(pretrained, np.random.default_rng(seed), n_classes, freeze)
 
 
 def small_stage1(**kw):
@@ -107,8 +112,7 @@ class TestImportanceRanking:
 
     def test_noise_state_input(self, toy_task):
         pretrained, train, dev = toy_task
-        packer = GroupPacker.for_model(pretrained)
-        noise = init_noise_state(pretrained, packer)
+        noise = init_noise_state(pretrained)
         order = importance_ranking(noise.variances())
         n = noise.log_std_backbone.size + noise.log_std_head.size
         assert sorted(order.tolist()) == list(range(n))
@@ -117,9 +121,8 @@ class TestImportanceRanking:
 class TestStage1:
     def test_zero_lr_is_noop_with_one_trace_entry(self, toy_task):
         pretrained, train, dev = toy_task
-        model = models.replace_head(pretrained, np.random.default_rng(0))
-        packer = GroupPacker.for_model(model)
-        noise = init_noise_state(model, packer)
+        model = fresh_head(pretrained, 0)
+        noise = init_noise_state(model)
         cfg = Stage1Config(epochs=1, batch_size=32, lr_backbone=0.0, lr_head=0.0,
                            lr_noise_backbone=0.0, lr_noise_head=Constant(0.0),
                            decay_weights=False)
@@ -135,9 +138,8 @@ class TestStage1:
 
     def test_head_variance_moves_and_terms_stay_finite(self, toy_task):
         pretrained, train, dev = toy_task
-        model = models.replace_head(pretrained, np.random.default_rng(0))
-        packer = GroupPacker.for_model(model)
-        noise = init_noise_state(model, packer)
+        model = fresh_head(pretrained, 0)
+        noise = init_noise_state(model)
         init_mean_var = noise.mean_variance(ParamGroup.HEAD)
         _, learned, trace = stage1_train(
             model, noise, train, dev, small_stage1(), BoundConfig(m=len(train)),
@@ -147,9 +149,8 @@ class TestStage1:
 
     def test_trace_integrity(self, toy_task):
         pretrained, train, dev = toy_task
-        model = models.replace_head(pretrained, np.random.default_rng(3))
-        packer = GroupPacker.for_model(model)
-        noise = init_noise_state(model, packer)
+        model = fresh_head(pretrained, 3)
+        noise = init_noise_state(model)
         _, _, trace = stage1_train(
             model, noise, train, dev, small_stage1(epochs=5),
             BoundConfig(m=len(train)), np.random.default_rng(1),
@@ -159,9 +160,8 @@ class TestStage1:
 
     def test_divergence_guard_names_epoch(self, toy_task):
         pretrained, train, dev = toy_task
-        model = models.replace_head(pretrained, np.random.default_rng(3))
-        packer = GroupPacker.for_model(model)
-        noise = init_noise_state(model, packer)
+        model = fresh_head(pretrained, 3)
+        noise = init_noise_state(model)
         cfg = small_stage1(epochs=3, lr_noise_backbone=1e10,
                            lr_noise_head=Constant(1e10))
         with pytest.raises(DivergenceError, match="epoch"):
@@ -172,8 +172,8 @@ class TestStage1:
         # large noise steps drive log-stds below about -372, where exp(2p)
         # is 0 in float64 and the KL cannot be evaluated
         pretrained, train, dev = toy_task
-        model = models.replace_head(pretrained, np.random.default_rng(3))
-        noise = init_noise_state(model, GroupPacker.for_model(model))
+        model = fresh_head(pretrained, 3)
+        noise = init_noise_state(model)
         cfg = small_stage1(epochs=20, lr_noise_backbone=100.0,
                            lr_noise_head=Constant(100.0))
         with pytest.raises(DivergenceError, match="variance underflowed"):
@@ -182,10 +182,10 @@ class TestStage1:
 
     def test_anchor_mismatch_rejected(self, toy_task):
         pretrained, train, dev = toy_task
-        model = models.replace_head(pretrained, np.random.default_rng(3))
+        model = fresh_head(pretrained, 3)
         # a noise state made for a model with one more class
-        other = models.replace_head(pretrained, np.random.default_rng(3), n_classes=3)
-        noise = init_noise_state(other, GroupPacker.for_model(other))
+        other = fresh_head(pretrained, 3, n_classes=3)
+        noise = init_noise_state(other)
         with pytest.raises(ValueError, match="head"):
             stage1_train(model, noise, train, dev, small_stage1(),
                          BoundConfig(m=len(train)), np.random.default_rng(1),
@@ -195,15 +195,14 @@ class TestStage1:
 class TestStage2AndBaselines:
     def test_minus_forty_noise_equals_vanilla(self, toy_task):
         pretrained, train, dev = toy_task
-        model = models.replace_head(pretrained, np.random.default_rng(0))
-        packer = GroupPacker.for_model(model)
-        noise = init_noise_state(model, packer)
+        model = fresh_head(pretrained, 0)
+        noise = init_noise_state(model)
         noise.log_std_backbone[:] = -40.0
         noise.log_std_head[:] = -40.0
         cfg = Stage2Config(epochs=15, batch_size=32)
         _, trace_pgd = stage2_train(model, noise, train, dev, cfg,
                                     np.random.default_rng(10),
-                                    np.random.default_rng(11))
+                                    np.random.default_rng(11), BoundConfig(m=len(train)))
         van, trace_van = vanilla_finetune(model, train, dev, cfg,
                                           np.random.default_rng(10))
         for a, b in zip(trace_pgd, trace_van):
@@ -262,16 +261,19 @@ class TestStage2AndBaselines:
                                        "vanilla fine-tuning", "noise injection"])
     def test_divergence_names_label_and_epoch(self, toy_task, label):
         pretrained, train, dev = toy_task
-        model = models.replace_head(pretrained, np.random.default_rng(3))
+        model = fresh_head(pretrained, 3)
         cfg = Stage2Config(epochs=3, lr_backbone=1e308, lr_head=1e308)
         data_rng, noise_rng = np.random.default_rng(1), np.random.default_rng(2)
-        with pytest.raises(DivergenceError, match=f"^{label} diverged at epoch 0: "):
+        # batch 0's update makes θ infinite, so batch 1's forward pass fails
+        with pytest.raises(DivergenceError,
+                           match=f"^{label} diverged at epoch 0, batch 1: layer 0 "):
             if label == "pretraining":
                 pipeline.pretrain_model(train, [3, 10, 2], epochs=3, batch_size=32,
                                         lr_backbone=1e308, lr_head=1e308, seed=4)
             elif label == "stage 2":
-                noise = init_noise_state(model, GroupPacker.for_model(model))
-                stage2_train(model, noise, train, dev, cfg, data_rng, noise_rng)
+                noise = init_noise_state(model)
+                stage2_train(model, noise, train, dev, cfg, data_rng, noise_rng,
+                             BoundConfig(m=len(train)))
             elif label == "vanilla fine-tuning":
                 vanilla_finetune(model, train, dev, cfg, data_rng)
             else:
@@ -326,9 +328,8 @@ class TestNoiseLearningContrast:
         # variant to pass below the bound-held level (single-seed smoke version
         # of the acceptance-suite check).
         pretrained, train, dev = toy_task
-        model = models.replace_head(pretrained, np.random.default_rng(0))
-        packer = GroupPacker.for_model(model)
-        noise = init_noise_state(model, packer)
+        model = fresh_head(pretrained, 0)
+        noise = init_noise_state(model)
         init_mean = np.mean(np.concatenate([
             noise.variances(ParamGroup.BACKBONE), noise.variances(ParamGroup.HEAD)]))
 
@@ -356,9 +357,8 @@ class TestStepWorkspace:
         assert len(train) % 32 != 0  # a ragged last batch
 
         def start(freeze):
-            model = models.replace_head(pretrained, np.random.default_rng(0))
-            model.freeze_first_layer = freeze
-            noise = init_noise_state(model, GroupPacker.for_model(model))
+            model = fresh_head(pretrained, 0, freeze=freeze)
+            noise = init_noise_state(model)
             noise.params[:] += 0.2 * np.random.default_rng(1).standard_normal(
                 noise.params.size)
             return model, noise, train, dev
@@ -391,8 +391,8 @@ class TestStepWorkspace:
         cfg = Stage2Config(epochs=3, weight_decay=False)
         bound_cfg = BoundConfig(m=len(train))
         data_rng, noise_rng = self.rngs()
-        got = stage2_train(model, noise, train, dev, cfg, data_rng, noise_rng,
-                           epoch_offset=4, bound_cfg=bound_cfg)
+        got = stage2_train(model, noise, train, dev, cfg, data_rng, noise_rng, bound_cfg,
+                           epoch_offset=4)
         data_rng, noise_rng = self.rngs()
         self.assert_same(got, helpers.reference_descend(
             model, train, dev, cfg, data_rng, helpers.pgd_step(cfg, noise, noise_rng),
@@ -433,9 +433,10 @@ class TestStepWorkspace:
         cfg = BoundConfig(m=len(train))
         rng = np.random.default_rng(3)
         x, y = train.x[:32], train.y[:32]
-        _, first = pac_objective(model, noise, x, y, cfg, rng, work=work)
+        n = model.layout.trainable_size
+        _, first = pac_objective(model, noise, x, y, cfg, rng.standard_normal(n), work=work)
         kept = (first.weights.copy(), first.noise.copy())
-        _, second = pac_objective(model, noise, x, y, cfg, rng, work=work)
+        _, second = pac_objective(model, noise, x, y, cfg, rng.standard_normal(n), work=work)
         assert not np.array_equal(second.weights, kept[0])
         assert np.array_equal(first.weights, kept[0])
         assert np.array_equal(first.noise, kept[1])
