@@ -374,8 +374,7 @@ def run_single(config: dict, pretrained: models.MLPClassifier, target: datasets.
 
 def _benchmark_run(payload) -> dict:
     """One benchmark run; module-level so worker processes can receive it."""
-    config, pretrained, task_name, method, seed = payload
-    target = datasets.generate(resolve_task(config).target)
+    config, pretrained, target, task_name, method, seed = payload
     record, _, _ = run_single(config, pretrained, target, seed, method)
     record.final["task"] = task_name
     return dataclasses.asdict(record)
@@ -388,15 +387,14 @@ def run_benchmark(config: dict, workers: int = 1):
     report and the per-run JSONL files are deterministic for a fixed config.
     """
     specs = []
-    pretrained_by_task = {}
     for task_name in config["tasks"]:
         cfg_t = task_config(config, task_name)
-        source = datasets.generate(resolve_task(cfg_t).source)
-        pretrained_by_task[task_name] = pretrain_for_task(cfg_t, source)
+        pair = resolve_task(cfg_t)
+        pretrained = pretrain_for_task(cfg_t, datasets.generate(pair.source))
+        target = datasets.generate(pair.target)
         for method in config["methods"]:
             for seed in config["seeds"]:
-                specs.append((cfg_t, pretrained_by_task[task_name], task_name,
-                              method, seed))
+                specs.append((cfg_t, pretrained, target, task_name, method, seed))
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -405,7 +403,7 @@ def run_benchmark(config: dict, workers: int = 1):
         results = [_benchmark_run(s) for s in specs]
 
     report: dict = {"config": config, "results": {}, "runs": []}
-    for (cfg_t, _, task_name, method, seed), rec in zip(specs, results):
+    for (_, _, _, task_name, method, seed), rec in zip(specs, results):
         report["runs"].append({"task": task_name, "method": method, "seed": seed,
                                "final": rec["final"]})
         bucket = report["results"].setdefault(task_name, {}).setdefault(
@@ -492,6 +490,10 @@ def cmd_finetune(config: dict) -> int:
         raise ConfigError(f"checkpoint '{path}' takes inputs of size "
                           f"{pretrained.input_dim}, but the target task's inputs "
                           f"have size {target.dim}")
+    hidden = pretrained.layer_sizes[1:-1]
+    if hidden != config["model"]["hidden"]:
+        raise ConfigError(f"checkpoint '{path}' has hidden layers {hidden}, but "
+                          f"'model.hidden' is {config['model']['hidden']}")
     out = _ensure_out(config)
     seed = config["seeds"][0]
     method = config["method"]
@@ -520,7 +522,7 @@ def cmd_benchmark(config: dict, workers: int = 1) -> int:
     runs_dir.mkdir(exist_ok=True)
     report, results, specs = run_benchmark(config, workers=workers)
     writers = []
-    for (cfg_t, _, task_name, method, seed), rec in zip(specs, results):
+    for (_, _, _, task_name, method, seed), rec in zip(specs, results):
         record = pipeline.RunRecord(**rec)
         path = runs_dir / f"{task_name}__{method}__seed{seed}.jsonl"
         writers.append((path, lambda p, r=record: r.to_jsonl(p)))

@@ -11,17 +11,29 @@ import numpy as np
 BACKEND = "numpy"
 
 
-def adam_update(param, m, v, grad, t, lr, beta1, beta2, eps, weight_decay):
-    """Bias-corrected AdamW step on one flat array, in place."""
+def adam_update(param, m, v, grad, t, lr, beta1, beta2, eps, lr_decay, scratch):
+    """Bias-corrected AdamW step on one flat array, in place.
+
+    ``lr_decay`` is ``lr * weight_decay``, or None for no decay; ``scratch``
+    is two float64 arrays of ``param``'s size that hold the intermediates, so
+    a step allocates nothing. The operations and their order are those of
+    ``param -= (lr / bc1) * m / (sqrt(v / bc2) + eps) + lr_decay * param``.
+    """
+    a, b = scratch
     m *= beta1
-    m += (1.0 - beta1) * grad
+    m += np.multiply(grad, 1.0 - beta1, out=a)
     v *= beta2
-    v += (1.0 - beta2) * grad * grad
+    np.multiply(grad, 1.0 - beta2, out=a)
+    v += np.multiply(a, grad, out=a)
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-    step = (lr / bc1) * m / (np.sqrt(v / bc2) + eps)
-    if weight_decay != 0.0:
-        step = step + (lr * weight_decay) * param
+    np.sqrt(np.divide(v, bc2, out=b), out=b)
+    b += eps
+    step = np.divide(lr, bc1, out=a)
+    step *= m
+    step /= b
+    if lr_decay is not None:
+        step += np.multiply(lr_decay, param, out=b)
     param -= step
 
 

@@ -17,7 +17,13 @@ gradients and optimizer moments all use its trainable order.
 
 Training gradients come from closed-form numpy backprop (``loss_and_grads``);
 the tape in ``autodiff`` is only the oracle the tests check them against.
-A descent loop's steps share one ``StepWorkspace``, built once per loop.
+A descent loop's steps share one ``StepWorkspace``, built once per loop, and
+so do its evaluations: the workspace holds one output buffer per layer for
+the dev rows and, when the first layer is frozen, computes that layer's dev
+output once per loop. The forward pass adds biases and applies activations
+in place, and backprop and the softmax gradient overwrite arrays the step
+no longer needs, with the operations and their order unchanged, so the
+results are those of the plain expressions bit for bit.
 """
 
 from __future__ import annotations
@@ -38,9 +44,14 @@ class ParamGroup(str, Enum):
     HEAD = "head"
 
 
-# name -> (activation, its derivative in terms of its output; relu's is 0 at 0)
-ACTIVATIONS = {"tanh": (np.tanh, lambda out: 1.0 - out * out),
-               "relu": (lambda z: np.maximum(z, 0.0), lambda out: out > 0.0)}
+# name -> (activation, its derivative in terms of its output; relu's is 0 at 0),
+# both written over their argument
+ACTIVATIONS = {
+    "tanh": (lambda z: np.tanh(z, out=z),
+             lambda out: np.subtract(1.0, np.multiply(out, out, out=out), out=out)),
+    "relu": (lambda z: np.maximum(z, 0.0, out=z),
+             lambda out: np.greater(out, 0.0, out=out)),
+}
 
 
 def group_slice(group: ParamGroup, n_backbone: int, n_trainable: int) -> slice:
@@ -176,32 +187,41 @@ class MLPClassifier:
         return MLPClassifier(self.layer_sizes, self.theta.copy(), self.activation,
                              self.freeze_first_layer)
 
-    def _outputs(self, params, x: np.ndarray) -> list[np.ndarray]:
-        """The batch, each hidden activation and the logits, for per-layer
-        ``(w, b)`` arrays; the one forward loop of every pass. A non-finite
-        layer output raises ``NumericsError``, the guard of every training step.
+    def _outputs(self, params, x: np.ndarray, out=None, first: int = 0,
+                 ) -> list[np.ndarray]:
+        """Layer ``first``'s input ``x``, then each later layer's output: hidden
+        activations and the logits, for the per-layer ``(w, b)`` list
+        ``params``; the one forward loop of every pass. Each output is written
+        into ``out[i]`` when ``out`` (one buffer per layer for ``x``'s rows) is
+        given, else into a fresh array, and the bias and activation are applied
+        in place. A non-finite layer output raises ``NumericsError``, the guard
+        of every training step.
         """
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.input_dim:
+        if x.ndim != 2 or x.shape[1] != self.layer_sizes[first]:
             raise ad.ShapeError(
                 f"forward: batch shape {x.shape} does not match input size "
-                f"{self.input_dim}")
+                f"{self.layer_sizes[first]}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation '{self.activation}'; "
                              f"expected one of {sorted(ACTIVATIONS)}")
         act = ACTIVATIONS[self.activation][0]
         last = self.n_layers - 1
         outs = [x]
-        for i, (w, b) in enumerate(params):
-            z = outs[-1] @ w + b
+        for i in range(first, self.n_layers):
+            w, b = params[i]
+            z = np.matmul(outs[-1], w, out=None if out is None else out[i])
+            z += b
             if not np.isfinite(z).all():
                 raise ad.NumericsError(f"layer {i} output is not finite")
-            outs.append(act(z) if i < last else z)
+            if i < last:
+                act(z)
+            outs.append(z)
         return outs
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Logits for a batch."""
-        return self._outputs(zip(self.weights, self.biases), x)[-1]
+        return self._outputs(list(zip(self.weights, self.biases)), x)[-1]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.forward(x), axis=1)
@@ -209,22 +229,27 @@ class MLPClassifier:
 
 def _softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
     """Mean cross-entropy of row-softmax vs integer labels, and its gradient
-    with respect to the logits; stabilized by subtracting the row max."""
+    with respect to the logits, computed in place of ``logits``, which it
+    returns; stabilized by subtracting the row max."""
     n, k = logits.shape
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (n,) or (labels < 0).any() or (labels >= k).any():
         raise ad.ShapeError(f"cross-entropy: labels of shape {labels.shape} need "
                             f"shape ({n},) and values in [0, {k})")
-    z = logits - logits.max(axis=1, keepdims=True)
-    ez = np.exp(z)
-    denom = ez.sum(axis=1, keepdims=True)
+    z = logits
+    z -= z.max(axis=1, keepdims=True)
     rows = np.arange(n)
-    loss = float(-((z - np.log(denom))[rows, labels].sum() / n))
+    picked = z[rows, labels]
+    ez = np.exp(z, out=z)
+    denom = ez.sum(axis=1, keepdims=True)
+    loss = float(-((picked - np.log(denom)[:, 0]).sum() / n))
     if not math.isfinite(loss):
         raise ad.NumericsError("the loss is not finite")
-    grad = ez / denom
+    grad = ez
+    grad /= denom
     grad[rows, labels] -= 1.0
-    return loss, grad * (1.0 / n)
+    grad *= 1.0 / n
+    return loss, grad
 
 
 class StepWorkspace:
@@ -233,10 +258,20 @@ class StepWorkspace:
     trainable suffix ``trainable`` of ``model.theta``, the gradient buffer
     ``grad`` (with layer views) and the perturbed-θ buffer ``noisy`` (with
     layer views and trainable suffix). ``noisy`` starts as a copy of θ, whose
-    frozen prefix never changes during a loop."""
+    frozen prefix never changes during a loop.
 
-    def __init__(self, model: MLPClassifier, lr_backbone: float, lr_head: float):
+    Given the loop's evaluation inputs ``eval_x``, it also holds one output
+    buffer per layer for their rows, which ``predict_eval`` fills in place.
+    A frozen first layer's output stays valid for the whole loop, since
+    steps write only ``theta[start:]`` and ``noisy``, so only the first
+    evaluation runs (and checks) it; later ones run layers 1 onwards.
+    Nothing is kept on the model.
+    """
+
+    def __init__(self, model: MLPClassifier, lr_backbone: float, lr_head: float,
+                 eval_x: np.ndarray | None = None):
         layout = model.layout
+        self.model = model
         self.lr = layout.per_coordinate(lr_backbone, lr_head)
         self.params = layout.views(model.theta)
         self.trainable = model.theta[layout.start:]
@@ -245,6 +280,21 @@ class StepWorkspace:
         self.noisy = model.theta.copy()
         self.noisy_params = layout.views(self.noisy)
         self.noisy_trainable = self.noisy[layout.start:]
+        if eval_x is not None:
+            rows = len(eval_x)
+            self.eval_x = eval_x
+            self.eval_out = [np.empty((rows, shape[1])) for _, _, shape in layout.layers]
+            self.eval_pred = np.empty(rows, dtype=np.intp)
+            self._eval_first = 0
+
+    def predict_eval(self) -> np.ndarray:
+        """Class predictions for ``eval_x`` at the model's current θ, written
+        into ``eval_pred``."""
+        first = self._eval_first
+        x = self.eval_x if first == 0 else self.eval_out[0]
+        logits = self.model._outputs(self.params, x, self.eval_out, first)[-1]
+        self._eval_first = self.model.layout.n_frozen
+        return np.argmax(logits, axis=1, out=self.eval_pred)
 
 
 def loss_and_grads(model: MLPClassifier, work: StepWorkspace, params,
@@ -260,7 +310,8 @@ def loss_and_grads(model: MLPClassifier, work: StepWorkspace, params,
         g.sum(axis=0, out=grad_b)
         np.matmul(outs[i].T, g, out=grad_w)
         if i > n_frozen:
-            g = (g @ params[i][0].T) * derivative(outs[i])
+            g = np.matmul(g, params[i][0].T)
+            g *= derivative(outs[i])
     return loss
 
 

@@ -50,12 +50,23 @@ def schedule_value(sched: LrSchedule, update_index: int) -> float:
 
 
 class AdamState:
-    """Moment accumulators for one flat parameter vector."""
+    """Moment accumulators for one flat parameter vector, and the scratch
+    vectors of its updates. One descent loop owns one; ``decay_rate`` gives
+    ``lr * WEIGHT_DECAY``, computed once per learning-rate object."""
 
     def __init__(self, size: int):
         self.t = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
+        self.scratch = (np.empty(size), np.empty(size))
+        self._decay = (None, None)  # (lr, lr * WEIGHT_DECAY)
+
+    def decay_rate(self, lr):
+        """``lr * WEIGHT_DECAY``; a loop passes the same ``lr`` every step and
+        never writes to it, so the product is reused while ``lr`` is."""
+        if self._decay[0] is not lr:
+            self._decay = (lr, lr * WEIGHT_DECAY)
+        return self._decay[1]
 
 
 def adam_step(state: AdamState, param: np.ndarray, grad: np.ndarray,
@@ -72,5 +83,6 @@ def adam_step(state: AdamState, param: np.ndarray, grad: np.ndarray,
         return False
     state.t += 1
     kernels.adam_update(param, state.m, state.v, grad, state.t, lr, BETA1, BETA2, EPS,
-                        WEIGHT_DECAY if apply_weight_decay else 0.0)
+                        state.decay_rate(lr) if apply_weight_decay else None,
+                        state.scratch)
     return True

@@ -18,7 +18,10 @@ when ``replace_head`` builds the fine-tuned model, so no stage rebuilds it.
 Every run owns its RNG streams, split by purpose (head init, batch order,
 noise draws), so e.g. a zero-noise perturbed run consumes the same batch
 order as a vanilla run. Dev metrics always use the noise-free forward pass at
-the posterior mean.
+the posterior mean. Each epoch's ``evaluate`` runs on the loop's workspace:
+a frozen first layer's dev output is computed (and checked) at the first
+evaluation and reused, as the steps never write the frozen prefix of θ, so
+later evaluations run the other layers only, into buffers built once.
 """
 
 from __future__ import annotations
@@ -82,7 +85,8 @@ def batch_indices(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def metrics(preds, labels) -> dict:
-    """Accuracy and Matthews correlation over the k-class confusion matrix.
+    """Accuracy and Matthews correlation over the k-class confusion matrix,
+    counted with one ``bincount``; class indices must be nonnegative.
 
     For k = 2 its numerator is exactly twice the binary formula's and its
     squared denominator four times, both integers, so the MCC is the binary one
@@ -93,21 +97,27 @@ def metrics(preds, labels) -> dict:
     if preds.shape != labels.shape:
         raise ValueError("metrics: predictions and labels differ in length")
     n = preds.size
-    accuracy = float(np.mean(preds == labels)) if n else 0.0
-    k = int(max(preds.max(initial=0), labels.max(initial=0))) + 1 if n else 0
-    confusion = np.zeros((k, k), dtype=np.int64)
-    np.add.at(confusion, (labels, preds), 1)
+    if n == 0:
+        return {"accuracy": 0.0, "mcc": 0.0}
+    if min(preds.min(), labels.min()) < 0:
+        raise ValueError("metrics: class indices must be nonnegative")
+    k = int(max(preds.max(), labels.max())) + 1
+    confusion = np.bincount(labels * k + preds, minlength=k * k).reshape(k, k)
     correct = int(np.trace(confusion))
     t_k = confusion.sum(axis=1)
     p_k = confusion.sum(axis=0)
     num = correct * n - int(t_k @ p_k)
     den_sq = (n * n - int(p_k @ p_k)) * (n * n - int(t_k @ t_k))
     mcc = 0.0 if den_sq == 0 else num / math.sqrt(den_sq)
-    return {"accuracy": accuracy, "mcc": float(mcc)}
+    return {"accuracy": correct / n, "mcc": float(mcc)}
 
 
-def evaluate(model: MLPClassifier, data: Dataset) -> dict:
-    return metrics(model.predict(data.x), data.y)
+def evaluate(model: MLPClassifier, data: Dataset, work: StepWorkspace | None = None,
+             ) -> dict:
+    """Dev metrics of ``model`` on ``data``; a descent loop passes its
+    workspace, built for ``model`` with ``data.x`` as its evaluation inputs."""
+    preds = model.predict(data.x) if work is None else work.predict_eval()
+    return metrics(preds, data.y)
 
 
 def importance_ranking(variances) -> np.ndarray:
@@ -135,7 +145,7 @@ def _descend(model: MLPClassifier, train: Dataset, dev: Dataset, cfg, data_rng,
     without it they are recorded as zero.
     """
     model = model.copy()
-    work = StepWorkspace(model, cfg.lr_backbone, cfg.lr_head)
+    work = StepWorkspace(model, cfg.lr_backbone, cfg.lr_head, dev.x)
     adam = AdamState(model.layout.trainable_size)
     trace = []
     # a divergence ends as one DivergenceError from the finiteness guards,
@@ -154,7 +164,7 @@ def _descend(model: MLPClassifier, train: Dataset, dev: Dataset, cfg, data_rng,
             l_train, l_pac, kl_b, kl_h = (s / n_batches for s in sums)
             kl_b, kl_h, mean_var_b, mean_var_h, bound_diag = \
                 diagnostics(model, kl_b, kl_h) if diagnostics else (0.0,) * 5
-            dev_metrics = evaluate(model, dev)
+            dev_metrics = evaluate(model, dev, work)
             trace.append({
                 "epoch": epoch,
                 "stage": stage,

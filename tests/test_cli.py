@@ -347,6 +347,8 @@ class TestUnusableFiles:
         # the tiny task's inputs have 3 features
         ("finetune", ((2, 4, 2), None),
          "takes inputs of size 2, but the target task's inputs have size 3"),
+        # the tiny config's hidden layers are [8, 4]
+        ("finetune", ((3, 5, 2), None), "has hidden layers [5], but 'model.hidden' is [8, 4]"),
         ("inspect-noise", "not json", "Expecting value"),
         ("inspect-noise", '{"version": 2}', "unsupported noise-state version: 2"),
     ])
@@ -437,6 +439,18 @@ class TestBenchmark:
         second = {p.name: p.read_bytes() for p in (out / "runs").iterdir()}
         assert first == second
         assert first_report == (out / "benchmark_report.json").read_bytes()
+
+    def test_each_task_is_generated_once(self, tmp_path, monkeypatch):
+        generated = []
+        generate = datasets.generate
+        monkeypatch.setattr(datasets, "generate",
+                            lambda spec: generated.append(spec) or generate(spec))
+        sets = [f"{phase}.epochs=1" for phase in ("pretrain", "stage1", "stage2")]
+        argv = ["benchmark", "--workers", "1", "--out", str(tmp_path / "once")]
+        assert main(argv + [a for s in sets for a in ("--set", s)]) == EXIT_OK
+        pairs = [datasets.builtin_task(t) for t in load_config(None)["tasks"]]
+        assert len(pairs) == 3
+        assert generated == [spec for pair in pairs for spec in (pair.source, pair.target)]
 
     def test_workers_do_not_change_results(self, tmp_path):
         cfg_path = self.bench_config(tmp_path, out_name="par")

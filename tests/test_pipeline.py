@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 from dataclasses import asdict
 
 import helpers
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from pactune import datasets, models, pipeline
+from pactune.autodiff import NumericsError
 from pactune.bound import AutoGamma, BoundConfig, init_noise_state, pac_objective
 from pactune.models import ParamGroup, StepWorkspace
 from pactune.optim import Constant, StepDecay
@@ -92,6 +94,43 @@ class TestMetrics:
             labels = np.asarray(labels, dtype=np.int64)
             assert metrics(preds, labels)["mcc"].hex() == \
                 float(binary_mcc(preds, labels)).hex()
+
+
+    @staticmethod
+    def add_at_metrics(preds, labels):
+        """The metrics as first written: ``np.add.at`` counts and a mean."""
+        n = preds.size
+        accuracy = float(np.mean(preds == labels)) if n else 0.0
+        k = int(max(preds.max(initial=0), labels.max(initial=0))) + 1 if n else 0
+        confusion = np.zeros((k, k), dtype=np.int64)
+        np.add.at(confusion, (labels, preds), 1)
+        t_k, p_k = confusion.sum(axis=1), confusion.sum(axis=0)
+        num = int(np.trace(confusion)) * n - int(t_k @ p_k)
+        den_sq = (n * n - int(p_k @ p_k)) * (n * n - int(t_k @ t_k))
+        return {"accuracy": accuracy,
+                "mcc": 0.0 if den_sq == 0 else num / math.sqrt(den_sq)}
+
+    def test_equals_add_at_oracle_bitwise(self):
+        rng = np.random.default_rng(7)
+        cases = [(np.zeros(0, np.int64), np.zeros(0, np.int64))]
+        for k in range(1, 6):
+            for _ in range(300):
+                n = int(rng.integers(1, 1200))
+                labels = rng.integers(0, k, n)
+                # mostly right, as a trained model's predictions are
+                preds = np.where(rng.uniform(size=n) < rng.uniform(), labels,
+                                 rng.integers(0, k, n))
+                cases.append((preds, labels))
+        for preds, labels in cases:
+            got, want = metrics(preds, labels), self.add_at_metrics(preds, labels)
+            assert {key: float(v).hex() for key, v in got.items()} == \
+                {key: float(v).hex() for key, v in want.items()}
+
+    @pytest.mark.parametrize("preds, labels", [([0, 1, 2], [0, -1, 2]),
+                                               ([0, -1, 2], [0, 1, 2])])
+    def test_negative_index_raises(self, preds, labels):
+        with pytest.raises(ValueError, match="nonnegative"):
+            metrics(preds, labels)
 
 
 class TestImportanceRanking:
@@ -446,3 +485,69 @@ class TestStepWorkspace:
         # the loss gradient stays in the workspace; no array is handed out
         loss = models.loss_and_grads(model, work, work.params, x, y)
         assert isinstance(loss, float)
+
+
+class TestDevPass:
+    """The loop's evaluation, run on the workspace's buffers and, for a frozen
+    first layer, on that layer's output computed once, against ``evaluate``
+    on the model at every epoch."""
+
+    @pytest.fixture
+    def start(self, toy_task):
+        pretrained, train, dev = toy_task
+        assert len(dev) % 32 != 0
+
+        def start(freeze, activation):
+            base = models.MLPClassifier(pretrained.layer_sizes, pretrained.theta.copy(),
+                                        activation)
+            return fresh_head(base, 0, freeze=freeze), train, dev
+
+        return start
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("freeze", [True, False])
+    def test_epoch_metrics_equal_the_reference_loop(self, start, freeze, activation):
+        model, train, dev = start(freeze, activation)
+        cfg = Stage2Config(epochs=6, lr_backbone=3e-2, lr_head=5e-2)
+        got_model, got = vanilla_finetune(model, train, dev, cfg, np.random.default_rng(4))
+        ref_model, want = helpers.reference_descend(
+            model, train, dev, cfg, np.random.default_rng(4), helpers.plain_step(cfg))
+        assert np.array_equal(got_model.theta, ref_model.theta)
+        assert [(e["dev_accuracy"], e["dev_mcc"]) for e in got] == \
+            [(e["dev_accuracy"], e["dev_mcc"]) for e in want]
+        assert len({e["dev_mcc"] for e in got}) > 1  # the metrics do move
+
+    @pytest.mark.parametrize("freeze", [True, False])
+    def test_workspace_evaluation_follows_theta(self, start, freeze):
+        model, _, dev = start(freeze, "tanh")
+        work = StepWorkspace(model, 1e-3, 1e-2, dev.x)
+        rng = np.random.default_rng(2)
+        for _ in range(4):
+            assert pipeline.evaluate(model, dev, work) == pipeline.evaluate(model, dev)
+            assert work.eval_out[-1].tobytes() == model.forward(dev.x).tobytes()
+            work.trainable += 0.3 * rng.standard_normal(work.trainable.size)
+        assert not any(np.shares_memory(model.theta, b) for b in work.eval_out)
+
+    def test_frozen_features_are_checked_at_the_first_evaluation(self, start):
+        model, train, dev = start(True, "tanh")
+        bad = datasets.Dataset(x=dev.x.copy(), y=dev.y)
+        bad.x[3, 0] = np.inf
+        steps = []
+
+        def step(model, x, y, adam, work):
+            steps.append(len(x))
+            return 0.0, 0.0, 0.0, 0.0
+
+        with pytest.raises(NumericsError, match="layer 0"):
+            pipeline._descend(model, train, bad, Stage2Config(epochs=3),
+                              np.random.default_rng(0), step, "test")
+        assert sum(steps) == len(train)  # one epoch's steps ran first
+
+    def test_pretrained_model_pickles_no_larger_than_a_fresh_one(self, toy_task):
+        pretrained = toy_task[0]
+        fresh = models.MLPClassifier(pretrained.layer_sizes)
+        assert len(pickle.dumps(pretrained)) <= len(pickle.dumps(fresh))
+        tuned, _ = vanilla_finetune(fresh_head(pretrained, 0, freeze=True), *toy_task[1:],
+                                    Stage2Config(epochs=1), np.random.default_rng(0))
+        assert len(pickle.dumps(tuned)) <= len(pickle.dumps(
+            models.MLPClassifier(tuned.layer_sizes, freeze_first_layer=True)))
