@@ -11,13 +11,13 @@ prior N(anchor, exp(prior_log_var) * I), gamma is either fixed or the
 closed-form minimizer over a user range, and K tracks the dispersion of
 per-batch losses. Everything except gamma and K is differentiable; both are
 treated as per-step constants. ``pac_objective`` takes J's gradients in
-closed form in the descent loop's ``StepWorkspace``; the tape in ``autodiff``
-is only the tests' oracle for them. Each group's KL and the sum its prior
-derivative needs come from one pass (``_kl``), which the checked public
-``kl_diag_vs_isotropic`` shares; a noise draw is one ``standard_normal``
-vector, taken by the caller (stage 1 takes it from its noise stream) and put
-on the weights by ``kernels.apply_noise``. A noise state follows the
-trainable order of ``model.layout``.
+closed form in the descent loop's ``StepWorkspace``, trusting its batch as
+every step does; the tape in ``autodiff`` is only the tests' oracle for them.
+Each group's KL and the sum its prior derivative needs come from one pass
+(``_kl``), which the checked public ``kl_diag_vs_isotropic`` shares; a noise
+draw is one ``standard_normal`` vector, taken by the caller (stage 1 takes
+it from its noise stream) and put on the weights by ``kernels.apply_noise``.
+A noise state follows the trainable order of ``model.layout``.
 
 Variances are modeled as exp(2p) so positivity is structural, and p is
 initialized at the log magnitude of the initial weights (floored, since
@@ -220,7 +220,7 @@ def _kl(diff: np.ndarray, var: np.ndarray, var_p: float) -> tuple[float, float]:
 def kl_diag_vs_isotropic(mu_q: np.ndarray, var_q: np.ndarray, mu_p: np.ndarray,
                          var_p: float) -> float:
     """KL(N(mu_q, diag(var_q)) || N(mu_p, var_p I)) in closed form, after
-    checking its inputs."""
+    checking its inputs; 0 for empty ones."""
     mu_q = np.asarray(mu_q, dtype=np.float64)
     var_q = np.asarray(var_q, dtype=np.float64)
     mu_p = np.asarray(mu_p, dtype=np.float64)
@@ -228,8 +228,6 @@ def kl_diag_vs_isotropic(mu_q: np.ndarray, var_q: np.ndarray, mu_p: np.ndarray,
         raise ValueError("kl_diag_vs_isotropic: array lengths differ")
     if var_p <= 0.0 or np.any(var_q <= 0.0):
         raise ValueError("kl_diag_vs_isotropic: variances must be positive")
-    if mu_q.size == 0:
-        return 0.0
     return _kl(mu_q.ravel() - mu_p.ravel(), var_q.ravel(), var_p)[0]
 
 
@@ -328,11 +326,6 @@ def pac_objective(model: MLPClassifier, noise: NoiseState, batch_x, batch_y,
     dJ/dlambda = c / 2 (d - (sum exp(2p) + sum (w - anchor)^2) / s2).
     """
     packer = model.layout
-    batch_x = np.asarray(batch_x, dtype=np.float64)
-    batch_y = np.asarray(batch_y, dtype=np.int64)
-    if batch_x.shape[0] == 0:
-        raise ValueError("pac_objective: batch must be nonempty")
-
     weights = work.trainable
     std = np.exp(noise.log_std)
     kernels.apply_noise(weights, std, tau, work.noisy_trainable)

@@ -206,18 +206,22 @@ def _check(config: dict, prefix: str = "") -> None:
     _walk(config, _TREE, prefix)
     task = config["task"]
     explicit = [side for side in ("source", "target") if task[side] is not None]
+    size = {}
     for side in explicit:
-        try:
-            datasets.DatasetSpec(**task[side])
-        except ValueError as e:
+        try:  # a CSV file's data is read and checked here, before any work
+            spec = datasets.DatasetSpec(**task[side])
+            size[side] = len(datasets.load_csv(spec.path, spec.label_column)) \
+                if spec.generator == "csv" else spec.n
+        except (OSError, ValueError) as e:
             raise ConfigError(f"'{prefix}task.{side}' is invalid: {e}") from e
     try:
         pair = resolve_task(config)
     except ValueError as e:
         where = "task" if explicit else "task.name"
         raise ConfigError(f"'{prefix}{where}' is invalid: {e}") from e
-    if pair.target.generator != "csv" and task["n_shot"] >= pair.target.n:
-        raise ConfigError(f"'{prefix}task.n_shot' must be below {pair.target.n}, the "
+    n_target = size.get("target", pair.target.n)
+    if task["n_shot"] >= n_target:
+        raise ConfigError(f"'{prefix}task.n_shot' must be below {n_target}, the "
                           f"size of the target task, got {task['n_shot']!r}")
     gamma = config["bound"]["gamma"]
     if gamma["kind"] == "auto" and gamma["low"] > gamma["high"]:
@@ -372,16 +376,16 @@ def run_single(config: dict, pretrained: models.MLPClassifier, target: datasets.
             f"{config['task']['name']} {method} seed {seed}: {e}") from e
 
 
-def _benchmark_run(payload) -> dict:
+def _benchmark_run(payload) -> pipeline.RunRecord:
     """One benchmark run; module-level so worker processes can receive it."""
     config, pretrained, target, task_name, method, seed = payload
     record, _, _ = run_single(config, pretrained, target, seed, method)
     record.final["task"] = task_name
-    return dataclasses.asdict(record)
+    return record
 
 
 def run_benchmark(config: dict, workers: int = 1):
-    """All tasks x methods x seeds; returns (report, run results, run specs).
+    """All tasks x methods x seeds; returns (report, run records, run specs).
 
     Workers run fully isolated; results are assembled in run order so the
     report and the per-run JSONL files are deterministic for a fixed config.
@@ -405,11 +409,11 @@ def run_benchmark(config: dict, workers: int = 1):
     report: dict = {"config": config, "results": {}, "runs": []}
     for (_, _, _, task_name, method, seed), rec in zip(specs, results):
         report["runs"].append({"task": task_name, "method": method, "seed": seed,
-                               "final": rec["final"]})
+                               "final": rec.final})
         bucket = report["results"].setdefault(task_name, {}).setdefault(
             method, {"accuracy": [], "mcc": []})
-        bucket["accuracy"].append(rec["final"]["dev_accuracy"])
-        bucket["mcc"].append(rec["final"]["dev_mcc"])
+        bucket["accuracy"].append(rec.final["dev_accuracy"])
+        bucket["mcc"].append(rec.final["dev_mcc"])
     for task_name, by_method in report["results"].items():
         for method, vals in by_method.items():
             acc = np.asarray(vals.pop("accuracy"))
@@ -522,8 +526,7 @@ def cmd_benchmark(config: dict, workers: int = 1) -> int:
     runs_dir.mkdir(exist_ok=True)
     report, results, specs = run_benchmark(config, workers=workers)
     writers = []
-    for (_, _, _, task_name, method, seed), rec in zip(specs, results):
-        record = pipeline.RunRecord(**rec)
+    for (_, _, _, task_name, method, seed), record in zip(specs, results):
         path = runs_dir / f"{task_name}__{method}__seed{seed}.jsonl"
         writers.append((path, lambda p, r=record: r.to_jsonl(p)))
     writers.append((out / "benchmark_report.json",

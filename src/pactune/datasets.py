@@ -56,8 +56,16 @@ class DatasetSpec:
 @dataclass
 class Dataset:
     x: np.ndarray  # (n, d) float64
-    y: np.ndarray  # (n,) int64
+    y: np.ndarray  # (n,) int64, labels >= 0; both checked here, once
     standardizer: dict | None = None  # {"mean": [...], "std": [...]} when loaded from CSV
+
+    def __post_init__(self):
+        self.x, y = np.asarray(self.x, dtype=np.float64), np.asarray(self.y)
+        if self.x.ndim != 2 or y.shape != self.x.shape[:1] or y.dtype.kind not in "iu" \
+                or (y.size and y.min() < 0):
+            raise ValueError(f"dataset: x {self.x.shape} and y {y.shape} {y.dtype} need "
+                             "shapes (n, d) and (n,), and integer labels >= 0")
+        self.y = y.astype(np.int64, copy=False)
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -149,10 +157,9 @@ def few_shot_sample(dataset: Dataset, n_shot: int, seed: int) -> tuple[Dataset, 
     class-balance holds whenever the split divides evenly.
     """
     n = len(dataset)
-    if n_shot > n:
-        raise ValueError(f"few_shot_sample: n_shot {n_shot} exceeds dataset size {n}")
-    if n_shot == n:
-        raise ValueError("few_shot_sample: sampling everything leaves an empty dev set")
+    if n_shot >= n:
+        raise ValueError(f"few_shot_sample: n_shot {n_shot} must be below the dataset "
+                         f"size {n}, leaving a nonempty dev set")
     rng = np.random.Generator(np.random.PCG64(seed))
     classes, counts = np.unique(dataset.y, return_counts=True)
     exact = n_shot * counts / n
@@ -179,34 +186,35 @@ STD_FLOOR = 1e-12
 
 
 def load_csv(path, label_column: str = "label") -> Dataset:
-    """Read a feature table; features are z-scored and the transform recorded."""
+    """Read a feature table; features are z-scored and the transform recorded.
+    An error names the file, and the row of a bad cell (labels: integers >= 0)."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"'{path}': empty file")
         if label_column not in header:
-            raise ValueError(f"{path}: missing label column '{label_column}'")
+            raise ValueError(f"'{path}': missing label column '{label_column}'")
         label_idx = header.index(label_column)
-        feature_idx = [i for i in range(len(header)) if i != label_idx]
         rows, labels = [], []
         for row_no, row in enumerate(reader, start=2):
-            try:
-                rows.append([float(row[i]) for i in feature_idx])
-            except (ValueError, IndexError) as e:
-                bad = next(i for i in feature_idx
-                           if i >= len(row) or not _is_number(row[i]))
-                raise ValueError(
-                    f"{path}: non-numeric cell at row {row_no}, "
-                    f"column '{header[bad]}'") from e
-            raw = row[label_idx]
-            value = float(raw)
-            if not value.is_integer():
-                raise ValueError(
-                    f"{path}: non-integer label at row {row_no}: {raw!r}")
-            labels.append(int(value))
+            row += [""] * (len(header) - len(row))
+            values = []
+            for name, cell in zip(header, row):
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise ValueError(f"'{path}' row {row_no}: non-numeric cell in "
+                                     f"column '{name}': {cell!r}") from None
+            label = values.pop(label_idx)
+            if not (label.is_integer() and label >= 0):
+                raise ValueError(f"'{path}' row {row_no}: the label must be an "
+                                 f"integer >= 0, got {row[label_idx]!r}")
+            rows.append(values)
+            labels.append(int(label))
+    if not rows:
+        raise ValueError(f"'{path}': no data rows")
     x = np.asarray(rows, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     mean = x.mean(axis=0)
@@ -214,14 +222,6 @@ def load_csv(path, label_column: str = "label") -> Dataset:
     x = (x - mean) / std
     return Dataset(x=x, y=y,
                    standardizer={"mean": mean.tolist(), "std": std.tolist()})
-
-
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
 
 
 def export_csv(dataset: Dataset, path) -> None:

@@ -17,6 +17,8 @@ gradients and optimizer moments all use its trainable order.
 
 Training gradients come from closed-form numpy backprop (``loss_and_grads``);
 the tape in ``autodiff`` is only the oracle the tests check them against.
+The constructor rejects an unknown activation, ``forward`` a batch of the
+wrong width; the training path trusts what the descent loop checked once.
 A descent loop's steps share one ``StepWorkspace``, built once per loop, and
 so do its evaluations: the workspace holds one output buffer per layer for
 the dev rows and, when the first layer is frozen, computes that layer's dev
@@ -148,6 +150,9 @@ class MLPClassifier:
 
     def __init__(self, layer_sizes, theta: np.ndarray | None = None,
                  activation: str = "tanh", freeze_first_layer: bool = False):
+        if activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation '{activation}'; "
+                             f"expected one of {sorted(ACTIVATIONS)}")
         self.layer_sizes = list(layer_sizes)
         self.layout = GroupPacker.for_sizes(self.layer_sizes, freeze_first_layer)
         self.theta = np.zeros(self.layout.size) if theta is None \
@@ -194,17 +199,9 @@ class MLPClassifier:
         ``params``; the one forward loop of every pass. Each output is written
         into ``out[i]`` when ``out`` (one buffer per layer for ``x``'s rows) is
         given, else into a fresh array, and the bias and activation are applied
-        in place. A non-finite layer output raises ``NumericsError``, the guard
-        of every training step.
+        in place; ``x`` is trusted to fit. A non-finite layer output raises
+        ``NumericsError``, the guard of every training step.
         """
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.layer_sizes[first]:
-            raise ad.ShapeError(
-                f"forward: batch shape {x.shape} does not match input size "
-                f"{self.layer_sizes[first]}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation '{self.activation}'; "
-                             f"expected one of {sorted(ACTIVATIONS)}")
         act = ACTIVATIONS[self.activation][0]
         last = self.n_layers - 1
         outs = [x]
@@ -221,6 +218,10 @@ class MLPClassifier:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Logits for a batch."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.input_dim:
+            raise ad.ShapeError(f"forward: batch shape {x.shape} does not match "
+                                f"input size {self.input_dim}")
         return self._outputs(list(zip(self.weights, self.biases)), x)[-1]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -228,14 +229,10 @@ class MLPClassifier:
 
 
 def _softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy of row-softmax vs integer labels, and its gradient
-    with respect to the logits, computed in place of ``logits``, which it
-    returns; stabilized by subtracting the row max."""
-    n, k = logits.shape
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (n,) or (labels < 0).any() or (labels >= k).any():
-        raise ad.ShapeError(f"cross-entropy: labels of shape {labels.shape} need "
-                            f"shape ({n},) and values in [0, {k})")
+    """Mean cross-entropy of row-softmax vs labels (int64, each a column of
+    ``logits``), and its gradient with respect to the logits, computed in place
+    of ``logits``, which it returns; stabilized by subtracting the row max."""
+    n = len(logits)
     z = logits
     z -= z.max(axis=1, keepdims=True)
     rows = np.arange(n)
@@ -301,7 +298,10 @@ def loss_and_grads(model: MLPClassifier, work: StepWorkspace, params,
                    batch_x: np.ndarray, batch_y: np.ndarray) -> float:
     """Cross-entropy at the per-layer ``(w, b)`` arrays ``params`` (frozen
     layers included), returned; its gradient over the trainable coordinates
-    goes into ``work.grad``, by backprop over the trainable layers."""
+    goes into ``work.grad``, by backprop over the trainable layers. An empty
+    batch raises ``ValueError``; the rows are otherwise trusted to fit."""
+    if len(batch_x) == 0:
+        raise ValueError("loss_and_grads: batch must be nonempty")
     outs = model._outputs(params, batch_x)
     loss, g = _softmax_cross_entropy(outs[-1], batch_y)
     derivative = ACTIVATIONS[model.activation][1]

@@ -9,7 +9,8 @@ learned std vector (stage 2 computes it once), takes the training-loss
 gradient at the perturbed weights (``models.loss_and_grads``) and lets Adam
 update the model's trainable view of θ in place. The complexity term plays
 no role here. Noise is drawn even at scale zero, so runs with and without
-noise consume the noise stream identically.
+noise consume the noise stream identically. Steps trust their batches,
+whose datasets the descent loop checked once.
 """
 
 from __future__ import annotations
@@ -30,10 +31,6 @@ def descent_step(model: MLPClassifier, batch_x, batch_y, adam: AdamState,
     ``work.params``; Adam always updates the model's own trainable view
     ``theta[start:]``, and only when it applies the step.
     """
-    batch_x = np.asarray(batch_x, dtype=np.float64)
-    batch_y = np.asarray(batch_y, dtype=np.int64)
-    if batch_x.shape[0] == 0:
-        raise ValueError("descent_step: batch must be nonempty")
     loss = loss_and_grads(model, work, work.params if at is None else at,
                           batch_x, batch_y)
     adam_step(adam, work.trainable, work.grad, work.lr, weight_decay)

@@ -8,7 +8,8 @@ the noise and continues with perturbed gradient descent on the training
 loss alone. Both stages, pretraining and the baselines (vanilla and
 random-layer noise injection) run through one descent loop and differ only
 in their step, so traces are directly comparable; every step of a loop reuses
-one ``StepWorkspace`` built for the loop's copy of the model.
+one ``StepWorkspace`` built for the loop's copy of the model. The loop checks
+once that its datasets fit the model, so no step checks a batch.
 
 A step's ``NumericsError`` (a non-finite layer output, loss or J, or a
 learned variance at 0) becomes a ``DivergenceError`` naming label, epoch and
@@ -144,6 +145,10 @@ def _descend(model: MLPClassifier, train: Dataset, dev: Dataset, cfg, data_rng,
     the recorded ``(kl_b, kl_h, mean_var_b, mean_var_h, generic_bound)``;
     without it they are recorded as zero.
     """
+    for name, data in (("train", train), ("dev", dev)):
+        if data.dim != model.input_dim or data.n_classes > model.n_classes:
+            raise ValueError(f"{label}: {name} data of width {data.dim}, labels below "
+                             f"{data.n_classes}, does not fit layers {model.layer_sizes}")
     model = model.copy()
     work = StepWorkspace(model, cfg.lr_backbone, cfg.lr_head, dev.x)
     adam = AdamState(model.layout.trainable_size)
@@ -337,7 +342,8 @@ def run_finetune(pretrained: MLPClassifier, train: Dataset, dev: Dataset,
     if method not in METHODS:
         raise ValueError(f"unknown method '{method}'")
     head_rng, s1_data, s1_noise, s2_data, s2_noise = run_streams(seed)
-    model = replace_head(pretrained, head_rng, int(dev.y.max()) + 1, freeze_first_layer)
+    model = replace_head(pretrained, head_rng, max(train.n_classes, dev.n_classes),
+                         freeze_first_layer)
 
     noise_final = None
     if method == "pac-tuning":

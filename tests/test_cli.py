@@ -301,6 +301,25 @@ class TestPretrainFinetune:
     def test_finetune_without_checkpoint_is_config_error(self, tmp_path):
         assert main(["finetune", "--config", tiny_config(tmp_path)]) == EXIT_CONFIG
 
+    def test_head_covers_a_class_only_in_the_training_split(self, tmp_path):
+        # 11 of 21 rows go to training, where the one class-2 row's share (11/21)
+        # rounds up, so the dev split holds classes 0 and 1 only
+        rows = "".join(f"{i % 5}.0,{i // 5}.0,{label}\n"
+                       for i, label in enumerate([0] * 10 + [1] * 10 + [2]))
+        (tmp_path / "d.csv").write_text("a,b,label\n" + rows)
+        spec = json.dumps({"generator": "csv", "path": str(tmp_path / "d.csv")})
+        sets = [f"task.source={spec}", f"task.target={spec}", "task.n_shot=11",
+                "model.hidden=[4]", "pretrain.epochs=2", "stage1.epochs=1",
+                "stage2.epochs=1", "seeds=[1]", f"out_dir={json.dumps(str(tmp_path))}"]
+        argv = [a for s in sets for a in ("--set", s)]
+        assert main(["pretrain"] + argv) == EXIT_OK
+        ckpt = json.dumps(str(tmp_path / "pretrained.json"))
+        assert main(["finetune", "--set", f"checkpoint={ckpt}"] + argv) == EXIT_OK
+        tuned = tmp_path / "blobs-rotate__pac-tuning__seed1__model.json"
+        assert models.load_checkpoint(tuned).n_classes == 3
+        train, dev = datasets.few_shot_sample(datasets.load_csv(tmp_path / "d.csv"), 11, 1)
+        assert 2 in train.y and 2 not in dev.y
+
     def test_divergence_exit_code(self, tmp_path):
         cfg_path = tiny_config(tmp_path)
         assert main(["pretrain", "--config", cfg_path]) == EXIT_OK
@@ -338,8 +357,17 @@ def _drop_last_weight(doc):
     return doc
 
 
+# a CSV file's text -> what its error says after the file's name
+_BAD_CSV = [("a,label\n1,0\nx,1\n", "row 3: non-numeric cell in column 'a': 'x'"),
+            ("a,label\n1,0\n2,1.5\n", "row 3: the label must be an integer >= 0, "
+                                       "got '1.5'"),
+            ("a,label\n1,0\n2,-1\n", "row 3: the label must be an integer >= 0, "
+                                      "got '-1'")]
+
+
 class TestUnusableFiles:
-    """A checkpoint or noise file that cannot be used exits 2 before any output."""
+    """A checkpoint, noise or CSV file that cannot be used exits 2 before any
+    output."""
 
     @pytest.mark.parametrize("command, content, detail", [
         ("finetune", "not json", "Expecting value"),
@@ -351,12 +379,17 @@ class TestUnusableFiles:
         ("finetune", ((3, 5, 2), None), "has hidden layers [5], but 'model.hidden' is [8, 4]"),
         ("inspect-noise", "not json", "Expecting value"),
         ("inspect-noise", '{"version": 2}', "unsupported noise-state version: 2"),
+        *[(command, ("csv", text), detail) for text, detail in _BAD_CSV
+          for command in ("generate-data", "pretrain", "finetune", "benchmark")],
     ])
     def test_exits_config_before_any_output(self, tmp_path, capsys, command, content,
                                             detail):
         path = tmp_path / "file.json"
         if isinstance(content, str):
             path.write_text(content)
+        elif content[0] == "csv":
+            path = tmp_path / "file.csv"
+            path.write_text(content[1])
         else:
             sizes, edit = content
             model = models.init_weights(list(sizes), np.random.default_rng(0))
@@ -364,7 +397,11 @@ class TestUnusableFiles:
             if edit:
                 path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         out = tmp_path / "out"
-        if command == "finetune":
+        if path.suffix == ".csv":
+            spec = {"generator": "csv", "path": str(path)}
+            task = {"source": spec, "target": spec, "n_shot": 1}
+            argv = [command, "--config", tiny_config(tmp_path, task=task)]
+        elif command == "finetune":
             argv = ["finetune", "--config", tiny_config(tmp_path),
                     "--set", f'checkpoint="{path}"']
         else:

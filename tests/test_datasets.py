@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,23 @@ class TestGenerate:
                          DatasetSpec("blobs", n=10, dim=3))
 
 
+class TestDatasetContract:
+    @pytest.mark.parametrize("x, y", [
+        (np.zeros((3, 2)), np.array([0, -1, 1])),  # a negative label
+        (np.zeros((3, 2)), np.array([0, 1])),  # unequal lengths
+        (np.zeros(3), np.array([0, 1, 1])),  # 1-D x
+        (np.zeros((3, 2)), np.array([0.0, 1.5, 1.0])),  # labels that are not integers
+    ])
+    def test_rejects(self, x, y):
+        with pytest.raises(ValueError, match="dataset: "):
+            Dataset(x=x, y=y)
+
+    def test_holds_float64_rows_and_int64_labels(self):
+        ds = Dataset(x=[[1, 2], [3, 4]], y=np.array([1, 0], dtype=np.int32))
+        assert ds.x.dtype == np.float64 and ds.y.dtype == np.int64
+        assert ds.x.tolist() == [[1.0, 2.0], [3.0, 4.0]] and ds.y.tolist() == [1, 0]
+
+
 class TestFewShot:
     def make(self, n=1000, k=2):
         y = np.repeat(np.arange(k), n // k)
@@ -121,6 +140,22 @@ class TestCsv:
         p = tmp_path / "d.csv"
         p.write_text("a,b,label\n1.0,2.0,0\n1.0,oops,1\n")
         with pytest.raises(ValueError, match="row 3.*column 'b'"):
+            datasets.load_csv(p)
+
+    @pytest.mark.parametrize("text, match", [
+        ("a,label\n1.0,0\n1.0,1.5\n", "row 3: the label must be an integer >= 0, "
+                                       "got '1.5'"),
+        ("a,label\n1.0,0\n1.0,-1\n", "row 3: the label must be an integer >= 0, got '-1'"),
+        ("a,label\n1.0,0\n1.0,cat\n", "row 3: non-numeric cell in column 'label'"),
+        ("a,label\n1.0,0\n1.0\n", "row 3: non-numeric cell in column 'label': ''"),
+        ("a,label\n", "no data rows"),
+        ("", "empty file"),
+    ])
+    def test_unusable_file_names_file_and_row(self, tmp_path, text, match):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        where = re.escape(f"'{p}'")
+        with pytest.raises(ValueError, match=f"^{where}.*{re.escape(match)}"):
             datasets.load_csv(p)
 
     def test_missing_label_column(self, tmp_path):

@@ -57,6 +57,8 @@ class TestForward:
     def test_unknown_activation_raises(self):
         with pytest.raises(ValueError, match="activation"):
             fresh(activation="sigmoid").forward(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="unknown activation 'sigmoid'"):
+            models.MLPClassifier([2, 2], activation="sigmoid")  # at construction
 
     def test_nonfinite_layer_output_raises(self):
         # the divergence guard of every training step

@@ -1,6 +1,7 @@
 import json
 import math
 import pickle
+import re
 from dataclasses import asdict
 
 import helpers
@@ -327,6 +328,40 @@ class TestStage2AndBaselines:
             bound_cfg=BoundConfig(m=len(train)), noise_sigma=0.02)
         assert record.final["epochs"] == 6
         assert all(np.isfinite(e["l_train"]) for e in record.epochs)
+
+
+class TestInputContract:
+    """The loop checks once that its datasets fit the model; no step checks a
+    batch, so data that does not fit must stop the loop before its first step."""
+
+    @pytest.mark.parametrize("split", ["train", "dev"])
+    @pytest.mark.parametrize("defect, match", [
+        ("label", "data of width 3, labels below 3, does not fit layers [3, 10, 2]"),
+        ("width", "data of width 4, labels below 2, does not fit layers [3, 10, 2]"),
+    ])
+    def test_unfit_data_raises_before_the_first_step(self, toy_task, split, defect,
+                                                     match):
+        pretrained, train, dev = toy_task
+        data = {"train": train, "dev": dev}
+        x, y = data[split].x, data[split].y.copy()
+        if defect == "label":
+            y[-1] = 2  # the model has classes 0 and 1
+        else:
+            x = np.hstack([x, x[:, :1]])
+        data[split] = datasets.Dataset(x=x, y=y)
+        model = fresh_head(pretrained, 0)
+        theta = model.theta.copy()
+        steps = []
+
+        def step(model, x, y, adam, work):
+            steps.append(len(x))
+            return pipeline.descent_step(model, x, y, adam, work), 0.0, 0.0, 0.0
+
+        with pytest.raises(ValueError, match=re.escape(f"test: {split} {match}")):
+            pipeline._descend(model, data["train"], data["dev"], Stage2Config(epochs=2),
+                              np.random.default_rng(0), step, "test")
+        assert steps == []
+        assert np.array_equal(model.theta, theta)
 
 
 class TestDeterminismAndRecords:

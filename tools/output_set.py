@@ -10,12 +10,14 @@ the checkout that holds this script):
 - ``pactune finetune --seed 1`` from that checkpoint, once per method;
 - ``pactune inspect-noise`` on the pac-tuning run's noise file;
 - ``pactune gradcheck``;
-- ``pactune benchmark`` with ``--workers 1`` and with ``--workers 2``.
+- ``pactune benchmark`` with ``--workers 1`` and with ``--workers 2``;
+- a CSV round trip: ``pactune generate-data``, then ``pactune pretrain`` and
+  ``pactune finetune --seed 1`` on the two CSV files it wrote.
 
 Each command writes into ``OUT/<name>/`` and leaves its stdout, stderr and
 exit code in ``OUT/<name>.stdout``, ``.stderr`` and ``.exit``. Every path a
 command sees is relative to OUT, so the sets of two checkouts compare with
-``diff -r OUT_A OUT_B``. A set takes about 45 s on a 2-vCPU machine, most of
+``diff -r OUT_A OUT_B``. A set takes about 50 s on a 2-vCPU machine, most of
 it in the two default benchmarks.
 """
 
@@ -30,6 +32,8 @@ from pathlib import Path
 METHODS = ("pac-tuning", "vanilla", "noise-injection")
 CHECKPOINT = "pretrain/pretrained.json"
 NOISE = "finetune-pac-tuning/blobs-rotate__pac-tuning__seed1__noise.json"
+CSV_TASK = [f'task.{side}={{"generator": "csv", "path": "generate-data/{side}.csv"}}'
+            for side in ("source", "target")] + ["task.name=csv"]
 PRINT_CONFIG = ("import json; from pactune import cli; "
                 "print(json.dumps(cli.load_config(None), sort_keys=True, indent=1))")
 
@@ -46,6 +50,12 @@ def commands() -> list[tuple[str, list[str]]]:
              ("gradcheck", cli + ["gradcheck"])]
     runs += [(f"benchmark-w{n}", cli + ["benchmark", "--workers", str(n),
                                         "--out", f"benchmark-w{n}"]) for n in (1, 2)]
+    csv_task = [a for s in CSV_TASK for a in ("--set", s)]
+    runs += [("generate-data", cli + ["generate-data", "--out", "generate-data"]),
+             ("csv-pretrain", cli + ["pretrain", *csv_task, "--out", "csv-pretrain"]),
+             ("csv-finetune", cli + ["finetune", "--seed", "1", *csv_task, "--set",
+                                     "checkpoint=csv-pretrain/pretrained.json",
+                                     "--out", "csv-finetune"])]
     return runs
 
 
