@@ -11,8 +11,9 @@ prior N(anchor, exp(prior_log_var) * I), gamma is either fixed or the
 closed-form minimizer over a user range, and K tracks the dispersion of
 per-batch losses. Everything except gamma and K is differentiable; both are
 treated as per-step constants. ``pac_objective`` takes J's gradients in
-closed form in the descent loop's ``StepWorkspace``, trusting its batch as
-every step does; the tape in ``autodiff`` is only the tests' oracle for them.
+closed form, trusting its batch as every step does; dJ/dw goes into the
+loop's ``work.grad``, like every step's weight gradient. The tape in
+``autodiff`` is only the tests' oracle for them.
 Each group's KL and the sum its prior derivative needs come from one pass
 (``_kl``), which the checked public ``kl_diag_vs_isotropic`` shares; a noise
 draw is one ``standard_normal`` vector, taken by the caller (stage 1 takes
@@ -284,15 +285,6 @@ def generic_bound(kl_total: float, delta: float, m: int) -> float:
 # --- the objective and its closed-form gradients ---------------------------------
 
 
-@dataclass
-class ObjectiveGrads:
-    """Gradients of J: ``weights`` in the trainable order of θ, ``noise`` in
-    the layout of ``NoiseState.params`` (log-stds, then the two priors)."""
-
-    weights: np.ndarray
-    noise: np.ndarray
-
-
 def _group_kl(w: np.ndarray, var: np.ndarray, anchor: np.ndarray,
               prior_log_var: float) -> tuple[float, np.ndarray, np.ndarray, float]:
     """One group's KL of N(w, diag var) vs N(anchor, exp(prior_log_var) I) and its
@@ -303,15 +295,16 @@ def _group_kl(w: np.ndarray, var: np.ndarray, anchor: np.ndarray,
     return kl, diff / var_p, var / var_p - 1.0, 0.5 * (w.size - s / var_p)
 
 
-def pac_objective(model: MLPClassifier, noise: NoiseState, batch_x, batch_y,
-                  cfg: BoundConfig, tau: np.ndarray, *, work: StepWorkspace,
-                  k_value: float | None = None, l_pac_weight: float = 1.0,
-                  variances: np.ndarray | None = None) -> tuple[BoundTerms, ObjectiveGrads]:
+def pac_objective(work: StepWorkspace, noise: NoiseState, batch_x, batch_y,
+                  cfg: BoundConfig, tau: np.ndarray, *, k_value: float | None = None,
+                  l_pac_weight: float = 1.0, variances: np.ndarray | None = None,
+                  ) -> tuple[BoundTerms, np.ndarray]:
     """Evaluate J and its gradients on one batch at the noise draw ``tau``.
 
     ``tau`` is one standard-normal vector in trainable order, drawn by the
-    caller. ``work`` is ``model``'s workspace, whose buffers hold the noisy
-    weights and the loss gradient; the returned gradients are fresh arrays.
+    caller. ``work`` is the loop's workspace: it holds the noisy weights, and
+    dJ/dw is left in ``work.grad``; the returned noise gradient, a fresh array,
+    is laid out as ``NoiseState.params`` (log-stds, then the two priors).
     ``variances`` are ``noise.variances()`` when the caller already holds them.
     ``k_value`` overrides the running-K resolution (the trainer passes its
     tracker value); fixed-K configs ignore it. ``l_pac_weight`` scales the
@@ -325,11 +318,11 @@ def pac_objective(model: MLPClassifier, noise: NoiseState, batch_x, batch_y,
     dJ/dp = dL(w~) tau exp(p) + c (exp(2p) / s2 - 1), and
     dJ/dlambda = c / 2 (d - (sum exp(2p) + sum (w - anchor)^2) / s2).
     """
-    packer = model.layout
+    packer = work.model.layout
     weights = work.trainable
     std = np.exp(noise.log_std)
     kernels.apply_noise(weights, std, tau, work.noisy_trainable)
-    l_train = loss_and_grads(model, work, work.noisy_params, batch_x, batch_y)
+    l_train = loss_and_grads(work, work.noisy_params, batch_x, batch_y)
     var = noise.variances() if variances is None else variances
     (kl_b, kl_h), d_w, d_p, d_prior = zip(*(
         _group_kl(weights[packer.group(g)], var[packer.group(g)],
@@ -349,10 +342,11 @@ def pac_objective(model: MLPClassifier, noise: NoiseState, batch_x, batch_y,
                        gamma_used=gamma, k_used=k, l_pac=l_pac_scaled,
                        j_total=l_train + l_pac_scaled)
     c = l_pac_weight / (gamma * cfg.m)
-    return terms, ObjectiveGrads(
-        weights=work.grad + c * np.concatenate(d_w),
-        noise=np.append(work.grad * tau * std + c * np.concatenate(d_p),
-                        [c * d for d in d_prior]))
+    # the noise gradient reads dL(w~) before work.grad becomes dJ/dw
+    noise_grad = np.append(work.grad * tau * std + c * np.concatenate(d_p),
+                           [c * d for d in d_prior])
+    work.grad += c * np.concatenate(d_w)
+    return terms, noise_grad
 
 
 def objective_gradcheck(model: MLPClassifier, noise: NoiseState, batch_x, batch_y,
@@ -369,7 +363,7 @@ def objective_gradcheck(model: MLPClassifier, noise: NoiseState, batch_x, batch_
     packer = trial.layout
     rng = np.random.Generator(np.random.PCG64(seed))
     tau = rng.standard_normal(packer.trainable_size)
-    base_terms, _ = pac_objective(trial, noise, batch_x, batch_y, cfg, tau, work=work)
+    base_terms, _ = pac_objective(work, noise, batch_x, batch_y, cfg, tau)
     frozen = BoundConfig(m=cfg.m, delta=cfg.delta,
                          gamma=FixedGamma(base_terms.gamma_used),
                          k=FixedK(base_terms.k_used))
@@ -377,11 +371,11 @@ def objective_gradcheck(model: MLPClassifier, noise: NoiseState, batch_x, batch_
 
     def objective(z):
         trial.theta[packer.start:] = z[:n]
-        return pac_objective(trial, replace(noise, params=z[n:]), batch_x, batch_y,
-                             frozen, tau, work=work)
+        return pac_objective(work, replace(noise, params=z[n:]), batch_x, batch_y,
+                             frozen, tau)
 
     x = np.concatenate([model.theta[packer.start:], noise.params])
-    _, grads = objective(x)
+    _, noise_grad = objective(x)
     return kernels.central_difference_error(
         lambda z, _: objective(z)[0].j_total,
-        np.concatenate([grads.weights, grads.noise]), x, h)
+        np.concatenate([work.grad, noise_grad]), x, h)

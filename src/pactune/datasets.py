@@ -187,7 +187,8 @@ STD_FLOOR = 1e-12
 
 def load_csv(path, label_column: str = "label") -> Dataset:
     """Read a feature table; features are z-scored and the transform recorded.
-    An error names the file, and the row of a bad cell (labels: integers >= 0)."""
+    An error names the file, and the row of a bad cell (labels: integers >= 0,
+    below the number of data rows, as n rows cannot populate more classes)."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -197,8 +198,9 @@ def load_csv(path, label_column: str = "label") -> Dataset:
         if label_column not in header:
             raise ValueError(f"'{path}': missing label column '{label_column}'")
         label_idx = header.index(label_column)
+        records = list(enumerate(reader, start=2))
         rows, labels = [], []
-        for row_no, row in enumerate(reader, start=2):
+        for row_no, row in records:
             row += [""] * (len(header) - len(row))
             values = []
             for name, cell in zip(header, row):
@@ -211,6 +213,9 @@ def load_csv(path, label_column: str = "label") -> Dataset:
             if not (label.is_integer() and label >= 0):
                 raise ValueError(f"'{path}' row {row_no}: the label must be an "
                                  f"integer >= 0, got {row[label_idx]!r}")
+            if label >= len(records):
+                raise ValueError(f"'{path}' row {row_no}: the label must be below the "
+                                 f"row count, {len(records)}, got {row[label_idx]!r}")
             rows.append(values)
             labels.append(int(label))
     if not rows:

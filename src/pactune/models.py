@@ -39,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from . import optim
 
 
 class ParamGroup(str, Enum):
@@ -250,11 +251,12 @@ def _softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarra
 
 
 class StepWorkspace:
-    """What every step of one descent loop over ``model`` reuses: the
-    trainable-order learning rates ``lr``, the layer views ``params`` and
-    trainable suffix ``trainable`` of ``model.theta``, the gradient buffer
-    ``grad`` (with layer views) and the perturbed-θ buffer ``noisy`` (with
-    layer views and trainable suffix). ``noisy`` starts as a copy of θ, whose
+    """One descent loop's state over ``model``, taken by every step: the
+    trainable-order learning rates ``lr`` and ``lr_decay = lr * WEIGHT_DECAY``,
+    the loop's ``adam`` state, the layer views ``params`` and trainable suffix
+    ``trainable`` of ``model.theta``, the buffer ``grad`` (with layer views)
+    of the gradient each step's update applies, and the perturbed-θ buffer
+    ``noisy`` (with layer views and trainable suffix), a copy of θ whose
     frozen prefix never changes during a loop.
 
     Given the loop's evaluation inputs ``eval_x``, it also holds one output
@@ -270,6 +272,8 @@ class StepWorkspace:
         layout = model.layout
         self.model = model
         self.lr = layout.per_coordinate(lr_backbone, lr_head)
+        self.lr_decay = self.lr * optim.WEIGHT_DECAY
+        self.adam = optim.AdamState(layout.trainable_size)
         self.params = layout.views(model.theta)
         self.trainable = model.theta[layout.start:]
         self.grad = np.empty(layout.trainable_size)
@@ -294,14 +298,15 @@ class StepWorkspace:
         return np.argmax(logits, axis=1, out=self.eval_pred)
 
 
-def loss_and_grads(model: MLPClassifier, work: StepWorkspace, params,
-                   batch_x: np.ndarray, batch_y: np.ndarray) -> float:
-    """Cross-entropy at the per-layer ``(w, b)`` arrays ``params`` (frozen
-    layers included), returned; its gradient over the trainable coordinates
-    goes into ``work.grad``, by backprop over the trainable layers. An empty
-    batch raises ``ValueError``; the rows are otherwise trusted to fit."""
+def loss_and_grads(work: StepWorkspace, params, batch_x: np.ndarray,
+                   batch_y: np.ndarray) -> float:
+    """Cross-entropy of ``work.model`` at the per-layer ``(w, b)`` arrays
+    ``params`` (frozen layers included), returned; its gradient over the
+    trainable layers goes into ``work.grad`` by backprop. An empty batch
+    raises ``ValueError``; the rows are otherwise trusted to fit."""
     if len(batch_x) == 0:
         raise ValueError("loss_and_grads: batch must be nonempty")
+    model = work.model
     outs = model._outputs(params, batch_x)
     loss, g = _softmax_cross_entropy(outs[-1], batch_y)
     derivative = ACTIVATIONS[model.activation][1]
@@ -370,16 +375,20 @@ def save_checkpoint(model: MLPClassifier, path, provenance: dict) -> None:
 
 def load_checkpoint(path, activation: str = "tanh") -> MLPClassifier:
     """Read a checkpoint; a file that is not a checkpoint of this version, or
-    whose arrays do not fit its ``layer_sizes``, raises ``ValueError``."""
+    whose arrays do not fit its ``layer_sizes`` (checked before θ is allocated),
+    raises ``ValueError``."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version: {version}")
     try:
-        model = MLPClassifier(doc["layer_sizes"], activation=activation)
-        for w, b, layer in zip(model.weights, model.biases, doc["params"], strict=True):
-            w[...] = np.asarray(layer["w"], dtype=np.float64).reshape(w.shape)
-            b[...] = np.asarray(layer["b"], dtype=np.float64).reshape(b.shape)
+        sizes, params = doc["layer_sizes"], doc["params"]
+        if not params or len(params) != len(sizes) - 1:
+            raise ValueError(f"params is shorter or longer than layer_sizes {sizes}")
+        theta = np.concatenate([
+            np.asarray(layer[key], dtype=np.float64).reshape(shape).ravel()
+            for layer, fan_in, fan_out in zip(params, sizes[:-1], sizes[1:])
+            for key, shape in (("w", (fan_in, fan_out)), ("b", (fan_out,)))])
+        return MLPClassifier(sizes, theta, activation=activation)
     except (KeyError, TypeError) as e:
         raise ValueError(f"malformed checkpoint: {e!r}") from e
-    return model

@@ -2,9 +2,9 @@
 
 The hyperparameters are module constants, from the fine-tuning recipe this
 package implements: beta1 0.9, beta2 0.98, stability constant 1e-3, weight
-decay 0.01. Decay is applied only where explicitly flagged and never to noise
-or prior-variance parameters (decaying a log-std toward 0 would silently pull
-variances toward 1).
+decay 0.01. Decay applies only where the caller passes ``lr * WEIGHT_DECAY``
+and never to noise or prior-variance parameters (decaying a log-std toward 0
+would silently pull variances toward 1).
 """
 
 from __future__ import annotations
@@ -51,31 +51,24 @@ def schedule_value(sched: LrSchedule, update_index: int) -> float:
 
 class AdamState:
     """Moment accumulators for one flat parameter vector, and the scratch
-    vectors of its updates. One descent loop owns one; ``decay_rate`` gives
-    ``lr * WEIGHT_DECAY``, computed once per learning-rate object."""
+    vectors of its updates. A descent loop's ``StepWorkspace`` owns the one
+    over its trainable coordinates."""
 
     def __init__(self, size: int):
         self.t = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.scratch = (np.empty(size), np.empty(size))
-        self._decay = (None, None)  # (lr, lr * WEIGHT_DECAY)
-
-    def decay_rate(self, lr):
-        """``lr * WEIGHT_DECAY``; a loop passes the same ``lr`` every step and
-        never writes to it, so the product is reused while ``lr`` is."""
-        if self._decay[0] is not lr:
-            self._decay = (lr, lr * WEIGHT_DECAY)
-        return self._decay[1]
 
 
 def adam_step(state: AdamState, param: np.ndarray, grad: np.ndarray,
-              lr: np.ndarray | float, apply_weight_decay: bool = False) -> bool:
+              lr: np.ndarray | float, lr_decay: np.ndarray | float | None = None) -> bool:
     """One bias-corrected update of ``param``, in place.
 
-    ``lr`` is a scalar or a per-coordinate vector. Weight decay is a per-call
-    flag, not a 0/1 vector, since adding ``0.0 * param`` can flip the sign
-    of a zero. If the gradient is non-finite the step is skipped (state
+    ``lr`` is a scalar or a per-coordinate vector. ``lr_decay`` is
+    ``lr * WEIGHT_DECAY`` where weight decay applies and None where it does
+    not, never a 0 vector, since adding ``0.0 * param`` can flip the sign of
+    a zero. If the gradient is non-finite the step is skipped (state
     untouched) and a warning is logged; returns whether the step was applied.
     """
     if not np.isfinite(grad).all():
@@ -83,6 +76,5 @@ def adam_step(state: AdamState, param: np.ndarray, grad: np.ndarray,
         return False
     state.t += 1
     kernels.adam_update(param, state.m, state.v, grad, state.t, lr, BETA1, BETA2, EPS,
-                        state.decay_rate(lr) if apply_weight_decay else None,
-                        state.scratch)
+                        lr_decay, state.scratch)
     return True

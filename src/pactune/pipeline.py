@@ -7,9 +7,10 @@ learning-rate vector, and returns the learned noise state. Stage 2 freezes
 the noise and continues with perturbed gradient descent on the training
 loss alone. Both stages, pretraining and the baselines (vanilla and
 random-layer noise injection) run through one descent loop and differ only
-in their step, so traces are directly comparable; every step of a loop reuses
-one ``StepWorkspace`` built for the loop's copy of the model. The loop checks
-once that its datasets fit the model, so no step checks a batch.
+in their step, so traces are directly comparable; every step of a loop takes
+its one state, the ``StepWorkspace`` (Adam state included) built for the
+loop's copy of the model. The loop checks once that its datasets fit the
+model, so no step checks a batch.
 
 A step's ``NumericsError`` (a non-finite layer output, loss or J, or a
 learned variance at 0) becomes a ``DivergenceError`` naming label, epoch and
@@ -137,10 +138,10 @@ def _descend(model: MLPClassifier, train: Dataset, dev: Dataset, cfg, data_rng,
     """The descent loop shared by pretraining, both stages and both baselines.
 
     ``cfg`` gives ``epochs``, ``batch_size``, ``lr_backbone`` and ``lr_head``.
-    ``step(model, x, y, adam, work)`` updates the loop's copy of the model in
-    place, with ``adam`` covering its trainable coordinates and ``work`` the
-    ``StepWorkspace`` built once for that copy with ``cfg``'s learning rates,
-    and returns the batch's ``(l_train, l_pac, kl_b, kl_h)``.
+    ``step(work, x, y)`` updates the loop's copy of the model in place
+    through ``work``, the ``StepWorkspace`` built once for that copy with
+    ``cfg``'s learning rates, which holds the loop's Adam state, and returns
+    the batch's ``(l_train, l_pac, kl_b, kl_h)``.
     ``diagnostics(model, kl_b, kl_h)`` turns the epoch's mean KLs into
     the recorded ``(kl_b, kl_h, mean_var_b, mean_var_h, generic_bound)``;
     without it they are recorded as zero.
@@ -151,7 +152,6 @@ def _descend(model: MLPClassifier, train: Dataset, dev: Dataset, cfg, data_rng,
                              f"{data.n_classes}, does not fit layers {model.layer_sizes}")
     model = model.copy()
     work = StepWorkspace(model, cfg.lr_backbone, cfg.lr_head, dev.x)
-    adam = AdamState(model.layout.trainable_size)
     trace = []
     # a divergence ends as one DivergenceError from the finiteness guards,
     # not as numpy warnings on stderr ahead of it, in workers too
@@ -160,7 +160,7 @@ def _descend(model: MLPClassifier, train: Dataset, dev: Dataset, cfg, data_rng,
             sums, n_batches = (0.0,) * 4, 0
             for batch, idx in enumerate(batch_indices(len(train), cfg.batch_size, data_rng)):
                 try:
-                    terms = step(model, train.x[idx], train.y[idx], adam, work)
+                    terms = step(work, train.x[idx], train.y[idx])
                 except ad.NumericsError as e:
                     raise DivergenceError(
                         f"{label} diverged at epoch {epoch}, batch {batch}: {e}") from e
@@ -206,11 +206,11 @@ def stage1_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
         lambda lr_h: np.append(packer.per_coordinate(lr_b, lr_h), [lr_b, lr_h]))
     var = noise.variances()  # the guard's variances are the next step's KL input
 
-    def step(model, x, y, adam, work):
+    def step(work, x, y):
         nonlocal var
         tau = noise_rng.standard_normal(packer.trainable_size)
-        terms, grads = pac_objective(
-            model, noise, x, y, bound_cfg, tau, work=work,
+        terms, noise_grad = pac_objective(
+            work, noise, x, y, bound_cfg, tau,
             k_value=tracker.value if tracker else None, l_pac_weight=cfg.l_pac_weight,
             variances=var)
         if not np.isfinite(terms.j_total):
@@ -218,8 +218,9 @@ def stage1_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
         if tracker:
             tracker.update(terms.l_train)
         lr_h = schedule_value(cfg.lr_noise_head, next(update_index))
-        adam_step(adam, work.trainable, grads.weights, work.lr, cfg.decay_weights)
-        adam_step(noise_adam, noise.params, grads.noise, noise_lr(lr_h))
+        adam_step(work.adam, work.trainable, work.grad, work.lr,
+                  work.lr_decay if cfg.decay_weights else None)
+        adam_step(noise_adam, noise.params, noise_grad, noise_lr(lr_h))
         # the KL is evaluated from variances, which must stay above 0
         var = noise.variances()
         if (var == 0.0).any() or (np.exp(noise.params[-2:]) == 0.0).any():
@@ -255,15 +256,13 @@ def stage2_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
 
     return _descend(
         model, train, dev, cfg, data_rng,
-        lambda model, x, y, adam, work: (
-            pgd_step(model, x, y, std, adam, work, noise_rng, cfg.weight_decay),
-            0.0, 0.0, 0.0),
+        lambda work, x, y: (pgd_step(work, x, y, std, noise_rng, cfg.weight_decay),
+                            0.0, 0.0, 0.0),
         "stage 2", stage=2, epoch_offset=epoch_offset, diagnostics=diagnostics)
 
 
 def _plain_step(cfg: Stage2Config):
-    return lambda model, x, y, adam, work: (
-        descent_step(model, x, y, adam, work, cfg.weight_decay), 0.0, 0.0, 0.0)
+    return lambda work, x, y: (descent_step(work, x, y, cfg.weight_decay), 0.0, 0.0, 0.0)
 
 
 def vanilla_finetune(model: MLPClassifier, train: Dataset, dev: Dataset,
@@ -282,9 +281,8 @@ def noise_injection_finetune(model: MLPClassifier, train: Dataset, dev: Dataset,
     """Random-layer noise-injection baseline."""
     return _descend(
         model, train, dev, cfg, data_rng,
-        lambda model, x, y, adam, work: (random_layer_noise_step(
-            model, x, y, sigma, adam, work, noise_rng, cfg.weight_decay),
-            0.0, 0.0, 0.0),
+        lambda work, x, y: (random_layer_noise_step(
+            work, x, y, sigma, noise_rng, cfg.weight_decay), 0.0, 0.0, 0.0),
         "noise injection")
 
 

@@ -5,11 +5,11 @@ import math
 import numpy as np
 
 from pactune import autodiff as ad
-from pactune.bound import (K_FLOOR, BoundTerms, FixedGamma, FixedK, KTracker,
-                           ObjectiveGrads, RunningK, generic_bound, kl_diag_vs_isotropic,
-                           optimal_gamma, pac_objective)
+from pactune.bound import (K_FLOOR, BoundTerms, FixedGamma, FixedK, KTracker, RunningK,
+                           generic_bound, kl_diag_vs_isotropic, optimal_gamma,
+                           pac_objective)
 from pactune.models import ParamGroup, StepWorkspace, loss_and_grads
-from pactune.optim import AdamState, adam_step, schedule_value
+from pactune.optim import WEIGHT_DECAY, AdamState, adam_step, schedule_value
 from pactune.pipeline import batch_indices, evaluate
 
 
@@ -100,8 +100,8 @@ def tape_objective(model, noise, packer, tau, batch_x, batch_y, cfg, k_value=Non
     """Oracle for ``bound.pac_objective`` with the noise draw ``tau``: J recorded
     on the tape, built from tape ops only, with gamma and K as constants.
 
-    Returns the ``BoundTerms`` and ``ObjectiveGrads`` the closed form must
-    reproduce.
+    Returns the ``BoundTerms`` and the gradients ``(dJ/dw, dJ/d noise params)``
+    the closed form must reproduce.
     """
     tape = ad.Tape()
     params = packer.views(model.theta)[:packer.n_frozen]
@@ -144,16 +144,16 @@ def tape_objective(model, noise, packer, tau, batch_x, batch_y, cfg, k_value=Non
     terms = BoundTerms(l_train=l_train.item(), kl_backbone=kl_b.item(),
                        kl_head=kl_h.item(), gamma_used=gamma, k_used=k,
                        l_pac=l_pac.item(), j_total=j.item())
-    return terms, ObjectiveGrads(
-        weights=_flat(grads, weight_leaves),
-        noise=np.append(_flat(grads, log_std_leaves), [grads[p] for p in prior_leaves]))
+    noise_grads = np.append(_flat(grads, log_std_leaves), [grads[p] for p in prior_leaves])
+    return terms, (_flat(grads, weight_leaves), noise_grads)
 
 
 # --- the descent loop without its hoisted state ----------------------------------
 #
 # Each step below builds a fresh workspace, fresh perturbed and learning-rate
-# vectors and fresh variances, so comparing ``pipeline``'s runs with these
-# checks bitwise that nothing the loop builds once carries state between steps.
+# vectors and fresh variances, and takes the loop's Adam state as its own
+# argument, so comparing ``pipeline``'s runs with these checks bitwise that
+# nothing the loop builds once carries state between steps.
 
 GROUPS = (ParamGroup.BACKBONE, ParamGroup.HEAD)
 
@@ -162,9 +162,10 @@ def _fresh_step(model, x, y, adam, lr_b, lr_h, weight_decay, perturb=None):
     packer = model.layout
     work = StepWorkspace(model, lr_b, lr_h)
     theta = model.theta if perturb is None else perturb(model.theta.copy(), packer)
-    loss = loss_and_grads(model, work, packer.views(theta), x, y)
-    adam_step(adam, model.theta[packer.start:], work.grad.copy(),
-              packer.per_coordinate(lr_b, lr_h), weight_decay)
+    loss = loss_and_grads(work, packer.views(theta), x, y)
+    lr = packer.per_coordinate(lr_b, lr_h)
+    adam_step(adam, model.theta[packer.start:], work.grad.copy(), lr,
+              lr * WEIGHT_DECAY if weight_decay else None)
     return loss, 0.0, 0.0, 0.0
 
 
@@ -202,18 +203,19 @@ def stage1_step(cfg, bound_cfg, noise, rng):
     def step(model, x, y, adam):
         packer = model.layout
         tau = rng.standard_normal(packer.trainable_size)
-        terms, grads = pac_objective(
-            model, noise, x, y, bound_cfg, tau,
-            work=StepWorkspace(model, cfg.lr_backbone, cfg.lr_head),
+        work = StepWorkspace(model, cfg.lr_backbone, cfg.lr_head)
+        terms, noise_grad = pac_objective(
+            work, noise, x, y, bound_cfg, tau,
             k_value=tracker.value if tracker else None, l_pac_weight=cfg.l_pac_weight)
         if tracker:
             tracker.update(terms.l_train)
         lr_b = cfg.lr_noise_backbone
         lr_h = schedule_value(cfg.lr_noise_head, len(updates))
         updates.append(lr_h)
-        adam_step(adam, model.theta[packer.start:], grads.weights,
-                  packer.per_coordinate(cfg.lr_backbone, cfg.lr_head), cfg.decay_weights)
-        adam_step(noise_adam, noise.params, grads.noise,
+        lr = packer.per_coordinate(cfg.lr_backbone, cfg.lr_head)
+        adam_step(adam, model.theta[packer.start:], work.grad.copy(), lr,
+                  lr * WEIGHT_DECAY if cfg.decay_weights else None)
+        adam_step(noise_adam, noise.params, noise_grad,
                   np.append(packer.per_coordinate(lr_b, lr_h), [lr_b, lr_h]))
         assert np.all(noise.variances() > 0.0)
         return terms.l_train, terms.l_pac, terms.kl_backbone, terms.kl_head

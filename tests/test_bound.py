@@ -145,8 +145,8 @@ class TestKTracker:
         model, packer, noise, bx, by = tiny_setup()
 
         def k_used(k, k_value):
-            terms, _ = pac_objective(model, noise, bx, by, BoundConfig(m=8, k=k),
-                                     draw(model), work=workspace(model), k_value=k_value)
+            terms, _ = pac_objective(workspace(model), noise, bx, by, BoundConfig(m=8, k=k),
+                                     draw(model), k_value=k_value)
             return terms.k_used
 
         assert k_used(FixedK(5.0), 0.3) == 5.0
@@ -212,8 +212,7 @@ class TestObjective:
         noise.log_std_head[:] = -40.0
         noise.params[-2:] = 0.0  # both prior log-variances
         cfg = BoundConfig(m=8, gamma=FixedGamma(5.0), k=FixedK(1.0))
-        terms, _ = pac_objective(model, noise, bx, by, cfg, draw(model),
-                                 work=workspace(model))
+        terms, _ = pac_objective(workspace(model), noise, bx, by, cfg, draw(model))
         from pactune import autodiff as ad
         clean = ad.softmax_cross_entropy(model.forward(bx), by).item()
         assert abs(terms.l_train - clean) < 1e-12
@@ -242,22 +241,21 @@ class TestObjective:
 
             theta = model.theta + 0.5 * rng.standard_normal(model.theta.size)
             work = workspace(model)
-            loss = loss_and_grads(model, work, packer.views(theta), bx, by)
+            loss = loss_and_grads(work, packer.views(theta), bx, by)
             tape_loss, tape_grad = tape_loss_and_grads(model, packer, theta, bx, by)
             assert loss == tape_loss
             assert np.array_equal(work.grad, tape_grad)
 
             cfg = BoundConfig(m=8, gamma=gamma, k=RunningK())
             tau = rng.standard_normal(packer.trainable_size)
-            terms, grads = pac_objective(model, noise, bx, by, cfg, tau, work=work,
-                                         k_value=0.7, l_pac_weight=weight)
-            tape_terms, tape_grads = tape_objective(model, noise, packer, tau, bx, by,
-                                                    cfg, k_value=0.7, l_pac_weight=weight)
+            terms, noise_grad = pac_objective(work, noise, bx, by, cfg, tau,
+                                              k_value=0.7, l_pac_weight=weight)
+            tape_terms, (tape_w, tape_noise) = tape_objective(
+                model, noise, packer, tau, bx, by, cfg, k_value=0.7, l_pac_weight=weight)
             for field in dataclasses.fields(terms):
                 assert getattr(terms, field.name) == pytest.approx(
                     getattr(tape_terms, field.name), rel=1e-12, abs=0), field.name
-            for got, want in ((grads.weights, tape_grads.weights),
-                              (grads.noise, tape_grads.noise)):
+            for got, want in ((work.grad, tape_w), (noise_grad, tape_noise)):
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_gradcheck_full_objective(self):
@@ -280,43 +278,43 @@ class TestObjective:
         gamma, m = 2.0, 8
         cfg = BoundConfig(m=m, gamma=FixedGamma(gamma), k=FixedK(1.0))
         work = workspace(model)
-        terms, grads = pac_objective(model, noise, bx, by, cfg,
-                                     np.zeros(packer.trainable_size), work=work)
-        loss_and_grads(model, work, work.params, bx, by)
+        pac_objective(work, noise, bx, by, cfg, np.zeros(packer.trainable_size))
+        dj_dw = work.grad.copy()
+        loss_and_grads(work, work.params, bx, by)
         ce_grad = work.grad
         for group in (ParamGroup.BACKBONE, ParamGroup.HEAD):
             part = packer.group(group)
             pull = (packer.pack(model, group) - noise.anchor(group)) / (
                 math.exp(noise.prior_log_var(group)) * gamma * m)
-            assert np.allclose(grads.weights[part] - ce_grad[part], pull, atol=1e-12)
+            assert np.allclose(dj_dw[part] - ce_grad[part], pull, atol=1e-12)
 
     def test_l_pac_weight_zero_removes_bound_gradient(self):
         model, packer, noise, bx, by = tiny_setup(seed=7)
         cfg = BoundConfig(m=8, gamma=FixedGamma(5.0), k=FixedK(1.0))
         tau = np.random.default_rng(2).standard_normal(packer.trainable_size)
-        terms, grads = pac_objective(model, noise, bx, by, cfg, tau, work=workspace(model),
-                                     l_pac_weight=0.0)
+        terms, noise_grad = pac_objective(workspace(model), noise, bx, by, cfg, tau,
+                                          l_pac_weight=0.0)
         assert terms.l_pac == 0.0
         assert terms.j_total == terms.l_train
         # prior parameters only appear through the bound term
-        assert grads.noise[-2] == 0.0  # backbone prior log-variance
-        assert grads.noise[-1] == 0.0  # head prior log-variance
+        assert noise_grad[-2] == 0.0  # backbone prior log-variance
+        assert noise_grad[-1] == 0.0  # head prior log-variance
 
     def test_empty_batch_rejected(self):
         model, packer, noise, _, _ = tiny_setup()
         cfg = BoundConfig(m=8)
         with pytest.raises(ValueError, match="nonempty"):
-            pac_objective(model, noise, np.zeros((0, 2)), np.zeros(0, dtype=int),
-                          cfg, draw(model), work=workspace(model))
+            pac_objective(workspace(model), noise, np.zeros((0, 2)), np.zeros(0, dtype=int),
+                          cfg, draw(model))
 
     def test_frozen_first_layer_are_constants(self):
         model, packer, noise, bx, by = tiny_setup(seed=8, freeze=True)
         assert packer.sizes[ParamGroup.BACKBONE] == 0
         cfg = BoundConfig(m=8, gamma=FixedGamma(5.0), k=FixedK(1.0))
-        terms, grads = pac_objective(model, noise, bx, by, cfg, draw(model),
-                                     work=workspace(model))
+        work = workspace(model)
+        terms, _ = pac_objective(work, noise, bx, by, cfg, draw(model))
         assert terms.kl_backbone == 0.0
-        assert grads.weights.size == packer.sizes[ParamGroup.HEAD]
+        assert work.grad.size == packer.sizes[ParamGroup.HEAD]
 
 
 class TestNoiseState:
@@ -412,7 +410,7 @@ class TestNoiseMonotonicity:
             for _ in range(200):
                 perturbed = model.theta.copy()
                 perturbed[packer.start:] += scale * std * rng.standard_normal(std.size)
-                loss = loss_and_grads(model, work, packer.views(perturbed), bx, by)
+                loss = loss_and_grads(work, packer.views(perturbed), bx, by)
                 total += loss
             means.append(total / 200.0)
         violations = sum(1 for a, b in zip(means, means[1:]) if b < a)

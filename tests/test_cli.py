@@ -357,12 +357,20 @@ def _drop_last_weight(doc):
     return doc
 
 
+def _huge_hidden_layer(doc):
+    # 1e11 units: a θ numpy cannot reserve, so the file must fail before it is sized
+    doc["layer_sizes"][1] = 100_000_000_000
+    return doc
+
+
 # a CSV file's text -> what its error says after the file's name
 _BAD_CSV = [("a,label\n1,0\nx,1\n", "row 3: non-numeric cell in column 'a': 'x'"),
             ("a,label\n1,0\n2,1.5\n", "row 3: the label must be an integer >= 0, "
                                        "got '1.5'"),
             ("a,label\n1,0\n2,-1\n", "row 3: the label must be an integer >= 0, "
-                                      "got '-1'")]
+                                      "got '-1'"),
+            ("a,label\n1,0\n2,1e300\n", "row 3: the label must be below the row count, "
+                                         "2, got '1e300'")]
 
 
 class TestUnusableFiles:
@@ -372,6 +380,8 @@ class TestUnusableFiles:
     @pytest.mark.parametrize("command, content, detail", [
         ("finetune", "not json", "Expecting value"),
         ("finetune", ((3, 4, 2), _drop_last_weight), "cannot reshape array of size 11"),
+        ("finetune", ((3, 4, 2), _huge_hidden_layer),
+         "cannot reshape array of size 12 into shape (3,100000000000)"),
         # the tiny task's inputs have 3 features
         ("finetune", ((2, 4, 2), None),
          "takes inputs of size 2, but the target task's inputs have size 3"),

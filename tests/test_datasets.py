@@ -146,6 +146,11 @@ class TestCsv:
         ("a,label\n1.0,0\n1.0,1.5\n", "row 3: the label must be an integer >= 0, "
                                        "got '1.5'"),
         ("a,label\n1.0,0\n1.0,-1\n", "row 3: the label must be an integer >= 0, got '-1'"),
+        # n rows populate fewer than n classes; 1e300 does not even fit int64
+        ("a,label\n1.0,0\n1.0,1e300\n", "row 3: the label must be below the row count, "
+                                         "2, got '1e300'"),
+        ("a,label\n1.0,2\n1.0,0\n", "row 2: the label must be below the row count, 2, "
+                                     "got '2'"),
         ("a,label\n1.0,0\n1.0,cat\n", "row 3: non-numeric cell in column 'label'"),
         ("a,label\n1.0,0\n1.0\n", "row 3: non-numeric cell in column 'label': ''"),
         ("a,label\n", "no data rows"),

@@ -68,7 +68,7 @@ class TestForward:
             m.forward(np.ones((3, 2)))
         work = models.StepWorkspace(m, 0.0, 0.0)
         with pytest.raises(ad.NumericsError, match="layer 1"):
-            models.loss_and_grads(m, work, work.params, np.ones((3, 2)), np.zeros(3))
+            models.loss_and_grads(work, work.params, np.ones((3, 2)), np.zeros(3))
 
 
 class TestReplaceHead:

@@ -3,7 +3,8 @@ import logging
 import numpy as np
 import pytest
 
-from pactune.optim import AdamState, Constant, StepDecay, adam_step, schedule_value
+from pactune.optim import (WEIGHT_DECAY, AdamState, Constant, StepDecay, adam_step,
+                           schedule_value)
 
 
 class TestAdam:
@@ -11,7 +12,7 @@ class TestAdam:
         # t=1: m_hat = g, v_hat = g^2 -> delta = -lr / (1 + eps)
         st = AdamState(1)
         p = np.array([0.0])
-        adam_step(st, p, np.array([1.0]), lr=0.1, apply_weight_decay=False)
+        adam_step(st, p, np.array([1.0]), lr=0.1)
         assert p[0] == pytest.approx(-0.1 / 1.001, abs=1e-15)
         assert st.t == 1
 
@@ -20,14 +21,14 @@ class TestAdam:
         p = np.array([1.0, -2.0, 0.5])
         before = p.copy()
         for _ in range(10):
-            adam_step(st, p, np.zeros(3), lr=0.1, apply_weight_decay=False)
+            adam_step(st, p, np.zeros(3), lr=0.1)
         assert np.array_equal(p, before)
 
     def test_updates_scale_linearly_with_lr(self):
         def one_step(lr):
             st = AdamState(2)
             p = np.zeros(2)
-            adam_step(st, p, np.array([1.0, -0.5]), lr=lr, apply_weight_decay=False)
+            adam_step(st, p, np.array([1.0, -0.5]), lr=lr)
             return p
 
         small, large = one_step(0.01), one_step(0.03)
@@ -37,8 +38,7 @@ class TestAdam:
         # a per-coordinate learning-rate vector gives each coordinate its own rate
         st = AdamState(2)
         p = np.zeros(2)
-        adam_step(st, p, np.array([1.0, 1.0]), lr=np.array([0.1, 0.2]),
-                  apply_weight_decay=False)
+        adam_step(st, p, np.array([1.0, 1.0]), lr=np.array([0.1, 0.2]))
         assert p[1] == pytest.approx(2.0 * p[0], rel=1e-12)
 
     def test_per_coordinate_lr_matches_per_group_updates_bitwise(self):
@@ -53,11 +53,11 @@ class TestAdam:
         for _ in range(4):
             grads = [rng.standard_normal(n) for n in sizes]
             for decay in (True, False):
-                adam_step(fused_state, fused, np.concatenate(grads),
-                          np.concatenate([np.full(n, r) for n, r in zip(sizes, rates)]),
-                          apply_weight_decay=decay)
+                lr = np.concatenate([np.full(n, r) for n, r in zip(sizes, rates)])
+                adam_step(fused_state, fused, np.concatenate(grads), lr,
+                          lr_decay=lr * WEIGHT_DECAY if decay else None)
                 for st, p, g, r in zip(states, params, grads, rates):
-                    adam_step(st, p, g, r, apply_weight_decay=decay)
+                    adam_step(st, p, g, r, lr_decay=r * WEIGHT_DECAY if decay else None)
         assert np.concatenate(params).tobytes() == fused.tobytes()
         assert np.concatenate([st.m for st in states]).tobytes() == fused_state.m.tobytes()
         assert np.concatenate([st.v for st in states]).tobytes() == fused_state.v.tobytes()
@@ -76,17 +76,17 @@ class TestAdam:
         # zero gradient + decay: pure shrink by lr * wd per step
         st = AdamState(1)
         p = np.array([2.0])
-        adam_step(st, p, np.zeros(1), lr=0.1, apply_weight_decay=True)
+        adam_step(st, p, np.zeros(1), lr=0.1, lr_decay=0.1 * WEIGHT_DECAY)
         assert p[0] == pytest.approx(2.0 * (1.0 - 0.1 * 0.01), rel=1e-12)
 
     def test_decay_exclusion_per_group(self):
-        # the vector stepped without the decay flag is untouched by
+        # the vector stepped without a decay rate is untouched by
         # zero-gradient steps
         w_state, noise_state = AdamState(1), AdamState(1)
         w, noise = np.array([1.0]), np.array([1.0])
         for _ in range(5):
-            adam_step(w_state, w, np.zeros(1), lr=0.1, apply_weight_decay=True)
-            adam_step(noise_state, noise, np.zeros(1), lr=0.1, apply_weight_decay=False)
+            adam_step(w_state, w, np.zeros(1), lr=0.1, lr_decay=0.1 * WEIGHT_DECAY)
+            adam_step(noise_state, noise, np.zeros(1), lr=0.1)
         assert w[0] < 1.0
         assert noise[0] == 1.0
 

@@ -4,7 +4,7 @@ import pytest
 from pactune import models
 from pactune.bound import init_noise_state
 from pactune.models import ParamGroup, StepWorkspace
-from pactune.optim import AdamState, adam_step
+from pactune.optim import WEIGHT_DECAY, AdamState, adam_step
 from pactune.pgd import loss_and_grads, pgd_step, random_layer_noise_step
 
 GROUPS = (ParamGroup.BACKBONE, ParamGroup.HEAD)
@@ -17,10 +17,6 @@ def setup(seed=0, layer_sizes=(2, 4, 2), n=8, freeze=False):
     bx = rng.standard_normal((n, layer_sizes[0]))
     by = rng.integers(0, layer_sizes[-1], size=n)
     return model, packer, bx, by
-
-
-def fresh_adam(packer):
-    return AdamState(packer.trainable_size)
 
 
 def learned(model, std_backbone, std_head):
@@ -37,12 +33,12 @@ def per_group_adam(packer, theta, grad, lrs, weight_decay):
     """Reference update: one Adam state and one scalar rate per group, in place."""
     for g, lr in zip(GROUPS, lrs):
         adam_step(AdamState(packer.sizes[g]), theta[g], grad[packer.group(g)], lr,
-                  apply_weight_decay=weight_decay)
+                  lr_decay=lr * WEIGHT_DECAY if weight_decay else None)
 
 
 def gradient_at(model, theta, bx, by):
     work = StepWorkspace(model, 0.0, 0.0)
-    loss_and_grads(model, work, model.layout.views(theta), bx, by)
+    loss_and_grads(work, model.layout.views(theta), bx, by)
     return work.grad
 
 
@@ -65,8 +61,8 @@ class TestPgdStep:
         std = learned(model, 0.0, 0.0)
         assert not std.any()  # exp(-inf) is exactly 0
         # noise is drawn (stream consumed) but scaled by exactly zero
-        pgd_step(stepped, bx, by, std, fresh_adam(packer),
-                 StepWorkspace(stepped, 1e-3, 1e-2), np.random.default_rng(99))
+        pgd_step(StepWorkspace(stepped, 1e-3, 1e-2), bx, by, std,
+                 np.random.default_rng(99))
         for a, b in zip(stepped.weights + stepped.biases,
                         expected.weights + expected.biases):
             assert np.array_equal(a, b)
@@ -78,8 +74,8 @@ class TestPgdStep:
         noise.log_std_head[:] = -40.0
         expected = manual_plain_step(model, packer, bx, by, 1e-3, 1e-2, True)
         stepped = model.copy()
-        pgd_step(stepped, bx, by, np.exp(noise.log_std), fresh_adam(packer),
-                 StepWorkspace(stepped, 1e-3, 1e-2), np.random.default_rng(0))
+        pgd_step(StepWorkspace(stepped, 1e-3, 1e-2), bx, by, np.exp(noise.log_std),
+                 np.random.default_rng(0))
         for a, b in zip(stepped.weights + stepped.biases,
                         expected.weights + expected.biases):
             assert np.max(np.abs(a - b)) < 1e-12
@@ -98,9 +94,8 @@ class TestPgdStep:
         per_group_adam(packer, expect, grad, (1e-3, 1e-2), False)
 
         stepped = model.copy()
-        pgd_step(stepped, bx, by, std, fresh_adam(packer),
-                 StepWorkspace(stepped, 1e-3, 1e-2), np.random.default_rng(123),
-                 weight_decay=False)
+        pgd_step(StepWorkspace(stepped, 1e-3, 1e-2), bx, by, std,
+                 np.random.default_rng(123), weight_decay=False)
         for g in GROUPS:
             assert np.array_equal(packer.pack(stepped, g), expect[g])
 
@@ -109,9 +104,8 @@ class TestPgdStep:
         # stay bit-identical no matter how large the injected noise was
         model, packer, bx, by = setup(seed=3)
         before = [w.copy() for w in model.weights]
-        pgd_step(model, bx, by, learned(model, 1e3, 1e3), fresh_adam(packer),
-                 StepWorkspace(model, 1e-300, 1e-300), np.random.default_rng(4),
-                 weight_decay=False)
+        pgd_step(StepWorkspace(model, 1e-300, 1e-300), bx, by, learned(model, 1e3, 1e3),
+                 np.random.default_rng(4), weight_decay=False)
         for a, b in zip(model.weights, before):
             assert np.array_equal(a, b)
 
@@ -121,8 +115,7 @@ class TestPgdStep:
 
         def deltas(lr_b):
             stepped = model.copy()
-            pgd_step(stepped, bx, by, learned(model, 0.0, 0.0),
-                     fresh_adam(packer), StepWorkspace(stepped, lr_b, 1e-2),
+            pgd_step(StepWorkspace(stepped, lr_b, 1e-2), bx, by, learned(model, 0.0, 0.0),
                      np.random.default_rng(0), weight_decay=False)
             return {g: packer.pack(stepped, g) - packer.pack(model, g)
                     for g in GROUPS}
@@ -140,8 +133,8 @@ class TestPgdStep:
         grad = gradient_at(model, model.theta, bx, by)
         theta = model.theta[packer.start:].copy()
         before = theta.copy()
-        adam_step(fresh_adam(packer), theta, grad, packer.per_coordinate(0.0, 1e-2),
-                  apply_weight_decay=False)
+        adam_step(AdamState(packer.trainable_size), theta, grad,
+                  packer.per_coordinate(0.0, 1e-2))
         backbone = packer.group(ParamGroup.BACKBONE)
         assert np.array_equal(theta[backbone], before[backbone])
         assert not np.array_equal(theta, before)
@@ -150,11 +143,10 @@ class TestPgdStep:
         def run():
             model, packer, bx, by = setup(seed=5)
             std = learned(model, 0.1, 0.2)
-            adam = fresh_adam(packer)
             work = StepWorkspace(model, 1e-3, 1e-2)
             rng = np.random.default_rng(11)
             for _ in range(5):
-                pgd_step(model, bx, by, std, adam, work, rng)
+                pgd_step(work, bx, by, std, rng)
             return np.concatenate([packer.pack(model, g) for g in GROUPS])
 
         assert np.array_equal(run(), run())
@@ -163,9 +155,8 @@ class TestPgdStep:
         model, packer, _, _ = setup()
         std = learned(model, 0.0, 0.0)
         with pytest.raises(ValueError, match="nonempty"):
-            pgd_step(model, np.zeros((0, 2)), np.zeros(0, dtype=int), std,
-                     fresh_adam(packer), StepWorkspace(model, 1e-3, 1e-2),
-                     np.random.default_rng(0))
+            pgd_step(StepWorkspace(model, 1e-3, 1e-2), np.zeros((0, 2)),
+                     np.zeros(0, dtype=int), std, np.random.default_rng(0))
 
 
 class _RecordingRng:
@@ -189,8 +180,7 @@ class TestRandomLayerNoise:
         model, packer, bx, by = setup(seed=6)
         expected = manual_plain_step(model, packer, bx, by, 1e-3, 1e-2, True)
         stepped = model.copy()
-        random_layer_noise_step(stepped, bx, by, 0.0, fresh_adam(packer),
-                                StepWorkspace(stepped, 1e-3, 1e-2),
+        random_layer_noise_step(StepWorkspace(stepped, 1e-3, 1e-2), bx, by, 0.0,
                                 np.random.default_rng(8))
         for a, b in zip(stepped.weights + stepped.biases,
                         expected.weights + expected.biases):
@@ -201,7 +191,7 @@ class TestRandomLayerNoise:
         rng = _RecordingRng(3)
         work = StepWorkspace(model, 1e-3, 1e-2)
         for _ in range(20):
-            random_layer_noise_step(model, bx, by, 0.05, fresh_adam(packer), work, rng)
+            random_layer_noise_step(work, bx, by, 0.05, rng)
         assert rng.choices == [0] * 20
 
     def test_layer_choice_frequencies(self):
@@ -209,10 +199,9 @@ class TestRandomLayerNoise:
         model, packer, bx, by = setup(seed=8, layer_sizes=(1, 1, 1, 1, 2), n=2)
         assert model.n_layers == 4
         rng = _RecordingRng(42)
-        adam = fresh_adam(packer)
         work = StepWorkspace(model, 1e-4, 1e-4)
         for _ in range(10_000):
-            random_layer_noise_step(model, bx, by, 1e-3, adam, work, rng)
+            random_layer_noise_step(work, bx, by, 1e-3, rng)
         freq = np.bincount(rng.choices, minlength=4) / 10_000
         assert np.all(np.abs(freq - 0.25) <= 0.02), freq
 
@@ -220,10 +209,9 @@ class TestRandomLayerNoise:
         model, packer, bx, by = setup(seed=9, layer_sizes=(2, 3, 2), freeze=True)
         frozen_w, frozen_b = model.weights[0].copy(), model.biases[0].copy()
         rng = _RecordingRng(5)
-        adam = fresh_adam(packer)
         work = StepWorkspace(model, 1e-3, 1e-2)
         for _ in range(20):
-            random_layer_noise_step(model, bx, by, 0.5, adam, work, rng)
+            random_layer_noise_step(work, bx, by, 0.5, rng)
         assert 0 in rng.choices
         assert np.array_equal(model.weights[0], frozen_w)
         assert np.array_equal(model.biases[0], frozen_b)
@@ -231,6 +219,5 @@ class TestRandomLayerNoise:
     def test_negative_sigma_rejected(self):
         model, packer, bx, by = setup()
         with pytest.raises(ValueError):
-            random_layer_noise_step(model, bx, by, -0.1, fresh_adam(packer),
-                                    StepWorkspace(model, 1e-3, 1e-2),
+            random_layer_noise_step(StepWorkspace(model, 1e-3, 1e-2), bx, by, -0.1,
                                     np.random.default_rng(0))

@@ -12,7 +12,7 @@ from pactune import datasets, models, pipeline
 from pactune.autodiff import NumericsError
 from pactune.bound import AutoGamma, BoundConfig, init_noise_state, pac_objective
 from pactune.models import ParamGroup, StepWorkspace
-from pactune.optim import Constant, StepDecay
+from pactune.optim import AdamState, Constant, StepDecay, adam_step
 from pactune.pipeline import (DivergenceError, Stage1Config, Stage2Config,
                               importance_ranking, metrics, noise_injection_finetune,
                               run_finetune, stage1_train, stage2_train,
@@ -353,9 +353,9 @@ class TestInputContract:
         theta = model.theta.copy()
         steps = []
 
-        def step(model, x, y, adam, work):
+        def step(work, x, y):
             steps.append(len(x))
-            return pipeline.descent_step(model, x, y, adam, work), 0.0, 0.0, 0.0
+            return pipeline.descent_step(work, x, y), 0.0, 0.0, 0.0
 
         with pytest.raises(ValueError, match=re.escape(f"test: {split} {match}")):
             pipeline._descend(model, data["train"], data["dev"], Stage2Config(epochs=2),
@@ -508,18 +508,60 @@ class TestStepWorkspace:
         rng = np.random.default_rng(3)
         x, y = train.x[:32], train.y[:32]
         n = model.layout.trainable_size
-        _, first = pac_objective(model, noise, x, y, cfg, rng.standard_normal(n), work=work)
-        kept = (first.weights.copy(), first.noise.copy())
-        _, second = pac_objective(model, noise, x, y, cfg, rng.standard_normal(n), work=work)
-        assert not np.array_equal(second.weights, kept[0])
-        assert np.array_equal(first.weights, kept[0])
-        assert np.array_equal(first.noise, kept[1])
+        _, first = pac_objective(work, noise, x, y, cfg, rng.standard_normal(n))
+        kept = (work.grad.copy(), first.copy())
+        _, second = pac_objective(work, noise, x, y, cfg, rng.standard_normal(n))
+        # dJ/dw lives in the workspace, where the next step's replaces it
+        assert not np.array_equal(work.grad, kept[0])
+        assert np.array_equal(first, kept[1])
         buffers = (work.grad, work.noisy, work.lr, model.theta)
-        for grad in (first.weights, first.noise, second.weights, second.noise):
+        for grad in (first, second):
             assert not any(np.shares_memory(grad, b) for b in buffers)
         # the loss gradient stays in the workspace; no array is handed out
-        loss = models.loss_and_grads(model, work, work.params, x, y)
+        loss = models.loss_and_grads(work, work.params, x, y)
         assert isinstance(loss, float)
+
+
+class TestAppliedGradient:
+    """After one step of each kind, ``work.grad`` holds the gradient
+    ``work.adam`` applied: replaying the update from the loop's start with
+    ``work.grad`` gives the loop's θ and moments bit for bit."""
+
+    @pytest.mark.parametrize("freeze", [True, False])
+    @pytest.mark.parametrize("kind", ["plain", "perturbed", "random-layer", "stage 1"])
+    def test_one_step(self, toy_task, monkeypatch, kind, freeze):
+        pretrained, train, dev = toy_task
+        model = fresh_head(pretrained, 0, freeze=freeze)
+        noise = init_noise_state(model)
+        works = []
+
+        class Recorded(StepWorkspace):
+            def __init__(self, *args):
+                super().__init__(*args)
+                works.append(self)
+
+        monkeypatch.setattr(pipeline, "StepWorkspace", Recorded)
+        rng = np.random.default_rng(0)
+        one_step = Stage2Config(epochs=1, batch_size=len(train))
+        if kind == "plain":
+            out, _ = vanilla_finetune(model, train, dev, one_step, rng)
+        elif kind == "perturbed":
+            out, _ = stage2_train(model, noise, train, dev, one_step, rng, rng,
+                                  BoundConfig(m=len(train)))
+        elif kind == "random-layer":
+            out, _ = noise_injection_finetune(model, train, dev, one_step, 0.05, rng, rng)
+        else:
+            out, _, _ = stage1_train(model, noise, train, dev,
+                                     small_stage1(epochs=1, batch_size=len(train)),
+                                     BoundConfig(m=len(train)), rng, rng)
+        [work] = works
+        replay = AdamState(work.trainable.size)
+        theta = model.theta[model.layout.start:].copy()
+        adam_step(replay, theta, work.grad, work.lr, work.lr_decay)
+        assert work.adam.t == replay.t == 1
+        assert np.array_equal(out.theta[model.layout.start:], theta)
+        assert np.array_equal(work.adam.m, replay.m)
+        assert np.array_equal(work.adam.v, replay.v)
 
 
 class TestDevPass:
@@ -569,7 +611,7 @@ class TestDevPass:
         bad.x[3, 0] = np.inf
         steps = []
 
-        def step(model, x, y, adam, work):
+        def step(work, x, y):
             steps.append(len(x))
             return 0.0, 0.0, 0.0, 0.0
 

@@ -9,6 +9,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from pactune import datasets, pipeline
 from pactune.bound import BoundConfig
@@ -40,8 +41,8 @@ def test_install_wraps_every_site_and_uninstall_restores_them():
     assert all(getattr(owner, attr) is o for (owner, attr), o in zip(sites, originals))
 
 
-def test_each_kl_evaluation_is_one_span():
-    # stage 1 evaluates two group KLs per objective, stage 2 two per epoch
+@pytest.fixture(scope="module")
+def finetune_inputs():
     pair = datasets.TransferPair(
         source=datasets.DatasetSpec("blobs", n=120, seed=1, dim=2),
         target=datasets.DatasetSpec("blobs", n=80, seed=2, dim=2, rotation_degrees=20.0))
@@ -49,6 +50,12 @@ def test_each_kl_evaluation_is_one_span():
                                          epochs=2, batch_size=32, lr_backbone=3e-3,
                                          lr_head=1e-2, seed=0)
     train, dev = datasets.few_shot_sample(datasets.generate(pair.target), 40, seed=3)
+    return pretrained, train, dev
+
+
+def test_each_kl_evaluation_is_one_span(finetune_inputs):
+    # stage 1 evaluates two group KLs per objective, stage 2 two per epoch
+    pretrained, train, dev = finetune_inputs
     stage1 = pipeline.Stage1Config(epochs=2, batch_size=16)
     stage2 = pipeline.Stage2Config(epochs=3, batch_size=16)
     tracer = load_tracer().Tracer()
@@ -61,3 +68,23 @@ def test_each_kl_evaluation_is_one_span():
     assert tracer.calls("bound.pac_objective") == stage1.epochs * int(np.ceil(40 / 16))
     assert tracer.calls("bound.kl") == \
         2 * tracer.calls("bound.pac_objective") + 2 * stage2.epochs
+
+
+@pytest.mark.parametrize("method", pipeline.METHODS)
+def test_each_optimizer_update_is_one_span(finetune_inputs, method):
+    # one update per descent step; a stage-1 step updates weights and noise
+    pretrained, train, dev = finetune_inputs
+    stage1 = pipeline.Stage1Config(epochs=2, batch_size=16)
+    stage2 = pipeline.Stage2Config(epochs=3, batch_size=16)
+    tracer = load_tracer().Tracer()
+    tracer.install(("optim",))
+    try:
+        pipeline.run_finetune(pretrained, train, dev, method, 1, stage1, stage2,
+                              BoundConfig(m=len(train)))
+    finally:
+        tracer.uninstall()
+    batches = int(np.ceil(40 / 16))
+    want = (stage1.epochs + stage2.epochs) * batches
+    if method == "pac-tuning":
+        want += stage1.epochs * batches
+    assert tracer.calls("optim.adam_step") == want

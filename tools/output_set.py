@@ -12,7 +12,11 @@ the checkout that holds this script):
 - ``pactune gradcheck``;
 - ``pactune benchmark`` with ``--workers 1`` and with ``--workers 2``;
 - a CSV round trip: ``pactune generate-data``, then ``pactune pretrain`` and
-  ``pactune finetune --seed 1`` on the two CSV files it wrote.
+  ``pactune finetune --seed 1`` on the two CSV files it wrote;
+- two error paths and their one-line stderr: ``pactune pretrain`` with
+  ``pretrain.batch_size=0`` (exit 2), and ``pactune finetune --seed 2`` from
+  the pretrain checkpoint with ``stage1.lr_head=1e308``, which diverges in
+  stage 1 (exit 3).
 
 Each command writes into ``OUT/<name>/`` and leaves its stdout, stderr and
 exit code in ``OUT/<name>.stdout``, ``.stderr`` and ``.exit``. Every path a
@@ -56,6 +60,12 @@ def commands() -> list[tuple[str, list[str]]]:
              ("csv-finetune", cli + ["finetune", "--seed", "1", *csv_task, "--set",
                                      "checkpoint=csv-pretrain/pretrained.json",
                                      "--out", "csv-finetune"])]
+    runs += [("error-batch-size", cli + ["pretrain", "--set", "pretrain.batch_size=0",
+                                         "--out", "error-batch-size"]),
+             ("error-divergence", cli + ["finetune", "--seed", "2", "--set",
+                                         "stage1.lr_head=1e308", "--set",
+                                         f"checkpoint={CHECKPOINT}",
+                                         "--out", "error-divergence"])]
     return runs
 
 
