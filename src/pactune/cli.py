@@ -631,6 +631,8 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = make_parser().parse_args(argv)
     try:
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be at least 1, got {args.workers}")
         config = load_config(args.config, sets=args.set, seed=args.seed, out=args.out)
         if args.command == "generate-data":
             return cmd_generate_data(config)
@@ -639,7 +641,7 @@ def main(argv=None) -> int:
         if args.command == "finetune":
             return cmd_finetune(config)
         if args.command == "benchmark":
-            return cmd_benchmark(config, workers=max(1, args.workers))
+            return cmd_benchmark(config, workers=args.workers)
         if args.command == "gradcheck":
             return cmd_gradcheck()
         if args.command == "inspect-noise":

@@ -252,8 +252,9 @@ def _softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarra
 
 class StepWorkspace:
     """One descent loop's state over ``model``, taken by every step: the
-    trainable-order learning rates ``lr`` and ``lr_decay = lr * WEIGHT_DECAY``,
-    the loop's ``adam`` state, the layer views ``params`` and trainable suffix
+    trainable-order learning rates ``lr`` and ``lr_decay`` (``lr *
+    WEIGHT_DECAY``, or None for a loop without weight decay), the loop's
+    ``adam`` state, the layer views ``params`` and trainable suffix
     ``trainable`` of ``model.theta``, the buffer ``grad`` (with layer views)
     of the gradient each step's update applies, and the perturbed-θ buffer
     ``noisy`` (with layer views and trainable suffix), a copy of θ whose
@@ -268,11 +269,11 @@ class StepWorkspace:
     """
 
     def __init__(self, model: MLPClassifier, lr_backbone: float, lr_head: float,
-                 eval_x: np.ndarray | None = None):
+                 weight_decay: bool = True, eval_x: np.ndarray | None = None):
         layout = model.layout
         self.model = model
         self.lr = layout.per_coordinate(lr_backbone, lr_head)
-        self.lr_decay = self.lr * optim.WEIGHT_DECAY
+        self.lr_decay = self.lr * optim.WEIGHT_DECAY if weight_decay else None
         self.adam = optim.AdamState(layout.trainable_size)
         self.params = layout.views(model.theta)
         self.trainable = model.theta[layout.start:]

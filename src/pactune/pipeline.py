@@ -7,9 +7,10 @@ learning-rate vector, and returns the learned noise state. Stage 2 freezes
 the noise and continues with perturbed gradient descent on the training
 loss alone. Both stages, pretraining and the baselines (vanilla and
 random-layer noise injection) run through one descent loop and differ only
-in their step, so traces are directly comparable; every step of a loop takes
-its one state, the ``StepWorkspace`` (Adam state included) built for the
-loop's copy of the model. The loop checks once that its datasets fit the
+in their step, so traces are directly comparable. Every step is
+``step(work, x, y) -> loss`` on the loop's ``StepWorkspace`` (Adam state and
+weight decay included); a trainer states what else it records per epoch in
+its own ``epoch_terms``. The loop checks once that its datasets fit the
 model, so no step checks a batch.
 
 A step's ``NumericsError`` (a non-finite layer output, loss or J, or a
@@ -87,12 +88,11 @@ def batch_indices(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def metrics(preds, labels) -> dict:
-    """Accuracy and Matthews correlation over the k-class confusion matrix,
-    counted with one ``bincount``; class indices must be nonnegative.
-
-    For k = 2 its numerator is exactly twice the binary formula's and its
-    squared denominator four times, both integers, so the MCC is the binary one
-    bit for bit.
+    """Accuracy and the k-class Matthews correlation, from the confusion
+    matrix's trace and marginals (integer counts in O(k) memory); class
+    indices must be nonnegative. For k = 2 its numerator is exactly twice the
+    binary formula's and its squared denominator four times, so the MCC is
+    the binary one bit for bit.
     """
     preds = np.asarray(preds, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -104,10 +104,9 @@ def metrics(preds, labels) -> dict:
     if min(preds.min(), labels.min()) < 0:
         raise ValueError("metrics: class indices must be nonnegative")
     k = int(max(preds.max(), labels.max())) + 1
-    confusion = np.bincount(labels * k + preds, minlength=k * k).reshape(k, k)
-    correct = int(np.trace(confusion))
-    t_k = confusion.sum(axis=1)
-    p_k = confusion.sum(axis=0)
+    correct = int(np.count_nonzero(preds == labels))
+    t_k = np.bincount(labels, minlength=k)
+    p_k = np.bincount(preds, minlength=k)
     num = correct * n - int(t_k @ p_k)
     den_sq = (n * n - int(p_k @ p_k)) * (n * n - int(t_k @ t_k))
     mcc = 0.0 if den_sq == 0 else num / math.sqrt(den_sq)
@@ -132,55 +131,61 @@ def importance_ranking(variances) -> np.ndarray:
     return np.argsort(np.asarray(variances, dtype=np.float64), kind="stable")
 
 
+# the epoch record's fields that ``epoch_terms`` gives, zero for a trainer without it
+NO_EPOCH_TERMS = {"l_pac": 0.0, "kl_backbone": 0.0, "kl_head": 0.0, "generic_bound": 0.0,
+                  "mean_var_backbone": 0.0, "mean_var_head": 0.0}
+
+
+def _bound_terms(noise: NoiseState, bound_cfg: BoundConfig, kl_b: float, kl_h: float,
+                 l_pac: float = 0.0) -> dict:
+    """Epoch terms of learned noise: KLs, their bound, the mean variances."""
+    return {"l_pac": l_pac, "kl_backbone": kl_b, "kl_head": kl_h,
+            "generic_bound": generic_bound(kl_b + kl_h, bound_cfg.delta, bound_cfg.m),
+            "mean_var_backbone": noise.mean_variance(ParamGroup.BACKBONE),
+            "mean_var_head": noise.mean_variance(ParamGroup.HEAD)}
+
+
 def _descend(model: MLPClassifier, train: Dataset, dev: Dataset, cfg, data_rng,
-             step, label: str, stage: int = 0, epoch_offset: int = 0,
-             diagnostics=None) -> tuple[MLPClassifier, list[dict]]:
+             step, label: str, *, weight_decay: bool, stage: int = 0,
+             epoch_offset: int = 0, epoch_terms=None) -> tuple[MLPClassifier, list[dict]]:
     """The descent loop shared by pretraining, both stages and both baselines.
 
     ``cfg`` gives ``epochs``, ``batch_size``, ``lr_backbone`` and ``lr_head``.
     ``step(work, x, y)`` updates the loop's copy of the model in place
     through ``work``, the ``StepWorkspace`` built once for that copy with
-    ``cfg``'s learning rates, which holds the loop's Adam state, and returns
-    the batch's ``(l_train, l_pac, kl_b, kl_h)``.
-    ``diagnostics(model, kl_b, kl_h)`` turns the epoch's mean KLs into
-    the recorded ``(kl_b, kl_h, mean_var_b, mean_var_h, generic_bound)``;
-    without it they are recorded as zero.
+    ``cfg``'s learning rates and the loop's ``weight_decay``, which holds the
+    loop's Adam state, and returns the batch's training loss.
+    ``epoch_terms(model, n_batches)``, called after each epoch's steps,
+    returns its ``NO_EPOCH_TERMS`` fields; without it they are zero.
     """
     for name, data in (("train", train), ("dev", dev)):
         if data.dim != model.input_dim or data.n_classes > model.n_classes:
             raise ValueError(f"{label}: {name} data of width {data.dim}, labels below "
                              f"{data.n_classes}, does not fit layers {model.layer_sizes}")
     model = model.copy()
-    work = StepWorkspace(model, cfg.lr_backbone, cfg.lr_head, dev.x)
+    work = StepWorkspace(model, cfg.lr_backbone, cfg.lr_head, weight_decay, dev.x)
     trace = []
+    n_batches = (len(train) + cfg.batch_size - 1) // cfg.batch_size
     # a divergence ends as one DivergenceError from the finiteness guards,
     # not as numpy warnings on stderr ahead of it, in workers too
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(epoch_offset, epoch_offset + cfg.epochs):
-            sums, n_batches = (0.0,) * 4, 0
+            loss_sum = 0.0
             for batch, idx in enumerate(batch_indices(len(train), cfg.batch_size, data_rng)):
                 try:
-                    terms = step(work, train.x[idx], train.y[idx])
+                    loss_sum += step(work, train.x[idx], train.y[idx])
                 except ad.NumericsError as e:
                     raise DivergenceError(
                         f"{label} diverged at epoch {epoch}, batch {batch}: {e}") from e
-                sums = tuple(s + t for s, t in zip(sums, terms))
-                n_batches += 1
-            l_train, l_pac, kl_b, kl_h = (s / n_batches for s in sums)
-            kl_b, kl_h, mean_var_b, mean_var_h, bound_diag = \
-                diagnostics(model, kl_b, kl_h) if diagnostics else (0.0,) * 5
+            l_train = loss_sum / n_batches
+            terms = epoch_terms(model, n_batches) if epoch_terms else NO_EPOCH_TERMS
             dev_metrics = evaluate(model, dev, work)
             trace.append({
                 "epoch": epoch,
                 "stage": stage,
-                "j_total": l_train + l_pac,
+                "j_total": l_train + terms["l_pac"],
                 "l_train": l_train,
-                "l_pac": l_pac,
-                "kl_backbone": kl_b,
-                "kl_head": kl_h,
-                "generic_bound": bound_diag,
-                "mean_var_backbone": mean_var_b,
-                "mean_var_head": mean_var_h,
+                **terms,
                 "dev_accuracy": dev_metrics["accuracy"],
                 "dev_mcc": dev_metrics["mcc"],
             })
@@ -205,6 +210,7 @@ def stage1_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
     noise_lr = functools.lru_cache(maxsize=1)(
         lambda lr_h: np.append(packer.per_coordinate(lr_b, lr_h), [lr_b, lr_h]))
     var = noise.variances()  # the guard's variances are the next step's KL input
+    sums = [0.0, 0.0, 0.0]  # the epoch's l_pac, kl_b, kl_h, step by step
 
     def step(work, x, y):
         nonlocal var
@@ -218,22 +224,24 @@ def stage1_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
         if tracker:
             tracker.update(terms.l_train)
         lr_h = schedule_value(cfg.lr_noise_head, next(update_index))
-        adam_step(work.adam, work.trainable, work.grad, work.lr,
-                  work.lr_decay if cfg.decay_weights else None)
+        adam_step(work.adam, work.trainable, work.grad, work.lr, work.lr_decay)
         adam_step(noise_adam, noise.params, noise_grad, noise_lr(lr_h))
         # the KL is evaluated from variances, which must stay above 0
         var = noise.variances()
         if (var == 0.0).any() or (np.exp(noise.params[-2:]) == 0.0).any():
             raise ad.NumericsError("a learned variance underflowed to 0")
-        return terms.l_train, terms.l_pac, terms.kl_backbone, terms.kl_head
+        sums[:] = [s + t for s, t in zip(sums, (terms.l_pac, terms.kl_backbone,
+                                                terms.kl_head))]
+        return terms.l_train
 
-    def diagnostics(model, kl_b, kl_h):
-        return (kl_b, kl_h, noise.mean_variance(ParamGroup.BACKBONE),
-                noise.mean_variance(ParamGroup.HEAD),
-                generic_bound(kl_b + kl_h, bound_cfg.delta, bound_cfg.m))
+    def epoch_terms(model, n_batches):
+        l_pac, kl_b, kl_h = (s / n_batches for s in sums)
+        sums[:] = [0.0, 0.0, 0.0]
+        return _bound_terms(noise, bound_cfg, kl_b, kl_h, l_pac)
 
-    model, trace = _descend(model, train, dev, cfg, data_rng, step, "stage 1", stage=1,
-                            diagnostics=diagnostics)
+    model, trace = _descend(model, train, dev, cfg, data_rng, step, "stage 1",
+                            weight_decay=cfg.decay_weights, stage=1,
+                            epoch_terms=epoch_terms)
     return model, noise, trace
 
 
@@ -243,34 +251,26 @@ def stage2_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
                  epoch_offset: int = 0) -> tuple[MLPClassifier, list[dict]]:
     """Perturbed descent with the learned noise frozen; loss only, no bound term."""
     std = np.exp(noise.log_std)
-    mean_var_b = noise.mean_variance(ParamGroup.BACKBONE)
-    mean_var_h = noise.mean_variance(ParamGroup.HEAD)
 
-    def diagnostics(model, *_):
+    def epoch_terms(model, n_batches):
         weights = model.theta[model.layout.start:]
-        kl = [kl_diag_vs_isotropic(weights[model.layout.group(g)], noise.variances(g),
-                                   noise.anchor(g), math.exp(noise.prior_log_var(g)))
-              for g in (ParamGroup.BACKBONE, ParamGroup.HEAD)]
-        return (kl[0], kl[1], mean_var_b, mean_var_h,
-                generic_bound(kl[0] + kl[1], bound_cfg.delta, bound_cfg.m))
+        return _bound_terms(noise, bound_cfg, *(
+            kl_diag_vs_isotropic(weights[model.layout.group(g)], noise.variances(g),
+                                 noise.anchor(g), math.exp(noise.prior_log_var(g)))
+            for g in (ParamGroup.BACKBONE, ParamGroup.HEAD)))
 
-    return _descend(
-        model, train, dev, cfg, data_rng,
-        lambda work, x, y: (pgd_step(work, x, y, std, noise_rng, cfg.weight_decay),
-                            0.0, 0.0, 0.0),
-        "stage 2", stage=2, epoch_offset=epoch_offset, diagnostics=diagnostics)
-
-
-def _plain_step(cfg: Stage2Config):
-    return lambda work, x, y: (descent_step(work, x, y, cfg.weight_decay), 0.0, 0.0, 0.0)
+    return _descend(model, train, dev, cfg, data_rng,
+                    lambda work, x, y: pgd_step(work, x, y, std, noise_rng), "stage 2",
+                    weight_decay=cfg.weight_decay, stage=2, epoch_offset=epoch_offset,
+                    epoch_terms=epoch_terms)
 
 
 def vanilla_finetune(model: MLPClassifier, train: Dataset, dev: Dataset,
                      cfg: Stage2Config, data_rng: np.random.Generator,
                      ) -> tuple[MLPClassifier, list[dict]]:
     """Plain Adam on the training loss; the no-regularization baseline."""
-    return _descend(model, train, dev, cfg, data_rng, _plain_step(cfg),
-                    "vanilla fine-tuning")
+    return _descend(model, train, dev, cfg, data_rng, descent_step, "vanilla fine-tuning",
+                    weight_decay=cfg.weight_decay)
 
 
 def noise_injection_finetune(model: MLPClassifier, train: Dataset, dev: Dataset,
@@ -279,11 +279,9 @@ def noise_injection_finetune(model: MLPClassifier, train: Dataset, dev: Dataset,
                              noise_rng: np.random.Generator,
                              ) -> tuple[MLPClassifier, list[dict]]:
     """Random-layer noise-injection baseline."""
-    return _descend(
-        model, train, dev, cfg, data_rng,
-        lambda work, x, y: (random_layer_noise_step(
-            work, x, y, sigma, noise_rng, cfg.weight_decay), 0.0, 0.0, 0.0),
-        "noise injection")
+    return _descend(model, train, dev, cfg, data_rng,
+                    lambda work, x, y: random_layer_noise_step(work, x, y, sigma, noise_rng),
+                    "noise injection", weight_decay=cfg.weight_decay)
 
 
 # --- run records ---------------------------------------------------------------
@@ -388,6 +386,6 @@ def pretrain_model(source: Dataset, layer_sizes: list[int], epochs: int,
     model = init_weights(layer_sizes, init_rng, activation=activation)
     cfg = Stage2Config(epochs=epochs, batch_size=batch_size,
                        lr_backbone=lr_backbone, lr_head=lr_head)
-    model, _ = _descend(model, source, source, cfg, data_rng, _plain_step(cfg),
-                        "pretraining")
+    model, _ = _descend(model, source, source, cfg, data_rng, descent_step, "pretraining",
+                        weight_decay=True)
     return model

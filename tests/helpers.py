@@ -148,6 +148,21 @@ def tape_objective(model, noise, packer, tau, batch_x, batch_y, cfg, k_value=Non
     return terms, (_flat(grads, weight_leaves), noise_grads)
 
 
+def confusion_metrics(preds, labels) -> dict:
+    """``pipeline.metrics`` as it was with the k×k confusion matrix, one
+    ``bincount`` over ``labels * k + preds``; nonempty int64 input."""
+    n = preds.size
+    k = int(max(preds.max(), labels.max())) + 1
+    confusion = np.bincount(labels * k + preds, minlength=k * k).reshape(k, k)
+    correct = int(np.trace(confusion))
+    t_k = confusion.sum(axis=1)
+    p_k = confusion.sum(axis=0)
+    num = correct * n - int(t_k @ p_k)
+    den_sq = (n * n - int(p_k @ p_k)) * (n * n - int(t_k @ t_k))
+    mcc = 0.0 if den_sq == 0 else num / math.sqrt(den_sq)
+    return {"accuracy": correct / n, "mcc": float(mcc)}
+
+
 # --- the descent loop without its hoisted state ----------------------------------
 #
 # Each step below builds a fresh workspace, fresh perturbed and learning-rate

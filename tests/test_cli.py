@@ -224,6 +224,18 @@ class TestConfig:
         assert err.startswith("config error:") and "'out_dir'" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command, workers", [("benchmark", "0"), ("benchmark", "-3"),
+                                                  ("pretrain", "0")])
+    def test_workers_below_one_exit_config_before_work(self, tmp_path, capsys, monkeypatch,
+                                                       command, workers):
+        monkeypatch.setattr(cli, "pretrain_for_task", None)  # no work may start
+        code = main([command, "--workers", workers, "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.err == f"config error: --workers must be at least 1, got {workers}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
 
     def test_n_shot_below_an_explicit_target_size(self, tmp_path):
         with pytest.raises(ConfigError, match="'task.n_shot' must be below 160"):

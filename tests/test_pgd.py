@@ -94,8 +94,8 @@ class TestPgdStep:
         per_group_adam(packer, expect, grad, (1e-3, 1e-2), False)
 
         stepped = model.copy()
-        pgd_step(StepWorkspace(stepped, 1e-3, 1e-2), bx, by, std,
-                 np.random.default_rng(123), weight_decay=False)
+        pgd_step(StepWorkspace(stepped, 1e-3, 1e-2, weight_decay=False), bx, by, std,
+                 np.random.default_rng(123))
         for g in GROUPS:
             assert np.array_equal(packer.pack(stepped, g), expect[g])
 
@@ -104,8 +104,8 @@ class TestPgdStep:
         # stay bit-identical no matter how large the injected noise was
         model, packer, bx, by = setup(seed=3)
         before = [w.copy() for w in model.weights]
-        pgd_step(StepWorkspace(model, 1e-300, 1e-300), bx, by, learned(model, 1e3, 1e3),
-                 np.random.default_rng(4), weight_decay=False)
+        pgd_step(StepWorkspace(model, 1e-300, 1e-300, weight_decay=False), bx, by,
+                 learned(model, 1e3, 1e3), np.random.default_rng(4))
         for a, b in zip(model.weights, before):
             assert np.array_equal(a, b)
 
@@ -115,8 +115,8 @@ class TestPgdStep:
 
         def deltas(lr_b):
             stepped = model.copy()
-            pgd_step(StepWorkspace(stepped, lr_b, 1e-2), bx, by, learned(model, 0.0, 0.0),
-                     np.random.default_rng(0), weight_decay=False)
+            pgd_step(StepWorkspace(stepped, lr_b, 1e-2, weight_decay=False), bx, by,
+                     learned(model, 0.0, 0.0), np.random.default_rng(0))
             return {g: packer.pack(stepped, g) - packer.pack(model, g)
                     for g in GROUPS}
 

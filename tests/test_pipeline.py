@@ -2,6 +2,7 @@ import json
 import math
 import pickle
 import re
+import tracemalloc
 from dataclasses import asdict
 
 import helpers
@@ -126,6 +127,32 @@ class TestMetrics:
             got, want = metrics(preds, labels), self.add_at_metrics(preds, labels)
             assert {key: float(v).hex() for key, v in got.items()} == \
                 {key: float(v).hex() for key, v in want.items()}
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_equals_confusion_matrix_oracle_bitwise(self, k):
+        rng = np.random.default_rng(k)
+        for _ in range(300):
+            n = int(rng.integers(1, 1200))
+            labels = rng.integers(0, k, n)
+            preds = np.where(rng.uniform(size=n) < rng.uniform(), labels,
+                             rng.integers(0, k, n))
+            got, want = metrics(preds, labels), helpers.confusion_metrics(preds, labels)
+            assert {key: float(v).hex() for key, v in got.items()} == \
+                {key: float(v).hex() for key, v in want.items()}
+
+    def test_memory_grows_with_classes_not_their_square(self):
+        # labels reaching 2,999, as a CSV task's may; a 3,000 x 3,000 int64
+        # confusion matrix alone would take 72 MB
+        rng = np.random.default_rng(0)
+        labels = rng.permutation(3000)
+        preds = np.where(rng.uniform(size=3000) < 0.5, labels, rng.integers(0, 3000, 3000))
+        tracemalloc.start()
+        try:
+            metrics(preds, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
     @pytest.mark.parametrize("preds, labels", [([0, 1, 2], [0, -1, 2]),
                                                ([0, -1, 2], [0, 1, 2])])
@@ -355,11 +382,11 @@ class TestInputContract:
 
         def step(work, x, y):
             steps.append(len(x))
-            return pipeline.descent_step(work, x, y), 0.0, 0.0, 0.0
+            return pipeline.descent_step(work, x, y)
 
         with pytest.raises(ValueError, match=re.escape(f"test: {split} {match}")):
             pipeline._descend(model, data["train"], data["dev"], Stage2Config(epochs=2),
-                              np.random.default_rng(0), step, "test")
+                              np.random.default_rng(0), step, "test", weight_decay=True)
         assert steps == []
         assert np.array_equal(model.theta, theta)
 
@@ -423,7 +450,8 @@ class TestNoiseLearningContrast:
 
 
 class TestStepWorkspace:
-    """The loop's once-built workspace against a loop that rebuilds everything."""
+    """The loop's once-built workspace against a loop that rebuilds everything,
+    with and without weight decay: each trainer's own flag must reach it."""
 
     @pytest.fixture
     def run(self, toy_task):
@@ -449,20 +477,22 @@ class TestStepWorkspace:
         assert np.array_equal(model.theta, ref_model.theta)
         assert trace == ref_trace
 
+    @pytest.mark.parametrize("decay", [True, False])
     @pytest.mark.parametrize("freeze", [True, False])
-    def test_plain(self, run, freeze):
+    def test_plain(self, run, freeze, decay):
         model, _, train, dev = run(freeze)
-        cfg = Stage2Config(epochs=3, lr_backbone=3e-3, lr_head=2e-2)
+        cfg = Stage2Config(epochs=3, lr_backbone=3e-3, lr_head=2e-2, weight_decay=decay)
         self.assert_same(
             vanilla_finetune(model, train, dev, cfg, self.rngs()[0]),
             helpers.reference_descend(model, train, dev, cfg, self.rngs()[0],
                                       helpers.plain_step(cfg)))
 
+    @pytest.mark.parametrize("decay", [True, False])
     @pytest.mark.parametrize("freeze", [True, False])
-    def test_pgd(self, run, freeze):
+    def test_pgd(self, run, freeze, decay):
         model, noise, train, dev = run(freeze)
         before = noise.copy()
-        cfg = Stage2Config(epochs=3, weight_decay=False)
+        cfg = Stage2Config(epochs=3, weight_decay=decay)
         bound_cfg = BoundConfig(m=len(train))
         data_rng, noise_rng = self.rngs()
         got = stage2_train(model, noise, train, dev, cfg, data_rng, noise_rng, bound_cfg,
@@ -474,10 +504,11 @@ class TestStepWorkspace:
             diagnostics=helpers.stage2_diagnostics(noise, bound_cfg.delta, len(train))))
         assert np.array_equal(noise.params, before.params)
 
+    @pytest.mark.parametrize("decay", [True, False])
     @pytest.mark.parametrize("freeze", [True, False])
-    def test_random_layer_noise(self, run, freeze):
+    def test_random_layer_noise(self, run, freeze, decay):
         model, _, train, dev = run(freeze)
-        cfg = Stage2Config(epochs=3)
+        cfg = Stage2Config(epochs=3, weight_decay=decay)
         data_rng, noise_rng = self.rngs()
         got = noise_injection_finetune(model, train, dev, cfg, 0.05, data_rng, noise_rng)
         data_rng, noise_rng = self.rngs()
@@ -485,11 +516,13 @@ class TestStepWorkspace:
             model, train, dev, cfg, data_rng,
             helpers.random_layer_step(cfg, 0.05, noise_rng)))
 
+    @pytest.mark.parametrize("decay", [True, False])
     @pytest.mark.parametrize("freeze", [True, False])
-    def test_stage1(self, run, freeze):
+    def test_stage1(self, run, freeze, decay):
         # the head's noise rate steps every 2 updates, so its vector is rebuilt
         model, noise, train, dev = run(freeze)
-        cfg = small_stage1(epochs=3, lr_noise_head=StepDecay(0.5, 0.7, 2, 0.01))
+        cfg = small_stage1(epochs=3, lr_noise_head=StepDecay(0.5, 0.7, 2, 0.01),
+                           decay_weights=decay)
         bound_cfg = BoundConfig(m=len(train), gamma=AutoGamma(0.01, 10.0))
         data_rng, noise_rng = self.rngs()
         model_out, learned, trace = stage1_train(model, noise, train, dev, cfg,
@@ -597,7 +630,7 @@ class TestDevPass:
     @pytest.mark.parametrize("freeze", [True, False])
     def test_workspace_evaluation_follows_theta(self, start, freeze):
         model, _, dev = start(freeze, "tanh")
-        work = StepWorkspace(model, 1e-3, 1e-2, dev.x)
+        work = StepWorkspace(model, 1e-3, 1e-2, eval_x=dev.x)
         rng = np.random.default_rng(2)
         for _ in range(4):
             assert pipeline.evaluate(model, dev, work) == pipeline.evaluate(model, dev)
@@ -613,11 +646,11 @@ class TestDevPass:
 
         def step(work, x, y):
             steps.append(len(x))
-            return 0.0, 0.0, 0.0, 0.0
+            return 0.0
 
         with pytest.raises(NumericsError, match="layer 0"):
             pipeline._descend(model, train, bad, Stage2Config(epochs=3),
-                              np.random.default_rng(0), step, "test")
+                              np.random.default_rng(0), step, "test", weight_decay=True)
         assert sum(steps) == len(train)  # one epoch's steps ran first
 
     def test_pretrained_model_pickles_no_larger_than_a_fresh_one(self, toy_task):

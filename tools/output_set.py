@@ -7,7 +7,9 @@ the checkout that holds this script):
 
 - ``load_config(None)``, printed as sorted JSON;
 - ``pactune pretrain`` on the default config;
-- ``pactune finetune --seed 1`` from that checkpoint, once per method;
+- ``pactune finetune --seed 1`` from that checkpoint, once per method, and
+  once each for ``pac-tuning`` and ``vanilla`` without weight decay
+  (``stage1.decay_weights=false``, ``stage2.weight_decay=false``);
 - ``pactune inspect-noise`` on the pac-tuning run's noise file;
 - ``pactune gradcheck``;
 - ``pactune benchmark`` with ``--workers 1`` and with ``--workers 2``;
@@ -38,6 +40,7 @@ CHECKPOINT = "pretrain/pretrained.json"
 NOISE = "finetune-pac-tuning/blobs-rotate__pac-tuning__seed1__noise.json"
 CSV_TASK = [f'task.{side}={{"generator": "csv", "path": "generate-data/{side}.csv"}}'
             for side in ("source", "target")] + ["task.name=csv"]
+NO_DECAY = ["--set", "stage1.decay_weights=false", "--set", "stage2.weight_decay=false"]
 PRINT_CONFIG = ("import json; from pactune import cli; "
                 "print(json.dumps(cli.load_config(None), sort_keys=True, indent=1))")
 
@@ -50,6 +53,10 @@ def commands() -> list[tuple[str, list[str]]]:
     runs += [(f"finetune-{m}", cli + ["finetune", "--seed", "1", "--set", f"method={m}",
                                       "--set", f"checkpoint={CHECKPOINT}",
                                       "--out", f"finetune-{m}"]) for m in METHODS]
+    runs += [(f"finetune-{m}-no-decay",
+              cli + ["finetune", "--seed", "1", "--set", f"method={m}",
+                     "--set", f"checkpoint={CHECKPOINT}", *NO_DECAY,
+                     "--out", f"finetune-{m}-no-decay"]) for m in ("pac-tuning", "vanilla")]
     runs += [("inspect-noise", cli + ["inspect-noise", NOISE, "--out", "inspect-noise"]),
              ("gradcheck", cli + ["gradcheck"])]
     runs += [(f"benchmark-w{n}", cli + ["benchmark", "--workers", str(n),
