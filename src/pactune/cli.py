@@ -206,23 +206,19 @@ def _check(config: dict, prefix: str = "") -> None:
     _walk(config, _TREE, prefix)
     task = config["task"]
     explicit = [side for side in ("source", "target") if task[side] is not None]
-    size = {}
     for side in explicit:
-        try:  # a CSV file's data is read and checked here, before any work
-            spec = datasets.DatasetSpec(**task[side])
-            size[side] = len(datasets.load_csv(spec.path, spec.label_column)) \
-                if spec.generator == "csv" else spec.n
-        except (OSError, ValueError) as e:
+        try:
+            datasets.DatasetSpec(**task[side])
+        except ValueError as e:
             raise ConfigError(f"'{prefix}task.{side}' is invalid: {e}") from e
     try:
         pair = resolve_task(config)
     except ValueError as e:
         where = "task" if explicit else "task.name"
         raise ConfigError(f"'{prefix}{where}' is invalid: {e}") from e
-    n_target = size.get("target", pair.target.n)
-    if task["n_shot"] >= n_target:
-        raise ConfigError(f"'{prefix}task.n_shot' must be below {n_target}, the "
-                          f"size of the target task, got {task['n_shot']!r}")
+    # a CSV target's size is checked when a command reads it: see load_task_data
+    if pair.target.generator != "csv":
+        _check_n_shot(config, pair.target.n, prefix)
     gamma = config["bound"]["gamma"]
     if gamma["kind"] == "auto" and gamma["low"] > gamma["high"]:
         raise ConfigError(f"'{prefix}bound.gamma' needs low <= high, got {gamma!r}")
@@ -238,15 +234,16 @@ def _check(config: dict, prefix: str = "") -> None:
             raise ConfigError(f"'{at}.{min(ignored)}' cannot be set per task")
 
 
-_PATHS = {*_TREE, *SCHEMA, *(f"{leaf}.{name}" for leaf, (_, kind) in SCHEMA.items()
-                             for name in kind.fields)}
+def _check_n_shot(config: dict, n_target: int, prefix: str, where: str = "") -> None:
+    n_shot = config["task"]["n_shot"]
+    if n_shot >= n_target:
+        raise ConfigError(f"'{prefix}task.n_shot' must be below {n_target}, the size "
+                          f"of the target task{where}, got {n_shot!r}")
 
 
-def _known(dotted: list[str]) -> bool:
-    """Whether the table knows a path, down into objects and task overrides."""
-    if dotted[0] == "task_overrides" and len(dotted) > 1:  # a task, then its leaves
-        return len(dotted) == 2 or _known(dotted[2:])
-    return ".".join(dotted) in _PATHS
+def _view_prefix(config: dict, task_name: str) -> str:
+    """How errors in a task's view name its keys: under its override, if any."""
+    return f"task_overrides.{task_name}." if task_name in config["task_overrides"] else ""
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -271,9 +268,7 @@ def _parse_set(entry: str) -> tuple[list[str], object]:
 
 
 def _apply_set(config: dict, dotted: list[str], value) -> None:
-    """Replace one leaf or object that the table knows."""
-    if not _known(dotted):
-        raise ConfigError(f"--set path '{'.'.join(dotted)}' does not exist")
+    """Place one leaf or object; the walk then checks its path like a file's key."""
     node = config
     for part in dotted[:-1]:
         node = node.setdefault(part, {})
@@ -303,9 +298,7 @@ def load_config(path: str | None, sets=(), seed: int | None = None,
         config["out_dir"] = out
     _check(config)
     for task_name in config["tasks"]:
-        overridden = task_name in config["task_overrides"]
-        _check(task_config(config, task_name),
-               f"task_overrides.{task_name}." if overridden else "")
+        _check(task_config(config, task_name), _view_prefix(config, task_name))
     return config
 
 
@@ -343,12 +336,29 @@ def build_bound(config: dict, m: int) -> bound.BoundConfig:
 # --- run assembly ---------------------------------------------------------------
 
 
-def task_config(config: dict, task_name: str) -> dict:
-    """Per-task view of the config: overrides applied, task name pinned."""
-    override = config.get("task_overrides", {}).get(task_name, {})
+def task_config(config: dict, task_name: str | None = None) -> dict:
+    """A task's view of the config: its overrides applied. A named task is that
+    built-in task, as the benchmark runs it; by default the view keeps the
+    config's own task, explicit source and target included."""
+    override = config.get("task_overrides", {}).get(task_name or config["task"]["name"], {})
     merged = _deep_merge(config, override)
-    merged["task"] = dict(merged["task"], name=task_name, source=None, target=None)
+    if task_name is not None:
+        merged["task"] = dict(merged["task"], name=task_name, source=None, target=None)
     return merged
+
+
+def load_task_data(config: dict, side: str) -> datasets.Dataset:
+    """One side of the config's task, read or generated once. A file that cannot
+    be used, or a target no larger than 'task.n_shot', is a config error."""
+    spec = getattr(resolve_task(config), side)
+    try:
+        data = datasets.generate(spec)
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"'task.{side}' is invalid: {e}") from e
+    if side == "target":
+        _check_n_shot(config, len(data), _view_prefix(config, config["task"]["name"]),
+                      f" '{spec.path}'" if spec.generator == "csv" else "")
+    return data
 
 
 def pretrain_for_task(config: dict, source: datasets.Dataset) -> models.MLPClassifier:
@@ -377,54 +387,50 @@ def run_single(config: dict, pretrained: models.MLPClassifier, target: datasets.
 
 
 def _benchmark_run(payload) -> pipeline.RunRecord:
-    """One benchmark run; module-level so worker processes can receive it."""
-    config, pretrained, target, task_name, method, seed = payload
-    record, _, _ = run_single(config, pretrained, target, seed, method)
-    record.final["task"] = task_name
+    """One benchmark run, named by its record's ``final``; module-level so
+    worker processes can receive it."""
+    view, pretrained, target, method, seed = payload
+    record, _, _ = run_single(view, pretrained, target, seed, method)
+    record.final["task"] = view["task"]["name"]
     return record
 
 
 def run_benchmark(config: dict, workers: int = 1):
-    """All tasks x methods x seeds; returns (report, run records, run specs).
+    """All tasks x methods x seeds; returns (report, run records).
 
-    Workers run fully isolated; results are assembled in run order so the
+    Workers run fully isolated; records come back in run order so the
     report and the per-run JSONL files are deterministic for a fixed config.
     """
-    specs = []
+    runs = []
     for task_name in config["tasks"]:
-        cfg_t = task_config(config, task_name)
-        pair = resolve_task(cfg_t)
-        pretrained = pretrain_for_task(cfg_t, datasets.generate(pair.source))
+        view = task_config(config, task_name)
+        pair = resolve_task(view)
+        pretrained = pretrain_for_task(view, datasets.generate(pair.source))
         target = datasets.generate(pair.target)
-        for method in config["methods"]:
-            for seed in config["seeds"]:
-                specs.append((cfg_t, pretrained, target, task_name, method, seed))
+        runs += [(view, pretrained, target, method, seed)
+                 for method in config["methods"] for seed in config["seeds"]]
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_benchmark_run, specs))
+            records = list(pool.map(_benchmark_run, runs))
     else:
-        results = [_benchmark_run(s) for s in specs]
+        records = [_benchmark_run(run) for run in runs]
 
     report: dict = {"config": config, "results": {}, "runs": []}
-    for (_, _, _, task_name, method, seed), rec in zip(specs, results):
-        report["runs"].append({"task": task_name, "method": method, "seed": seed,
-                               "final": rec.final})
-        bucket = report["results"].setdefault(task_name, {}).setdefault(
-            method, {"accuracy": [], "mcc": []})
-        bucket["accuracy"].append(rec.final["dev_accuracy"])
-        bucket["mcc"].append(rec.final["dev_mcc"])
-    for task_name, by_method in report["results"].items():
-        for method, vals in by_method.items():
-            acc = np.asarray(vals.pop("accuracy"))
-            mcc = np.asarray(vals.pop("mcc"))
-            vals["mean_accuracy"] = float(acc.mean())
-            vals["std_accuracy"] = float(acc.std())
-            vals["mean_mcc"] = float(mcc.mean())
-            vals["std_mcc"] = float(mcc.std())
-            vals["per_seed_accuracy"] = acc.tolist()
-            vals["per_seed_mcc"] = mcc.tolist()
-    return report, results, specs
+    for final in (record.final for record in records):
+        report["runs"].append({"task": final["task"], "method": final["method"],
+                               "seed": final["seed"], "final": final})
+        report["results"].setdefault(final["task"], {}).setdefault(
+            final["method"], []).append(final)
+    for by_method in report["results"].values():
+        for method, finals in by_method.items():
+            acc, mcc = (np.asarray([f[key] for f in finals])
+                        for key in ("dev_accuracy", "dev_mcc"))
+            by_method[method] = {
+                "mean_accuracy": float(acc.mean()), "std_accuracy": float(acc.std()),
+                "mean_mcc": float(mcc.mean()), "std_mcc": float(mcc.std()),
+                "per_seed_accuracy": acc.tolist(), "per_seed_mcc": mcc.tolist()}
+    return report, records
 
 
 # --- commands -------------------------------------------------------------------
@@ -453,10 +459,8 @@ def _write_outputs(writers) -> None:
 
 
 def cmd_generate_data(config: dict) -> int:
-    pair = resolve_task(config)
+    source, target = (load_task_data(config, side) for side in ("source", "target"))
     out = _ensure_out(config)
-    source = datasets.generate(pair.source)
-    target = datasets.generate(pair.target)
     _write_outputs([
         (out / "source.csv", lambda p: datasets.export_csv(source, p)),
         (out / "target.csv", lambda p: datasets.export_csv(target, p)),
@@ -467,7 +471,7 @@ def cmd_generate_data(config: dict) -> int:
 
 
 def cmd_pretrain(config: dict) -> int:
-    source = datasets.generate(resolve_task(config).source)
+    source = load_task_data(config, "source")
     out = _ensure_out(config)
     model = pretrain_for_task(config, source)
     provenance = {"seed": config["pretrain"]["seed"],
@@ -481,6 +485,7 @@ def cmd_pretrain(config: dict) -> int:
 
 
 def cmd_finetune(config: dict) -> int:
+    target = load_task_data(config, "target")
     if not config.get("checkpoint"):
         raise ConfigError("finetune needs config key 'checkpoint' "
                           "(path to a pretraining checkpoint)")
@@ -489,7 +494,6 @@ def cmd_finetune(config: dict) -> int:
         pretrained = models.load_checkpoint(path, activation=config["model"]["activation"])
     except (OSError, ValueError) as e:
         raise ConfigError(f"cannot use checkpoint '{path}': {e}") from e
-    target = datasets.generate(resolve_task(config).target)
     if pretrained.input_dim != target.dim:
         raise ConfigError(f"checkpoint '{path}' takes inputs of size "
                           f"{pretrained.input_dim}, but the target task's inputs "
@@ -524,11 +528,9 @@ def cmd_benchmark(config: dict, workers: int = 1) -> int:
     out = _ensure_out(config)
     runs_dir = out / "runs"
     runs_dir.mkdir(exist_ok=True)
-    report, results, specs = run_benchmark(config, workers=workers)
-    writers = []
-    for (_, _, _, task_name, method, seed), record in zip(specs, results):
-        path = runs_dir / f"{task_name}__{method}__seed{seed}.jsonl"
-        writers.append((path, lambda p, r=record: r.to_jsonl(p)))
+    report, records = run_benchmark(config, workers=workers)
+    writers = [(runs_dir / "{task}__{method}__seed{seed}.jsonl".format(**r.final),
+                lambda p, r=r: r.to_jsonl(p)) for r in records]
     writers.append((out / "benchmark_report.json",
                     lambda p: Path(p).write_text(
                         json.dumps(report, sort_keys=True, indent=1) + "\n",
@@ -634,19 +636,15 @@ def main(argv=None) -> int:
         if args.workers < 1:
             raise ConfigError(f"--workers must be at least 1, got {args.workers}")
         config = load_config(args.config, sets=args.set, seed=args.seed, out=args.out)
-        if args.command == "generate-data":
-            return cmd_generate_data(config)
-        if args.command == "pretrain":
-            return cmd_pretrain(config)
-        if args.command == "finetune":
-            return cmd_finetune(config)
+        single_task = {"generate-data": cmd_generate_data, "pretrain": cmd_pretrain,
+                       "finetune": cmd_finetune}
+        if args.command in single_task:  # each runs on its task's view of the config
+            return single_task[args.command](task_config(config))
         if args.command == "benchmark":
             return cmd_benchmark(config, workers=args.workers)
         if args.command == "gradcheck":
             return cmd_gradcheck()
-        if args.command == "inspect-noise":
-            return cmd_inspect_noise(config, args.noise_file)
-        raise ConfigError(f"unknown command {args.command}")
+        return cmd_inspect_noise(config, args.noise_file)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -172,7 +172,7 @@ def test_criterion_05_two_stage_dynamics(blobs_setup):
 
 
 def _benchmark_means(config):
-    report_doc, _, _ = cli.run_benchmark(config)
+    report_doc, _ = cli.run_benchmark(config)
     return {task: {m: r["mean_accuracy"] for m, r in by_m.items()}
             for task, by_m in report_doc["results"].items()}
 

@@ -105,7 +105,7 @@ class TestConfig:
         assert cfg["bound"]["gamma"]["value"] == 10.0
 
     def test_set_bad_path_rejected(self):
-        with pytest.raises(ConfigError, match="does not exist"):
+        with pytest.raises(ConfigError, match="^unknown config key 'stage1.nope'$"):
             load_config(None, sets=["stage1.nope=1"])
 
     def test_seed_and_out_flags(self):
@@ -142,6 +142,8 @@ class TestConfig:
         ('task_overrides={"blobs-rotate": {"stage1": {"epoch": 5}}}',
          "task_overrides.blobs-rotate.stage1.epoch"),
         ('task_overrides={"no-such-task": {}}', "task_overrides.no-such-task"),
+        ("task_overrides.blobs-rotate.stage1.nope=1",
+         "task_overrides.blobs-rotate.stage1.nope"),
         ("stage1=5", "stage1"),
         ('task_overrides={"xor-noise": {"pretrain": {"batch_size": 0}}}',
          "task_overrides.xor-noise.pretrain.batch_size"),
@@ -385,6 +387,14 @@ _BAD_CSV = [("a,label\n1,0\nx,1\n", "row 3: non-numeric cell in column 'a': 'x'"
                                          "2, got '1e300'")]
 
 
+def _csv_task_argv(source, target, *argv):
+    """``argv`` then ``--set`` entries that make the two CSV files the task."""
+    specs = {"source": source, "target": target}
+    sets = [f'task.{side}={json.dumps({"generator": "csv", "path": str(path)})}'
+            for side, path in specs.items()] + ["task.n_shot=20"]
+    return [*argv, *(a for s in sets for a in ("--set", s))]
+
+
 class TestUnusableFiles:
     """A checkpoint, noise or CSV file that cannot be used exits 2 before any
     output."""
@@ -402,7 +412,10 @@ class TestUnusableFiles:
         ("inspect-noise", "not json", "Expecting value"),
         ("inspect-noise", '{"version": 2}', "unsupported noise-state version: 2"),
         *[(command, ("csv", text), detail) for text, detail in _BAD_CSV
-          for command in ("generate-data", "pretrain", "finetune", "benchmark")],
+          for command in ("generate-data", "pretrain", "finetune")],
+        # one data row: the commands that read the target check it against n_shot 1
+        *[(command, ("csv", "a,label\n1,0\n"), "'task.n_shot' must be below 1, the size "
+           "of the target task") for command in ("generate-data", "finetune")],
     ])
     def test_exits_config_before_any_output(self, tmp_path, capsys, command, content,
                                             detail):
@@ -435,6 +448,42 @@ class TestUnusableFiles:
         assert f"'{path}'" in err and detail in err, err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+class TestTaskFileReads:
+    """A command reads each task file it uses once, and no file it does not use."""
+
+    @pytest.fixture
+    def csv_files(self, tmp_path, monkeypatch):
+        assert main(["generate-data", "--config", tiny_config(tmp_path)]) == EXIT_OK
+        reads = []
+        load_csv = datasets.load_csv
+        monkeypatch.setattr(datasets, "load_csv", lambda path, *a:
+                            reads.append(Path(path).name) or load_csv(path, *a))
+        return tmp_path / "out" / "source.csv", tmp_path / "out" / "target.csv", reads
+
+    def test_one_read_per_file_used(self, tmp_path, csv_files):
+        source, target, reads = csv_files
+        cfg = tiny_config(tmp_path)
+        out = str(tmp_path / "csv")
+        checkpoint = json.dumps(f"{out}/pretrained.json")
+        for argv, want in [(["generate-data"], ["source.csv", "target.csv"]),
+                           (["pretrain"], ["source.csv"]),
+                           (["finetune", "--set", f"checkpoint={checkpoint}"],
+                            ["target.csv"])]:
+            reads.clear()
+            argv = _csv_task_argv(source, target, *argv, "--config", cfg, "--out", out)
+            assert main(argv) == EXIT_OK
+            assert reads == want, argv[0]
+
+    @pytest.mark.parametrize("command", ["benchmark", "gradcheck"])
+    def test_unused_files_are_not_read(self, tmp_path, csv_files, command):
+        source, target, reads = csv_files
+        argv = _csv_task_argv(source, target, command, "--config", tiny_config(tmp_path),
+                              "--set", 'tasks=["blobs-rotate"]',
+                              "--set", 'methods=["vanilla"]')
+        assert main(argv) == EXIT_OK
+        assert reads == []
 
 
 class TestGradcheckCommand:
@@ -513,9 +562,15 @@ class TestBenchmark:
 
     def test_workers_do_not_change_results(self, tmp_path):
         cfg_path = self.bench_config(tmp_path, out_name="par")
-        report1, _, _ = cli.run_benchmark(load_config(cfg_path), workers=1)
-        report2, _, _ = cli.run_benchmark(load_config(cfg_path), workers=2)
-        assert json.dumps(report1, sort_keys=True) == json.dumps(report2, sort_keys=True)
+        outputs = []
+        for workers in (1, 2):  # the report, then each record's JSONL in run order
+            report, records = cli.run_benchmark(load_config(cfg_path), workers=workers)
+            outputs.append([json.dumps(report, sort_keys=True)])
+            for i, record in enumerate(records):
+                record.to_jsonl(tmp_path / f"w{workers}-{i}.jsonl")
+                outputs[-1].append((tmp_path / f"w{workers}-{i}.jsonl").read_bytes())
+        assert len(outputs[0]) == 1 + 2 * 2
+        assert outputs[0] == outputs[1]
 
     # pytest records warnings instead of printing them, so a numpy warning in
     # a worker fails the run here; capfd also takes the workers' stderr
@@ -539,3 +594,30 @@ class TestBenchmark:
         merged = cli.task_config(config, "blobs-rotate")
         assert merged["bound"]["gamma"]["value"] == 10.0
         assert merged["task"]["name"] == "blobs-rotate"
+
+    def test_pretrain_applies_its_task_override(self, tmp_path):
+        override = json.dumps({"blobs-rotate": {"pretrain": {"epochs": 1}}})
+        assert main(["pretrain", "--out", str(tmp_path), "--set",
+                     f"task_overrides={override}", "--set", "pretrain.epochs=2"]) == EXIT_OK
+        checkpoint = json.loads((tmp_path / "pretrained.json").read_text())
+        assert checkpoint["provenance"]["epoch"] == 1
+
+    def test_finetune_reproduces_a_benchmark_run_of_an_overridden_task(self, tmp_path):
+        cfg_path = self.bench_config(tmp_path, out_name="ovr")
+        cfg = json.loads((tmp_path / "ovr.json").read_text())
+        cfg["methods"] = ["pac-tuning"]
+        cfg["task_overrides"] = {"blobs-rotate": {"pretrain": {"epochs": 1},
+                                                  "stage1": {"epochs": 3},
+                                                  "task": {"n_shot": 30}}}
+        (tmp_path / "ovr.json").write_text(json.dumps(cfg))
+        assert main(["benchmark", "--config", cfg_path]) == EXIT_OK
+        single = str(tmp_path / "single")
+        assert main(["pretrain", "--config", cfg_path, "--out", single]) == EXIT_OK
+        checkpoint = json.dumps(f"{single}/pretrained.json")
+        assert main(["finetune", "--config", cfg_path, "--out", single, "--seed", "1",
+                     "--set", f"checkpoint={checkpoint}"]) == EXIT_OK
+        name = "blobs-rotate__pac-tuning__seed1.jsonl"
+        bench = (tmp_path / "ovr" / "runs" / name).read_text().splitlines()
+        tuned = (tmp_path / "single" / name).read_text().splitlines()
+        assert len(bench) == 3 + 2 + 1
+        assert tuned[:-1] == bench[:-1]

@@ -15,10 +15,15 @@ the checkout that holds this script):
 - ``pactune benchmark`` with ``--workers 1`` and with ``--workers 2``;
 - a CSV round trip: ``pactune generate-data``, then ``pactune pretrain`` and
   ``pactune finetune --seed 1`` on the two CSV files it wrote;
-- two error paths and their one-line stderr: ``pactune pretrain`` with
-  ``pretrain.batch_size=0`` (exit 2), and ``pactune finetune --seed 2`` from
+- the single-task commands on a task with overrides (``task_overrides`` for
+  ``blobs-rotate`` setting fewer pretrain, stage-1 and stage-2 epochs):
+  ``pretrain-override`` runs ``pactune pretrain``, and ``finetune-override``
+  runs ``pactune finetune --seed 1`` from that checkpoint;
+- three error paths and their one-line stderr: ``pactune pretrain`` with
+  ``pretrain.batch_size=0`` (exit 2), ``pactune finetune --seed 2`` from
   the pretrain checkpoint with ``stage1.lr_head=1e308``, which diverges in
-  stage 1 (exit 3).
+  stage 1 (exit 3), and ``error-unknown-set``, ``pactune pretrain`` with
+  ``--set stage1.nope=1`` (exit 2).
 
 Each command writes into ``OUT/<name>/`` and leaves its stdout, stderr and
 exit code in ``OUT/<name>.stdout``, ``.stderr`` and ``.exit``. Every path a
@@ -41,6 +46,8 @@ NOISE = "finetune-pac-tuning/blobs-rotate__pac-tuning__seed1__noise.json"
 CSV_TASK = [f'task.{side}={{"generator": "csv", "path": "generate-data/{side}.csv"}}'
             for side in ("source", "target")] + ["task.name=csv"]
 NO_DECAY = ["--set", "stage1.decay_weights=false", "--set", "stage2.weight_decay=false"]
+OVERRIDE = ["--set", 'task_overrides={"blobs-rotate": {"pretrain": {"epochs": 20}, '
+            '"stage1": {"epochs": 30}, "stage2": {"epochs": 10}}}']
 PRINT_CONFIG = ("import json; from pactune import cli; "
                 "print(json.dumps(cli.load_config(None), sort_keys=True, indent=1))")
 
@@ -67,12 +74,19 @@ def commands() -> list[tuple[str, list[str]]]:
              ("csv-finetune", cli + ["finetune", "--seed", "1", *csv_task, "--set",
                                      "checkpoint=csv-pretrain/pretrained.json",
                                      "--out", "csv-finetune"])]
+    runs += [("pretrain-override", cli + ["pretrain", *OVERRIDE,
+                                          "--out", "pretrain-override"]),
+             ("finetune-override", cli + ["finetune", "--seed", "1", *OVERRIDE, "--set",
+                                          "checkpoint=pretrain-override/pretrained.json",
+                                          "--out", "finetune-override"])]
     runs += [("error-batch-size", cli + ["pretrain", "--set", "pretrain.batch_size=0",
                                          "--out", "error-batch-size"]),
              ("error-divergence", cli + ["finetune", "--seed", "2", "--set",
                                          "stage1.lr_head=1e308", "--set",
                                          f"checkpoint={CHECKPOINT}",
-                                         "--out", "error-divergence"])]
+                                         "--out", "error-divergence"]),
+             ("error-unknown-set", cli + ["pretrain", "--set", "stage1.nope=1",
+                                          "--out", "error-unknown-set"])]
     return runs
 
 
