@@ -8,12 +8,13 @@ where L_train is the cross-entropy at parameters perturbed by one draw of
 reparameterized Gaussian noise (w + exp(p) * tau, tau standard normal), the
 KL terms compare the diagonal posterior N(w, exp(2p)) against an isotropic
 prior N(anchor, exp(prior_log_var) * I), gamma is either fixed or the
-closed-form minimizer over a user range, and K tracks the dispersion of
-per-batch losses. Everything except gamma and K is differentiable; both are
-treated as per-step constants. ``pac_objective`` takes J's gradients in
-closed form, trusting its batch as every step does; dJ/dw goes into the
-loop's ``work.grad``, like every step's weight gradient. The tape in
-``autodiff`` is only the tests' oracle for them.
+closed-form minimizer over a user range, and K, fixed or tracking the
+dispersion of per-batch losses, is a ``KTracker``'s value. Everything except
+gamma and K is differentiable; both are per-step constants. ``pac_objective``,
+given K and the variances by its caller, takes J's gradients in closed form,
+trusting its batch as every step does; dJ/dw goes into the loop's
+``work.grad``, like every step's weight gradient. The tape in ``autodiff`` is
+only the tests' oracle for them.
 Each group's KL and the sum its prior derivative needs come from one pass
 (``_kl``), which the checked public ``kl_diag_vs_isotropic`` shares; a noise
 draw is one ``standard_normal`` vector, taken by the caller (stage 1 takes
@@ -96,7 +97,6 @@ class BoundTerms:
     kl_backbone: float
     kl_head: float
     gamma_used: float
-    k_used: float
     l_pac: float
     j_total: float
 
@@ -192,7 +192,7 @@ def save_noise_state(noise: NoiseState, path) -> None:
 
 def load_noise_state(path) -> NoiseState:
     """Read a noise state, without anchors (they live in its checkpoint); a
-    file that is not a noise state of this version raises ``ValueError``."""
+    file that is not a finite noise state of this version raises ``ValueError``."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != NOISE_STATE_VERSION:
@@ -203,6 +203,8 @@ def load_noise_state(path) -> NoiseState:
                                  [float(doc["log_lambda"]), float(doc["log_beta"])]])
     except (KeyError, TypeError) as e:
         raise ValueError(f"malformed noise state: {e!r}") from e
+    if not np.isfinite(params).all():
+        raise ValueError(f"'{path}': a log-std or prior log-variance is not finite")
     return NoiseState(params, len(doc["p_backbone"]),
                       anchor_checkpoint=doc.get("anchor_checkpoint"))
 
@@ -255,25 +257,29 @@ def optimal_gamma(a: float, m: int, k: float, low: float, high: float) -> float:
 
 
 class KTracker:
-    """Exponentially weighted estimate of the std of per-batch training losses."""
+    """A step's K: a fixed K's own value (``update`` ignores losses), or the EMA
+    estimate of the std of per-batch training losses, floored at ``K_FLOOR``."""
 
-    def __init__(self, ema_decay: float = 0.99):
-        self.decay = ema_decay
+    def __init__(self, k: FixedK | RunningK):
+        self.k = k
         self._mean: float | None = None
         self._var = 0.0
 
     def update(self, value: float) -> None:
+        if isinstance(self.k, FixedK):
+            return
         if self._mean is None:
             self._mean = value
-            self._var = 0.0
             return
         diff = value - self._mean
-        incr = (1.0 - self.decay) * diff
+        incr = (1.0 - self.k.ema_decay) * diff
         self._mean += incr
-        self._var = self.decay * (self._var + diff * incr)
+        self._var = self.k.ema_decay * (self._var + diff * incr)
 
     @property
     def value(self) -> float:
+        if isinstance(self.k, FixedK):
+            return self.k.value
         return max(K_FLOOR, math.sqrt(self._var))
 
 
@@ -296,18 +302,16 @@ def _group_kl(w: np.ndarray, var: np.ndarray, anchor: np.ndarray,
 
 
 def pac_objective(work: StepWorkspace, noise: NoiseState, batch_x, batch_y,
-                  cfg: BoundConfig, tau: np.ndarray, *, k_value: float | None = None,
-                  l_pac_weight: float = 1.0, variances: np.ndarray | None = None,
-                  ) -> tuple[BoundTerms, np.ndarray]:
+                  cfg: BoundConfig, tau: np.ndarray, k: float, var: np.ndarray, *,
+                  l_pac_weight: float = 1.0) -> tuple[BoundTerms, np.ndarray]:
     """Evaluate J and its gradients on one batch at the noise draw ``tau``.
 
     ``tau`` is one standard-normal vector in trainable order, drawn by the
     caller. ``work`` is the loop's workspace: it holds the noisy weights, and
     dJ/dw is left in ``work.grad``; the returned noise gradient, a fresh array,
     is laid out as ``NoiseState.params`` (log-stds, then the two priors).
-    ``variances`` are ``noise.variances()`` when the caller already holds them.
-    ``k_value`` overrides the running-K resolution (the trainer passes its
-    tracker value); fixed-K configs ignore it. ``l_pac_weight`` scales the
+    ``k`` is the step's K (``KTracker.value``) and ``var`` is
+    ``noise.variances()``, both held by the caller. ``l_pac_weight`` scales the
     complexity term inside the optimized objective; the reported
     ``l_pac``/``j_total`` reflect the same scaling so
     ``j_total == l_train + l_pac`` always holds.
@@ -323,15 +327,10 @@ def pac_objective(work: StepWorkspace, noise: NoiseState, batch_x, batch_y,
     std = np.exp(noise.log_std)
     kernels.apply_noise(weights, std, tau, work.noisy_trainable)
     l_train = loss_and_grads(work, work.noisy_params, batch_x, batch_y)
-    var = noise.variances() if variances is None else variances
     (kl_b, kl_h), d_w, d_p, d_prior = zip(*(
         _group_kl(weights[packer.group(g)], var[packer.group(g)],
                   noise.anchor(g), noise.prior_log_var(g)) for g in _GROUPS))
 
-    if isinstance(cfg.k, FixedK):
-        k = cfg.k.value
-    else:
-        k = K_FLOOR if k_value is None else max(K_FLOOR, k_value)
     if isinstance(cfg.gamma, FixedGamma):
         gamma = cfg.gamma.value
     else:
@@ -339,7 +338,7 @@ def pac_objective(work: StepWorkspace, noise: NoiseState, batch_x, batch_y,
                               cfg.gamma.low, cfg.gamma.high)
     l_pac_scaled = l_pac_weight * l_pac(kl_b + kl_h, cfg, gamma, k)
     terms = BoundTerms(l_train=l_train, kl_backbone=kl_b, kl_head=kl_h,
-                       gamma_used=gamma, k_used=k, l_pac=l_pac_scaled,
+                       gamma_used=gamma, l_pac=l_pac_scaled,
                        j_total=l_train + l_pac_scaled)
     c = l_pac_weight / (gamma * cfg.m)
     # the noise gradient reads dL(w~) before work.grad becomes dJ/dw
@@ -353,29 +352,28 @@ def objective_gradcheck(model: MLPClassifier, noise: NoiseState, batch_x, batch_
                         cfg: BoundConfig, seed: int = 0, h: float = 1e-5) -> float:
     """Finite-difference check of J over every stage-1 variable.
 
-    The noise draw, gamma, and K are frozen at the base point so J is a
-    deterministic function of the trainable weights followed by
-    ``NoiseState.params``; both J and its gradients come from
-    ``pac_objective``, the function training uses.
+    The noise draw and gamma are frozen at the base point, and K is the one a
+    fresh ``KTracker`` gives, so J is a deterministic function of the
+    trainable weights followed by ``NoiseState.params``; both J and its
+    gradients come from ``pac_objective``, the function training uses.
     """
     trial = model.copy()
     work = StepWorkspace(trial, 0.0, 0.0)  # no update is taken
     packer = trial.layout
     rng = np.random.Generator(np.random.PCG64(seed))
     tau = rng.standard_normal(packer.trainable_size)
-    base_terms, _ = pac_objective(work, noise, batch_x, batch_y, cfg, tau)
-    frozen = BoundConfig(m=cfg.m, delta=cfg.delta,
-                         gamma=FixedGamma(base_terms.gamma_used),
-                         k=FixedK(base_terms.k_used))
+    k = KTracker(cfg.k).value
     n = packer.trainable_size
 
-    def objective(z):
+    def objective(z, at_cfg):
         trial.theta[packer.start:] = z[:n]
-        return pac_objective(work, replace(noise, params=z[n:]), batch_x, batch_y,
-                             frozen, tau)
+        moved = replace(noise, params=z[n:])
+        return pac_objective(work, moved, batch_x, batch_y, at_cfg, tau, k,
+                             moved.variances())
 
     x = np.concatenate([model.theta[packer.start:], noise.params])
-    _, noise_grad = objective(x)
+    frozen = replace(cfg, gamma=FixedGamma(objective(x, cfg)[0].gamma_used))
+    _, noise_grad = objective(x, frozen)
     return kernels.central_difference_error(
-        lambda z, _: objective(z)[0].j_total,
+        lambda z, _: objective(z, frozen)[0].j_total,
         np.concatenate([work.grad, noise_grad]), x, h)

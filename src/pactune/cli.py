@@ -22,8 +22,6 @@ import numpy as np
 from . import autodiff as ad
 from . import bound, datasets, models, optim, pipeline
 
-logger = logging.getLogger(__name__)
-
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
@@ -410,6 +408,8 @@ def run_benchmark(config: dict, workers: int = 1):
         runs += [(view, pretrained, target, method, seed)
                  for method in config["methods"] for seed in config["seeds"]]
 
+    # a fork pool starts all its workers at its first submit: none beyond the runs
+    workers = min(workers, len(runs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_benchmark_run, runs))

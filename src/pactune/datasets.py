@@ -187,8 +187,9 @@ STD_FLOOR = 1e-12
 
 def load_csv(path, label_column: str = "label") -> Dataset:
     """Read a feature table; features are z-scored and the transform recorded.
-    An error names the file, and the row of a bad cell (labels: integers >= 0,
-    below the number of data rows, as n rows cannot populate more classes)."""
+    An error names the file, and the row and column of a non-numeric or
+    non-finite cell, or the row of a bad label (integers >= 0, below the
+    number of data rows, as n rows cannot populate more classes)."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -209,6 +210,9 @@ def load_csv(path, label_column: str = "label") -> Dataset:
                 except ValueError:
                     raise ValueError(f"'{path}' row {row_no}: non-numeric cell in "
                                      f"column '{name}': {cell!r}") from None
+                if not np.isfinite(values[-1]):
+                    raise ValueError(f"'{path}' row {row_no}: non-finite cell in "
+                                     f"column '{name}': {cell!r}")
             label = values.pop(label_idx)
             if not (label.is_integer() and label >= 0):
                 raise ValueError(f"'{path}' row {row_no}: the label must be an "

@@ -257,8 +257,10 @@ class StepWorkspace:
     ``adam`` state, the layer views ``params`` and trainable suffix
     ``trainable`` of ``model.theta``, the buffer ``grad`` (with layer views)
     of the gradient each step's update applies, and the perturbed-θ buffer
-    ``noisy`` (with layer views and trainable suffix), a copy of θ whose
-    frozen prefix never changes during a loop.
+    ``noisy`` (with layer views and trainable suffix), a copy of θ that a
+    perturbing step writes: the perturbed and stage-1 steps its trainable
+    suffix, the random-layer step all of it (it refreshes ``noisy`` from θ,
+    then may perturb a frozen layer 0).
 
     Given the loop's evaluation inputs ``eval_x``, it also holds one output
     buffer per layer for their rows, which ``predict_eval`` fills in place.
@@ -375,21 +377,28 @@ def save_checkpoint(model: MLPClassifier, path, provenance: dict) -> None:
 
 
 def load_checkpoint(path, activation: str = "tanh") -> MLPClassifier:
-    """Read a checkpoint; a file that is not a checkpoint of this version, or
-    whose arrays do not fit its ``layer_sizes`` (checked before θ is allocated),
-    raises ``ValueError``."""
+    """Read a checkpoint; a file that is not a checkpoint of this version, whose
+    ``layer_sizes`` are not integers >= 1, whose arrays do not fit them, or
+    that holds a non-finite number, head included, raises ``ValueError``."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version: {version}")
     try:
         sizes, params = doc["layer_sizes"], doc["params"]
+        if not all(type(s) is int and s >= 1 for s in sizes):
+            raise ValueError(f"malformed checkpoint: layer_sizes must be integers >= 1, "
+                             f"got {sizes}")
         if not params or len(params) != len(sizes) - 1:
             raise ValueError(f"params is shorter or longer than layer_sizes {sizes}")
         theta = np.concatenate([
             np.asarray(layer[key], dtype=np.float64).reshape(shape).ravel()
             for layer, fan_in, fan_out in zip(params, sizes[:-1], sizes[1:])
             for key, shape in (("w", (fan_in, fan_out)), ("b", (fan_out,)))])
-        return MLPClassifier(sizes, theta, activation=activation)
+        model = MLPClassifier(sizes, theta, activation=activation)
     except (KeyError, TypeError) as e:
         raise ValueError(f"malformed checkpoint: {e!r}") from e
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ValueError(f"'{path}': layer {i} holds a non-finite weight or bias")
+    return model

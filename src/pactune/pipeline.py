@@ -3,11 +3,13 @@
 Stage 1 minimizes the full bound objective with two optimizer updates per
 step, one over the model's trainable weights (with weight decay) and one
 over the noise log-stds and priors (without), each with a per-coordinate
-learning-rate vector, and returns the learned noise state. Stage 2 freezes
-the noise and continues with perturbed gradient descent on the training
-loss alone. Both stages, pretraining and the baselines (vanilla and
-random-layer noise injection) run through one descent loop and differ only
-in their step, so traces are directly comparable. Every step is
+learning-rate vector, and returns the learned noise state. One ``KTracker``
+gives each step its K, which ``pac_objective`` takes with the variances the
+previous step's guard computed. Stage 2 freezes the noise and continues with
+perturbed gradient descent on the training loss alone. Both stages,
+pretraining and the baselines (vanilla and random-layer noise injection) run
+through one descent loop and differ only in their step, so traces are
+directly comparable. Every step is
 ``step(work, x, y) -> loss`` on the loop's ``StepWorkspace`` (Adam state and
 weight decay included); a trainer states what else it records per epoch in
 its own ``epoch_terms``. The loop checks once that its datasets fit the
@@ -39,8 +41,8 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .bound import (BoundConfig, KTracker, NoiseState, RunningK, generic_bound,
-                    init_noise_state, kl_diag_vs_isotropic, pac_objective)
+from .bound import (BoundConfig, KTracker, NoiseState, generic_bound, init_noise_state,
+                    kl_diag_vs_isotropic, pac_objective)
 from .datasets import Dataset
 from .models import MLPClassifier, ParamGroup, StepWorkspace, init_weights, replace_head
 from .optim import AdamState, LrSchedule, StepDecay, adam_step, schedule_value
@@ -203,7 +205,7 @@ def stage1_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
         if noise.variances(g).size != packer.sizes[g]:
             raise ValueError(f"noise state does not match the model's {g.value} size")
     noise_adam = AdamState(noise.params.size)
-    tracker = KTracker(bound_cfg.k.ema_decay) if isinstance(bound_cfg.k, RunningK) else None
+    tracker = KTracker(bound_cfg.k)
     update_index = itertools.count()
     lr_b = cfg.lr_noise_backbone
     # the noise-rate vector changes only when the head's schedule steps
@@ -215,14 +217,11 @@ def stage1_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
     def step(work, x, y):
         nonlocal var
         tau = noise_rng.standard_normal(packer.trainable_size)
-        terms, noise_grad = pac_objective(
-            work, noise, x, y, bound_cfg, tau,
-            k_value=tracker.value if tracker else None, l_pac_weight=cfg.l_pac_weight,
-            variances=var)
+        terms, noise_grad = pac_objective(work, noise, x, y, bound_cfg, tau, tracker.value,
+                                          var, l_pac_weight=cfg.l_pac_weight)
         if not np.isfinite(terms.j_total):
             raise ad.NumericsError("the objective is not finite")
-        if tracker:
-            tracker.update(terms.l_train)
+        tracker.update(terms.l_train)
         lr_h = schedule_value(cfg.lr_noise_head, next(update_index))
         adam_step(work.adam, work.trainable, work.grad, work.lr, work.lr_decay)
         adam_step(noise_adam, noise.params, noise_grad, noise_lr(lr_h))

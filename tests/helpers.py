@@ -5,8 +5,7 @@ import math
 import numpy as np
 
 from pactune import autodiff as ad
-from pactune.bound import (K_FLOOR, BoundTerms, FixedGamma, FixedK, KTracker, RunningK,
-                           generic_bound, kl_diag_vs_isotropic, optimal_gamma,
+from pactune.bound import (K_FLOOR, BoundTerms, FixedGamma, FixedK, generic_bound, kl_diag_vs_isotropic, optimal_gamma,
                            pac_objective)
 from pactune.models import ParamGroup, StepWorkspace, loss_and_grads
 from pactune.optim import WEIGHT_DECAY, AdamState, adam_step, schedule_value
@@ -95,10 +94,11 @@ def _tape_group_kl(parts, prior_leaf):
     return ad.mul(ad.add(ratio, ad.sub(log_term, d)), 0.5)
 
 
-def tape_objective(model, noise, packer, tau, batch_x, batch_y, cfg, k_value=None,
+def tape_objective(model, noise, packer, tau, batch_x, batch_y, cfg, k,
                    l_pac_weight=1.0):
-    """Oracle for ``bound.pac_objective`` with the noise draw ``tau``: J recorded
-    on the tape, built from tape ops only, with gamma and K as constants.
+    """Oracle for ``bound.pac_objective`` with the noise draw ``tau`` and the
+    step's ``k``: J recorded on the tape, built from tape ops only, with gamma
+    and K as constants.
 
     Returns the ``BoundTerms`` and the gradients ``(dJ/dw, dJ/d noise params)``
     the closed form must reproduce.
@@ -126,10 +126,6 @@ def tape_objective(model, noise, packer, tau, batch_x, batch_y, cfg, k_value=Non
     l_train = ad.softmax_cross_entropy(tape_forward(model, params, batch_x), batch_y)
     kl_b, kl_h = (_tape_group_kl(kl_parts[g], prior)
                   for g, prior in zip(("backbone", "head"), prior_leaves))
-    if isinstance(cfg.k, FixedK):
-        k = cfg.k.value
-    else:
-        k = K_FLOOR if k_value is None else max(K_FLOOR, k_value)
     if isinstance(cfg.gamma, FixedGamma):
         gamma = cfg.gamma.value
     else:
@@ -142,7 +138,7 @@ def tape_objective(model, noise, packer, tau, batch_x, batch_y, cfg, k_value=Non
 
     grads = tape.backward(j)
     terms = BoundTerms(l_train=l_train.item(), kl_backbone=kl_b.item(),
-                       kl_head=kl_h.item(), gamma_used=gamma, k_used=k,
+                       kl_head=kl_h.item(), gamma_used=gamma,
                        l_pac=l_pac.item(), j_total=j.item())
     noise_grads = np.append(_flat(grads, log_std_leaves), [grads[p] for p in prior_leaves])
     return terms, (_flat(grads, weight_leaves), noise_grads)
@@ -210,20 +206,33 @@ def random_layer_step(cfg, sigma, rng):
 
 
 def stage1_step(cfg, bound_cfg, noise, rng):
-    """The stage-1 step; returns it and the diagnostics of its epochs."""
+    """The stage-1 step; returns it and the diagnostics of its epochs. Its K
+    is a fixed config's value, else the std of the step losses by its own EMA
+    (floored at ``K_FLOOR``), not ``bound.KTracker``."""
     noise_adam = AdamState(noise.params.size)
-    tracker = KTracker(bound_cfg.k.ema_decay) if isinstance(bound_cfg.k, RunningK) else None
+    fixed = isinstance(bound_cfg.k, FixedK)
+    ema = {"mean": None, "var": 0.0}
     updates = []
+
+    def track(loss):
+        if ema["mean"] is None:
+            ema["mean"] = loss
+            return
+        decay = bound_cfg.k.ema_decay
+        diff = loss - ema["mean"]
+        incr = (1.0 - decay) * diff
+        ema["mean"] += incr
+        ema["var"] = decay * (ema["var"] + diff * incr)
 
     def step(model, x, y, adam):
         packer = model.layout
         tau = rng.standard_normal(packer.trainable_size)
         work = StepWorkspace(model, cfg.lr_backbone, cfg.lr_head)
-        terms, noise_grad = pac_objective(
-            work, noise, x, y, bound_cfg, tau,
-            k_value=tracker.value if tracker else None, l_pac_weight=cfg.l_pac_weight)
-        if tracker:
-            tracker.update(terms.l_train)
+        k = bound_cfg.k.value if fixed else max(K_FLOOR, math.sqrt(ema["var"]))
+        terms, noise_grad = pac_objective(work, noise, x, y, bound_cfg, tau, k,
+                                          noise.variances(), l_pac_weight=cfg.l_pac_weight)
+        if not fixed:
+            track(terms.l_train)
         lr_b = cfg.lr_noise_backbone
         lr_h = schedule_value(cfg.lr_noise_head, len(updates))
         updates.append(lr_h)

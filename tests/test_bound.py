@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -127,32 +129,27 @@ class TestOptimalGamma:
 
 class TestKTracker:
     def test_constant_history_floored(self):
-        tracker = KTracker(0.99)
+        tracker = KTracker(RunningK(0.99))
         for _ in range(500):
             tracker.update(3.0)
         assert tracker.value == bound.K_FLOOR
 
     def test_alternating_history_near_unit_std(self):
-        tracker = KTracker(0.99)
+        tracker = KTracker(RunningK(0.99))
         for v in [0.0, 2.0] * 2000:
             tracker.update(v)
         assert tracker.value == pytest.approx(1.0, abs=0.05)
 
     def test_no_history_floored(self):
-        assert KTracker(0.99).value == bound.K_FLOOR
+        assert KTracker(RunningK(0.99)).value == bound.K_FLOOR
 
-    def test_objective_uses_fixed_k_and_floors_running_k(self):
-        model, packer, noise, bx, by = tiny_setup()
-
-        def k_used(k, k_value):
-            terms, _ = pac_objective(workspace(model), noise, bx, by, BoundConfig(m=8, k=k),
-                                     draw(model), k_value=k_value)
-            return terms.k_used
-
-        assert k_used(FixedK(5.0), 0.3) == 5.0
-        assert k_used(RunningK(0.99), 0.3) == 0.3
-        assert k_used(RunningK(0.99), 0.0) == bound.K_FLOOR
-        assert k_used(RunningK(0.99), None) == bound.K_FLOOR
+    @pytest.mark.parametrize("value", [bound.K_FLOOR / 4, 0.3, 5.0])
+    def test_fixed_k_kept_exactly_and_ignores_update(self, value):
+        tracker = KTracker(FixedK(value))
+        assert tracker.value == value
+        for v in [0.0, 2.0] * 50:
+            tracker.update(v)
+        assert tracker.value == value
 
 
 def perturb(params, log_std, rng):
@@ -212,7 +209,8 @@ class TestObjective:
         noise.log_std_head[:] = -40.0
         noise.params[-2:] = 0.0  # both prior log-variances
         cfg = BoundConfig(m=8, gamma=FixedGamma(5.0), k=FixedK(1.0))
-        terms, _ = pac_objective(workspace(model), noise, bx, by, cfg, draw(model))
+        terms, _ = pac_objective(workspace(model), noise, bx, by, cfg, draw(model), 1.0,
+                                 noise.variances())
         from pactune import autodiff as ad
         clean = ad.softmax_cross_entropy(model.forward(bx), by).item()
         assert abs(terms.l_train - clean) < 1e-12
@@ -248,10 +246,10 @@ class TestObjective:
 
             cfg = BoundConfig(m=8, gamma=gamma, k=RunningK())
             tau = rng.standard_normal(packer.trainable_size)
-            terms, noise_grad = pac_objective(work, noise, bx, by, cfg, tau,
-                                              k_value=0.7, l_pac_weight=weight)
+            terms, noise_grad = pac_objective(work, noise, bx, by, cfg, tau, 0.7,
+                                              noise.variances(), l_pac_weight=weight)
             tape_terms, (tape_w, tape_noise) = tape_objective(
-                model, noise, packer, tau, bx, by, cfg, k_value=0.7, l_pac_weight=weight)
+                model, noise, packer, tau, bx, by, cfg, 0.7, l_pac_weight=weight)
             for field in dataclasses.fields(terms):
                 assert getattr(terms, field.name) == pytest.approx(
                     getattr(tape_terms, field.name), rel=1e-12, abs=0), field.name
@@ -278,7 +276,8 @@ class TestObjective:
         gamma, m = 2.0, 8
         cfg = BoundConfig(m=m, gamma=FixedGamma(gamma), k=FixedK(1.0))
         work = workspace(model)
-        pac_objective(work, noise, bx, by, cfg, np.zeros(packer.trainable_size))
+        pac_objective(work, noise, bx, by, cfg, np.zeros(packer.trainable_size), 1.0,
+                      noise.variances())
         dj_dw = work.grad.copy()
         loss_and_grads(work, work.params, bx, by)
         ce_grad = work.grad
@@ -292,8 +291,8 @@ class TestObjective:
         model, packer, noise, bx, by = tiny_setup(seed=7)
         cfg = BoundConfig(m=8, gamma=FixedGamma(5.0), k=FixedK(1.0))
         tau = np.random.default_rng(2).standard_normal(packer.trainable_size)
-        terms, noise_grad = pac_objective(workspace(model), noise, bx, by, cfg, tau,
-                                          l_pac_weight=0.0)
+        terms, noise_grad = pac_objective(workspace(model), noise, bx, by, cfg, tau, 1.0,
+                                          noise.variances(), l_pac_weight=0.0)
         assert terms.l_pac == 0.0
         assert terms.j_total == terms.l_train
         # prior parameters only appear through the bound term
@@ -305,14 +304,15 @@ class TestObjective:
         cfg = BoundConfig(m=8)
         with pytest.raises(ValueError, match="nonempty"):
             pac_objective(workspace(model), noise, np.zeros((0, 2)), np.zeros(0, dtype=int),
-                          cfg, draw(model))
+                          cfg, draw(model), bound.K_FLOOR, noise.variances())
 
     def test_frozen_first_layer_are_constants(self):
         model, packer, noise, bx, by = tiny_setup(seed=8, freeze=True)
         assert packer.sizes[ParamGroup.BACKBONE] == 0
         cfg = BoundConfig(m=8, gamma=FixedGamma(5.0), k=FixedK(1.0))
         work = workspace(model)
-        terms, _ = pac_objective(work, noise, bx, by, cfg, draw(model))
+        terms, _ = pac_objective(work, noise, bx, by, cfg, draw(model), 1.0,
+                                 noise.variances())
         assert terms.kl_backbone == 0.0
         assert work.grad.size == packer.sizes[ParamGroup.HEAD]
 
@@ -369,6 +369,20 @@ class TestNoiseState:
         path = tmp_path / "noise.json"
         path.write_text(text)
         with pytest.raises(ValueError, match=match):
+            bound.load_noise_state(path)
+
+    @pytest.mark.parametrize("field, value", [("p_backbone", math.nan),
+                                              ("p_head", math.inf),
+                                              ("log_lambda", -math.inf),
+                                              ("log_beta", math.nan)])
+    def test_non_finite_number_names_the_file(self, tmp_path, field, value):
+        path = tmp_path / "noise.json"
+        bound.save_noise_state(tiny_setup(seed=11)[2], path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc[field] = [*doc[field][:-1], value] if isinstance(doc[field], list) else value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(
+                f"'{path}': a log-std or prior log-variance is not finite")):
             bound.load_noise_state(path)
 
     def test_config_validation(self):

@@ -371,6 +371,19 @@ def _drop_last_weight(doc):
     return doc
 
 
+def _nan_at(layer, key):
+    def edit(doc):
+        doc["params"][layer][key][0] = float("nan")
+        return doc
+    return edit
+
+
+def _negative_hidden_layer(doc):
+    # -1 would pass reshape as a wildcard
+    doc["layer_sizes"][1] = -1
+    return doc
+
+
 def _huge_hidden_layer(doc):
     # 1e11 units: a θ numpy cannot reserve, so the file must fail before it is sized
     doc["layer_sizes"][1] = 100_000_000_000
@@ -384,7 +397,9 @@ _BAD_CSV = [("a,label\n1,0\nx,1\n", "row 3: non-numeric cell in column 'a': 'x'"
             ("a,label\n1,0\n2,-1\n", "row 3: the label must be an integer >= 0, "
                                       "got '-1'"),
             ("a,label\n1,0\n2,1e300\n", "row 3: the label must be below the row count, "
-                                         "2, got '1e300'")]
+                                         "2, got '1e300'"),
+            ("a,label\n1,0\nnan,1\n", "row 3: non-finite cell in column 'a': 'nan'"),
+            ("a,label\n1,0\ninf,1\n", "row 3: non-finite cell in column 'a': 'inf'")]
 
 
 def _csv_task_argv(source, target, *argv):
@@ -409,8 +424,18 @@ class TestUnusableFiles:
          "takes inputs of size 2, but the target task's inputs have size 3"),
         # the tiny config's hidden layers are [8, 4]
         ("finetune", ((3, 5, 2), None), "has hidden layers [5], but 'model.hidden' is [8, 4]"),
+        # a checkpoint the config fits, but for one NaN: a file fault, not a divergence
+        ("finetune", ((3, 8, 4, 2), _nan_at(0, "w")),
+         "layer 0 holds a non-finite weight or bias"),
+        # replace_head discards the head, but the file is still unusable
+        ("finetune", ((3, 8, 4, 2), _nan_at(2, "b")),
+         "layer 2 holds a non-finite weight or bias"),
+        ("finetune", ((3, 8, 4, 2), _negative_hidden_layer),
+         "layer_sizes must be integers >= 1, got [3, -1, 4, 2]"),
         ("inspect-noise", "not json", "Expecting value"),
         ("inspect-noise", '{"version": 2}', "unsupported noise-state version: 2"),
+        ("inspect-noise", '{"version": 1, "p_backbone": [0.5, NaN], "p_head": [0.1], '
+         '"log_lambda": 0.0, "log_beta": 0.0}', "a log-std or prior log-variance is not finite"),
         *[(command, ("csv", text), detail) for text, detail in _BAD_CSV
           for command in ("generate-data", "pretrain", "finetune")],
         # one data row: the commands that read the target check it against n_shot 1
@@ -571,6 +596,35 @@ class TestBenchmark:
                 outputs[-1].append((tmp_path / f"w{workers}-{i}.jsonl").read_bytes())
         assert len(outputs[0]) == 1 + 2 * 2
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("workers, runs, pools", [(500, 4, [4]), (2, 4, [2]),
+                                                      (500, 1, [])])
+    def test_pool_has_no_more_workers_than_runs(self, tmp_path, monkeypatch, workers,
+                                                runs, pools):
+        sizes = []
+
+        class RecordingPool:
+            """Records its size and maps in this process; starts no worker."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        config = load_config(self.bench_config(tmp_path))
+        if runs == 1:
+            config.update(methods=["vanilla"], seeds=[1])
+        _, records = cli.run_benchmark(config, workers=workers)
+        assert len(records) == runs
+        assert sizes == pools
 
     # pytest records warnings instead of printing them, so a numpy warning in
     # a worker fails the run here; capfd also takes the workers' stderr

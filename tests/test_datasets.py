@@ -152,10 +152,17 @@ class TestCsv:
         ("a,label\n1.0,2\n1.0,0\n", "row 2: the label must be below the row count, 2, "
                                      "got '2'"),
         ("a,label\n1.0,0\n1.0,cat\n", "row 3: non-numeric cell in column 'label'"),
+        ("a,label\n1.0,0\nnan,1\n", "row 3: non-finite cell in column 'a': 'nan'"),
+        ("a,b,label\n1.0,2.0,0\n1.0,-inf,1\n",
+         "row 3: non-finite cell in column 'b': '-inf'"),
+        ("a,label\n1.0,0\n1.0,Infinity\n",
+         "row 3: non-finite cell in column 'label': 'Infinity'"),
         ("a,label\n1.0,0\n1.0\n", "row 3: non-numeric cell in column 'label': ''"),
         ("a,label\n", "no data rows"),
         ("", "empty file"),
     ])
+    # an inf cell once reached the z-scoring and warned there before any error
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_unusable_file_names_file_and_row(self, tmp_path, text, match):
         p = tmp_path / "d.csv"
         p.write_text(text)

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -244,6 +246,11 @@ class TestCheckpoint:
         (lambda doc: dict(doc, params=[{"w": p["w"], "b": p["b"][:1]}
                                        for p in doc["params"]]), "reshape"),
         (lambda doc: dict(doc, layer_sizes=["3", 5, 2]), "malformed"),
+        # -1 would pass reshape as a wildcard, and 0 sizes an empty layer
+        (lambda doc: dict(doc, layer_sizes=[3, -1, 2]),
+         r"layer_sizes must be integers >= 1, got \[3, -1, 2\]"),
+        (lambda doc: dict(doc, layer_sizes=[3, 0, 2]), "integers >= 1"),
+        (lambda doc: dict(doc, layer_sizes=[3, True, 2]), "integers >= 1"),
     ])
     def test_unusable_file_is_a_value_error(self, tmp_path, edit, match):
         path = tmp_path / "ckpt.json"
@@ -251,4 +258,17 @@ class TestCheckpoint:
         edited = edit(json.loads(path.read_text(encoding="utf-8")))
         path.write_text(edited if isinstance(edited, str) else json.dumps(edited))
         with pytest.raises(ValueError, match=match):
+            models.load_checkpoint(path)
+
+    @pytest.mark.parametrize("layer, key, value", [(0, "w", math.nan), (0, "b", math.inf),
+                                                   (1, "w", -math.inf), (1, "b", math.nan)])
+    def test_non_finite_number_names_file_and_layer(self, tmp_path, layer, key, value):
+        # the head (layer 1) too, though replace_head would discard it
+        path = tmp_path / "ckpt.json"
+        models.save_checkpoint(fresh((3, 5, 2), seed=8), path, {})
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["params"][layer][key][-1] = value
+        path.write_text(json.dumps(doc))
+        want = f"'{path}': layer {layer} holds a non-finite weight or bias"
+        with pytest.raises(ValueError, match=re.escape(want)):
             models.load_checkpoint(path)

@@ -11,7 +11,8 @@ import pytest
 
 from pactune import datasets, models, pipeline
 from pactune.autodiff import NumericsError
-from pactune.bound import AutoGamma, BoundConfig, init_noise_state, pac_objective
+from pactune.bound import (AutoGamma, BoundConfig, FixedK, KTracker, RunningK,
+                           init_noise_state, pac_objective)
 from pactune.models import ParamGroup, StepWorkspace
 from pactune.optim import AdamState, Constant, StepDecay, adam_step
 from pactune.pipeline import (DivergenceError, Stage1Config, Stage2Config,
@@ -517,13 +518,14 @@ class TestStepWorkspace:
             helpers.random_layer_step(cfg, 0.05, noise_rng)))
 
     @pytest.mark.parametrize("decay", [True, False])
+    @pytest.mark.parametrize("k", [RunningK(), FixedK(0.5)], ids=["running-k", "fixed-k"])
     @pytest.mark.parametrize("freeze", [True, False])
-    def test_stage1(self, run, freeze, decay):
+    def test_stage1(self, run, freeze, decay, k):
         # the head's noise rate steps every 2 updates, so its vector is rebuilt
         model, noise, train, dev = run(freeze)
         cfg = small_stage1(epochs=3, lr_noise_head=StepDecay(0.5, 0.7, 2, 0.01),
                            decay_weights=decay)
-        bound_cfg = BoundConfig(m=len(train), gamma=AutoGamma(0.01, 10.0))
+        bound_cfg = BoundConfig(m=len(train), gamma=AutoGamma(0.01, 10.0), k=k)
         data_rng, noise_rng = self.rngs()
         model_out, learned, trace = stage1_train(model, noise, train, dev, cfg,
                                                  bound_cfg, data_rng, noise_rng)
@@ -541,9 +543,10 @@ class TestStepWorkspace:
         rng = np.random.default_rng(3)
         x, y = train.x[:32], train.y[:32]
         n = model.layout.trainable_size
-        _, first = pac_objective(work, noise, x, y, cfg, rng.standard_normal(n))
+        k, var = KTracker(cfg.k).value, noise.variances()
+        _, first = pac_objective(work, noise, x, y, cfg, rng.standard_normal(n), k, var)
         kept = (work.grad.copy(), first.copy())
-        _, second = pac_objective(work, noise, x, y, cfg, rng.standard_normal(n))
+        _, second = pac_objective(work, noise, x, y, cfg, rng.standard_normal(n), k, var)
         # dJ/dw lives in the workspace, where the next step's replaces it
         assert not np.array_equal(work.grad, kept[0])
         assert np.array_equal(first, kept[1])

@@ -7,9 +7,11 @@ the checkout that holds this script):
 
 - ``load_config(None)``, printed as sorted JSON;
 - ``pactune pretrain`` on the default config;
-- ``pactune finetune --seed 1`` from that checkpoint, once per method, and
+- ``pactune finetune --seed 1`` from that checkpoint, once per method,
   once each for ``pac-tuning`` and ``vanilla`` without weight decay
-  (``stage1.decay_weights=false``, ``stage2.weight_decay=false``);
+  (``stage1.decay_weights=false``, ``stage2.weight_decay=false``), and
+  ``finetune-fixed-k``, ``pac-tuning`` with a fixed K
+  (``bound.k={"kind":"fixed","value":0.5}``) and auto gamma;
 - ``pactune inspect-noise`` on the pac-tuning run's noise file;
 - ``pactune gradcheck``;
 - ``pactune benchmark`` with ``--workers 1`` and with ``--workers 2``;
@@ -19,11 +21,13 @@ the checkout that holds this script):
   ``blobs-rotate`` setting fewer pretrain, stage-1 and stage-2 epochs):
   ``pretrain-override`` runs ``pactune pretrain``, and ``finetune-override``
   runs ``pactune finetune --seed 1`` from that checkpoint;
-- three error paths and their one-line stderr: ``pactune pretrain`` with
+- four error paths and their one-line stderr: ``pactune pretrain`` with
   ``pretrain.batch_size=0`` (exit 2), ``pactune finetune --seed 2`` from
   the pretrain checkpoint with ``stage1.lr_head=1e308``, which diverges in
-  stage 1 (exit 3), and ``error-unknown-set``, ``pactune pretrain`` with
-  ``--set stage1.nope=1`` (exit 2).
+  stage 1 (exit 3), ``error-unknown-set``, ``pactune pretrain`` with
+  ``--set stage1.nope=1`` (exit 2), and ``error-nonfinite-checkpoint``,
+  ``pactune finetune --seed 1`` from a copy of the pretrain checkpoint,
+  ``nonfinite.json``, whose first weight is ``NaN`` (exit 2).
 
 Each command writes into ``OUT/<name>/`` and leaves its stdout, stderr and
 exit code in ``OUT/<name>.stdout``, ``.stderr`` and ``.exit``. Every path a
@@ -50,6 +54,14 @@ OVERRIDE = ["--set", 'task_overrides={"blobs-rotate": {"pretrain": {"epochs": 20
             '"stage1": {"epochs": 30}, "stage2": {"epochs": 10}}}']
 PRINT_CONFIG = ("import json; from pactune import cli; "
                 "print(json.dumps(cli.load_config(None), sort_keys=True, indent=1))")
+# the pretrain checkpoint with its first weight NaN, then finetune from it
+NONFINITE_FINETUNE = (
+    "import json, sys; from pathlib import Path; from pactune import cli; "
+    f"doc = json.loads(Path({CHECKPOINT!r}).read_text()); "
+    "doc['params'][0]['w'][0] = float('nan'); "
+    "Path('nonfinite.json').write_text(json.dumps(doc)); "
+    "sys.exit(cli.main(['finetune', '--seed', '1', '--set', 'checkpoint=nonfinite.json', "
+    "'--out', 'error-nonfinite-checkpoint']))")
 
 
 def commands() -> list[tuple[str, list[str]]]:
@@ -64,6 +76,10 @@ def commands() -> list[tuple[str, list[str]]]:
               cli + ["finetune", "--seed", "1", "--set", f"method={m}",
                      "--set", f"checkpoint={CHECKPOINT}", *NO_DECAY,
                      "--out", f"finetune-{m}-no-decay"]) for m in ("pac-tuning", "vanilla")]
+    runs += [("finetune-fixed-k",
+              cli + ["finetune", "--seed", "1", "--set", f"checkpoint={CHECKPOINT}",
+                     "--set", 'bound.k={"kind":"fixed","value":0.5}',
+                     "--set", 'bound.gamma.kind="auto"', "--out", "finetune-fixed-k"])]
     runs += [("inspect-noise", cli + ["inspect-noise", NOISE, "--out", "inspect-noise"]),
              ("gradcheck", cli + ["gradcheck"])]
     runs += [(f"benchmark-w{n}", cli + ["benchmark", "--workers", str(n),
@@ -86,7 +102,8 @@ def commands() -> list[tuple[str, list[str]]]:
                                          f"checkpoint={CHECKPOINT}",
                                          "--out", "error-divergence"]),
              ("error-unknown-set", cli + ["pretrain", "--set", "stage1.nope=1",
-                                          "--out", "error-unknown-set"])]
+                                          "--out", "error-unknown-set"]),
+             ("error-nonfinite-checkpoint", ["-c", NONFINITE_FINETUNE])]
     return runs
 
 
