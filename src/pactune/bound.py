@@ -192,7 +192,9 @@ def save_noise_state(noise: NoiseState, path) -> None:
 
 def load_noise_state(path) -> NoiseState:
     """Read a noise state, without anchors (they live in its checkpoint); a
-    file that is not a finite noise state of this version raises ``ValueError``."""
+    file that is not a noise state of this version, or whose variances
+    exp(2 log-std) and prior variances exp(log-var) are not all finite and
+    positive, raises ``ValueError``."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != NOISE_STATE_VERSION:
@@ -203,8 +205,11 @@ def load_noise_state(path) -> NoiseState:
                                  [float(doc["log_lambda"]), float(doc["log_beta"])]])
     except (KeyError, TypeError) as e:
         raise ValueError(f"malformed noise state: {e!r}") from e
-    if not np.isfinite(params).all():
-        raise ValueError(f"'{path}': a log-std or prior log-variance is not finite")
+    with np.errstate(over="ignore"):  # as stage 1 holds them: finite, and above 0
+        variances = np.exp(np.append(2.0 * params[:-2], params[-2:]))
+    if not (np.isfinite(variances) & (variances > 0.0)).all():  # NaN fails too
+        raise ValueError("a log-std or prior log-variance is not finite, or its "
+                         "variance is not finite and > 0")
     return NoiseState(params, len(doc["p_backbone"]),
                       anchor_checkpoint=doc.get("anchor_checkpoint"))
 

@@ -33,6 +33,15 @@ class ConfigError(Exception):
     pass
 
 
+def _read(what: str, path, read):
+    """``read()``; an unusable file is one config error that names it once."""
+    try:
+        return read()
+    except (OSError, ValueError) as e:  # an OSError's strerror leaves out the path
+        reason = e.strerror if isinstance(e, OSError) else e
+        raise ConfigError(f"cannot use {what} '{path}': {reason}") from e
+
+
 # --- the config schema ------------------------------------------------------------
 
 
@@ -80,13 +89,13 @@ class Tagged(Leaf):
     def __init__(self, kinds: dict, fields: dict, number=None):
         self.kinds = {name: (cls, [f.name for f in dataclasses.fields(cls)])
                       for name, cls in kinds.items()}
-        self.number = number
+        self.number, kind = number, one_of(kinds)
         super().__init__(
             ("a number > 0 or " if number else "")
             + f"an object whose 'kind' is one of {sorted(kinds)}",
-            lambda v: isinstance(v, dict) and v.get("kind") in kinds
+            lambda v: isinstance(v, dict) and kind.ok(v.get("kind"))
             or number is not None and POSITIVE.ok(v),
-            {"kind": one_of(kinds), **fields}, lambda v: self.kinds[v["kind"]][1])
+            {"kind": kind, **fields}, lambda v: self.kinds[v["kind"]][1])
 
     def build(self, value):
         if not isinstance(value, dict):
@@ -275,18 +284,16 @@ def _apply_set(config: dict, dotted: list[str], value) -> None:
     node[dotted[-1]] = value
 
 
+def _json_object(path) -> dict:
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError("the root is not a JSON object")
+    return doc
+
+
 def load_config(path: str | None, sets=(), seed: int | None = None,
                 out: str | None = None) -> dict:
-    user = {}
-    if path is not None:
-        try:
-            user = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as e:
-            raise ConfigError(f"cannot read config file: {e}") from e
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config is not valid JSON: {e}") from e
-    if not isinstance(user, dict):
-        raise ConfigError("config root must be a JSON object")
+    user = {} if path is None else _read("config file", path, lambda: _json_object(path))
     config = _deep_merge(DEFAULT_CONFIG, user)
     for entry in sets:
         _apply_set(config, *_parse_set(entry))
@@ -346,13 +353,11 @@ def task_config(config: dict, task_name: str | None = None) -> dict:
 
 
 def load_task_data(config: dict, side: str) -> datasets.Dataset:
-    """One side of the config's task, read or generated once. A file that cannot
-    be used, or a target no larger than 'task.n_shot', is a config error."""
+    """One side of the config's task, read or generated once. A CSV file that
+    cannot be used, or a target no larger than 'task.n_shot', is a config error."""
     spec = getattr(resolve_task(config), side)
-    try:
-        data = datasets.generate(spec)
-    except (OSError, ValueError) as e:
-        raise ConfigError(f"'task.{side}' is invalid: {e}") from e
+    data = _read(f"'task.{side}' file", spec.path, lambda: datasets.generate(spec)) \
+        if spec.generator == "csv" else datasets.generate(spec)
     if side == "target":
         _check_n_shot(config, len(data), _view_prefix(config, config["task"]["name"]),
                       f" '{spec.path}'" if spec.generator == "csv" else "")
@@ -362,8 +367,12 @@ def load_task_data(config: dict, side: str) -> datasets.Dataset:
 def pretrain_for_task(config: dict, source: datasets.Dataset) -> models.MLPClassifier:
     """Pretrain on ``source``, the generated source task of ``config``."""
     sizes = [source.dim, *config["model"]["hidden"], source.n_classes]
-    return pipeline.pretrain_model(source, sizes, **config["pretrain"],
-                                   activation=config["model"]["activation"])
+    try:
+        return pipeline.pretrain_model(source, sizes, **config["pretrain"],
+                                       activation=config["model"]["activation"])
+    except pipeline.DivergenceError as e:  # name the run, as run_single does
+        raise pipeline.DivergenceError(f"{config['task']['name']} pretraining seed "
+                                       f"{config['pretrain']['seed']}: {e}") from e
 
 
 def run_single(config: dict, pretrained: models.MLPClassifier, target: datasets.Dataset,
@@ -490,10 +499,8 @@ def cmd_finetune(config: dict) -> int:
         raise ConfigError("finetune needs config key 'checkpoint' "
                           "(path to a pretraining checkpoint)")
     path = config["checkpoint"]
-    try:
-        pretrained = models.load_checkpoint(path, activation=config["model"]["activation"])
-    except (OSError, ValueError) as e:
-        raise ConfigError(f"cannot use checkpoint '{path}': {e}") from e
+    pretrained = _read("checkpoint", path, lambda: models.load_checkpoint(
+        path, activation=config["model"]["activation"]))
     if pretrained.input_dim != target.dim:
         raise ConfigError(f"checkpoint '{path}' takes inputs of size "
                           f"{pretrained.input_dim}, but the target task's inputs "
@@ -573,10 +580,7 @@ def cmd_gradcheck(seeds: int = 20) -> int:
 
 
 def cmd_inspect_noise(config: dict, noise_path: str) -> int:
-    try:
-        noise = bound.load_noise_state(noise_path)
-    except (OSError, ValueError) as e:
-        raise ConfigError(f"cannot use noise file '{noise_path}': {e}") from e
+    noise = _read("noise file", noise_path, lambda: bound.load_noise_state(noise_path))
     out_path = _ensure_out(config) / "noise_ranking.csv"
     variances = noise.variances()
     groups = ["backbone"] * noise.n_backbone + \

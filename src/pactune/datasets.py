@@ -16,6 +16,9 @@ from pathlib import Path
 import numpy as np
 
 GENERATORS = ("blobs", "two-spirals", "xor", "csv")
+# a generated feature's size stays below 2 (1 + |separation| + 40 |std|) + |shift|,
+# std being class_std or noise_std, so these bounds keep every feature finite
+SCALE_MAX = 1e300
 
 
 @dataclass(frozen=True)
@@ -47,6 +50,10 @@ class DatasetSpec:
                 raise ValueError("dim must be >= 1")
             if self.generator == "blobs" and self.classes < 2:
                 raise ValueError("blobs needs at least 2 classes")
+            if not all(abs(v) <= SCALE_MAX for v in (self.separation, self.class_std,
+                                                     self.noise_std, self.shift)):
+                raise ValueError(f"separation, class_std, noise_std and shift must be "
+                                 f"at most {SCALE_MAX:g} in size")
 
     @property
     def n_classes(self) -> int:
@@ -57,7 +64,6 @@ class DatasetSpec:
 class Dataset:
     x: np.ndarray  # (n, d) float64
     y: np.ndarray  # (n,) int64, labels >= 0; both checked here, once
-    standardizer: dict | None = None  # {"mean": [...], "std": [...]} when loaded from CSV
 
     def __post_init__(self):
         self.x, y = np.asarray(self.x, dtype=np.float64), np.asarray(self.y)
@@ -186,18 +192,20 @@ STD_FLOOR = 1e-12
 
 
 def load_csv(path, label_column: str = "label") -> Dataset:
-    """Read a feature table; features are z-scored and the transform recorded.
-    An error names the file, and the row and column of a non-numeric or
-    non-finite cell, or the row of a bad label (integers >= 0, below the
-    number of data rows, as n rows cannot populate more classes)."""
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    """Read a feature table, at least one feature column and the label column;
+    features are z-scored. An error names the row and column of a non-numeric
+    or non-finite cell, the row of a bad label (integers >= 0, below the number
+    of data rows, as n rows cannot populate more classes), or a column too
+    large to z-score; the caller names the file."""
+    with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            raise ValueError(f"'{path}': empty file")
+            raise ValueError("empty file")
         if label_column not in header:
-            raise ValueError(f"'{path}': missing label column '{label_column}'")
+            raise ValueError(f"missing label column '{label_column}'")
+        if len(header) < 2:
+            raise ValueError("no feature columns")
         label_idx = header.index(label_column)
         records = list(enumerate(reader, start=2))
         rows, labels = [], []
@@ -208,29 +216,32 @@ def load_csv(path, label_column: str = "label") -> Dataset:
                 try:
                     values.append(float(cell))
                 except ValueError:
-                    raise ValueError(f"'{path}' row {row_no}: non-numeric cell in "
+                    raise ValueError(f"row {row_no}: non-numeric cell in "
                                      f"column '{name}': {cell!r}") from None
                 if not np.isfinite(values[-1]):
-                    raise ValueError(f"'{path}' row {row_no}: non-finite cell in "
+                    raise ValueError(f"row {row_no}: non-finite cell in "
                                      f"column '{name}': {cell!r}")
             label = values.pop(label_idx)
             if not (label.is_integer() and label >= 0):
-                raise ValueError(f"'{path}' row {row_no}: the label must be an "
+                raise ValueError(f"row {row_no}: the label must be an "
                                  f"integer >= 0, got {row[label_idx]!r}")
             if label >= len(records):
-                raise ValueError(f"'{path}' row {row_no}: the label must be below the "
+                raise ValueError(f"row {row_no}: the label must be below the "
                                  f"row count, {len(records)}, got {row[label_idx]!r}")
             rows.append(values)
             labels.append(int(label))
     if not rows:
-        raise ValueError(f"'{path}': no data rows")
+        raise ValueError("no data rows")
     x = np.asarray(rows, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    mean = x.mean(axis=0)
-    std = np.maximum(x.std(axis=0), STD_FLOOR)
-    x = (x - mean) / std
-    return Dataset(x=x, y=y,
-                   standardizer={"mean": mean.tolist(), "std": std.tolist()})
+    with np.errstate(over="ignore", invalid="ignore"):  # finite cells can overflow a sum
+        mean, std = x.mean(axis=0), x.std(axis=0)
+    too_large = ~(np.isfinite(mean) & np.isfinite(std))
+    if too_large.any():
+        name = [h for i, h in enumerate(header) if i != label_idx][np.argmax(too_large)]
+        raise ValueError(f"column '{name}': its mean or standard deviation overflows")
+    x = (x - mean) / np.maximum(std, STD_FLOOR)
+    return Dataset(x=x, y=y)
 
 
 def export_csv(dataset: Dataset, path) -> None:

@@ -400,5 +400,5 @@ def load_checkpoint(path, activation: str = "tanh") -> MLPClassifier:
         raise ValueError(f"malformed checkpoint: {e!r}") from e
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise ValueError(f"'{path}': layer {i} holds a non-finite weight or bias")
+            raise ValueError(f"layer {i} holds a non-finite weight or bias")
     return model

@@ -15,10 +15,11 @@ weight decay included); a trainer states what else it records per epoch in
 its own ``epoch_terms``. The loop checks once that its datasets fit the
 model, so no step checks a batch.
 
-A step's ``NumericsError`` (a non-finite layer output, loss or J, or a
-learned variance at 0) becomes a ``DivergenceError`` naming label, epoch and
-batch. The trainable layout is the model's own (``model.layout``), fixed
-when ``replace_head`` builds the fine-tuned model, so no stage rebuilds it.
+A ``NumericsError`` of a step or of the epoch's evaluation after it (a
+non-finite layer output, loss or J, or a learned variance at 0 or inf)
+becomes a ``DivergenceError`` naming label, epoch and batch. The trainable
+layout is the model's own (``model.layout``), fixed when ``replace_head``
+builds the fine-tuned model, so no stage rebuilds it.
 
 Every run owns its RNG streams, split by purpose (head init, batch order,
 noise draws), so e.g. a zero-noise perturbed run consumes the same batch
@@ -173,15 +174,17 @@ def _descend(model: MLPClassifier, train: Dataset, dev: Dataset, cfg, data_rng,
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(epoch_offset, epoch_offset + cfg.epochs):
             loss_sum = 0.0
-            for batch, idx in enumerate(batch_indices(len(train), cfg.batch_size, data_rng)):
-                try:
+            # the evaluation checks the last batch's update, so it names that batch
+            try:
+                for batch, idx in enumerate(batch_indices(len(train), cfg.batch_size,
+                                                          data_rng)):
                     loss_sum += step(work, train.x[idx], train.y[idx])
-                except ad.NumericsError as e:
-                    raise DivergenceError(
-                        f"{label} diverged at epoch {epoch}, batch {batch}: {e}") from e
+                dev_metrics = evaluate(model, dev, work)
+            except ad.NumericsError as e:
+                raise DivergenceError(
+                    f"{label} diverged at epoch {epoch}, batch {batch}: {e}") from e
             l_train = loss_sum / n_batches
             terms = epoch_terms(model, n_batches) if epoch_terms else NO_EPOCH_TERMS
-            dev_metrics = evaluate(model, dev, work)
             trace.append({
                 "epoch": epoch,
                 "stage": stage,
@@ -225,10 +228,11 @@ def stage1_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
         lr_h = schedule_value(cfg.lr_noise_head, next(update_index))
         adam_step(work.adam, work.trainable, work.grad, work.lr, work.lr_decay)
         adam_step(noise_adam, noise.params, noise_grad, noise_lr(lr_h))
-        # the KL is evaluated from variances, which must stay above 0
+        # the KL is evaluated from variances, which must stay finite and above 0
         var = noise.variances()
-        if (var == 0.0).any() or (np.exp(noise.params[-2:]) == 0.0).any():
-            raise ad.NumericsError("a learned variance underflowed to 0")
+        for v in (var, np.exp(noise.params[-2:])):
+            if not (v.all() and np.isfinite(v).all()):
+                raise ad.NumericsError("a learned variance underflowed to 0 or overflowed")
         sums[:] = [s + t for s, t in zip(sums, (terms.l_pac, terms.kl_backbone,
                                                 terms.kl_head))]
         return terms.l_train

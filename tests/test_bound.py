@@ -371,18 +371,24 @@ class TestNoiseState:
         with pytest.raises(ValueError, match=match):
             bound.load_noise_state(path)
 
+    # finite numbers too, when exp(2 log-std) or exp(log-var) is inf or 0
     @pytest.mark.parametrize("field, value", [("p_backbone", math.nan),
                                               ("p_head", math.inf),
                                               ("log_lambda", -math.inf),
-                                              ("log_beta", math.nan)])
-    def test_non_finite_number_names_the_file(self, tmp_path, field, value):
+                                              ("log_beta", math.nan),
+                                              ("p_backbone", 1e308), ("p_head", -1e308),
+                                              ("p_backbone", 355.0), ("p_head", -373.0),
+                                              ("log_lambda", 710.0), ("log_beta", -746.0)])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_unusable_variance_is_a_value_error(self, tmp_path, field, value):
         path = tmp_path / "noise.json"
         bound.save_noise_state(tiny_setup(seed=11)[2], path)
         doc = json.loads(path.read_text(encoding="utf-8"))
         doc[field] = [*doc[field][:-1], value] if isinstance(doc[field], list) else value
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=re.escape(
-                f"'{path}': a log-std or prior log-variance is not finite")):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "a log-std or prior log-variance is not finite, or its variance is not "
+                "finite and > 0") + "$"):
             bound.load_noise_state(path)
 
     def test_config_validation(self):

@@ -54,8 +54,8 @@ _BAD = {
 def _bad_values(kind):
     if isinstance(kind, cli.ListOf):
         return ["5", "[]"]
-    if isinstance(kind, cli.Tagged):
-        return ['"fast"', '{"kind": "nope"}']
+    if isinstance(kind, cli.Tagged):  # an unhashable kind too
+        return ['"fast"', '{"kind": "nope"}', '{"kind": []}']
     if kind.what.startswith("one of"):
         return ["5", '"nope"']
     return _BAD[kind.what]
@@ -116,7 +116,9 @@ class TestConfig:
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("{nope")
-        with pytest.raises(ConfigError, match="JSON"):
+        want = (f"cannot use config file '{path}': Expecting property name enclosed in "
+                "double quotes: line 1 column 2 (char 1)")
+        with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
             load_config(str(path))
 
     def test_bad_values_exit_config(self, tmp_path):
@@ -344,6 +346,15 @@ class TestPretrainFinetune:
                      "--set", "stage1.lr_noise_head=1e10"])
         assert code == EXIT_DIVERGENCE
 
+    @pytest.mark.parametrize("command", ["pretrain", "benchmark"])
+    def test_pretrain_divergence_names_task_and_seed(self, tmp_path, capsys, command):
+        code = main([command, "--config", tiny_config(tmp_path),
+                     "--set", "pretrain.lr_head=1e308", "--set", "pretrain.seed=3"])
+        err = capsys.readouterr().err
+        assert code == EXIT_DIVERGENCE
+        assert re.fullmatch(r"numeric divergence: blobs-rotate pretraining seed 3: pretraining "
+                            r"diverged at epoch 0, batch \d+: [^\n]+\n", err), err
+
 
 class TestInspectNoise:
     def test_ranking_csv(self, tmp_path):
@@ -399,7 +410,11 @@ _BAD_CSV = [("a,label\n1,0\nx,1\n", "row 3: non-numeric cell in column 'a': 'x'"
             ("a,label\n1,0\n2,1e300\n", "row 3: the label must be below the row count, "
                                          "2, got '1e300'"),
             ("a,label\n1,0\nnan,1\n", "row 3: non-finite cell in column 'a': 'nan'"),
-            ("a,label\n1,0\ninf,1\n", "row 3: non-finite cell in column 'a': 'inf'")]
+            ("a,label\n1,0\ninf,1\n", "row 3: non-finite cell in column 'a': 'inf'"),
+            # finite cells whose sum overflows
+            ("a,b,label\n1e308,1,0\n1e308,2,1\n-1e308,3,0\n2,4,1\n",
+             "column 'a': its mean or standard deviation overflows"),
+            ("label\n0\n1\n", "no feature columns")]
 
 
 def _csv_task_argv(source, target, *argv):
@@ -411,10 +426,14 @@ def _csv_task_argv(source, target, *argv):
 
 
 class TestUnusableFiles:
-    """A checkpoint, noise or CSV file that cannot be used exits 2 before any
-    output."""
+    """A config, checkpoint, noise or CSV file that cannot be used exits 2 with
+    one line that names the file once, before any output."""
 
     @pytest.mark.parametrize("command, content, detail", [
+        ("pretrain", ("config", None), ": No such file or directory"),
+        ("pretrain", ("config", "{nope"), "Expecting property name"),
+        ("pretrain", ("config", "[]"), "the root is not a JSON object"),
+        ("finetune", None, ": No such file or directory"),
         ("finetune", "not json", "Expecting value"),
         ("finetune", ((3, 4, 2), _drop_last_weight), "cannot reshape array of size 11"),
         ("finetune", ((3, 4, 2), _huge_hidden_layer),
@@ -436,19 +455,26 @@ class TestUnusableFiles:
         ("inspect-noise", '{"version": 2}', "unsupported noise-state version: 2"),
         ("inspect-noise", '{"version": 1, "p_backbone": [0.5, NaN], "p_head": [0.1], '
          '"log_lambda": 0.0, "log_beta": 0.0}', "a log-std or prior log-variance is not finite"),
+        # finite, but exp(2 * 1e308) is not: no overflow warning, no inf variance ranked
+        ("inspect-noise", '{"version": 1, "p_backbone": [0.5, 1e308], "p_head": [0.1], '
+         '"log_lambda": 0.0, "log_beta": 0.0}', "or its variance is not finite and > 0"),
+        ("inspect-noise", None, ": No such file or directory"),
         *[(command, ("csv", text), detail) for text, detail in _BAD_CSV
           for command in ("generate-data", "pretrain", "finetune")],
         # one data row: the commands that read the target check it against n_shot 1
         *[(command, ("csv", "a,label\n1,0\n"), "'task.n_shot' must be below 1, the size "
            "of the target task") for command in ("generate-data", "finetune")],
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exits_config_before_any_output(self, tmp_path, capsys, command, content,
                                             detail):
         path = tmp_path / "file.json"
         if isinstance(content, str):
             path.write_text(content)
-        elif content[0] == "csv":
-            path = tmp_path / "file.csv"
+        elif content in (None, ("config", None)):
+            pass  # a file that does not exist
+        elif content[0] in ("csv", "config"):
+            path = tmp_path / f"file.{'csv' if content[0] == 'csv' else 'json'}"
             path.write_text(content[1])
         else:
             sizes, edit = content
@@ -457,7 +483,9 @@ class TestUnusableFiles:
             if edit:
                 path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         out = tmp_path / "out"
-        if path.suffix == ".csv":
+        if content is not None and content[0] == "config":
+            argv = [command, "--config", str(path), "--out", str(out)]
+        elif path.suffix == ".csv":
             spec = {"generator": "csv", "path": str(path)}
             task = {"source": spec, "target": spec, "n_shot": 1}
             argv = [command, "--config", tiny_config(tmp_path, task=task)]
@@ -470,7 +498,7 @@ class TestUnusableFiles:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert err.startswith("config error:") and len(err.splitlines()) == 1, err
-        assert f"'{path}'" in err and detail in err, err
+        assert err.count(f"'{path}'") == 1 and detail in err, err
         assert "Traceback" not in err
         assert not out.exists()
 

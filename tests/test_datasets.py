@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -61,6 +62,19 @@ class TestGenerate:
     def test_unknown_generator_rejected(self):
         with pytest.raises(ValueError, match="generator"):
             DatasetSpec("moons", n=10)
+
+    @pytest.mark.parametrize("field", ["separation", "class_std", "noise_std", "shift"])
+    @pytest.mark.parametrize("gen", ["blobs", "two-spirals", "xor"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_scales_that_overflow_rejected(self, gen, field):
+        # 1e300 keeps every feature finite, rotated and shifted too; 1e308 would not
+        big = {"separation": 1e300, "class_std": 1e300, "noise_std": 1e300, "shift": 1e300}
+        ds = datasets.generate(DatasetSpec(gen, n=200, dim=2, rotation_degrees=45, **big))
+        assert np.isfinite(ds.x).all()
+        want = "separation, class_std, noise_std and shift must be at most 1e+300 in size"
+        for value in (1e308, -1e308, math.inf):
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                DatasetSpec(gen, n=200, dim=2, **{field: value})
 
     def test_transfer_pair_dim_check(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -126,7 +140,6 @@ class TestCsv:
         ds = datasets.load_csv(p)
         assert len(ds) == 3
         assert ds.y.tolist() == [0, 1, 1]
-        assert ds.standardizer is not None
         # z-scored columns
         assert np.allclose(ds.x.mean(axis=0), 0.0, atol=1e-12)
 
@@ -160,14 +173,21 @@ class TestCsv:
         ("a,label\n1.0,0\n1.0\n", "row 3: non-numeric cell in column 'label': ''"),
         ("a,label\n", "no data rows"),
         ("", "empty file"),
+        # a model needs an input: zero fan-in broke its initialization
+        ("label\n0\n1\n", "no feature columns"),
+        # finite cells whose sum overflows: the z-scoring would give NaN
+        ("a,b,label\n1e308,1,0\n1e308,2,1\n-1e308,3,0\n2,4,1\n",
+         "column 'a': its mean or standard deviation overflows"),
+        ("a,b,label\n1,1e308,0\n2,-1e308,1\n",
+         "column 'b': its mean or standard deviation overflows"),
     ])
-    # an inf cell once reached the z-scoring and warned there before any error
+    # an inf cell once reached the z-scoring and warned there before any error;
+    # the file is named by the caller, once (see test_cli.TestUnusableFiles)
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_unusable_file_names_file_and_row(self, tmp_path, text, match):
+    def test_unusable_file_names_row(self, tmp_path, text, match):
         p = tmp_path / "d.csv"
         p.write_text(text)
-        where = re.escape(f"'{p}'")
-        with pytest.raises(ValueError, match=f"^{where}.*{re.escape(match)}"):
+        with pytest.raises(ValueError, match=f"^{re.escape(match)}"):
             datasets.load_csv(p)
 
     def test_missing_label_column(self, tmp_path):

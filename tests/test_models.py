@@ -262,13 +262,13 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("layer, key, value", [(0, "w", math.nan), (0, "b", math.inf),
                                                    (1, "w", -math.inf), (1, "b", math.nan)])
-    def test_non_finite_number_names_file_and_layer(self, tmp_path, layer, key, value):
+    def test_non_finite_number_names_layer(self, tmp_path, layer, key, value):
         # the head (layer 1) too, though replace_head would discard it
         path = tmp_path / "ckpt.json"
         models.save_checkpoint(fresh((3, 5, 2), seed=8), path, {})
         doc = json.loads(path.read_text(encoding="utf-8"))
         doc["params"][layer][key][-1] = value
         path.write_text(json.dumps(doc))
-        want = f"'{path}': layer {layer} holds a non-finite weight or bias"
-        with pytest.raises(ValueError, match=re.escape(want)):
+        want = f"layer {layer} holds a non-finite weight or bias"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             models.load_checkpoint(path)

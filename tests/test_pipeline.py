@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from pactune import datasets, models, pipeline
-from pactune.autodiff import NumericsError
 from pactune.bound import (AutoGamma, BoundConfig, FixedK, KTracker, RunningK,
                            init_noise_state, pac_objective)
 from pactune.models import ParamGroup, StepWorkspace
@@ -245,6 +244,19 @@ class TestStage1:
         cfg = small_stage1(epochs=20, lr_noise_backbone=100.0,
                            lr_noise_head=Constant(100.0))
         with pytest.raises(DivergenceError, match="variance underflowed"):
+            stage1_train(model, noise, train, dev, cfg, BoundConfig(m=len(train)),
+                         np.random.default_rng(1), np.random.default_rng(2))
+
+    def test_variance_overflow_is_a_divergence(self, toy_task):
+        # a frozen first layer leaves the backbone group empty; one step at a
+        # huge noise rate takes its prior log-variance to inf, and as the last
+        # step of stage 1 no later objective would see it
+        pretrained, train, dev = toy_task
+        model = fresh_head(pretrained, 3, freeze=True)
+        noise = init_noise_state(model)
+        cfg = small_stage1(epochs=1, batch_size=len(train), lr_noise_backbone=1e308)
+        with pytest.raises(DivergenceError, match="epoch 0, batch 0: a learned variance "
+                                                  "underflowed to 0 or overflowed$"):
             stage1_train(model, noise, train, dev, cfg, BoundConfig(m=len(train)),
                          np.random.default_rng(1), np.random.default_rng(2))
 
@@ -651,7 +663,10 @@ class TestDevPass:
             steps.append(len(x))
             return 0.0
 
-        with pytest.raises(NumericsError, match="layer 0"):
+        # a divergence like a step's, named by the epoch's last batch
+        last = (len(train) - 1) // Stage2Config().batch_size
+        want = f"^test diverged at epoch 0, batch {last}: layer 0 output is not finite$"
+        with pytest.raises(DivergenceError, match=want):
             pipeline._descend(model, train, bad, Stage2Config(epochs=3),
                               np.random.default_rng(0), step, "test", weight_decay=True)
         assert sum(steps) == len(train)  # one epoch's steps ran first

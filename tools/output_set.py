@@ -21,13 +21,17 @@ the checkout that holds this script):
   ``blobs-rotate`` setting fewer pretrain, stage-1 and stage-2 epochs):
   ``pretrain-override`` runs ``pactune pretrain``, and ``finetune-override``
   runs ``pactune finetune --seed 1`` from that checkpoint;
-- four error paths and their one-line stderr: ``pactune pretrain`` with
+- six error paths and their one-line stderr: ``pactune pretrain`` with
   ``pretrain.batch_size=0`` (exit 2), ``pactune finetune --seed 2`` from
   the pretrain checkpoint with ``stage1.lr_head=1e308``, which diverges in
   stage 1 (exit 3), ``error-unknown-set``, ``pactune pretrain`` with
-  ``--set stage1.nope=1`` (exit 2), and ``error-nonfinite-checkpoint``,
+  ``--set stage1.nope=1`` (exit 2), ``error-nonfinite-checkpoint``,
   ``pactune finetune --seed 1`` from a copy of the pretrain checkpoint,
-  ``nonfinite.json``, whose first weight is ``NaN`` (exit 2).
+  ``nonfinite.json``, whose first weight is ``NaN`` (exit 2),
+  ``error-csv-overflow``, ``pactune generate-data`` with both task files
+  ``overflow.csv``, whose column ``a`` holds ``1e308, 1e308, -1e308, 2``
+  (``task.n_shot=1``; exit 2), and ``error-pretrain-divergence``,
+  ``pactune pretrain`` with ``pretrain.lr_head=1e308`` (exit 3).
 
 Each command writes into ``OUT/<name>/`` and leaves its stdout, stderr and
 exit code in ``OUT/<name>.stdout``, ``.stderr`` and ``.exit``. Every path a
@@ -62,6 +66,14 @@ NONFINITE_FINETUNE = (
     "Path('nonfinite.json').write_text(json.dumps(doc)); "
     "sys.exit(cli.main(['finetune', '--seed', '1', '--set', 'checkpoint=nonfinite.json', "
     "'--out', 'error-nonfinite-checkpoint']))")
+# finite cells whose column sum overflows, as both task files of generate-data
+CSV_OVERFLOW = (
+    "import json, sys; from pathlib import Path; from pactune import cli; "
+    r"Path('overflow.csv').write_text('a,b,label\n1e308,1,0\n1e308,2,1\n-1e308,3,0\n"
+    r"2,4,1\n'); "
+    "spec = json.dumps({'generator': 'csv', 'path': 'overflow.csv'}); "
+    "sys.exit(cli.main(['generate-data', '--set', 'task.source=' + spec, '--set', "
+    "'task.target=' + spec, '--set', 'task.n_shot=1', '--out', 'error-csv-overflow']))")
 
 
 def commands() -> list[tuple[str, list[str]]]:
@@ -103,7 +115,11 @@ def commands() -> list[tuple[str, list[str]]]:
                                          "--out", "error-divergence"]),
              ("error-unknown-set", cli + ["pretrain", "--set", "stage1.nope=1",
                                           "--out", "error-unknown-set"]),
-             ("error-nonfinite-checkpoint", ["-c", NONFINITE_FINETUNE])]
+             ("error-nonfinite-checkpoint", ["-c", NONFINITE_FINETUNE]),
+             ("error-csv-overflow", ["-c", CSV_OVERFLOW]),
+             ("error-pretrain-divergence",
+              cli + ["pretrain", "--set", "pretrain.lr_head=1e308",
+                     "--out", "error-pretrain-divergence"])]
     return runs
 
 
