@@ -9,6 +9,7 @@ anything runs. Exit codes: 0 success, 1 check failure (gradcheck),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import dataclasses
 import json
@@ -29,8 +30,9 @@ EXIT_DIVERGENCE = 3
 EXIT_IO = 4
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(ValueError):
+    """A bad config value or input file; a ``ValueError``, so a check that runs
+    inside ``_read`` names the file it reads."""
 
 
 def _read(what: str, path, read):
@@ -112,6 +114,9 @@ NONNEGATIVE = Leaf("a finite number >= 0", lambda v: _finite(v) and v >= 0)
 FRACTION = Leaf("a number in (0, 1)", lambda v: _finite(v) and 0 < v < 1)
 BOOL = Leaf("true or false", lambda v: isinstance(v, bool))
 STRING = Leaf("a string", lambda v: isinstance(v, str))
+PATH = Leaf("a string without a NUL byte", lambda v: isinstance(v, str) and "\0" not in v)
+NAME = Leaf("a file name: not empty, '.' or '..', and without '/' or a NUL byte",
+            lambda v: PATH.ok(v) and "/" not in v and v not in ("", ".", ".."))
 STRING_OR_NULL = Leaf("a string or null", lambda v: v is None or isinstance(v, str))
 SPEC = Leaf("null or an object", lambda v: v is None or isinstance(v, dict),
             {f.name: {"int": SEED, "float": Leaf("a finite number", _finite),
@@ -119,7 +124,7 @@ SPEC = Leaf("null or an object", lambda v: v is None or isinstance(v, dict),
              for f in dataclasses.fields(datasets.DatasetSpec)}, lambda v: ["generator"])
 
 SCHEMA = {  # dotted leaf -> (default, kind)
-    "task.name": ("blobs-rotate", STRING),
+    "task.name": ("blobs-rotate", NAME),
     # explicit DatasetSpec fields; they override "name"
     "task.source": (None, SPEC),
     "task.target": (None, SPEC),
@@ -164,7 +169,7 @@ SCHEMA = {  # dotted leaf -> (default, kind)
     "noise_injection.sigma": (0.01, NONNEGATIVE),
     "seeds": ([1, 2, 10, 26, 100], ListOf(SEED)),
     "checkpoint": (None, STRING_OR_NULL),
-    "out_dir": ("pactune-out", STRING),
+    "out_dir": ("pactune-out", PATH),
     # task name -> partial config, checked by _check and as the task's view
     "task_overrides": ({}, Leaf("an object", lambda v: isinstance(v, dict))),
 }
@@ -241,11 +246,11 @@ def _check(config: dict, prefix: str = "") -> None:
             raise ConfigError(f"'{at}.{min(ignored)}' cannot be set per task")
 
 
-def _check_n_shot(config: dict, n_target: int, prefix: str, where: str = "") -> None:
+def _check_n_shot(config: dict, n_target: int, prefix: str) -> None:
     n_shot = config["task"]["n_shot"]
     if n_shot >= n_target:
         raise ConfigError(f"'{prefix}task.n_shot' must be below {n_target}, the size "
-                          f"of the target task{where}, got {n_shot!r}")
+                          f"of the target task, got {n_shot!r}")
 
 
 def _view_prefix(config: dict, task_name: str) -> str:
@@ -356,12 +361,15 @@ def load_task_data(config: dict, side: str) -> datasets.Dataset:
     """One side of the config's task, read or generated once. A CSV file that
     cannot be used, or a target no larger than 'task.n_shot', is a config error."""
     spec = getattr(resolve_task(config), side)
-    data = _read(f"'task.{side}' file", spec.path, lambda: datasets.generate(spec)) \
-        if spec.generator == "csv" else datasets.generate(spec)
-    if side == "target":
-        _check_n_shot(config, len(data), _view_prefix(config, config["task"]["name"]),
-                      f" '{spec.path}'" if spec.generator == "csv" else "")
-    return data
+
+    def read():
+        data = datasets.generate(spec)
+        if side == "target" and spec.generator == "csv":  # load_config checked the others
+            _check_n_shot(config, len(data), _view_prefix(config, config["task"]["name"]))
+        return data
+
+    return _read(f"'task.{side}' file", spec.path, read) \
+        if spec.generator == "csv" else read()
 
 
 def pretrain_for_task(config: dict, source: datasets.Dataset) -> models.MLPClassifier:
@@ -445,31 +453,29 @@ def run_benchmark(config: dict, workers: int = 1):
 # --- commands -------------------------------------------------------------------
 
 
-def _ensure_out(config: dict) -> Path:
-    out = Path(config["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_outputs(writers) -> None:
-    """Run (path, fn) pairs; on failure remove everything written so far."""
-    written = []
+    """Run (path, fn) pairs, each after making its path's missing directories.
+    If one fails, remove every file written or begun and every directory made,
+    newest first: a failed command leaves no output. No other code makes any."""
+    made = []
     try:
         for path, fn in writers:
+            for parent in reversed(Path(path).parents):
+                if not parent.exists():
+                    parent.mkdir()
+                    made.append(parent.rmdir)
+            made.append(Path(path).unlink)
             fn(path)
-            written.append(path)
     except BaseException:
-        for path in written:
-            try:
-                Path(path).unlink()
-            except OSError:
-                pass
+        for undo in reversed(made):
+            with contextlib.suppress(OSError):
+                undo()
         raise
 
 
 def cmd_generate_data(config: dict) -> int:
     source, target = (load_task_data(config, side) for side in ("source", "target"))
-    out = _ensure_out(config)
+    out = Path(config["out_dir"])
     _write_outputs([
         (out / "source.csv", lambda p: datasets.export_csv(source, p)),
         (out / "target.csv", lambda p: datasets.export_csv(target, p)),
@@ -481,12 +487,11 @@ def cmd_generate_data(config: dict) -> int:
 
 def cmd_pretrain(config: dict) -> int:
     source = load_task_data(config, "source")
-    out = _ensure_out(config)
     model = pretrain_for_task(config, source)
     provenance = {"seed": config["pretrain"]["seed"],
                   "task": config["task"]["name"],
                   "epoch": config["pretrain"]["epochs"]}
-    path = out / "pretrained.json"
+    path = Path(config["out_dir"]) / "pretrained.json"
     _write_outputs([(path, lambda p: models.save_checkpoint(model, p, provenance))])
     acc = pipeline.evaluate(model, source)["accuracy"]
     print(f"wrote {path} (source accuracy {acc:.3f})")
@@ -499,17 +504,19 @@ def cmd_finetune(config: dict) -> int:
         raise ConfigError("finetune needs config key 'checkpoint' "
                           "(path to a pretraining checkpoint)")
     path = config["checkpoint"]
-    pretrained = _read("checkpoint", path, lambda: models.load_checkpoint(
-        path, activation=config["model"]["activation"]))
-    if pretrained.input_dim != target.dim:
-        raise ConfigError(f"checkpoint '{path}' takes inputs of size "
-                          f"{pretrained.input_dim}, but the target task's inputs "
-                          f"have size {target.dim}")
-    hidden = pretrained.layer_sizes[1:-1]
-    if hidden != config["model"]["hidden"]:
-        raise ConfigError(f"checkpoint '{path}' has hidden layers {hidden}, but "
-                          f"'model.hidden' is {config['model']['hidden']}")
-    out = _ensure_out(config)
+
+    def read():  # a checkpoint that does not fit the task or the config is unusable
+        model = models.load_checkpoint(path, activation=config["model"]["activation"])
+        if model.input_dim != target.dim:
+            raise ValueError(f"it takes inputs of size {model.input_dim}, but the target "
+                             f"task's inputs have size {target.dim}")
+        if model.layer_sizes[1:-1] != config["model"]["hidden"]:
+            raise ValueError(f"it has hidden layers {model.layer_sizes[1:-1]}, but "
+                             f"'model.hidden' is {config['model']['hidden']}")
+        return model
+
+    pretrained = _read("checkpoint", path, read)
+    out = Path(config["out_dir"])
     seed = config["seeds"][0]
     method = config["method"]
     record, model, noise = run_single(config, pretrained, target, seed, method)
@@ -532,11 +539,9 @@ def cmd_finetune(config: dict) -> int:
 
 
 def cmd_benchmark(config: dict, workers: int = 1) -> int:
-    out = _ensure_out(config)
-    runs_dir = out / "runs"
-    runs_dir.mkdir(exist_ok=True)
+    out = Path(config["out_dir"])
     report, records = run_benchmark(config, workers=workers)
-    writers = [(runs_dir / "{task}__{method}__seed{seed}.jsonl".format(**r.final),
+    writers = [(out / "runs" / "{task}__{method}__seed{seed}.jsonl".format(**r.final),
                 lambda p, r=r: r.to_jsonl(p)) for r in records]
     writers.append((out / "benchmark_report.json",
                     lambda p: Path(p).write_text(
@@ -581,7 +586,7 @@ def cmd_gradcheck(seeds: int = 20) -> int:
 
 def cmd_inspect_noise(config: dict, noise_path: str) -> int:
     noise = _read("noise file", noise_path, lambda: bound.load_noise_state(noise_path))
-    out_path = _ensure_out(config) / "noise_ranking.csv"
+    out_path = Path(config["out_dir"]) / "noise_ranking.csv"
     variances = noise.variances()
     groups = ["backbone"] * noise.n_backbone + \
         ["head"] * (variances.size - noise.n_backbone)
@@ -655,6 +660,10 @@ def main(argv=None) -> int:
     except pipeline.DivergenceError as e:
         print(f"numeric divergence: {e}", file=sys.stderr)
         return EXIT_DIVERGENCE
+    except MemoryError as e:  # numpy's, for sizes no address space can map
+        print(f"config error: the configured sizes do not fit in memory: {e}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_IO

@@ -45,6 +45,8 @@ _BAD = {
     "a finite number": ['"1"', "1e400"],
     "true or false": ["1"],
     "a string": ["5"],
+    "a file name: not empty, '.' or '..', and without '/' or a NUL byte":
+        ["5", '"a/b"', '".."', '""', '"a\\u0000b"'],
     "a string or null": ["[]"],
     "an object": ["[]"],
     "null or an object": ["5"],
@@ -227,6 +229,24 @@ class TestConfig:
         assert code == EXIT_CONFIG
         assert err.startswith("config error:") and "'out_dir'" in err
         assert list(tmp_path.iterdir()) == []
+
+    # both become parts of output paths: task.name a file name, out_dir a path
+    @pytest.mark.parametrize("argv, key", [
+        (["finetune", "--set", 'task.name="a/b"', "--set", 'checkpoint="c.json"'],
+         "task.name"),
+        (["pretrain", "--set", 'task.name=".."'], "task.name"),
+        (["pretrain", "--set", 'out_dir="a\\u0000b"'], "out_dir"),
+        (["pretrain", "--out", "a\0b"], "out_dir"),
+    ])
+    def test_unusable_path_part_exits_config_before_work(self, tmp_path, capsys,
+                                                         monkeypatch, argv, key):
+        config = tiny_config(tmp_path)  # explicit source and target: any name is a task
+        monkeypatch.chdir(tmp_path)
+        code = main([*argv, "--config", config])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert re.fullmatch(rf"config error: '{key}' must be [^\n]+\n", err), err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize("command, workers", [("benchmark", "0"), ("benchmark", "-3"),
                                                   ("pretrain", "0")])
@@ -440,9 +460,10 @@ class TestUnusableFiles:
          "cannot reshape array of size 12 into shape (3,100000000000)"),
         # the tiny task's inputs have 3 features
         ("finetune", ((2, 4, 2), None),
-         "takes inputs of size 2, but the target task's inputs have size 3"),
+         ": it takes inputs of size 2, but the target task's inputs have size 3"),
         # the tiny config's hidden layers are [8, 4]
-        ("finetune", ((3, 5, 2), None), "has hidden layers [5], but 'model.hidden' is [8, 4]"),
+        ("finetune", ((3, 5, 2), None),
+         ": it has hidden layers [5], but 'model.hidden' is [8, 4]"),
         # a checkpoint the config fits, but for one NaN: a file fault, not a divergence
         ("finetune", ((3, 8, 4, 2), _nan_at(0, "w")),
          "layer 0 holds a non-finite weight or bias"),
@@ -462,8 +483,8 @@ class TestUnusableFiles:
         *[(command, ("csv", text), detail) for text, detail in _BAD_CSV
           for command in ("generate-data", "pretrain", "finetune")],
         # one data row: the commands that read the target check it against n_shot 1
-        *[(command, ("csv", "a,label\n1,0\n"), "'task.n_shot' must be below 1, the size "
-           "of the target task") for command in ("generate-data", "finetune")],
+        *[(command, ("csv", "a,label\n1,0\n"), ": 'task.n_shot' must be below 1, the size "
+           "of the target task, got 1") for command in ("generate-data", "finetune")],
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exits_config_before_any_output(self, tmp_path, capsys, command, content,
@@ -499,8 +520,80 @@ class TestUnusableFiles:
         assert code == EXIT_CONFIG
         assert err.startswith("config error:") and len(err.splitlines()) == 1, err
         assert err.count(f"'{path}'") == 1 and detail in err, err
+        assert re.match(rf"config error: cannot use .* {re.escape(repr(str(path)))}: ",
+                        err), err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+class TestFailedCommandLeavesNoOutput:
+    """A command that fails, at any exit code, leaves no output directory of
+    its own; one that existed before keeps its files."""
+
+    @pytest.mark.parametrize("command, setting, stage", [
+        ("pretrain", "pretrain.lr_head=1e308", "pretraining"),
+        ("finetune", "stage1.lr_noise_head=1e10", "stage 1"),
+        ("benchmark", "stage1.lr_noise_head=1e10", "stage 1"),
+    ])
+    def test_divergence(self, tmp_path, capsys, command, setting, stage):
+        config = tiny_config(tmp_path)
+        assert main(["pretrain", "--config", config]) == EXIT_OK
+        checkpoint = json.dumps(str(tmp_path / "out" / "pretrained.json"))
+        code = main([command, "--config", config, "--out", str(tmp_path / "failed"),
+                     "--set", f"checkpoint={checkpoint}", "--set", setting])
+        err = capsys.readouterr().err
+        assert code == EXIT_DIVERGENCE
+        assert re.fullmatch(rf"numeric divergence: [^\n]* {stage} diverged at [^\n]+\n",
+                            err), err
+        assert not (tmp_path / "failed").exists()
+
+    # sizes no 64-bit address space can map, so numpy never reserves them
+    @pytest.mark.parametrize("command, sets", [
+        ("pretrain", ["model.hidden=[10000000000000000]"]),
+        ("benchmark", ["model.hidden=[10000000000000000]"]),
+        ("generate-data", ['task.source={"generator": "blobs", "n": 10000000000000000}',
+                           'task.target={"generator": "blobs", "n": 500}']),
+    ])
+    def test_sizes_that_do_not_fit_in_memory(self, tmp_path, capsys, command, sets):
+        code = main([command, "--out", str(tmp_path / "out"),
+                     *(a for s in sets for a in ("--set", s))])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert re.fullmatch(r"config error: the configured sizes do not fit in memory: "
+                            r"Unable to allocate [^\n]+\n", err), err
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_write(self, tmp_path, capsys, monkeypatch):
+        config = tiny_config(tmp_path)
+        assert main(["pretrain", "--config", config]) == EXIT_OK
+        checkpoint = json.dumps(str(tmp_path / "out" / "pretrained.json"))
+
+        def disk_full(noise, path):  # the last of finetune's three files
+            Path(path).write_text("{")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli.bound, "save_noise_state", disk_full)
+        code = main(["finetune", "--config", config, "--out", str(tmp_path / "failed"),
+                     "--set", f"checkpoint={checkpoint}"])
+        assert code == cli.EXIT_IO
+        assert capsys.readouterr().err == "i/o error: [Errno 28] No space left on device\n"
+        assert not (tmp_path / "failed").exists()
+
+    def test_write_outputs_removes_what_it_made(self, tmp_path):
+        def disk_full(path):
+            Path(path).write_text("half")
+            raise OSError(28, "No space left on device")
+
+        old = tmp_path / "old"
+        old.mkdir()
+        (old / "kept.txt").write_text("old")
+        for out in (tmp_path / "new", old):
+            with pytest.raises(OSError, match="No space left"):
+                cli._write_outputs([(out / "runs" / "a.jsonl", lambda p: p.write_text("a")),
+                                    (out / "report.json", disk_full)])
+        assert [p.name for p in tmp_path.iterdir()] == ["old"]
+        assert [p.name for p in old.iterdir()] == ["kept.txt"]
+        assert (old / "kept.txt").read_text() == "old"
 
 
 class TestTaskFileReads:

@@ -9,10 +9,11 @@ and duplicated keys (columns and rows in a CSV), swapped types, ``±1e308``,
 byte-order mark. The contract:
 
 - exit 0 writes only finite numbers and raises no warning;
-- exit 2 prints one ``config error:`` line that names a file once or a
-  config key, and leaves no output directory;
+- exit 2 prints one ``config error:`` line that names a config key, or a
+  file once, as ``cannot use <what> '<path>': <reason>``;
 - exit 3 prints one line that names the task, the method or
   ``pretraining``, the seed, the epoch and the batch;
+- a non-zero exit leaves no output directory;
 - no other exit code, and no exception out of ``main``.
 
 The seed and the case count are fixed; numbers are never mutated into large
@@ -48,7 +49,7 @@ BASE = {
     "stage2": {"epochs": 1},
 }
 NUMBERS = [1e308, -1e308, 5e-324, -0.0, math.nan, math.inf, -math.inf]
-SWAPS = ["", "x", [], [2.5], {}, {"kind": "x"}, True, None, 0, 2.5]
+SWAPS = ["", "x", "a/b", "a\u0000b", [], [2.5], {}, {"kind": "x"}, True, None, 0, 2.5]
 CELLS = ["1e308", "-1e308", "5e-324", "-0.0", "nan", "inf", "-inf", "x", ""]
 COMMANDS = ["generate-data", "pretrain", "finetune", "benchmark", "inspect-noise"]
 METHODS = "pac-tuning|vanilla|noise-injection|pretraining"
@@ -253,12 +254,18 @@ def _non_finite(text: str, suffix: str) -> list[float]:
     return [v for v in numbers if not math.isfinite(v)]
 
 
+# how cli._read names a file: "config file", "checkpoint", "'task.source' file", ...
+READ_FORM = re.compile(r"config error: cannot use (?:[a-z ]+|'task\.\w+' file) '([^']*)': ")
+
+
 def _names_once(line: str, files: dict) -> bool:
-    """The line names no file twice, and names a file or a config key."""
-    paths = [*map(str, files.values()), *re.findall(r"cannot use .*? '([^']*)': ", line)]
-    if any(line.count(f"'{path}'") > 1 for path in paths):
-        return False
-    return any(f"'{path}'" in line for path in paths) or \
+    """The line names a file only in the reader's form, and then once; a line
+    that names no file names a config key."""
+    paths = [f"'{path}'" for path in map(str, files.values())]
+    match = READ_FORM.match(line)
+    if match:
+        return not any(path in line[match.end():] for path in [f"'{match[1]}'", *paths])
+    return not any(path in line for path in paths) and \
         any(key in cli.DEFAULT_CONFIG for key in re.findall(r"'(\w+)[.\[']", line))
 
 
@@ -271,6 +278,7 @@ def check_contract(argv: list[str], files: dict, where, capsys) -> None:
     out, err = capsys.readouterr()
     out_dir = where / "out"
     assert not caught, (argv, [str(w.message) for w in caught])
+    assert code == cli.EXIT_OK or not out_dir.exists(), (argv, code, err)
     if code == cli.EXIT_OK:
         assert err == "" and not re.search(r"\b(nan|inf)\b", out, re.I), (argv, out, err)
         for path in out_dir.rglob("*.*"):
@@ -279,7 +287,6 @@ def check_contract(argv: list[str], files: dict, where, capsys) -> None:
     elif code == cli.EXIT_CONFIG:
         assert re.fullmatch(r"config error: [^\n]+\n", err), (argv, err)
         assert _names_once(err, files), (argv, err)
-        assert not out_dir.exists(), argv
     else:
         assert code == cli.EXIT_DIVERGENCE, (argv, code, err)
         assert DIVERGENCE.fullmatch(err), (argv, err)

@@ -21,7 +21,7 @@ the checkout that holds this script):
   ``blobs-rotate`` setting fewer pretrain, stage-1 and stage-2 epochs):
   ``pretrain-override`` runs ``pactune pretrain``, and ``finetune-override``
   runs ``pactune finetune --seed 1`` from that checkpoint;
-- six error paths and their one-line stderr: ``pactune pretrain`` with
+- eight error paths and their one-line stderr: ``pactune pretrain`` with
   ``pretrain.batch_size=0`` (exit 2), ``pactune finetune --seed 2`` from
   the pretrain checkpoint with ``stage1.lr_head=1e308``, which diverges in
   stage 1 (exit 3), ``error-unknown-set``, ``pactune pretrain`` with
@@ -30,8 +30,12 @@ the checkout that holds this script):
   ``nonfinite.json``, whose first weight is ``NaN`` (exit 2),
   ``error-csv-overflow``, ``pactune generate-data`` with both task files
   ``overflow.csv``, whose column ``a`` holds ``1e308, 1e308, -1e308, 2``
-  (``task.n_shot=1``; exit 2), and ``error-pretrain-divergence``,
-  ``pactune pretrain`` with ``pretrain.lr_head=1e308`` (exit 3).
+  (``task.n_shot=1``; exit 2), ``error-pretrain-divergence``,
+  ``pactune pretrain`` with ``pretrain.lr_head=1e308`` (exit 3),
+  ``error-task-name``, ``pactune finetune --seed 1`` on the CSV task with
+  ``task.name="a/b"``, no file name (exit 2), and ``error-memory``,
+  ``pactune pretrain`` with ``model.hidden=[10000000000000000]``, a model
+  too large for memory (exit 2). A failed command leaves no ``OUT/<name>/``.
 
 Each command writes into ``OUT/<name>/`` and leaves its stdout, stderr and
 exit code in ``OUT/<name>.stdout``, ``.stderr`` and ``.exit``. Every path a
@@ -119,7 +123,14 @@ def commands() -> list[tuple[str, list[str]]]:
              ("error-csv-overflow", ["-c", CSV_OVERFLOW]),
              ("error-pretrain-divergence",
               cli + ["pretrain", "--set", "pretrain.lr_head=1e308",
-                     "--out", "error-pretrain-divergence"])]
+                     "--out", "error-pretrain-divergence"]),
+             ("error-task-name", cli + ["finetune", "--seed", "1", *csv_task, "--set",
+                                        'task.name="a/b"', "--set",
+                                        "checkpoint=csv-pretrain/pretrained.json",
+                                        "--out", "error-task-name"]),
+             ("error-memory", cli + ["pretrain", "--set",
+                                     "model.hidden=[10000000000000000]",
+                                     "--out", "error-memory"])]
     return runs
 
 
