@@ -296,14 +296,18 @@ def generic_bound(kl_total: float, delta: float, m: int) -> float:
 # --- the objective and its closed-form gradients ---------------------------------
 
 
-def _group_kl(w: np.ndarray, var: np.ndarray, anchor: np.ndarray,
-              prior_log_var: float) -> tuple[float, np.ndarray, np.ndarray, float]:
+def _group_kl(w: np.ndarray, var: np.ndarray, anchor: np.ndarray, prior_log_var: float,
+              d_w: np.ndarray | None = None, d_p: np.ndarray | None = None,
+              ) -> tuple[float, np.ndarray, np.ndarray, float]:
     """One group's KL of N(w, diag var) vs N(anchor, exp(prior_log_var) I) and its
-    derivatives with respect to w, log_std (var = exp(2 log_std)) and prior_log_var."""
+    derivatives with respect to w, log_std (var = exp(2 log_std)) and prior_log_var;
+    the two vectors go into ``d_w`` and ``d_p`` if given."""
     var_p = math.exp(prior_log_var)
     diff = w - anchor
     kl, s = _kl(diff, var, var_p)
-    return kl, diff / var_p, var / var_p - 1.0, 0.5 * (w.size - s / var_p)
+    d_p = np.divide(var, var_p, out=d_p)
+    d_p -= 1.0
+    return kl, np.divide(diff, var_p, out=d_w), d_p, 0.5 * (w.size - s / var_p)
 
 
 def pac_objective(work: StepWorkspace, noise: NoiseState, batch_x, batch_y,
@@ -312,9 +316,10 @@ def pac_objective(work: StepWorkspace, noise: NoiseState, batch_x, batch_y,
     """Evaluate J and its gradients on one batch at the noise draw ``tau``.
 
     ``tau`` is one standard-normal vector in trainable order, drawn by the
-    caller. ``work`` is the loop's workspace: it holds the noisy weights, and
-    dJ/dw is left in ``work.grad``; the returned noise gradient, a fresh array,
-    is laid out as ``NoiseState.params`` (log-stds, then the two priors).
+    caller. ``work`` is the loop's workspace: it holds the noisy weights and the
+    objective's buffers, dJ/dw is left in ``work.grad``, and the returned noise
+    gradient is ``work.noise_grad``, laid out as ``NoiseState.params`` (log-stds,
+    then the two priors); the next call replaces both.
     ``k`` is the step's K (``KTracker.value``) and ``var`` is
     ``noise.variances()``, both held by the caller. ``l_pac_weight`` scales the
     complexity term inside the optimized objective; the reported
@@ -329,12 +334,14 @@ def pac_objective(work: StepWorkspace, noise: NoiseState, batch_x, batch_y,
     """
     packer = work.model.layout
     weights = work.trainable
-    std = np.exp(noise.log_std)
+    std = np.exp(noise.log_std, out=work.std)
     kernels.apply_noise(weights, std, tau, work.noisy_trainable)
     l_train = loss_and_grads(work, work.noisy_params, batch_x, batch_y)
-    (kl_b, kl_h), d_w, d_p, d_prior = zip(*(
-        _group_kl(weights[packer.group(g)], var[packer.group(g)],
-                  noise.anchor(g), noise.prior_log_var(g)) for g in _GROUPS))
+    # each group's KL derivatives go into its slice: the buffers hold them in order
+    (kl_b, kl_h), _, _, d_prior = zip(*(
+        _group_kl(weights[packer.group(g)], var[packer.group(g)], noise.anchor(g),
+                  noise.prior_log_var(g), work.kl_dw[packer.group(g)],
+                  work.kl_dp[packer.group(g)]) for g in _GROUPS))
 
     if isinstance(cfg.gamma, FixedGamma):
         gamma = cfg.gamma.value
@@ -347,10 +354,12 @@ def pac_objective(work: StepWorkspace, noise: NoiseState, batch_x, batch_y,
                        j_total=l_train + l_pac_scaled)
     c = l_pac_weight / (gamma * cfg.m)
     # the noise gradient reads dL(w~) before work.grad becomes dJ/dw
-    noise_grad = np.append(work.grad * tau * std + c * np.concatenate(d_p),
-                           [c * d for d in d_prior])
-    work.grad += c * np.concatenate(d_w)
-    return terms, noise_grad
+    d_log_std = np.multiply(work.grad, tau, out=work.noise_grad[:-2])
+    d_log_std *= std
+    d_log_std += np.multiply(c, work.kl_dp, out=work.kl_dp)
+    work.noise_grad[-2:] = [c * d for d in d_prior]
+    work.grad += np.multiply(c, work.kl_dw, out=work.kl_dw)
+    return terms, work.noise_grad
 
 
 def objective_gradcheck(model: MLPClassifier, noise: NoiseState, batch_x, batch_y,

@@ -1,9 +1,11 @@
 """Command-line entry point: batch experiments, benchmark suites, reports.
 
 Configuration is a single JSON document; ``--set dotted.key=value`` overrides
-individual leaves. Unknown keys and out-of-range values are rejected before
-anything runs. Exit codes: 0 success, 1 check failure (gradcheck),
-2 configuration error, 3 numeric divergence, 4 I/O error.
+individual leaves, and ``--seed``/``--out`` are shorthands for two of them.
+Each command takes only the flags it reads. Unknown keys and flags and
+out-of-range values are rejected before anything runs. Exit codes: 0 success,
+1 check failure (gradcheck), 2 configuration error, 3 numeric divergence,
+4 I/O error.
 """
 
 from __future__ import annotations
@@ -70,16 +72,19 @@ def one_of(allowed) -> Leaf:
 
 
 class ListOf(Leaf):
-    """A non-empty list of one kind."""
+    """A non-empty list of one kind; with ``distinct``, no entry twice."""
 
-    def __init__(self, item: Leaf):
+    def __init__(self, item: Leaf, distinct: bool = False):
         super().__init__("a non-empty list", lambda v: isinstance(v, list) and bool(v))
-        self.item = item
+        self.item, self.distinct = item, distinct
 
     def check(self, value, key: str) -> None:
         super().check(value, key)
         for i, item in enumerate(value):
             self.item.check(item, f"{key}[{i}]")
+            if self.distinct and item in value[:i]:
+                raise ConfigError(f"'{key}' must not repeat an entry, got {item!r} "
+                                  "more than once")
 
 
 class Tagged(Leaf):
@@ -131,9 +136,9 @@ SCHEMA = {  # dotted leaf -> (default, kind)
     "task.n_shot": (100, COUNT),
     "method": ("pac-tuning", one_of(pipeline.METHODS)),
     "methods": (["pac-tuning", "vanilla", "noise-injection"],
-                ListOf(one_of(pipeline.METHODS))),
+                ListOf(one_of(pipeline.METHODS), distinct=True)),
     "tasks": (["blobs-rotate", "spirals-shift", "xor-noise"],
-              ListOf(one_of(datasets.BUILTIN_TASKS))),
+              ListOf(one_of(datasets.BUILTIN_TASKS), distinct=True)),
     "model.hidden": ([24, 12], ListOf(COUNT)),
     "model.activation": ("tanh", one_of(models.ACTIVATIONS)),
     "model.freeze_first_layer": (True, BOOL),
@@ -167,7 +172,7 @@ SCHEMA = {  # dotted leaf -> (default, kind)
                 Tagged({"fixed": bound.FixedK, "running": bound.RunningK},
                        {"value": POSITIVE, "ema_decay": FRACTION})),
     "noise_injection.sigma": (0.01, NONNEGATIVE),
-    "seeds": ([1, 2, 10, 26, 100], ListOf(SEED)),
+    "seeds": ([1, 2, 10, 26, 100], ListOf(SEED, distinct=True)),
     "checkpoint": (None, STRING_OR_NULL),
     "out_dir": ("pactune-out", PATH),
     # task name -> partial config, checked by _check and as the task's view
@@ -296,16 +301,11 @@ def _json_object(path) -> dict:
     return doc
 
 
-def load_config(path: str | None, sets=(), seed: int | None = None,
-                out: str | None = None) -> dict:
+def load_config(path: str | None, sets=()) -> dict:
     user = {} if path is None else _read("config file", path, lambda: _json_object(path))
     config = _deep_merge(DEFAULT_CONFIG, user)
     for entry in sets:
         _apply_set(config, *_parse_set(entry))
-    if seed is not None:
-        config["seeds"] = [seed]
-    if out is not None:
-        config["out_dir"] = out
     _check(config)
     for task_name in config["tasks"]:
         _check(task_config(config, task_name), _view_prefix(config, task_name))
@@ -608,31 +608,45 @@ def cmd_inspect_noise(config: dict, noise_path: str) -> int:
 # --- argument parsing -----------------------------------------------------------
 
 
-def make_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="path to a JSON config document")
-    common.add_argument("--seed", type=int, help="replace the config's seed list")
-    common.add_argument("--out", help="output directory")
-    common.add_argument("--workers", type=int, default=1,
-                        help="parallel workers for benchmark runs")
-    common.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                        help="override a config leaf via its dotted path")
+class _Parser(argparse.ArgumentParser):
+    """Flags are spelled out, not abbreviated, and a bad command line is a
+    config error: one line from ``main``, exit 2."""
 
-    parser = argparse.ArgumentParser(
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def make_parser() -> argparse.ArgumentParser:
+    """Each command takes only the flags it reads."""
+    config = _Parser(add_help=False)
+    config.add_argument("--config", help="path to a JSON config document")
+    config.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                        help="override a config leaf via its dotted path")
+    config.add_argument("--out", help='output directory: --set out_dir="OUT", applied last')
+    seed = _Parser(add_help=False, parents=[config])
+    seed.add_argument("--seed", type=int, help="--set seeds=[SEED], applied last")
+    workers = _Parser(add_help=False, parents=[seed])
+    workers.add_argument("--workers", type=int, default=1,
+                         help="parallel benchmark runs, at least 1")
+
+    parser = _Parser(
         prog="pactune",
         description="Two-stage bound-minimizing fine-tuning and its baselines.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("generate-data", parents=[common],
+    sub.add_parser("generate-data", parents=[config],
                    help="write the task's source/target datasets as CSV")
-    sub.add_parser("pretrain", parents=[common],
+    sub.add_parser("pretrain", parents=[config],
                    help="train on the source task and write a checkpoint")
-    sub.add_parser("finetune", parents=[common],
+    sub.add_parser("finetune", parents=[seed],
                    help="fine-tune from a checkpoint with the configured method")
-    sub.add_parser("benchmark", parents=[common],
+    sub.add_parser("benchmark", parents=[workers],
                    help="run all tasks x methods x seeds and write a report")
-    sub.add_parser("gradcheck", parents=[common],
+    sub.add_parser("gradcheck",
                    help="finite-difference check of every op and the full objective")
-    inspect = sub.add_parser("inspect-noise", parents=[common],
+    inspect = sub.add_parser("inspect-noise", parents=[config],
                              help="export an importance ranking from a noise file")
     inspect.add_argument("noise_file", help="noise-state JSON file")
     return parser
@@ -640,19 +654,24 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    args = make_parser().parse_args(argv)
     try:
-        if args.workers < 1:
-            raise ConfigError(f"--workers must be at least 1, got {args.workers}")
-        config = load_config(args.config, sets=args.set, seed=args.seed, out=args.out)
+        args = make_parser().parse_args(argv)
+        if args.command == "gradcheck":
+            return cmd_gradcheck()
+        workers = getattr(args, "workers", 1)
+        if workers < 1:
+            raise ConfigError(f"--workers must be at least 1, got {workers}")
+        # --seed N and --out D are the --set entries they stand for, applied last
+        seed, out = getattr(args, "seed", None), args.out
+        shorthands = [f"seeds=[{seed}]"] if seed is not None else []
+        shorthands += [f"out_dir={json.dumps(out)}"] if out is not None else []
+        config = load_config(args.config, args.set + shorthands)
         single_task = {"generate-data": cmd_generate_data, "pretrain": cmd_pretrain,
                        "finetune": cmd_finetune}
         if args.command in single_task:  # each runs on its task's view of the config
             return single_task[args.command](task_config(config))
         if args.command == "benchmark":
-            return cmd_benchmark(config, workers=args.workers)
-        if args.command == "gradcheck":
-            return cmd_gradcheck()
+            return cmd_benchmark(config, workers=workers)
         return cmd_inspect_noise(config, args.noise_file)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -260,7 +260,8 @@ class StepWorkspace:
     ``noisy`` (with layer views and trainable suffix), a copy of θ that a
     perturbing step writes: the perturbed and stage-1 steps its trainable
     suffix, the random-layer step all of it (it refreshes ``noisy`` from θ,
-    then may perturb a frozen layer 0).
+    then may perturb a frozen layer 0). A stage-1 step's ``bound.pac_objective``
+    writes ``std``, ``kl_dw``, ``kl_dp`` and ``noise_grad``.
 
     Given the loop's evaluation inputs ``eval_x``, it also holds one output
     buffer per layer for their rows, which ``predict_eval`` fills in place.
@@ -284,6 +285,9 @@ class StepWorkspace:
         self.noisy = model.theta.copy()
         self.noisy_params = layout.views(self.noisy)
         self.noisy_trainable = self.noisy[layout.start:]
+        n = layout.trainable_size
+        self.std, self.kl_dw, self.kl_dp = np.empty(n), np.empty(n), np.empty(n)
+        self.noise_grad = np.empty(n + 2)
         if eval_x is not None:
             rows = len(eval_x)
             self.eval_x = eval_x

@@ -222,7 +222,7 @@ def stage1_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
         tau = noise_rng.standard_normal(packer.trainable_size)
         terms, noise_grad = pac_objective(work, noise, x, y, bound_cfg, tau, tracker.value,
                                           var, l_pac_weight=cfg.l_pac_weight)
-        if not np.isfinite(terms.j_total):
+        if not math.isfinite(terms.j_total):
             raise ad.NumericsError("the objective is not finite")
         tracker.update(terms.l_train)
         lr_h = schedule_value(cfg.lr_noise_head, next(update_index))

@@ -171,13 +171,35 @@ def test_criterion_05_two_stage_dynamics(blobs_setup):
                f"stage-2-only-from-scratch in {wins_b}/5")
 
 
+@pytest.fixture(scope="module")
+def _pretrained():
+    return {}
+
+
+@pytest.fixture
+def shared_pretrain(monkeypatch, _pretrained):
+    """Criteria 6 and 7 pretrain the same tasks on the same pretrain and model
+    config, and pretraining reads no ``task.n_shot``: one pretrain per task
+    serves all three. Criterion 8 pretrains without it."""
+    pretrain = cli.pretrain_for_task
+
+    def memo(config, source):
+        task = {k: v for k, v in config["task"].items() if k != "n_shot"}
+        key = json.dumps([task, config["pretrain"], config["model"]], sort_keys=True)
+        if key not in _pretrained:
+            _pretrained[key] = pretrain(config, source)
+        return _pretrained[key]
+
+    monkeypatch.setattr(cli, "pretrain_for_task", memo)
+
+
 def _benchmark_means(config):
     report_doc, _ = cli.run_benchmark(config)
     return {task: {m: r["mean_accuracy"] for m, r in by_m.items()}
             for task, by_m in report_doc["results"].items()}
 
 
-def test_criterion_06_comparative_benchmark(default_config):
+def test_criterion_06_comparative_benchmark(default_config, shared_pretrain):
     start = time.monotonic()
     means = _benchmark_means(default_config)
     elapsed = time.monotonic() - start
@@ -193,7 +215,7 @@ def test_criterion_06_comparative_benchmark(default_config):
 
 
 @pytest.mark.parametrize("n_shot", [50, 20])
-def test_criterion_07_stability(default_config, n_shot):
+def test_criterion_07_stability(default_config, shared_pretrain, n_shot):
     config = cli._deep_merge(default_config, {"task": {"n_shot": n_shot}})
     means = _benchmark_means(config)
     worst_gap = max(max(ms.values()) - ms["pac-tuning"] for ms in means.values())

@@ -110,10 +110,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="^unknown config key 'stage1.nope'$"):
             load_config(None, sets=["stage1.nope=1"])
 
-    def test_seed_and_out_flags(self):
-        cfg = load_config(None, seed=42, out="somewhere")
-        assert cfg["seeds"] == [42]
-        assert cfg["out_dir"] == "somewhere"
+    def test_seed_and_out_are_set_shorthands_applied_last(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_finetune", lambda config: seen.append(config) or 0)
+        sets = ["seeds=[3]", 'out_dir="elsewhere"']
+        assert main(["finetune", "--seed", "42", "--out", "some\u00e9 \"where\"",
+                     *(a for entry in sets for a in ("--set", entry))]) == EXIT_OK
+        assert seen == [cli.task_config(load_config(
+            None, [*sets, "seeds=[42]", 'out_dir="some\u00e9 \\"where\\""']))]
+        assert (seen[0]["seeds"], seen[0]["out_dir"]) == ([42], 'some\u00e9 "where"')
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "c.json"
@@ -210,6 +215,10 @@ class TestConfig:
         ("pretrain.lr_backbone=1e400", "pretrain.lr_backbone"),
         ("stage1.lr_head=Infinity", "stage1.lr_head"),
         ('bound.k={"kind": "fixed", "value": 1, "bogus": 3}', "bound.k.bogus"),
+        ("seeds=[3,3]", "seeds"),
+        ("seeds=[1,2,1]", "seeds"),
+        ('methods=["vanilla","vanilla"]', "methods"),
+        ('tasks=["xor-noise","xor-noise"]', "tasks"),
     ])
     def test_invalid_leaf_exits_config_before_work(self, tmp_path, capsys, setting,
                                                    key):
@@ -248,8 +257,7 @@ class TestConfig:
         assert re.fullmatch(rf"config error: '{key}' must be [^\n]+\n", err), err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
-    @pytest.mark.parametrize("command, workers", [("benchmark", "0"), ("benchmark", "-3"),
-                                                  ("pretrain", "0")])
+    @pytest.mark.parametrize("command, workers", [("benchmark", "0"), ("benchmark", "-3")])
     def test_workers_below_one_exit_config_before_work(self, tmp_path, capsys, monkeypatch,
                                                        command, workers):
         monkeypatch.setattr(cli, "pretrain_for_task", None)  # no work may start
@@ -259,6 +267,40 @@ class TestConfig:
         assert captured.err == f"config error: --workers must be at least 1, got {workers}\n"
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
+
+    # a flag the command does not read, an unknown one, or a bad flag value
+    @pytest.mark.parametrize("argv, message", [
+        (["pretrain", "--seed", "3"], "unrecognized arguments: --seed 3"),
+        (["pretrain", "--workers", "0"], "unrecognized arguments: --workers 0"),
+        (["gradcheck", "--workers", "0"], "unrecognized arguments: --workers 0"),
+        (["pretrain", "--bogus"], "unrecognized arguments: --bogus"),
+        (["finetune", "--see", "3"], "unrecognized arguments: --see 3"),
+        (["benchmark", "--workers", "x"], "argument --workers: invalid int value: 'x'"),
+        (["finetune", "--seed", "1.5"], "argument --seed: invalid int value: '1.5'"),
+        ([], "the following arguments are required: command"),
+        (["inspect-noise"], "the following arguments are required: noise_file"),
+    ])
+    def test_bad_command_line_exits_config_before_work(self, tmp_path, capsys, monkeypatch,
+                                                       argv, message):
+        monkeypatch.chdir(tmp_path)  # where the default out_dir would be made
+        for name in ("pretrain_for_task", "cmd_gradcheck", "load_config"):
+            monkeypatch.setattr(cli, name, None)  # no work may start
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {message}\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--help"], ["pretrain", "--help"],
+                                      ["gradcheck", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: pactune")
+
+    def test_a_model_may_repeat_a_width(self):
+        assert load_config(None, ["model.hidden=[8,8]"])["model"]["hidden"] == [8, 8]
 
 
     def test_n_shot_below_an_explicit_target_size(self, tmp_path):
@@ -628,7 +670,8 @@ class TestTaskFileReads:
         argv = _csv_task_argv(source, target, command, "--config", tiny_config(tmp_path),
                               "--set", 'tasks=["blobs-rotate"]',
                               "--set", 'methods=["vanilla"]')
-        assert main(argv) == EXIT_OK
+        # gradcheck takes no flag, so a task file given to it is a config error
+        assert main(argv) == (EXIT_CONFIG if command == "gradcheck" else EXIT_OK)
         assert reads == []
 
 

@@ -18,6 +18,11 @@ byte-order mark. The contract:
 
 The seed and the case count are fixed; numbers are never mutated into large
 integers, as a large valid count or size is a long run, not a fault.
+
+The command line is mutated too: an unknown flag, each flag on a command that
+does not read it, a ``--seed`` or ``--workers`` that is not an integer >= its
+floor, a missing command and a missing noise file. Each exits 2 with one
+``config error:`` line that names the flag, key or argument.
 """
 
 import csv
@@ -269,9 +274,10 @@ def _names_once(line: str, files: dict) -> bool:
         any(key in cli.DEFAULT_CONFIG for key in re.findall(r"'(\w+)[.\[']", line))
 
 
-def check_contract(argv: list[str], files: dict, where, capsys) -> None:
-    """Run ``argv``, whose output directory is ``where / "out"``, and check
-    the exit contract."""
+def check_contract(argv: list[str], files: dict, where, capsys, named=None) -> int:
+    """Run ``argv``, whose output directory is ``where / "out"``, check the
+    exit contract and return the exit code. With ``named``, an exit-2 line
+    must name it, a flag or an argument, in place of a key or a file."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = cli.main(argv)
@@ -286,10 +292,45 @@ def check_contract(argv: list[str], files: dict, where, capsys) -> None:
             assert not bad, (argv, path.name, bad)
     elif code == cli.EXIT_CONFIG:
         assert re.fullmatch(r"config error: [^\n]+\n", err), (argv, err)
-        assert _names_once(err, files), (argv, err)
+        assert named in err if named else _names_once(err, files), (argv, err)
     else:
         assert code == cli.EXIT_DIVERGENCE, (argv, code, err)
         assert DIVERGENCE.fullmatch(err), (argv, err)
+    return code
+
+
+# the flags each command reads (README, "CLI"); benchmark reads them all
+FLAGS = {"generate-data": ["--config", "--set", "--out"],
+         "pretrain": ["--config", "--set", "--out"],
+         "finetune": ["--config", "--set", "--out", "--seed"],
+         "benchmark": ["--config", "--set", "--out", "--seed", "--workers"],
+         "gradcheck": [],
+         "inspect-noise": ["--config", "--set", "--out"]}
+# a value that the commands reading the flag take
+VALUE = {"--config": "{config}", "--set": "stage1.epochs=1", "--out": "{out}",
+         "--seed": "3", "--workers": "2"}
+# (command, what follows its valid argv, what the error line names); with no
+# command, the whole argv
+ARGV_CASES = [
+    *[(command, [flag, VALUE[flag]], flag) for command, reads in FLAGS.items()
+      for flag in FLAGS["benchmark"] if flag not in reads],
+    *[(command, ["--bogus"], "--bogus") for command in FLAGS],
+    *[(command, [flag, value], "'seeds[0]'" if (flag, value) == ("--seed", "-1") else flag)
+      for command, reads in FLAGS.items() for flag in ("--seed", "--workers")
+      if flag in reads for value in ("x", "1.5", "-1", "")],
+    (None, [], "command"),
+    (None, ["inspect-noise", "--config", "{config}", "--out", "{out}"], "noise_file"),
+]
+
+
+@pytest.mark.parametrize("command, extra, named", ARGV_CASES,
+                         ids=[" ".join([c or "", *e]) for c, e, _ in ARGV_CASES])
+def test_mutated_argv(tmp_path, monkeypatch, capsys, inputs, command, extra, named):
+    monkeypatch.chdir(tmp_path)
+    argv = [] if command is None else \
+        [command] if command == "gradcheck" else _argv(command, inputs, [], tmp_path)
+    argv += [a.format(config=inputs["config"], out=tmp_path / "out") for a in extra]
+    assert check_contract(argv, inputs, tmp_path, capsys, named) == cli.EXIT_CONFIG
 
 
 @pytest.mark.parametrize("case", range(N_CASES))

@@ -548,7 +548,7 @@ class TestStepWorkspace:
             model, train, dev, cfg, data_rng, step, stage=1, diagnostics=diagnostics))
         assert np.array_equal(learned.params, ref_noise.params)
 
-    def test_returned_gradients_survive_the_next_step(self, run):
+    def test_objective_gradients_live_in_the_workspace(self, run):
         model, noise, train, _ = run(True)
         work = StepWorkspace(model, 1e-3, 1e-2)
         cfg = BoundConfig(m=len(train))
@@ -559,12 +559,13 @@ class TestStepWorkspace:
         _, first = pac_objective(work, noise, x, y, cfg, rng.standard_normal(n), k, var)
         kept = (work.grad.copy(), first.copy())
         _, second = pac_objective(work, noise, x, y, cfg, rng.standard_normal(n), k, var)
-        # dJ/dw lives in the workspace, where the next step's replaces it
+        # dJ/dw and the noise gradient live in the workspace, where the next
+        # step's replace them
+        assert first is second is work.noise_grad
         assert not np.array_equal(work.grad, kept[0])
-        assert np.array_equal(first, kept[1])
+        assert not np.array_equal(second, kept[1])
         buffers = (work.grad, work.noisy, work.lr, model.theta)
-        for grad in (first, second):
-            assert not any(np.shares_memory(grad, b) for b in buffers)
+        assert not any(np.shares_memory(second, b) for b in buffers)
         # the loss gradient stays in the workspace; no array is handed out
         loss = models.loss_and_grads(work, work.params, x, y)
         assert isinstance(loss, float)

@@ -21,7 +21,7 @@ the checkout that holds this script):
   ``blobs-rotate`` setting fewer pretrain, stage-1 and stage-2 epochs):
   ``pretrain-override`` runs ``pactune pretrain``, and ``finetune-override``
   runs ``pactune finetune --seed 1`` from that checkpoint;
-- eight error paths and their one-line stderr: ``pactune pretrain`` with
+- nine error paths and their one-line stderr: ``pactune pretrain`` with
   ``pretrain.batch_size=0`` (exit 2), ``pactune finetune --seed 2`` from
   the pretrain checkpoint with ``stage1.lr_head=1e308``, which diverges in
   stage 1 (exit 3), ``error-unknown-set``, ``pactune pretrain`` with
@@ -33,9 +33,11 @@ the checkout that holds this script):
   (``task.n_shot=1``; exit 2), ``error-pretrain-divergence``,
   ``pactune pretrain`` with ``pretrain.lr_head=1e308`` (exit 3),
   ``error-task-name``, ``pactune finetune --seed 1`` on the CSV task with
-  ``task.name="a/b"``, no file name (exit 2), and ``error-memory``,
+  ``task.name="a/b"``, no file name (exit 2), ``error-memory``,
   ``pactune pretrain`` with ``model.hidden=[10000000000000000]``, a model
-  too large for memory (exit 2). A failed command leaves no ``OUT/<name>/``.
+  too large for memory (exit 2), and ``error-flag``, ``pactune pretrain
+  --seed 3``, a flag that ``pretrain`` does not read (exit 2). A failed
+  command leaves no ``OUT/<name>/``.
 
 Each command writes into ``OUT/<name>/`` and leaves its stdout, stderr and
 exit code in ``OUT/<name>.stdout``, ``.stderr`` and ``.exit``. Every path a
@@ -130,7 +132,8 @@ def commands() -> list[tuple[str, list[str]]]:
                                         "--out", "error-task-name"]),
              ("error-memory", cli + ["pretrain", "--set",
                                      "model.hidden=[10000000000000000]",
-                                     "--out", "error-memory"])]
+                                     "--out", "error-memory"]),
+             ("error-flag", cli + ["pretrain", "--seed", "3", "--out", "error-flag"])]
     return runs
 
 
