@@ -119,9 +119,10 @@ NONNEGATIVE = Leaf("a finite number >= 0", lambda v: _finite(v) and v >= 0)
 FRACTION = Leaf("a number in (0, 1)", lambda v: _finite(v) and 0 < v < 1)
 BOOL = Leaf("true or false", lambda v: isinstance(v, bool))
 STRING = Leaf("a string", lambda v: isinstance(v, str))
-PATH = Leaf("a string without a NUL byte", lambda v: isinstance(v, str) and "\0" not in v)
+PATH = Leaf("a non-empty string without a NUL byte",
+            lambda v: isinstance(v, str) and v != "" and "\0" not in v)
 NAME = Leaf("a file name: not empty, '.' or '..', and without '/' or a NUL byte",
-            lambda v: PATH.ok(v) and "/" not in v and v not in ("", ".", ".."))
+            lambda v: PATH.ok(v) and "/" not in v and v not in (".", ".."))
 STRING_OR_NULL = Leaf("a string or null", lambda v: v is None or isinstance(v, str))
 SPEC = Leaf("null or an object", lambda v: v is None or isinstance(v, dict),
             {f.name: {"int": SEED, "float": Leaf("a finite number", _finite),
@@ -619,43 +620,45 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def make_parser() -> argparse.ArgumentParser:
-    """Each command takes only the flags it reads."""
-    config = _Parser(add_help=False)
-    config.add_argument("--config", help="path to a JSON config document")
-    config.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                        help="override a config leaf via its dotted path")
-    config.add_argument("--out", help='output directory: --set out_dir="OUT", applied last')
-    seed = _Parser(add_help=False, parents=[config])
-    seed.add_argument("--seed", type=int, help="--set seeds=[SEED], applied last")
-    workers = _Parser(add_help=False, parents=[seed])
-    workers.add_argument("--workers", type=int, default=1,
-                         help="parallel benchmark runs, at least 1")
+FLAGS = {
+    "--config": {"help": "path to a JSON config document"},
+    "--set": {"action": "append", "default": [], "metavar": "KEY=VALUE",
+              "help": "override a config leaf via its dotted path"},
+    "--out": {"help": 'output directory: --set out_dir="OUT", applied last'},
+    "--seed": {"type": int, "help": "--set seeds=[SEED], applied last"},
+    "--workers": {"type": int, "default": 1, "help": "parallel benchmark runs, at least 1"},
+}
+CONFIG, SEED = ["--config", "--set", "--out"], ["--config", "--set", "--out", "--seed"]
+COMMANDS = {  # each command's help and the only flags it takes, the ones it reads
+    "generate-data": ("write the task's source/target datasets as CSV", CONFIG),
+    "pretrain": ("train on the source task and write a checkpoint", CONFIG),
+    "finetune": ("fine-tune from a checkpoint with the configured method", SEED),
+    "benchmark": ("run all tasks x methods x seeds and write a report", SEED + ["--workers"]),
+    "gradcheck": ("finite-difference check of every op and the full objective", []),
+    "inspect-noise": ("export an importance ranking from a noise file", CONFIG),
+}
 
-    parser = _Parser(
-        prog="pactune",
-        description="Two-stage bound-minimizing fine-tuning and its baselines.")
+
+def make_parser() -> argparse.ArgumentParser:
+    """Each command takes the flags ``COMMANDS`` gives it."""
+    parser = _Parser(prog="pactune",
+                     description="Two-stage bound-minimizing fine-tuning and its baselines.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("generate-data", parents=[config],
-                   help="write the task's source/target datasets as CSV")
-    sub.add_parser("pretrain", parents=[config],
-                   help="train on the source task and write a checkpoint")
-    sub.add_parser("finetune", parents=[seed],
-                   help="fine-tune from a checkpoint with the configured method")
-    sub.add_parser("benchmark", parents=[workers],
-                   help="run all tasks x methods x seeds and write a report")
-    sub.add_parser("gradcheck",
-                   help="finite-difference check of every op and the full objective")
-    inspect = sub.add_parser("inspect-noise", parents=[config],
-                             help="export an importance ranking from a noise file")
-    inspect.add_argument("noise_file", help="noise-state JSON file")
+    for name, (text, flags) in COMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        for flag in flags:
+            command.add_argument(flag, **FLAGS[flag])
+    sub.choices["inspect-noise"].add_argument("noise_file", help="noise-state JSON file")
     return parser
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
-        args = make_parser().parse_args(argv)
+        args, extra = make_parser().parse_known_args(argv)
+        if extra:
+            raise ConfigError(f"{args.command} does not take {' '.join(extra)}; it takes "
+                              f"{', '.join(COMMANDS[args.command][1]) or 'no flags'}")
         if args.command == "gradcheck":
             return cmd_gradcheck()
         workers = getattr(args, "workers", 1)

@@ -23,11 +23,12 @@ builds the fine-tuned model, so no stage rebuilds it.
 
 Every run owns its RNG streams, split by purpose (head init, batch order,
 noise draws), so e.g. a zero-noise perturbed run consumes the same batch
-order as a vanilla run. Dev metrics always use the noise-free forward pass at
-the posterior mean. Each epoch's ``evaluate`` runs on the loop's workspace:
-a frozen first layer's dev output is computed (and checked) at the first
-evaluation and reused, as the steps never write the frozen prefix of θ, so
-later evaluations run the other layers only, into buffers built once.
+order as a vanilla run. Each epoch gathers the training rows in its order
+once and gives each step a slice. Dev metrics always use the noise-free
+forward pass at the posterior mean. Each epoch's ``evaluate`` runs on the
+loop's workspace: a frozen first layer's dev output is computed (and checked)
+at the first evaluation and reused, as the steps never write the frozen prefix
+of θ, so later evaluations run the other layers only, into buffers built once.
 """
 
 from __future__ import annotations
@@ -82,12 +83,6 @@ class Stage2Config:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("stage 2 needs at least one epoch")
-
-
-def batch_indices(n: int, batch_size: int, rng: np.random.Generator):
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
 
 
 def metrics(preds, labels) -> dict:
@@ -167,18 +162,19 @@ def _descend(model: MLPClassifier, train: Dataset, dev: Dataset, cfg, data_rng,
                              f"{data.n_classes}, does not fit layers {model.layer_sizes}")
     model = model.copy()
     work = StepWorkspace(model, cfg.lr_backbone, cfg.lr_head, weight_decay, dev.x)
-    trace = []
-    n_batches = (len(train) + cfg.batch_size - 1) // cfg.batch_size
+    trace, n, size = [], len(train), cfg.batch_size
+    n_batches = (n + size - 1) // size
     # a divergence ends as one DivergenceError from the finiteness guards,
     # not as numpy warnings on stderr ahead of it, in workers too
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(epoch_offset, epoch_offset + cfg.epochs):
             loss_sum = 0.0
+            order = data_rng.permutation(n)  # the epoch's rows, gathered once and sliced
+            xs, ys = train.x[order], train.y[order]
             # the evaluation checks the last batch's update, so it names that batch
             try:
-                for batch, idx in enumerate(batch_indices(len(train), cfg.batch_size,
-                                                          data_rng)):
-                    loss_sum += step(work, train.x[idx], train.y[idx])
+                for batch, start in enumerate(range(0, n, size)):
+                    loss_sum += step(work, xs[start:start + size], ys[start:start + size])
                 dev_metrics = evaluate(model, dev, work)
             except ad.NumericsError as e:
                 raise DivergenceError(

@@ -9,7 +9,7 @@ from pactune.bound import (K_FLOOR, BoundTerms, FixedGamma, FixedK, generic_boun
                            pac_objective)
 from pactune.models import ParamGroup, StepWorkspace, loss_and_grads
 from pactune.optim import WEIGHT_DECAY, AdamState, adam_step, schedule_value
-from pactune.pipeline import batch_indices, evaluate
+from pactune.pipeline import evaluate
 
 
 def mc_kl(mu_q, var_q, mu_p, var_p, n_samples, seed, antithetic=True):
@@ -269,13 +269,16 @@ def stage2_diagnostics(noise, delta, m):
 def reference_descend(model, train, dev, cfg, data_rng, step, stage=0, epoch_offset=0,
                       diagnostics=None):
     """``pipeline._descend`` with ``step(model, x, y, adam)``, which builds its
-    own buffers, and ``diagnostics(model, kl_b, kl_h)``."""
+    own buffers and runs every layer on the raw rows it is given, and
+    ``diagnostics(model, kl_b, kl_h)``."""
     model = model.copy()
     adam = AdamState(model.layout.trainable_size)
     trace = []
     for epoch in range(epoch_offset, epoch_offset + cfg.epochs):
-        steps = [step(model, train.x[idx], train.y[idx], adam)
-                 for idx in batch_indices(len(train), cfg.batch_size, data_rng)]
+        order = data_rng.permutation(len(train))
+        batches = [order[start:start + cfg.batch_size]
+                   for start in range(0, len(train), cfg.batch_size)]
+        steps = [step(model, train.x[idx], train.y[idx], adam) for idx in batches]
         sums = [0.0] * 4
         for terms in steps:
             sums = [s + t for s, t in zip(sums, terms)]

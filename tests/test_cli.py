@@ -229,11 +229,14 @@ class TestConfig:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    # a row of the table above cannot hold these: their --out replaces out_dir;
+    # an empty out_dir would write into the working directory
+    @pytest.mark.parametrize("argv", [["--set", "out_dir=5"], ["--out", ""],
+                                      ["--set", 'out_dir=""']])
     def test_non_string_out_dir_exits_config_before_work(self, tmp_path, capsys,
-                                                         monkeypatch):
-        # a row of the table above cannot hold it: their --out replaces out_dir
+                                                         monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
-        code = main(["pretrain", "--set", "out_dir=5"])
+        code = main(["pretrain", *argv])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert err.startswith("config error:") and "'out_dir'" in err
@@ -268,13 +271,23 @@ class TestConfig:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
-    # a flag the command does not read, an unknown one, or a bad flag value
+    # a flag the command does not read, an unknown one, or a bad flag value; what
+    # the command does not take is named with the command and the flags it takes
     @pytest.mark.parametrize("argv, message", [
-        (["pretrain", "--seed", "3"], "unrecognized arguments: --seed 3"),
-        (["pretrain", "--workers", "0"], "unrecognized arguments: --workers 0"),
-        (["gradcheck", "--workers", "0"], "unrecognized arguments: --workers 0"),
-        (["pretrain", "--bogus"], "unrecognized arguments: --bogus"),
-        (["finetune", "--see", "3"], "unrecognized arguments: --see 3"),
+        (["pretrain", "--seed", "3"],
+         "pretrain does not take --seed 3; it takes --config, --set, --out"),
+        (["pretrain", "--workers", "0"],
+         "pretrain does not take --workers 0; it takes --config, --set, --out"),
+        (["gradcheck", "--workers", "0"],
+         "gradcheck does not take --workers 0; it takes no flags"),
+        (["pretrain", "--bogus"],
+         "pretrain does not take --bogus; it takes --config, --set, --out"),
+        (["finetune", "--see", "3"],
+         "finetune does not take --see 3; it takes --config, --set, --out, --seed"),
+        (["benchmark", "--bogus"], "benchmark does not take --bogus; "
+         "it takes --config, --set, --out, --seed, --workers"),
+        (["inspect-noise", "a.json", "b.json"],
+         "inspect-noise does not take b.json; it takes --config, --set, --out"),
         (["benchmark", "--workers", "x"], "argument --workers: invalid int value: 'x'"),
         (["finetune", "--seed", "1.5"], "argument --seed: invalid int value: '1.5'"),
         ([], "the following arguments are required: command"),

@@ -571,6 +571,104 @@ class TestStepWorkspace:
         assert isinstance(loss, float)
 
 
+class TestEpochSlices:
+    """Each epoch's rows gathered once and sliced per step, against the
+    reference loop, which gathers every batch's rows itself: bit for bit, for
+    every batch size up to 32, each with a 1-row last batch, and with a frozen
+    first layer. A BLAS whose rows of a product depend on the rows around them,
+    or on where they sit in memory, fails here."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        rng = np.random.default_rng(8)
+        return (rng.standard_normal((97, 6)), rng.integers(0, 3, 97),
+                datasets.Dataset(rng.standard_normal((50, 6)), rng.integers(0, 3, 50)))
+
+    @staticmethod
+    def start(data, size, activation):
+        x, y, dev = data
+        n = size * (96 // size) + 1  # the last batch holds 1 row
+        model = models.init_weights([6, 24, 12, 3], np.random.default_rng(9), activation,
+                                    freeze_first_layer=True)
+        return model, datasets.Dataset(x[:n].copy(), y[:n]), dev
+
+    @staticmethod
+    def assert_same(got, want):
+        (model, trace), (ref_model, ref_trace) = got, want
+        assert np.array_equal(model.theta, ref_model.theta)
+        assert trace == ref_trace
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("size", range(1, 33))
+    def test_plain(self, data, size, activation):
+        model, train, dev = self.start(data, size, activation)
+        cfg = Stage2Config(epochs=2, batch_size=size, lr_backbone=3e-2, lr_head=5e-2)
+        self.assert_same(
+            vanilla_finetune(model, train, dev, cfg, np.random.default_rng(4)),
+            helpers.reference_descend(model, train, dev, cfg, np.random.default_rng(4),
+                                      helpers.plain_step(cfg)))
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("size", [1, 2, 17, 32])
+    def test_noise_injection(self, data, monkeypatch, size, activation):
+        model, train, dev = self.start(data, size, activation)
+        cfg = Stage2Config(epochs=4, batch_size=size)
+        frozen = slice(*model.layout.layers[0][:2])
+        picked_first, real = [], pipeline.random_layer_noise_step
+
+        def step(work, *args):  # did the step's noise go into the frozen layer 0?
+            loss = real(work, *args)
+            picked_first.append(not np.array_equal(work.noisy[frozen],
+                                                   work.model.theta[frozen]))
+            return loss
+
+        monkeypatch.setattr(pipeline, "random_layer_noise_step", step)
+        self.assert_same(
+            noise_injection_finetune(model, train, dev, cfg, 0.05, np.random.default_rng(4),
+                                     np.random.default_rng(5)),
+            helpers.reference_descend(model, train, dev, cfg, np.random.default_rng(4),
+                                      helpers.random_layer_step(cfg, 0.05,
+                                                                np.random.default_rng(5))))
+        assert any(picked_first) and not all(picked_first)
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("size", [1, 2, 32])
+    def test_perturbed_and_stage1(self, data, size, activation):
+        model, train, dev = self.start(data, size, activation)
+        noise = init_noise_state(model)
+        cfg2 = Stage2Config(epochs=2, batch_size=size)
+        bound_cfg = BoundConfig(m=len(train))
+        self.assert_same(
+            stage2_train(model, noise, train, dev, cfg2, np.random.default_rng(4),
+                         np.random.default_rng(5), bound_cfg),
+            helpers.reference_descend(
+                model, train, dev, cfg2, np.random.default_rng(4),
+                helpers.pgd_step(cfg2, noise, np.random.default_rng(5)), stage=2,
+                diagnostics=helpers.stage2_diagnostics(noise, bound_cfg.delta, len(train))))
+        cfg1 = small_stage1(epochs=2, batch_size=size)
+        model_out, learned, trace = stage1_train(model, noise, train, dev, cfg1, bound_cfg,
+                                                 np.random.default_rng(4),
+                                                 np.random.default_rng(5))
+        ref_noise = noise.copy()
+        step, diagnostics = helpers.stage1_step(cfg1, bound_cfg, ref_noise,
+                                                np.random.default_rng(5))
+        self.assert_same((model_out, trace), helpers.reference_descend(
+            model, train, dev, cfg1, np.random.default_rng(4), step, stage=1,
+            diagnostics=diagnostics))
+        assert np.array_equal(learned.params, ref_noise.params)
+
+    def test_non_finite_row_names_the_batch_that_holds_it(self, data):
+        model, train, dev = self.start(data, 8, "tanh")
+        train.x[50, 2] = np.inf
+        batch = int(np.flatnonzero(np.random.default_rng(0).permutation(len(train)) == 50)[0]
+                    ) // 8
+        want = (f"^vanilla fine-tuning diverged at epoch 0, batch {batch}: "
+                "layer 0 output is not finite$")
+        with pytest.raises(DivergenceError, match=want):
+            vanilla_finetune(model, train, dev, Stage2Config(epochs=2, batch_size=8),
+                             np.random.default_rng(0))
+
+
 class TestAppliedGradient:
     """After one step of each kind, ``work.grad`` holds the gradient
     ``work.adam`` applied: replaying the update from the loop's start with

@@ -11,7 +11,9 @@ the checkout that holds this script):
   once each for ``pac-tuning`` and ``vanilla`` without weight decay
   (``stage1.decay_weights=false``, ``stage2.weight_decay=false``), and
   ``finetune-fixed-k``, ``pac-tuning`` with a fixed K
-  (``bound.k={"kind":"fixed","value":0.5}``) and auto gamma;
+  (``bound.k={"kind":"fixed","value":0.5}``) and auto gamma, and
+  ``finetune-one-row``, ``pac-tuning`` on 97 training rows
+  (``task.n_shot=97``), so each epoch's last batch holds 1 row;
 - ``pactune inspect-noise`` on the pac-tuning run's noise file;
 - ``pactune gradcheck``;
 - ``pactune benchmark`` with ``--workers 1`` and with ``--workers 2``;
@@ -97,7 +99,10 @@ def commands() -> list[tuple[str, list[str]]]:
     runs += [("finetune-fixed-k",
               cli + ["finetune", "--seed", "1", "--set", f"checkpoint={CHECKPOINT}",
                      "--set", 'bound.k={"kind":"fixed","value":0.5}',
-                     "--set", 'bound.gamma.kind="auto"', "--out", "finetune-fixed-k"])]
+                     "--set", 'bound.gamma.kind="auto"', "--out", "finetune-fixed-k"]),
+             ("finetune-one-row",
+              cli + ["finetune", "--seed", "1", "--set", f"checkpoint={CHECKPOINT}",
+                     "--set", "task.n_shot=97", "--out", "finetune-one-row"])]
     runs += [("inspect-noise", cli + ["inspect-noise", NOISE, "--out", "inspect-noise"]),
              ("gradcheck", cli + ["gradcheck"])]
     runs += [(f"benchmark-w{n}", cli + ["benchmark", "--workers", str(n),
