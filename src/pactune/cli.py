@@ -628,14 +628,16 @@ FLAGS = {
     "--seed": {"type": int, "help": "--set seeds=[SEED], applied last"},
     "--workers": {"type": int, "default": 1, "help": "parallel benchmark runs, at least 1"},
 }
-CONFIG, SEED = ["--config", "--set", "--out"], ["--config", "--set", "--out", "--seed"]
+CONFIG_FLAGS = ["--config", "--set", "--out"]
+SEED_FLAGS = CONFIG_FLAGS + ["--seed"]
 COMMANDS = {  # each command's help and the only flags it takes, the ones it reads
-    "generate-data": ("write the task's source/target datasets as CSV", CONFIG),
-    "pretrain": ("train on the source task and write a checkpoint", CONFIG),
-    "finetune": ("fine-tune from a checkpoint with the configured method", SEED),
-    "benchmark": ("run all tasks x methods x seeds and write a report", SEED + ["--workers"]),
+    "generate-data": ("write the task's source/target datasets as CSV", CONFIG_FLAGS),
+    "pretrain": ("train on the source task and write a checkpoint", CONFIG_FLAGS),
+    "finetune": ("fine-tune from a checkpoint with the configured method", SEED_FLAGS),
+    "benchmark": ("run all tasks x methods x seeds and write a report",
+                  SEED_FLAGS + ["--workers"]),
     "gradcheck": ("finite-difference check of every op and the full objective", []),
-    "inspect-noise": ("export an importance ranking from a noise file", CONFIG),
+    "inspect-noise": ("export an importance ranking from a noise file", CONFIG_FLAGS),
 }
 
 

@@ -218,15 +218,13 @@ class MLPClassifier:
         return outs
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Logits for a batch."""
+        """Logits for a batch. No ``src`` code calls it: it is kept for perfbench's
+        tracer and as the tests' reference for ``StepWorkspace.predict_eval``."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ad.ShapeError(f"forward: batch shape {x.shape} does not match "
                                 f"input size {self.input_dim}")
         return self._outputs(list(zip(self.weights, self.biases)), x)[-1]
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.argmax(self.forward(x), axis=1)
 
 
 def _softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:

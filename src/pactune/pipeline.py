@@ -16,8 +16,10 @@ its own ``epoch_terms``. The loop checks once that its datasets fit the
 model, so no step checks a batch.
 
 A ``NumericsError`` of a step or of the epoch's evaluation after it (a
-non-finite layer output, loss or J, or a learned variance at 0 or inf)
-becomes a ``DivergenceError`` naming label, epoch and batch. The trainable
+non-finite layer output, loss or J, or a learned variance at 0 or inf), or a
+non-finite number in the epoch's record (say a KL whose weights' square sum
+overflows), becomes a ``DivergenceError`` naming label, epoch, batch and, for
+the record, its key, so no trace holds a non-finite number. The trainable
 layout is the model's own (``model.layout``), fixed when ``replace_head``
 builds the fine-tuned model, so no stage rebuilds it.
 
@@ -113,10 +115,11 @@ def metrics(preds, labels) -> dict:
 
 def evaluate(model: MLPClassifier, data: Dataset, work: StepWorkspace | None = None,
              ) -> dict:
-    """Dev metrics of ``model`` on ``data``; a descent loop passes its
-    workspace, built for ``model`` with ``data.x`` as its evaluation inputs."""
-    preds = model.predict(data.x) if work is None else work.predict_eval()
-    return metrics(preds, data.y)
+    """Metrics of ``model`` on ``data``, predicted by ``work``: a workspace for
+    ``model`` with ``data.x`` as its evaluation inputs, the loop's or a new one."""
+    if work is None:  # no update is taken
+        work = StepWorkspace(model, 0.0, 0.0, eval_x=data.x)
+    return metrics(work.predict_eval(), data.y)
 
 
 def importance_ranking(variances) -> np.ndarray:
@@ -171,25 +174,30 @@ def _descend(model: MLPClassifier, train: Dataset, dev: Dataset, cfg, data_rng,
             loss_sum = 0.0
             order = data_rng.permutation(n)  # the epoch's rows, gathered once and sliced
             xs, ys = train.x[order], train.y[order]
-            # the evaluation checks the last batch's update, so it names that batch
+            # the evaluation and the record check the last batch's update, so
+            # they name that batch
             try:
                 for batch, start in enumerate(range(0, n, size)):
                     loss_sum += step(work, xs[start:start + size], ys[start:start + size])
                 dev_metrics = evaluate(model, dev, work)
+                l_train = loss_sum / n_batches
+                terms = epoch_terms(model, n_batches) if epoch_terms else NO_EPOCH_TERMS
+                record = {
+                    "epoch": epoch,
+                    "stage": stage,
+                    "j_total": l_train + terms["l_pac"],
+                    "l_train": l_train,
+                    **terms,
+                    "dev_accuracy": dev_metrics["accuracy"],
+                    "dev_mcc": dev_metrics["mcc"],
+                }
+                for key, value in record.items():
+                    if not math.isfinite(value):
+                        raise ad.NumericsError(f"the epoch's {key} is not finite")
             except ad.NumericsError as e:
                 raise DivergenceError(
                     f"{label} diverged at epoch {epoch}, batch {batch}: {e}") from e
-            l_train = loss_sum / n_batches
-            terms = epoch_terms(model, n_batches) if epoch_terms else NO_EPOCH_TERMS
-            trace.append({
-                "epoch": epoch,
-                "stage": stage,
-                "j_total": l_train + terms["l_pac"],
-                "l_train": l_train,
-                **terms,
-                "dev_accuracy": dev_metrics["accuracy"],
-                "dev_mcc": dev_metrics["mcc"],
-            })
+            trace.append(record)
     return model, trace
 
 

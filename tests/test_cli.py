@@ -89,6 +89,9 @@ class TestConfig:
         assert cfg["stage1"]["epochs"] == 150
         assert cfg["seeds"] == [1, 2, 10, 26, 100]
 
+    def test_seed_kind_is_not_rebound(self):
+        assert isinstance(cli.SEED, cli.Leaf)  # the flag lists take other names
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text('{"stage1": {"epoch": 10}}')
@@ -581,25 +584,42 @@ class TestUnusableFiles:
         assert not out.exists()
 
 
+AT = r"epoch \d+, batch \d+: \S"  # where a divergence happened, then what diverged
+# (command, its --set entries, the pattern that starts what follows the run's name)
+DIVERGENCES = [
+    ("pretrain", "pretrain.lr_head=1e308", rf"pretraining diverged at {AT}"),
+    ("finetune", "stage1.lr_noise_head=1e10", rf"stage 1 diverged at {AT}"),
+    ("benchmark", "stage1.lr_noise_head=1e10", rf"stage 1 diverged at {AT}"),
+    # finite weights and outputs, but a KL their square sum overflows
+    *[(command, "stage2.weight_decay=false stage2.lr_head=1e154",
+       "stage 2 diverged at epoch 3, batch 1: the epoch's kl_head is not finite")
+      for command in ("finetune", "benchmark")],
+    # an epoch's only update diverges, and the evaluation after it is its guard
+    ("pretrain", "pretrain.epochs=1 pretrain.batch_size=5000 "
+     "pretrain.lr_backbone=1e308 pretrain.lr_head=1e308",
+     "pretraining diverged at epoch 0, batch 0: layer 0 output is not finite"),
+    ("finetune", 'method="vanilla" task.n_shot=32 '
+     "stage2.lr_backbone=1e308 stage2.lr_head=1e308",
+     r"vanilla fine-tuning diverged at epoch 0, batch 0: \S"),
+]
+
+
 class TestFailedCommandLeavesNoOutput:
     """A command that fails, at any exit code, leaves no output directory of
     its own; one that existed before keeps its files."""
 
-    @pytest.mark.parametrize("command, setting, stage", [
-        ("pretrain", "pretrain.lr_head=1e308", "pretraining"),
-        ("finetune", "stage1.lr_noise_head=1e10", "stage 1"),
-        ("benchmark", "stage1.lr_noise_head=1e10", "stage 1"),
-    ])
-    def test_divergence(self, tmp_path, capsys, command, setting, stage):
+    @pytest.mark.parametrize("command, setting, message", DIVERGENCES,
+                             ids=[f"{c} {s}" for c, s, _ in DIVERGENCES])
+    def test_divergence(self, tmp_path, capsys, command, setting, message):
         config = tiny_config(tmp_path)
         assert main(["pretrain", "--config", config]) == EXIT_OK
         checkpoint = json.dumps(str(tmp_path / "out" / "pretrained.json"))
         code = main([command, "--config", config, "--out", str(tmp_path / "failed"),
-                     "--set", f"checkpoint={checkpoint}", "--set", setting])
+                     "--set", f"checkpoint={checkpoint}",
+                     *(a for entry in setting.split() for a in ("--set", entry))])
         err = capsys.readouterr().err
         assert code == EXIT_DIVERGENCE
-        assert re.fullmatch(rf"numeric divergence: [^\n]* {stage} diverged at [^\n]+\n",
-                            err), err
+        assert re.fullmatch(rf"numeric divergence: [^\n]*: {message}[^\n]*\n", err), err
         assert not (tmp_path / "failed").exists()
 
     # sizes no 64-bit address space can map, so numpy never reserves them

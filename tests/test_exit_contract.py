@@ -19,6 +19,11 @@ byte-order mark. The contract:
 The seed and the case count are fixed; numbers are never mutated into large
 integers, as a large valid count or size is a long run, not a fault.
 
+A grid of training regimes keeps the same contract: ``finetune`` with each
+method, activation and weight-decay setting, and one learning rate raised to
+a value whose updates overflow the weights, their outputs or an epoch
+record's numbers, such as a KL.
+
 The command line is mutated too: an unknown flag, each flag on a command that
 does not read it, a ``--seed`` or ``--workers`` that is not an integer >= its
 floor, a missing command and a missing noise file. Each exits 2 with one
@@ -346,3 +351,23 @@ def test_accepted_extreme(tmp_path, monkeypatch, capsys, inputs, path, value):
     command = READER.get(path.split(".")[0], "finetune")
     argv = _argv(command, inputs, [f"{path}={json.dumps(value)}"], tmp_path)
     check_contract(argv, inputs, tmp_path, capsys)
+
+
+# the learning-rate leaves each method reads; the baselines train at stage 2's rates
+LEAVES = {"pac-tuning": ["stage1.lr_head", "stage1.lr_noise_backbone", "stage2.lr_head",
+                         "stage2.lr_backbone"],
+          "vanilla": ["stage2.lr_head", "stage2.lr_backbone"],
+          "noise-injection": ["stage2.lr_head", "stage2.lr_backbone"]}
+REGIMES = [(method, activation, decay, leaf, rate) for method, leaves in LEAVES.items()
+           for activation in ("tanh", "relu") for decay in ("true", "false")
+           for leaf in leaves for rate in ("1e3", "1e154", "1e308")]
+
+
+@pytest.mark.parametrize("method, activation, decay, leaf, rate", REGIMES,
+                         ids=["-".join(regime) for regime in REGIMES])
+def test_regime(tmp_path, monkeypatch, capsys, inputs, method, activation, decay, leaf,
+                rate):
+    monkeypatch.chdir(tmp_path)
+    sets = [f'method="{method}"', f'model.activation="{activation}"',
+            f"stage1.decay_weights={decay}", f"stage2.weight_decay={decay}", f"{leaf}={rate}"]
+    check_contract(_argv("finetune", inputs, sets, tmp_path), inputs, tmp_path, capsys)

@@ -23,7 +23,7 @@ the checkout that holds this script):
   ``blobs-rotate`` setting fewer pretrain, stage-1 and stage-2 epochs):
   ``pretrain-override`` runs ``pactune pretrain``, and ``finetune-override``
   runs ``pactune finetune --seed 1`` from that checkpoint;
-- nine error paths and their one-line stderr: ``pactune pretrain`` with
+- twelve error paths and their one-line stderr: ``pactune pretrain`` with
   ``pretrain.batch_size=0`` (exit 2), ``pactune finetune --seed 2`` from
   the pretrain checkpoint with ``stage1.lr_head=1e308``, which diverges in
   stage 1 (exit 3), ``error-unknown-set``, ``pactune pretrain`` with
@@ -37,9 +37,16 @@ the checkout that holds this script):
   ``error-task-name``, ``pactune finetune --seed 1`` on the CSV task with
   ``task.name="a/b"``, no file name (exit 2), ``error-memory``,
   ``pactune pretrain`` with ``model.hidden=[10000000000000000]``, a model
-  too large for memory (exit 2), and ``error-flag``, ``pactune pretrain
-  --seed 3``, a flag that ``pretrain`` does not read (exit 2). A failed
-  command leaves no ``OUT/<name>/``.
+  too large for memory (exit 2), ``error-flag``, ``pactune pretrain
+  --seed 3``, a flag that ``pretrain`` does not read (exit 2),
+  ``error-stage2-record``, ``pactune finetune --seed 1`` from the pretrain
+  checkpoint with ``stage2.weight_decay=false`` and ``stage2.lr_head=1e154``,
+  whose stage-2 KL overflows while the outputs stay finite (exit 3), and two
+  runs whose every epoch is one update at learning rates of ``1e308``:
+  ``error-pretrain-last-update``, ``pactune pretrain`` with one epoch of
+  ``pretrain.batch_size=5000`` (exit 3), and ``error-finetune-last-update``,
+  ``pactune finetune --seed 1``, ``vanilla`` on ``task.n_shot=32`` rows
+  (exit 3). A failed command leaves no ``OUT/<name>/``.
 
 Each command writes into ``OUT/<name>/`` and leaves its stdout, stderr and
 exit code in ``OUT/<name>.stdout``, ``.stderr`` and ``.exit``. Every path a
@@ -138,7 +145,20 @@ def commands() -> list[tuple[str, list[str]]]:
              ("error-memory", cli + ["pretrain", "--set",
                                      "model.hidden=[10000000000000000]",
                                      "--out", "error-memory"]),
-             ("error-flag", cli + ["pretrain", "--seed", "3", "--out", "error-flag"])]
+             ("error-flag", cli + ["pretrain", "--seed", "3", "--out", "error-flag"]),
+             ("error-stage2-record",
+              cli + ["finetune", "--seed", "1", "--set", f"checkpoint={CHECKPOINT}",
+                     "--set", "stage2.weight_decay=false", "--set", "stage2.lr_head=1e154",
+                     "--out", "error-stage2-record"]),
+             ("error-pretrain-last-update",
+              cli + ["pretrain", "--set", "pretrain.epochs=1", "--set",
+                     "pretrain.batch_size=5000", "--set", "pretrain.lr_backbone=1e308",
+                     "--set", "pretrain.lr_head=1e308", "--out", "error-pretrain-last-update"]),
+             ("error-finetune-last-update",
+              cli + ["finetune", "--seed", "1", "--set", f"checkpoint={CHECKPOINT}",
+                     "--set", "method=vanilla", "--set", "task.n_shot=32",
+                     "--set", "stage2.lr_backbone=1e308", "--set", "stage2.lr_head=1e308",
+                     "--out", "error-finetune-last-update"])]
     return runs
 
 
