@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -105,22 +105,34 @@ class BoundTerms:
 class NoiseState:
     """Learned noise in the trainable order of θ, plus the prior log-variances.
 
-    ``params`` is ``[log-stds | backbone prior log-var, head prior log-var]``:
-    one log-std per trainable parameter (backbone first, the first
-    ``n_backbone`` of them), then one scalar prior log-variance per group, so
-    stage 1 updates all of them in one optimizer call. Posterior variance of
-    coordinate j is exp(2 * log_std[j]); a group's prior variance is
-    exp(prior_log_var). ``anchors`` are the trainable weights at fine-tuning
-    start and stay fixed through stage 1.
+    ``params`` is ``[log-stds | backbone prior log-var, head prior log-var]``,
+    a layout only this class reads: one log-std per trainable parameter
+    (backbone first, ``n_backbone`` of them), then one prior log-variance per
+    group, so stage 1 updates all of them in one optimizer call, at the rates
+    ``per_coordinate`` lays out, by the ``grad`` that ``pac_objective`` fills.
+    Posterior variance of coordinate j is exp(2 * log_std[j]), a group's prior
+    variance exp(prior_log_var). ``anchors``, the trainable weights at
+    fine-tuning start, stay fixed through stage 1.
     """
 
     params: np.ndarray
     n_backbone: int
     anchors: np.ndarray | None = None
     anchor_checkpoint: str | None = None
+    grad: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.grad = np.empty_like(self.params)
 
     def _group(self, group: ParamGroup) -> slice:
         return group_slice(group, self.n_backbone, self.params.size - 2)
+
+    def size(self, group: ParamGroup) -> int:
+        return self.params[self._group(group)].size
+
+    def per_coordinate(self, backbone: float, head: float) -> np.ndarray:
+        """A vector laid out as ``params``: each group's value at its log-stds and prior."""
+        return np.repeat([backbone, head] * 2, [*map(self.size, ParamGroup), 1, 1])
 
     @property
     def log_std(self) -> np.ndarray:
@@ -150,8 +162,14 @@ class NoiseState:
         return np.exp(2.0 * v)
 
     def mean_variance(self, group: ParamGroup) -> float:
-        v = self.params[self._group(group)]
-        return float(np.mean(np.exp(2.0 * v))) if v.size else 0.0
+        return float(np.mean(self.variances(group))) if self.size(group) else 0.0
+
+    def checked_variances(self) -> np.ndarray | None:
+        """``variances()`` if they and exp(prior_log_var) are finite and above 0, else None."""
+        with np.errstate(over="ignore"):
+            var, prior = self.variances(), np.exp(self.params[-2:])
+        ok = var.all() and prior.all() and np.isfinite(var).all() and np.isfinite(prior).all()
+        return var if ok else None
 
     def copy(self) -> "NoiseState":
         return replace(self, params=self.params.copy(),
@@ -205,13 +223,12 @@ def load_noise_state(path) -> NoiseState:
                                  [float(doc["log_lambda"]), float(doc["log_beta"])]])
     except (KeyError, TypeError) as e:
         raise ValueError(f"malformed noise state: {e!r}") from e
-    with np.errstate(over="ignore"):  # as stage 1 holds them: finite, and above 0
-        variances = np.exp(np.append(2.0 * params[:-2], params[-2:]))
-    if not (np.isfinite(variances) & (variances > 0.0)).all():  # NaN fails too
+    noise = NoiseState(params, len(doc["p_backbone"]),
+                       anchor_checkpoint=doc.get("anchor_checkpoint"))
+    if noise.checked_variances() is None:  # as stage 1 holds them
         raise ValueError("a log-std or prior log-variance is not finite, or its "
                          "variance is not finite and > 0")
-    return NoiseState(params, len(doc["p_backbone"]),
-                      anchor_checkpoint=doc.get("anchor_checkpoint"))
+    return noise
 
 
 def _kl(diff: np.ndarray, var: np.ndarray, var_p: float) -> tuple[float, float]:
@@ -318,13 +335,11 @@ def pac_objective(work: StepWorkspace, noise: NoiseState, batch_x, batch_y,
     ``tau`` is one standard-normal vector in trainable order, drawn by the
     caller. ``work`` is the loop's workspace: it holds the noisy weights and the
     objective's buffers, dJ/dw is left in ``work.grad``, and the returned noise
-    gradient is ``work.noise_grad``, laid out as ``NoiseState.params`` (log-stds,
-    then the two priors); the next call replaces both.
-    ``k`` is the step's K (``KTracker.value``) and ``var`` is
-    ``noise.variances()``, both held by the caller. ``l_pac_weight`` scales the
-    complexity term inside the optimized objective; the reported
-    ``l_pac``/``j_total`` reflect the same scaling so
-    ``j_total == l_train + l_pac`` always holds.
+    gradient is ``noise.grad``; the next call replaces both. ``k`` is the
+    step's K (``KTracker.value``) and ``var`` is ``noise.variances()``, both
+    held by the caller. ``l_pac_weight`` scales the complexity term inside the
+    optimized objective; the reported ``l_pac``/``j_total`` reflect the same
+    scaling so ``j_total == l_train + l_pac`` always holds.
 
     With w~ = w + exp(p) tau, c = l_pac_weight / (gamma m) and a group's
     prior variance s2 = exp(lambda), gamma and K held constant:
@@ -354,12 +369,12 @@ def pac_objective(work: StepWorkspace, noise: NoiseState, batch_x, batch_y,
                        j_total=l_train + l_pac_scaled)
     c = l_pac_weight / (gamma * cfg.m)
     # the noise gradient reads dL(w~) before work.grad becomes dJ/dw
-    d_log_std = np.multiply(work.grad, tau, out=work.noise_grad[:-2])
+    d_log_std = np.multiply(work.grad, tau, out=noise.grad[:-2])
     d_log_std *= std
     d_log_std += np.multiply(c, work.kl_dp, out=work.kl_dp)
-    work.noise_grad[-2:] = [c * d for d in d_prior]
+    noise.grad[-2:] = [c * d for d in d_prior]
     work.grad += np.multiply(c, work.kl_dw, out=work.kl_dw)
-    return terms, work.noise_grad
+    return terms, noise.grad
 
 
 def objective_gradcheck(model: MLPClassifier, noise: NoiseState, batch_x, batch_y,

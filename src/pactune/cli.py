@@ -589,8 +589,7 @@ def cmd_inspect_noise(config: dict, noise_path: str) -> int:
     noise = _read("noise file", noise_path, lambda: bound.load_noise_state(noise_path))
     out_path = Path(config["out_dir"]) / "noise_ranking.csv"
     variances = noise.variances()
-    groups = ["backbone"] * noise.n_backbone + \
-        ["head"] * (variances.size - noise.n_backbone)
+    groups = [g.value for g in models.ParamGroup for _ in range(noise.size(g))]
     order = pipeline.importance_ranking(variances)
     rank = np.empty(variances.size, dtype=np.int64)
     rank[order] = np.arange(1, variances.size + 1)

@@ -15,13 +15,14 @@ weight decay included); a trainer states what else it records per epoch in
 its own ``epoch_terms``. The loop checks once that its datasets fit the
 model, so no step checks a batch.
 
-A ``NumericsError`` of a step or of the epoch's evaluation after it (a
-non-finite layer output, loss or J, or a learned variance at 0 or inf), or a
-non-finite number in the epoch's record (say a KL whose weights' square sum
-overflows), becomes a ``DivergenceError`` naming label, epoch, batch and, for
-the record, its key, so no trace holds a non-finite number. The trainable
-layout is the model's own (``model.layout``), fixed when ``replace_head``
-builds the fine-tuned model, so no stage rebuilds it.
+A ``NumericsError`` of a step or of the epoch's evaluation and terms after it
+(a non-finite layer output, loss or J, a learned variance at 0 or inf, or the
+KL that stage 1's last update leaves), or a non-finite number in the epoch's
+record (say a KL whose weights' square sum overflows), becomes a
+``DivergenceError`` naming label, epoch, batch and, for the record, its key,
+so no trace holds a non-finite number. The trainable layout is the model's
+own (``model.layout``), fixed when ``replace_head`` builds the fine-tuned
+model, so no stage rebuilds it.
 
 Every run owns its RNG streams, split by purpose (head init, batch order,
 noise draws), so e.g. a zero-noise perturbed run consumes the same batch
@@ -45,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .bound import (BoundConfig, KTracker, NoiseState, generic_bound, init_noise_state,
+from .bound import (BoundConfig, KTracker, NoiseState, _kl, generic_bound, init_noise_state,
                     kl_diag_vs_isotropic, pac_objective)
 from .datasets import Dataset
 from .models import MLPClassifier, ParamGroup, StepWorkspace, init_weights, replace_head
@@ -209,15 +210,14 @@ def stage1_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
     noise = noise.copy()
     packer = model.layout
     for g in (ParamGroup.BACKBONE, ParamGroup.HEAD):
-        if noise.variances(g).size != packer.sizes[g]:
+        if noise.size(g) != packer.sizes[g]:
             raise ValueError(f"noise state does not match the model's {g.value} size")
     noise_adam = AdamState(noise.params.size)
     tracker = KTracker(bound_cfg.k)
     update_index = itertools.count()
     lr_b = cfg.lr_noise_backbone
     # the noise-rate vector changes only when the head's schedule steps
-    noise_lr = functools.lru_cache(maxsize=1)(
-        lambda lr_h: np.append(packer.per_coordinate(lr_b, lr_h), [lr_b, lr_h]))
+    noise_lr = functools.lru_cache(maxsize=1)(lambda lr_h: noise.per_coordinate(lr_b, lr_h))
     var = noise.variances()  # the guard's variances are the next step's KL input
     sums = [0.0, 0.0, 0.0]  # the epoch's l_pac, kl_b, kl_h, step by step
 
@@ -232,16 +232,22 @@ def stage1_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
         lr_h = schedule_value(cfg.lr_noise_head, next(update_index))
         adam_step(work.adam, work.trainable, work.grad, work.lr, work.lr_decay)
         adam_step(noise_adam, noise.params, noise_grad, noise_lr(lr_h))
-        # the KL is evaluated from variances, which must stay finite and above 0
-        var = noise.variances()
-        for v in (var, np.exp(noise.params[-2:])):
-            if not (v.all() and np.isfinite(v).all()):
-                raise ad.NumericsError("a learned variance underflowed to 0 or overflowed")
+        var = noise.checked_variances()  # the next KL's, finite and above 0
+        if var is None:
+            raise ad.NumericsError("a learned variance underflowed to 0 or overflowed")
         sums[:] = [s + t for s, t in zip(sums, (terms.l_pac, terms.kl_backbone,
                                                 terms.kl_head))]
         return terms.l_train
 
     def epoch_terms(model, n_batches):
+        # the sums hold each step's KLs, taken before its update: the state the
+        # epoch's last update left is checked here, so stage 1 names it
+        weights = model.theta[packer.start:]
+        for g in (ParamGroup.BACKBONE, ParamGroup.HEAD):
+            kl = _kl(weights[packer.group(g)] - noise.anchor(g), var[packer.group(g)],
+                     math.exp(noise.prior_log_var(g)))[0]
+            if not math.isfinite(kl):
+                raise ad.NumericsError(f"the last update's kl_{g.value} is not finite")
         l_pac, kl_b, kl_h = (s / n_batches for s in sums)
         sums[:] = [0.0, 0.0, 0.0]
         return _bound_terms(noise, bound_cfg, kl_b, kl_h, l_pac)
@@ -319,8 +325,8 @@ def noise_summary_stats(noise: NoiseState) -> dict:
         "mean_var_head": noise.mean_variance(ParamGroup.HEAD),
         "min_var": float(all_var.min()) if all_var.size else 0.0,
         "max_var": float(all_var.max()) if all_var.size else 0.0,
-        "n_backbone": int(noise.n_backbone),
-        "n_head": int(noise.log_std.size - noise.n_backbone),
+        "n_backbone": noise.size(ParamGroup.BACKBONE),
+        "n_head": noise.size(ParamGroup.HEAD),
     }
 
 

@@ -391,6 +391,46 @@ class TestNoiseState:
                 "finite and > 0") + "$"):
             bound.load_noise_state(path)
 
+    @pytest.mark.parametrize("freeze", [False, True])
+    def test_rates_sizes_and_gradient_follow_the_layout(self, freeze):
+        _, packer, noise, _, _ = tiny_setup(seed=12, layer_sizes=(2, 3, 4, 2), freeze=freeze)
+        assert [noise.size(g) for g in ParamGroup] == [packer.sizes[g] for g in ParamGroup]
+        expected = np.append(packer.per_coordinate(0.1, 0.7), [0.1, 0.7])
+        assert noise.per_coordinate(0.1, 0.7).tobytes() == expected.tobytes()
+        # each state owns its gradient buffer, laid out as its params
+        assert noise.grad.shape == noise.params.shape
+        assert not np.shares_memory(noise.copy().grad, noise.grad)
+
+    # the one variance rule at its edges: just past each, a log-std's variance
+    # exp(2 p) or a prior's exp(log-var) underflows to 0 or overflows to inf
+    @pytest.mark.parametrize("field, value, ok", [
+        *[(field, value, ok) for field in ("p_backbone", "p_head")
+          for value, ok in ((-372.5, True), (-372.6, False), (354.8, True), (354.9, False),
+                            (math.nan, False))],
+        *[(field, value, ok) for field in ("log_lambda", "log_beta")
+          for value, ok in ((-745.1, True), (-745.2, False), (709.7, True), (709.8, False),
+                            (math.nan, False))]])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_variance_rule_edges(self, tmp_path, field, value, ok):
+        noise = tiny_setup(seed=11)[2]
+        path = tmp_path / "noise.json"
+        bound.save_noise_state(noise, path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc[field] = [*doc[field][:-1], value] if isinstance(doc[field], list) else value
+        path.write_text(json.dumps(doc))
+        # the coordinate of params that the field's last entry is
+        index = {"p_backbone": noise.n_backbone - 1, "p_head": -3, "log_lambda": -2,
+                 "log_beta": -1}[field]
+        noise.params[index] = value
+        checked = noise.checked_variances()
+        if ok:
+            assert checked.tobytes() == noise.variances().tobytes()
+            assert bound.load_noise_state(path).params.tobytes() == noise.params.tobytes()
+        else:
+            assert checked is None
+            with pytest.raises(ValueError, match="^a log-std or prior log-variance is not"):
+                bound.load_noise_state(path)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BoundConfig(m=0)

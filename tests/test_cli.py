@@ -601,6 +601,10 @@ DIVERGENCES = [
     ("finetune", 'method="vanilla" task.n_shot=32 '
      "stage2.lr_backbone=1e308 stage2.lr_head=1e308",
      r"vanilla fine-tuning diverged at epoch 0, batch 0: \S"),
+    # stage 1's only update overflows the KL, which stage 1 checks and names
+    *[(command, "task.n_shot=32 stage1.epochs=1 stage2.epochs=1 stage1.lr_head=1e154",
+       "stage 1 diverged at epoch 0, batch 0: the last update's kl_head is not finite")
+      for command in ("finetune", "benchmark")],
 ]
 
 

@@ -19,10 +19,16 @@ byte-order mark. The contract:
 The seed and the case count are fixed; numbers are never mutated into large
 integers, as a large valid count or size is a long run, not a fault.
 
-A grid of training regimes keeps the same contract: ``finetune`` with each
+Training regimes keep the same contract. A grid runs ``finetune`` with each
 method, activation and weight-decay setting, and one learning rate raised to
 a value whose updates overflow the weights, their outputs or an epoch
-record's numbers, such as a KL.
+record's numbers, such as a KL. Drawn regimes, with their own fixed seed and
+count, run ``pretrain``, ``finetune`` with each method and ``benchmark``, and
+draw every knob at once: each phase's batch size against its rows (a 1-row
+last batch, one batch per epoch, a batch larger than the set) and 1-3
+epochs, the activation, a frozen or trainable first layer, fixed or running
+K, fixed or auto gamma, ``l_pac_weight`` 0 or 1, ``noise_injection.sigma``
+up to ``1e308``, and one learning rate at ``1e-3``, ``1e3`` or ``1e308``.
 
 The command line is mutated too: an unknown flag, each flag on a command that
 does not read it, a ``--seed`` or ``--workers`` that is not an integer >= its
@@ -358,16 +364,45 @@ LEAVES = {"pac-tuning": ["stage1.lr_head", "stage1.lr_noise_backbone", "stage2.l
                          "stage2.lr_backbone"],
           "vanilla": ["stage2.lr_head", "stage2.lr_backbone"],
           "noise-injection": ["stage2.lr_head", "stage2.lr_backbone"]}
-REGIMES = [(method, activation, decay, leaf, rate) for method, leaves in LEAVES.items()
-           for activation in ("tanh", "relu") for decay in ("true", "false")
-           for leaf in leaves for rate in ("1e3", "1e154", "1e308")]
+GRID = [(method, activation, decay, leaf, rate) for method, leaves in LEAVES.items()
+        for activation in ("tanh", "relu") for decay in ("true", "false")
+        for leaf in leaves for rate in ("1e3", "1e154", "1e308")]
+
+REGIME_SEED = 20231102
+N_DRAWN = 400
+# the rows each phase trains on: the source task, then task.n_shot
+ROWS = {"pretrain": BASE["task"]["source"]["n"], "stage1": BASE["task"]["n_shot"],
+        "stage2": BASE["task"]["n_shot"]}
+RATE_LEAVES = ["pretrain.lr_backbone", "pretrain.lr_head", "stage1.lr_backbone",
+               "stage1.lr_noise_head", *LEAVES["pac-tuning"]]
 
 
-@pytest.mark.parametrize("method, activation, decay, leaf, rate", REGIMES,
-                         ids=["-".join(regime) for regime in REGIMES])
-def test_regime(tmp_path, monkeypatch, capsys, inputs, method, activation, decay, leaf,
-                rate):
+def draw_regime(rng) -> tuple[str, list[str]]:
+    """A command and the ``--set`` entries of one drawn regime."""
+    command = _pick(rng, ["pretrain", "finetune", "finetune", "finetune", "benchmark"])
+    sets = [f'method="{_pick(rng, list(LEAVES))}"'] if command == "finetune" else []
+    for phase, rows in ROWS.items():
+        sets += [f"{phase}.batch_size={_pick(rng, [rows - 1, rows, 2 * rows + 1])}",
+                 f"{phase}.epochs={rng.integers(1, 4)}"]
+    return command, sets + [
+        f'model.activation="{_pick(rng, ["tanh", "relu"])}"',
+        f"model.freeze_first_layer={_pick(rng, ['true', 'false'])}",
+        f'bound.k.kind="{_pick(rng, ["fixed", "running"])}"',
+        f'bound.gamma.kind="{_pick(rng, ["fixed", "auto"])}"',
+        f"stage1.l_pac_weight={_pick(rng, [0, 1])}",
+        f"noise_injection.sigma={_pick(rng, ['0.01', '0', '1e154', '1e308'])}",
+        f"{_pick(rng, RATE_LEAVES)}={_pick(rng, ['1e-3', '1e3', '1e308'])}"]
+
+
+DRAWN = [draw_regime(np.random.default_rng([REGIME_SEED, case])) for case in range(N_DRAWN)]
+REGIMES = [("finetune", [f'method="{method}"', f'model.activation="{activation}"',
+                         f"stage1.decay_weights={decay}", f"stage2.weight_decay={decay}",
+                         f"{leaf}={rate}"]) for method, activation, decay, leaf, rate in GRID]
+
+
+@pytest.mark.parametrize("command, sets", REGIMES + DRAWN,
+                         ids=["-".join(regime) for regime in GRID] +
+                         [f"drawn{case}-{command}" for case, (command, _) in enumerate(DRAWN)])
+def test_regime(tmp_path, monkeypatch, capsys, inputs, command, sets):
     monkeypatch.chdir(tmp_path)
-    sets = [f'method="{method}"', f'model.activation="{activation}"',
-            f"stage1.decay_weights={decay}", f"stage2.weight_decay={decay}", f"{leaf}={rate}"]
-    check_contract(_argv("finetune", inputs, sets, tmp_path), inputs, tmp_path, capsys)
+    check_contract(_argv(command, inputs, sets, tmp_path), inputs, tmp_path, capsys)

@@ -559,12 +559,12 @@ class TestStepWorkspace:
         _, first = pac_objective(work, noise, x, y, cfg, rng.standard_normal(n), k, var)
         kept = (work.grad.copy(), first.copy())
         _, second = pac_objective(work, noise, x, y, cfg, rng.standard_normal(n), k, var)
-        # dJ/dw and the noise gradient live in the workspace, where the next
-        # step's replace them
-        assert first is second is work.noise_grad
+        # dJ/dw lives in the workspace and the noise gradient in the noise
+        # state, where the next step's replace them
+        assert first is second is noise.grad
         assert not np.array_equal(work.grad, kept[0])
         assert not np.array_equal(second, kept[1])
-        buffers = (work.grad, work.noisy, work.lr, model.theta)
+        buffers = (work.grad, work.noisy, work.lr, model.theta, noise.params)
         assert not any(np.shares_memory(second, b) for b in buffers)
         # the loss gradient stays in the workspace; no array is handed out
         loss = models.loss_and_grads(work, work.params, x, y)

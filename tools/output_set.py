@@ -23,7 +23,7 @@ the checkout that holds this script):
   ``blobs-rotate`` setting fewer pretrain, stage-1 and stage-2 epochs):
   ``pretrain-override`` runs ``pactune pretrain``, and ``finetune-override``
   runs ``pactune finetune --seed 1`` from that checkpoint;
-- twelve error paths and their one-line stderr: ``pactune pretrain`` with
+- fifteen error paths and their one-line stderr: ``pactune pretrain`` with
   ``pretrain.batch_size=0`` (exit 2), ``pactune finetune --seed 2`` from
   the pretrain checkpoint with ``stage1.lr_head=1e308``, which diverges in
   stage 1 (exit 3), ``error-unknown-set``, ``pactune pretrain`` with
@@ -46,7 +46,15 @@ the checkout that holds this script):
   ``error-pretrain-last-update``, ``pactune pretrain`` with one epoch of
   ``pretrain.batch_size=5000`` (exit 3), and ``error-finetune-last-update``,
   ``pactune finetune --seed 1``, ``vanilla`` on ``task.n_shot=32`` rows
-  (exit 3). A failed command leaves no ``OUT/<name>/``.
+  (exit 3). Three more pin the noise state's variance rule and stage 1's own
+  last update: ``error-noise-variance``, ``pactune finetune --seed 1`` with
+  ``stage1.lr_noise_head=1e10``, whose learned variances leave the finite
+  range (exit 3), ``error-nonfinite-noise``, ``pactune inspect-noise`` on a
+  copy of the pac-tuning run's noise file, ``nonfinite-noise.json``, whose
+  ``log_lambda`` is 800 (exit 2), and ``error-stage1-last-update``,
+  ``pactune finetune --seed 1`` on ``task.n_shot=32`` rows with one-epoch
+  stages and ``stage1.lr_head=1e154``, whose one stage-1 update overflows the
+  KL (exit 3). A failed command leaves no ``OUT/<name>/``.
 
 Each command writes into ``OUT/<name>/`` and leaves its stdout, stderr and
 exit code in ``OUT/<name>.stdout``, ``.stderr`` and ``.exit``. Every path a
@@ -81,6 +89,13 @@ NONFINITE_FINETUNE = (
     "Path('nonfinite.json').write_text(json.dumps(doc)); "
     "sys.exit(cli.main(['finetune', '--seed', '1', '--set', 'checkpoint=nonfinite.json', "
     "'--out', 'error-nonfinite-checkpoint']))")
+# the pac-tuning run's noise file with a prior variance exp(800) = inf, then inspect it
+NONFINITE_NOISE = (
+    "import json, sys; from pathlib import Path; from pactune import cli; "
+    f"doc = json.loads(Path({NOISE!r}).read_text()); doc['log_lambda'] = 800.0; "
+    "Path('nonfinite-noise.json').write_text(json.dumps(doc)); "
+    "sys.exit(cli.main(['inspect-noise', 'nonfinite-noise.json', "
+    "'--out', 'error-nonfinite-noise']))")
 # finite cells whose column sum overflows, as both task files of generate-data
 CSV_OVERFLOW = (
     "import json, sys; from pathlib import Path; from pactune import cli; "
@@ -158,7 +173,16 @@ def commands() -> list[tuple[str, list[str]]]:
               cli + ["finetune", "--seed", "1", "--set", f"checkpoint={CHECKPOINT}",
                      "--set", "method=vanilla", "--set", "task.n_shot=32",
                      "--set", "stage2.lr_backbone=1e308", "--set", "stage2.lr_head=1e308",
-                     "--out", "error-finetune-last-update"])]
+                     "--out", "error-finetune-last-update"]),
+             ("error-noise-variance",
+              cli + ["finetune", "--seed", "1", "--set", f"checkpoint={CHECKPOINT}",
+                     "--set", "stage1.lr_noise_head=1e10", "--out", "error-noise-variance"]),
+             ("error-nonfinite-noise", ["-c", NONFINITE_NOISE]),
+             ("error-stage1-last-update",
+              cli + ["finetune", "--seed", "1", "--set", f"checkpoint={CHECKPOINT}",
+                     "--set", "task.n_shot=32", "--set", "stage1.epochs=1",
+                     "--set", "stage2.epochs=1", "--set", "stage1.lr_head=1e154",
+                     "--out", "error-stage1-last-update"])]
     return runs
 
 
