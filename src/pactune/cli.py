@@ -15,7 +15,6 @@ import contextlib
 import copy
 import dataclasses
 import json
-import logging
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -654,7 +653,6 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
         args, extra = make_parser().parse_known_args(argv)
         if extra:

@@ -9,14 +9,12 @@ would silently pull variances toward 1).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from . import kernels
-
-logger = logging.getLogger(__name__)
 
 BETA1 = 0.9
 BETA2 = 0.98
@@ -68,12 +66,13 @@ def adam_step(state: AdamState, param: np.ndarray, grad: np.ndarray,
     ``lr`` is a scalar or a per-coordinate vector. ``lr_decay`` is
     ``lr * WEIGHT_DECAY`` where weight decay applies and None where it does
     not, never a 0 vector, since adding ``0.0 * param`` can flip the sign of
-    a zero. If the gradient is non-finite the step is skipped (state
-    untouched) and a warning is logged; returns whether the step was applied.
+    a zero. A non-finite gradient raises ``NumericsError`` before ``state``
+    or ``param`` is written; the descent loop names it as a divergence.
+    Always returns True, since every step that returns was applied;
+    perfbench's tracer counts applied updates from it.
     """
     if not np.isfinite(grad).all():
-        logger.warning("adam_step: non-finite gradient; step skipped")
-        return False
+        raise ad.NumericsError("the gradient is not finite")
     state.t += 1
     kernels.adam_update(param, state.m, state.v, grad, state.t, lr, BETA1, BETA2, EPS,
                         lr_decay, state.scratch)

@@ -29,7 +29,8 @@ def descent_step(work: StepWorkspace, batch_x, batch_y, at=None) -> float:
     The gradient is taken at the per-layer ``(w, b)`` arrays ``at``, by
     default the model's own ``work.params``, and left in ``work.grad``; Adam
     always updates the model's own trainable view ``work.trainable``, with
-    the workspace's ``lr_decay``, and only when it applies the step.
+    the workspace's ``lr_decay``, unless the gradient is not finite, which
+    raises ``NumericsError``.
     """
     loss = loss_and_grads(work, work.params if at is None else at, batch_x, batch_y)
     adam_step(work.adam, work.trainable, work.grad, work.lr, work.lr_decay)

@@ -16,9 +16,9 @@ its own ``epoch_terms``. The loop checks once that its datasets fit the
 model, so no step checks a batch.
 
 A ``NumericsError`` of a step or of the epoch's evaluation and terms after it
-(a non-finite layer output, loss or J, a learned variance at 0 or inf, or the
-KL that stage 1's last update leaves), or a non-finite number in the epoch's
-record (say a KL whose weights' square sum overflows), becomes a
+(a non-finite layer output, loss, J or gradient, a learned variance at 0 or
+inf, or the KL that stage 1's last update leaves), or a non-finite number in
+the epoch's record (say a KL whose weights' square sum overflows), becomes a
 ``DivergenceError`` naming label, epoch, batch and, for the record, its key,
 so no trace holds a non-finite number. The trainable layout is the model's
 own (``model.layout``), fixed when ``replace_head`` builds the fine-tuned

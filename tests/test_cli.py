@@ -1,4 +1,5 @@
 import json
+import logging
 import re
 import shutil
 from pathlib import Path
@@ -361,6 +362,16 @@ class TestGenerateData:
         src = datasets.load_csv(tmp_path / "out" / "source.csv")
         tgt = datasets.load_csv(tmp_path / "out" / "target.csv")
         assert len(src) == 300 and len(tgt) == 160
+
+    def test_leaves_logging_alone(self, tmp_path, monkeypatch):
+        # an in-process caller's root logger, as a script that configured
+        # none has it: no handler, and its level restored after the test
+        root = logging.getLogger()
+        monkeypatch.setattr(root, "handlers", [])
+        monkeypatch.setattr(root, "level", root.level)
+        before = (list(root.handlers), root.level)
+        assert main(["generate-data", "--out", str(tmp_path)]) == EXIT_OK
+        assert (list(root.handlers), root.level) == before
 
 
 class TestPretrainFinetune:

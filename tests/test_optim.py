@@ -1,8 +1,7 @@
-import logging
-
 import numpy as np
 import pytest
 
+from pactune.autodiff import NumericsError
 from pactune.optim import (WEIGHT_DECAY, AdamState, Constant, StepDecay, adam_step,
                            schedule_value)
 
@@ -12,7 +11,7 @@ class TestAdam:
         # t=1: m_hat = g, v_hat = g^2 -> delta = -lr / (1 + eps)
         st = AdamState(1)
         p = np.array([0.0])
-        adam_step(st, p, np.array([1.0]), lr=0.1)
+        assert adam_step(st, p, np.array([1.0]), lr=0.1) is True  # every return applies
         assert p[0] == pytest.approx(-0.1 / 1.001, abs=1e-15)
         assert st.t == 1
 
@@ -62,15 +61,17 @@ class TestAdam:
         assert np.concatenate([st.m for st in states]).tobytes() == fused_state.m.tobytes()
         assert np.concatenate([st.v for st in states]).tobytes() == fused_state.v.tobytes()
 
-    def test_nonfinite_grad_skips_and_reports(self, caplog):
-        st = AdamState(1)
-        p = np.array([1.0])
-        with caplog.at_level(logging.WARNING):
-            applied = adam_step(st, p, np.array([np.nan]), lr=0.1)
-        assert not applied
-        assert p[0] == 1.0
-        assert st.t == 0
-        assert "skipped" in caplog.text
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_grad_raises_before_any_write(self, bad):
+        rng = np.random.default_rng(0)
+        st = AdamState(3)
+        p = rng.standard_normal(3)
+        adam_step(st, p, rng.standard_normal(3), lr=0.1, lr_decay=0.1 * WEIGHT_DECAY)
+        before = (p.tobytes(), st.m.tobytes(), st.v.tobytes(), st.t)
+        with pytest.raises(NumericsError, match="^the gradient is not finite$"):
+            adam_step(st, p, np.array([0.5, bad, -0.5]), lr=0.1,
+                      lr_decay=0.1 * WEIGHT_DECAY)
+        assert (p.tobytes(), st.m.tobytes(), st.v.tobytes(), st.t) == before
 
     def test_weight_decay_decoupled(self):
         # zero gradient + decay: pure shrink by lr * wd per step

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import pickle
@@ -9,7 +10,7 @@ import helpers
 import numpy as np
 import pytest
 
-from pactune import datasets, models, pipeline
+from pactune import datasets, models, pgd, pipeline
 from pactune.bound import (AutoGamma, BoundConfig, FixedK, KTracker, RunningK,
                            init_noise_state, pac_objective)
 from pactune.models import ParamGroup, StepWorkspace
@@ -368,6 +369,54 @@ class TestStage2AndBaselines:
             bound_cfg=BoundConfig(m=len(train)), noise_sigma=0.02)
         assert record.final["epochs"] == 6
         assert all(np.isfinite(e["l_train"]) for e in record.epochs)
+
+
+class TestNonFiniteGradient:
+    """A non-finite gradient ends the run as a divergence named by the step
+    whose update would have applied it: the k-th step is epoch k // B, batch
+    k % B, with B batches per epoch."""
+
+    @staticmethod
+    def where(train, k, batch_size=32):
+        n_batches = -(-len(train) // batch_size)
+        return f"epoch {k // n_batches}, batch {k % n_batches}"
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_vanilla(self, toy_task, monkeypatch, k):
+        pretrained, train, dev = toy_task
+        calls, real = itertools.count(), pgd.loss_and_grads
+
+        def poisoned(work, *args):
+            loss = real(work, *args)
+            if next(calls) == k:
+                work.grad[...] = np.nan
+            return loss
+
+        monkeypatch.setattr(pgd, "loss_and_grads", poisoned)
+        want = (f"^vanilla fine-tuning diverged at {self.where(train, k)}: "
+                "the gradient is not finite$")
+        with pytest.raises(DivergenceError, match=want):
+            vanilla_finetune(fresh_head(pretrained, 3), train, dev, Stage2Config(epochs=3),
+                             np.random.default_rng(1))
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_stage1_noise_gradient(self, toy_task, monkeypatch, k):
+        pretrained, train, dev = toy_task
+        model = fresh_head(pretrained, 3)
+        calls, real = itertools.count(), pipeline.pac_objective
+
+        def poisoned(*args, **kwargs):
+            terms, noise_grad = real(*args, **kwargs)
+            if next(calls) == k:
+                noise_grad[-1] = np.nan
+            return terms, noise_grad
+
+        monkeypatch.setattr(pipeline, "pac_objective", poisoned)
+        want = f"^stage 1 diverged at {self.where(train, k)}: the gradient is not finite$"
+        with pytest.raises(DivergenceError, match=want):
+            stage1_train(model, init_noise_state(model), train, dev, small_stage1(epochs=3),
+                         BoundConfig(m=len(train)), np.random.default_rng(1),
+                         np.random.default_rng(2))
 
 
 class TestInputContract:
