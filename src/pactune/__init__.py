@@ -1,21 +1,21 @@
 """Two-stage fine-tuning that learns per-parameter noise by minimizing a
 PAC-Bayes bound, then continues with perturbed gradient descent using the
 learned noise. Training uses closed-form numpy gradients for small MLP
-classifiers; a minimal float64 tape-autodiff engine is kept as the gradient
-oracle that tests and ``pactune gradcheck`` check them against. Includes a
-seeded transfer-task benchmark harness.
+classifiers; a minimal float64 tape-autodiff engine, which also holds every
+gradient check, is kept as the oracle that tests and ``pactune gradcheck``
+check them against, and no training module imports it. Includes a seeded
+transfer-task benchmark harness.
 """
 
-from .autodiff import (AutodiffError, NumericsError, ShapeError, Tape, Tensor,
-                       finite_diff_check, forward_op, gradcheck_op)
+from .autodiff import (AutodiffError, ShapeError, Tape, Tensor, finite_diff_check,
+                       forward_op, gradcheck_op, objective_gradcheck)
 from .bound import (AutoGamma, BoundConfig, BoundTerms, FixedGamma, FixedK,
                     KTracker, NoiseState, RunningK, generic_bound, init_noise_state,
-                    kl_diag_vs_isotropic, l_pac, load_noise_state,
-                    objective_gradcheck, optimal_gamma, pac_objective,
-                    save_noise_state)
+                    kl_diag_vs_isotropic, l_pac, load_noise_state, optimal_gamma,
+                    pac_objective, save_noise_state)
 from .datasets import (Dataset, DatasetSpec, TransferPair, builtin_task,
                        export_csv, few_shot_sample, generate, load_csv)
-from .kernels import BACKEND
+from .kernels import BACKEND, NumericsError
 from .models import (GroupPacker, MLPClassifier, ParamGroup, StepWorkspace,
                      init_weights, load_checkpoint, replace_head, save_checkpoint)
 from .optim import AdamState, Constant, StepDecay, adam_step, schedule_value

@@ -1,8 +1,14 @@
-"""Dense float64 tensors with a recorded tape for reverse-mode gradients.
+"""Dense float64 tensors with a recorded tape for reverse-mode gradients,
+and every gradient check of the package.
 
 This is the gradient oracle: training takes closed-form gradients
 (``models.loss_and_grads``, ``bound.pac_objective``) and the tests check them
 against this tape, whose ops ``gradcheck_op`` checks by central differences.
+The checks share one central-difference formula
+(``central_difference_error``); ``objective_gradcheck`` applies it to the
+stage-1 objective J through ``bound.pac_objective``, the function training
+uses. No training module imports this one: only ``cli`` (for ``pactune
+gradcheck``) and the package's ``__init__`` do.
 
 Deliberately small: the op set below is everything the classifiers and the
 bound arithmetic need, and nothing else. Everything runs in float64 because
@@ -17,22 +23,22 @@ bound is expressed as a product with ``exp(-log_denominator)``.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import kernels
+from .bound import BoundConfig, FixedGamma, KTracker, NoiseState, pac_objective
+from .kernels import NumericsError
+from .models import MLPClassifier, StepWorkspace
 
 
 class AutodiffError(Exception):
-    """Base class for tape and op failures."""
+    """Base class for tape and op failures other than a non-finite number,
+    which raises the training path's ``NumericsError``."""
 
 
 class ShapeError(AutodiffError):
-    pass
-
-
-class NumericsError(AutodiffError):
     pass
 
 
@@ -465,7 +471,7 @@ def finite_diff_check(build: Callable, x: np.ndarray, h: float = 1e-5) -> float:
     (raveled) sizes tile ``x`` in order. The analytic gradient comes from one
     backward pass at ``x``; each coordinate is then compared against
     ``(f(x + h e_i) - f(x - h e_i)) / 2h`` with the error normalized by
-    ``max(1, |analytic_i|)`` (``kernels.central_difference_error``).
+    ``max(1, |analytic_i|)`` (``central_difference_error``).
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     root, leaves = build(x)
@@ -488,4 +494,50 @@ def finite_diff_check(build: Callable, x: np.ndarray, h: float = 1e-5) -> float:
                 f"finite_diff_check: non-finite value perturbing coordinate {coord}")
         return v
 
-    return kernels.central_difference_error(value_at, analytic, x, h)
+    return central_difference_error(value_at, analytic, x, h)
+
+
+def objective_gradcheck(model: MLPClassifier, noise: NoiseState, batch_x, batch_y,
+                        cfg: BoundConfig, seed: int = 0, h: float = 1e-5) -> float:
+    """Finite-difference check of J over every stage-1 variable.
+
+    The noise draw and gamma are frozen at the base point, and K is the one a
+    fresh ``KTracker`` gives, so J is a deterministic function of the
+    trainable weights followed by ``NoiseState.params``; both J and its
+    gradients come from ``pac_objective``, the function training uses.
+    """
+    trial = model.copy()
+    work = StepWorkspace(trial, 0.0, 0.0)  # no update is taken
+    packer = trial.layout
+    rng = np.random.Generator(np.random.PCG64(seed))
+    tau = rng.standard_normal(packer.trainable_size)
+    k = KTracker(cfg.k).value
+    n = packer.trainable_size
+
+    def objective(z, at_cfg):
+        trial.theta[packer.start:] = z[:n]
+        moved = replace(noise, params=z[n:])
+        return pac_objective(work, moved, batch_x, batch_y, at_cfg, tau, k,
+                             moved.variances())
+
+    x = np.concatenate([model.theta[packer.start:], noise.params])
+    frozen = replace(cfg, gamma=FixedGamma(objective(x, cfg)[0].gamma_used))
+    _, noise_grad = objective(x, frozen)
+    return central_difference_error(
+        lambda z, _: objective(z, frozen)[0].j_total,
+        np.concatenate([work.grad, noise_grad]), x, h)
+
+
+def central_difference_error(value, analytic, x, h):
+    """Max over i of |analytic_i - d_i| / max(1, |analytic_i|), where d_i is
+    (value(x + h e_i, i) - value(x - h e_i, i)) / 2h; ``value`` gets i to name
+    it in an error. A non-finite d_i gives nan, which fails every threshold."""
+    if h <= 0.0:
+        raise ValueError("central_difference_error: h must be positive")
+    errors = []
+    for i in range(x.size):
+        step = np.zeros_like(x)
+        step[i] = h
+        numeric = (value(x + step, i) - value(x - step, i)) / (2.0 * h)
+        errors.append(abs(analytic[i] - numeric) / max(1.0, abs(analytic[i])))
+    return float(np.max(errors, initial=0.0))

@@ -13,8 +13,9 @@ dispersion of per-batch losses, is a ``KTracker``'s value. Everything except
 gamma and K is differentiable; both are per-step constants. ``pac_objective``,
 given K and the variances by its caller, takes J's gradients in closed form,
 trusting its batch as every step does; dJ/dw goes into the loop's
-``work.grad``, like every step's weight gradient. The tape in ``autodiff`` is
-only the tests' oracle for them.
+``work.grad``, like every step's weight gradient. ``autodiff`` holds their
+checks (the tape, and ``objective_gradcheck`` by central differences of J);
+this module imports none of it.
 Each group's KL and the sum its prior derivative needs come from one pass
 (``_kl``), which the checked public ``kl_diag_vs_isotropic`` shares; a noise
 draw is one ``standard_normal`` vector, taken by the caller (stage 1 takes
@@ -42,7 +43,6 @@ from .models import MLPClassifier, ParamGroup, StepWorkspace, group_slice, loss_
 K_FLOOR = 1e-3
 P_INIT_FLOOR = 1e-4
 HEAD_NOISE_BOOST = math.log(10.0)
-_GROUPS = (ParamGroup.BACKBONE, ParamGroup.HEAD)
 
 
 @dataclass(frozen=True)
@@ -188,7 +188,7 @@ def init_noise_state(model: MLPClassifier) -> NoiseState:
         v = log_std[packer.group(g)]
         return float(np.log(np.mean(np.exp(2.0 * v)))) if v.size else 0.0
 
-    return NoiseState(np.append(log_std, [prior_for(g) for g in _GROUPS]),
+    return NoiseState(np.append(log_std, [prior_for(g) for g in ParamGroup]),
                       packer.sizes[ParamGroup.BACKBONE], anchors)
 
 
@@ -236,10 +236,14 @@ def _kl(diff: np.ndarray, var: np.ndarray, var_p: float) -> tuple[float, float]:
     sum s = sum var + ||diff||^2 that the prior's derivative reuses:
 
     0.5 * [ s / var_p - d + d ln var_p - sum ln var ]
+
+    A KL is never negative, so one that rounds below 0 (the posterior at the
+    prior) is 0; a nan stays nan for the finiteness guards.
     """
     d = diff.size
     s = float(np.sum(var)) + float(np.sum(diff * diff))
-    return 0.5 * (s / var_p - d + d * math.log(var_p) - float(np.sum(np.log(var)))), s
+    kl = 0.5 * (s / var_p - d + d * math.log(var_p) - float(np.sum(np.log(var))))
+    return max(kl, 0.0), s
 
 
 def kl_diag_vs_isotropic(mu_q: np.ndarray, var_q: np.ndarray, mu_p: np.ndarray,
@@ -356,7 +360,7 @@ def pac_objective(work: StepWorkspace, noise: NoiseState, batch_x, batch_y,
     (kl_b, kl_h), _, _, d_prior = zip(*(
         _group_kl(weights[packer.group(g)], var[packer.group(g)], noise.anchor(g),
                   noise.prior_log_var(g), work.kl_dw[packer.group(g)],
-                  work.kl_dp[packer.group(g)]) for g in _GROUPS))
+                  work.kl_dp[packer.group(g)]) for g in ParamGroup))
 
     if isinstance(cfg.gamma, FixedGamma):
         gamma = cfg.gamma.value
@@ -376,33 +380,3 @@ def pac_objective(work: StepWorkspace, noise: NoiseState, batch_x, batch_y,
     work.grad += np.multiply(c, work.kl_dw, out=work.kl_dw)
     return terms, noise.grad
 
-
-def objective_gradcheck(model: MLPClassifier, noise: NoiseState, batch_x, batch_y,
-                        cfg: BoundConfig, seed: int = 0, h: float = 1e-5) -> float:
-    """Finite-difference check of J over every stage-1 variable.
-
-    The noise draw and gamma are frozen at the base point, and K is the one a
-    fresh ``KTracker`` gives, so J is a deterministic function of the
-    trainable weights followed by ``NoiseState.params``; both J and its
-    gradients come from ``pac_objective``, the function training uses.
-    """
-    trial = model.copy()
-    work = StepWorkspace(trial, 0.0, 0.0)  # no update is taken
-    packer = trial.layout
-    rng = np.random.Generator(np.random.PCG64(seed))
-    tau = rng.standard_normal(packer.trainable_size)
-    k = KTracker(cfg.k).value
-    n = packer.trainable_size
-
-    def objective(z, at_cfg):
-        trial.theta[packer.start:] = z[:n]
-        moved = replace(noise, params=z[n:])
-        return pac_objective(work, moved, batch_x, batch_y, at_cfg, tau, k,
-                             moved.variances())
-
-    x = np.concatenate([model.theta[packer.start:], noise.params])
-    frozen = replace(cfg, gamma=FixedGamma(objective(x, cfg)[0].gamma_used))
-    _, noise_grad = objective(x, frozen)
-    return kernels.central_difference_error(
-        lambda z, _: objective(z, frozen)[0].j_total,
-        np.concatenate([work.grad, noise_grad]), x, h)

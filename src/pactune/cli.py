@@ -576,7 +576,7 @@ def cmd_gradcheck(seeds: int = 20) -> int:
     by = rng.integers(0, 2, size=8)
     cfg = bound.BoundConfig(m=8, delta=0.05, gamma=bound.FixedGamma(5.0),
                             k=bound.FixedK(1.0))
-    err = max(bound.objective_gradcheck(model, noise, bx, by, cfg, seed=s)
+    err = max(ad.objective_gradcheck(model, noise, bx, by, cfg, seed=s)
               for s in range(3))
     ok = err < 1e-3
     failed |= not ok

@@ -1,14 +1,20 @@
-"""Flat-array numeric kernels, in numpy.
+"""Flat-array numeric kernels, in numpy, and the training path's numeric error.
 
 The loops that run once per optimizer step over every trainable parameter
 (fused AdamW update, noise application) live here, so the optimizer, the
-perturbed step and the objective share one implementation of each; so do the
-tape's and the objective's gradient checks.
+perturbed step and the objective share one implementation of each.
+``NumericsError`` is defined here, below every training module, since each
+of them may raise it; the tape in ``autodiff`` raises it too.
 """
 
 import numpy as np
 
 BACKEND = "numpy"
+
+
+class NumericsError(Exception):
+    """A non-finite number on the training path or the tape; the descent loop
+    turns a step's into a ``DivergenceError``."""
 
 
 def adam_update(param, m, v, grad, t, lr, beta1, beta2, eps, lr_decay, scratch):
@@ -42,17 +48,3 @@ def apply_noise(param, std, tau, out):
     and return it; the inputs are never mutated."""
     return np.add(param, np.multiply(std, tau, out=out), out=out)
 
-
-def central_difference_error(value, analytic, x, h):
-    """Max over i of |analytic_i - d_i| / max(1, |analytic_i|), where d_i is
-    (value(x + h e_i, i) - value(x - h e_i, i)) / 2h; ``value`` gets i to name
-    it in an error. A non-finite d_i gives nan, which fails every threshold."""
-    if h <= 0.0:
-        raise ValueError("central_difference_error: h must be positive")
-    errors = []
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = h
-        numeric = (value(x + step, i) - value(x - step, i)) / (2.0 * h)
-        errors.append(abs(analytic[i] - numeric) / max(1.0, abs(analytic[i])))
-    return float(np.max(errors, initial=0.0))

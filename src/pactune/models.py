@@ -16,7 +16,9 @@ the freeze is fixed at construction; noise log-stds, anchors, noise draws,
 gradients and optimizer moments all use its trainable order.
 
 Training gradients come from closed-form numpy backprop (``loss_and_grads``);
-the tape in ``autodiff`` is only the oracle the tests check them against.
+the tape in ``autodiff`` is only the oracle the tests check them against,
+and no training module imports it. A non-finite number raises
+``kernels.NumericsError``.
 The constructor rejects an unknown activation, ``forward`` a batch of the
 wrong width; the training path trusts what the descent loop checked once.
 A descent loop's steps share one ``StepWorkspace``, built once per loop, and
@@ -38,8 +40,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from . import optim
+from .kernels import NumericsError
 
 
 class ParamGroup(str, Enum):
@@ -211,7 +213,7 @@ class MLPClassifier:
             z = np.matmul(outs[-1], w, out=None if out is None else out[i])
             z += b
             if not np.isfinite(z).all():
-                raise ad.NumericsError(f"layer {i} output is not finite")
+                raise NumericsError(f"layer {i} output is not finite")
             if i < last:
                 act(z)
             outs.append(z)
@@ -222,8 +224,8 @@ class MLPClassifier:
         tracer and as the tests' reference for ``StepWorkspace.predict_eval``."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
-            raise ad.ShapeError(f"forward: batch shape {x.shape} does not match "
-                                f"input size {self.input_dim}")
+            raise ValueError(f"forward: batch shape {x.shape} does not match "
+                             f"input size {self.input_dim}")
         return self._outputs(list(zip(self.weights, self.biases)), x)[-1]
 
 
@@ -240,7 +242,7 @@ def _softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarra
     denom = ez.sum(axis=1, keepdims=True)
     loss = float(-((picked - np.log(denom)[:, 0]).sum() / n))
     if not math.isfinite(loss):
-        raise ad.NumericsError("the loss is not finite")
+        raise NumericsError("the loss is not finite")
     grad = ez
     grad /= denom
     grad[rows, labels] -= 1.0

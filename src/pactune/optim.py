@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from . import kernels
 
 BETA1 = 0.9
@@ -72,7 +71,7 @@ def adam_step(state: AdamState, param: np.ndarray, grad: np.ndarray,
     perfbench's tracer counts applied updates from it.
     """
     if not np.isfinite(grad).all():
-        raise ad.NumericsError("the gradient is not finite")
+        raise kernels.NumericsError("the gradient is not finite")
     state.t += 1
     kernels.adam_update(param, state.m, state.v, grad, state.t, lr, BETA1, BETA2, EPS,
                         lr_decay, state.scratch)

@@ -12,12 +12,14 @@ through one descent loop and differ only in their step, so traces are
 directly comparable. Every step is
 ``step(work, x, y) -> loss`` on the loop's ``StepWorkspace`` (Adam state and
 weight decay included); a trainer states what else it records per epoch in
-its own ``epoch_terms``. The loop checks once that its datasets fit the
-model, so no step checks a batch.
+its own ``epoch_terms``. The loop checks once that its training set is not
+empty and that its datasets fit the model, so no step checks a batch; both
+stages check at entry that the noise state fits the model.
 
-A ``NumericsError`` of a step or of the epoch's evaluation and terms after it
-(a non-finite layer output, loss, J or gradient, a learned variance at 0 or
-inf, or the KL that stage 1's last update leaves), or a non-finite number in
+A ``NumericsError`` (from ``kernels``) of a step or of the epoch's
+evaluation and terms after it (a non-finite layer output, loss, J or
+gradient, a learned variance at 0 or inf, or the KL that stage 1's last
+update leaves), or a non-finite number in
 the epoch's record (say a KL whose weights' square sum overflows), becomes a
 ``DivergenceError`` naming label, epoch, batch and, for the record, its key,
 so no trace holds a non-finite number. The trainable layout is the model's
@@ -45,10 +47,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from .bound import (BoundConfig, KTracker, NoiseState, _kl, generic_bound, init_noise_state,
                     kl_diag_vs_isotropic, pac_objective)
 from .datasets import Dataset
+from .kernels import NumericsError
 from .models import MLPClassifier, ParamGroup, StepWorkspace, init_weights, replace_head
 from .optim import AdamState, LrSchedule, StepDecay, adam_step, schedule_value
 from .pgd import descent_step, pgd_step, random_layer_noise_step
@@ -160,6 +162,8 @@ def _descend(model: MLPClassifier, train: Dataset, dev: Dataset, cfg, data_rng,
     ``epoch_terms(model, n_batches)``, called after each epoch's steps,
     returns its ``NO_EPOCH_TERMS`` fields; without it they are zero.
     """
+    if len(train) == 0:
+        raise ValueError(f"{label}: the training set is empty")
     for name, data in (("train", train), ("dev", dev)):
         if data.dim != model.input_dim or data.n_classes > model.n_classes:
             raise ValueError(f"{label}: {name} data of width {data.dim}, labels below "
@@ -194,12 +198,19 @@ def _descend(model: MLPClassifier, train: Dataset, dev: Dataset, cfg, data_rng,
                 }
                 for key, value in record.items():
                     if not math.isfinite(value):
-                        raise ad.NumericsError(f"the epoch's {key} is not finite")
-            except ad.NumericsError as e:
+                        raise NumericsError(f"the epoch's {key} is not finite")
+            except NumericsError as e:
                 raise DivergenceError(
                     f"{label} diverged at epoch {epoch}, batch {batch}: {e}") from e
             trace.append(record)
     return model, trace
+
+
+def _check_noise(model: MLPClassifier, noise: NoiseState) -> None:
+    """Reject a noise state laid out for another model; both stages call it at entry."""
+    for g in ParamGroup:
+        if noise.size(g) != model.layout.sizes[g]:
+            raise ValueError(f"noise state does not match the model's {g.value} size")
 
 
 def stage1_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
@@ -207,11 +218,9 @@ def stage1_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
                  data_rng: np.random.Generator, noise_rng: np.random.Generator,
                  ) -> tuple[MLPClassifier, NoiseState, list[dict]]:
     """Minimize the bound objective; returns updated model, learned noise, trace."""
+    _check_noise(model, noise)
     noise = noise.copy()
     packer = model.layout
-    for g in (ParamGroup.BACKBONE, ParamGroup.HEAD):
-        if noise.size(g) != packer.sizes[g]:
-            raise ValueError(f"noise state does not match the model's {g.value} size")
     noise_adam = AdamState(noise.params.size)
     tracker = KTracker(bound_cfg.k)
     update_index = itertools.count()
@@ -227,14 +236,14 @@ def stage1_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
         terms, noise_grad = pac_objective(work, noise, x, y, bound_cfg, tau, tracker.value,
                                           var, l_pac_weight=cfg.l_pac_weight)
         if not math.isfinite(terms.j_total):
-            raise ad.NumericsError("the objective is not finite")
+            raise NumericsError("the objective is not finite")
         tracker.update(terms.l_train)
         lr_h = schedule_value(cfg.lr_noise_head, next(update_index))
         adam_step(work.adam, work.trainable, work.grad, work.lr, work.lr_decay)
         adam_step(noise_adam, noise.params, noise_grad, noise_lr(lr_h))
         var = noise.checked_variances()  # the next KL's, finite and above 0
         if var is None:
-            raise ad.NumericsError("a learned variance underflowed to 0 or overflowed")
+            raise NumericsError("a learned variance underflowed to 0 or overflowed")
         sums[:] = [s + t for s, t in zip(sums, (terms.l_pac, terms.kl_backbone,
                                                 terms.kl_head))]
         return terms.l_train
@@ -243,11 +252,11 @@ def stage1_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
         # the sums hold each step's KLs, taken before its update: the state the
         # epoch's last update left is checked here, so stage 1 names it
         weights = model.theta[packer.start:]
-        for g in (ParamGroup.BACKBONE, ParamGroup.HEAD):
+        for g in ParamGroup:
             kl = _kl(weights[packer.group(g)] - noise.anchor(g), var[packer.group(g)],
                      math.exp(noise.prior_log_var(g)))[0]
             if not math.isfinite(kl):
-                raise ad.NumericsError(f"the last update's kl_{g.value} is not finite")
+                raise NumericsError(f"the last update's kl_{g.value} is not finite")
         l_pac, kl_b, kl_h = (s / n_batches for s in sums)
         sums[:] = [0.0, 0.0, 0.0]
         return _bound_terms(noise, bound_cfg, kl_b, kl_h, l_pac)
@@ -263,6 +272,7 @@ def stage2_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
                  noise_rng: np.random.Generator, bound_cfg: BoundConfig,
                  epoch_offset: int = 0) -> tuple[MLPClassifier, list[dict]]:
     """Perturbed descent with the learned noise frozen; loss only, no bound term."""
+    _check_noise(model, noise)
     std = np.exp(noise.log_std)
 
     def epoch_terms(model, n_batches):
@@ -270,7 +280,7 @@ def stage2_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
         return _bound_terms(noise, bound_cfg, *(
             kl_diag_vs_isotropic(weights[model.layout.group(g)], noise.variances(g),
                                  noise.anchor(g), math.exp(noise.prior_log_var(g)))
-            for g in (ParamGroup.BACKBONE, ParamGroup.HEAD)))
+            for g in ParamGroup))
 
     return _descend(model, train, dev, cfg, data_rng,
                     lambda work, x, y: pgd_step(work, x, y, std, noise_rng), "stage 2",

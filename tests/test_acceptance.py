@@ -56,7 +56,7 @@ def test_criterion_01_gradcheck_suite():
     by = rng.integers(0, 2, size=8)
     cfg = bound.BoundConfig(m=8, delta=0.05, gamma=bound.FixedGamma(5.0),
                             k=bound.FixedK(1.0))
-    worst_j = max(bound.objective_gradcheck(model, noise, bx, by, cfg, seed=s)
+    worst_j = max(ad.objective_gradcheck(model, noise, bx, by, cfg, seed=s)
                   for s in range(20))
     elapsed = time.monotonic() - start
     ok = worst_op < 1e-4 and worst_j < 1e-3 and elapsed < 60.0

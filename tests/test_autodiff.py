@@ -1,7 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pactune
 from pactune import autodiff as ad
+from pactune import kernels
 
 
 def scalar_build(fn):
@@ -182,3 +187,23 @@ class TestProperties:
         x2 = t2.leaf(np.array(2.0))
         with pytest.raises(ad.AutodiffError, match="different tapes"):
             ad.add(x1, x2)
+
+
+class TestOracleStaysOffTheTrainingPath:
+    def test_only_cli_and_init_import_autodiff(self):
+        importers = set()
+        for path in Path(pactune.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    modules = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""] + [a.name for a in node.names]
+                else:
+                    continue
+                if any("autodiff" in m.split(".") for m in modules):
+                    importers.add(path.name)
+        assert importers == {"cli.py", "__init__.py"}
+
+    def test_the_tape_raises_the_training_paths_numeric_error(self):
+        assert ad.NumericsError is kernels.NumericsError is pactune.NumericsError
+        assert not issubclass(kernels.NumericsError, ad.AutodiffError)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from helpers import mc_kl, tape_loss_and_grads, tape_objective
 
+from pactune import autodiff as ad
 from pactune import bound, datasets, kernels, models, pipeline
 from pactune.bound import (AutoGamma, BoundConfig, FixedGamma, FixedK, KTracker,
                            RunningK, init_noise_state, kl_diag_vs_isotropic, l_pac,
@@ -40,6 +41,16 @@ class TestKL:
                 rng.standard_normal(d), np.exp(rng.standard_normal(d)),
                 rng.standard_normal(d), float(np.exp(rng.standard_normal())))
             assert kl >= 0.0
+
+    def test_rounding_at_the_prior_is_not_negative(self):
+        # a zero-weight model's head noise at init: each log-std is the floor's
+        # ln 1e-4 plus the head's ln 10, and the prior is their mean variance;
+        # the formula's terms cancel to -5.68e-14 in float64, which l_pac rejects
+        var = np.exp(2.0 * np.full(39, math.log(1e-4) + math.log(10.0)))
+        var_p = math.exp(math.log(float(np.mean(var))))
+        kl = kl_diag_vs_isotropic(np.zeros(39), var, np.zeros(39), var_p)
+        assert kl == 0.0
+        assert l_pac(kl, BoundConfig(m=20), 1.0, 1.0) > 0.0
 
     def test_zero_only_at_identical(self):
         kl = kl_diag_vs_isotropic([0.0], [1.0 + 1e-6], [0.0], 1.0)
@@ -211,7 +222,6 @@ class TestObjective:
         cfg = BoundConfig(m=8, gamma=FixedGamma(5.0), k=FixedK(1.0))
         terms, _ = pac_objective(workspace(model), noise, bx, by, cfg, draw(model), 1.0,
                                  noise.variances())
-        from pactune import autodiff as ad
         clean = ad.softmax_cross_entropy(model.forward(bx), by).item()
         assert abs(terms.l_train - clean) < 1e-12
         assert terms.j_total == terms.l_train + terms.l_pac
@@ -259,13 +269,13 @@ class TestObjective:
     def test_gradcheck_full_objective(self):
         model, packer, noise, bx, by = tiny_setup(seed=4, layer_sizes=(2, 2, 2))
         cfg = BoundConfig(m=8, gamma=FixedGamma(5.0), k=FixedK(1.0))
-        err = bound.objective_gradcheck(model, noise, bx, by, cfg, seed=0)
+        err = ad.objective_gradcheck(model, noise, bx, by, cfg, seed=0)
         assert err < 1e-3
 
     def test_gradcheck_with_auto_gamma_and_frozen_draw(self):
         model, packer, noise, bx, by = tiny_setup(seed=5, layer_sizes=(2, 2, 2))
         cfg = BoundConfig(m=8, gamma=AutoGamma(0.01, 10.0), k=FixedK(0.5))
-        err = bound.objective_gradcheck(model, noise, bx, by, cfg, seed=1)
+        err = ad.objective_gradcheck(model, noise, bx, by, cfg, seed=1)
         assert err < 1e-3
 
     def test_anchor_pull_term(self):

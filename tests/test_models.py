@@ -52,7 +52,7 @@ class TestForward:
         assert out.shape == (0, 2)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ad.ShapeError, match="input size"):
+        with pytest.raises(ValueError, match="input size"):
             fresh().forward(np.zeros((3, 5)))
 
     def test_unknown_activation_raises(self):

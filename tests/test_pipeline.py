@@ -261,6 +261,21 @@ class TestStage1:
             stage1_train(model, noise, train, dev, cfg, BoundConfig(m=len(train)),
                          np.random.default_rng(1), np.random.default_rng(2))
 
+    @pytest.mark.parametrize("sizes, freeze", [([6, 24, 12, 3], True),
+                                               ([2, 2, 2], False), ([2, 7, 2], False)])
+    def test_runs_from_zero_weights(self, sizes, freeze):
+        # zero weights put each group's posterior at its prior, where the KL
+        # formula rounds below 0 at step 0
+        model = models.MLPClassifier(sizes, freeze_first_layer=freeze)
+        rng = np.random.default_rng(0)
+        data = datasets.Dataset(x=rng.standard_normal((20, sizes[0])),
+                                y=rng.integers(0, sizes[-1], size=20))
+        _, _, trace = stage1_train(model, init_noise_state(model), data, data,
+                                   Stage1Config(epochs=1), BoundConfig(m=20),
+                                   np.random.default_rng(1), np.random.default_rng(2))
+        assert len(trace) == 1
+        assert trace[0]["kl_backbone"] >= 0.0 and trace[0]["kl_head"] >= 0.0
+
     def test_anchor_mismatch_rejected(self, toy_task):
         pretrained, train, dev = toy_task
         model = fresh_head(pretrained, 3)
@@ -361,6 +376,18 @@ class TestStage2AndBaselines:
                 noise_injection_finetune(model, train, dev, cfg, 0.01, data_rng,
                                          noise_rng)
 
+    def test_noise_of_another_model_rejected(self, toy_task):
+        # the entry check stage 1 shares: this noise has no backbone, while the
+        # model's first layer trains
+        pretrained, train, dev = toy_task
+        model = fresh_head(pretrained, 3)
+        noise = init_noise_state(fresh_head(pretrained, 3, freeze=True))
+        with pytest.raises(ValueError, match="^noise state does not match the "
+                                             "model's backbone size$"):
+            stage2_train(model, noise, train, dev, Stage2Config(epochs=1),
+                         np.random.default_rng(1), np.random.default_rng(2),
+                         BoundConfig(m=len(train)))
+
     def test_noise_injection_runs(self, toy_task):
         pretrained, train, dev = toy_task
         record, _, _ = run_finetune(
@@ -451,6 +478,30 @@ class TestInputContract:
                               np.random.default_rng(0), step, "test", weight_decay=True)
         assert steps == []
         assert np.array_equal(model.theta, theta)
+
+    @pytest.mark.parametrize("label", ["pretraining", "vanilla fine-tuning",
+                                       "noise injection", "stage 1", "stage 2"])
+    def test_empty_training_set_raises_before_the_first_epoch(self, toy_task, label):
+        pretrained, _, dev = toy_task
+        empty = datasets.Dataset(x=np.empty((0, 3)), y=np.empty(0, dtype=np.int64))
+        model = fresh_head(pretrained, 0)
+        noise = init_noise_state(model)
+        cfg = Stage2Config(epochs=1)
+        data_rng, noise_rng = np.random.default_rng(1), np.random.default_rng(2)
+        with pytest.raises(ValueError, match=f"^{label}: the training set is empty$"):
+            if label == "pretraining":
+                pipeline.pretrain_model(empty, [3, 10, 2], epochs=1, batch_size=32,
+                                        lr_backbone=1e-3, lr_head=1e-2, seed=4)
+            elif label == "vanilla fine-tuning":
+                vanilla_finetune(model, empty, dev, cfg, data_rng)
+            elif label == "noise injection":
+                noise_injection_finetune(model, empty, dev, cfg, 0.01, data_rng, noise_rng)
+            elif label == "stage 1":
+                stage1_train(model, noise, empty, dev, small_stage1(epochs=1),
+                             BoundConfig(m=1), data_rng, noise_rng)
+            else:
+                stage2_train(model, noise, empty, dev, cfg, data_rng, noise_rng,
+                             BoundConfig(m=1))
 
 
 class TestDeterminismAndRecords:
