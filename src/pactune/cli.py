@@ -5,7 +5,7 @@ individual leaves, and ``--seed``/``--out`` are shorthands for two of them.
 Each command takes only the flags it reads. Unknown keys and flags and
 out-of-range values are rejected before anything runs. Exit codes: 0 success,
 1 check failure (gradcheck), 2 configuration error, 3 numeric divergence,
-4 I/O error.
+4 I/O error, 5 a benchmark worker that ended abruptly, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import dataclasses
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
 EXIT_IO = 4
+EXIT_WORKER = 5
 
 
 class ConfigError(ValueError):
@@ -308,12 +310,12 @@ def load_config(path: str | None, sets=()) -> dict:
         _apply_set(config, *_parse_set(entry))
     _check(config)
     for task_name in config["tasks"]:
-        _check(task_config(config, task_name), _view_prefix(config, task_name))
+        task_config(config, task_name)
     return config
 
 
 # --- config -> domain objects ---------------------------------------------------
-# Each builder takes a config that load_config has checked, so it only builds.
+# Each builder takes a view that task_config has checked, so it only builds.
 
 
 def resolve_task(config: dict) -> datasets.TransferPair:
@@ -347,13 +349,15 @@ def build_bound(config: dict, m: int) -> bound.BoundConfig:
 
 
 def task_config(config: dict, task_name: str | None = None) -> dict:
-    """A task's view of the config: its overrides applied. A named task is that
-    built-in task, as the benchmark runs it; by default the view keeps the
-    config's own task, explicit source and target included."""
-    override = config.get("task_overrides", {}).get(task_name or config["task"]["name"], {})
-    merged = _deep_merge(config, override)
+    """A task's view of the config: its overrides applied, and checked, so every
+    config a command runs has been. A named task is that built-in task, as the
+    benchmark runs it; by default the view keeps the config's own task, explicit
+    source and target included."""
+    name = task_name or config["task"]["name"]
+    merged = _deep_merge(config, config["task_overrides"].get(name, {}))
     if task_name is not None:
         merged["task"] = dict(merged["task"], name=task_name, source=None, target=None)
+    _check(merged, _view_prefix(config, name))
     return merged
 
 
@@ -364,7 +368,7 @@ def load_task_data(config: dict, side: str) -> datasets.Dataset:
 
     def read():
         data = datasets.generate(spec)
-        if side == "target" and spec.generator == "csv":  # load_config checked the others
+        if side == "target" and spec.generator == "csv":  # task_config checked the others
             _check_n_shot(config, len(data), _view_prefix(config, config["task"]["name"]))
         return data
 
@@ -688,6 +692,12 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_IO
+    except BrokenProcessPool:  # killed, say by the OOM killer: no exception to name
+        print("worker error: a benchmark worker ended abruptly", file=sys.stderr)
+        return EXIT_WORKER
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130  # 128 + SIGINT, as a shell reports a process that SIGINT ended
 
 
 if __name__ == "__main__":

@@ -349,9 +349,8 @@ def replace_head(model: MLPClassifier, rng: np.random.Generator, n_classes: int,
     out = MLPClassifier(list(model.layer_sizes[:-1]) + [int(n_classes)],
                         activation=model.activation,
                         freeze_first_layer=freeze_first_layer)
-    for dst, src in zip(out.weights[:-1] + out.biases[:-1],
-                        model.weights[:-1] + model.biases[:-1]):
-        dst[...] = src
+    head = out.layout.layers[-1][0]  # the layers before it have the same layout in both
+    out.theta[:head] = model.theta[:head]
     _init_layer(out.weights[-1], rng)
     return out
 

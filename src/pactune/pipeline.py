@@ -39,7 +39,6 @@ of θ, so later evaluations run the other layers only, into buffers built once.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -223,7 +222,6 @@ def stage1_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
     packer = model.layout
     noise_adam = AdamState(noise.params.size)
     tracker = KTracker(bound_cfg.k)
-    update_index = itertools.count()
     lr_b = cfg.lr_noise_backbone
     # the noise-rate vector changes only when the head's schedule steps
     noise_lr = functools.lru_cache(maxsize=1)(lambda lr_h: noise.per_coordinate(lr_b, lr_h))
@@ -238,7 +236,7 @@ def stage1_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
         if not math.isfinite(terms.j_total):
             raise NumericsError("the objective is not finite")
         tracker.update(terms.l_train)
-        lr_h = schedule_value(cfg.lr_noise_head, next(update_index))
+        lr_h = schedule_value(cfg.lr_noise_head, noise_adam.t)  # this update's index
         adam_step(work.adam, work.trainable, work.grad, work.lr, work.lr_decay)
         adam_step(noise_adam, noise.params, noise_grad, noise_lr(lr_h))
         var = noise.checked_variances()  # the next KL's, finite and above 0

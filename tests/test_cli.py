@@ -1,7 +1,14 @@
+import functools
 import json
 import logging
+import multiprocessing
+import os
 import re
 import shutil
+import signal
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +25,15 @@ TINY_TASK = {
                "separation": 3.0, "class_std": 1.0, "rotation_degrees": 20.0},
     "n_shot": 40,
 }
+
+
+def main_or_fail(argv) -> int:
+    """``main``; a ``KeyboardInterrupt`` that escapes it fails the test instead of
+    ending the test session."""
+    try:
+        return main(argv)
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped main")
 
 
 def tiny_config(tmp_path, **extra):
@@ -323,6 +339,30 @@ class TestConfig:
     def test_n_shot_below_an_explicit_target_size(self, tmp_path):
         with pytest.raises(ConfigError, match="'task.n_shot' must be below 160"):
             load_config(tiny_config(tmp_path), sets=["task.n_shot=160"])
+
+    # the view a single-task command runs is checked too, not only the benchmark's:
+    # here the configured task's override asks for more rows than its target has
+    @pytest.mark.parametrize("command", ["finetune", "pretrain", "generate-data"])
+    def test_view_of_the_configured_task_exits_config_before_work(self, tmp_path, capsys,
+                                                                  command):
+        checkpoint = tmp_path / "pretrained.json"  # fits the task: only n_shot is wrong
+        model = models.init_weights([6, 24, 12, 3], np.random.default_rng(0))
+        models.save_checkpoint(model, checkpoint, {"seed": 0, "task": "x", "epoch": 1})
+        sets = [
+            "task.source=" + json.dumps({"generator": "blobs", "n": 300, "dim": 6,
+                                         "seed": 11}),
+            "task.target=" + json.dumps({"generator": "blobs", "n": 200, "dim": 6,
+                                         "classes": 3, "seed": 12}),
+            "task.n_shot=100",
+            "task_overrides=" + json.dumps({"blobs-rotate": {"task": {"n_shot": 500}}}),
+            f"checkpoint={json.dumps(str(checkpoint))}"]
+        code = main([command, "--out", str(tmp_path / "out"),
+                     *(a for s in sets for a in ("--set", s))])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err == ("config error: 'task_overrides.blobs-rotate.task.n_shot' must be "
+                       "below 200, the size of the target task, got 500\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("where", ["file", "task_overrides"])
     def test_constant_noise_head_schedule_loads(self, tmp_path, where):
@@ -685,6 +725,42 @@ class TestFailedCommandLeavesNoOutput:
         assert [p.name for p in old.iterdir()] == ["kept.txt"]
         assert (old / "kept.txt").read_text() == "old"
 
+    @pytest.mark.parametrize("command", ["pretrain", "benchmark"])
+    def test_interrupt(self, tmp_path, capsys, monkeypatch, command):
+        def interrupted(config, source):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "pretrain_for_task", interrupted)
+        code = main_or_fail([command, "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 130
+        assert (captured.out, captured.err) == ("", "interrupted\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_sigint(self, tmp_path):
+        """SIGINT, as Ctrl-C sends it, to a process in its own session, so that no
+        other process group is signalled; its pretraining outlasts the wait."""
+        script = ("import sys; from pactune import cli; print('started', flush=True); "
+                  "sys.exit(cli.main(['pretrain', '--set', 'pretrain.epochs=100000', "
+                  "'--out', 'out']))")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.Popen([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                start_new_session=True)
+        try:
+            assert proc.stdout.readline() == "started\n"
+            try:
+                proc.wait(timeout=0.5)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()  # only if it still runs
+            proc.wait()
+        assert proc.returncode == 130, err
+        assert (out, err) == ("", "interrupted\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTaskFileReads:
     """A command reads each task file it uses once, and no file it does not use."""
@@ -728,6 +804,14 @@ class TestGradcheckCommand:
         assert cli.cmd_gradcheck(seeds=5) == EXIT_OK
         out = capsys.readouterr().out
         assert "matmul" in out and "full J" in out and "FAIL" not in out
+
+
+def _worker_dies(payload):
+    os._exit(9)
+
+
+def _worker_interrupted(payload):
+    raise KeyboardInterrupt
 
 
 class TestBenchmark:
@@ -850,6 +934,22 @@ class TestBenchmark:
         assert re.search(r"^numeric divergence: blobs-rotate pac-tuning seed [12]: "
                          r"stage 1 diverged at epoch \d+, batch \d+: ", err), err
         assert len(err.splitlines()) == 1, err
+
+    # a worker's end is the test's to choose, so the pool forks whatever the
+    # default start method; capfd also takes the workers' stderr
+    @pytest.mark.parametrize("run, code, line", [
+        (_worker_dies, 5, "worker error: a benchmark worker ended abruptly"),
+        (_worker_interrupted, 130, "interrupted"),
+    ])
+    def test_pool_failure_ends_in_one_line(self, tmp_path, capfd, monkeypatch, run, code,
+                                           line):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        monkeypatch.setattr(cli, "_benchmark_run", run)
+        assert main_or_fail(["benchmark", "--config", self.bench_config(tmp_path),
+                             "--workers", "2"]) == code
+        assert capfd.readouterr() == ("", f"{line}\n")
+        assert not (tmp_path / "bench").exists()
 
     def test_task_override_applies(self, tmp_path):
         cfg_path = self.bench_config(tmp_path, out_name="ovr")

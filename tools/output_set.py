@@ -23,7 +23,7 @@ the checkout that holds this script):
   ``blobs-rotate`` setting fewer pretrain, stage-1 and stage-2 epochs):
   ``pretrain-override`` runs ``pactune pretrain``, and ``finetune-override``
   runs ``pactune finetune --seed 1`` from that checkpoint;
-- fifteen error paths and their one-line stderr: ``pactune pretrain`` with
+- sixteen error paths and their one-line stderr: ``pactune pretrain`` with
   ``pretrain.batch_size=0`` (exit 2), ``pactune finetune --seed 2`` from
   the pretrain checkpoint with ``stage1.lr_head=1e308``, which diverges in
   stage 1 (exit 3), ``error-unknown-set``, ``pactune pretrain`` with
@@ -54,7 +54,12 @@ the checkout that holds this script):
   ``log_lambda`` is 800 (exit 2), and ``error-stage1-last-update``,
   ``pactune finetune --seed 1`` on ``task.n_shot=32`` rows with one-epoch
   stages and ``stage1.lr_head=1e154``, whose one stage-1 update overflows the
-  KL (exit 3). A failed command leaves no ``OUT/<name>/``.
+  KL (exit 3). ``error-override-n-shot``, ``pactune finetune --seed 1`` from
+  the pretrain checkpoint on explicit blobs tasks (a source of 300 rows,
+  seed 11, and a 3-class target of 200 rows, seed 12, both of dimension 6)
+  whose ``task_overrides`` give ``blobs-rotate`` a ``task.n_shot`` of 500, pins
+  that the view a single-task command runs is checked (exit 2). A failed
+  command leaves no ``OUT/<name>/``.
 
 Each command writes into ``OUT/<name>/`` and leaves its stdout, stderr and
 exit code in ``OUT/<name>.stdout``, ``.stderr`` and ``.exit``. Every path a
@@ -79,6 +84,12 @@ CSV_TASK = [f'task.{side}={{"generator": "csv", "path": "generate-data/{side}.cs
 NO_DECAY = ["--set", "stage1.decay_weights=false", "--set", "stage2.weight_decay=false"]
 OVERRIDE = ["--set", 'task_overrides={"blobs-rotate": {"pretrain": {"epochs": 20}, '
             '"stage1": {"epochs": 30}, "stage2": {"epochs": 10}}}']
+OVERRIDE_N_SHOT = [
+    "--set", 'task.source={"generator": "blobs", "n": 300, "dim": 6, "seed": 11}',
+    "--set", 'task.target={"generator": "blobs", "n": 200, "dim": 6, "classes": 3, '
+    '"seed": 12}',
+    "--set", "task.n_shot=100",
+    "--set", 'task_overrides={"blobs-rotate": {"task": {"n_shot": 500}}}']
 PRINT_CONFIG = ("import json; from pactune import cli; "
                 "print(json.dumps(cli.load_config(None), sort_keys=True, indent=1))")
 # the pretrain checkpoint with its first weight NaN, then finetune from it
@@ -182,7 +193,10 @@ def commands() -> list[tuple[str, list[str]]]:
               cli + ["finetune", "--seed", "1", "--set", f"checkpoint={CHECKPOINT}",
                      "--set", "task.n_shot=32", "--set", "stage1.epochs=1",
                      "--set", "stage2.epochs=1", "--set", "stage1.lr_head=1e154",
-                     "--out", "error-stage1-last-update"])]
+                     "--out", "error-stage1-last-update"]),
+             ("error-override-n-shot",
+              cli + ["finetune", "--seed", "1", *OVERRIDE_N_SHOT, "--set",
+                     f"checkpoint={CHECKPOINT}", "--out", "error-override-n-shot"])]
     return runs
 
 
