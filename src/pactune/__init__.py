@@ -3,12 +3,10 @@ PAC-Bayes bound, then continues with perturbed gradient descent using the
 learned noise. Training uses closed-form numpy gradients for small MLP
 classifiers; a minimal float64 tape-autodiff engine, which also holds every
 gradient check, is kept as the oracle that tests and ``pactune gradcheck``
-check them against, and no training module imports it. Includes a seeded
+check them against, and only that command loads it. Includes a seeded
 transfer-task benchmark harness.
 """
 
-from .autodiff import (AutodiffError, ShapeError, Tape, Tensor, finite_diff_check,
-                       forward_op, gradcheck_op, objective_gradcheck)
 from .bound import (AutoGamma, BoundConfig, BoundTerms, FixedGamma, FixedK,
                     KTracker, NoiseState, RunningK, generic_bound, init_noise_state,
                     kl_diag_vs_isotropic, l_pac, load_noise_state, optimal_gamma,

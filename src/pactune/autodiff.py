@@ -7,8 +7,9 @@ against this tape, whose ops ``gradcheck_op`` checks by central differences.
 The checks share one central-difference formula
 (``central_difference_error``); ``objective_gradcheck`` applies it to the
 stage-1 objective J through ``bound.pac_objective``, the function training
-uses. No training module imports this one: only ``cli`` (for ``pactune
-gradcheck``) and the package's ``__init__`` do.
+uses, and ``gradcheck_suite`` runs acceptance criterion 1's checks. Only
+``cli``'s ``cmd_gradcheck`` imports this module, so no training module and
+no other command loads it.
 
 Deliberately small: the op set below is everything the classifiers and the
 bound arithmetic need, and nothing else. Everything runs in float64 because
@@ -28,9 +29,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bound import BoundConfig, FixedGamma, KTracker, NoiseState, pac_objective
+from .bound import (BoundConfig, FixedGamma, FixedK, KTracker, NoiseState,
+                    init_noise_state, pac_objective)
 from .kernels import NumericsError
-from .models import MLPClassifier, StepWorkspace
+from .models import MLPClassifier, StepWorkspace, init_weights
+
+STEP = 1e-5  # the central-difference step of every check
 
 
 class AutodiffError(Exception):
@@ -406,7 +410,7 @@ def forward_op(kind: str, *inputs) -> Tensor:
     return OPS[kind](*inputs)
 
 
-def gradcheck_op(kind: str, seed: int, h: float = 1e-5) -> float:
+def gradcheck_op(kind: str, seed: int) -> float:
     """Finite-difference check of one op kind on random inputs (shapes <= 8x8).
 
     Non-smooth or domain-restricted ops get inputs bounded away from their
@@ -460,18 +464,18 @@ def gradcheck_op(kind: str, seed: int, h: float = 1e-5) -> float:
             out = tensor_sum(out)
         return out, leaves
 
-    return finite_diff_check(build, x0, h)
+    return finite_diff_check(build, x0)
 
 
-def finite_diff_check(build: Callable, x: np.ndarray, h: float = 1e-5) -> float:
+def finite_diff_check(build: Callable, x: np.ndarray) -> float:
     """Max relative error between tape gradients and central differences.
 
     ``build(x)`` must return ``(root, leaves)`` where ``root`` is a recorded
     scalar Tensor and ``leaves`` are the tape leaves whose concatenated
     (raveled) sizes tile ``x`` in order. The analytic gradient comes from one
     backward pass at ``x``; each coordinate is then compared against
-    ``(f(x + h e_i) - f(x - h e_i)) / 2h`` with the error normalized by
-    ``max(1, |analytic_i|)`` (``central_difference_error``).
+    ``(f(x + h e_i) - f(x - h e_i)) / 2h`` with h = ``STEP`` and the error
+    normalized by ``max(1, |analytic_i|)`` (``central_difference_error``).
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     root, leaves = build(x)
@@ -494,11 +498,11 @@ def finite_diff_check(build: Callable, x: np.ndarray, h: float = 1e-5) -> float:
                 f"finite_diff_check: non-finite value perturbing coordinate {coord}")
         return v
 
-    return central_difference_error(value_at, analytic, x, h)
+    return central_difference_error(value_at, analytic, x)
 
 
 def objective_gradcheck(model: MLPClassifier, noise: NoiseState, batch_x, batch_y,
-                        cfg: BoundConfig, seed: int = 0, h: float = 1e-5) -> float:
+                        cfg: BoundConfig, seed: int = 0) -> float:
     """Finite-difference check of J over every stage-1 variable.
 
     The noise draw and gamma are frozen at the base point, and K is the one a
@@ -525,19 +529,31 @@ def objective_gradcheck(model: MLPClassifier, noise: NoiseState, batch_x, batch_
     _, noise_grad = objective(x, frozen)
     return central_difference_error(
         lambda z, _: objective(z, frozen)[0].j_total,
-        np.concatenate([work.grad, noise_grad]), x, h)
+        np.concatenate([work.grad, noise_grad]), x)
 
 
-def central_difference_error(value, analytic, x, h):
+def central_difference_error(value, analytic, x):
     """Max over i of |analytic_i - d_i| / max(1, |analytic_i|), where d_i is
-    (value(x + h e_i, i) - value(x - h e_i, i)) / 2h; ``value`` gets i to name
-    it in an error. A non-finite d_i gives nan, which fails every threshold."""
-    if h <= 0.0:
-        raise ValueError("central_difference_error: h must be positive")
+    (value(x + h e_i, i) - value(x - h e_i, i)) / 2h with h = ``STEP``; ``value``
+    gets i to name it in an error. A non-finite d_i is nan: it fails every check."""
     errors = []
     for i in range(x.size):
         step = np.zeros_like(x)
-        step[i] = h
-        numeric = (value(x + step, i) - value(x - step, i)) / (2.0 * h)
+        step[i] = STEP
+        numeric = (value(x + step, i) - value(x - step, i)) / (2.0 * STEP)
         errors.append(abs(analytic[i] - numeric) / max(1.0, abs(analytic[i])))
     return float(np.max(errors, initial=0.0))
+
+
+def gradcheck_suite() -> list[tuple[str, float, float]]:
+    """Criterion 1's suite as ``(name, worst error, tolerance)`` rows: each op
+    kind over 20 seeds, then J on a fixed 2-2-2 model over 20 noise draws."""
+    rows = [(kind, max(gradcheck_op(kind, seed) for seed in range(20)), 1e-4)
+            for kind in OPS]
+    rng = np.random.default_rng(7)
+    model = init_weights([2, 2, 2], rng)
+    noise = init_noise_state(model)
+    bx, by = rng.standard_normal((8, 2)), rng.integers(0, 2, size=8)
+    cfg = BoundConfig(m=8, delta=0.05, gamma=FixedGamma(5.0), k=FixedK(1.0))
+    worst_j = max(objective_gradcheck(model, noise, bx, by, cfg, seed=s) for s in range(20))
+    return rows + [("stage-1 objective (full J)", worst_j, 1e-3)]

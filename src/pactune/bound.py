@@ -279,7 +279,7 @@ def optimal_gamma(a: float, m: int, k: float, low: float, high: float) -> float:
         raise ValueError("optimal_gamma: low must not exceed high")
     if a < 0.0 or k <= 0.0 or m < 1:
         raise ValueError("optimal_gamma: need a >= 0, k > 0, m >= 1")
-    return float(np.clip(math.sqrt(a / (m * k * k)), low, high))
+    return float(min(max(math.sqrt(a / (m * k * k)), low), high))
 
 
 class KTracker:

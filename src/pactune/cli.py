@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from . import bound, datasets, models, optim, pipeline
 
 EXIT_OK = 0
@@ -423,9 +422,8 @@ def run_benchmark(config: dict, workers: int = 1):
     runs = []
     for task_name in config["tasks"]:
         view = task_config(config, task_name)
-        pair = resolve_task(view)
-        pretrained = pretrain_for_task(view, datasets.generate(pair.source))
-        target = datasets.generate(pair.target)
+        pretrained = pretrain_for_task(view, load_task_data(view, "source"))
+        target = load_task_data(view, "target")
         runs += [(view, pretrained, target, method, seed)
                  for method in config["methods"] for seed in config["seeds"]]
 
@@ -563,28 +561,16 @@ def cmd_benchmark(config: dict, workers: int = 1) -> int:
     return EXIT_OK
 
 
-def cmd_gradcheck(seeds: int = 20) -> int:
-    """Pass/fail table over every op kind plus the full stage-1 objective."""
+def cmd_gradcheck() -> int:
+    """Acceptance criterion 1's suite (``autodiff.gradcheck_suite``) as a
+    pass/fail table. The one command that loads the tape autodiff."""
+    from . import autodiff
     failed = False
     print(f"{'op kind':<36} {'max rel err':>12}  status")
-    for kind in ad.OPS:
-        err = max(ad.gradcheck_op(kind, seed) for seed in range(seeds))
-        ok = err < 1e-4
+    for name, err, tolerance in autodiff.gradcheck_suite():
+        ok = err < tolerance
         failed |= not ok
-        print(f"{kind:<36} {err:>12.3e}  {'pass' if ok else 'FAIL'}")
-
-    rng = np.random.default_rng(7)
-    model = models.init_weights([2, 2, 2], rng)
-    noise = bound.init_noise_state(model)
-    bx = rng.standard_normal((8, 2))
-    by = rng.integers(0, 2, size=8)
-    cfg = bound.BoundConfig(m=8, delta=0.05, gamma=bound.FixedGamma(5.0),
-                            k=bound.FixedK(1.0))
-    err = max(ad.objective_gradcheck(model, noise, bx, by, cfg, seed=s)
-              for s in range(3))
-    ok = err < 1e-3
-    failed |= not ok
-    print(f"{'stage-1 objective (full J)':<36} {err:>12.3e}  {'pass' if ok else 'FAIL'}")
+        print(f"{name:<36} {err:>12.3e}  {'pass' if ok else 'FAIL'}")
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 

@@ -43,21 +43,8 @@ def blobs_setup():
 
 def test_criterion_01_gradcheck_suite():
     start = time.monotonic()
-    worst_op, worst_kind = 0.0, ""
-    for kind in ad.OPS:
-        err = max(ad.gradcheck_op(kind, seed) for seed in range(20))
-        if err > worst_op:
-            worst_op, worst_kind = err, kind
-
-    rng = np.random.default_rng(7)
-    model = models.init_weights([2, 2, 2], rng)
-    noise = bound.init_noise_state(model)
-    bx = rng.standard_normal((8, 2))
-    by = rng.integers(0, 2, size=8)
-    cfg = bound.BoundConfig(m=8, delta=0.05, gamma=bound.FixedGamma(5.0),
-                            k=bound.FixedK(1.0))
-    worst_j = max(ad.objective_gradcheck(model, noise, bx, by, cfg, seed=s)
-                  for s in range(20))
+    *ops, (_, worst_j, _) = ad.gradcheck_suite()
+    worst_kind, worst_op, _ = max(ops, key=lambda row: row[1])
     elapsed = time.monotonic() - start
     ok = worst_op < 1e-4 and worst_j < 1e-3 and elapsed < 60.0
     report("criterion 1 (gradcheck)",

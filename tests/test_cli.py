@@ -801,7 +801,7 @@ class TestTaskFileReads:
 
 class TestGradcheckCommand:
     def test_passes(self, capsys):
-        assert cli.cmd_gradcheck(seeds=5) == EXIT_OK
+        assert cli.cmd_gradcheck() == EXIT_OK
         out = capsys.readouterr().out
         assert "matmul" in out and "full J" in out and "FAIL" not in out
 

@@ -29,6 +29,9 @@ last batch, one batch per epoch, a batch larger than the set) and 1-3
 epochs, the activation, a frozen or trainable first layer, fixed or running
 K, fixed or auto gamma, ``l_pac_weight`` 0 or 1, ``noise_injection.sigma``
 up to ``1e308``, and one learning rate at ``1e-3``, ``1e3`` or ``1e308``.
+The first 20 ``benchmark`` draws of another seed run with ``--workers 2`` on
+a ``fork`` pool, so a divergence raised in a worker must cross the pool and
+end in the same one line.
 
 The command line is mutated too: an unknown flag, each flag on a command that
 does not read it, a ``--seed`` or ``--workers`` that is not an integer >= its
@@ -37,11 +40,15 @@ floor, a missing command and a missing noise file. Each exits 2 with one
 """
 
 import csv
+import functools
 import io
+import itertools
 import json
 import math
+import multiprocessing
 import re
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -406,3 +413,23 @@ REGIMES = [("finetune", [f'method="{method}"', f'model.activation="{activation}"
 def test_regime(tmp_path, monkeypatch, capsys, inputs, command, sets):
     monkeypatch.chdir(tmp_path)
     check_contract(_argv(command, inputs, sets, tmp_path), inputs, tmp_path, capsys)
+
+
+def _pool_regimes(n: int) -> list[list[str]]:
+    """The ``--set`` entries of the first ``n`` benchmark draws of the pool's seed."""
+    draws = (draw_regime(np.random.default_rng([REGIME_SEED, 1, case]))
+             for case in itertools.count())
+    return list(itertools.islice((sets for command, sets in draws if command == "benchmark"), n))
+
+
+POOL = _pool_regimes(20)
+
+
+@pytest.mark.parametrize("sets", POOL, ids=[f"pool{case}-benchmark" for case in range(len(POOL))])
+def test_pool_regime(tmp_path, monkeypatch, capsys, inputs, sets):
+    monkeypatch.chdir(tmp_path)
+    # the pool forks whatever the default start method, as in test_cli's pool tests
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+    argv = _argv("benchmark", inputs, sets, tmp_path) + ["--workers", "2"]
+    check_contract(argv, inputs, tmp_path, capsys)
