@@ -404,12 +404,6 @@ OPS = {
 }
 
 
-def forward_op(kind: str, *inputs) -> Tensor:
-    if kind not in OPS:
-        raise AutodiffError(f"unknown op kind '{kind}'")
-    return OPS[kind](*inputs)
-
-
 def gradcheck_op(kind: str, seed: int) -> float:
     """Finite-difference check of one op kind on random inputs (shapes <= 8x8).
 

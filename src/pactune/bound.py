@@ -112,7 +112,8 @@ class NoiseState:
     ``per_coordinate`` lays out, by the ``grad`` that ``pac_objective`` fills.
     Posterior variance of coordinate j is exp(2 * log_std[j]), a group's prior
     variance exp(prior_log_var). ``anchors``, the trainable weights at
-    fine-tuning start, stay fixed through stage 1.
+    fine-tuning start, stay fixed through stage 1: the backbone of the
+    checkpoint ``anchor_checkpoint`` names, and the head the run's seed drew.
     """
 
     params: np.ndarray
@@ -152,8 +153,8 @@ class NoiseState:
     def anchor(self, group: ParamGroup | None = None) -> np.ndarray:
         """The group's anchors, or all of them in trainable order."""
         if self.anchors is None:
-            raise ValueError("noise state has no anchors bound; load them from the "
-                             "checkpoint the state references")
+            raise ValueError("noise state has no anchors bound; they are the fine-tuned "
+                             "model's trainable weights at stage 1's start, in no file")
         return self.anchors if group is None else self.anchors[self._group(group)]
 
     def variances(self, group: ParamGroup | None = None) -> np.ndarray:
@@ -209,10 +210,12 @@ def save_noise_state(noise: NoiseState, path) -> None:
 
 
 def load_noise_state(path) -> NoiseState:
-    """Read a noise state, without anchors (they live in its checkpoint); a
-    file that is not a noise state of this version, or whose variances
-    exp(2 log-std) and prior variances exp(log-var) are not all finite and
-    positive, raises ``ValueError``."""
+    """Read a noise state, without anchors: they are the fine-tuned model's
+    trainable weights when stage 1 starts, the checkpoint's backbone and the
+    head the run's seed draws, and no file holds them. A file that is not a
+    noise state of this version, or whose variances exp(2 log-std) and prior
+    variances exp(log-var) are not all finite and positive, raises
+    ``ValueError``."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != NOISE_STATE_VERSION:

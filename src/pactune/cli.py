@@ -508,7 +508,11 @@ def cmd_finetune(config: dict) -> int:
     path = config["checkpoint"]
 
     def read():  # a checkpoint that does not fit the task or the config is unusable
-        model = models.load_checkpoint(path, activation=config["model"]["activation"])
+        activation = config["model"]["activation"]
+        model = models.load_checkpoint(path, activation=activation)
+        if model.activation != activation:
+            raise ValueError(f"it was pretrained with {model.activation}, but "
+                             f"'model.activation' is {activation}")
         if model.input_dim != target.dim:
             raise ValueError(f"it takes inputs of size {model.input_dim}, but the target "
                              f"task's inputs have size {target.dim}")

@@ -188,9 +188,6 @@ class MLPClassifier:
     def input_dim(self) -> int:
         return self.layer_sizes[0]
 
-    def group_of(self, layer: int) -> ParamGroup:
-        return ParamGroup.HEAD if layer == self.n_layers - 1 else ParamGroup.BACKBONE
-
     def copy(self) -> "MLPClassifier":
         return MLPClassifier(self.layer_sizes, self.theta.copy(), self.activation,
                              self.freeze_first_layer)
@@ -367,7 +364,7 @@ def save_checkpoint(model: MLPClassifier, path, provenance: dict) -> None:
             {"w": model.weights[i].ravel().tolist(), "b": model.biases[i].tolist()}
             for i in range(model.n_layers)
         ],
-        "groups": [model.group_of(i).value for i in range(model.n_layers)],
+        "activation": model.activation,
         "provenance": {
             "seed": provenance.get("seed"),
             "task": provenance.get("task"),
@@ -379,9 +376,11 @@ def save_checkpoint(model: MLPClassifier, path, provenance: dict) -> None:
 
 
 def load_checkpoint(path, activation: str = "tanh") -> MLPClassifier:
-    """Read a checkpoint; a file that is not a checkpoint of this version, whose
-    ``layer_sizes`` are not integers >= 1, whose arrays do not fit them, or
-    that holds a non-finite number, head included, raises ``ValueError``."""
+    """Read a checkpoint; its model has the activation the file records, or
+    ``activation`` for a file that records none. A file that is not a
+    checkpoint of this version, whose ``layer_sizes`` are not integers >= 1,
+    whose arrays do not fit them, whose activation is unknown, or that holds a
+    non-finite number, head included, raises ``ValueError``."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != CHECKPOINT_VERSION:
@@ -397,7 +396,7 @@ def load_checkpoint(path, activation: str = "tanh") -> MLPClassifier:
             np.asarray(layer[key], dtype=np.float64).reshape(shape).ravel()
             for layer, fan_in, fan_out in zip(params, sizes[:-1], sizes[1:])
             for key, shape in (("w", (fan_in, fan_out)), ("b", (fan_out,)))])
-        model = MLPClassifier(sizes, theta, activation=activation)
+        model = MLPClassifier(sizes, theta, activation=doc.get("activation", activation))
     except (KeyError, TypeError) as e:
         raise ValueError(f"malformed checkpoint: {e!r}") from e
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):

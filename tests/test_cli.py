@@ -518,6 +518,13 @@ def _nan_at(layer, key):
     return edit
 
 
+def _activation(name):
+    def edit(doc):
+        doc["activation"] = name
+        return doc
+    return edit
+
+
 def _negative_hidden_layer(doc):
     # -1 would pass reshape as a wildcard
     doc["layer_sizes"][1] = -1
@@ -543,7 +550,10 @@ _BAD_CSV = [("a,label\n1,0\nx,1\n", "row 3: non-numeric cell in column 'a': 'x'"
             # finite cells whose sum overflows
             ("a,b,label\n1e308,1,0\n1e308,2,1\n-1e308,3,0\n2,4,1\n",
              "column 'a': its mean or standard deviation overflows"),
-            ("label\n0\n1\n", "no feature columns")]
+            ("label\n0\n1\n", "no feature columns"),
+            # a cell past the header would be dropped, unread
+            ("a,b,label\n1,2,0,999\n3,4,1\n",
+             "row 2: 4 cells, but the header has 3 columns")]
 
 
 def _csv_task_argv(source, target, *argv):
@@ -579,6 +589,10 @@ class TestUnusableFiles:
         # replace_head discards the head, but the file is still unusable
         ("finetune", ((3, 8, 4, 2), _nan_at(2, "b")),
          "layer 2 holds a non-finite weight or bias"),
+        # the tiny config's activation is tanh
+        ("finetune", ((3, 8, 4, 2), _activation("relu")),
+         ": it was pretrained with relu, but 'model.activation' is tanh"),
+        ("finetune", ((3, 8, 4, 2), _activation("sigmoid")), "unknown activation 'sigmoid'"),
         ("finetune", ((3, 8, 4, 2), _negative_hidden_layer),
          "layer_sizes must be integers >= 1, got [3, -1, 4, 2]"),
         ("inspect-noise", "not json", "Expecting value"),

@@ -22,7 +22,8 @@ integers, as a large valid count or size is a long run, not a fault.
 Training regimes keep the same contract. A grid runs ``finetune`` with each
 method, activation and weight-decay setting, and one learning rate raised to
 a value whose updates overflow the weights, their outputs or an epoch
-record's numbers, such as a KL. Drawn regimes, with their own fixed seed and
+record's numbers, such as a KL. A regime fine-tunes a checkpoint pretrained
+with its own activation, as ``finetune`` rejects any other. Drawn regimes, with their own fixed seed and
 count, run ``pretrain``, ``finetune`` with each method and ``benchmark``, and
 draw every knob at once: each phase's batch size against its rows (a 1-row
 last batch, one batch per epoch, a batch larger than the set) and 1-3
@@ -211,11 +212,13 @@ CONFIG = cli._deep_merge(cli.DEFAULT_CONFIG, BASE)  # every key: each leaf is re
 EXTREMES = [(path, v) for path, kind in targets(CONFIG) for v in NUMBERS if kind.ok(v)]
 # the command that reads a section's leaves; finetune reads the others
 READER = {"task": "generate-data", "pretrain": "pretrain", "noise_injection": "benchmark"}
+RELU = 'model.activation="relu"'
 
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """The valid inputs: config, task CSVs, checkpoint, noise file."""
+    """The valid inputs: config, task CSVs, checkpoint, noise file, and a
+    checkpoint pretrained with relu, which a relu regime fine-tunes."""
     root = tmp_path_factory.mktemp("inputs")
     config = root / "config.json"
     config.write_text(json.dumps(CONFIG))
@@ -223,16 +226,19 @@ def inputs(tmp_path_factory):
     checkpoint = root / "pretrained.json"
     assert cli.main(["generate-data", *base]) == cli.EXIT_OK
     assert cli.main(["pretrain", *base]) == cli.EXIT_OK
+    assert cli.main(["pretrain", "--config", str(config), "--out", str(root / "relu"),
+                     "--set", RELU]) == cli.EXIT_OK
     assert cli.main(["finetune", *base, "--set",
                      f"checkpoint={json.dumps(str(checkpoint))}"]) == cli.EXIT_OK
     return {"config": config, "source": root / "source.csv", "target": root / "target.csv",
-            "checkpoint": checkpoint,
+            "checkpoint": checkpoint, "relu-checkpoint": root / "relu" / "pretrained.json",
             "noise": root / "blobs-rotate__pac-tuning__seed1__noise.json"}
 
 
 def _argv(command: str, files: dict, sets: list[str], where) -> list[str]:
-    if command == "finetune":
-        sets = [f"checkpoint={json.dumps(str(files['checkpoint']))}", *sets]
+    if command == "finetune":  # the checkpoint pretrained with the regime's activation
+        checkpoint = files["relu-checkpoint" if RELU in sets else "checkpoint"]
+        sets = [f"checkpoint={json.dumps(str(checkpoint))}", *sets]
     argv = [command, "--config", str(files["config"]), "--out", str(where / "out")]
     argv += [a for s in sets for a in ("--set", s)]
     return argv + [str(files["noise"])] if command == "inspect-noise" else argv

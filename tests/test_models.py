@@ -104,11 +104,6 @@ class TestReplaceHead:
 
 
 class TestGroups:
-    def test_partition_total_and_disjoint(self):
-        m = fresh((3, 4, 5, 2), seed=0)
-        groups = [m.group_of(i) for i in range(m.n_layers)]
-        assert groups == [ParamGroup.BACKBONE, ParamGroup.BACKBONE, ParamGroup.HEAD]
-
     def test_packer_roundtrip(self):
         m = fresh((3, 4, 2), seed=6)
         packer = m.layout

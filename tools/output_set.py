@@ -23,7 +23,7 @@ the checkout that holds this script):
   ``blobs-rotate`` setting fewer pretrain, stage-1 and stage-2 epochs):
   ``pretrain-override`` runs ``pactune pretrain``, and ``finetune-override``
   runs ``pactune finetune --seed 1`` from that checkpoint;
-- sixteen error paths and their one-line stderr: ``pactune pretrain`` with
+- seventeen error paths and their one-line stderr: ``pactune pretrain`` with
   ``pretrain.batch_size=0`` (exit 2), ``pactune finetune --seed 2`` from
   the pretrain checkpoint with ``stage1.lr_head=1e308``, which diverges in
   stage 1 (exit 3), ``error-unknown-set``, ``pactune pretrain`` with
@@ -58,8 +58,11 @@ the checkout that holds this script):
   the pretrain checkpoint on explicit blobs tasks (a source of 300 rows,
   seed 11, and a 3-class target of 200 rows, seed 12, both of dimension 6)
   whose ``task_overrides`` give ``blobs-rotate`` a ``task.n_shot`` of 500, pins
-  that the view a single-task command runs is checked (exit 2). A failed
-  command leaves no ``OUT/<name>/``.
+  that the view a single-task command runs is checked (exit 2).
+  ``error-activation``, ``pactune finetune --seed 1`` from the tanh pretrain
+  checkpoint with ``model.activation="relu"``, pins that a checkpoint's
+  activation must match the config (exit 2). A failed command leaves no
+  ``OUT/<name>/``.
 
 Each command writes into ``OUT/<name>/`` and leaves its stdout, stderr and
 exit code in ``OUT/<name>.stdout``, ``.stderr`` and ``.exit``. Every path a
@@ -196,7 +199,10 @@ def commands() -> list[tuple[str, list[str]]]:
                      "--out", "error-stage1-last-update"]),
              ("error-override-n-shot",
               cli + ["finetune", "--seed", "1", *OVERRIDE_N_SHOT, "--set",
-                     f"checkpoint={CHECKPOINT}", "--out", "error-override-n-shot"])]
+                     f"checkpoint={CHECKPOINT}", "--out", "error-override-n-shot"]),
+             ("error-activation",
+              cli + ["finetune", "--seed", "1", "--set", f"checkpoint={CHECKPOINT}",
+                     "--set", 'model.activation="relu"', "--out", "error-activation"])]
     return runs
 
 
