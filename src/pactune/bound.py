@@ -38,7 +38,8 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .models import MLPClassifier, ParamGroup, StepWorkspace, group_slice, loss_and_grads
+from .models import (MLPClassifier, ParamGroup, StepWorkspace, group_slice, json_numbers,
+                     loss_and_grads)
 
 K_FLOOR = 1e-3
 P_INIT_FLOOR = 1e-4
@@ -113,13 +114,12 @@ class NoiseState:
     Posterior variance of coordinate j is exp(2 * log_std[j]), a group's prior
     variance exp(prior_log_var). ``anchors``, the trainable weights at
     fine-tuning start, stay fixed through stage 1: the backbone of the
-    checkpoint ``anchor_checkpoint`` names, and the head the run's seed drew.
+    checkpoint the run read, and the head the run's seed drew.
     """
 
     params: np.ndarray
     n_backbone: int
     anchors: np.ndarray | None = None
-    anchor_checkpoint: str | None = None
     grad: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -196,14 +196,16 @@ def init_noise_state(model: MLPClassifier) -> NoiseState:
 NOISE_STATE_VERSION = 1
 
 
-def save_noise_state(noise: NoiseState, path) -> None:
+def save_noise_state(noise: NoiseState, path, anchor_checkpoint: str | None) -> None:
+    """Write ``noise`` with the path of the checkpoint its run read, a record
+    that no reader reads back."""
     doc = {
         "version": NOISE_STATE_VERSION,
         "p_backbone": noise.log_std_backbone.tolist(),
         "p_head": noise.log_std_head.tolist(),
         "log_lambda": noise.prior_log_var(ParamGroup.BACKBONE),
         "log_beta": noise.prior_log_var(ParamGroup.HEAD),
-        "anchor_checkpoint": noise.anchor_checkpoint,
+        "anchor_checkpoint": anchor_checkpoint,
     }
     Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n",
                           encoding="utf-8")
@@ -213,21 +215,20 @@ def load_noise_state(path) -> NoiseState:
     """Read a noise state, without anchors: they are the fine-tuned model's
     trainable weights when stage 1 starts, the checkpoint's backbone and the
     head the run's seed draws, and no file holds them. A file that is not a
-    noise state of this version, or whose variances exp(2 log-std) and prior
-    variances exp(log-var) are not all finite and positive, raises
-    ``ValueError``."""
+    noise state of this version, whose values are not ``json_numbers``, or
+    whose variances exp(2 log-std) and prior variances exp(log-var) are not all
+    finite and positive, raises ``ValueError``."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != NOISE_STATE_VERSION:
         raise ValueError(f"unsupported noise-state version: {version}")
     try:
-        params = np.concatenate([np.asarray(doc["p_backbone"], dtype=np.float64),
-                                 np.asarray(doc["p_head"], dtype=np.float64),
-                                 [float(doc["log_lambda"]), float(doc["log_beta"])]])
-    except (KeyError, TypeError) as e:
+        params = np.concatenate([json_numbers(v, f"noise state '{key}'") for key, v in (
+            ("p_backbone", doc["p_backbone"]), ("p_head", doc["p_head"]),
+            ("log_lambda", [doc["log_lambda"]]), ("log_beta", [doc["log_beta"]]))])
+    except KeyError as e:
         raise ValueError(f"malformed noise state: {e!r}") from e
-    noise = NoiseState(params, len(doc["p_backbone"]),
-                       anchor_checkpoint=doc.get("anchor_checkpoint"))
+    noise = NoiseState(params, len(doc["p_backbone"]))
     if noise.checked_variances() is None:  # as stage 1 holds them
         raise ValueError("a log-std or prior log-variance is not finite, or its "
                          "variance is not finite and > 0")
@@ -321,17 +322,16 @@ def generic_bound(kl_total: float, delta: float, m: int) -> float:
 
 
 def _group_kl(w: np.ndarray, var: np.ndarray, anchor: np.ndarray, prior_log_var: float,
-              d_w: np.ndarray | None = None, d_p: np.ndarray | None = None,
               ) -> tuple[float, np.ndarray, np.ndarray, float]:
     """One group's KL of N(w, diag var) vs N(anchor, exp(prior_log_var) I) and its
     derivatives with respect to w, log_std (var = exp(2 log_std)) and prior_log_var;
-    the two vectors go into ``d_w`` and ``d_p`` if given."""
+    the two vectors are new arrays, d/dw reusing ``w - anchor``'s."""
     var_p = math.exp(prior_log_var)
     diff = w - anchor
     kl, s = _kl(diff, var, var_p)
-    d_p = np.divide(var, var_p, out=d_p)
+    d_p = var / var_p
     d_p -= 1.0
-    return kl, np.divide(diff, var_p, out=d_w), d_p, 0.5 * (w.size - s / var_p)
+    return kl, np.divide(diff, var_p, out=diff), d_p, 0.5 * (w.size - s / var_p)
 
 
 def pac_objective(work: StepWorkspace, noise: NoiseState, batch_x, batch_y,
@@ -340,13 +340,13 @@ def pac_objective(work: StepWorkspace, noise: NoiseState, batch_x, batch_y,
     """Evaluate J and its gradients on one batch at the noise draw ``tau``.
 
     ``tau`` is one standard-normal vector in trainable order, drawn by the
-    caller. ``work`` is the loop's workspace: it holds the noisy weights and the
-    objective's buffers, dJ/dw is left in ``work.grad``, and the returned noise
-    gradient is ``noise.grad``; the next call replaces both. ``k`` is the
-    step's K (``KTracker.value``) and ``var`` is ``noise.variances()``, both
-    held by the caller. ``l_pac_weight`` scales the complexity term inside the
-    optimized objective; the reported ``l_pac``/``j_total`` reflect the same
-    scaling so ``j_total == l_train + l_pac`` always holds.
+    caller. ``work`` is the loop's workspace, holding the noisy weights; dJ/dw
+    is left in ``work.grad``, the returned noise gradient is ``noise.grad``, and
+    the next call replaces both. The stds and KL derivatives are scratch of this
+    call's own. ``k`` is the step's K (``KTracker.value``) and ``var`` is
+    ``noise.variances()``, both held by the caller. ``l_pac_weight`` scales the
+    complexity term inside the optimized objective; the reported
+    ``l_pac``/``j_total`` reflect it, so ``j_total == l_train + l_pac`` holds.
 
     With w~ = w + exp(p) tau, c = l_pac_weight / (gamma m) and a group's
     prior variance s2 = exp(lambda), gamma and K held constant:
@@ -356,14 +356,12 @@ def pac_objective(work: StepWorkspace, noise: NoiseState, batch_x, batch_y,
     """
     packer = work.model.layout
     weights = work.trainable
-    std = np.exp(noise.log_std, out=work.std)
+    std = np.exp(noise.log_std)
     kernels.apply_noise(weights, std, tau, work.noisy_trainable)
     l_train = loss_and_grads(work, work.noisy_params, batch_x, batch_y)
-    # each group's KL derivatives go into its slice: the buffers hold them in order
-    (kl_b, kl_h), _, _, d_prior = zip(*(
+    (kl_b, kl_h), d_w, d_p, d_prior = zip(*(
         _group_kl(weights[packer.group(g)], var[packer.group(g)], noise.anchor(g),
-                  noise.prior_log_var(g), work.kl_dw[packer.group(g)],
-                  work.kl_dp[packer.group(g)]) for g in ParamGroup))
+                  noise.prior_log_var(g)) for g in ParamGroup))
 
     if isinstance(cfg.gamma, FixedGamma):
         gamma = cfg.gamma.value
@@ -378,8 +376,8 @@ def pac_objective(work: StepWorkspace, noise: NoiseState, batch_x, batch_y,
     # the noise gradient reads dL(w~) before work.grad becomes dJ/dw
     d_log_std = np.multiply(work.grad, tau, out=noise.grad[:-2])
     d_log_std *= std
-    d_log_std += np.multiply(c, work.kl_dp, out=work.kl_dp)
+    for g, g_w, g_p in zip(ParamGroup, d_w, d_p):
+        d_log_std[packer.group(g)] += np.multiply(c, g_p, out=g_p)
+        work.grad[packer.group(g)] += np.multiply(c, g_w, out=g_w)
     noise.grad[-2:] = [c * d for d in d_prior]
-    work.grad += np.multiply(c, work.kl_dw, out=work.kl_dw)
     return terms, noise.grad
-

@@ -535,9 +535,8 @@ def cmd_finetune(config: dict) -> int:
          lambda p: models.save_checkpoint(model, p, provenance)),
     ]
     if noise is not None:
-        noise.anchor_checkpoint = path
         writers.append((out / f"{stem}__noise.json",
-                        lambda p: bound.save_noise_state(noise, p)))
+                        lambda p: bound.save_noise_state(noise, p, path)))
     _write_outputs(writers)
     print(f"{stem}: dev accuracy {record.final['dev_accuracy']:.3f}, "
           f"dev mcc {record.final['dev_mcc']:.3f}")

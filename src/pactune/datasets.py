@@ -195,8 +195,9 @@ def load_csv(path, label_column: str = "label") -> Dataset:
     """Read a feature table, at least one feature column and the label column;
     features are z-scored. An error names the row and column of a non-numeric
     or non-finite cell, the row of a bad label (integers >= 0, below the number
-    of data rows, as n rows cannot populate more classes) or of more cells than
-    the header, or a column too large to z-score; the caller names the file."""
+    of data rows, as n rows cannot populate more classes) or of another cell
+    count than the header's, a column the header names twice, or a column too
+    large to z-score; the caller names the file."""
     with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -206,14 +207,16 @@ def load_csv(path, label_column: str = "label") -> Dataset:
             raise ValueError(f"missing label column '{label_column}'")
         if len(header) < 2:
             raise ValueError("no feature columns")
+        if len(set(header)) < len(header):
+            twice = next(name for i, name in enumerate(header) if name in header[:i])
+            raise ValueError(f"column '{twice}' is named twice in the header")
         label_idx = header.index(label_column)
         records = list(enumerate(reader, start=2))
         rows, labels = [], []
         for row_no, row in records:
-            if len(row) > len(header):
+            if len(row) != len(header):
                 raise ValueError(f"row {row_no}: {len(row)} cells, but the header has "
                                  f"{len(header)} columns")
-            row += [""] * (len(header) - len(row))
             values = []
             for name, cell in zip(header, row):
                 try:

@@ -257,8 +257,7 @@ class StepWorkspace:
     ``noisy`` (with layer views and trainable suffix), a copy of θ that a
     perturbing step writes: the perturbed and stage-1 steps its trainable
     suffix, the random-layer step all of it (it refreshes ``noisy`` from θ,
-    then may perturb a frozen layer 0). A stage-1 step's ``bound.pac_objective``
-    writes ``std``, ``kl_dw`` and ``kl_dp``.
+    then may perturb a frozen layer 0). Stage 1's objective keeps its own scratch.
 
     Given the loop's evaluation inputs ``eval_x``, it also holds one output
     buffer per layer for their rows, which ``predict_eval`` fills in place.
@@ -282,8 +281,6 @@ class StepWorkspace:
         self.noisy = model.theta.copy()
         self.noisy_params = layout.views(self.noisy)
         self.noisy_trainable = self.noisy[layout.start:]
-        n = layout.trainable_size
-        self.std, self.kl_dw, self.kl_dp = np.empty(n), np.empty(n), np.empty(n)
         if eval_x is not None:
             rows = len(eval_x)
             self.eval_x = eval_x
@@ -355,6 +352,21 @@ def replace_head(model: MLPClassifier, rng: np.random.Generator, n_classes: int,
 CHECKPOINT_VERSION = 1
 
 
+def json_numbers(items, what: str) -> np.ndarray:
+    """The JSON list ``items`` as float64. Anything else raises ``ValueError``
+    naming ``what``: an item that is not an int or a float (a bool, a numeric
+    string), or an integer too large for a float."""
+    if type(items) is not list:
+        raise ValueError(f"malformed {what}: not a list of numbers")
+    for item in items:
+        if type(item) not in (int, float):
+            raise ValueError(f"malformed {what}: {json.dumps(item)} is not a number")
+    try:
+        return np.asarray(items, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"malformed {what}: an integer too large for a float") from None
+
+
 def save_checkpoint(model: MLPClassifier, path, provenance: dict) -> None:
     """Versioned JSON checkpoint; decimal float serialization round-trips exactly."""
     doc = {
@@ -379,8 +391,9 @@ def load_checkpoint(path, activation: str = "tanh") -> MLPClassifier:
     """Read a checkpoint; its model has the activation the file records, or
     ``activation`` for a file that records none. A file that is not a
     checkpoint of this version, whose ``layer_sizes`` are not integers >= 1,
-    whose arrays do not fit them, whose activation is unknown, or that holds a
-    non-finite number, head included, raises ``ValueError``."""
+    whose arrays are not ``json_numbers`` or do not fit them, whose activation
+    is unknown, or that holds a non-finite number, head included, raises
+    ``ValueError``."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != CHECKPOINT_VERSION:
@@ -393,8 +406,8 @@ def load_checkpoint(path, activation: str = "tanh") -> MLPClassifier:
         if not params or len(params) != len(sizes) - 1:
             raise ValueError(f"params is shorter or longer than layer_sizes {sizes}")
         theta = np.concatenate([
-            np.asarray(layer[key], dtype=np.float64).reshape(shape).ravel()
-            for layer, fan_in, fan_out in zip(params, sizes[:-1], sizes[1:])
+            json_numbers(layer[key], f"checkpoint layer {i} '{key}'").reshape(shape).ravel()
+            for i, (layer, fan_in, fan_out) in enumerate(zip(params, sizes[:-1], sizes[1:]))
             for key, shape in (("w", (fan_in, fan_out)), ("b", (fan_out,)))])
         model = MLPClassifier(sizes, theta, activation=doc.get("activation", activation))
     except (KeyError, TypeError) as e:

@@ -347,14 +347,13 @@ class TestNoiseState:
 
     def test_serialization_roundtrip(self, tmp_path):
         model, packer, noise, _, _ = tiny_setup(seed=11)
-        noise.anchor_checkpoint = "ckpt-123"
         path = tmp_path / "noise.json"
-        bound.save_noise_state(noise, path)
+        bound.save_noise_state(noise, path, "ckpt-123")
         loaded = bound.load_noise_state(path)
         assert np.array_equal(loaded.log_std_backbone, noise.log_std_backbone)
         assert np.array_equal(loaded.log_std_head, noise.log_std_head)
         assert loaded.params.tobytes() == noise.params.tobytes()
-        assert loaded.anchor_checkpoint == "ckpt-123"
+        assert json.loads(path.read_text(encoding="utf-8"))["anchor_checkpoint"] == "ckpt-123"
         with pytest.raises(ValueError, match="anchor"):
             loaded.anchor(ParamGroup.BACKBONE)
 
@@ -392,7 +391,7 @@ class TestNoiseState:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_unusable_variance_is_a_value_error(self, tmp_path, field, value):
         path = tmp_path / "noise.json"
-        bound.save_noise_state(tiny_setup(seed=11)[2], path)
+        bound.save_noise_state(tiny_setup(seed=11)[2], path, None)
         doc = json.loads(path.read_text(encoding="utf-8"))
         doc[field] = [*doc[field][:-1], value] if isinstance(doc[field], list) else value
         path.write_text(json.dumps(doc))
@@ -424,7 +423,7 @@ class TestNoiseState:
     def test_variance_rule_edges(self, tmp_path, field, value, ok):
         noise = tiny_setup(seed=11)[2]
         path = tmp_path / "noise.json"
-        bound.save_noise_state(noise, path)
+        bound.save_noise_state(noise, path, None)
         doc = json.loads(path.read_text(encoding="utf-8"))
         doc[field] = [*doc[field][:-1], value] if isinstance(doc[field], list) else value
         path.write_text(json.dumps(doc))

@@ -432,7 +432,9 @@ class TestPretrainFinetune:
         assert lines[-1]["type"] == "summary"
         assert lines[-1]["config"]["stage1"]["epochs"] == 3
         assert (out / "blobs-rotate__pac-tuning__seed1__model.json").exists()
-        assert (out / "blobs-rotate__pac-tuning__seed1__noise.json").exists()
+        # the noise file records the checkpoint the run read
+        noise = json.loads((out / "blobs-rotate__pac-tuning__seed1__noise.json").read_text())
+        assert noise["anchor_checkpoint"] == str(ckpt)
 
     def test_vanilla_writes_no_noise_file(self, tmp_path):
         cfg_path = tiny_config(tmp_path)
@@ -511,9 +513,9 @@ def _drop_last_weight(doc):
     return doc
 
 
-def _nan_at(layer, key):
+def _first_at(layer, key, value):
     def edit(doc):
-        doc["params"][layer][key][0] = float("nan")
+        doc["params"][layer][key][0] = value
         return doc
     return edit
 
@@ -553,7 +555,12 @@ _BAD_CSV = [("a,label\n1,0\nx,1\n", "row 3: non-numeric cell in column 'a': 'x'"
             ("label\n0\n1\n", "no feature columns"),
             # a cell past the header would be dropped, unread
             ("a,b,label\n1,2,0,999\n3,4,1\n",
-             "row 2: 4 cells, but the header has 3 columns")]
+             "row 2: 4 cells, but the header has 3 columns"),
+            # a blank last line is a row of no cells, not one of empty cells
+            ("a,label\n1,0\n2,1\n\n", "row 4: 0 cells, but the header has 2 columns"),
+            # the second 'label' would be read as a feature
+            ("label,a,label\n0,1,5\n1,2,7\n0,3,6\n1,4,8\n",
+             "column 'label' is named twice in the header")]
 
 
 def _csv_task_argv(source, target, *argv):
@@ -584,15 +591,22 @@ class TestUnusableFiles:
         ("finetune", ((3, 5, 2), None),
          ": it has hidden layers [5], but 'model.hidden' is [8, 4]"),
         # a checkpoint the config fits, but for one NaN: a file fault, not a divergence
-        ("finetune", ((3, 8, 4, 2), _nan_at(0, "w")),
+        ("finetune", ((3, 8, 4, 2), _first_at(0, "w", float("nan"))),
          "layer 0 holds a non-finite weight or bias"),
         # replace_head discards the head, but the file is still unusable
-        ("finetune", ((3, 8, 4, 2), _nan_at(2, "b")),
+        ("finetune", ((3, 8, 4, 2), _first_at(2, "b", float("nan"))),
          "layer 2 holds a non-finite weight or bias"),
         # the tiny config's activation is tanh
         ("finetune", ((3, 8, 4, 2), _activation("relu")),
          ": it was pretrained with relu, but 'model.activation' is tanh"),
         ("finetune", ((3, 8, 4, 2), _activation("sigmoid")), "unknown activation 'sigmoid'"),
+        # a file holds JSON numbers: no numeric string, no bool, none beyond a float
+        ("finetune", ((3, 8, 4, 2), _first_at(0, "w", "0.5")),
+         """malformed checkpoint layer 0 'w': "0.5" is not a number"""),
+        ("finetune", ((3, 8, 4, 2), _first_at(1, "b", True)),
+         "malformed checkpoint layer 1 'b': true is not a number"),
+        ("finetune", ((3, 8, 4, 2), _first_at(0, "w", 10 ** 400)),
+         "malformed checkpoint layer 0 'w': an integer too large for a float"),
         ("finetune", ((3, 8, 4, 2), _negative_hidden_layer),
          "layer_sizes must be integers >= 1, got [3, -1, 4, 2]"),
         ("inspect-noise", "not json", "Expecting value"),
@@ -602,6 +616,12 @@ class TestUnusableFiles:
         # finite, but exp(2 * 1e308) is not: no overflow warning, no inf variance ranked
         ("inspect-noise", '{"version": 1, "p_backbone": [0.5, 1e308], "p_head": [0.1], '
          '"log_lambda": 0.0, "log_beta": 0.0}', "or its variance is not finite and > 0"),
+        ("inspect-noise", '{"version": 1, "p_backbone": [0.5, true], "p_head": [0.1], '
+         '"log_lambda": 0.0, "log_beta": 0.0}',
+         "malformed noise state 'p_backbone': true is not a number"),
+        ("inspect-noise", '{"version": 1, "p_backbone": [0.5, 0.2], "p_head": [0.1], '
+         '"log_lambda": "0.25", "log_beta": 0.0}',
+         """malformed noise state 'log_lambda': "0.25" is not a number"""),
         ("inspect-noise", None, ": No such file or directory"),
         *[(command, ("csv", text), detail) for text, detail in _BAD_CSV
           for command in ("generate-data", "pretrain", "finetune")],
@@ -712,7 +732,7 @@ class TestFailedCommandLeavesNoOutput:
         assert main(["pretrain", "--config", config]) == EXIT_OK
         checkpoint = json.dumps(str(tmp_path / "out" / "pretrained.json"))
 
-        def disk_full(noise, path):  # the last of finetune's three files
+        def disk_full(noise, path, anchor_checkpoint):  # the last of finetune's three files
             Path(path).write_text("{")
             raise OSError(28, "No space left on device")
 

@@ -170,7 +170,7 @@ class TestCsv:
          "row 3: non-finite cell in column 'b': '-inf'"),
         ("a,label\n1.0,0\n1.0,Infinity\n",
          "row 3: non-finite cell in column 'label': 'Infinity'"),
-        ("a,label\n1.0,0\n1.0\n", "row 3: non-numeric cell in column 'label': ''"),
+        ("a,label\n1.0,0\n1.0\n", "row 3: 1 cells, but the header has 2 columns"),
         ("a,label\n", "no data rows"),
         ("", "empty file"),
         # a model needs an input: zero fan-in broke its initialization

@@ -23,7 +23,7 @@ the checkout that holds this script):
   ``blobs-rotate`` setting fewer pretrain, stage-1 and stage-2 epochs):
   ``pretrain-override`` runs ``pactune pretrain``, and ``finetune-override``
   runs ``pactune finetune --seed 1`` from that checkpoint;
-- seventeen error paths and their one-line stderr: ``pactune pretrain`` with
+- eighteen error paths and their one-line stderr: ``pactune pretrain`` with
   ``pretrain.batch_size=0`` (exit 2), ``pactune finetune --seed 2`` from
   the pretrain checkpoint with ``stage1.lr_head=1e308``, which diverges in
   stage 1 (exit 3), ``error-unknown-set``, ``pactune pretrain`` with
@@ -61,8 +61,11 @@ the checkout that holds this script):
   that the view a single-task command runs is checked (exit 2).
   ``error-activation``, ``pactune finetune --seed 1`` from the tanh pretrain
   checkpoint with ``model.activation="relu"``, pins that a checkpoint's
-  activation must match the config (exit 2). A failed command leaves no
-  ``OUT/<name>/``.
+  activation must match the config (exit 2). ``error-checkpoint-string``,
+  ``pactune finetune --seed 1`` from a copy of the pretrain checkpoint,
+  ``string-checkpoint.json``, whose first weight is the string ``"0.5"``,
+  pins that a checkpoint holds JSON numbers (exit 2). A failed command leaves
+  no ``OUT/<name>/``.
 
 Each command writes into ``OUT/<name>/`` and leaves its stdout, stderr and
 exit code in ``OUT/<name>.stdout``, ``.stderr`` and ``.exit``. Every path a
@@ -95,14 +98,19 @@ OVERRIDE_N_SHOT = [
     "--set", 'task_overrides={"blobs-rotate": {"task": {"n_shot": 500}}}']
 PRINT_CONFIG = ("import json; from pactune import cli; "
                 "print(json.dumps(cli.load_config(None), sort_keys=True, indent=1))")
-# the pretrain checkpoint with its first weight NaN, then finetune from it
-NONFINITE_FINETUNE = (
-    "import json, sys; from pathlib import Path; from pactune import cli; "
-    f"doc = json.loads(Path({CHECKPOINT!r}).read_text()); "
-    "doc['params'][0]['w'][0] = float('nan'); "
-    "Path('nonfinite.json').write_text(json.dumps(doc)); "
-    "sys.exit(cli.main(['finetune', '--seed', '1', '--set', 'checkpoint=nonfinite.json', "
-    "'--out', 'error-nonfinite-checkpoint']))")
+
+
+def finetune_from_edited(value: str, copy: str, out: str) -> str:
+    """A ``-c`` script: the pretrain checkpoint with its first weight ``value``,
+    a Python expression, written to ``copy``, then finetune from it into ``out``."""
+    return ("import json, sys; from pathlib import Path; from pactune import cli; "
+            f"doc = json.loads(Path({CHECKPOINT!r}).read_text()); "
+            f"doc['params'][0]['w'][0] = {value}; "
+            f"Path({copy!r}).write_text(json.dumps(doc)); "
+            f"sys.exit(cli.main(['finetune', '--seed', '1', '--set', 'checkpoint={copy}', "
+            f"'--out', {out!r}]))")
+
+
 # the pac-tuning run's noise file with a prior variance exp(800) = inf, then inspect it
 NONFINITE_NOISE = (
     "import json, sys; from pathlib import Path; from pactune import cli; "
@@ -162,7 +170,9 @@ def commands() -> list[tuple[str, list[str]]]:
                                          "--out", "error-divergence"]),
              ("error-unknown-set", cli + ["pretrain", "--set", "stage1.nope=1",
                                           "--out", "error-unknown-set"]),
-             ("error-nonfinite-checkpoint", ["-c", NONFINITE_FINETUNE]),
+             ("error-nonfinite-checkpoint",
+              ["-c", finetune_from_edited("float('nan')", "nonfinite.json",
+                                          "error-nonfinite-checkpoint")]),
              ("error-csv-overflow", ["-c", CSV_OVERFLOW]),
              ("error-pretrain-divergence",
               cli + ["pretrain", "--set", "pretrain.lr_head=1e308",
@@ -202,7 +212,10 @@ def commands() -> list[tuple[str, list[str]]]:
                      f"checkpoint={CHECKPOINT}", "--out", "error-override-n-shot"]),
              ("error-activation",
               cli + ["finetune", "--seed", "1", "--set", f"checkpoint={CHECKPOINT}",
-                     "--set", 'model.activation="relu"', "--out", "error-activation"])]
+                     "--set", 'model.activation="relu"', "--out", "error-activation"]),
+             ("error-checkpoint-string",
+              ["-c", finetune_from_edited("'0.5'", "string-checkpoint.json",
+                                          "error-checkpoint-string")])]
     return runs
 
 
