@@ -39,7 +39,7 @@ import numpy as np
 
 from . import kernels
 from .models import (MLPClassifier, ParamGroup, StepWorkspace, group_slice, json_numbers,
-                     loss_and_grads)
+                     loss_and_grads, read_versioned)
 
 K_FLOOR = 1e-3
 P_INIT_FLOOR = 1e-4
@@ -215,19 +215,19 @@ def load_noise_state(path) -> NoiseState:
     """Read a noise state, without anchors: they are the fine-tuned model's
     trainable weights when stage 1 starts, the checkpoint's backbone and the
     head the run's seed draws, and no file holds them. A file that is not a
-    noise state of this version, whose values are not ``json_numbers``, or
+    noise state of this version (``read_versioned``), whose values are not
+    ``json_numbers``, that holds no head log-std (every model has a head), or
     whose variances exp(2 log-std) and prior variances exp(log-var) are not all
     finite and positive, raises ``ValueError``."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    version = doc.get("version") if isinstance(doc, dict) else None
-    if version != NOISE_STATE_VERSION:
-        raise ValueError(f"unsupported noise-state version: {version}")
+    doc = read_versioned(path, "noise-state", NOISE_STATE_VERSION)
     try:
         params = np.concatenate([json_numbers(v, f"noise state '{key}'") for key, v in (
             ("p_backbone", doc["p_backbone"]), ("p_head", doc["p_head"]),
             ("log_lambda", [doc["log_lambda"]]), ("log_beta", [doc["log_beta"]]))])
     except KeyError as e:
         raise ValueError(f"malformed noise state: {e!r}") from e
+    if not doc["p_head"]:
+        raise ValueError("malformed noise state: 'p_head' is empty, but every model has a head")
     noise = NoiseState(params, len(doc["p_backbone"]))
     if noise.checked_variances() is None:  # as stage 1 holds them
         raise ValueError("a log-std or prior log-variance is not finite, or its "

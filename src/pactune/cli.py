@@ -279,9 +279,11 @@ def _parse_set(entry: str) -> tuple[list[str], object]:
         raise ConfigError(f"--set expects dotted.key=value, got '{entry}'")
     key, raw = entry.split("=", 1)
     try:
-        value = json.loads(raw)
+        value = json.loads(raw, object_pairs_hook=models.unique_keys)
     except json.JSONDecodeError:
         value = raw
+    except ValueError as e:  # a repeated key
+        raise ConfigError(f"--set '{key}': {e}") from e
     return key.split("."), value
 
 
@@ -296,7 +298,8 @@ def _apply_set(config: dict, dotted: list[str], value) -> None:
 
 
 def _json_object(path) -> dict:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = json.loads(Path(path).read_text(encoding="utf-8"),
+                     object_pairs_hook=models.unique_keys)
     if not isinstance(doc, dict):
         raise ValueError("the root is not a JSON object")
     return doc
@@ -569,7 +572,7 @@ def cmd_gradcheck() -> int:
     pass/fail table. The one command that loads the tape autodiff."""
     from . import autodiff
     failed = False
-    print(f"{'op kind':<36} {'max rel err':>12}  status")
+    print(f"{'check':<36} {'worst error':>12}  status")
     for name, err, tolerance in autodiff.gradcheck_suite():
         ok = err < tolerance
         failed |= not ok
@@ -627,7 +630,7 @@ COMMANDS = {  # each command's help and the only flags it takes, the ones it rea
     "finetune": ("fine-tune from a checkpoint with the configured method", SEED_FLAGS),
     "benchmark": ("run all tasks x methods x seeds and write a report",
                   SEED_FLAGS + ["--workers"]),
-    "gradcheck": ("finite-difference check of every op and the full objective", []),
+    "gradcheck": ("check the ops, the objective and the training gradients", []),
     "inspect-noise": ("export an importance ranking from a noise file", CONFIG_FLAGS),
 }
 

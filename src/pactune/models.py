@@ -192,6 +192,12 @@ class MLPClassifier:
         return MLPClassifier(self.layer_sizes, self.theta.copy(), self.activation,
                              self.freeze_first_layer)
 
+    def __reduce__(self):
+        """Pickle as the constructor's arguments: θ is sent once, and an unpickled
+        model's weights are views into its θ again."""
+        return MLPClassifier, (self.layer_sizes, self.theta, self.activation,
+                               self.freeze_first_layer)
+
     def _outputs(self, params, x: np.ndarray, out=None, first: int = 0,
                  ) -> list[np.ndarray]:
         """Layer ``first``'s input ``x``, then each later layer's output: hidden
@@ -367,6 +373,28 @@ def json_numbers(items, what: str) -> np.ndarray:
         raise ValueError(f"malformed {what}: an integer too large for a float") from None
 
 
+def unique_keys(pairs) -> dict:
+    """``json.loads``'s ``object_pairs_hook``: the object of ``pairs``. A key it
+    repeats, whose last value ``json.loads`` would keep, raises ``ValueError``."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"an object repeats the key '{key}'")
+        obj[key] = value
+    return obj
+
+
+def read_versioned(path, what: str, version: int) -> dict:
+    """The JSON object in the file at ``path``, a ``what`` of ``version``. A
+    repeated key (``unique_keys``), or a ``version`` that is not that JSON
+    integer, raises ``ValueError``."""
+    doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
+    found = doc.get("version") if isinstance(doc, dict) else None
+    if type(found) is not int or found != version:
+        raise ValueError(f"unsupported {what} version: {json.dumps(found)}")
+    return doc
+
+
 def save_checkpoint(model: MLPClassifier, path, provenance: dict) -> None:
     """Versioned JSON checkpoint; decimal float serialization round-trips exactly."""
     doc = {
@@ -390,14 +418,11 @@ def save_checkpoint(model: MLPClassifier, path, provenance: dict) -> None:
 def load_checkpoint(path, activation: str = "tanh") -> MLPClassifier:
     """Read a checkpoint; its model has the activation the file records, or
     ``activation`` for a file that records none. A file that is not a
-    checkpoint of this version, whose ``layer_sizes`` are not integers >= 1,
-    whose arrays are not ``json_numbers`` or do not fit them, whose activation
-    is unknown, or that holds a non-finite number, head included, raises
-    ``ValueError``."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    version = doc.get("version") if isinstance(doc, dict) else None
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version: {version}")
+    checkpoint of this version (``read_versioned``), whose ``layer_sizes`` are
+    not integers >= 1, whose arrays are not ``json_numbers`` or do not fit
+    them, whose activation is unknown, or that holds a non-finite number, head
+    included, raises ``ValueError``."""
+    doc = read_versioned(path, "checkpoint", CHECKPOINT_VERSION)
     try:
         sizes, params = doc["layer_sizes"], doc["params"]
         if not all(type(s) is int and s >= 1 for s in sizes):

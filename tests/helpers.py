@@ -4,9 +4,7 @@ import math
 
 import numpy as np
 
-from pactune import autodiff as ad
-from pactune.bound import (K_FLOOR, BoundTerms, FixedGamma, FixedK, generic_bound, kl_diag_vs_isotropic, optimal_gamma,
-                           pac_objective)
+from pactune.bound import K_FLOOR, FixedK, generic_bound, kl_diag_vs_isotropic, pac_objective
 from pactune.models import ParamGroup, StepWorkspace, loss_and_grads
 from pactune.optim import WEIGHT_DECAY, AdamState, adam_step, schedule_value
 from pactune.pipeline import evaluate
@@ -45,103 +43,6 @@ def mc_kl(mu_q, var_q, mu_p, var_p, n_samples, seed, antithetic=True):
             count += take
         remaining -= take
     return total / count
-
-
-TAPE_ACTIVATIONS = {"tanh": ad.tanh, "relu": ad.relu}
-
-
-def tape_forward(model, params, x):
-    """The MLP's logits recorded on the tape; ``params`` are per-layer ``(w, b)``."""
-    h = ad.as_tensor(x)
-    for i, (w, b) in enumerate(params):
-        h = ad.add_bias(ad.matmul(h, ad.as_tensor(w)), ad.as_tensor(b))
-        if i < len(params) - 1:
-            h = TAPE_ACTIVATIONS[model.activation](h)
-    return h
-
-
-def _flat(grads, leaves):
-    return np.concatenate([grads[t].ravel() for pair in leaves for t in pair])
-
-
-def tape_loss_and_grads(model, packer, theta, batch_x, batch_y):
-    """Oracle for ``models.loss_and_grads``: the cross-entropy at ``theta`` and
-    its trainable-order gradient, by one backward pass over the tape."""
-    tape = ad.Tape()
-    params = packer.views(theta)
-    leaves = [(tape.leaf(w), tape.leaf(b)) for w, b in params[packer.n_frozen:]]
-    params[packer.n_frozen:] = leaves
-    loss = ad.softmax_cross_entropy(tape_forward(model, params, batch_x), batch_y)
-    return loss.item(), _flat(tape.backward(loss), leaves)
-
-
-def _tape_group_kl(parts, prior_leaf):
-    """One group's KL on the tape; ``parts`` holds ``(w leaf, log-std leaf,
-    anchor)`` per weight or bias array."""
-    if not parts:
-        return ad.Tensor(0.0)
-    s_var = s_sq = s_p = None
-    for w, p, a in parts:
-        var_part = ad.tensor_sum(ad.exp(ad.mul(p, 2.0)))
-        sq_part = ad.tensor_sum(ad.square(ad.sub(w, a)))
-        p_part = ad.tensor_sum(p)
-        s_var = var_part if s_var is None else ad.add(s_var, var_part)
-        s_sq = sq_part if s_sq is None else ad.add(s_sq, sq_part)
-        s_p = p_part if s_p is None else ad.add(s_p, p_part)
-    d = float(sum(a.size for _, _, a in parts))
-    ratio = ad.mul(ad.add(s_var, s_sq), ad.exp(ad.mul(prior_leaf, -1.0)))
-    log_term = ad.sub(ad.mul(prior_leaf, d), ad.mul(s_p, 2.0))
-    return ad.mul(ad.add(ratio, ad.sub(log_term, d)), 0.5)
-
-
-def tape_objective(model, noise, packer, tau, batch_x, batch_y, cfg, k,
-                   l_pac_weight=1.0):
-    """Oracle for ``bound.pac_objective`` with the noise draw ``tau`` and the
-    step's ``k``: J recorded on the tape, built from tape ops only, with gamma
-    and K as constants.
-
-    Returns the ``BoundTerms`` and the gradients ``(dJ/dw, dJ/d noise params)``
-    the closed form must reproduce.
-    """
-    tape = ad.Tape()
-    params = packer.views(model.theta)[:packer.n_frozen]
-    weight_leaves, log_std_leaves = [], []
-    kl_parts = {"backbone": [], "head": []}
-    layers = zip(packer.views(model.theta[packer.start:]), packer.views(noise.log_std),
-                 packer.views(tau), packer.views(noise.anchor()))
-    for layer, arrays in enumerate(layers, start=packer.n_frozen):
-        group = "head" if layer == model.n_layers - 1 else "backbone"
-        w_pair, p_pair, noisy = [], [], []
-        for w, p, t, a in zip(*arrays):
-            w_leaf, p_leaf = tape.leaf(w), tape.leaf(p)
-            w_pair.append(w_leaf)
-            p_pair.append(p_leaf)
-            kl_parts[group].append((w_leaf, p_leaf, a))
-            noisy.append(ad.add(w_leaf, ad.mul(ad.exp(p_leaf), t)))
-        weight_leaves.append(w_pair)
-        log_std_leaves.append(p_pair)
-        params.append(noisy)
-    prior_leaves = [tape.leaf(np.asarray(noise.params[i])) for i in (-2, -1)]
-
-    l_train = ad.softmax_cross_entropy(tape_forward(model, params, batch_x), batch_y)
-    kl_b, kl_h = (_tape_group_kl(kl_parts[g], prior)
-                  for g, prior in zip(("backbone", "head"), prior_leaves))
-    if isinstance(cfg.gamma, FixedGamma):
-        gamma = cfg.gamma.value
-    else:
-        gamma = optimal_gamma(math.log(1.0 / cfg.delta) + kl_b.item() + kl_h.item(),
-                              cfg.m, k, cfg.gamma.low, cfg.gamma.high)
-    coeff = 1.0 / (gamma * cfg.m)
-    const_term = math.log(1.0 / cfg.delta) * coeff + gamma * k * k
-    l_pac = ad.mul(ad.add(ad.mul(ad.add(kl_b, kl_h), coeff), const_term), l_pac_weight)
-    j = ad.add(l_train, l_pac)
-
-    grads = tape.backward(j)
-    terms = BoundTerms(l_train=l_train.item(), kl_backbone=kl_b.item(),
-                       kl_head=kl_h.item(), gamma_used=gamma,
-                       l_pac=l_pac.item(), j_total=j.item())
-    noise_grads = np.append(_flat(grads, log_std_leaves), [grads[p] for p in prior_leaves])
-    return terms, (_flat(grads, weight_leaves), noise_grads)
 
 
 def confusion_metrics(preds, labels) -> dict:

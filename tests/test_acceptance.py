@@ -43,13 +43,15 @@ def blobs_setup():
 
 def test_criterion_01_gradcheck_suite():
     start = time.monotonic()
-    *ops, (_, worst_j, _) = ad.gradcheck_suite()
+    *ops, (_, worst_j, _), (_, mismatches, _), (_, worst_pac, _) = ad.gradcheck_suite()
     worst_kind, worst_op, _ = max(ops, key=lambda row: row[1])
     elapsed = time.monotonic() - start
-    ok = worst_op < 1e-4 and worst_j < 1e-3 and elapsed < 60.0
+    ok = all(err < 1e-4 for _, err, _ in ops) and worst_j < 1e-3 and elapsed < 60.0
+    ok &= mismatches == 0 and worst_pac <= 1e-12  # the training path, against the tape
     report("criterion 1 (gradcheck)",
            ok, f"worst op err {worst_op:.2e} ({worst_kind}), "
-               f"full-J err {worst_j:.2e}, {elapsed:.1f}s")
+               f"full-J err {worst_j:.2e}, loss_and_grads values off the tape "
+               f"{mismatches}, pac_objective err {worst_pac:.2e}, {elapsed:.1f}s")
 
 
 def test_criterion_02_kl_correctness():

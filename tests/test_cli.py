@@ -8,6 +8,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import textwrap
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -239,6 +240,8 @@ class TestConfig:
         ("seeds=[1,2,1]", "seeds"),
         ('methods=["vanilla","vanilla"]', "methods"),
         ('tasks=["xor-noise","xor-noise"]', "tasks"),
+        # json.loads would keep the last value of a repeated key
+        ('task={"n_shot": 10, "n_shot": 20}', "task"),
     ])
     def test_invalid_leaf_exits_config_before_work(self, tmp_path, capsys, setting,
                                                    key):
@@ -520,9 +523,9 @@ def _first_at(layer, key, value):
     return edit
 
 
-def _activation(name):
+def _with(key, value):
     def edit(doc):
-        doc["activation"] = name
+        doc[key] = value
         return doc
     return edit
 
@@ -597,9 +600,17 @@ class TestUnusableFiles:
         ("finetune", ((3, 8, 4, 2), _first_at(2, "b", float("nan"))),
          "layer 2 holds a non-finite weight or bias"),
         # the tiny config's activation is tanh
-        ("finetune", ((3, 8, 4, 2), _activation("relu")),
+        ("finetune", ((3, 8, 4, 2), _with("activation", "relu")),
          ": it was pretrained with relu, but 'model.activation' is tanh"),
-        ("finetune", ((3, 8, 4, 2), _activation("sigmoid")), "unknown activation 'sigmoid'"),
+        ("finetune", ((3, 8, 4, 2), _with("activation", "sigmoid")),
+         "unknown activation 'sigmoid'"),
+        # a version is a JSON integer, and every JSON file names a repeated key
+        ("finetune", ((3, 8, 4, 2), _with("version", True)),
+         "unsupported checkpoint version: true"),
+        ("finetune", '{"version": 1, "params": [], "version": 1}',
+         "an object repeats the key 'version'"),
+        ("pretrain", ("config", '{"task": {"n_shot": 100, "n_shot": 500}}'),
+         "an object repeats the key 'n_shot'"),
         # a file holds JSON numbers: no numeric string, no bool, none beyond a float
         ("finetune", ((3, 8, 4, 2), _first_at(0, "w", "0.5")),
          """malformed checkpoint layer 0 'w': "0.5" is not a number"""),
@@ -611,6 +622,13 @@ class TestUnusableFiles:
          "layer_sizes must be integers >= 1, got [3, -1, 4, 2]"),
         ("inspect-noise", "not json", "Expecting value"),
         ("inspect-noise", '{"version": 2}', "unsupported noise-state version: 2"),
+        ("inspect-noise", '{"version": true, "p_backbone": [0.5], "p_head": [0.1], '
+         '"log_lambda": 0.0, "log_beta": 0.0}', "unsupported noise-state version: true"),
+        ("inspect-noise", '{"version": 1, "p_head": [0.1], "p_head": [0.2]}',
+         "an object repeats the key 'p_head'"),
+        # every model has a head, so every noise state has a head log-std
+        ("inspect-noise", '{"version": 1, "p_backbone": [], "p_head": [], '
+         '"log_lambda": 0.0, "log_beta": 0.0}', "'p_head' is empty, but every model has a head"),
         ("inspect-noise", '{"version": 1, "p_backbone": [0.5, NaN], "p_head": [0.1], '
          '"log_lambda": 0.0, "log_beta": 0.0}', "a log-std or prior log-variance is not finite"),
         # finite, but exp(2 * 1e308) is not: no overflow warning, no inf variance ranked
@@ -837,7 +855,8 @@ class TestGradcheckCommand:
     def test_passes(self, capsys):
         assert cli.cmd_gradcheck() == EXIT_OK
         out = capsys.readouterr().out
-        assert "matmul" in out and "full J" in out and "FAIL" not in out
+        rows = ("matmul", "full J", "loss_and_grads vs tape", "pac_objective vs tape")
+        assert "FAIL" not in out and all(row in out for row in rows)
 
 
 def _worker_dies(payload):
@@ -926,6 +945,29 @@ class TestBenchmark:
                 outputs[-1].append((tmp_path / f"w{workers}-{i}.jsonl").read_bytes())
         assert len(outputs[0]) == 1 + 2 * 2
         assert outputs[0] == outputs[1]
+
+    def test_every_start_method_writes_the_same_files(self, tmp_path):
+        # in a fresh interpreter, which sets its start method once; Python 3.14
+        # makes forkserver the default on Linux
+        script = textwrap.dedent("""
+            import multiprocessing, shutil; from pathlib import Path; from pactune import cli
+            def files(workers):
+                sets = ["pretrain.epochs=3", "stage1.epochs=3", "stage2.epochs=2"]
+                argv = ["benchmark", "--workers", workers, "--out", "out"]
+                assert cli.main(argv + [a for s in sets for a in ("--set", s)]) == 0
+                written = {p: p.read_bytes() for p in Path("out").rglob("*.json*")}
+                shutil.rmtree("out")
+                return written
+            serial = files("1")
+            for method in ("fork", "spawn", "forkserver"):
+                multiprocessing.set_start_method(method, force=True)
+                assert files("2") == serial, method
+            print(len(serial))""")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == str(1 + 3 * 3 * 5)  # report and runs
 
     @pytest.mark.parametrize("workers, runs, pools", [(500, 4, [4]), (2, 4, [2]),
                                                       (500, 1, [])])

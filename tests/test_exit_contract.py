@@ -14,7 +14,9 @@ byte-order mark. The contract:
 - exit 3 prints one line that names the task, the method or
   ``pretraining``, the seed, the epoch and the batch;
 - a non-zero exit leaves no output directory;
-- no other exit code, and no exception out of ``main``.
+- no other exit code, and no exception out of ``main``;
+- a key duplicated with another value, in any JSON file, and a swapped value
+  of a top-level key that a checkpoint's or noise file's reader reads, exit 2.
 
 The seed and the case count are fixed; numbers are never mutated into large
 integers, as a large valid count or size is a long run, not a fault.
@@ -123,12 +125,16 @@ def _other_type(rng, value):
     return _pick(rng, [v for v in SWAPS if _type(v) != _type(value)])
 
 
-def mutate_json(rng, text: str) -> str:
+def mutate_json(rng, text: str, reads) -> tuple[str, bool]:
+    """The mutated text, and whether its reader must reject it: a duplicated
+    key whose value differs, or a swapped value of a top-level key in
+    ``reads``, the keys the file's reader reads."""
     root = [_tree(json.loads(text))]  # a slot for the root, so it can be swapped
     slots = list(_slots(root))
     objects = [c[i] for c, i in slots if isinstance(c[i], Obj) and c[i]]
     kind = _pick(rng, ["delete", "duplicate", "swap", "number", "number", "truncate",
                        "empty", "bom"])
+    rejected = False
     if kind == "delete":
         obj = _pick(rng, objects)
         del obj[rng.integers(len(obj))]
@@ -136,21 +142,23 @@ def mutate_json(rng, text: str) -> str:
         obj = _pick(rng, objects)
         i = rng.integers(len(obj))
         value = obj[i][1] if rng.random() < 0.5 else _pick(rng, NUMBERS + SWAPS)
+        rejected = _dumps(value) != _dumps(obj[i][1])
         obj.insert(i + 1, [obj[i][0], value])
     elif kind == "swap":
         container, i = _pick(rng, slots)
         container[i] = _other_type(rng, container[i])
+        rejected = any(container is pair for pair in root[0]) and container[0] in reads
     elif kind == "number":
         numbers = [(c, i) for c, i in slots if _type(c[i]) == "number"] or slots
         container, i = _pick(rng, numbers)
         container[i] = _pick(rng, NUMBERS)
     elif kind == "truncate":
-        return text[:rng.integers(len(text))]
+        return text[:rng.integers(len(text))], False
     elif kind == "empty":
-        return ""
+        return "", False
     else:
-        return "\ufeff" + text
-    return _dumps(root[0])
+        return "\ufeff" + text, False
+    return _dumps(root[0]), rejected
 
 
 def mutate_csv(rng, text: str) -> str:
@@ -244,13 +252,19 @@ def _argv(command: str, files: dict, sets: list[str], where) -> list[str]:
     return argv + [str(files["noise"])] if command == "inspect-noise" else argv
 
 
-def make_case(rng, inputs: dict, where) -> tuple[list[str], dict]:
-    """A case's argv, and the files it passes, one of them mutated unless
-    the case mutates a ``--set`` entry."""
+# the top-level keys a checkpoint's or noise file's reader reads, so a swap of
+# one must be rejected; a config leaf may take more than one type
+READS = {"config": (), "checkpoint": ("version", "layer_sizes", "params", "activation"),
+         "noise": ("version", "p_backbone", "p_head", "log_lambda", "log_beta")}
+
+
+def make_case(rng, inputs: dict, where) -> tuple[list[str], dict, bool]:
+    """A case's argv, the files it passes, one of them mutated unless the case
+    mutates a ``--set`` entry, and whether ``mutate_json`` says it must exit 2."""
     files = dict(inputs)
     kind = _pick(rng, ["config", "set", "set", "csv", "checkpoint", "noise"])
     command = _pick(rng, COMMANDS)
-    sets = []
+    sets, rejected = [], False
     if kind == "csv":
         command = _pick(rng, COMMANDS[:3])
         side = _pick(rng, ["source", "target"])
@@ -263,8 +277,9 @@ def make_case(rng, inputs: dict, where) -> tuple[list[str], dict]:
     else:
         command = {"checkpoint": "finetune", "noise": "inspect-noise"}.get(kind, command)
         mutated = files[kind] = where / f"{kind}.json"
-        mutated.write_text(mutate_json(rng, inputs[kind].read_text()), encoding="utf-8")
-    return _argv(command, files, sets, where), files
+        text, rejected = mutate_json(rng, inputs[kind].read_text(), READS[kind])
+        mutated.write_text(text, encoding="utf-8")
+    return _argv(command, files, sets, where), files, rejected
 
 
 def _non_finite(text: str, suffix: str) -> list[float]:
@@ -360,8 +375,9 @@ def test_mutated_argv(tmp_path, monkeypatch, capsys, inputs, command, extra, nam
 @pytest.mark.parametrize("case", range(N_CASES))
 def test_mutated_input(tmp_path, monkeypatch, capsys, inputs, case):
     monkeypatch.chdir(tmp_path)
-    argv, files = make_case(np.random.default_rng([SEED, case]), inputs, tmp_path)
-    check_contract(argv, files, tmp_path, capsys)
+    argv, files, rejected = make_case(np.random.default_rng([SEED, case]), inputs, tmp_path)
+    code = check_contract(argv, files, tmp_path, capsys)
+    assert code == cli.EXIT_CONFIG or not rejected, argv
 
 
 @pytest.mark.parametrize("path, value", EXTREMES)

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import re
 
 import numpy as np
@@ -187,6 +188,16 @@ class TestFlatLayout:
             for a in other.weights + other.biases:
                 assert not np.shares_memory(a, m.theta)
 
+    def test_unpickled_weights_are_views_into_theta(self):
+        # the pool sends models by pickle: θ once, not θ and a copy of each layer
+        m = fresh((6, 24, 12, 3), seed=0, freeze_first_layer=True)
+        data = pickle.dumps(m)
+        u = pickle.loads(data)
+        assert len(data) < 8_751  # the pickle of θ and every layer
+        assert (u.theta.tobytes(), u.layout, u.activation) == (m.theta.tobytes(), m.layout,
+                                                               m.activation)
+        assert all(np.shares_memory(a, u.theta) for a in u.weights + u.biases)
+
     def test_replace_head_keeps_backbone_bytes(self):
         m = fresh((2, 4, 3), seed=2)
         m2 = models.replace_head(m, np.random.default_rng(3), 2, False)
@@ -233,6 +244,8 @@ class TestCheckpoint:
     @pytest.mark.parametrize("edit, match", [
         (lambda doc: "not json", "Expecting value"),
         (lambda doc: [doc], "version"),
+        (lambda doc: dict(doc, version=True), "unsupported checkpoint version: true"),
+        (lambda doc: '{"version": 1, "version": 1}', "an object repeats the key 'version'"),
         (lambda doc: {k: v for k, v in doc.items() if k != "params"}, "params"),
         (lambda doc: dict(doc, params=doc["params"][:1]), "shorter"),
         (lambda doc: dict(doc, params=[{"w": p["w"][:-1], "b": p["b"]}

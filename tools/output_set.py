@@ -64,8 +64,11 @@ the checkout that holds this script):
   activation must match the config (exit 2). ``error-checkpoint-string``,
   ``pactune finetune --seed 1`` from a copy of the pretrain checkpoint,
   ``string-checkpoint.json``, whose first weight is the string ``"0.5"``,
-  pins that a checkpoint holds JSON numbers (exit 2). A failed command leaves
-  no ``OUT/<name>/``.
+  pins that a checkpoint holds JSON numbers (exit 2). ``error-duplicate-key``,
+  ``pactune pretrain --config duplicate-key.json``, a config file whose
+  ``task`` object gives ``n_shot`` twice (100, then 500), pins that a JSON
+  input rejects a repeated key (exit 2). A failed command leaves no
+  ``OUT/<name>/``.
 
 Each command writes into ``OUT/<name>/`` and leaves its stdout, stderr and
 exit code in ``OUT/<name>.stdout``, ``.stderr`` and ``.exit``. Every path a
@@ -126,6 +129,13 @@ CSV_OVERFLOW = (
     "spec = json.dumps({'generator': 'csv', 'path': 'overflow.csv'}); "
     "sys.exit(cli.main(['generate-data', '--set', 'task.source=' + spec, '--set', "
     "'task.target=' + spec, '--set', 'task.n_shot=1', '--out', 'error-csv-overflow']))")
+
+# a config file that gives a key twice, then pretrain from it
+DUPLICATE_KEY = (
+    "import sys; from pathlib import Path; from pactune import cli; "
+    """Path('duplicate-key.json').write_text('{"task": {"n_shot": 100, "n_shot": 500}}'); """
+    "sys.exit(cli.main(['pretrain', '--config', 'duplicate-key.json', "
+    "'--out', 'error-duplicate-key']))")
 
 
 def commands() -> list[tuple[str, list[str]]]:
@@ -215,7 +225,8 @@ def commands() -> list[tuple[str, list[str]]]:
                      "--set", 'model.activation="relu"', "--out", "error-activation"]),
              ("error-checkpoint-string",
               ["-c", finetune_from_edited("'0.5'", "string-checkpoint.json",
-                                          "error-checkpoint-string")])]
+                                          "error-checkpoint-string")]),
+             ("error-duplicate-key", ["-c", DUPLICATE_KEY])]
     return runs
 
 
