@@ -110,11 +110,12 @@ class NoiseState:
     a layout only this class reads: one log-std per trainable parameter
     (backbone first, ``n_backbone`` of them), then one prior log-variance per
     group, so stage 1 updates all of them in one optimizer call, at the rates
-    ``per_coordinate`` lays out, by the ``grad`` that ``pac_objective`` fills.
-    Posterior variance of coordinate j is exp(2 * log_std[j]), a group's prior
-    variance exp(prior_log_var). ``anchors``, the trainable weights at
-    fine-tuning start, stay fixed through stage 1: the backbone of the
-    checkpoint the run read, and the head the run's seed drew.
+    ``per_coordinate`` lays out, by the ``grad`` that ``pac_objective`` fills
+    through its views ``grad_log_std`` and ``grad_prior``. Posterior variance of
+    coordinate j is exp(2 * log_std[j]), a group's prior variance
+    exp(prior_log_var); ``kl_inputs`` gives a KL its group's share. ``anchors``,
+    the trainable weights at fine-tuning start, stay fixed through stage 1: the
+    backbone of the checkpoint the run read, and the head the run's seed drew.
     """
 
     params: np.ndarray
@@ -124,6 +125,7 @@ class NoiseState:
 
     def __post_init__(self):
         self.grad = np.empty_like(self.params)
+        self.grad_log_std, self.grad_prior = self.grad[:-2], self.grad[-2:]
 
     def _group(self, group: ParamGroup) -> slice:
         return group_slice(group, self.n_backbone, self.params.size - 2)
@@ -171,6 +173,28 @@ class NoiseState:
             var, prior = self.variances(), np.exp(self.params[-2:])
         ok = var.all() and prior.all() and np.isfinite(var).all() and np.isfinite(prior).all()
         return var if ok else None
+
+    def kl_inputs(self, weights: np.ndarray, var: np.ndarray):
+        """Per group, in order, what its KL takes: the group's slice of ``weights``
+        and ``var`` (trainable order), its anchors and exp(prior_log_var)."""
+        for g in ParamGroup:
+            s = self._group(g)
+            yield weights[s], var[s], self.anchor(g), math.exp(self.prior_log_var(g))
+
+    def check_fits(self, model: MLPClassifier) -> None:
+        """Reject a noise state laid out for another model; both stages call it at entry."""
+        for g in ParamGroup:
+            if self.size(g) != model.layout.sizes[g]:
+                raise ValueError(f"noise state does not match the model's {g.value} size")
+
+    def summary(self) -> dict:
+        """The run record's noise summary: mean variance per group, the extremes, sizes."""
+        var, b, h = self.variances(), ParamGroup.BACKBONE, ParamGroup.HEAD
+        return {"mean_var_backbone": self.mean_variance(b),
+                "mean_var_head": self.mean_variance(h),
+                "min_var": float(var.min()) if var.size else 0.0,
+                "max_var": float(var.max()) if var.size else 0.0,
+                "n_backbone": self.size(b), "n_head": self.size(h)}
 
     def copy(self) -> "NoiseState":
         return replace(self, params=self.params.copy(),
@@ -321,12 +345,12 @@ def generic_bound(kl_total: float, delta: float, m: int) -> float:
 # --- the objective and its closed-form gradients ---------------------------------
 
 
-def _group_kl(w: np.ndarray, var: np.ndarray, anchor: np.ndarray, prior_log_var: float,
+def _group_kl(w: np.ndarray, var: np.ndarray, anchor: np.ndarray, var_p: float,
               ) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """One group's KL of N(w, diag var) vs N(anchor, exp(prior_log_var) I) and its
-    derivatives with respect to w, log_std (var = exp(2 log_std)) and prior_log_var;
-    the two vectors are new arrays, d/dw reusing ``w - anchor``'s."""
-    var_p = math.exp(prior_log_var)
+    """One group's KL of N(w, diag var) vs N(anchor, var_p I) and its derivatives
+    with respect to w, log_std (var = exp(2 log_std)) and the prior log-variance
+    (var_p = exp(prior_log_var)); the two vectors are new arrays, d/dw reusing
+    ``w - anchor``'s."""
     diff = w - anchor
     kl, s = _kl(diff, var, var_p)
     d_p = var / var_p
@@ -355,13 +379,11 @@ def pac_objective(work: StepWorkspace, noise: NoiseState, batch_x, batch_y,
     dJ/dlambda = c / 2 (d - (sum exp(2p) + sum (w - anchor)^2) / s2).
     """
     packer = work.model.layout
-    weights = work.trainable
     std = np.exp(noise.log_std)
-    kernels.apply_noise(weights, std, tau, work.noisy_trainable)
+    kernels.apply_noise(work.trainable, std, tau, work.noisy_trainable)
     l_train = loss_and_grads(work, work.noisy_params, batch_x, batch_y)
     (kl_b, kl_h), d_w, d_p, d_prior = zip(*(
-        _group_kl(weights[packer.group(g)], var[packer.group(g)], noise.anchor(g),
-                  noise.prior_log_var(g)) for g in ParamGroup))
+        _group_kl(*group) for group in noise.kl_inputs(work.trainable, var)))
 
     if isinstance(cfg.gamma, FixedGamma):
         gamma = cfg.gamma.value
@@ -374,10 +396,10 @@ def pac_objective(work: StepWorkspace, noise: NoiseState, batch_x, batch_y,
                        j_total=l_train + l_pac_scaled)
     c = l_pac_weight / (gamma * cfg.m)
     # the noise gradient reads dL(w~) before work.grad becomes dJ/dw
-    d_log_std = np.multiply(work.grad, tau, out=noise.grad[:-2])
+    d_log_std = np.multiply(work.grad, tau, out=noise.grad_log_std)
     d_log_std *= std
     for g, g_w, g_p in zip(ParamGroup, d_w, d_p):
         d_log_std[packer.group(g)] += np.multiply(c, g_p, out=g_p)
         work.grad[packer.group(g)] += np.multiply(c, g_w, out=g_w)
-    noise.grad[-2:] = [c * d for d in d_prior]
+    noise.grad_prior[:] = [c * d for d in d_prior]
     return terms, noise.grad

@@ -57,7 +57,8 @@ from .pgd import loss_and_grads  # noqa: F401  unused here; perfbench's tracer w
 
 
 class DivergenceError(Exception):
-    """Raised when the objective goes non-finite; carries the offending epoch."""
+    """Raised when a training number goes non-finite (a step's, the epoch's
+    evaluation's or its record's); the message names label, epoch and batch."""
 
 
 @dataclass
@@ -205,19 +206,12 @@ def _descend(model: MLPClassifier, train: Dataset, dev: Dataset, cfg, data_rng,
     return model, trace
 
 
-def _check_noise(model: MLPClassifier, noise: NoiseState) -> None:
-    """Reject a noise state laid out for another model; both stages call it at entry."""
-    for g in ParamGroup:
-        if noise.size(g) != model.layout.sizes[g]:
-            raise ValueError(f"noise state does not match the model's {g.value} size")
-
-
 def stage1_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
                  dev: Dataset, cfg: Stage1Config, bound_cfg: BoundConfig,
                  data_rng: np.random.Generator, noise_rng: np.random.Generator,
                  ) -> tuple[MLPClassifier, NoiseState, list[dict]]:
     """Minimize the bound objective; returns updated model, learned noise, trace."""
-    _check_noise(model, noise)
+    noise.check_fits(model)
     noise = noise.copy()
     packer = model.layout
     noise_adam = AdamState(noise.params.size)
@@ -249,11 +243,9 @@ def stage1_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
     def epoch_terms(model, n_batches):
         # the sums hold each step's KLs, taken before its update: the state the
         # epoch's last update left is checked here, so stage 1 names it
-        weights = model.theta[packer.start:]
-        for g in ParamGroup:
-            kl = _kl(weights[packer.group(g)] - noise.anchor(g), var[packer.group(g)],
-                     math.exp(noise.prior_log_var(g)))[0]
-            if not math.isfinite(kl):
+        for g, (w, v, anchor, var_p) in zip(
+                ParamGroup, noise.kl_inputs(model.theta[packer.start:], var)):
+            if not math.isfinite(_kl(w - anchor, v, var_p)[0]):
                 raise NumericsError(f"the last update's kl_{g.value} is not finite")
         l_pac, kl_b, kl_h = (s / n_batches for s in sums)
         sums[:] = [0.0, 0.0, 0.0]
@@ -270,15 +262,13 @@ def stage2_train(model: MLPClassifier, noise: NoiseState, train: Dataset,
                  noise_rng: np.random.Generator, bound_cfg: BoundConfig,
                  epoch_offset: int = 0) -> tuple[MLPClassifier, list[dict]]:
     """Perturbed descent with the learned noise frozen; loss only, no bound term."""
-    _check_noise(model, noise)
-    std = np.exp(noise.log_std)
+    noise.check_fits(model)
+    std, var = np.exp(noise.log_std), noise.variances()
 
     def epoch_terms(model, n_batches):
-        weights = model.theta[model.layout.start:]
         return _bound_terms(noise, bound_cfg, *(
-            kl_diag_vs_isotropic(weights[model.layout.group(g)], noise.variances(g),
-                                 noise.anchor(g), math.exp(noise.prior_log_var(g)))
-            for g in ParamGroup))
+            kl_diag_vs_isotropic(*group)
+            for group in noise.kl_inputs(model.theta[model.layout.start:], var)))
 
     return _descend(model, train, dev, cfg, data_rng,
                     lambda work, x, y: pgd_step(work, x, y, std, noise_rng), "stage 2",
@@ -324,18 +314,6 @@ class RunRecord:
                    "config": self.config}
         lines.append(json.dumps(summary, sort_keys=True))
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def noise_summary_stats(noise: NoiseState) -> dict:
-    all_var = noise.variances()
-    return {
-        "mean_var_backbone": noise.mean_variance(ParamGroup.BACKBONE),
-        "mean_var_head": noise.mean_variance(ParamGroup.HEAD),
-        "min_var": float(all_var.min()) if all_var.size else 0.0,
-        "max_var": float(all_var.max()) if all_var.size else 0.0,
-        "n_backbone": noise.size(ParamGroup.BACKBONE),
-        "n_head": noise.size(ParamGroup.HEAD),
-    }
 
 
 def run_streams(seed: int, n: int = 5) -> list[np.random.Generator]:
@@ -394,7 +372,7 @@ def run_finetune(pretrained: MLPClassifier, train: Dataset, dev: Dataset,
         epochs=epochs,
         stage_boundary=boundary,
         final=final,
-        noise_summary=noise_summary_stats(noise_final) if noise_final else None,
+        noise_summary=noise_final.summary() if noise_final else None,
     )
     return record, model, noise_final
 

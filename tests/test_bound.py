@@ -60,6 +60,12 @@ class TestKL:
         with pytest.raises(ValueError):
             kl_diag_vs_isotropic([0.0], [1.0], [0.0], -1.0)
 
+    @pytest.mark.parametrize("mu_q, var_q, mu_p", [([0.0, 1.0], [1.0], [0.0, 0.0]),
+                                                   ([0.0], [1.0], [0.0, 0.0])])
+    def test_rejects_unequal_lengths(self, mu_q, var_q, mu_p):
+        with pytest.raises(ValueError, match="array lengths differ"):
+            kl_diag_vs_isotropic(mu_q, var_q, mu_p, 1.0)
+
     def test_decreasing_toward_prior(self):
         # params at anchors, var_q = c * prior variance: KL strictly decreasing in c on (0, 1]
         mu = np.zeros(5)
@@ -76,7 +82,7 @@ class TestKL:
             w, anchor = rng.standard_normal(d), rng.standard_normal(d)
             var = np.exp(2.0 * rng.standard_normal(d))
             prior_log_var = float(rng.standard_normal())
-            kl = bound._group_kl(w, var, anchor, prior_log_var)[0]
+            kl = bound._group_kl(w, var, anchor, math.exp(prior_log_var))[0]
             public = kl_diag_vs_isotropic(w, var, anchor, math.exp(prior_log_var))
             assert kl.hex() == public.hex()
 
@@ -103,6 +109,10 @@ class TestLPac:
         with pytest.raises(ValueError):
             l_pac(1.0, cfg, gamma=0.0, k=1.0)
 
+    def test_kl_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="kl_total must be nonnegative"):
+            l_pac(-1e-12, BoundConfig(m=10, delta=0.1), gamma=1.0, k=1.0)
+
 
 class TestOptimalGamma:
     def test_interior_minimizer_beats_grid(self):
@@ -122,6 +132,10 @@ class TestOptimalGamma:
     def test_rejects_inverted_range(self):
         with pytest.raises(ValueError):
             optimal_gamma(1.0, 10, 1.0, 2.0, 1.0)
+
+    def test_rejects_zero_k(self):
+        with pytest.raises(ValueError, match="k > 0"):
+            optimal_gamma(1.0, 10, 0.0, 0.5, 2.0)
 
     def test_grid_property_random_triples(self):
         rng = np.random.default_rng(1)
@@ -374,6 +388,27 @@ class TestNoiseState:
         assert noise.grad.shape == noise.params.shape
         assert not np.shares_memory(noise.copy().grad, noise.grad)
 
+    @pytest.mark.parametrize("freeze", [False, True])
+    def test_kl_inputs_follow_the_layout(self, freeze):
+        model, packer, noise, _, _ = tiny_setup(seed=13, layer_sizes=(2, 3, 4, 2),
+                                                freeze=freeze)
+        weights = model.theta[packer.start:] + 1.0
+        var = noise.variances()
+        inputs = list(noise.kl_inputs(weights, var))
+        assert len(inputs) == len(ParamGroup)
+        for g, (w, v, anchor, var_p) in zip(ParamGroup, inputs):
+            assert w.tobytes() == weights[packer.group(g)].tobytes()
+            assert v.tobytes() == var[packer.group(g)].tobytes()
+            assert anchor.tobytes() == noise.anchors[packer.group(g)].tobytes()
+            assert var_p == math.exp(noise.prior_log_var(g))
+        # the objective fills the gradient through views laid out as params
+        noise.grad[:] = np.arange(noise.grad.size)
+        assert noise.grad_prior.tolist() == [noise.grad.size - 2, noise.grad.size - 1]
+        assert noise.grad_log_std.tolist() == list(range(noise.grad.size - 2))
+        loaded = bound.NoiseState(noise.params.copy(), noise.n_backbone)
+        with pytest.raises(ValueError, match="no anchors"):
+            list(loaded.kl_inputs(weights, var))
+
     # the one variance rule at its edges: just past each, a log-std's variance
     # exp(2 p) or a prior's exp(log-var) underflows to 0 or overflows to inf
     @pytest.mark.parametrize("field, value, ok", [
@@ -415,6 +450,8 @@ class TestNoiseState:
             BoundConfig(m=10, gamma=AutoGamma(2.0, 1.0))
         with pytest.raises(ValueError):
             BoundConfig(m=10, k=FixedK(0.0))
+        with pytest.raises(ValueError, match="ema_decay"):
+            BoundConfig(m=1, k=RunningK(1.0))
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import functools
+import inspect
 import json
 import logging
 import multiprocessing
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pactune import cli, datasets, models, optim
+from pactune import bound, cli, datasets, models, optim, pipeline
 from pactune.cli import (EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_OK, ConfigError,
                          load_config, main)
 
@@ -106,6 +107,18 @@ class TestConfig:
         cfg = load_config(None)
         assert cfg["stage1"]["epochs"] == 150
         assert cfg["seeds"] == [1, 2, 10, 26, 100]
+
+    def test_schema_defaults_are_the_library_defaults(self):
+        # each default is written twice, in SCHEMA and in the library
+        cfg = cli.task_config(load_config(None))
+        assert cli.build_stage1(cfg) == pipeline.Stage1Config()
+        assert cli.build_stage2(cfg) == pipeline.Stage2Config()
+        assert cli.build_bound(cfg, 37) == bound.BoundConfig(m=37)
+        finetune = inspect.signature(pipeline.run_finetune).parameters
+        assert finetune["freeze_first_layer"].default is cfg["model"]["freeze_first_layer"]
+        assert finetune["noise_sigma"].default == cfg["noise_injection"]["sigma"]
+        pretrain = inspect.signature(pipeline.pretrain_model).parameters
+        assert pretrain["activation"].default == cfg["model"]["activation"]
 
     def test_seed_kind_is_not_rebound(self):
         assert isinstance(cli.SEED, cli.Leaf)  # the flag lists take other names
@@ -242,6 +255,11 @@ class TestConfig:
         ('tasks=["xor-noise","xor-noise"]', "tasks"),
         # json.loads would keep the last value of a repeated key
         ('task={"n_shot": 10, "n_shot": 20}', "task"),
+        ("foo", "foo"),
+        ("stage1.epochs.x=1", "stage1.epochs.x"),
+        ('bound.gamma={"kind":"auto","low":2,"high":1}', "bound.gamma"),
+        ('task_overrides={"xor-noise": 5}', "task_overrides.xor-noise"),
+        ('task_overrides={"xor-noise": {"task": 5}}', "task_overrides.xor-noise"),
     ])
     def test_invalid_leaf_exits_config_before_work(self, tmp_path, capsys, setting,
                                                    key):

@@ -43,6 +43,7 @@ class TestGenerate:
 
     @pytest.mark.parametrize("gen,kw", [
         ("blobs", {"classes": 3, "dim": 2}),
+        ("blobs", {"classes": 3, "dim": 1}),
         ("two-spirals", {}),
         ("xor", {"dim": 3}),
     ])
@@ -50,6 +51,14 @@ class TestGenerate:
         ds = datasets.generate(DatasetSpec(gen, n=101, seed=1, **kw))
         counts = np.bincount(ds.y)
         assert counts.max() - counts.min() <= 1
+
+    def test_one_dimensional_blobs_are_centred_on_a_line(self):
+        # d = 1: class c's mean is (c - (k - 1) / 2) * separation
+        ds = datasets.generate(DatasetSpec("blobs", n=60, seed=7, classes=3, dim=1,
+                                           separation=2.0, class_std=1e-3))
+        assert ds.x.shape == (60, 1)
+        means = [ds.x[ds.y == c, 0].mean() for c in range(3)]
+        assert means == pytest.approx([-2.0, 0.0, 2.0], abs=1e-2)
 
     def test_rotation_and_shift_applied(self):
         base = DatasetSpec("blobs", n=50, seed=5, classes=2, dim=2)
@@ -62,6 +71,10 @@ class TestGenerate:
     def test_unknown_generator_rejected(self):
         with pytest.raises(ValueError, match="generator"):
             DatasetSpec("moons", n=10)
+
+    def test_one_class_blobs_rejected(self):
+        with pytest.raises(ValueError, match="^blobs needs at least 2 classes$"):
+            DatasetSpec("blobs", n=10, classes=1)
 
     @pytest.mark.parametrize("field", ["separation", "class_std", "noise_std", "shift"])
     @pytest.mark.parametrize("gen", ["blobs", "two-spirals", "xor"])

@@ -62,6 +62,12 @@ class TestForward:
         with pytest.raises(ValueError, match="unknown activation 'sigmoid'"):
             models.MLPClassifier([2, 2], activation="sigmoid")  # at construction
 
+    def test_nonfinite_loss_raises(self):
+        # finite logits whose spread overflows: the picked logit's log-softmax is -inf
+        with np.errstate(over="ignore"), \
+                pytest.raises(ad.NumericsError, match="^the loss is not finite$"):
+            models._softmax_cross_entropy(np.array([[1e308, -1e308]]), np.array([1]))
+
     def test_nonfinite_layer_output_raises(self):
         # the divergence guard of every training step
         m = fresh()
@@ -115,6 +121,15 @@ class TestGroups:
         assert np.array_equal(m2.weights[0], m.weights[0] * 2.0)
         assert np.array_equal(m2.weights[1], m.weights[1])
 
+    def test_layout_needs_input_and_output_sizes(self):
+        with pytest.raises(ValueError, match="at least input and output sizes"):
+            GroupPacker.for_sizes([3])
+
+    def test_unpack_of_wrong_shape_raises(self):
+        m = fresh((3, 4, 2), seed=6)
+        with pytest.raises(ValueError, match=re.escape("expected shape (10,), got (9,)")):
+            m.layout.unpack_into(m, ParamGroup.HEAD, np.zeros(9))
+
     def test_frozen_layer_excluded(self):
         m = fresh((3, 4, 2), seed=6, freeze_first_layer=True)
         packer = m.layout
@@ -162,6 +177,11 @@ class TestFlatLayout:
         assert m.theta[12 + 1] == -2.5
         assert packer.pack(m, ParamGroup.HEAD)[2 * 2 + 0] == 7.5
         assert packer.pack(m, ParamGroup.BACKBONE)[12 + 1] == -2.5
+
+    def test_views_of_a_vector_of_another_size_raise(self):
+        # a (2, 4, 2) model: θ has 22 entries and, unfrozen, 22 trainable ones
+        with pytest.raises(ValueError, match=re.escape("size 5 fits neither θ (22)")):
+            fresh().layout.views(np.zeros(5))
 
     def test_views_cannot_be_rebound(self):
         m = fresh()

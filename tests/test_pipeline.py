@@ -376,6 +376,12 @@ class TestStage2AndBaselines:
                 noise_injection_finetune(model, train, dev, cfg, 0.01, data_rng,
                                          noise_rng)
 
+    @pytest.mark.parametrize("config, stage", [(Stage1Config, "stage 1"),
+                                               (Stage2Config, "stage 2")])
+    def test_zero_epochs_rejected(self, config, stage):
+        with pytest.raises(ValueError, match=f"^{stage} needs at least one epoch$"):
+            config(epochs=0)
+
     def test_noise_of_another_model_rejected(self, toy_task):
         # the entry check stage 1 shares: this noise has no backbone, while the
         # model's first layer trains
