@@ -94,14 +94,14 @@ class Tape:
         self.nodes.append((parents, pull))
         return len(self.nodes) - 1
 
-    def backward(self, root: Tensor) -> "Gradients":
-        """Gradient of a scalar root w.r.t. every leaf, one reverse sweep.
-
-        Gradients accumulate additively when a node feeds several consumers;
-        leaves never reached from the root get zeros.
+    def backward(self, root: Tensor, leaves: Sequence[Tensor]) -> list[np.ndarray]:
+        """Gradient of a scalar root w.r.t. each of ``leaves``, one reverse
+        sweep: a float64 array shaped like the leaf, zeros for a leaf the root
+        does not reach. Gradients accumulate additively when a node feeds
+        several consumers.
         """
-        if root.tape is not self:
-            raise AutodiffError("backward: root does not belong to this tape")
+        if any(t.tape is not self for t in (root, *leaves)):
+            raise AutodiffError("backward: root or leaf does not belong to this tape")
         if root.data.ndim != 0:
             raise AutodiffError(
                 f"backward: root must be a scalar, got shape {root.shape}")
@@ -121,23 +121,8 @@ class Tape:
                     grads[parent_id] = np.array(pg, dtype=np.float64, copy=True)
                 else:
                     grads[parent_id] += pg
-        return Gradients(self, grads)
-
-
-class Gradients:
-    """Result of one backward pass; index with the tensor whose grad you want."""
-
-    def __init__(self, tape: Tape, grads: list):
-        self._tape = tape
-        self._grads = grads
-
-    def __getitem__(self, t: Tensor) -> np.ndarray:
-        if t.tape is not self._tape or t.node_id is None:
-            raise AutodiffError("gradient requested for a tensor not on this tape")
-        g = self._grads[t.node_id]
-        if g is None:
-            return np.zeros(t.shape, dtype=np.float64)
-        return np.broadcast_to(g, t.shape).astype(np.float64, copy=False)
+        return [np.zeros(t.shape) if grads[t.node_id] is None else grads[t.node_id]
+                for t in leaves]
 
 
 def _common_tape(inputs: Sequence[Tensor]) -> Tape | None:
@@ -397,8 +382,7 @@ def finite_diff_check(build: Callable, x: np.ndarray) -> float:
     if total != x.size:
         raise AutodiffError(
             f"finite_diff_check: leaves cover {total} coordinates, x has {x.size}")
-    grads = root.tape.backward(root)
-    analytic = np.concatenate([grads[t].ravel() for t in leaves]) if leaves else np.array([])
+    analytic = _flat(root.tape.backward(root, leaves))
 
     def value_at(z: np.ndarray, coord: int) -> float:
         try:  # every op rejects a non-finite result
@@ -457,16 +441,13 @@ def central_difference_error(value, analytic, x):
 
 # --- the training path on the tape ------------------------------------------------
 
-TAPE_ACTIVATIONS = {"tanh": tanh, "relu": relu}
-
-
 def tape_forward(model: MLPClassifier, params, x) -> Tensor:
     """The MLP's logits recorded on the tape; ``params`` are per-layer ``(w, b)``."""
     h = as_tensor(x)
     for i, (w, b) in enumerate(params):
         h = add_bias(matmul(h, as_tensor(w)), as_tensor(b))
         if i < len(params) - 1:
-            h = TAPE_ACTIVATIONS[model.activation](h)
+            h = OPS[model.activation](h)
     return h
 
 
@@ -475,8 +456,8 @@ def _arrays(packer, vec) -> list[np.ndarray]:
     return [a for pair in packer.views(vec) for a in pair]
 
 
-def _flat(grads: Gradients, leaves) -> np.ndarray:
-    return np.concatenate([grads[t].ravel() for t in leaves])
+def _flat(grads: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate([g.ravel() for g in grads]) if grads else np.array([])
 
 
 def tape_loss_and_grads(model: MLPClassifier, theta, batch_x, batch_y):
@@ -487,7 +468,7 @@ def tape_loss_and_grads(model: MLPClassifier, theta, batch_x, batch_y):
     leaves = [tape.leaf(a) for a in _arrays(packer, theta[packer.start:])]
     params = packer.views(theta)[:packer.n_frozen] + list(zip(leaves[::2], leaves[1::2]))
     loss = softmax_cross_entropy(tape_forward(model, params, batch_x), batch_y)
-    return loss.item(), _flat(tape.backward(loss), leaves)
+    return loss.item(), _flat(tape.backward(loss, leaves))
 
 
 def _tape_group_kl(parts, prior) -> Tensor:
@@ -532,12 +513,11 @@ def tape_objective(model: MLPClassifier, noise: NoiseState, tau, batch_x, batch_
     l_pac = mul(add(mul(add(kl_b, kl_h), coeff), const_term), l_pac_weight)
     j = add(l_train, l_pac)
 
-    grads = tape.backward(j)
+    grads = tape.backward(j, w_leaves + p_leaves + priors)
     terms = BoundTerms(l_train=l_train.item(), kl_backbone=kl_b.item(),
                        kl_head=kl_h.item(), gamma_used=gamma,
                        l_pac=l_pac.item(), j_total=j.item())
-    noise_grads = np.append(_flat(grads, p_leaves), [grads[p] for p in priors])
-    return terms, (_flat(grads, w_leaves), noise_grads)
+    return terms, (_flat(grads[:len(w_leaves)]), _flat(grads[len(w_leaves):]))
 
 
 def _relative_error(got, want) -> float:

@@ -301,13 +301,17 @@ def optimal_gamma(a: float, m: int, k: float, low: float, high: float) -> float:
     """Minimizer of a/(gamma m) + gamma k^2 over [low, high].
 
     The unconstrained minimizer is sqrt(a / (m k^2)); the term is convex in
-    gamma so clipping to the range preserves optimality.
+    gamma so clipping to the range preserves optimality. When m k^2
+    underflows to 0 that minimizer is +inf, so the result is ``high``.
     """
     if low > high:
         raise ValueError("optimal_gamma: low must not exceed high")
     if a < 0.0 or k <= 0.0 or m < 1:
         raise ValueError("optimal_gamma: need a >= 0, k > 0, m >= 1")
-    return float(min(max(math.sqrt(a / (m * k * k)), low), high))
+    scale = m * k * k
+    if scale == 0.0:
+        return float(high)
+    return float(min(max(math.sqrt(a / scale), low), high))
 
 
 class KTracker:

@@ -136,9 +136,8 @@ SCHEMA = {  # dotted leaf -> (default, kind)
     "task.target": (None, SPEC),
     "task.n_shot": (100, COUNT),
     "method": ("pac-tuning", one_of(pipeline.METHODS)),
-    "methods": (["pac-tuning", "vanilla", "noise-injection"],
-                ListOf(one_of(pipeline.METHODS), distinct=True)),
-    "tasks": (["blobs-rotate", "spirals-shift", "xor-noise"],
+    "methods": (list(pipeline.METHODS), ListOf(one_of(pipeline.METHODS), distinct=True)),
+    "tasks": (list(datasets.BUILTIN_TASKS),
               ListOf(one_of(datasets.BUILTIN_TASKS), distinct=True)),
     "model.hidden": ([24, 12], ListOf(COUNT)),
     "model.activation": ("tanh", one_of(models.ACTIVATIONS)),

@@ -9,6 +9,7 @@ would silently pull variances toward 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,12 +39,20 @@ LrSchedule = Constant | StepDecay
 
 
 def schedule_value(sched: LrSchedule, update_index: int) -> float:
-    """Learning rate at a 0-based gradient-update index; pure function."""
+    """Learning rate at a 0-based gradient-update index; pure function.
+
+    A step decay whose power ``factor ** (update_index // every)`` overflows
+    the float range is inf from that index on, as float products are.
+    """
     if update_index < 0:
         raise ValueError("schedule_value: update_index must be >= 0")
     if isinstance(sched, Constant):
         return sched.value
-    return max(sched.floor, sched.init * sched.factor ** (update_index // sched.every))
+    try:
+        power = sched.factor ** (update_index // sched.every)
+    except OverflowError:  # a Python float power raises where a product gives inf
+        return math.inf
+    return max(sched.floor, sched.init * power)
 
 
 class AdamState:

@@ -56,34 +56,42 @@ class TestBackward:
     def test_square_at_three(self):
         tape = ad.Tape()
         x = tape.leaf(np.array(3.0))
-        grads = tape.backward(ad.square(x))
-        assert grads[x] == pytest.approx(6.0, abs=1e-12)
+        gx, = tape.backward(ad.square(x), [x])
+        assert gx == pytest.approx(6.0, abs=1e-12)
 
     def test_relu_subgradient_zero_on_negative(self):
         tape = ad.Tape()
         x = tape.leaf(np.array([-1.0, 2.0]))
-        grads = tape.backward(ad.tensor_sum(ad.relu(x)))
-        assert grads[x].tolist() == [0.0, 1.0]
+        gx, = tape.backward(ad.tensor_sum(ad.relu(x)), [x])
+        assert gx.tolist() == [0.0, 1.0]
 
     def test_non_scalar_root_rejected(self):
         tape = ad.Tape()
         x = tape.leaf(np.array([1.0, 2.0]))
         with pytest.raises(ad.AutodiffError, match="scalar"):
-            tape.backward(ad.square(x))
+            tape.backward(ad.square(x), [x])
+
+    def test_root_or_leaf_of_another_tape_rejected(self):
+        tape, other = ad.Tape(), ad.Tape()
+        x, y = tape.leaf(np.array(1.0)), other.leaf(np.array(2.0))
+        with pytest.raises(ad.AutodiffError, match="does not belong"):
+            tape.backward(ad.square(x), [y])
+        with pytest.raises(ad.AutodiffError, match="does not belong"):
+            other.backward(ad.square(x), [y])
 
     def test_shared_node_accumulates(self):
         tape = ad.Tape()
         x = tape.leaf(np.array(2.0))
         y = ad.add(ad.square(x), ad.mul(x, 3.0))  # x^2 + 3x -> 2x + 3 = 7
-        grads = tape.backward(y)
-        assert grads[x] == pytest.approx(7.0, abs=1e-12)
+        gx, = tape.backward(y, [x])
+        assert gx == pytest.approx(7.0, abs=1e-12)
 
     def test_unreached_leaf_gets_zeros(self):
         tape = ad.Tape()
         x = tape.leaf(np.array([1.0, 2.0]))
         y = tape.leaf(np.array(5.0))
-        grads = tape.backward(ad.square(y))
-        assert grads[x].tolist() == [0.0, 0.0]
+        gx, = tape.backward(ad.square(y), [x])
+        assert gx.tolist() == [0.0, 0.0]
 
     def test_mlp_loss_matches_finite_differences(self):
         # random 3-layer MLP loss on the tape against the central-difference oracle
@@ -128,8 +136,8 @@ class TestProperties:
             a = tape.leaf(rng.standard_normal((4, 4)))
             b = tape.leaf(rng.standard_normal((4, 4)))
             loss = ad.tensor_sum(ad.square(ad.tanh(ad.matmul(a, b))))
-            grads = tape.backward(loss)
-            return loss.item(), grads[a].copy(), grads[b].copy()
+            ga, gb = tape.backward(loss, [a, b])
+            return loss.item(), ga.copy(), gb.copy()
 
         l1, ga1, gb1 = run()
         l2, ga2, gb2 = run()
@@ -146,7 +154,7 @@ class TestProperties:
             x = tape.leaf(x0)
             f = ad.tensor_sum(ad.square(x))
             g = ad.tensor_sum(ad.tanh(x))
-            return tape.backward(combine(f, g))[x]
+            return tape.backward(combine(f, g), [x])[0]
 
         combined = grad_of(lambda f, g: ad.add(ad.mul(f, a), ad.mul(g, b)))
         separate = a * grad_of(lambda f, g: f) + b * grad_of(lambda f, g: g)

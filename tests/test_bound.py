@@ -129,6 +129,10 @@ class TestOptimalGamma:
     def test_zero_numerator_goes_to_low(self):
         assert optimal_gamma(0.0, 100, 1.0, 0.25, 10.0) == 0.25
 
+    def test_underflowing_k_squared_goes_to_high(self):
+        # m k^2 is 0 in float64, so the unclipped minimizer is +inf
+        assert optimal_gamma(3.0, 100, 1e-200, 0.01, 10.0) == 10.0
+
     def test_rejects_inverted_range(self):
         with pytest.raises(ValueError):
             optimal_gamma(1.0, 10, 1.0, 2.0, 1.0)

@@ -455,3 +455,23 @@ def test_pool_regime(tmp_path, monkeypatch, capsys, inputs, sets):
         ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
     argv = _argv("benchmark", inputs, sets, tmp_path) + ["--workers", "2"]
     check_contract(argv, inputs, tmp_path, capsys)
+
+
+# regimes at the edge of the float range, each with the exit it must give: a
+# step decay whose power overflows at stage 1's third update, and auto gamma
+# with a fixed K whose square underflows, so m K^2 is 0
+EDGES = {
+    "schedule-overflow": (["stage1.epochs=3", 'stage1.lr_noise_head={"kind": "step-decay", '
+                           '"init": 5e-324, "factor": 1e200, "every": 1, "floor": 5e-324}'],
+                          cli.EXIT_DIVERGENCE),
+    "tiny-k": (['bound.k={"kind": "fixed", "value": 1e-200}', 'bound.gamma.kind="auto"'],
+               cli.EXIT_OK),
+}
+
+
+@pytest.mark.parametrize("name", EDGES)
+def test_edge_regime(tmp_path, monkeypatch, capsys, inputs, name):
+    monkeypatch.chdir(tmp_path)
+    sets, code = EDGES[name]
+    assert check_contract(_argv("finetune", inputs, sets, tmp_path), inputs, tmp_path,
+                          capsys) == code

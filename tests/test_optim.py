@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -112,3 +114,9 @@ class TestSchedules:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             schedule_value(Constant(0.1), -1)
+
+    def test_overflowing_power_is_inf(self):
+        sched = StepDecay(5e-324, 1e200, 1, 5e-324)
+        assert schedule_value(sched, 1) == 5e-324 * 1e200
+        assert schedule_value(sched, 2) == math.inf
+        assert schedule_value(sched, 10_000) == math.inf

@@ -23,7 +23,7 @@ the checkout that holds this script):
   ``blobs-rotate`` setting fewer pretrain, stage-1 and stage-2 epochs):
   ``pretrain-override`` runs ``pactune pretrain``, and ``finetune-override``
   runs ``pactune finetune --seed 1`` from that checkpoint;
-- eighteen error paths and their one-line stderr: ``pactune pretrain`` with
+- twenty error paths and their one-line stderr: ``pactune pretrain`` with
   ``pretrain.batch_size=0`` (exit 2), ``pactune finetune --seed 2`` from
   the pretrain checkpoint with ``stage1.lr_head=1e308``, which diverges in
   stage 1 (exit 3), ``error-unknown-set``, ``pactune pretrain`` with
@@ -67,8 +67,12 @@ the checkout that holds this script):
   pins that a checkpoint holds JSON numbers (exit 2). ``error-duplicate-key``,
   ``pactune pretrain --config duplicate-key.json``, a config file whose
   ``task`` object gives ``n_shot`` twice (100, then 500), pins that a JSON
-  input rejects a repeated key (exit 2). A failed command leaves no
-  ``OUT/<name>/``.
+  input rejects a repeated key (exit 2). ``error-schedule-overflow``,
+  ``pactune finetune --seed 1`` from the pretrain checkpoint with one-epoch
+  stages and a ``stage1.lr_noise_head`` step decay (init and floor
+  ``5e-324``, factor ``1e200``, every update) whose power overflows at the
+  third stage-1 update, pins that the infinite rate ends in the variance
+  guard (exit 3). A failed command leaves no ``OUT/<name>/``.
 
 Each command writes into ``OUT/<name>/`` and leaves its stdout, stderr and
 exit code in ``OUT/<name>.stdout``, ``.stderr`` and ``.exit``. Every path a
@@ -136,6 +140,10 @@ DUPLICATE_KEY = (
     """Path('duplicate-key.json').write_text('{"task": {"n_shot": 100, "n_shot": 500}}'); """
     "sys.exit(cli.main(['pretrain', '--config', 'duplicate-key.json', "
     "'--out', 'error-duplicate-key']))")
+
+# a stage-1 noise-head rate whose power overflows at the third update
+SCHEDULE_OVERFLOW = ('stage1.lr_noise_head={"kind":"step-decay","init":5e-324,'
+                     '"factor":1e200,"every":1,"floor":5e-324}')
 
 
 def commands() -> list[tuple[str, list[str]]]:
@@ -226,7 +234,11 @@ def commands() -> list[tuple[str, list[str]]]:
              ("error-checkpoint-string",
               ["-c", finetune_from_edited("'0.5'", "string-checkpoint.json",
                                           "error-checkpoint-string")]),
-             ("error-duplicate-key", ["-c", DUPLICATE_KEY])]
+             ("error-duplicate-key", ["-c", DUPLICATE_KEY]),
+             ("error-schedule-overflow",
+              cli + ["finetune", "--seed", "1", "--set", f"checkpoint={CHECKPOINT}",
+                     "--set", "stage1.epochs=1", "--set", "stage2.epochs=1",
+                     "--set", SCHEDULE_OVERFLOW, "--out", "error-schedule-overflow"])]
     return runs
 
 
