@@ -127,11 +127,11 @@ class NoiseState:
         self.grad = np.empty_like(self.params)
         self.grad_log_std, self.grad_prior = self.grad[:-2], self.grad[-2:]
 
-    def _group(self, group: ParamGroup) -> slice:
+    def group(self, group: ParamGroup) -> slice:
         return group_slice(group, self.n_backbone, self.params.size - 2)
 
     def size(self, group: ParamGroup) -> int:
-        return self.params[self._group(group)].size
+        return self.params[self.group(group)].size
 
     def per_coordinate(self, backbone: float, head: float) -> np.ndarray:
         """A vector laid out as ``params``: each group's value at its log-stds and prior."""
@@ -143,11 +143,11 @@ class NoiseState:
 
     @property
     def log_std_backbone(self) -> np.ndarray:
-        return self.params[self._group(ParamGroup.BACKBONE)]
+        return self.params[self.group(ParamGroup.BACKBONE)]
 
     @property
     def log_std_head(self) -> np.ndarray:
-        return self.params[self._group(ParamGroup.HEAD)]
+        return self.params[self.group(ParamGroup.HEAD)]
 
     def prior_log_var(self, group: ParamGroup) -> float:
         return float(self.params[-2 if group is ParamGroup.BACKBONE else -1])
@@ -157,11 +157,11 @@ class NoiseState:
         if self.anchors is None:
             raise ValueError("noise state has no anchors bound; they are the fine-tuned "
                              "model's trainable weights at stage 1's start, in no file")
-        return self.anchors if group is None else self.anchors[self._group(group)]
+        return self.anchors if group is None else self.anchors[self.group(group)]
 
     def variances(self, group: ParamGroup | None = None) -> np.ndarray:
         """The group's posterior variances, or all of them in trainable order."""
-        v = self.log_std if group is None else self.params[self._group(group)]
+        v = self.log_std if group is None else self.params[self.group(group)]
         return np.exp(2.0 * v)
 
     def mean_variance(self, group: ParamGroup) -> float:
@@ -178,7 +178,7 @@ class NoiseState:
         """Per group, in order, what its KL takes: the group's slice of ``weights``
         and ``var`` (trainable order), its anchors and exp(prior_log_var)."""
         for g in ParamGroup:
-            s = self._group(g)
+            s = self.group(g)
             yield weights[s], var[s], self.anchor(g), math.exp(self.prior_log_var(g))
 
     def check_fits(self, model: MLPClassifier) -> None:
@@ -202,19 +202,16 @@ class NoiseState:
 
 
 def init_noise_state(model: MLPClassifier) -> NoiseState:
-    """Noise state at fine-tuning start, in the trainable order of
-    ``model.layout``; also snapshots the anchor weights."""
-    packer = model.layout
-    anchors = model.theta[packer.start:].copy()
-    log_std = np.log(np.maximum(np.abs(anchors), P_INIT_FLOOR))
-    log_std[packer.group(ParamGroup.HEAD)] += HEAD_NOISE_BOOST
-
-    def prior_for(g):
-        v = log_std[packer.group(g)]
-        return float(np.log(np.mean(np.exp(2.0 * v)))) if v.size else 0.0
-
-    return NoiseState(np.append(log_std, [prior_for(g) for g in ParamGroup]),
-                      packer.sizes[ParamGroup.BACKBONE], anchors)
+    """Noise state at fine-tuning start, in the trainable order of ``model.layout``;
+    also snapshots the anchor weights. The head boost and each prior (its group's
+    mean starting variance) go in through the state's own ``group`` slices."""
+    anchors = model.theta[model.layout.start:].copy()
+    noise = NoiseState(np.append(np.log(np.maximum(np.abs(anchors), P_INIT_FLOOR)), [0.0, 0.0]),
+                       model.layout.sizes[ParamGroup.BACKBONE], anchors)
+    noise.params[noise.group(ParamGroup.HEAD)] += HEAD_NOISE_BOOST
+    noise.params[-2:] = [float(np.log(noise.mean_variance(g))) if noise.size(g) else 0.0
+                         for g in ParamGroup]
+    return noise
 
 
 NOISE_STATE_VERSION = 1
@@ -370,8 +367,9 @@ def pac_objective(work: StepWorkspace, noise: NoiseState, batch_x, batch_y,
     ``tau`` is one standard-normal vector in trainable order, drawn by the
     caller. ``work`` is the loop's workspace, holding the noisy weights; dJ/dw
     is left in ``work.grad``, the returned noise gradient is ``noise.grad``, and
-    the next call replaces both. The stds and KL derivatives are scratch of this
-    call's own. ``k`` is the step's K (``KTracker.value``) and ``var`` is
+    the next call replaces both; each group's slice of both is ``noise.group``'s,
+    as its KL inputs are. The stds and KL derivatives are scratch of this call's
+    own. ``k`` is the step's K (``KTracker.value``) and ``var`` is
     ``noise.variances()``, both held by the caller. ``l_pac_weight`` scales the
     complexity term inside the optimized objective; the reported
     ``l_pac``/``j_total`` reflect it, so ``j_total == l_train + l_pac`` holds.
@@ -382,7 +380,6 @@ def pac_objective(work: StepWorkspace, noise: NoiseState, batch_x, batch_y,
     dJ/dp = dL(w~) tau exp(p) + c (exp(2p) / s2 - 1), and
     dJ/dlambda = c / 2 (d - (sum exp(2p) + sum (w - anchor)^2) / s2).
     """
-    packer = work.model.layout
     std = np.exp(noise.log_std)
     kernels.apply_noise(work.trainable, std, tau, work.noisy_trainable)
     l_train = loss_and_grads(work, work.noisy_params, batch_x, batch_y)
@@ -402,8 +399,8 @@ def pac_objective(work: StepWorkspace, noise: NoiseState, batch_x, batch_y,
     # the noise gradient reads dL(w~) before work.grad becomes dJ/dw
     d_log_std = np.multiply(work.grad, tau, out=noise.grad_log_std)
     d_log_std *= std
-    for g, g_w, g_p in zip(ParamGroup, d_w, d_p):
-        d_log_std[packer.group(g)] += np.multiply(c, g_p, out=g_p)
-        work.grad[packer.group(g)] += np.multiply(c, g_w, out=g_w)
+    for s, g_w, g_p in zip(map(noise.group, ParamGroup), d_w, d_p):
+        d_log_std[s] += np.multiply(c, g_p, out=g_p)
+        work.grad[s] += np.multiply(c, g_w, out=g_w)
     noise.grad_prior[:] = [c * d for d in d_prior]
     return terms, noise.grad

@@ -15,6 +15,7 @@ import contextlib
 import copy
 import dataclasses
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -55,14 +56,19 @@ def _finite(v) -> bool:
 
 class Leaf:
     """A kind of leaf: ``ok(value)`` holds for its values, ``what`` names them.
-    An object value is also walked against ``fields``, ``required(value)`` present."""
+    A value it holds for must also be one of ``then``'s, a kind that names its
+    own values. An object value is also walked against ``fields``,
+    ``required(value)`` present."""
 
-    def __init__(self, what: str, ok, fields=None, required=None):
+    def __init__(self, what: str, ok, fields=None, required=None, then=None):
         self.what, self.ok, self.fields, self.required = what, ok, fields or {}, required
+        self.then = then
 
     def check(self, value, key: str) -> None:
         if not self.ok(value):
             raise ConfigError(f"'{key}' must be {self.what}, got {value!r}")
+        if self.then is not None:
+            self.then.check(value, key)
         if self.fields and isinstance(value, dict):
             _walk(value, self.fields, f"{key}.", self.required(value))
 
@@ -111,18 +117,34 @@ class Tagged(Leaf):
         return cls(**{name: value[name] for name in names})
 
 
+def _fs_fits(v: str, limit: int) -> bool:
+    """Whether the file system can encode ``v`` (not a lone surrogate, say from
+    a JSON escape), each '/'-separated part in at most ``limit`` bytes."""
+    try:
+        return all(len(part) <= limit for part in os.fsencode(v).split(b"/"))
+    except UnicodeEncodeError:
+        return False
+
+
 # int leaves take JSON integers only: 1.0 is rejected, not truncated
 COUNT = Leaf("an integer >= 1", lambda v: type(v) is int and v >= 1)
-SEED = Leaf("an integer >= 0", lambda v: type(v) is int and v >= 0)
+# a run's seed names its output files: below 2**64, it has at most 20 digits
+SEED = Leaf("an integer >= 0 and below 2**64", lambda v: type(v) is int and 0 <= v < 2**64)
 POSITIVE = Leaf("a finite number > 0", lambda v: _finite(v) and v > 0)
 NONNEGATIVE = Leaf("a finite number >= 0", lambda v: _finite(v) and v >= 0)
 FRACTION = Leaf("a number in (0, 1)", lambda v: _finite(v) and 0 < v < 1)
 BOOL = Leaf("true or false", lambda v: isinstance(v, bool))
 STRING = Leaf("a string", lambda v: isinstance(v, str))
 PATH = Leaf("a non-empty string without a NUL byte",
-            lambda v: isinstance(v, str) and v != "" and "\0" not in v)
+            lambda v: isinstance(v, str) and v != "" and "\0" not in v,
+            then=Leaf("a path that the file system can encode, each part at most 255 bytes",
+                      lambda v: _fs_fits(v, 255)))
+# at most 128 bytes, so <name>__<method>__seed<N>__model.json stays a file name
+# (at most 255 bytes) for every method and seed
 NAME = Leaf("a file name: not empty, '.' or '..', and without '/' or a NUL byte",
-            lambda v: PATH.ok(v) and "/" not in v and v not in (".", ".."))
+            lambda v: PATH.ok(v) and "/" not in v and v not in (".", ".."),
+            then=Leaf("a name that the file system can encode in at most 128 bytes",
+                      lambda v: _fs_fits(v, 128)))
 STRING_OR_NULL = Leaf("a string or null", lambda v: v is None or isinstance(v, str))
 SPEC = Leaf("null or an object", lambda v: v is None or isinstance(v, dict),
             {f.name: {"int": SEED, "float": Leaf("a finite number", _finite),

@@ -41,17 +41,24 @@ LrSchedule = Constant | StepDecay
 def schedule_value(sched: LrSchedule, update_index: int) -> float:
     """Learning rate at a 0-based gradient-update index; pure function.
 
-    A step decay whose power ``factor ** (update_index // every)`` overflows
-    the float range is inf from that index on, as float products are.
+    A step decay is ``max(floor, init * factor ** k)``, k = ``update_index //
+    every``. Where the power alone leaves the float range (overflows, or
+    underflows to 0), the product is taken as exp(ln init + k ln factor)
+    instead, so it is inf only when ``init * factor ** k`` itself overflows.
     """
     if update_index < 0:
         raise ValueError("schedule_value: update_index must be >= 0")
     if isinstance(sched, Constant):
         return sched.value
+    k = update_index // sched.every
     try:
-        power = sched.factor ** (update_index // sched.every)
+        power = sched.factor ** k
     except OverflowError:  # a Python float power raises where a product gives inf
-        return math.inf
+        power = math.inf
+    if power in (0.0, math.inf):
+        with np.errstate(over="ignore"):
+            value = float(np.exp(math.log(sched.init) + k * math.log(sched.factor)))
+        return max(sched.floor, value)
     return max(sched.floor, sched.init * power)
 
 

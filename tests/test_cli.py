@@ -57,7 +57,7 @@ def tiny_config(tmp_path, **extra):
 # what a kind accepts -> a value of the wrong type, then one out of its range
 _BAD = {
     "an integer >= 1": ['"1"', "0"],
-    "an integer >= 0": ["1.5", "-1"],
+    "an integer >= 0 and below 2**64": ["1.5", "-1"],
     "a finite number > 0": ['"1"', "0"],
     "a finite number >= 0": ["true", "-1"],
     "a number in (0, 1)": ['"0.5"', "1"],
@@ -212,6 +212,9 @@ class TestConfig:
         ('seeds=["a"]', "seeds[0]"),
         ("seeds=[1,-2]", "seeds[1]"),
         ('pretrain.seed="x"', "pretrain.seed"),
+        # a seed is part of output file names, so it has at most 20 digits
+        (f"pretrain.seed={2**64}", "pretrain.seed"),
+        (f"seeds=[1,{2**64}]", "seeds[1]"),
         ("stage1.l_pac_weight=-1", "stage1.l_pac_weight"),
         ("checkpoint=5", "checkpoint"),
         ('stage1={"epochs": 5}', "stage1.batch_size"),
@@ -290,6 +293,17 @@ class TestConfig:
         (["pretrain", "--set", 'task.name=".."'], "task.name"),
         (["pretrain", "--set", 'out_dir="a\\u0000b"'], "out_dir"),
         (["pretrain", "--out", "a\0b"], "out_dir"),
+        # each of these trained, then failed at its first write
+        (["benchmark", "--seed", "9" * 240], "seeds[0]"),
+        (["finetune", "--seed", "1", "--set", f'task.name="{"a" * 250}"'], "task.name"),
+        # a name's limit is 128 bytes as the file system encodes it, not 128 characters
+        (["finetune", "--seed", "1", "--set", 'task.name="' + "\\u00e9" * 65 + '"'],
+         "task.name"),
+        (["pretrain", "--out", "d" * 300], "out_dir"),
+        (["pretrain", "--out", "a/" + "d" * 256 + "/b"], "out_dir"),
+        # a lone surrogate that no file name can hold: a traceback, twice over
+        (["pretrain", "--set", 'out_dir="o\\ud800"'], "out_dir"),
+        (["finetune", "--seed", "1", "--set", 'task.name="a\\ud800"'], "task.name"),
     ])
     def test_unusable_path_part_exits_config_before_work(self, tmp_path, capsys,
                                                          monkeypatch, argv, key):
@@ -298,7 +312,7 @@ class TestConfig:
         code = main([*argv, "--config", config])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
-        assert re.fullmatch(rf"config error: '{key}' must be [^\n]+\n", err), err
+        assert re.fullmatch(rf"config error: '{re.escape(key)}' must be [^\n]+\n", err), err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize("command, workers", [("benchmark", "0"), ("benchmark", "-3")])

@@ -458,8 +458,9 @@ def test_pool_regime(tmp_path, monkeypatch, capsys, inputs, sets):
 
 
 # regimes at the edge of the float range, each with the exit it must give: a
-# step decay whose power overflows at stage 1's third update, and auto gamma
-# with a fixed K whose square underflows, so m K^2 is 0
+# step decay whose power overflows at stage 1's third update, where its finite
+# rate of about 5e76 overflows the learned variances, and auto gamma with a
+# fixed K whose square underflows, so m K^2 is 0
 EDGES = {
     "schedule-overflow": (["stage1.epochs=3", 'stage1.lr_noise_head={"kind": "step-decay", '
                            '"init": 5e-324, "factor": 1e200, "every": 1, "floor": 5e-324}'],

@@ -118,5 +118,13 @@ class TestSchedules:
     def test_overflowing_power_is_inf(self):
         sched = StepDecay(5e-324, 1e200, 1, 5e-324)
         assert schedule_value(sched, 1) == 5e-324 * 1e200
-        assert schedule_value(sched, 2) == math.inf
+        # 1e200 ** 2 overflows, but 5e-324 * 1e400 ~ 4.94e76 is a float
+        assert schedule_value(sched, 2) == pytest.approx(5e-324 * 1e200 * 1e200, rel=1e-12)
         assert schedule_value(sched, 10_000) == math.inf
+
+    def test_underflowing_power_keeps_a_value_above_the_floor(self):
+        sched = StepDecay(1e300, 1e-200, 1, 1e-300)
+        assert schedule_value(sched, 1) == 1e300 * 1e-200
+        # 1e-200 ** 2 underflows to 0, but 1e300 * 1e-400 = 1e-100 is above the floor
+        assert schedule_value(sched, 2) == pytest.approx(1e-100, rel=1e-12)
+        assert schedule_value(sched, 3) == 1e-300

@@ -23,7 +23,7 @@ the checkout that holds this script):
   ``blobs-rotate`` setting fewer pretrain, stage-1 and stage-2 epochs):
   ``pretrain-override`` runs ``pactune pretrain``, and ``finetune-override``
   runs ``pactune finetune --seed 1`` from that checkpoint;
-- twenty error paths and their one-line stderr: ``pactune pretrain`` with
+- twenty-two error paths and their one-line stderr: ``pactune pretrain`` with
   ``pretrain.batch_size=0`` (exit 2), ``pactune finetune --seed 2`` from
   the pretrain checkpoint with ``stage1.lr_head=1e308``, which diverges in
   stage 1 (exit 3), ``error-unknown-set``, ``pactune pretrain`` with
@@ -71,8 +71,13 @@ the checkout that holds this script):
   ``pactune finetune --seed 1`` from the pretrain checkpoint with one-epoch
   stages and a ``stage1.lr_noise_head`` step decay (init and floor
   ``5e-324``, factor ``1e200``, every update) whose power overflows at the
-  third stage-1 update, pins that the infinite rate ends in the variance
-  guard (exit 3). A failed command leaves no ``OUT/<name>/``.
+  third stage-1 update, pins that its rate there, about ``5e76``, ends in the
+  variance guard (exit 3). Two pin that a leaf which becomes part of an output
+  name is checked before any work: ``error-long-seed``, ``pactune finetune
+  --seed`` with a seed of 240 nines from the pretrain checkpoint (exit 2), and
+  ``error-surrogate-out-dir``, ``pactune pretrain`` with
+  ``out_dir="o\\ud800"``, a lone surrogate no file name can hold (exit 2).
+  A failed command leaves no ``OUT/<name>/``.
 
 Each command writes into ``OUT/<name>/`` and leaves its stdout, stderr and
 exit code in ``OUT/<name>.stdout``, ``.stderr`` and ``.exit``. Every path a
@@ -141,7 +146,7 @@ DUPLICATE_KEY = (
     "sys.exit(cli.main(['pretrain', '--config', 'duplicate-key.json', "
     "'--out', 'error-duplicate-key']))")
 
-# a stage-1 noise-head rate whose power overflows at the third update
+# a stage-1 noise-head rate whose power, not its value, overflows at the third update
 SCHEDULE_OVERFLOW = ('stage1.lr_noise_head={"kind":"step-decay","init":5e-324,'
                      '"factor":1e200,"every":1,"floor":5e-324}')
 
@@ -238,7 +243,12 @@ def commands() -> list[tuple[str, list[str]]]:
              ("error-schedule-overflow",
               cli + ["finetune", "--seed", "1", "--set", f"checkpoint={CHECKPOINT}",
                      "--set", "stage1.epochs=1", "--set", "stage2.epochs=1",
-                     "--set", SCHEDULE_OVERFLOW, "--out", "error-schedule-overflow"])]
+                     "--set", SCHEDULE_OVERFLOW, "--out", "error-schedule-overflow"]),
+             ("error-long-seed",
+              cli + ["finetune", "--seed", "9" * 240, "--set", f"checkpoint={CHECKPOINT}",
+                     "--out", "error-long-seed"]),
+             ("error-surrogate-out-dir",
+              cli + ["pretrain", "--set", 'out_dir="o\\ud800"'])]
     return runs
 
 
