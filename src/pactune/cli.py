@@ -135,10 +135,14 @@ NONNEGATIVE = Leaf("a finite number >= 0", lambda v: _finite(v) and v >= 0)
 FRACTION = Leaf("a number in (0, 1)", lambda v: _finite(v) and 0 < v < 1)
 BOOL = Leaf("true or false", lambda v: isinstance(v, bool))
 STRING = Leaf("a string", lambda v: isinstance(v, str))
+# at most 3834 bytes, 4095 - len("/runs/") - 255: the deepest file a command writes,
+# <out_dir>/runs/<a file name>, then fits Linux's 4096-byte path limit
 PATH = Leaf("a non-empty string without a NUL byte",
             lambda v: isinstance(v, str) and v != "" and "\0" not in v,
             then=Leaf("a path that the file system can encode, each part at most 255 bytes",
-                      lambda v: _fs_fits(v, 255)))
+                      lambda v: _fs_fits(v, 255),
+                      then=Leaf("a path that the file system encodes in at most 3834 bytes",
+                                lambda v: len(os.fsencode(v)) <= 3834)))
 # at most 128 bytes, so <name>__<method>__seed<N>__model.json stays a file name
 # (at most 255 bytes) for every method and seed
 NAME = Leaf("a file name: not empty, '.' or '..', and without '/' or a NUL byte",
@@ -479,10 +483,24 @@ def run_benchmark(config: dict, workers: int = 1):
 # --- commands -------------------------------------------------------------------
 
 
-def _write_outputs(writers) -> None:
-    """Run (path, fn) pairs, each after making its path's missing directories.
-    If one fails, remove every file written or begun and every directory made,
-    newest first: a failed command leaves no output. No other code makes any."""
+def _say(text: str) -> None:
+    """Print ``text`` and flush it. If stdout cannot take it (a pipe whose reader
+    has gone, say), point fd 1 at the null device, so that the interpreter's
+    flush at exit fails on nothing, and raise the ``OSError``."""
+    try:
+        print(text, flush=True)
+    except OSError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, 1)
+        os.close(null)
+        raise
+
+
+def _write_outputs(writers, summary: str) -> None:
+    """Run (path, fn) pairs, each after making its path's missing directories,
+    then print the command's ``summary``. If one fails, the summary included,
+    remove every file written or begun and every directory made, newest first:
+    a failed command leaves no output. No other code makes any."""
     made = []
     try:
         for path, fn in writers:
@@ -492,6 +510,7 @@ def _write_outputs(writers) -> None:
                     made.append(parent.rmdir)
             made.append(Path(path).unlink)
             fn(path)
+        _say(summary)
     except BaseException:
         for undo in reversed(made):
             with contextlib.suppress(OSError):
@@ -505,9 +524,8 @@ def cmd_generate_data(config: dict) -> int:
     _write_outputs([
         (out / "source.csv", lambda p: datasets.export_csv(source, p)),
         (out / "target.csv", lambda p: datasets.export_csv(target, p)),
-    ])
-    print(f"wrote {out / 'source.csv'} ({len(source)} rows) and "
-          f"{out / 'target.csv'} ({len(target)} rows)")
+    ], f"wrote {out / 'source.csv'} ({len(source)} rows) and "
+       f"{out / 'target.csv'} ({len(target)} rows)")
     return EXIT_OK
 
 
@@ -518,9 +536,9 @@ def cmd_pretrain(config: dict) -> int:
                   "task": config["task"]["name"],
                   "epoch": config["pretrain"]["epochs"]}
     path = Path(config["out_dir"]) / "pretrained.json"
-    _write_outputs([(path, lambda p: models.save_checkpoint(model, p, provenance))])
     acc = pipeline.evaluate(model, source)["accuracy"]
-    print(f"wrote {path} (source accuracy {acc:.3f})")
+    _write_outputs([(path, lambda p: models.save_checkpoint(model, p, provenance))],
+                   f"wrote {path} (source accuracy {acc:.3f})")
     return EXIT_OK
 
 
@@ -561,9 +579,8 @@ def cmd_finetune(config: dict) -> int:
     if noise is not None:
         writers.append((out / f"{stem}__noise.json",
                         lambda p: bound.save_noise_state(noise, p, path)))
-    _write_outputs(writers)
-    print(f"{stem}: dev accuracy {record.final['dev_accuracy']:.3f}, "
-          f"dev mcc {record.final['dev_mcc']:.3f}")
+    _write_outputs(writers, f"{stem}: dev accuracy {record.final['dev_accuracy']:.3f}, "
+                            f"dev mcc {record.final['dev_mcc']:.3f}")
     return EXIT_OK
 
 
@@ -576,15 +593,14 @@ def cmd_benchmark(config: dict, workers: int = 1) -> int:
                     lambda p: Path(p).write_text(
                         json.dumps(report, sort_keys=True, indent=1) + "\n",
                         encoding="utf-8")))
-    _write_outputs(writers)
-
-    print(f"{'task':<16} {'method':<16} {'acc':>7} {'std':>7} {'mcc':>7}")
+    lines = [f"{'task':<16} {'method':<16} {'acc':>7} {'std':>7} {'mcc':>7}"]
     for task_name in config["tasks"]:
         for method in config["methods"]:
             r = report["results"][task_name][method]
-            print(f"{task_name:<16} {method:<16} {r['mean_accuracy']:>7.3f} "
-                  f"{r['std_accuracy']:>7.3f} {r['mean_mcc']:>7.3f}")
-    print(f"report: {out / 'benchmark_report.json'}")
+            lines.append(f"{task_name:<16} {method:<16} {r['mean_accuracy']:>7.3f} "
+                         f"{r['std_accuracy']:>7.3f} {r['mean_mcc']:>7.3f}")
+    lines.append(f"report: {out / 'benchmark_report.json'}")
+    _write_outputs(writers, "\n".join(lines))
     return EXIT_OK
 
 
@@ -593,11 +609,11 @@ def cmd_gradcheck() -> int:
     pass/fail table. The one command that loads the tape autodiff."""
     from . import autodiff
     failed = False
-    print(f"{'check':<36} {'worst error':>12}  status")
+    _say(f"{'check':<36} {'worst error':>12}  status")
     for name, err, tolerance in autodiff.gradcheck_suite():
         ok = err < tolerance
         failed |= not ok
-        print(f"{name:<36} {err:>12.3e}  {'pass' if ok else 'FAIL'}")
+        _say(f"{name:<36} {err:>12.3e}  {'pass' if ok else 'FAIL'}")
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
@@ -616,8 +632,7 @@ def cmd_inspect_noise(config: dict, noise_path: str) -> int:
             for i in range(variances.size):
                 fh.write(f"{i},{groups[i]},{float(variances[i])!r},{rank[i]}\n")
 
-    _write_outputs([(out_path, write)])
-    print(f"wrote {out_path} ({variances.size} parameters)")
+    _write_outputs([(out_path, write)], f"wrote {out_path} ({variances.size} parameters)")
     return EXIT_OK
 
 

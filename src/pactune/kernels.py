@@ -1,7 +1,7 @@
 """Flat-array numeric kernels, in numpy, and the training path's numeric error.
 
 The loops that run once per optimizer step over every trainable parameter
-(fused AdamW update, noise application) live here, so the optimizer, the
+(AdamW update, noise application) live here, so the optimizer, the
 perturbed step and the objective share one implementation of each.
 ``NumericsError`` is defined here, below every training module, since each
 of them may raise it; the tape in ``autodiff`` raises it too.
@@ -17,29 +17,18 @@ class NumericsError(Exception):
     turns a step's into a ``DivergenceError``."""
 
 
-def adam_update(param, m, v, grad, t, lr, beta1, beta2, eps, lr_decay, scratch):
-    """Bias-corrected AdamW step on one flat array, in place.
-
-    ``lr_decay`` is ``lr * weight_decay``, or None for no decay; ``scratch``
-    is two float64 arrays of ``param``'s size that hold the intermediates, so
-    a step allocates nothing. The operations and their order are those of
-    ``param -= (lr / bc1) * m / (sqrt(v / bc2) + eps) + lr_decay * param``.
-    """
-    a, b = scratch
+def adam_update(param, m, v, grad, t, lr, beta1, beta2, eps, lr_decay):
+    """Bias-corrected AdamW step on one flat array, updating ``m``, ``v`` and
+    ``param`` in place; ``lr_decay`` is ``lr * weight_decay``, or None."""
     m *= beta1
-    m += np.multiply(grad, 1.0 - beta1, out=a)
+    m += (1.0 - beta1) * grad
     v *= beta2
-    np.multiply(grad, 1.0 - beta2, out=a)
-    v += np.multiply(a, grad, out=a)
+    v += (1.0 - beta2) * grad * grad
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-    np.sqrt(np.divide(v, bc2, out=b), out=b)
-    b += eps
-    step = np.divide(lr, bc1, out=a)
-    step *= m
-    step /= b
+    step = (lr / bc1) * m / (np.sqrt(v / bc2) + eps)
     if lr_decay is not None:
-        step += np.multiply(lr_decay, param, out=b)
+        step += lr_decay * param
     param -= step
 
 

@@ -63,15 +63,12 @@ def schedule_value(sched: LrSchedule, update_index: int) -> float:
 
 
 class AdamState:
-    """Moment accumulators for one flat parameter vector, and the scratch
-    vectors of its updates. A descent loop's ``StepWorkspace`` owns the one
-    over its trainable coordinates."""
+    """Step count ``t`` and moments ``m``, ``v`` of one flat parameter vector."""
 
     def __init__(self, size: int):
         self.t = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
-        self.scratch = (np.empty(size), np.empty(size))
 
 
 def adam_step(state: AdamState, param: np.ndarray, grad: np.ndarray,
@@ -90,5 +87,5 @@ def adam_step(state: AdamState, param: np.ndarray, grad: np.ndarray,
         raise kernels.NumericsError("the gradient is not finite")
     state.t += 1
     kernels.adam_update(param, state.m, state.v, grad, state.t, lr, BETA1, BETA2, EPS,
-                        lr_decay, state.scratch)
+                        lr_decay)
     return True

@@ -1,3 +1,4 @@
+import errno
 import functools
 import inspect
 import json
@@ -301,6 +302,11 @@ class TestConfig:
          "task.name"),
         (["pretrain", "--out", "d" * 300], "out_dir"),
         (["pretrain", "--out", "a/" + "d" * 256 + "/b"], "out_dir"),
+        # each part fits, the whole does not: at most 3834 bytes, so that every file
+        # under it fits the system's 4096-byte path limit; the first pretrained, then
+        # failed at its first write
+        (["pretrain", "--out", "/".join(["d" * 250] * 17)], "out_dir"),
+        (["pretrain", "--out", "/".join(["d" * 255] * 14 + ["d" * 251])], "out_dir"),
         # a lone surrogate that no file name can hold: a traceback, twice over
         (["pretrain", "--set", 'out_dir="o\\ud800"'], "out_dir"),
         (["finetune", "--seed", "1", "--set", 'task.name="a\\ud800"'], "task.name"),
@@ -314,6 +320,13 @@ class TestConfig:
         assert code == EXIT_CONFIG
         assert re.fullmatch(rf"config error: '{re.escape(key)}' must be [^\n]+\n", err), err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_out_dir_at_the_length_limit_is_written(self, tmp_path, monkeypatch):
+        out = "/".join(["d" * 255] * 14 + ["d" * 250])
+        assert len(out) == 3834
+        monkeypatch.chdir(tmp_path)
+        assert main(["pretrain", "--config", tiny_config(tmp_path), "--out", out]) == EXIT_OK
+        assert (tmp_path / out / "pretrained.json").is_file()
 
     @pytest.mark.parametrize("command, workers", [("benchmark", "0"), ("benchmark", "-3")])
     def test_workers_below_one_exit_config_before_work(self, tmp_path, capsys, monkeypatch,
@@ -804,7 +817,7 @@ class TestFailedCommandLeavesNoOutput:
         for out in (tmp_path / "new", old):
             with pytest.raises(OSError, match="No space left"):
                 cli._write_outputs([(out / "runs" / "a.jsonl", lambda p: p.write_text("a")),
-                                    (out / "report.json", disk_full)])
+                                    (out / "report.json", disk_full)], "not printed")
         assert [p.name for p in tmp_path.iterdir()] == ["old"]
         assert [p.name for p in old.iterdir()] == ["kept.txt"]
         assert (old / "kept.txt").read_text() == "old"
@@ -820,6 +833,30 @@ class TestFailedCommandLeavesNoOutput:
         assert code == 130
         assert (captured.out, captured.err) == ("", "interrupted\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("command", ["generate-data", "pretrain", "gradcheck"])
+    def test_closed_stdout_is_an_io_error(self, tmp_path, command, unbuffered):
+        """stdout is a pipe whose read end is closed, as ``| head -1`` leaves it:
+        one i/o error line and no output, whether Python buffers stdout or not."""
+        argv = [command] if command == "gradcheck" else [
+            command, "--config", tiny_config(tmp_path)]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run([sys.executable, "-m", "pactune.cli", *argv],
+                                  cwd=tmp_path, env=env, stdout=write,
+                                  stderr=subprocess.PIPE, text=True, timeout=300)
+        finally:
+            os.close(write)
+        assert done.returncode == cli.EXIT_IO, done.stderr
+        assert done.stderr == f"i/o error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+        left = [] if command == "gradcheck" else ["config.json"]
+        assert [p.name for p in tmp_path.iterdir()] == left
 
     def test_sigint(self, tmp_path):
         """SIGINT, as Ctrl-C sends it, to a process in its own session, so that no

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,61 +15,53 @@ def reference_adam(param, m, v, grad, t, lr, b1, b2, eps, wd):
     return param, m, v
 
 
-def single_expression_adam(param, m, v, grad, t, lr, beta1, beta2, eps, weight_decay):
-    """The update as one expression per line, with its temporaries; the
-    in-place kernel must reproduce it bit for bit."""
-    m *= beta1
-    m += (1.0 - beta1) * grad
-    v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
-    step = (lr / bc1) * m / (np.sqrt(v / bc2) + eps)
-    if weight_decay != 0.0:
-        step = step + (lr * weight_decay) * param
-    param -= step
+def seeded_run(vector_lr, n=37):
+    """A scalar or per-coordinate rate, a start point and seven gradients
+    spanning eight orders of magnitude, from one seed."""
+    rng = np.random.default_rng(3)
+    lr = rng.uniform(1e-4, 1e-1, n) if vector_lr else 0.05
+    param = rng.standard_normal(n)
+    return lr, param, [rng.standard_normal(n) * 10.0 ** rng.integers(-6, 3)
+                       for _ in range(7)]
 
 
-def scratch(n):
-    return np.empty(n), np.empty(n)
+# SHA-256 of param, m and v bytes after the seven steps of seeded_run, keyed
+# by (vector lr, weight decay): the kernel's output bytes, pinned.
+KERNEL_BYTES = {
+    (False, 0.0): "b71ba0b36a564fe4c5739a2714137173b8394587dc5ccb446a10edf7c899843a",
+    (False, 0.01): "f935cdcdf873e4adc74b57a4255fb7b175410a51a9b4d6b37766308338f85368",
+    (True, 0.0): "35e0f48e0f002824e57d8d451eb6ee986c9947dd722d44f1ad8161581413baf2",
+    (True, 0.01): "cd1790048ce27c61c2bfd682d8b3c17905546d1d3d1409c9bf6ece1164adbd9b",
+}
+
+CASES = pytest.mark.parametrize("vector_lr,weight_decay", sorted(KERNEL_BYTES))
 
 
 class TestNumpyPath:
-    def test_adam_matches_reference(self):
-        rng = np.random.default_rng(0)
-        param = rng.standard_normal(64)
-        m = np.zeros(64)
-        v = np.zeros(64)
-        grad = rng.standard_normal(64)
-        expected, em, ev = reference_adam(param.copy(), m.copy(), v.copy(),
-                                          grad, 1, 0.1, 0.9, 0.98, 1e-3, 0.01)
-        kernels.adam_update(param, m, v, grad, 1, 0.1, 0.9, 0.98, 1e-3, 0.1 * 0.01,
-                            scratch(64))
-        assert np.allclose(param, expected, rtol=1e-14)
-        assert np.allclose(m, em, rtol=1e-14)
-        assert np.allclose(v, ev, rtol=1e-14)
+    @CASES
+    def test_adam_matches_reference(self, vector_lr, weight_decay):
+        lr, param, grads = seeded_run(vector_lr)
+        m, v = np.zeros(param.size), np.zeros(param.size)
+        want = param.copy(), m.copy(), v.copy()
+        lr_decay = lr * weight_decay if weight_decay else None
+        for t, grad in enumerate(grads, start=1):
+            kernels.adam_update(param, m, v, grad, t, lr, 0.9, 0.98, 1e-3, lr_decay)
+            want = reference_adam(*want, grad, t, lr, 0.9, 0.98, 1e-3, weight_decay)
+            for got, expected in zip((param, m, v), want):
+                np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
+
+    @CASES
+    def test_adam_bytes_are_pinned(self, vector_lr, weight_decay):
+        lr, param, grads = seeded_run(vector_lr)
+        m, v = np.zeros(param.size), np.zeros(param.size)
+        lr_decay = lr * weight_decay if weight_decay else None
+        for t, grad in enumerate(grads, start=1):
+            kernels.adam_update(param, m, v, grad, t, lr, 0.9, 0.98, 1e-3, lr_decay)
+        digest = hashlib.sha256(param.tobytes() + m.tobytes() + v.tobytes()).hexdigest()
+        assert digest == KERNEL_BYTES[vector_lr, weight_decay]
 
     def test_apply_noise(self):
         param, buf = np.array([1.0, 2.0]), np.empty(2)
         out = kernels.apply_noise(param, np.array([0.5, 0.0]), np.array([2.0, 9.0]), buf)
         assert out is buf and out.tolist() == [2.0, 2.0]
         assert param.tolist() == [1.0, 2.0]
-
-    @pytest.mark.parametrize("vector_lr", [False, True])
-    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-    def test_adam_equals_single_expression_bitwise(self, vector_lr, weight_decay):
-        rng = np.random.default_rng(3)
-        n = 37
-        lr = rng.uniform(1e-4, 1e-1, n) if vector_lr else 0.05
-        param = rng.standard_normal(n)
-        m, v = np.zeros(n), np.zeros(n)
-        want = param.copy(), m.copy(), v.copy()
-        buffers = scratch(n)
-        lr_decay = lr * weight_decay if weight_decay else None
-        for t in range(1, 8):
-            grad = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 3)
-            kernels.adam_update(param, m, v, grad, t, lr, 0.9, 0.98, 1e-3, lr_decay,
-                                buffers)
-            single_expression_adam(*want, grad, t, lr, 0.9, 0.98, 1e-3, weight_decay)
-            for got, expected in zip((param, m, v), want):
-                assert got.tobytes() == expected.tobytes()

@@ -23,7 +23,7 @@ the checkout that holds this script):
   ``blobs-rotate`` setting fewer pretrain, stage-1 and stage-2 epochs):
   ``pretrain-override`` runs ``pactune pretrain``, and ``finetune-override``
   runs ``pactune finetune --seed 1`` from that checkpoint;
-- twenty-two error paths and their one-line stderr: ``pactune pretrain`` with
+- twenty-three error paths and their one-line stderr: ``pactune pretrain`` with
   ``pretrain.batch_size=0`` (exit 2), ``pactune finetune --seed 2`` from
   the pretrain checkpoint with ``stage1.lr_head=1e308``, which diverges in
   stage 1 (exit 3), ``error-unknown-set``, ``pactune pretrain`` with
@@ -72,11 +72,14 @@ the checkout that holds this script):
   stages and a ``stage1.lr_noise_head`` step decay (init and floor
   ``5e-324``, factor ``1e200``, every update) whose power overflows at the
   third stage-1 update, pins that its rate there, about ``5e76``, ends in the
-  variance guard (exit 3). Two pin that a leaf which becomes part of an output
-  name is checked before any work: ``error-long-seed``, ``pactune finetune
-  --seed`` with a seed of 240 nines from the pretrain checkpoint (exit 2), and
-  ``error-surrogate-out-dir``, ``pactune pretrain`` with
-  ``out_dir="o\\ud800"``, a lone surrogate no file name can hold (exit 2).
+  variance guard (exit 3). Three pin that a leaf which becomes part of an
+  output name is checked before any work: ``error-long-seed``, ``pactune
+  finetune --seed`` with a seed of 240 nines from the pretrain checkpoint
+  (exit 2), ``error-surrogate-out-dir``, ``pactune pretrain`` with
+  ``out_dir="o\\ud800"``, a lone surrogate no file name can hold (exit 2), and
+  ``error-long-out-dir``, ``pactune pretrain`` with ``pretrain.epochs=1`` and
+  an ``--out`` of 17 parts of 250 bytes, 4266 bytes, longer than a path under
+  it may be (exit 2).
   A failed command leaves no ``OUT/<name>/``.
 
 Each command writes into ``OUT/<name>/`` and leaves its stdout, stderr and
@@ -248,7 +251,10 @@ def commands() -> list[tuple[str, list[str]]]:
               cli + ["finetune", "--seed", "9" * 240, "--set", f"checkpoint={CHECKPOINT}",
                      "--out", "error-long-seed"]),
              ("error-surrogate-out-dir",
-              cli + ["pretrain", "--set", 'out_dir="o\\ud800"'])]
+              cli + ["pretrain", "--set", 'out_dir="o\\ud800"']),
+             ("error-long-out-dir",
+              cli + ["pretrain", "--set", "pretrain.epochs=1",
+                     "--out", "/".join(["d" * 250] * 17)])]
     return runs
 
 
