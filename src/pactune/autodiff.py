@@ -152,43 +152,49 @@ def _reduce_to(shape: tuple, grad: np.ndarray) -> np.ndarray:
     return grad
 
 
-def _check_elementwise(op: str, a: Tensor, b: Tensor) -> None:
-    if a.shape != b.shape and a.shape != () and b.shape != ():
-        raise ShapeError(f"op '{op}': shapes {a.shape} and {b.shape} do not match")
+def _elementwise(op: str, f: Callable, local_grads: Callable) -> Callable:
+    """The op ``op`` of two tensors of one shape, or one a scalar: ``f(a, b)``
+    is its value and ``local_grads(a, b)`` its two local derivatives."""
+
+    def apply(a, b) -> Tensor:
+        a, b = as_tensor(a), as_tensor(b)
+        if a.shape != b.shape and a.shape != () and b.shape != ():
+            raise ShapeError(f"op '{op}': shapes {a.shape} and {b.shape} do not match")
+        a_data, b_data = a.data, b.data
+
+        def pull(g):
+            da, db = local_grads(a_data, b_data)
+            return _reduce_to(a.shape, g * da), _reduce_to(b.shape, g * db)
+
+        return _make(op, f(a_data, b_data), (a, b), pull)
+
+    return apply
 
 
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _check_elementwise("add", a, b)
-    out = a.data + b.data
+def _unary(op: str, f: Callable, local_grad: Callable) -> Callable:
+    """The elementwise op ``op`` of one tensor: ``f(x)`` is its value and
+    ``local_grad(x, value)`` its local derivative."""
 
-    def pull(g):
-        return _reduce_to(a.shape, g), _reduce_to(b.shape, g)
+    def apply(x) -> Tensor:
+        x = as_tensor(x)
+        x_data, out = x.data, f(x.data)
+        return _make(op, out, (x,), lambda g: (g * local_grad(x_data, out),))
 
-    return _make("add", out, (a, b), pull)
-
-
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _check_elementwise("sub", a, b)
-    out = a.data - b.data
-
-    def pull(g):
-        return _reduce_to(a.shape, g), _reduce_to(b.shape, -g)
-
-    return _make("sub", out, (a, b), pull)
+    return apply
 
 
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _check_elementwise("elementwise-mul", a, b)
-    out = a.data * b.data
-    a_data, b_data = a.data, b.data
+def _exp(x):
+    with np.errstate(over="ignore"):  # overflow -> inf, rejected by the guard
+        return np.exp(x)
 
-    def pull(g):
-        return _reduce_to(a.shape, g * b_data), _reduce_to(b.shape, g * a_data)
 
-    return _make("elementwise-mul", out, (a, b), pull)
+add = _elementwise("add", np.add, lambda a, b: (1.0, 1.0))
+sub = _elementwise("sub", np.subtract, lambda a, b: (1.0, -1.0))
+mul = _elementwise("elementwise-mul", np.multiply, lambda a, b: (b, a))
+tanh = _unary("tanh", np.tanh, lambda x, out: 1.0 - out * out)
+relu = _unary("relu", lambda x: np.maximum(x, 0.0), lambda x, out: x > 0.0)  # 0 at the kink
+exp = _unary("exp", _exp, lambda x, out: out)
+square = _unary("square", lambda x: x * x, lambda x, out: 2.0 * x)
 
 
 def matmul(a, b) -> Tensor:
@@ -216,49 +222,6 @@ def add_bias(x, bias) -> Tensor:
         return g, g.sum(axis=0)
 
     return _make("broadcast-add", out, (x, bias), pull)
-
-
-def tanh(x) -> Tensor:
-    x = as_tensor(x)
-    out = np.tanh(x.data)
-
-    def pull(g):
-        return (g * (1.0 - out * out),)
-
-    return _make("tanh", out, (x,), pull)
-
-
-def relu(x) -> Tensor:
-    x = as_tensor(x)
-    out = np.maximum(x.data, 0.0)
-    mask = x.data > 0.0  # subgradient at 0 is 0
-
-    def pull(g):
-        return (g * mask,)
-
-    return _make("relu", out, (x,), pull)
-
-
-def exp(x) -> Tensor:
-    x = as_tensor(x)
-    with np.errstate(over="ignore"):  # overflow -> inf, rejected by the guard
-        out = np.exp(x.data)
-
-    def pull(g):
-        return (g * out,)
-
-    return _make("exp", out, (x,), pull)
-
-
-def square(x) -> Tensor:
-    x = as_tensor(x)
-    out = x.data * x.data
-    x_data = x.data
-
-    def pull(g):
-        return (g * (2.0 * x_data),)
-
-    return _make("square", out, (x,), pull)
 
 
 def tensor_sum(x) -> Tensor:

@@ -160,38 +160,57 @@ def test_criterion_05_two_stage_dynamics(blobs_setup):
                f"stage-2-only-from-scratch in {wins_b}/5")
 
 
+def _pretrain_key(config):
+    # pretraining reads no task.n_shot
+    task = {k: v for k, v in config["task"].items() if k != "n_shot"}
+    return json.dumps([task, config["pretrain"], config["model"]], sort_keys=True)
+
+
+def _outputs(out):
+    """A benchmark's output bytes: each run file by name, then the report."""
+    return ({p.name: p.read_bytes() for p in sorted((out / "runs").iterdir())},
+            (out / "benchmark_report.json").read_bytes())
+
+
 @pytest.fixture(scope="module")
-def _pretrained():
-    return {}
+def default_benchmark(tmp_path_factory):
+    """The default ``pactune benchmark``, run once through ``cli.main``, for
+    criteria 6, 7 and 8: its config file, output bytes and elapsed seconds,
+    and the models it pretrained (for real), keyed for ``shared_pretrain``."""
+    tmp = tmp_path_factory.mktemp("default-benchmark")
+    cfg_path = tmp / "config.json"
+    cfg_path.write_text(json.dumps({"out_dir": str(tmp / "bench")}))
+    pretrain, pretrained = cli.pretrain_for_task, {}
+
+    def store(config, source):
+        pretrained[_pretrain_key(config)] = model = pretrain(config, source)
+        return model
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "pretrain_for_task", store)
+        start = time.monotonic()
+        assert cli.main(["benchmark", "--config", str(cfg_path)]) == cli.EXIT_OK
+        elapsed = time.monotonic() - start
+    return cfg_path, _outputs(tmp / "bench"), elapsed, pretrained
 
 
 @pytest.fixture
-def shared_pretrain(monkeypatch, _pretrained):
-    """Criteria 6 and 7 pretrain the same tasks on the same pretrain and model
-    config, and pretraining reads no ``task.n_shot``: one pretrain per task
-    serves all three. Criterion 8 pretrains without it."""
-    pretrain = cli.pretrain_for_task
-
-    def memo(config, source):
-        task = {k: v for k, v in config["task"].items() if k != "n_shot"}
-        key = json.dumps([task, config["pretrain"], config["model"]], sort_keys=True)
-        if key not in _pretrained:
-            _pretrained[key] = pretrain(config, source)
-        return _pretrained[key]
-
-    monkeypatch.setattr(cli, "pretrain_for_task", memo)
+def shared_pretrain(monkeypatch, default_benchmark):
+    """Criterion 7 pretrains the same tasks on the same pretrain and model
+    config as the default benchmark: its pretrained models serve both runs."""
+    pretrained = default_benchmark[3]
+    monkeypatch.setattr(cli, "pretrain_for_task",
+                        lambda config, source: pretrained[_pretrain_key(config)])
 
 
-def _benchmark_means(config):
-    report_doc, _ = cli.run_benchmark(config)
+def _means(report_doc):
     return {task: {m: r["mean_accuracy"] for m, r in by_m.items()}
             for task, by_m in report_doc["results"].items()}
 
 
-def test_criterion_06_comparative_benchmark(default_config, shared_pretrain):
-    start = time.monotonic()
-    means = _benchmark_means(default_config)
-    elapsed = time.monotonic() - start
+def test_criterion_06_comparative_benchmark(default_benchmark):
+    _, (_, report_bytes), elapsed, _ = default_benchmark
+    means = _means(json.loads(report_bytes))
     cushions = all(means[t]["pac-tuning"] >= means[t]["vanilla"] - 0.005
                    for t in means)
     strict = sum(means[t]["pac-tuning"] > means[t]["vanilla"] for t in means)
@@ -206,26 +225,22 @@ def test_criterion_06_comparative_benchmark(default_config, shared_pretrain):
 @pytest.mark.parametrize("n_shot", [50, 20])
 def test_criterion_07_stability(default_config, shared_pretrain, n_shot):
     config = cli._deep_merge(default_config, {"task": {"n_shot": n_shot}})
-    means = _benchmark_means(config)
+    means = _means(cli.run_benchmark(config)[0])
     worst_gap = max(max(ms.values()) - ms["pac-tuning"] for ms in means.values())
     ok = worst_gap <= 0.02
     report(f"criterion 7 (stability, n_shot={n_shot})",
            ok, f"max gap to best method {worst_gap:.4f}")
 
 
-def test_criterion_08_benchmark_determinism(tmp_path):
-    cfg_doc = {"out_dir": str(tmp_path / "bench")}
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(cfg_doc))
-    assert cli.main(["benchmark", "--config", str(cfg_path)]) == cli.EXIT_OK
-    out = tmp_path / "bench"
-    first = {p.name: p.read_bytes() for p in sorted((out / "runs").iterdir())}
-    first_report = (out / "benchmark_report.json").read_bytes()
+def test_criterion_08_benchmark_determinism(default_benchmark):
+    # the same config file once more, without the wrapper; the report echoes
+    # out_dir, so the second run writes to the same place
+    cfg_path, (first, first_report), _, _ = default_benchmark
+    out = cfg_path.parent / "bench"
     shutil.rmtree(out)
     assert cli.main(["benchmark", "--config", str(cfg_path)]) == cli.EXIT_OK
-    second = {p.name: p.read_bytes() for p in sorted((out / "runs").iterdir())}
-    identical = first == second and \
-        first_report == (out / "benchmark_report.json").read_bytes()
+    second, second_report = _outputs(out)
+    identical = first == second and first_report == second_report
     report("criterion 8 (benchmark determinism)",
            identical, f"{len(first)} JSONL files byte-identical: {identical}")
 

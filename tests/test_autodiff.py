@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import os
 import subprocess
 import sys
@@ -166,6 +167,73 @@ class TestProperties:
         x2 = t2.leaf(np.array(2.0))
         with pytest.raises(ad.AutodiffError, match="different tapes"):
             ad.add(x1, x2)
+
+
+def drawn_inputs(kind, seed):
+    """The leaf values ``gradcheck_op(kind, seed)`` draws."""
+    drawn = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "finite_diff_check",
+                   lambda build, x: drawn.extend(t.data for t in build(x)[1]) or 0.0)
+        ad.gradcheck_op(kind, seed)
+    return drawn
+
+
+def op_bytes(kind, values, seed):
+    """The bytes of ``kind``'s value at ``values``, then of each leaf's
+    gradient of sum(value * w), w a seeded upstream gradient."""
+    tape = ad.Tape()
+    leaves = [tape.leaf(v) for v in values]
+    out = ad.OPS[kind](*leaves)
+    w = np.random.default_rng(seed).standard_normal(out.shape)
+    grads = tape.backward(ad.tensor_sum(ad.mul(out, w)), leaves)
+    return out.data.tobytes() + b"".join(g.tobytes() for g in grads)
+
+
+# SHA-256 of op_bytes over seeds 0-2, keyed by op kind; the binary
+# elementwise ops also take each operand in turn as a scalar, its first entry.
+# Only ops whose arithmetic is correctly rounded (or, for the sums, a fixed
+# order of correctly rounded adds) are pinned: the tape's bytes, independent
+# of the platform's libm.
+OP_BYTES = {
+    "add": "3cfa99ee2155b4cfad716b994fe208e11e84d63d62055cb6025a6c4f66d19506",
+    "sub": "8fed6437db64d489effc87e78bd884898d7bf64be4e4d760282513f5af78c298",
+    "elementwise-mul": "46712b073eefd268c323b2d4ce2b812a9b0380345fdc9f5be47bf964837ad69f",
+    "square": "e0534e7a47d0c788ef371f9453f739d05ddd104efc6e94033ef08077df673631",
+    "relu": "b1562ad1fed4c20d03c969745949a44255f684494c1d74d20eaea9f18d879357",
+    "broadcast-add": "1cf9985da1a4965e29807505e6ead3b672eb8da5100132ae488026db340bff38",
+    "sum": "862f604890503df32249f43c0ce7731bcf9b16160165e8057ac491125046b070",
+}
+
+SCALAR_BROADCAST = ("add", "sub", "elementwise-mul")
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("kind", sorted(OP_BYTES))
+    def test_op_bytes_are_pinned(self, kind):
+        digest = hashlib.sha256()
+        for seed in range(3):
+            values = drawn_inputs(kind, seed)
+            cases = [values]
+            if kind in SCALAR_BROADCAST:
+                a, b = values
+                cases += [[a, b.flat[0]], [a.flat[0], b]]
+            for case in cases:
+                digest.update(op_bytes(kind, case, seed))
+        assert digest.hexdigest() == OP_BYTES[kind]
+
+    @pytest.mark.parametrize("kind,f,local", [
+        ("tanh", np.tanh, lambda value: 1.0 - value * value),
+        ("exp", np.exp, lambda value: value)])
+    def test_libm_op_gradient_is_its_derivative_bitwise(self, kind, f, local):
+        # the values come from libm; the sum's gradient is then exact arithmetic
+        for seed in range(3):
+            tape = ad.Tape()
+            x = tape.leaf(drawn_inputs(kind, seed)[0])
+            out = ad.OPS[kind](x)
+            grad, = tape.backward(ad.tensor_sum(out), [x])
+            assert out.data.tobytes() == f(x.data).tobytes()
+            assert grad.tobytes() == local(out.data).tobytes()
 
 
 class TestOracleStaysOffTheTrainingPath:

@@ -25,7 +25,9 @@ def record(workload, seed, wall_s, commit, trace=0, passes=3, **machine):
             "metrics": {"wall_s": {"value": wall_s, "unit": "s", "better": "lower",
                                    "bound": 0.25},
                         "accuracy": {"value": 0.9, "unit": "fraction",
-                                     "better": "higher", "bound": 0.1}}}
+                                     "better": "higher", "bound": 0.1},
+                        "failed_frac": {"value": 0.0, "unit": "fraction",
+                                        "better": "lower", "bound": 0.0}}}
 
 
 def write(path, records):
@@ -50,11 +52,16 @@ def test_pairs_in_order_and_reports_ratios(tmp_path, capsys):
     assert entry["seeds"] == [1, 2, 3]
     wall = entry["metrics"]["wall_s"]
     assert wall["ratios"] == [0.5, 1.0, 0.8]
+    assert wall["median_ratio"] == 0.8
     assert (wall["change_won"], wall["parent_won"]) == (2, 0)
     assert wall["parent"]["median"] == 4.0 and wall["change"]["median"] == 3.0
     assert (wall["parent"]["runs"], wall["parent"]["passes"]) == (3, 9)
     assert entry["metrics"]["accuracy"]["change_won"] == 0
-    assert "change won 2 of 3" in capsys.readouterr().out
+    failed = entry["metrics"]["failed_frac"]
+    assert failed["ratios"] == [None] * 3 and failed["median_ratio"] is None
+    printed = capsys.readouterr().out
+    assert "median ratio 0.8  change won 2 of 3" in printed
+    assert "median ratio nan" in printed
 
 
 @pytest.mark.parametrize("parent_records, message", [

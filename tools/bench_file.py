@@ -12,9 +12,9 @@ runs made alternately (parent, change, parent, change, ...) pair up in time.
 The file holds the machine block (identical on every run, else an error),
 each side's commit and source digest, and per workload and end-to-end metric:
 each side's median, quartiles, run count and untraced pass count, the
-per-pair ratios ``change / parent`` and how many pairs the change won
-(ties count for neither side). Without ``--parent`` only the change's
-figures are written.
+per-pair ratios ``change / parent``, their median (null when no pair has a
+ratio) and how many pairs the change won (ties count for neither side).
+Without ``--parent`` only the change's figures are written.
 """
 
 from __future__ import annotations
@@ -91,6 +91,8 @@ def condense(change: list[dict], parent: list[dict] | None) -> dict:
                          for p, c in zip(base, runs)]
                 metric["parent"] = summary(base, name)
                 metric["ratios"] = [ratio(p, c) for p, c in pairs]
+                ratios = [r for r in metric["ratios"] if r is not None]
+                metric["median_ratio"] = statistics.median(ratios) if ratios else None
                 metric["change_won"] = sum(won(meta["better"], p, c) for p, c in pairs)
                 metric["parent_won"] = sum(won(meta["better"], c, p) for p, c in pairs)
             entry["metrics"][name] = metric
@@ -122,9 +124,9 @@ def main(argv=None) -> int:
         for name, m in entry["metrics"].items():
             line = f"{workload:<9} {name:<22} change {m['change']['median']:.6g}"
             if "parent" in m:
-                ratios = sorted(r for r in m["ratios"] if r is not None)
-                mid = statistics.median(ratios) if ratios else float("nan")
-                line += (f"  parent {m['parent']['median']:.6g}  median ratio {mid:.4g}"
+                mid = m["median_ratio"]
+                line += (f"  parent {m['parent']['median']:.6g}  median ratio "
+                         f"{float('nan') if mid is None else mid:.4g}"
                          f"  change won {m['change_won']} of {len(m['ratios'])}")
             print(line)
     return 0
