@@ -52,7 +52,7 @@ def test_pairs_in_order_and_reports_ratios(tmp_path, capsys):
     assert entry["seeds"] == [1, 2, 3]
     wall = entry["metrics"]["wall_s"]
     assert wall["ratios"] == [0.5, 1.0, 0.8]
-    assert wall["median_ratio"] == 0.8
+    assert wall["median_ratio"] == 0.8 and wall["ratio_ci"] == [0.5, 1.0]
     assert (wall["change_won"], wall["parent_won"]) == (2, 0)
     assert wall["parent"]["median"] == 4.0 and wall["change"]["median"] == 3.0
     assert (wall["parent"]["runs"], wall["parent"]["passes"]) == (3, 9)
@@ -60,8 +60,34 @@ def test_pairs_in_order_and_reports_ratios(tmp_path, capsys):
     failed = entry["metrics"]["failed_frac"]
     assert failed["ratios"] == [None] * 3 and failed["median_ratio"] is None
     printed = capsys.readouterr().out
-    assert "median ratio 0.8  change won 2 of 3" in printed
-    assert "median ratio nan" in printed
+    assert "median ratio 0.8 [0.5, 1]  change won 2 of 3" in printed
+    assert "median ratio nan [nan, nan]" in printed
+
+
+OFFSETS = [-0.05, 0.05, -0.04, 0.04, -0.03, 0.03, -0.02, 0.02, -0.01, 0.01]
+
+
+@pytest.mark.parametrize("centre, metric, contains_one", [
+    (1.0, "wall_s", True),  # ten pairs at 1.00 +- 0.05
+    (1.2, "wall_s", False),  # ten pairs at 1.20 +- 0.05
+    (1.0, "failed_frac", None),  # every ratio null: no interval
+])
+def test_ratio_ci_is_a_bootstrap_interval_of_the_median(tmp_path, centre, metric,
+                                                       contains_one):
+    parent = write(tmp_path / "p.jsonl",
+                   [record("pretrain", s, 1.0, "a") for s in range(10)])
+    change = write(tmp_path / "c.jsonl",
+                   [record("pretrain", s, centre + o, "b") for s, o in enumerate(OFFSETS)])
+    out = tmp_path / "BENCH.json"
+    assert load_tool().main(["--parent", parent, "--change", change,
+                             "--out", str(out)]) == 0
+    ci = json.loads(out.read_text())["workloads"]["pretrain"]["metrics"][metric]["ratio_ci"]
+    if contains_one is None:
+        assert ci is None
+    else:
+        low, high = ci
+        assert centre - 0.05 < low < high < centre + 0.05
+        assert (low <= 1.0 <= high) == contains_one
 
 
 @pytest.mark.parametrize("parent_records, message", [

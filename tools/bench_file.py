@@ -13,7 +13,8 @@ The file holds the machine block (identical on every run, else an error),
 each side's commit and source digest, and per workload and end-to-end metric:
 each side's median, quartiles, run count and untraced pass count, the
 per-pair ratios ``change / parent``, their median (null when no pair has a
-ratio) and how many pairs the change won (ties count for neither side).
+ratio), ``ratio_ci``, a bootstrap 95% interval of that median (null below two
+ratios), and how many pairs the change won (ties count for neither side).
 Without ``--parent`` only the change's figures are written.
 """
 
@@ -24,6 +25,8 @@ import json
 import statistics
 import sys
 from pathlib import Path
+
+import numpy as np
 
 PER_RUN = ("git_commit", "source_sha256", "workload_seed")
 
@@ -68,6 +71,15 @@ def ratio(parent: float, change: float) -> float | None:
     return change / parent if parent else None
 
 
+def ratio_ci(ratios: list[float]) -> list[float] | None:
+    """The 2.5th and 97.5th percentiles of the medians of 10,000 resamples of
+    ``ratios``, with replacement, drawn from a generator seeded with 0."""
+    if len(ratios) < 2:
+        return None
+    resamples = np.random.default_rng(0).choice(ratios, size=(10_000, len(ratios)))
+    return [float(q) for q in np.percentile(np.median(resamples, axis=1), [2.5, 97.5])]
+
+
 def condense(change: list[dict], parent: list[dict] | None) -> dict:
     workloads = sorted({r["workload"] for r in change})
     out = {"machine": machine(change + (parent or [])), "change": source(change),
@@ -93,6 +105,7 @@ def condense(change: list[dict], parent: list[dict] | None) -> dict:
                 metric["ratios"] = [ratio(p, c) for p, c in pairs]
                 ratios = [r for r in metric["ratios"] if r is not None]
                 metric["median_ratio"] = statistics.median(ratios) if ratios else None
+                metric["ratio_ci"] = ratio_ci(ratios)
                 metric["change_won"] = sum(won(meta["better"], p, c) for p, c in pairs)
                 metric["parent_won"] = sum(won(meta["better"], c, p) for p, c in pairs)
             entry["metrics"][name] = metric
@@ -124,9 +137,10 @@ def main(argv=None) -> int:
         for name, m in entry["metrics"].items():
             line = f"{workload:<9} {name:<22} change {m['change']['median']:.6g}"
             if "parent" in m:
-                mid = m["median_ratio"]
+                mid, lo, hi = (float("nan") if x is None else x for x in
+                               [m["median_ratio"], *(m["ratio_ci"] or [None] * 2)])
                 line += (f"  parent {m['parent']['median']:.6g}  median ratio "
-                         f"{float('nan') if mid is None else mid:.4g}"
+                         f"{mid:.4g} [{lo:.4g}, {hi:.4g}]"
                          f"  change won {m['change_won']} of {len(m['ratios'])}")
             print(line)
     return 0
