@@ -168,7 +168,8 @@ class NoiseState:
         return float(np.mean(self.variances(group))) if self.size(group) else 0.0
 
     def checked_variances(self) -> np.ndarray | None:
-        """``variances()`` if they and exp(prior_log_var) are finite and above 0, else None."""
+        """``variances()`` if they and exp(prior_log_var) are finite and above 0, else
+        None: the one such rule, shared by the noise-file loader and stage 1's guard."""
         with np.errstate(over="ignore"):
             var, prior = self.variances(), np.exp(self.params[-2:])
         ok = var.all() and prior.all() and np.isfinite(var).all() and np.isfinite(prior).all()

@@ -143,8 +143,9 @@ PATH = Leaf("a non-empty string without a NUL byte",
                       lambda v: _fs_fits(v, 255),
                       then=Leaf("a path that the file system encodes in at most 3834 bytes",
                                 lambda v: len(os.fsencode(v)) <= 3834)))
-# at most 128 bytes, so <name>__<method>__seed<N>__model.json stays a file name
-# (at most 255 bytes) for every method and seed
+RUN_STEM = "{task}__{method}__seed{seed}"  # the stem of every file a run writes
+# at most 128 bytes, so each RUN_STEM file, <stem>__model.json at the longest,
+# stays a file name (at most 255 bytes) for every method and seed
 NAME = Leaf("a file name: not empty, '.' or '..', and without '/' or a NUL byte",
             lambda v: PATH.ok(v) and "/" not in v and v not in (".", ".."),
             then=Leaf("a name that the file system can encode in at most 128 bytes",
@@ -568,7 +569,7 @@ def cmd_finetune(config: dict) -> int:
     seed = config["seeds"][0]
     method = config["method"]
     record, model, noise = run_single(config, pretrained, target, seed, method)
-    stem = f"{config['task']['name']}__{method}__seed{seed}"
+    stem = RUN_STEM.format(task=config["task"]["name"], method=method, seed=seed)
     provenance = {"seed": seed, "task": config["task"]["name"],
                   "epoch": record.final["epochs"]}
     writers = [
@@ -587,7 +588,7 @@ def cmd_finetune(config: dict) -> int:
 def cmd_benchmark(config: dict, workers: int = 1) -> int:
     out = Path(config["out_dir"])
     report, records = run_benchmark(config, workers=workers)
-    writers = [(out / "runs" / "{task}__{method}__seed{seed}.jsonl".format(**r.final),
+    writers = [(out / "runs" / f"{RUN_STEM.format(**r.final)}.jsonl",
                 lambda p, r=r: r.to_jsonl(p)) for r in records]
     writers.append((out / "benchmark_report.json",
                     lambda p: Path(p).write_text(

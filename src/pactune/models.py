@@ -22,7 +22,7 @@ and no training module imports it. A non-finite number raises
 The constructor rejects an unknown activation, ``forward`` a batch of the
 wrong width; the training path trusts what the descent loop checked once.
 A descent loop's steps share one ``StepWorkspace``, built once per loop, and
-so do its evaluations: the workspace holds one output buffer per layer for
+so do its evaluations, as it is the one maker of predictions: the workspace holds one output buffer per layer for
 the dev rows and, when the first layer is frozen, computes that layer's dev
 output once per loop. The forward pass adds biases and applies activations
 in place, and backprop and the softmax gradient overwrite arrays the step

@@ -1,9 +1,10 @@
-"""Shared oracles for the test suite."""
+"""Shared oracles for the test suite, and the one checker of a command that fails."""
 
 import math
 
 import numpy as np
 
+from pactune import cli
 from pactune.bound import K_FLOOR, FixedK, generic_bound, kl_diag_vs_isotropic, pac_objective
 from pactune.models import ParamGroup, StepWorkspace, loss_and_grads
 from pactune.optim import WEIGHT_DECAY, AdamState, adam_step, schedule_value
@@ -58,6 +59,38 @@ def confusion_metrics(preds, labels) -> dict:
     den_sq = (n * n - int(p_k @ p_k)) * (n * n - int(t_k @ t_k))
     mcc = 0.0 if den_sq == 0 else num / math.sqrt(den_sq)
     return {"accuracy": correct / n, "mcc": float(mcc)}
+
+
+# --- a command that fails (README, "Exit codes") ------------------------------------
+
+# each exit of a failed command -> the start of the one stderr line it prints
+FAILED_LINE = {cli.EXIT_CONFIG: "config error: ", cli.EXIT_DIVERGENCE: "numeric divergence: ",
+               cli.EXIT_IO: "i/o error: ", cli.EXIT_WORKER: "worker error: ",
+               130: "interrupted"}
+
+
+def failed_command(argv, code, capture, where):
+    """Run ``cli.main(argv)`` and assert that it fails as README's "Exit codes"
+    says: exit ``code``, an empty stdout, one stderr line that starts with that
+    exit's ``FAILED_LINE``, and the same paths under ``where`` as before. Returns
+    the line. ``capture`` is ``capsys``, or ``capfd`` where pool workers print,
+    cleared first. A tuple of codes may hold 0: an exit 0 then returns None and
+    leaves the command's output to the caller."""
+    capture.readouterr()
+    before = sorted(where.rglob("*"))
+    try:
+        got = cli.main(argv)
+    except KeyboardInterrupt:  # it would end the test session, not fail the test
+        raise AssertionError(f"KeyboardInterrupt escaped main: {argv}") from None
+    codes = code if isinstance(code, tuple) else (code,)
+    if got == cli.EXIT_OK and got in codes:
+        return None
+    out, err = capture.readouterr()
+    assert got in codes and out == "", (argv, got, out, err)
+    assert err.startswith(FAILED_LINE[got]) and err.endswith("\n") and \
+        err.count("\n") == 1, (argv, err)
+    assert sorted(where.rglob("*")) == before, (argv, err)
+    return err[:-1]
 
 
 # --- the descent loop without its hoisted state ----------------------------------

@@ -1,4 +1,4 @@
-"""``tools/bench_file.py`` on hand-made perfbench records."""
+"""``tools/bench_file.py`` on hand-made perfbench records and junit files."""
 
 import importlib.util
 import json
@@ -110,3 +110,60 @@ def test_traced_records_alone(tmp_path):
     wall = json.loads(out.read_text())["workloads"]["sweep"]["metrics"]["wall_s"]
     assert wall["change"] == {"median": 9.0, "q1": 9.0, "q3": 9.0, "runs": 1, "passes": 3}
     assert "parent" not in wall
+
+
+
+def junit(path, *cases):
+    """A pytest junit file of (classname, name, seconds) testcases."""
+    body = "".join(f'<testcase classname="{c}" name="{n}" time="{t}" />' for c, n, t in cases)
+    path.write_text('<?xml version="1.0" encoding="utf-8"?><testsuites>'
+                    f'<testsuite name="pytest">{body}</testsuite></testsuites>')
+    return str(path)
+
+
+def tier1_pass(path, criterion, ranking=0.5):
+    """One Tier-1 pass: two acceptance testcases, one in a class, and one other."""
+    return junit(path, ("tests.test_acceptance", "test_criterion", criterion),
+                 ("tests.test_acceptance.TestRanking", "test_rank", ranking),
+                 ("tests.test_cli", "test_other", 1.0))
+
+
+def test_tier1_rows_pair_the_kth_junit_files(tmp_path, capsys):
+    parent = [write(tmp_path / "p.jsonl", [record("pretrain", 1, 1.0, "a")]),
+              tier1_pass(tmp_path / "p1.xml", 2.0), tier1_pass(tmp_path / "p2.xml", 4.0)]
+    change = [write(tmp_path / "c.jsonl", [record("pretrain", 1, 1.0, "b")]),
+              tier1_pass(tmp_path / "c1.xml", 3.0), tier1_pass(tmp_path / "c2.xml", 2.0)]
+    out = tmp_path / "BENCH.json"
+    assert load_tool().main(["--parent", *parent, "--change", *change,
+                             "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["tier1"]
+    assert sorted(rows) == ["TestRanking::test_rank", "test_criterion", "total"]
+    row = rows["test_criterion"]
+    assert (row["unit"], row["better"]) == ("s", "lower")
+    assert row["ratios"] == [1.5, 0.5]  # the k-th file of each side, not sorted times
+    assert row["median_ratio"] == 1.0 and row["ratio_ci"] == [0.5, 1.5]
+    assert (row["change_won"], row["parent_won"]) == (1, 1)
+    assert row["parent"] == {"median": 3.0, "q1": 1.5, "q3": 4.5, "runs": 2}
+    assert row["change"]["median"] == 2.5
+    assert rows["total"]["ratios"] == [4.5 / 3.5, 3.5 / 5.5]  # every testcase's time
+    assert rows["TestRanking::test_rank"]["ratios"] == [1.0, 1.0]
+    assert ("tier1     test_criterion         change 2.5  parent 3  median ratio 1 "
+            "[0.5, 1.5]  change won 1 of 2\n") in capsys.readouterr().out
+
+
+CRITERION = ("tests.test_acceptance", "test_criterion", 1.0)
+
+
+@pytest.mark.parametrize("change_xml, message", [
+    ([[("tests.test_cli", "test_other", 1.0)]], "c0.xml has no testcase test_criterion"),
+    ([[CRITERION]] * 2, "2 junit files of the change do not pair with 1 of the parent"),
+])
+def test_unpaired_junit_files_exit_2(tmp_path, capsys, change_xml, message):
+    parent = [write(tmp_path / "p.jsonl", [record("pretrain", 1, 1.0, "a")]),
+              junit(tmp_path / "p.xml", CRITERION)]
+    change = [write(tmp_path / "c.jsonl", [record("pretrain", 1, 1.0, "b")]),
+              *(junit(tmp_path / f"c{k}.xml", *cases) for k, cases in enumerate(change_xml))]
+    assert load_tool().main(["--parent", *parent, "--change", *change,
+                             "--out", str(tmp_path / "B.json")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "B.json").exists()

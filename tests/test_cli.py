@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import failed_command
 
 from pactune import bound, cli, datasets, models, optim, pipeline
 from pactune.cli import (EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_OK, ConfigError,
@@ -28,15 +29,6 @@ TINY_TASK = {
                "separation": 3.0, "class_std": 1.0, "rotation_degrees": 20.0},
     "n_shot": 40,
 }
-
-
-def main_or_fail(argv) -> int:
-    """``main``; a ``KeyboardInterrupt`` that escapes it fails the test instead of
-    ending the test session."""
-    try:
-        return main(argv)
-    except KeyboardInterrupt:
-        pytest.fail("KeyboardInterrupt escaped main")
 
 
 def tiny_config(tmp_path, **extra):
@@ -86,7 +78,7 @@ def _bad_values(kind):
 def _schema_sweep():
     """(--set entry, the key its error names) for each leaf and field of the table."""
     for leaf, (_, kind) in cli.SCHEMA.items():
-        if leaf == "out_dir":  # --out replaces it; see test_non_string_out_dir_...
+        if leaf == "out_dir":  # --out replaces it; see test_unusable_path_part_...
             continue
         for value in _bad_values(kind):
             yield f"{leaf}={value}", leaf
@@ -101,6 +93,29 @@ def _schema_sweep():
                     yield f"{leaf}={spec}", key
                 else:
                     yield f"{leaf}.{name}={value}", key
+
+
+# a stub of main that keeps the failed-command contract, then one per part it breaks
+@pytest.mark.parametrize("broken", [
+    {}, {"out": "done\n"}, {"err": "config error: x\nconfig error: y\n"}, {"made": True},
+    {"code": EXIT_DIVERGENCE, "err": "numeric divergence: x\n"},
+], ids=["kept", "stdout", "two-lines", "made-a-directory", "another-code"])
+def test_failed_command_checker(tmp_path, capsys, monkeypatch, broken):
+    stub = {"out": "", "err": "config error: x\n", "made": False, "code": EXIT_CONFIG, **broken}
+
+    def stub_main(argv):
+        print(stub["out"], end="")
+        print(stub["err"], end="", file=sys.stderr)
+        if stub["made"]:
+            (tmp_path / "made").mkdir()
+        return stub["code"]
+
+    monkeypatch.setattr(cli, "main", stub_main)
+    if not broken:
+        assert failed_command([], EXIT_CONFIG, capsys, tmp_path) == "config error: x"
+    else:
+        with pytest.raises(AssertionError):
+            failed_command([], EXIT_CONFIG, capsys, tmp_path)
 
 
 class TestConfig:
@@ -163,25 +178,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
             load_config(str(path))
 
-    def test_bad_values_exit_config(self, tmp_path):
-        code = main(["finetune", "--config", tiny_config(tmp_path),
-                     "--set", "stage1.epochs=0"])
-        assert code == EXIT_CONFIG
-
+    # the sweep's rows, then rules that no kind holds alone (ranges against other
+    # leaves, repeats, task overrides, whole objects) and other values of a kind
     @pytest.mark.parametrize("setting, key", [
-        ("pretrain.batch_size=0", "pretrain.batch_size"),
-        ("stage1.batch_size=0", "stage1.batch_size"),
+        *_schema_sweep(),
         ("stage2.batch_size=-3", "stage2.batch_size"),
-        ("pretrain.epochs=0", "pretrain.epochs"),
-        ("stage2.epochs=0", "stage2.epochs"),
         ('stage1.epochs="many"', "stage1.epochs"),
-        ("pretrain.lr_head=0", "pretrain.lr_head"),
         ("stage1.lr_noise_backbone=-0.1", "stage1.lr_noise_backbone"),
-        ("stage1.lr_noise_head.init=0", "stage1.lr_noise_head.init"),
-        ("stage2.lr_backbone=0", "stage2.lr_backbone"),
-        ("task.n_shot=0", "task.n_shot"),
-        ("noise_injection.sigma=-1", "noise_injection.sigma"),
-        ("seeds=[]", "seeds"),
         ("model.hidden=[24,0]", "model.hidden[1]"),
         ('task_overrides={"blobs-rotate": {"stage1": {"epoch": 5}}}',
          "task_overrides.blobs-rotate.stage1.epoch"),
@@ -199,7 +202,6 @@ class TestConfig:
         ('tasks=["blobs-rotate","nope"]', "tasks[1]"),
         ('method="dropout"', "method"),
         ('methods=["dropout"]', "methods[0]"),
-        ("methods=[]", "methods"),
         ('methods="vanilla"', "methods"),
         ("stage1.lr_noise_head.factor=-1", "stage1.lr_noise_head.factor"),
         ("stage1.lr_noise_head.floor=-1", "stage1.lr_noise_head.floor"),
@@ -209,14 +211,12 @@ class TestConfig:
         ("stage1.epochs=1.5", "stage1.epochs"),
         ("stage1.epochs=2.0", "stage1.epochs"),
         ("task.n_shot=1.5", "task.n_shot"),
-        ("seeds=[1.5]", "seeds[0]"),
         ('seeds=["a"]', "seeds[0]"),
         ("seeds=[1,-2]", "seeds[1]"),
         ('pretrain.seed="x"', "pretrain.seed"),
         # a seed is part of output file names, so it has at most 20 digits
         (f"pretrain.seed={2**64}", "pretrain.seed"),
         (f"seeds=[1,{2**64}]", "seeds[1]"),
-        ("stage1.l_pac_weight=-1", "stage1.l_pac_weight"),
         ("checkpoint=5", "checkpoint"),
         ('stage1={"epochs": 5}', "stage1.batch_size"),
         ('model={"hidden": [4]}', "model.activation"),
@@ -246,10 +246,8 @@ class TestConfig:
          "task_overrides.xor-noise.task.source"),
         ('task_overrides={"xor-noise": {"task": {"target": null}}}',
          "task_overrides.xor-noise.task.target"),
-        ('bound.delta="0.5"', "bound.delta"),
         ('bound.gamma.value="5"', "bound.gamma.value"),
         ("bound.gamma.value=true", "bound.gamma.value"),
-        ('bound.k.ema_decay="0.5"', "bound.k.ema_decay"),
         ("pretrain.lr_backbone=1e400", "pretrain.lr_backbone"),
         ("stage1.lr_head=Infinity", "stage1.lr_head"),
         ('bound.k={"kind": "fixed", "value": 1, "bogus": 3}', "bound.k.bogus"),
@@ -265,30 +263,18 @@ class TestConfig:
         ('task_overrides={"xor-noise": 5}', "task_overrides.xor-noise"),
         ('task_overrides={"xor-noise": {"task": 5}}', "task_overrides.xor-noise"),
     ])
-    def test_invalid_leaf_exits_config_before_work(self, tmp_path, capsys, setting,
-                                                   key):
-        code = main(["pretrain", "--out", str(tmp_path / "out"), "--set", setting])
-        err = capsys.readouterr().err
-        assert code == EXIT_CONFIG
-        assert err.startswith("config error:") and f"'{key}'" in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "out").exists()
-
-    # a row of the table above cannot hold these: their --out replaces out_dir;
-    # an empty out_dir would write into the working directory
-    @pytest.mark.parametrize("argv", [["--set", "out_dir=5"], ["--out", ""],
-                                      ["--set", 'out_dir=""']])
-    def test_non_string_out_dir_exits_config_before_work(self, tmp_path, capsys,
-                                                         monkeypatch, argv):
-        monkeypatch.chdir(tmp_path)
-        code = main(["pretrain", *argv])
-        err = capsys.readouterr().err
-        assert code == EXIT_CONFIG
-        assert err.startswith("config error:") and "'out_dir'" in err
-        assert list(tmp_path.iterdir()) == []
+    def test_bad_setting_exits_config_before_work(self, tmp_path, capsys, setting, key):
+        line = failed_command(["pretrain", "--out", str(tmp_path / "out"), "--set", setting],
+                              EXIT_CONFIG, capsys, tmp_path)
+        assert f"'{key}'" in line, line
 
     # both become parts of output paths: task.name a file name, out_dir a path
     @pytest.mark.parametrize("argv, key", [
+        # the table above cannot hold out_dir, as its --out replaces it; an empty
+        # out_dir would write into the working directory
+        (["pretrain", "--set", "out_dir=5"], "out_dir"),
+        (["pretrain", "--out", ""], "out_dir"),
+        (["pretrain", "--set", 'out_dir=""'], "out_dir"),
         (["finetune", "--set", 'task.name="a/b"', "--set", 'checkpoint="c.json"'],
          "task.name"),
         (["pretrain", "--set", 'task.name=".."'], "task.name"),
@@ -315,11 +301,8 @@ class TestConfig:
                                                          monkeypatch, argv, key):
         config = tiny_config(tmp_path)  # explicit source and target: any name is a task
         monkeypatch.chdir(tmp_path)
-        code = main([*argv, "--config", config])
-        err = capsys.readouterr().err
-        assert code == EXIT_CONFIG
-        assert re.fullmatch(rf"config error: '{re.escape(key)}' must be [^\n]+\n", err), err
-        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+        line = failed_command([*argv, "--config", config], EXIT_CONFIG, capsys, tmp_path)
+        assert re.fullmatch(rf"config error: '{re.escape(key)}' must be .+", line), line
 
     def test_out_dir_at_the_length_limit_is_written(self, tmp_path, monkeypatch):
         out = "/".join(["d" * 255] * 14 + ["d" * 250])
@@ -327,17 +310,6 @@ class TestConfig:
         monkeypatch.chdir(tmp_path)
         assert main(["pretrain", "--config", tiny_config(tmp_path), "--out", out]) == EXIT_OK
         assert (tmp_path / out / "pretrained.json").is_file()
-
-    @pytest.mark.parametrize("command, workers", [("benchmark", "0"), ("benchmark", "-3")])
-    def test_workers_below_one_exit_config_before_work(self, tmp_path, capsys, monkeypatch,
-                                                       command, workers):
-        monkeypatch.setattr(cli, "pretrain_for_task", None)  # no work may start
-        code = main([command, "--workers", workers, "--out", str(tmp_path / "out")])
-        captured = capsys.readouterr()
-        assert code == EXIT_CONFIG
-        assert captured.err == f"config error: --workers must be at least 1, got {workers}\n"
-        assert captured.out == ""
-        assert not (tmp_path / "out").exists()
 
     # a flag the command does not read, an unknown one, or a bad flag value; what
     # the command does not take is named with the command and the flags it takes
@@ -358,6 +330,8 @@ class TestConfig:
          "inspect-noise does not take b.json; it takes --config, --set, --out"),
         (["benchmark", "--workers", "x"], "argument --workers: invalid int value: 'x'"),
         (["finetune", "--seed", "1.5"], "argument --seed: invalid int value: '1.5'"),
+        *[(["benchmark", "--workers", n, "--out", "out"], f"--workers must be at least 1, got {n}")
+          for n in ("0", "-3")],
         ([], "the following arguments are required: command"),
         (["inspect-noise"], "the following arguments are required: noise_file"),
     ])
@@ -366,11 +340,7 @@ class TestConfig:
         monkeypatch.chdir(tmp_path)  # where the default out_dir would be made
         for name in ("pretrain_for_task", "cmd_gradcheck", "load_config"):
             monkeypatch.setattr(cli, name, None)  # no work may start
-        assert main(argv) == EXIT_CONFIG
-        captured = capsys.readouterr()
-        assert captured.err == f"config error: {message}\n"
-        assert captured.out == ""
-        assert list(tmp_path.iterdir()) == []
+        assert failed_command(argv, EXIT_CONFIG, capsys, tmp_path) == f"config error: {message}"
 
     @pytest.mark.parametrize("argv", [["--help"], ["pretrain", "--help"],
                                       ["gradcheck", "--help"]])
@@ -382,7 +352,6 @@ class TestConfig:
 
     def test_a_model_may_repeat_a_width(self):
         assert load_config(None, ["model.hidden=[8,8]"])["model"]["hidden"] == [8, 8]
-
 
     def test_n_shot_below_an_explicit_target_size(self, tmp_path):
         with pytest.raises(ConfigError, match="'task.n_shot' must be below 160"):
@@ -404,13 +373,11 @@ class TestConfig:
             "task.n_shot=100",
             "task_overrides=" + json.dumps({"blobs-rotate": {"task": {"n_shot": 500}}}),
             f"checkpoint={json.dumps(str(checkpoint))}"]
-        code = main([command, "--out", str(tmp_path / "out"),
-                     *(a for s in sets for a in ("--set", s))])
-        err = capsys.readouterr().err
-        assert code == EXIT_CONFIG
-        assert err == ("config error: 'task_overrides.blobs-rotate.task.n_shot' must be "
-                       "below 200, the size of the target task, got 500\n")
-        assert not (tmp_path / "out").exists()
+        line = failed_command([command, "--out", str(tmp_path / "out"),
+                               *(a for s in sets for a in ("--set", s))],
+                              EXIT_CONFIG, capsys, tmp_path)
+        assert line == ("config error: 'task_overrides.blobs-rotate.task.n_shot' must be "
+                        "below 200, the size of the target task, got 500")
 
     @pytest.mark.parametrize("where", ["file", "task_overrides"])
     def test_constant_noise_head_schedule_loads(self, tmp_path, where):
@@ -433,14 +400,6 @@ class TestConfig:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         assert [leaf for leaf in cli.SCHEMA if f"`{leaf}`" not in readme] == []
 
-    @pytest.mark.parametrize("setting, key", list(_schema_sweep()))
-    def test_schema_sweep_exits_config_before_work(self, tmp_path, capsys, setting, key):
-        code = main(["pretrain", "--out", str(tmp_path / "out"), "--set", setting])
-        err = capsys.readouterr().err
-        assert code == EXIT_CONFIG
-        assert err.startswith("config error:") and f"'{key}'" in err, err
-        assert "Traceback" not in err
-        assert not (tmp_path / "out").exists()
 
 
 class TestGenerateData:
@@ -493,8 +452,10 @@ class TestPretrainFinetune:
         assert code == EXIT_OK
         assert not (tmp_path / "out" / "blobs-rotate__vanilla__seed1__noise.json").exists()
 
-    def test_finetune_without_checkpoint_is_config_error(self, tmp_path):
-        assert main(["finetune", "--config", tiny_config(tmp_path)]) == EXIT_CONFIG
+    def test_finetune_without_checkpoint_is_config_error(self, tmp_path, capsys):
+        line = failed_command(["finetune", "--config", tiny_config(tmp_path)], EXIT_CONFIG,
+                              capsys, tmp_path)
+        assert "'checkpoint'" in line, line
 
     def test_head_covers_a_class_only_in_the_training_split(self, tmp_path):
         # 11 of 21 rows go to training, where the one class-2 row's share (11/21)
@@ -515,24 +476,21 @@ class TestPretrainFinetune:
         train, dev = datasets.few_shot_sample(datasets.load_csv(tmp_path / "d.csv"), 11, 1)
         assert 2 in train.y and 2 not in dev.y
 
-    def test_divergence_exit_code(self, tmp_path):
+    def test_divergence_exit_code(self, tmp_path, capsys):
         cfg_path = tiny_config(tmp_path)
         assert main(["pretrain", "--config", cfg_path]) == EXIT_OK
         ckpt = tmp_path / "out" / "pretrained.json"
         # the head group always exists, so blow up its noise learning rate
-        code = main(["finetune", "--config", cfg_path,
-                     "--set", f'checkpoint="{ckpt}"',
-                     "--set", "stage1.lr_noise_head=1e10"])
-        assert code == EXIT_DIVERGENCE
+        failed_command(["finetune", "--config", cfg_path, "--set", f'checkpoint="{ckpt}"',
+                        "--set", "stage1.lr_noise_head=1e10"], EXIT_DIVERGENCE, capsys, tmp_path)
 
     @pytest.mark.parametrize("command", ["pretrain", "benchmark"])
     def test_pretrain_divergence_names_task_and_seed(self, tmp_path, capsys, command):
-        code = main([command, "--config", tiny_config(tmp_path),
-                     "--set", "pretrain.lr_head=1e308", "--set", "pretrain.seed=3"])
-        err = capsys.readouterr().err
-        assert code == EXIT_DIVERGENCE
+        line = failed_command([command, "--config", tiny_config(tmp_path), "--set",
+                               "pretrain.lr_head=1e308", "--set", "pretrain.seed=3"],
+                              EXIT_DIVERGENCE, capsys, tmp_path)
         assert re.fullmatch(r"numeric divergence: blobs-rotate pretraining seed 3: pretraining "
-                            r"diverged at epoch 0, batch \d+: [^\n]+\n", err), err
+                            r"diverged at epoch 0, batch \d+: .+", line), line
 
 
 class TestInspectNoise:
@@ -554,37 +512,6 @@ class TestInspectNoise:
         ordered = [variances[i] for i in by_rank]
         assert ordered == sorted(ordered)
         assert {r[1] for r in rows} == {"backbone", "head"}
-
-
-def _drop_last_weight(doc):
-    doc["params"][0]["w"].pop()
-    return doc
-
-
-def _first_at(layer, key, value):
-    def edit(doc):
-        doc["params"][layer][key][0] = value
-        return doc
-    return edit
-
-
-def _with(key, value):
-    def edit(doc):
-        doc[key] = value
-        return doc
-    return edit
-
-
-def _negative_hidden_layer(doc):
-    # -1 would pass reshape as a wildcard
-    doc["layer_sizes"][1] = -1
-    return doc
-
-
-def _huge_hidden_layer(doc):
-    # 1e11 units: a θ numpy cannot reserve, so the file must fail before it is sized
-    doc["layer_sizes"][1] = 100_000_000_000
-    return doc
 
 
 # a CSV file's text -> what its error says after the file's name
@@ -629,41 +556,45 @@ class TestUnusableFiles:
         ("pretrain", ("config", "[]"), "the root is not a JSON object"),
         ("finetune", None, ": No such file or directory"),
         ("finetune", "not json", "Expecting value"),
-        ("finetune", ((3, 4, 2), _drop_last_weight), "cannot reshape array of size 11"),
-        ("finetune", ((3, 4, 2), _huge_hidden_layer),
+        # a checkpoint of these layer sizes, then a key path and the value put there
+        ("finetune", ((3, 4, 2), ("params", 0, "w"), [0.0] * 11),
+         "cannot reshape array of size 11"),
+        # 1e11 units: a θ numpy cannot reserve, so the file must fail before it is sized
+        ("finetune", ((3, 4, 2), ("layer_sizes", 1), 10 ** 11),
          "cannot reshape array of size 12 into shape (3,100000000000)"),
         # the tiny task's inputs have 3 features
-        ("finetune", ((2, 4, 2), None),
+        ("finetune", ((2, 4, 2),),
          ": it takes inputs of size 2, but the target task's inputs have size 3"),
         # the tiny config's hidden layers are [8, 4]
-        ("finetune", ((3, 5, 2), None),
+        ("finetune", ((3, 5, 2),),
          ": it has hidden layers [5], but 'model.hidden' is [8, 4]"),
         # a checkpoint the config fits, but for one NaN: a file fault, not a divergence
-        ("finetune", ((3, 8, 4, 2), _first_at(0, "w", float("nan"))),
+        ("finetune", ((3, 8, 4, 2), ("params", 0, "w", 0), float("nan")),
          "layer 0 holds a non-finite weight or bias"),
         # replace_head discards the head, but the file is still unusable
-        ("finetune", ((3, 8, 4, 2), _first_at(2, "b", float("nan"))),
+        ("finetune", ((3, 8, 4, 2), ("params", 2, "b", 0), float("nan")),
          "layer 2 holds a non-finite weight or bias"),
         # the tiny config's activation is tanh
-        ("finetune", ((3, 8, 4, 2), _with("activation", "relu")),
+        ("finetune", ((3, 8, 4, 2), ("activation",), "relu"),
          ": it was pretrained with relu, but 'model.activation' is tanh"),
-        ("finetune", ((3, 8, 4, 2), _with("activation", "sigmoid")),
+        ("finetune", ((3, 8, 4, 2), ("activation",), "sigmoid"),
          "unknown activation 'sigmoid'"),
         # a version is a JSON integer, and every JSON file names a repeated key
-        ("finetune", ((3, 8, 4, 2), _with("version", True)),
+        ("finetune", ((3, 8, 4, 2), ("version",), True),
          "unsupported checkpoint version: true"),
         ("finetune", '{"version": 1, "params": [], "version": 1}',
          "an object repeats the key 'version'"),
         ("pretrain", ("config", '{"task": {"n_shot": 100, "n_shot": 500}}'),
          "an object repeats the key 'n_shot'"),
         # a file holds JSON numbers: no numeric string, no bool, none beyond a float
-        ("finetune", ((3, 8, 4, 2), _first_at(0, "w", "0.5")),
+        ("finetune", ((3, 8, 4, 2), ("params", 0, "w", 0), "0.5"),
          """malformed checkpoint layer 0 'w': "0.5" is not a number"""),
-        ("finetune", ((3, 8, 4, 2), _first_at(1, "b", True)),
+        ("finetune", ((3, 8, 4, 2), ("params", 1, "b", 0), True),
          "malformed checkpoint layer 1 'b': true is not a number"),
-        ("finetune", ((3, 8, 4, 2), _first_at(0, "w", 10 ** 400)),
+        ("finetune", ((3, 8, 4, 2), ("params", 0, "w", 0), 10 ** 400),
          "malformed checkpoint layer 0 'w': an integer too large for a float"),
-        ("finetune", ((3, 8, 4, 2), _negative_hidden_layer),
+        # -1 would pass reshape as a wildcard
+        ("finetune", ((3, 8, 4, 2), ("layer_sizes", 1), -1),
          "layer_sizes must be integers >= 1, got [3, -1, 4, 2]"),
         ("inspect-noise", "not json", "Expecting value"),
         ("inspect-noise", '{"version": 2}', "unsupported noise-state version: 2"),
@@ -704,11 +635,14 @@ class TestUnusableFiles:
             path = tmp_path / f"file.{'csv' if content[0] == 'csv' else 'json'}"
             path.write_text(content[1])
         else:
-            sizes, edit = content
+            sizes, *edit = content
             model = models.init_weights(list(sizes), np.random.default_rng(0))
             models.save_checkpoint(model, path, {})
             if edit:
-                path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+                (*keys, last), value = edit
+                doc = json.loads(path.read_text())
+                functools.reduce(lambda node, key: node[key], keys, doc)[last] = value
+                path.write_text(json.dumps(doc))
         out = tmp_path / "out"
         if content is not None and content[0] == "config":
             argv = [command, "--config", str(path), "--out", str(out)]
@@ -721,15 +655,10 @@ class TestUnusableFiles:
                     "--set", f'checkpoint="{path}"']
         else:
             argv = ["inspect-noise", str(path), "--out", str(out)]
-        code = main(argv)
-        err = capsys.readouterr().err
-        assert code == EXIT_CONFIG
-        assert err.startswith("config error:") and len(err.splitlines()) == 1, err
-        assert err.count(f"'{path}'") == 1 and detail in err, err
+        line = failed_command(argv, EXIT_CONFIG, capsys, tmp_path)
+        assert line.count(f"'{path}'") == 1 and detail in line, line
         assert re.match(rf"config error: cannot use .* {re.escape(repr(str(path)))}: ",
-                        err), err
-        assert "Traceback" not in err
-        assert not out.exists()
+                        line), line
 
 
 AT = r"epoch \d+, batch \d+: \S"  # where a divergence happened, then what diverged
@@ -766,13 +695,11 @@ class TestFailedCommandLeavesNoOutput:
         config = tiny_config(tmp_path)
         assert main(["pretrain", "--config", config]) == EXIT_OK
         checkpoint = json.dumps(str(tmp_path / "out" / "pretrained.json"))
-        code = main([command, "--config", config, "--out", str(tmp_path / "failed"),
-                     "--set", f"checkpoint={checkpoint}",
-                     *(a for entry in setting.split() for a in ("--set", entry))])
-        err = capsys.readouterr().err
-        assert code == EXIT_DIVERGENCE
-        assert re.fullmatch(rf"numeric divergence: [^\n]*: {message}[^\n]*\n", err), err
-        assert not (tmp_path / "failed").exists()
+        line = failed_command([command, "--config", config, "--out", str(tmp_path / "failed"),
+                               "--set", f"checkpoint={checkpoint}",
+                               *(a for entry in setting.split() for a in ("--set", entry))],
+                              EXIT_DIVERGENCE, capsys, tmp_path)
+        assert re.fullmatch(rf"numeric divergence: .*: {message}.*", line), line
 
     # sizes no 64-bit address space can map, so numpy never reserves them
     @pytest.mark.parametrize("command, sets", [
@@ -782,13 +709,11 @@ class TestFailedCommandLeavesNoOutput:
                            'task.target={"generator": "blobs", "n": 500}']),
     ])
     def test_sizes_that_do_not_fit_in_memory(self, tmp_path, capsys, command, sets):
-        code = main([command, "--out", str(tmp_path / "out"),
-                     *(a for s in sets for a in ("--set", s))])
-        err = capsys.readouterr().err
-        assert code == EXIT_CONFIG
+        line = failed_command([command, "--out", str(tmp_path / "out"),
+                               *(a for s in sets for a in ("--set", s))],
+                              EXIT_CONFIG, capsys, tmp_path)
         assert re.fullmatch(r"config error: the configured sizes do not fit in memory: "
-                            r"Unable to allocate [^\n]+\n", err), err
-        assert not (tmp_path / "out").exists()
+                            r"Unable to allocate .+", line), line
 
     def test_failed_write(self, tmp_path, capsys, monkeypatch):
         config = tiny_config(tmp_path)
@@ -800,11 +725,9 @@ class TestFailedCommandLeavesNoOutput:
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(cli.bound, "save_noise_state", disk_full)
-        code = main(["finetune", "--config", config, "--out", str(tmp_path / "failed"),
-                     "--set", f"checkpoint={checkpoint}"])
-        assert code == cli.EXIT_IO
-        assert capsys.readouterr().err == "i/o error: [Errno 28] No space left on device\n"
-        assert not (tmp_path / "failed").exists()
+        line = failed_command(["finetune", "--config", config, "--out", str(tmp_path / "failed"),
+                               "--set", f"checkpoint={checkpoint}"], cli.EXIT_IO, capsys, tmp_path)
+        assert line == "i/o error: [Errno 28] No space left on device"
 
     def test_write_outputs_removes_what_it_made(self, tmp_path):
         def disk_full(path):
@@ -828,11 +751,8 @@ class TestFailedCommandLeavesNoOutput:
             raise KeyboardInterrupt
 
         monkeypatch.setattr(cli, "pretrain_for_task", interrupted)
-        code = main_or_fail([command, "--out", str(tmp_path / "out")])
-        captured = capsys.readouterr()
-        assert code == 130
-        assert (captured.out, captured.err) == ("", "interrupted\n")
-        assert not (tmp_path / "out").exists()
+        assert failed_command([command, "--out", str(tmp_path / "out")], 130, capsys,
+                              tmp_path) == "interrupted"
 
     @pytest.mark.parametrize("unbuffered", [False, True])
     @pytest.mark.parametrize("command", ["generate-data", "pretrain", "gradcheck"])
@@ -910,13 +830,15 @@ class TestTaskFileReads:
             assert reads == want, argv[0]
 
     @pytest.mark.parametrize("command", ["benchmark", "gradcheck"])
-    def test_unused_files_are_not_read(self, tmp_path, csv_files, command):
+    def test_unused_files_are_not_read(self, tmp_path, capsys, csv_files, command):
         source, target, reads = csv_files
         argv = _csv_task_argv(source, target, command, "--config", tiny_config(tmp_path),
                               "--set", 'tasks=["blobs-rotate"]',
                               "--set", 'methods=["vanilla"]')
-        # gradcheck takes no flag, so a task file given to it is a config error
-        assert main(argv) == (EXIT_CONFIG if command == "gradcheck" else EXIT_OK)
+        if command == "gradcheck":  # it takes no flag, so a task file is a config error
+            failed_command(argv, EXIT_CONFIG, capsys, tmp_path)
+        else:
+            assert main(argv) == EXIT_OK
         assert reads == []
 
 
@@ -1072,13 +994,11 @@ class TestBenchmark:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_in_a_worker_names_the_run(self, tmp_path, capfd):
         cfg_path = self.bench_config(tmp_path, out_name="div")
-        code = main(["benchmark", "--config", cfg_path, "--workers", "2",
-                     "--set", "stage1.lr_head=1e308"])
-        err = capfd.readouterr().err
-        assert code == EXIT_DIVERGENCE
-        assert re.search(r"^numeric divergence: blobs-rotate pac-tuning seed [12]: "
-                         r"stage 1 diverged at epoch \d+, batch \d+: ", err), err
-        assert len(err.splitlines()) == 1, err
+        line = failed_command(["benchmark", "--config", cfg_path, "--workers", "2",
+                               "--set", "stage1.lr_head=1e308"], EXIT_DIVERGENCE, capfd,
+                              tmp_path)
+        assert re.match(r"numeric divergence: blobs-rotate pac-tuning seed [12]: "
+                        r"stage 1 diverged at epoch \d+, batch \d+: ", line), line
 
     # a worker's end is the test's to choose, so the pool forks whatever the
     # default start method; capfd also takes the workers' stderr
@@ -1091,10 +1011,8 @@ class TestBenchmark:
         monkeypatch.setattr(cli, "ProcessPoolExecutor", functools.partial(
             ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
         monkeypatch.setattr(cli, "_benchmark_run", run)
-        assert main_or_fail(["benchmark", "--config", self.bench_config(tmp_path),
-                             "--workers", "2"]) == code
-        assert capfd.readouterr() == ("", f"{line}\n")
-        assert not (tmp_path / "bench").exists()
+        assert failed_command(["benchmark", "--config", self.bench_config(tmp_path),
+                               "--workers", "2"], code, capfd, tmp_path) == line
 
     def test_task_override_applies(self, tmp_path):
         cfg_path = self.bench_config(tmp_path, out_name="ovr")

@@ -6,14 +6,14 @@ on a config with one-epoch phases. The inputs are the config file, a
 files, a pretraining checkpoint and a noise file. The mutations are deleted
 and duplicated keys (columns and rows in a CSV), swapped types, ``±1e308``,
 ``5e-324``, ``-0.0``, ``nan`` and ``inf``, truncation, an empty file and a
-byte-order mark. The contract:
+byte-order mark. Every exit but 0 keeps ``helpers.failed_command``'s
+contract, and:
 
-- exit 0 writes only finite numbers and raises no warning;
-- exit 2 prints one ``config error:`` line that names a config key, or a
-  file once, as ``cannot use <what> '<path>': <reason>``;
-- exit 3 prints one line that names the task, the method or
-  ``pretraining``, the seed, the epoch and the batch;
-- a non-zero exit leaves no output directory;
+- exit 0 writes only finite numbers, and no exit raises a warning;
+- exit 2 names a config key, or a file once, as
+  ``cannot use <what> '<path>': <reason>``;
+- exit 3 names the task, the method or ``pretraining``, the seed, the epoch
+  and the batch;
 - no other exit code, and no exception out of ``main``;
 - a key duplicated with another value, in any JSON file, and a swapped value
   of a top-level key that a checkpoint's or noise file's reader reads, exit 2.
@@ -25,21 +25,21 @@ Training regimes keep the same contract. A grid runs ``finetune`` with each
 method, activation and weight-decay setting, and one learning rate raised to
 a value whose updates overflow the weights, their outputs or an epoch
 record's numbers, such as a KL. A regime fine-tunes a checkpoint pretrained
-with its own activation, as ``finetune`` rejects any other. Drawn regimes, with their own fixed seed and
-count, run ``pretrain``, ``finetune`` with each method and ``benchmark``, and
-draw every knob at once: each phase's batch size against its rows (a 1-row
-last batch, one batch per epoch, a batch larger than the set) and 1-3
-epochs, the activation, a frozen or trainable first layer, fixed or running
-K, fixed or auto gamma, ``l_pac_weight`` 0 or 1, ``noise_injection.sigma``
-up to ``1e308``, and one learning rate at ``1e-3``, ``1e3`` or ``1e308``.
-The first 20 ``benchmark`` draws of another seed run with ``--workers 2`` on
-a ``fork`` pool, so a divergence raised in a worker must cross the pool and
-end in the same one line.
+with its own activation, as ``finetune`` rejects any other. Drawn regimes,
+with their own fixed seed and count, run ``pretrain``, ``finetune`` with each
+method and ``benchmark``, and draw every knob at once: each phase's batch
+size against its rows (a 1-row last batch, one batch per epoch, a batch
+larger than the set) and 1-3 epochs, the activation, a frozen or trainable
+first layer, fixed or running K, fixed or auto gamma, ``l_pac_weight`` 0 or
+1, ``noise_injection.sigma`` up to ``1e308``, and one learning rate at
+``1e-3``, ``1e3`` or ``1e308``. The first 20 ``benchmark`` draws of another
+seed run with ``--workers 2`` on a ``fork`` pool, so a divergence raised in a
+worker must cross the pool and end in the same one line.
 
 The command line is mutated too: an unknown flag, each flag on a command that
 does not read it, a ``--seed`` or ``--workers`` that is not an integer >= its
-floor, a missing command and a missing noise file. Each exits 2 with one
-``config error:`` line that names the flag, key or argument.
+floor, a missing command and a missing noise file. Each exits 2 naming the
+flag, key or argument.
 """
 
 import csv
@@ -55,6 +55,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from helpers import failed_command
 
 from pactune import cli
 
@@ -80,7 +81,7 @@ CELLS = ["1e308", "-1e308", "5e-324", "-0.0", "nan", "inf", "-inf", "x", ""]
 COMMANDS = ["generate-data", "pretrain", "finetune", "benchmark", "inspect-noise"]
 METHODS = "pac-tuning|vanilla|noise-injection|pretraining"
 DIVERGENCE = re.compile(rf"numeric divergence: \S+ ({METHODS}) seed \d+: "
-                        rf"[^\n]* diverged at epoch \d+, batch \d+: [^\n]+\n")
+                        rf".* diverged at epoch \d+, batch \d+: .+")
 
 
 class Obj(list):
@@ -315,27 +316,26 @@ def _names_once(line: str, files: dict) -> bool:
 
 def check_contract(argv: list[str], files: dict, where, capsys, named=None) -> int:
     """Run ``argv``, whose output directory is ``where / "out"``, check the
-    exit contract and return the exit code. With ``named``, an exit-2 line
-    must name it, a flag or an argument, in place of a key or a file."""
+    exit contract and return the exit code. A failure is checked by
+    ``helpers.failed_command``; with ``named``, an exit-2 line must name it, a
+    flag or an argument, in place of a key or a file."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = cli.main(argv)
-    out, err = capsys.readouterr()
-    out_dir = where / "out"
+        line = failed_command(argv, (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DIVERGENCE),
+                              capsys, where)
     assert not caught, (argv, [str(w.message) for w in caught])
-    assert code == cli.EXIT_OK or not out_dir.exists(), (argv, code, err)
-    if code == cli.EXIT_OK:
+    if line is None:
+        out, err = capsys.readouterr()
         assert err == "" and not re.search(r"\b(nan|inf)\b", out, re.I), (argv, out, err)
-        for path in out_dir.rglob("*.*"):
+        for path in (where / "out").rglob("*.*"):
             bad = _non_finite(path.read_text(encoding="utf-8"), path.suffix)
             assert not bad, (argv, path.name, bad)
-    elif code == cli.EXIT_CONFIG:
-        assert re.fullmatch(r"config error: [^\n]+\n", err), (argv, err)
-        assert named in err if named else _names_once(err, files), (argv, err)
-    else:
-        assert code == cli.EXIT_DIVERGENCE, (argv, code, err)
-        assert DIVERGENCE.fullmatch(err), (argv, err)
-    return code
+        return cli.EXIT_OK
+    if line.startswith("config error: "):
+        assert named in line if named else _names_once(line, files), (argv, line)
+        return cli.EXIT_CONFIG
+    assert DIVERGENCE.fullmatch(line), (argv, line)
+    return cli.EXIT_DIVERGENCE
 
 
 # the flags each command reads (README, "CLI"); benchmark reads them all
