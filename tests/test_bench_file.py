@@ -167,3 +167,13 @@ def test_unpaired_junit_files_exit_2(tmp_path, capsys, change_xml, message):
                              "--out", str(tmp_path / "B.json")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "B.json").exists()
+
+
+def test_unparsable_junit_file_exits_2(tmp_path, capsys):
+    change = [write(tmp_path / "c.jsonl", [record("pretrain", 1, 1.0, "b")]),
+              tmp_path / "c.xml"]
+    change[1].write_text("<testsuites><testsuite>")  # a pass cut short
+    assert load_tool().main(["--change", *map(str, change),
+                             "--out", str(tmp_path / "B.json")]) == 2
+    assert "c.xml is not a junit file: no element found" in capsys.readouterr().err
+    assert not (tmp_path / "B.json").exists()

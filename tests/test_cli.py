@@ -97,25 +97,34 @@ def _schema_sweep():
 
 # a stub of main that keeps the failed-command contract, then one per part it breaks
 @pytest.mark.parametrize("broken", [
-    {}, {"out": "done\n"}, {"err": "config error: x\nconfig error: y\n"}, {"made": True},
-    {"code": EXIT_DIVERGENCE, "err": "numeric divergence: x\n"},
-], ids=["kept", "stdout", "two-lines", "made-a-directory", "another-code"])
-def test_failed_command_checker(tmp_path, capsys, monkeypatch, broken):
-    stub = {"out": "", "err": "config error: x\n", "made": False, "code": EXIT_CONFIG, **broken}
+    {}, {"out": "done\n"}, {"fd_out": b"done\n"}, {"err": "config error: x\nconfig error: y\n"},
+    {"err": ""}, {"err": "config error: x"}, {"err": "i/o error: x\n"}, {"made": "made"},
+    {"made": "old/made"}, {"code": EXIT_DIVERGENCE, "err": "numeric divergence: x\n"},
+    {"code": EXIT_OK}, {"code": KeyboardInterrupt},
+], ids=["kept", "stdout", "stdout-fd", "two-lines", "no-line", "no-newline", "wrong-prefix",
+        "made-a-directory", "made-in-an-old-directory", "another-code", "exit-0", "interrupt"])
+def test_failed_command_checker(tmp_path, request, monkeypatch, broken):
+    stub = {"out": "", "fd_out": b"", "err": "config error: x\n", "made": "",
+            "code": EXIT_CONFIG, **broken}
+    (tmp_path / "old").mkdir()
 
     def stub_main(argv):
         print(stub["out"], end="")
+        os.write(1, stub["fd_out"])  # as a pool worker prints: seen by capfd only
         print(stub["err"], end="", file=sys.stderr)
         if stub["made"]:
-            (tmp_path / "made").mkdir()
+            (tmp_path / stub["made"]).mkdir()
+        if stub["code"] is KeyboardInterrupt:
+            raise KeyboardInterrupt
         return stub["code"]
 
     monkeypatch.setattr(cli, "main", stub_main)
+    capture = request.getfixturevalue("capfd" if "fd_out" in broken else "capsys")
     if not broken:
-        assert failed_command([], EXIT_CONFIG, capsys, tmp_path) == "config error: x"
+        assert failed_command([], EXIT_CONFIG, capture, tmp_path) == "config error: x"
     else:
         with pytest.raises(AssertionError):
-            failed_command([], EXIT_CONFIG, capsys, tmp_path)
+            failed_command([], EXIT_CONFIG, capture, tmp_path)
 
 
 class TestConfig:

@@ -52,8 +52,12 @@ def junit_times(path: Path) -> dict[str, float]:
     """The time of each ``tests.test_acceptance`` testcase of a junit file, by
     name (a test class's name first, if any), and ``total``, the sum of every
     testcase's time."""
+    try:
+        root = ET.parse(path)
+    except ET.ParseError as e:
+        raise ValueError(f"tier1: {path} is not a junit file: {e}") from None
     times, every = {}, []
-    for case in ET.parse(path).iter("testcase"):
+    for case in root.iter("testcase"):
         every.append(float(case.get("time", 0.0)))
         module = case.get("classname", "").split(".")
         if module[:2] == ACCEPTANCE:
@@ -203,7 +207,7 @@ def main(argv=None) -> int:
         bench = condense(change, parent)
         if change_xml or parent_xml:
             bench["tier1"] = tier1(change_xml, parent_xml)
-    except (ValueError, ET.ParseError) as e:
+    except ValueError as e:
         print(f"bench_file: {e}", file=sys.stderr)
         return 2
     args.out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n",
