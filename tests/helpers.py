@@ -1,4 +1,5 @@
-"""Shared oracles for the test suite, and the one checker of a command that fails."""
+"""Shared oracles for the test suite, the one checker of a command that fails, and
+each trainer and its reference loop run by label."""
 
 import math
 
@@ -8,7 +9,8 @@ from pactune import cli
 from pactune.bound import K_FLOOR, FixedK, generic_bound, kl_diag_vs_isotropic, pac_objective
 from pactune.models import ParamGroup, StepWorkspace, loss_and_grads
 from pactune.optim import WEIGHT_DECAY, AdamState, adam_step, schedule_value
-from pactune.pipeline import evaluate
+from pactune.pipeline import (evaluate, noise_injection_finetune, pretrain_model,
+                              stage1_train, stage2_train, vanilla_finetune)
 
 
 def mc_kl(mu_q, var_q, mu_p, var_p, n_samples, seed, antithetic=True):
@@ -93,6 +95,53 @@ def failed_command(argv, code, capture, where):
     return err[:-1]
 
 
+# --- each trainer by the label its divergences carry -------------------------------
+
+SIGMA = 0.05  # the noise-injection sigma of every run by label
+
+
+def run_trainer(label, model, noise, train, dev, cfg, bound_cfg, data_rng, noise_rng,
+                epoch_offset=0):
+    """Run the ``pipeline`` trainer whose divergences name ``label``; returns
+    ``(model, trace, learned noise or None)``. Pretraining trains a fresh model
+    of ``model``'s layer sizes from seed 4, and returns no trace."""
+    if label == "pretraining":
+        return pretrain_model(train, model.layer_sizes, cfg.epochs, cfg.batch_size,
+                              cfg.lr_backbone, cfg.lr_head, seed=4), None, None
+    if label == "stage 1":
+        model, learned, trace = stage1_train(model, noise, train, dev, cfg, bound_cfg,
+                                             data_rng, noise_rng)
+        return model, trace, learned
+    if label == "stage 2":
+        out = stage2_train(model, noise, train, dev, cfg, data_rng, noise_rng, bound_cfg,
+                           epoch_offset)
+    elif label == "vanilla fine-tuning":
+        out = vanilla_finetune(model, train, dev, cfg, data_rng)
+    else:
+        out = noise_injection_finetune(model, train, dev, cfg, SIGMA, data_rng, noise_rng)
+    return (*out, None)
+
+
+def run_reference(label, model, noise, train, dev, cfg, bound_cfg, data_rng, noise_rng,
+                  epoch_offset=0):
+    """``run_trainer`` for a fine-tuning label, by ``reference_descend`` on a
+    copy of ``noise``."""
+    noise, diagnostics = noise.copy(), None
+    if label == "stage 1":
+        step, diagnostics = stage1_step(cfg, bound_cfg, noise, noise_rng)
+    elif label == "stage 2":
+        step = fresh_step(cfg, gaussian(noise, noise_rng))
+        diagnostics = stage2_diagnostics(noise, bound_cfg)
+    elif label == "vanilla fine-tuning":
+        step = fresh_step(cfg)
+    else:
+        step = fresh_step(cfg, random_layer(SIGMA, noise_rng))
+    stage = {"stage 1": 1, "stage 2": 2}.get(label, 0)
+    model, trace = reference_descend(model, train, dev, cfg, data_rng, step, stage,
+                                     epoch_offset, diagnostics)
+    return model, trace, noise if label == "stage 1" else None
+
+
 # --- the descent loop without its hoisted state ----------------------------------
 #
 # Each step below builds a fresh workspace, fresh perturbed and learning-rate
@@ -103,40 +152,40 @@ def failed_command(argv, code, capture, where):
 GROUPS = (ParamGroup.BACKBONE, ParamGroup.HEAD)
 
 
-def _fresh_step(model, x, y, adam, lr_b, lr_h, weight_decay, perturb=None):
-    packer = model.layout
-    work = StepWorkspace(model, lr_b, lr_h)
-    theta = model.theta if perturb is None else perturb(model.theta.copy(), packer)
-    loss = loss_and_grads(work, packer.views(theta), x, y)
-    lr = packer.per_coordinate(lr_b, lr_h)
-    adam_step(adam, model.theta[packer.start:], work.grad.copy(), lr,
-              lr * WEIGHT_DECAY if weight_decay else None)
-    return loss, 0.0, 0.0, 0.0
+def fresh_step(cfg, perturb=None):
+    """A plain step, or a step whose loss is taken at ``perturb(theta copy,
+    packer)``."""
+    def step(model, x, y, adam):
+        packer = model.layout
+        work = StepWorkspace(model, cfg.lr_backbone, cfg.lr_head)
+        theta = model.theta if perturb is None else perturb(model.theta.copy(), packer)
+        loss = loss_and_grads(work, packer.views(theta), x, y)
+        lr = packer.per_coordinate(cfg.lr_backbone, cfg.lr_head)
+        adam_step(adam, model.theta[packer.start:], work.grad.copy(), lr,
+                  lr * WEIGHT_DECAY if cfg.weight_decay else None)
+        return loss, 0.0, 0.0, 0.0
+
+    return step
 
 
-def plain_step(cfg):
-    return lambda model, x, y, adam: _fresh_step(
-        model, x, y, adam, cfg.lr_backbone, cfg.lr_head, cfg.weight_decay)
-
-
-def pgd_step(cfg, noise, rng):
+def gaussian(noise, rng):
+    """Stage 2's perturbation: each trainable weight by its learned std."""
     def perturb(theta, packer):
         std = np.exp(noise.log_std)
         theta[packer.start:] = theta[packer.start:] + std * rng.standard_normal(std.size)
         return theta
 
-    return lambda model, x, y, adam: _fresh_step(
-        model, x, y, adam, cfg.lr_backbone, cfg.lr_head, cfg.weight_decay, perturb)
+    return perturb
 
 
-def random_layer_step(cfg, sigma, rng):
+def random_layer(sigma, rng):
+    """Noise injection's perturbation: one layer, drawn per step, by ``sigma``."""
     def perturb(theta, packer):
         start, stop, _ = packer.layers[int(rng.integers(len(packer.layers)))]
         theta[start:stop] += sigma * rng.standard_normal(stop - start)
         return theta
 
-    return lambda model, x, y, adam: _fresh_step(
-        model, x, y, adam, cfg.lr_backbone, cfg.lr_head, cfg.weight_decay, perturb)
+    return perturb
 
 
 def stage1_step(cfg, bound_cfg, noise, rng):
@@ -178,24 +227,25 @@ def stage1_step(cfg, bound_cfg, noise, rng):
         assert np.all(noise.variances() > 0.0)
         return terms.l_train, terms.l_pac, terms.kl_backbone, terms.kl_head
 
-    def diagnostics(model, kl_b, kl_h):
-        return (kl_b, kl_h, noise.mean_variance(ParamGroup.BACKBONE),
-                noise.mean_variance(ParamGroup.HEAD),
-                generic_bound(kl_b + kl_h, bound_cfg.delta, bound_cfg.m))
-
-    return step, diagnostics
+    return step, lambda model, kl_b, kl_h: bound_diagnostics(noise, bound_cfg, kl_b, kl_h)
 
 
-def stage2_diagnostics(noise, delta, m):
+def bound_diagnostics(noise, bound_cfg, kl_b, kl_h):
+    """An epoch record's KLs, mean variances and generic bound."""
+    return (kl_b, kl_h, noise.mean_variance(ParamGroup.BACKBONE),
+            noise.mean_variance(ParamGroup.HEAD),
+            generic_bound(kl_b + kl_h, bound_cfg.delta, bound_cfg.m))
+
+
+def stage2_diagnostics(noise, bound_cfg):
+    """Stage 2's: the KLs of the epoch's last weights."""
     def diagnostics(model, kl_b, kl_h):
         packer = model.layout
         weights = model.theta[packer.start:]
-        kl = [kl_diag_vs_isotropic(weights[packer.group(g)], noise.variances(g),
-                                   noise.anchor(g), math.exp(noise.prior_log_var(g)))
-              for g in GROUPS]
-        return (kl[0], kl[1], noise.mean_variance(ParamGroup.BACKBONE),
-                noise.mean_variance(ParamGroup.HEAD),
-                generic_bound(kl[0] + kl[1], delta, m))
+        return bound_diagnostics(noise, bound_cfg, *(
+            kl_diag_vs_isotropic(weights[packer.group(g)], noise.variances(g),
+                                 noise.anchor(g), math.exp(noise.prior_log_var(g)))
+            for g in GROUPS))
 
     return diagnostics
 

@@ -19,7 +19,10 @@ contract, and:
   of a top-level key that a checkpoint's or noise file's reader reads, exit 2.
 
 The seed and the case count are fixed; numbers are never mutated into large
-integers, as a large valid count or size is a long run, not a fault.
+integers, as a large valid count or size is a long run, not a fault. Each of
+those numbers that a leaf accepts is also run on its own, and ``EXTREMES``
+records the exit each gives, so a value that stops being accepted, or starts
+to diverge, fails by name.
 
 Training regimes keep the same contract. A grid runs ``finetune`` with each
 method, activation and weight-decay setting, and one learning rate raised to
@@ -217,8 +220,33 @@ def mutate_set(rng, config: dict) -> str:
 
 
 CONFIG = cli._deep_merge(cli.DEFAULT_CONFIG, BASE)  # every key: each leaf is reachable
-# every value of NUMBERS that a leaf's or a field's kind accepts, so each is run
-EXTREMES = [(path, v) for path, kind in targets(CONFIG) for v in NUMBERS if kind.ok(v)]
+# every value of NUMBERS that a leaf's or a field's kind accepts, and the exit
+# it gives: 2 where a generator rejects it, 3 where the training diverges
+EXTREMES = [(path, v, code) for path, codes in {
+    **{f"task.{side}.{key}": {1e308: 2, -1e308: 2, 5e-324: 0, -0.0: 0}
+       for side in ("source", "target") for key in ("separation", "class_std", "noise_std")},
+    "task.target.rotation_degrees": {1e308: 0, -1e308: 0, 5e-324: 0, -0.0: 0},
+    "task.target.shift": {1e308: 2, -1e308: 2, 5e-324: 0, -0.0: 0},
+    "pretrain.lr_backbone": {1e308: 3, 5e-324: 0},
+    "pretrain.lr_head": {1e308: 3, 5e-324: 0},
+    "stage1.lr_backbone": {1e308: 0, 5e-324: 0},
+    "stage1.lr_head": {1e308: 3, 5e-324: 0},
+    "stage1.lr_noise_backbone": {1e308: 3, 5e-324: 0},
+    "stage1.lr_noise_head": {1e308: 3, 5e-324: 0},
+    "stage1.lr_noise_head.init": {1e308: 3, 5e-324: 0},
+    "stage1.lr_noise_head.factor": {1e308: 0, 5e-324: 0},
+    "stage1.lr_noise_head.floor": {1e308: 3, 5e-324: 0},
+    "stage1.l_pac_weight": {1e308: 0, 5e-324: 0, -0.0: 0},
+    "stage2.lr_backbone": {1e308: 0, 5e-324: 0},
+    "stage2.lr_head": {1e308: 3, 5e-324: 0},
+    "bound.delta": {5e-324: 3},
+    "bound.gamma.value": {1e308: 0, 5e-324: 3},
+    "bound.gamma.low": {1e308: 0, 5e-324: 0},
+    "bound.gamma.high": {1e308: 0, 5e-324: 0},
+    "bound.k.ema_decay": {5e-324: 0},
+    "bound.k.value": {1e308: 0, 5e-324: 0},
+    "noise_injection.sigma": {1e308: 3, 5e-324: 0, -0.0: 0},
+}.items() for v, code in codes.items()]
 # the command that reads a section's leaves; finetune reads the others
 READER = {"task": "generate-data", "pretrain": "pretrain", "noise_injection": "benchmark"}
 RELU = 'model.activation="relu"'
@@ -380,12 +408,19 @@ def test_mutated_input(tmp_path, monkeypatch, capsys, inputs, case):
     assert code == cli.EXIT_CONFIG or not rejected, argv
 
 
-@pytest.mark.parametrize("path, value", EXTREMES)
-def test_accepted_extreme(tmp_path, monkeypatch, capsys, inputs, path, value):
+@pytest.mark.parametrize("path, value, code", EXTREMES,
+                         ids=[f"{path}-{value}" for path, value, _ in EXTREMES])
+def test_accepted_extreme(tmp_path, monkeypatch, capsys, inputs, path, value, code):
     monkeypatch.chdir(tmp_path)
     command = READER.get(path.split(".")[0], "finetune")
     argv = _argv(command, inputs, [f"{path}={json.dumps(value)}"], tmp_path)
-    check_contract(argv, inputs, tmp_path, capsys)
+    assert check_contract(argv, inputs, tmp_path, capsys) == code
+
+
+def test_extremes_are_every_accepted_number():
+    accepted = {(path, repr(v)) for path, kind in targets(CONFIG) for v in NUMBERS
+                if kind.ok(v)}
+    assert {(path, repr(v)) for path, v, _ in EXTREMES} == accepted
 
 
 # the learning-rate leaves each method reads; the baselines train at stage 2's rates

@@ -359,22 +359,12 @@ class TestStage2AndBaselines:
         pretrained, train, dev = toy_task
         model = fresh_head(pretrained, 3)
         cfg = Stage2Config(epochs=3, lr_backbone=1e308, lr_head=1e308)
-        data_rng, noise_rng = np.random.default_rng(1), np.random.default_rng(2)
         # batch 0's update makes θ infinite, so batch 1's forward pass fails
         with pytest.raises(DivergenceError,
                            match=f"^{label} diverged at epoch 0, batch 1: layer 0 "):
-            if label == "pretraining":
-                pipeline.pretrain_model(train, [3, 10, 2], epochs=3, batch_size=32,
-                                        lr_backbone=1e308, lr_head=1e308, seed=4)
-            elif label == "stage 2":
-                noise = init_noise_state(model)
-                stage2_train(model, noise, train, dev, cfg, data_rng, noise_rng,
-                             BoundConfig(m=len(train)))
-            elif label == "vanilla fine-tuning":
-                vanilla_finetune(model, train, dev, cfg, data_rng)
-            else:
-                noise_injection_finetune(model, train, dev, cfg, 0.01, data_rng,
-                                         noise_rng)
+            helpers.run_trainer(label, model, init_noise_state(model), train, dev, cfg,
+                                BoundConfig(m=len(train)), np.random.default_rng(1),
+                                np.random.default_rng(2))
 
     @pytest.mark.parametrize("config, stage", [(Stage1Config, "stage 1"),
                                                (Stage2Config, "stage 2")])
@@ -429,8 +419,9 @@ class TestNonFiniteGradient:
         want = (f"^vanilla fine-tuning diverged at {self.where(train, k)}: "
                 "the gradient is not finite$")
         with pytest.raises(DivergenceError, match=want):
-            vanilla_finetune(fresh_head(pretrained, 3), train, dev, Stage2Config(epochs=3),
-                             np.random.default_rng(1))
+            helpers.run_trainer("vanilla fine-tuning", fresh_head(pretrained, 3), None, train,
+                                dev, Stage2Config(epochs=3), None, np.random.default_rng(1),
+                                None)
 
     @pytest.mark.parametrize("k", [0, 3])
     def test_stage1_noise_gradient(self, toy_task, monkeypatch, k):
@@ -447,9 +438,9 @@ class TestNonFiniteGradient:
         monkeypatch.setattr(pipeline, "pac_objective", poisoned)
         want = f"^stage 1 diverged at {self.where(train, k)}: the gradient is not finite$"
         with pytest.raises(DivergenceError, match=want):
-            stage1_train(model, init_noise_state(model), train, dev, small_stage1(epochs=3),
-                         BoundConfig(m=len(train)), np.random.default_rng(1),
-                         np.random.default_rng(2))
+            helpers.run_trainer("stage 1", model, init_noise_state(model), train, dev,
+                                small_stage1(epochs=3), BoundConfig(m=len(train)),
+                                np.random.default_rng(1), np.random.default_rng(2))
 
 
 class TestInputContract:
@@ -491,23 +482,11 @@ class TestInputContract:
         pretrained, _, dev = toy_task
         empty = datasets.Dataset(x=np.empty((0, 3)), y=np.empty(0, dtype=np.int64))
         model = fresh_head(pretrained, 0)
-        noise = init_noise_state(model)
-        cfg = Stage2Config(epochs=1)
-        data_rng, noise_rng = np.random.default_rng(1), np.random.default_rng(2)
+        cfg = (small_stage1 if label == "stage 1" else Stage2Config)(epochs=1)
         with pytest.raises(ValueError, match=f"^{label}: the training set is empty$"):
-            if label == "pretraining":
-                pipeline.pretrain_model(empty, [3, 10, 2], epochs=1, batch_size=32,
-                                        lr_backbone=1e-3, lr_head=1e-2, seed=4)
-            elif label == "vanilla fine-tuning":
-                vanilla_finetune(model, empty, dev, cfg, data_rng)
-            elif label == "noise injection":
-                noise_injection_finetune(model, empty, dev, cfg, 0.01, data_rng, noise_rng)
-            elif label == "stage 1":
-                stage1_train(model, noise, empty, dev, small_stage1(epochs=1),
-                             BoundConfig(m=1), data_rng, noise_rng)
-            else:
-                stage2_train(model, noise, empty, dev, cfg, data_rng, noise_rng,
-                             BoundConfig(m=1))
+            helpers.run_trainer(label, model, init_noise_state(model), empty, dev, cfg,
+                                BoundConfig(m=1), np.random.default_rng(1),
+                                np.random.default_rng(2))
 
 
 class TestDeterminismAndRecords:
@@ -568,94 +547,127 @@ class TestNoiseLearningContrast:
         assert loss_only < full
 
 
-class TestStepWorkspace:
-    """The loop's once-built workspace against a loop that rebuilds everything,
-    with and without weight decay: each trainer's own flag must reach it."""
+def loop_rows():
+    """The rows of ``test_trainer_equals_the_reference_loop``: (data, label,
+    freeze, activation, cfg, bound kwargs, epoch offset), each with its id."""
+    rows = []
 
-    @pytest.fixture
-    def run(self, toy_task):
-        pretrained, train, dev = toy_task
-        assert len(train) % 32 != 0  # a ragged last batch
+    def row(tag, data, label, freeze, activation, cfg, bound=None, offset=0):
+        rows.append(pytest.param(data, label, freeze, activation, cfg, bound or {}, offset,
+                                 id=f"{data}-{label}-{tag}"))
 
-        def start(freeze):
-            model = fresh_head(pretrained, 0, freeze=freeze)
-            noise = init_noise_state(model)
+    for freeze, decay in itertools.product((True, False), repeat=2):
+        tag = f"{'frozen' if freeze else 'free'}-{'decay' if decay else 'no-decay'}"
+        row(tag, "workspace", "vanilla fine-tuning", freeze, "tanh",
+            Stage2Config(epochs=3, lr_backbone=3e-3, lr_head=2e-2, weight_decay=decay))
+        row(tag, "workspace", "stage 2", freeze, "tanh",
+            Stage2Config(epochs=3, weight_decay=decay), offset=4)
+        row(tag, "workspace", "noise injection", freeze, "tanh",
+            Stage2Config(epochs=3, weight_decay=decay))
+        for name, k in (("running-k", RunningK()), ("fixed-k", FixedK(0.5))):
+            # the head's noise rate steps every 2 updates, so its vector is rebuilt
+            row(f"{tag}-{name}", "workspace", "stage 1", freeze, "tanh",
+                small_stage1(epochs=3, lr_noise_head=StepDecay(0.5, 0.7, 2, 0.01),
+                             decay_weights=decay),
+                {"gamma": AutoGamma(0.01, 10.0), "k": k})
+    for activation in ("tanh", "relu"):
+        for size in range(1, 33):
+            row(f"{activation}-{size}", "slices", "vanilla fine-tuning", True, activation,
+                Stage2Config(epochs=2, batch_size=size, lr_backbone=3e-2, lr_head=5e-2))
+        for size in (1, 2, 17, 32):
+            row(f"{activation}-{size}", "slices", "noise injection", True, activation,
+                Stage2Config(epochs=4, batch_size=size))
+        for size in (1, 2, 32):
+            row(f"{activation}-{size}", "slices", "stage 2", True, activation,
+                Stage2Config(epochs=2, batch_size=size))
+            row(f"{activation}-{size}", "slices", "stage 1", True, activation,
+                small_stage1(epochs=2, batch_size=size))
+        for freeze in (True, False):
+            row(f"{'frozen' if freeze else 'free'}-{activation}", "dev", "vanilla fine-tuning",
+                freeze, activation, Stage2Config(epochs=6, lr_backbone=3e-2, lr_head=5e-2))
+    return rows
+
+
+@pytest.fixture(scope="module")
+def slice_data():
+    rng = np.random.default_rng(8)
+    return (rng.standard_normal((97, 6)), rng.integers(0, 3, 97),
+            datasets.Dataset(rng.standard_normal((50, 6)), rng.integers(0, 3, 50)))
+
+
+@pytest.fixture
+def start(toy_task, slice_data):
+    """A row's model, noise state, training and dev sets. ``slices`` data is
+    97 random rows cut so that the last batch holds 1 row, under a frozen first
+    layer; the others fine-tune the toy task (ragged batches), and
+    ``workspace`` moves the noise off its initial state."""
+    def start(data, freeze, activation="tanh", batch_size=32):
+        if data == "slices":
+            x, y, dev = slice_data
+            n = batch_size * (96 // batch_size) + 1
+            model = models.init_weights([6, 24, 12, 3], np.random.default_rng(9),
+                                        activation, freeze_first_layer=freeze)
+            train = datasets.Dataset(x[:n].copy(), y[:n])
+        else:
+            pretrained, train, dev = toy_task
+            assert len(train) % 32 != 0 and len(dev) % 32 != 0
+            model = fresh_head(models.MLPClassifier(pretrained.layer_sizes,
+                                                    pretrained.theta.copy(), activation),
+                               0, freeze=freeze)
+        noise = init_noise_state(model)
+        if data == "workspace":
             noise.params[:] += 0.2 * np.random.default_rng(1).standard_normal(
                 noise.params.size)
-            return model, noise, train, dev
+        return model, noise, train, dev
 
-        return start
+    return start
 
-    @staticmethod
-    def rngs():
-        return np.random.default_rng(10), np.random.default_rng(11)
 
-    @staticmethod
-    def assert_same(got, want):
-        (model, trace), (ref_model, ref_trace) = got, want
-        assert np.array_equal(model.theta, ref_model.theta)
-        assert trace == ref_trace
+class TestLoopEquivalence:
+    """Each trainer against ``helpers.run_reference``, a loop that rebuilds
+    its workspace every step, gathers every batch's rows itself and evaluates
+    with ``evaluate``: θ, every epoch record and the learned noise bit for bit.
+    The rows cover each trainer with and without its weight-decay flag, every
+    batch size up to 32 with a 1-row last batch (a BLAS whose rows of a product
+    depend on the rows around them, or on where they sit in memory, fails
+    here), and the dev pass on the workspace's buffers and a frozen layer's
+    output computed once."""
 
-    @pytest.mark.parametrize("decay", [True, False])
-    @pytest.mark.parametrize("freeze", [True, False])
-    def test_plain(self, run, freeze, decay):
-        model, _, train, dev = run(freeze)
-        cfg = Stage2Config(epochs=3, lr_backbone=3e-3, lr_head=2e-2, weight_decay=decay)
-        self.assert_same(
-            vanilla_finetune(model, train, dev, cfg, self.rngs()[0]),
-            helpers.reference_descend(model, train, dev, cfg, self.rngs()[0],
-                                      helpers.plain_step(cfg)))
-
-    @pytest.mark.parametrize("decay", [True, False])
-    @pytest.mark.parametrize("freeze", [True, False])
-    def test_pgd(self, run, freeze, decay):
-        model, noise, train, dev = run(freeze)
+    @pytest.mark.parametrize("data, label, freeze, activation, cfg, bound, offset",
+                             loop_rows())
+    def test_trainer_equals_the_reference_loop(self, start, monkeypatch, data, label,
+                                               freeze, activation, cfg, bound, offset):
+        model, noise, train, dev = start(data, freeze, activation, cfg.batch_size)
         before = noise.copy()
-        cfg = Stage2Config(epochs=3, weight_decay=decay)
-        bound_cfg = BoundConfig(m=len(train))
-        data_rng, noise_rng = self.rngs()
-        got = stage2_train(model, noise, train, dev, cfg, data_rng, noise_rng, bound_cfg,
-                           epoch_offset=4)
-        data_rng, noise_rng = self.rngs()
-        self.assert_same(got, helpers.reference_descend(
-            model, train, dev, cfg, data_rng, helpers.pgd_step(cfg, noise, noise_rng),
-            stage=2, epoch_offset=4,
-            diagnostics=helpers.stage2_diagnostics(noise, bound_cfg.delta, len(train))))
+        bound_cfg = BoundConfig(m=len(train), **bound)
+        frozen, picked_first = slice(*model.layout.layers[0][:2]), []
+        real = pipeline.random_layer_noise_step
+
+        def step(work, *args):  # did the step's noise go into the frozen layer 0?
+            loss = real(work, *args)
+            picked_first.append(not np.array_equal(work.noisy[frozen],
+                                                   work.model.theta[frozen]))
+            return loss
+
+        monkeypatch.setattr(pipeline, "random_layer_noise_step", step)
+        seeds = (10, 11) if data == "workspace" else (4, 5)
+        got, want = (run(label, model, noise, train, dev, cfg, bound_cfg,
+                         *map(np.random.default_rng, seeds), epoch_offset=offset)
+                     for run in (helpers.run_trainer, helpers.run_reference))
+        assert np.array_equal(got[0].theta, want[0].theta)
+        assert got[1] == want[1]
+        assert (got[2] is None) == (want[2] is None)
+        assert got[2] is None or np.array_equal(got[2].params, want[2].params)
         assert np.array_equal(noise.params, before.params)
+        if data == "dev":
+            assert len({e["dev_mcc"] for e in got[1]}) > 1  # the metrics do move
+        if data == "slices" and label == "noise injection":
+            assert any(picked_first) and not all(picked_first)
 
-    @pytest.mark.parametrize("decay", [True, False])
-    @pytest.mark.parametrize("freeze", [True, False])
-    def test_random_layer_noise(self, run, freeze, decay):
-        model, _, train, dev = run(freeze)
-        cfg = Stage2Config(epochs=3, weight_decay=decay)
-        data_rng, noise_rng = self.rngs()
-        got = noise_injection_finetune(model, train, dev, cfg, 0.05, data_rng, noise_rng)
-        data_rng, noise_rng = self.rngs()
-        self.assert_same(got, helpers.reference_descend(
-            model, train, dev, cfg, data_rng,
-            helpers.random_layer_step(cfg, 0.05, noise_rng)))
 
-    @pytest.mark.parametrize("decay", [True, False])
-    @pytest.mark.parametrize("k", [RunningK(), FixedK(0.5)], ids=["running-k", "fixed-k"])
-    @pytest.mark.parametrize("freeze", [True, False])
-    def test_stage1(self, run, freeze, decay, k):
-        # the head's noise rate steps every 2 updates, so its vector is rebuilt
-        model, noise, train, dev = run(freeze)
-        cfg = small_stage1(epochs=3, lr_noise_head=StepDecay(0.5, 0.7, 2, 0.01),
-                           decay_weights=decay)
-        bound_cfg = BoundConfig(m=len(train), gamma=AutoGamma(0.01, 10.0), k=k)
-        data_rng, noise_rng = self.rngs()
-        model_out, learned, trace = stage1_train(model, noise, train, dev, cfg,
-                                                 bound_cfg, data_rng, noise_rng)
-        data_rng, noise_rng = self.rngs()
-        ref_noise = noise.copy()
-        step, diagnostics = helpers.stage1_step(cfg, bound_cfg, ref_noise, noise_rng)
-        self.assert_same((model_out, trace), helpers.reference_descend(
-            model, train, dev, cfg, data_rng, step, stage=1, diagnostics=diagnostics))
-        assert np.array_equal(learned.params, ref_noise.params)
-
-    def test_objective_gradients_live_in_the_workspace(self, run):
-        model, noise, train, _ = run(True)
+class TestStepWorkspace:
+    def test_objective_gradients_live_in_the_workspace(self, start):
+        model, noise, train, _ = start("workspace", True)
         work = StepWorkspace(model, 1e-3, 1e-2)
         cfg = BoundConfig(m=len(train))
         rng = np.random.default_rng(3)
@@ -678,93 +690,8 @@ class TestStepWorkspace:
 
 
 class TestEpochSlices:
-    """Each epoch's rows gathered once and sliced per step, against the
-    reference loop, which gathers every batch's rows itself: bit for bit, for
-    every batch size up to 32, each with a 1-row last batch, and with a frozen
-    first layer. A BLAS whose rows of a product depend on the rows around them,
-    or on where they sit in memory, fails here."""
-
-    @pytest.fixture(scope="class")
-    def data(self):
-        rng = np.random.default_rng(8)
-        return (rng.standard_normal((97, 6)), rng.integers(0, 3, 97),
-                datasets.Dataset(rng.standard_normal((50, 6)), rng.integers(0, 3, 50)))
-
-    @staticmethod
-    def start(data, size, activation):
-        x, y, dev = data
-        n = size * (96 // size) + 1  # the last batch holds 1 row
-        model = models.init_weights([6, 24, 12, 3], np.random.default_rng(9), activation,
-                                    freeze_first_layer=True)
-        return model, datasets.Dataset(x[:n].copy(), y[:n]), dev
-
-    @staticmethod
-    def assert_same(got, want):
-        (model, trace), (ref_model, ref_trace) = got, want
-        assert np.array_equal(model.theta, ref_model.theta)
-        assert trace == ref_trace
-
-    @pytest.mark.parametrize("activation", ["tanh", "relu"])
-    @pytest.mark.parametrize("size", range(1, 33))
-    def test_plain(self, data, size, activation):
-        model, train, dev = self.start(data, size, activation)
-        cfg = Stage2Config(epochs=2, batch_size=size, lr_backbone=3e-2, lr_head=5e-2)
-        self.assert_same(
-            vanilla_finetune(model, train, dev, cfg, np.random.default_rng(4)),
-            helpers.reference_descend(model, train, dev, cfg, np.random.default_rng(4),
-                                      helpers.plain_step(cfg)))
-
-    @pytest.mark.parametrize("activation", ["tanh", "relu"])
-    @pytest.mark.parametrize("size", [1, 2, 17, 32])
-    def test_noise_injection(self, data, monkeypatch, size, activation):
-        model, train, dev = self.start(data, size, activation)
-        cfg = Stage2Config(epochs=4, batch_size=size)
-        frozen = slice(*model.layout.layers[0][:2])
-        picked_first, real = [], pipeline.random_layer_noise_step
-
-        def step(work, *args):  # did the step's noise go into the frozen layer 0?
-            loss = real(work, *args)
-            picked_first.append(not np.array_equal(work.noisy[frozen],
-                                                   work.model.theta[frozen]))
-            return loss
-
-        monkeypatch.setattr(pipeline, "random_layer_noise_step", step)
-        self.assert_same(
-            noise_injection_finetune(model, train, dev, cfg, 0.05, np.random.default_rng(4),
-                                     np.random.default_rng(5)),
-            helpers.reference_descend(model, train, dev, cfg, np.random.default_rng(4),
-                                      helpers.random_layer_step(cfg, 0.05,
-                                                                np.random.default_rng(5))))
-        assert any(picked_first) and not all(picked_first)
-
-    @pytest.mark.parametrize("activation", ["tanh", "relu"])
-    @pytest.mark.parametrize("size", [1, 2, 32])
-    def test_perturbed_and_stage1(self, data, size, activation):
-        model, train, dev = self.start(data, size, activation)
-        noise = init_noise_state(model)
-        cfg2 = Stage2Config(epochs=2, batch_size=size)
-        bound_cfg = BoundConfig(m=len(train))
-        self.assert_same(
-            stage2_train(model, noise, train, dev, cfg2, np.random.default_rng(4),
-                         np.random.default_rng(5), bound_cfg),
-            helpers.reference_descend(
-                model, train, dev, cfg2, np.random.default_rng(4),
-                helpers.pgd_step(cfg2, noise, np.random.default_rng(5)), stage=2,
-                diagnostics=helpers.stage2_diagnostics(noise, bound_cfg.delta, len(train))))
-        cfg1 = small_stage1(epochs=2, batch_size=size)
-        model_out, learned, trace = stage1_train(model, noise, train, dev, cfg1, bound_cfg,
-                                                 np.random.default_rng(4),
-                                                 np.random.default_rng(5))
-        ref_noise = noise.copy()
-        step, diagnostics = helpers.stage1_step(cfg1, bound_cfg, ref_noise,
-                                                np.random.default_rng(5))
-        self.assert_same((model_out, trace), helpers.reference_descend(
-            model, train, dev, cfg1, np.random.default_rng(4), step, stage=1,
-            diagnostics=diagnostics))
-        assert np.array_equal(learned.params, ref_noise.params)
-
-    def test_non_finite_row_names_the_batch_that_holds_it(self, data):
-        model, train, dev = self.start(data, 8, "tanh")
+    def test_non_finite_row_names_the_batch_that_holds_it(self, start):
+        model, _, train, dev = start("slices", True, "tanh", 8)
         train.x[50, 2] = np.inf
         batch = int(np.flatnonzero(np.random.default_rng(0).permutation(len(train)) == 50)[0]
                     ) // 8
@@ -781,8 +708,9 @@ class TestAppliedGradient:
     ``work.grad`` gives the loop's θ and moments bit for bit."""
 
     @pytest.mark.parametrize("freeze", [True, False])
-    @pytest.mark.parametrize("kind", ["plain", "perturbed", "random-layer", "stage 1"])
-    def test_one_step(self, toy_task, monkeypatch, kind, freeze):
+    @pytest.mark.parametrize("label", ["vanilla fine-tuning", "stage 2", "noise injection",
+                                       "stage 1"])
+    def test_one_step(self, toy_task, monkeypatch, label, freeze):
         pretrained, train, dev = toy_task
         model = fresh_head(pretrained, 0, freeze=freeze)
         noise = init_noise_state(model)
@@ -795,18 +723,10 @@ class TestAppliedGradient:
 
         monkeypatch.setattr(pipeline, "StepWorkspace", Recorded)
         rng = np.random.default_rng(0)
-        one_step = Stage2Config(epochs=1, batch_size=len(train))
-        if kind == "plain":
-            out, _ = vanilla_finetune(model, train, dev, one_step, rng)
-        elif kind == "perturbed":
-            out, _ = stage2_train(model, noise, train, dev, one_step, rng, rng,
-                                  BoundConfig(m=len(train)))
-        elif kind == "random-layer":
-            out, _ = noise_injection_finetune(model, train, dev, one_step, 0.05, rng, rng)
-        else:
-            out, _, _ = stage1_train(model, noise, train, dev,
-                                     small_stage1(epochs=1, batch_size=len(train)),
-                                     BoundConfig(m=len(train)), rng, rng)
+        one_step = (small_stage1 if label == "stage 1" else Stage2Config)(
+            epochs=1, batch_size=len(train))
+        out, _, _ = helpers.run_trainer(label, model, noise, train, dev, one_step,
+                                        BoundConfig(m=len(train)), rng, rng)
         [work] = works
         replay = AdamState(work.trainable.size)
         theta = model.theta[model.layout.start:].copy()
@@ -819,37 +739,11 @@ class TestAppliedGradient:
 
 class TestDevPass:
     """The loop's evaluation, run on the workspace's buffers and, for a frozen
-    first layer, on that layer's output computed once, against ``evaluate``
-    on the model at every epoch."""
-
-    @pytest.fixture
-    def start(self, toy_task):
-        pretrained, train, dev = toy_task
-        assert len(dev) % 32 != 0
-
-        def start(freeze, activation):
-            base = models.MLPClassifier(pretrained.layer_sizes, pretrained.theta.copy(),
-                                        activation)
-            return fresh_head(base, 0, freeze=freeze), train, dev
-
-        return start
-
-    @pytest.mark.parametrize("activation", ["tanh", "relu"])
-    @pytest.mark.parametrize("freeze", [True, False])
-    def test_epoch_metrics_equal_the_reference_loop(self, start, freeze, activation):
-        model, train, dev = start(freeze, activation)
-        cfg = Stage2Config(epochs=6, lr_backbone=3e-2, lr_head=5e-2)
-        got_model, got = vanilla_finetune(model, train, dev, cfg, np.random.default_rng(4))
-        ref_model, want = helpers.reference_descend(
-            model, train, dev, cfg, np.random.default_rng(4), helpers.plain_step(cfg))
-        assert np.array_equal(got_model.theta, ref_model.theta)
-        assert [(e["dev_accuracy"], e["dev_mcc"]) for e in got] == \
-            [(e["dev_accuracy"], e["dev_mcc"]) for e in want]
-        assert len({e["dev_mcc"] for e in got}) > 1  # the metrics do move
+    first layer, on that layer's output computed once, against ``evaluate``."""
 
     @pytest.mark.parametrize("freeze", [True, False])
     def test_workspace_evaluation_follows_theta(self, start, freeze):
-        model, _, dev = start(freeze, "tanh")
+        model, _, _, dev = start("dev", freeze)
         work = StepWorkspace(model, 1e-3, 1e-2, eval_x=dev.x)
         rng = np.random.default_rng(2)
         for _ in range(4):
@@ -859,7 +753,7 @@ class TestDevPass:
         assert not any(np.shares_memory(model.theta, b) for b in work.eval_out)
 
     def test_frozen_features_are_checked_at_the_first_evaluation(self, start):
-        model, train, dev = start(True, "tanh")
+        model, _, train, dev = start("dev", True)
         bad = datasets.Dataset(x=dev.x.copy(), y=dev.y)
         bad.x[3, 0] = np.inf
         steps = []
