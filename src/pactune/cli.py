@@ -17,8 +17,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +29,20 @@ EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
 EXIT_IO = 4
 EXIT_WORKER = 5
+
+
+def __getattr__(name: str):
+    """``ProcessPoolExecutor``, imported on first use and then kept: only a pooled
+    benchmark loads ``concurrent.futures`` and ``multiprocessing`` (PEP 562)."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
+class WorkerError(Exception):
+    """A benchmark worker that ended abruptly, say killed by the OOM killer."""
 
 
 class ConfigError(ValueError):
@@ -459,8 +471,12 @@ def run_benchmark(config: dict, workers: int = 1):
     # a fork pool starts all its workers at its first submit: none beyond the runs
     workers = min(workers, len(runs))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_benchmark_run, runs))
+        from concurrent.futures.process import BrokenProcessPool
+        try:  # the class as the module holds it now, which a test or tracer may replace
+            with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
+                records = list(pool.map(_benchmark_run, runs))
+        except BrokenProcessPool as e:  # no exception of the worker's own to name
+            raise WorkerError("a benchmark worker ended abruptly") from e
     else:
         records = [_benchmark_run(run) for run in runs]
 
@@ -721,8 +737,8 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_IO
-    except BrokenProcessPool:  # killed, say by the OOM killer: no exception to name
-        print("worker error: a benchmark worker ended abruptly", file=sys.stderr)
+    except WorkerError as e:
+        print(f"worker error: {e}", file=sys.stderr)
         return EXIT_WORKER
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)

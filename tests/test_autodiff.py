@@ -3,6 +3,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +258,28 @@ class TestOracleStaysOffTheTrainingPath:
         env = dict(os.environ, PYTHONPATH=str(Path(pactune.__file__).resolve().parents[1]))
         assert subprocess.run([sys.executable, "-c", script], env=env,
                               timeout=60).returncode == 0
+
+    def test_only_a_pooled_benchmark_loads_the_pool(self, tmp_path):
+        # cli imports the process pool when a benchmark with workers > 1 (or a
+        # reader of cli.ProcessPoolExecutor) first needs it
+        script = textwrap.dedent("""
+            import sys
+            from pactune import cli
+            def pool_loaded():
+                return {"concurrent.futures.process", "multiprocessing"} & set(sys.modules)
+            assert not hasattr(cli, "no_such_name")
+            assert cli.main(["generate-data", "--out", "data"]) == 0
+            assert not pool_loaded(), "generate-data"
+            epochs = ["pretrain.epochs=1", "stage1.epochs=1", "stage2.epochs=1"]
+            argv = ["benchmark", "--workers", "1", "--out", "bench"]
+            assert cli.main(argv + [a for s in epochs for a in ("--set", s)]) == 0
+            assert not pool_loaded(), "benchmark --workers 1"
+            import concurrent.futures
+            assert cli.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor""")
+        env = dict(os.environ, PYTHONPATH=str(Path(pactune.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
 
     def test_the_tape_raises_the_training_paths_numeric_error(self):
         assert ad.NumericsError is kernels.NumericsError

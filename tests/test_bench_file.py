@@ -90,6 +90,65 @@ def test_ratio_ci_is_a_bootstrap_interval_of_the_median(tmp_path, centre, metric
         assert (low <= 1.0 <= high) == contains_one
 
 
+@pytest.mark.parametrize("change_wall, sign_p", [
+    ([0.5] * 10, 2 / 1024),  # the change wins all ten pairs
+    ([1.5] * 10, 2 / 1024),  # the parent does: the test is two-sided
+    ([0.5] * 9 + [1.0], 2 / 512),  # a tie is dropped, leaving 9 of 9
+    ([0.5] * 9 + [1.5], 2 * 11 / 1024),  # 9 of 10: P(at most 1 of 10), twice
+    ([1.0] * 10, 1.0),  # every pair ties
+])
+def test_sign_p_is_the_exact_two_sided_sign_test(tmp_path, capsys, change_wall, sign_p):
+    parent = write(tmp_path / "p.jsonl", [record("pretrain", s, 1.0, "a") for s in range(10)])
+    change = write(tmp_path / "c.jsonl",
+                   [record("pretrain", s, w, "b") for s, w in enumerate(change_wall)])
+    out = tmp_path / "BENCH.json"
+    assert load_tool().main(["--parent", parent, "--change", change,
+                             "--out", str(out)]) == 0
+    metrics = json.loads(out.read_text())["workloads"]["pretrain"]["metrics"]
+    assert metrics["wall_s"]["sign_p"] == sign_p
+    # three rows, so the smallest p passes at 0.05 / 3
+    assert metrics["wall_s"]["holm"] == (sign_p <= 0.05 / 3)
+    assert metrics["accuracy"]["sign_p"] == metrics["failed_frac"]["sign_p"] == 1.0
+    assert not metrics["accuracy"]["holm"] and not metrics["failed_frac"]["holm"]
+    assert f"change won {sum(w < 1.0 for w in change_wall)} of 10  sign p {sign_p:.3g}  " \
+           f"holm {'yes' if metrics['wall_s']['holm'] else 'no'}\n" in capsys.readouterr().out
+
+
+def test_holm_steps_down_in_ascending_p():
+    rows = [{"sign_p": p} for p in (0.01, 0.04, 0.03, 0.001, 0.02)]
+    load_tool().holm(rows)
+    # 0.001 <= 0.05/5 and 0.01 <= 0.05/4 pass; 0.02 > 0.05/3 stops the steps,
+    # so 0.04, below 0.05 alone, does not pass either
+    assert [r["holm"] for r in rows] == [True, False, False, True, False]
+
+
+@pytest.mark.parametrize("pairs, passes", [(10, False), (11, True)])
+def test_a_27_row_file_needs_11_pairs(pairs, passes):
+    rows = [{"sign_p": load_tool().sign_p(pairs, 0)}] + [{"sign_p": 1.0}] * 26
+    load_tool().holm(rows)
+    assert rows[0]["holm"] == passes
+
+
+@pytest.mark.parametrize("with_tier1, passes", [(False, True), (True, False)])
+def test_holm_counts_the_tier1_rows_too(tmp_path, with_tier1, passes):
+    # 7 wins and 3 ties: p = 2/128, at most 0.05/3 (three workload rows) but
+    # above 0.05/6 (those and three tied tier1 rows)
+    parent = [write(tmp_path / "p.jsonl", [record("pretrain", s, 1.0, "a") for s in range(10)])]
+    change = [write(tmp_path / "c.jsonl", [record("pretrain", s, 0.5 if s < 7 else 1.0, "b")
+                                           for s in range(10)])]
+    if with_tier1:
+        parent += [tier1_pass(tmp_path / f"p{k}.xml", 2.0) for k in range(10)]
+        change += [tier1_pass(tmp_path / f"c{k}.xml", 2.0) for k in range(10)]
+    out = tmp_path / "BENCH.json"
+    assert load_tool().main(["--parent", *parent, "--change", *change,
+                             "--out", str(out)]) == 0
+    bench = json.loads(out.read_text())
+    wall = bench["workloads"]["pretrain"]["metrics"]["wall_s"]
+    assert (wall["sign_p"], wall["holm"]) == (2 / 128, passes)
+    assert all(row["sign_p"] == 1.0 and not row["holm"]
+               for row in bench.get("tier1", {}).values())
+
+
 @pytest.mark.parametrize("parent_records, message", [
     ([record("pretrain", 2, 1.0, "a")], "do not pair"),
     ([record("pretrain", 1, 1.0, "a", nproc=8)], "different machines"),
@@ -148,7 +207,7 @@ def test_tier1_rows_pair_the_kth_junit_files(tmp_path, capsys):
     assert rows["total"]["ratios"] == [4.5 / 3.5, 3.5 / 5.5]  # every testcase's time
     assert rows["TestRanking::test_rank"]["ratios"] == [1.0, 1.0]
     assert ("tier1     test_criterion         change 2.5  parent 3  median ratio 1 "
-            "[0.5, 1.5]  change won 1 of 2\n") in capsys.readouterr().out
+            "[0.5, 1.5]  change won 1 of 2  sign p 1  holm no\n") in capsys.readouterr().out
 
 
 CRITERION = ("tests.test_acceptance", "test_criterion", 1.0)

@@ -24,6 +24,14 @@ ratio), ``ratio_ci``, a bootstrap 95% interval of that median (null below two
 ratios), and how many pairs the change won (ties count for neither side).
 A ``tier1`` row has the same fields, in seconds, without the bound and the
 pass count. Without ``--parent`` only the change's figures are written.
+
+With a parent, each row also holds ``sign_p``, the exact two-sided sign-test
+p-value of its wins and losses with ties dropped (1 when every pair ties), and
+``holm``: true where Holm's step-down at a family-wise 0.05 over every row of
+the file, workloads and ``tier1`` alike, still tells the two sides apart. A
+row's interval alone does not: an A/A run of 27 rows can exclude 1.0 on some.
+With 10 pairs the smallest ``sign_p`` is 2/1024, above 0.05/27, so a 27-row
+file needs 11 pairs before any row can be ``holm``.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ import numpy as np
 
 PER_RUN = ("git_commit", "source_sha256", "workload_seed")
 ACCEPTANCE = ["tests", "test_acceptance"]
+ALPHA = 0.05  # the family-wise level of ``holm``
 
 
 def load(paths: list[Path], traced: bool) -> list[dict]:
@@ -106,6 +115,24 @@ def ratio_ci(ratios: list[float]) -> list[float] | None:
     return [float(q) for q in np.percentile(np.median(resamples, axis=1), [2.5, 97.5])]
 
 
+def sign_p(wins: int, losses: int) -> float:
+    """The exact two-sided sign-test p-value of ``wins`` against ``losses``,
+    ties dropped: twice the chance of a split at least as uneven, at most 1."""
+    n = wins + losses
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2 * tail / 2 ** n)
+
+
+def holm(rows: list[dict]) -> None:
+    """Set each row's ``holm``: taken in ascending ``sign_p``, the i-th of m
+    rows (from 0) passes while its p is at most ALPHA / (m - i); the first that
+    fails, and every row after it, do not."""
+    passing = True
+    for i, row in enumerate(sorted(rows, key=lambda r: r["sign_p"])):
+        passing = passing and row["sign_p"] <= ALPHA / (len(rows) - i)
+        row["holm"] = passing
+
+
 def compare(metric: dict, change: list[float], parent: list[float] | None = None) -> dict:
     """``metric`` with each side's summary of its values and, with a parent,
     the figures of the pairs: the k-th value of each side make the k-th."""
@@ -119,6 +146,7 @@ def compare(metric: dict, change: list[float], parent: list[float] | None = None
         metric["ratio_ci"] = ratio_ci(ratios)
         metric["change_won"] = sum(won(metric["better"], p, c) for p, c in pairs)
         metric["parent_won"] = sum(won(metric["better"], c, p) for p, c in pairs)
+        metric["sign_p"] = sign_p(metric["change_won"], metric["parent_won"])
     return metric
 
 
@@ -177,7 +205,8 @@ def describe(group: str, name: str, m: dict) -> str:
                        [m["median_ratio"], *(m["ratio_ci"] or [None] * 2)])
         line += (f"  parent {m['parent']['median']:.6g}  median ratio "
                  f"{mid:.4g} [{lo:.4g}, {hi:.4g}]"
-                 f"  change won {m['change_won']} of {len(m['ratios'])}")
+                 f"  change won {m['change_won']} of {len(m['ratios'])}"
+                 f"  sign p {m['sign_p']:.3g}  holm {'yes' if m['holm'] else 'no'}")
     return line
 
 
@@ -210,6 +239,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"bench_file: {e}", file=sys.stderr)
         return 2
+    rows = [*(m for entry in bench["workloads"].values() for m in entry["metrics"].values()),
+            *bench.get("tier1", {}).values()]
+    holm([m for m in rows if "sign_p" in m])
     args.out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n",
                         encoding="utf-8")
     for workload, entry in bench["workloads"].items():
